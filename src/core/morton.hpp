@@ -97,8 +97,12 @@ constexpr void morton3d_63_decode(std::uint64_t code, std::uint32_t& x,
 }
 
 namespace detail {
+/// Bucket of normalized coordinate `t` in [0, buckets). Out-of-range
+/// values clamp to the end buckets; NaN maps to bucket 0 (written as a
+/// failed `>` so NaN never reaches the float-to-integer cast, where it
+/// would be undefined behaviour).
 inline std::uint32_t quantize(float t, std::uint32_t buckets) {
-  if (t <= 0.0f) return 0;
+  if (!(t > 0.0f)) return 0;
   if (t >= 1.0f) return buckets - 1;
   const auto q = static_cast<std::uint32_t>(t * static_cast<float>(buckets));
   return q < buckets ? q : buckets - 1;

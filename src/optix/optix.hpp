@@ -18,6 +18,12 @@
 //   * Optional Pipeline::closest_hit(ray) / Pipeline::miss(ray) run after
 //     traversal completes, depending on whether any IS call was made for
 //     the ray.
+//   * Optional Pipeline::cull_shrink(ray) has no OptiX counterpart: it is
+//     the software RT core's per-ray cull bound (rt::CullingProgram),
+//     re-read after every IS call. While it returns δ > 0 the wide,
+//     compressed and tiled walks skip every box the ray's origin is not
+//     inside once shrunk by δ per face. KnnPipeline supplies it from its
+//     heap's K-th distance.
 //
 // "Single Instruction Multiple Rays": each launch index maps to one ray /
 // one SIMT lane; the warp-lockstep execution model is selected through
@@ -190,7 +196,8 @@ struct LaunchOptions {
 
 /// Shader-pipeline concepts. A pipeline must at least provide the RG and
 /// IS shaders; AH (termination), CH and Miss are optional, mirroring
-/// OptiX where those program groups may be null.
+/// OptiX where those program groups may be null. The cull bound
+/// (rt::CullingProgram) is optional the same way.
 template <typename P>
 concept RayGenShader = requires(P p, std::uint32_t i) {
   { p.raygen(i) } -> std::convertible_to<Ray>;
@@ -245,6 +252,14 @@ struct ProgramAdapter {
   TraceAction intersect(std::uint32_t ray_id, std::uint32_t prim_id) {
     if (is_invoked) (*is_invoked)[ray_id] = 1;
     return pipeline.intersection(ray_id, prim_id);
+  }
+
+  // Declared only when the pipeline has a cull bound, so bound-less
+  // pipelines keep the unbounded walks.
+  float cull_shrink(std::uint32_t ray_id)
+    requires rt::CullingProgram<P>
+  {
+    return pipeline.cull_shrink(ray_id);
   }
 };
 

@@ -33,9 +33,19 @@
 // TraceAction::kTerminate is the AH shader's optixTerminateRay (used by
 // RTNN when K neighbors have been found, and by the scheduling pass to
 // stop at the first hit).
+//
+// A Program may also declare a cull bound (CullingProgram): a per-ray
+// face shrink δ, re-read after every IS call. While δ > 0 the wide,
+// compressed and tiled walks replace the short-ray test with "origin
+// inside the box shrunk by δ on every face", which skips every box that
+// holds no primitive the program would still accept. The binary and
+// lockstep walks ignore the bound, so the paper-characterization
+// counters (Figures 5–8) stay bit-identical; Programs without the member
+// compile to the unbounded walk.
 #pragma once
 
 #include <bit>
+#include <concepts>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -90,6 +100,16 @@ struct TraceConfig {
 #else
 #define RTNN_PREFETCH(addr) ((void)0)
 #endif
+
+/// A Program with a cull bound: `cull_shrink(ray_id)` returns the ray's
+/// current face shrink δ (δ ≤ 0: no culling). The contract the walks rely
+/// on: every primitive in a box the ray's origin is *not* inside, once
+/// shrunk by δ on every face, would be rejected by intersect() — now and
+/// at every later call. δ may only grow over a ray's traversal.
+template <typename P>
+concept CullingProgram = requires(P& p, std::uint32_t ray_id) {
+  { p.cull_shrink(ray_id) } -> std::convertible_to<float>;
+};
 
 namespace detail {
 
@@ -172,30 +192,90 @@ void trace_one(const Bvh& bvh, const Ray& ray, std::uint32_t ray_id, Program& pr
   }
 }
 
-/// Tests `ray` against all eight child slots of `node` in one step and
-/// returns the bitmask of intersected slots (bit i = slot i). Must agree
-/// bit-for-bit with ray_intersects_aabb on every slot box; empty slots may
-/// report spurious hits and are masked off by the caller via valid_mask().
-/// `inv_dir` is the precomputed 1/dir (±inf for zero components), hoisted
-/// out of the per-node loop.
+/// The cull-bound box test: `q` inside `box` shrunk by `delta` on every
+/// face. Replaces the short-ray test while a CullingProgram's bound is
+/// positive; with delta > 0 every box it passes contains the origin, so
+/// it never passes a box the short-ray test rejects. The 8-lane form
+/// below rounds each shrunk face exactly like this scalar form (one add
+/// or subtract).
+inline bool shrunk_box_contains(const Aabb& box, const Vec3& q, float delta) {
+  return q.x >= box.lo.x + delta && q.x <= box.hi.x - delta &&
+         q.y >= box.lo.y + delta && q.y <= box.hi.y - delta &&
+         q.z >= box.lo.z + delta && q.z <= box.hi.z - delta;
+}
+
+/// One box step of a walk under an optional cull bound: the shrunk
+/// containment test while the bound is positive, the ordinary short-ray
+/// test otherwise. kCull = false compiles to the short-ray test alone.
+template <bool kCull>
+bool box_hit(const Ray& ray, const Aabb& box, const Vec3& inv_dir, float delta) {
+  if constexpr (kCull) {
+    if (delta > 0.0f) return shrunk_box_contains(box, ray.origin, delta);
+  }
+  return ray_intersects_aabb(ray, box, inv_dir);
+}
+
+/// node_hits tests `ray` against all eight child slots of `node` (either
+/// layout) in one step and returns the bitmask of intersected slots (bit
+/// i = slot i). Must agree bit-for-bit with ray_intersects_aabb on every
+/// slot box; empty slots may report spurious hits and are masked off by
+/// the caller via valid_mask(). `inv_dir` is the precomputed 1/dir (±inf
+/// for zero components), hoisted out of the per-node loop.
+/// node_shrunk_hits is the same step under a positive cull bound,
+/// bit-for-bit shrunk_box_contains per slot.
 #ifdef RTNN_HAVE_AVX2
-/// The 8-lane box test shared by both node layouts: lane i of each input
-/// register holds child i's coordinate. Decision-identical to
+/// A node's eight child boxes, lane i of each register holding child i's
+/// coordinate — the common input of both node layouts' box tests.
+struct SlotLanes {
+  __m256 minx, miny, minz, maxx, maxy, maxz;
+};
+
+inline SlotLanes slot_lanes(const WideBvhNode& node) {
+  return {_mm256_load_ps(node.minx), _mm256_load_ps(node.miny),
+          _mm256_load_ps(node.minz), _mm256_load_ps(node.maxx),
+          _mm256_load_ps(node.maxy), _mm256_load_ps(node.maxz)};
+}
+
+/// Dequantizes the eight child boxes of a compressed node. Bitwise-
+/// identical to the scalar dequantize_slot(): uint8 -> int32 -> float
+/// conversion is exact, the multiply by a power-of-two scale is exact, and
+/// the single add rounds the same way — so AVX2 and scalar builds agree
+/// bit-for-bit on every decoded bound, and the SIMD-vs-scalar decision
+/// parity the FP32 path guarantees carries over. No FMA: -mavx2 alone
+/// does not license it, and contracting mul+add would change the rounding
+/// against the scalar decoder.
+inline SlotLanes slot_lanes(const CompressedWideNode& node) {
+  const auto dq = [](const std::uint8_t* q, __m256 anchor, __m256 scale) {
+    const __m128i bytes =
+        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(q));
+    const __m256 f = _mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(bytes));
+    return _mm256_add_ps(_mm256_mul_ps(f, scale), anchor);
+  };
+  const __m256 ax = _mm256_set1_ps(node.anchor_x);
+  const __m256 ay = _mm256_set1_ps(node.anchor_y);
+  const __m256 az = _mm256_set1_ps(node.anchor_z);
+  const __m256 sx = _mm256_set1_ps(quant_scale(node.exp_x));
+  const __m256 sy = _mm256_set1_ps(quant_scale(node.exp_y));
+  const __m256 sz = _mm256_set1_ps(quant_scale(node.exp_z));
+  return {dq(node.qlox, ax, sx), dq(node.qloy, ay, sy), dq(node.qloz, az, sz),
+          dq(node.qhix, ax, sx), dq(node.qhiy, ay, sy), dq(node.qhiz, az, sz)};
+}
+
+/// The 8-lane box test shared by both node layouts. Decision-identical to
 /// ray_intersects_aabb per lane, including NaN semantics.
-inline std::uint32_t simd_box_hits(__m256 minx, __m256 miny, __m256 minz,
-                                   __m256 maxx, __m256 maxy, __m256 maxz,
-                                   const Ray& ray, const Vec3& inv_dir) {
+inline std::uint32_t simd_box_hits(const SlotLanes& b, const Ray& ray,
+                                   const Vec3& inv_dir) {
   const __m256 ox = _mm256_set1_ps(ray.origin.x);
   const __m256 oy = _mm256_set1_ps(ray.origin.y);
   const __m256 oz = _mm256_set1_ps(ray.origin.z);
 
   // Condition 2 of paper Figure 2: the origin lies inside the box.
-  __m256 inside = _mm256_and_ps(_mm256_cmp_ps(ox, minx, _CMP_GE_OQ),
-                                _mm256_cmp_ps(ox, maxx, _CMP_LE_OQ));
-  inside = _mm256_and_ps(inside, _mm256_and_ps(_mm256_cmp_ps(oy, miny, _CMP_GE_OQ),
-                                               _mm256_cmp_ps(oy, maxy, _CMP_LE_OQ)));
-  inside = _mm256_and_ps(inside, _mm256_and_ps(_mm256_cmp_ps(oz, minz, _CMP_GE_OQ),
-                                               _mm256_cmp_ps(oz, maxz, _CMP_LE_OQ)));
+  __m256 inside = _mm256_and_ps(_mm256_cmp_ps(ox, b.minx, _CMP_GE_OQ),
+                                _mm256_cmp_ps(ox, b.maxx, _CMP_LE_OQ));
+  inside = _mm256_and_ps(inside, _mm256_and_ps(_mm256_cmp_ps(oy, b.miny, _CMP_GE_OQ),
+                                               _mm256_cmp_ps(oy, b.maxy, _CMP_LE_OQ)));
+  inside = _mm256_and_ps(inside, _mm256_and_ps(_mm256_cmp_ps(oz, b.minz, _CMP_GE_OQ),
+                                               _mm256_cmp_ps(oz, b.maxz, _CMP_LE_OQ)));
 
   // Condition 1: the slab test, with the scalar path's exact NaN
   // semantics. `tnear > tfar` with a NaN is false (no swap), and
@@ -213,71 +293,77 @@ inline std::uint32_t simd_box_hits(__m256 minx, __m256 miny, __m256 minz,
     t0 = _mm256_max_ps(tnear, t0);
     t1 = _mm256_min_ps(tfar, t1);
   };
-  slab_axis(minx, maxx, ox, inv_dir.x);
-  slab_axis(miny, maxy, oy, inv_dir.y);
-  slab_axis(minz, maxz, oz, inv_dir.z);
+  slab_axis(b.minx, b.maxx, ox, inv_dir.x);
+  slab_axis(b.miny, b.maxy, oy, inv_dir.y);
+  slab_axis(b.minz, b.maxz, oz, inv_dir.z);
   const __m256 slab = _mm256_cmp_ps(t0, t1, _CMP_LE_OQ);
 
   return static_cast<std::uint32_t>(_mm256_movemask_ps(_mm256_or_ps(inside, slab)));
 }
 
-inline std::uint32_t wide_node_hits(const WideBvhNode& node, const Ray& ray,
-                                    const Vec3& inv_dir) {
-  return simd_box_hits(_mm256_load_ps(node.minx), _mm256_load_ps(node.miny),
-                       _mm256_load_ps(node.minz), _mm256_load_ps(node.maxx),
-                       _mm256_load_ps(node.maxy), _mm256_load_ps(node.maxz),
-                       ray, inv_dir);
+/// The 8-lane shrunk_box_contains: lo + delta and hi - delta round once
+/// per lane, exactly as the scalar form does.
+inline std::uint32_t simd_shrunk_hits(const SlotLanes& b, const Vec3& q, float delta) {
+  const __m256 d = _mm256_set1_ps(delta);
+  const auto axis = [&](__m256 lo, __m256 hi, float c) {
+    const __m256 cv = _mm256_set1_ps(c);
+    return _mm256_and_ps(_mm256_cmp_ps(cv, _mm256_add_ps(lo, d), _CMP_GE_OQ),
+                         _mm256_cmp_ps(cv, _mm256_sub_ps(hi, d), _CMP_LE_OQ));
+  };
+  const __m256 inside = _mm256_and_ps(
+      _mm256_and_ps(axis(b.minx, b.maxx, q.x), axis(b.miny, b.maxy, q.y)),
+      axis(b.minz, b.maxz, q.z));
+  return static_cast<std::uint32_t>(_mm256_movemask_ps(inside));
 }
 
-/// Same contract against the quantized layout: dequantize the eight child
-/// boxes, then run the identical box test. The dequantization here is
-/// bitwise-identical to the scalar dequantize_slot(): uint8 -> int32 ->
-/// float conversion is exact, the multiply by a power-of-two scale is
-/// exact, and the single add rounds the same way — so AVX2 and scalar
-/// builds agree bit-for-bit on every decoded bound, and the SIMD-vs-scalar
-/// decision parity the FP32 path guarantees carries over. No FMA: -mavx2
-/// alone does not license it, and contracting mul+add would change the
-/// rounding against the scalar decoder.
-inline std::uint32_t compressed_node_hits(const CompressedWideNode& node, const Ray& ray,
-                                          const Vec3& inv_dir) {
-  const auto dq = [](const std::uint8_t* q, __m256 anchor, __m256 scale) {
-    const __m128i bytes =
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(q));
-    const __m256 f = _mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(bytes));
-    return _mm256_add_ps(_mm256_mul_ps(f, scale), anchor);
-  };
-  const __m256 ax = _mm256_set1_ps(node.anchor_x);
-  const __m256 ay = _mm256_set1_ps(node.anchor_y);
-  const __m256 az = _mm256_set1_ps(node.anchor_z);
-  const __m256 sx = _mm256_set1_ps(quant_scale(node.exp_x));
-  const __m256 sy = _mm256_set1_ps(quant_scale(node.exp_y));
-  const __m256 sz = _mm256_set1_ps(quant_scale(node.exp_z));
-  return simd_box_hits(dq(node.qlox, ax, sx), dq(node.qloy, ay, sy),
-                       dq(node.qloz, az, sz), dq(node.qhix, ax, sx),
-                       dq(node.qhiy, ay, sy), dq(node.qhiz, az, sz),
-                       ray, inv_dir);
+template <typename Node>
+std::uint32_t node_hits(const Node& node, const Ray& ray, const Vec3& inv_dir) {
+  return simd_box_hits(slot_lanes(node), ray, inv_dir);
+}
+
+template <typename Node>
+std::uint32_t node_shrunk_hits(const Node& node, const Vec3& q, float delta) {
+  return simd_shrunk_hits(slot_lanes(node), q, delta);
 }
 #else
-inline std::uint32_t wide_node_hits(const WideBvhNode& node, const Ray& ray,
-                                    const Vec3& inv_dir) {
+inline Aabb slot_box(const WideBvhNode& node, std::uint32_t i) {
+  return {{node.minx[i], node.miny[i], node.minz[i]},
+          {node.maxx[i], node.maxy[i], node.maxz[i]}};
+}
+
+inline Aabb slot_box(const CompressedWideNode& node, std::uint32_t i) {
+  return dequantize_slot(node, i);
+}
+
+template <typename Node>
+std::uint32_t node_hits(const Node& node, const Ray& ray, const Vec3& inv_dir) {
   std::uint32_t mask = 0;
   for (std::uint32_t i = 0; i < kWideBvhWidth; ++i) {
-    const Aabb box{{node.minx[i], node.miny[i], node.minz[i]},
-                   {node.maxx[i], node.maxy[i], node.maxz[i]}};
-    if (ray_intersects_aabb(ray, box, inv_dir)) mask |= 1u << i;
+    if (ray_intersects_aabb(ray, slot_box(node, i), inv_dir)) mask |= 1u << i;
   }
   return mask;
 }
 
-inline std::uint32_t compressed_node_hits(const CompressedWideNode& node, const Ray& ray,
-                                          const Vec3& inv_dir) {
+template <typename Node>
+std::uint32_t node_shrunk_hits(const Node& node, const Vec3& q, float delta) {
   std::uint32_t mask = 0;
   for (std::uint32_t i = 0; i < kWideBvhWidth; ++i) {
-    if (ray_intersects_aabb(ray, dequantize_slot(node, i), inv_dir)) mask |= 1u << i;
+    if (shrunk_box_contains(slot_box(node, i), q, delta)) mask |= 1u << i;
   }
   return mask;
 }
 #endif
+
+/// One node step of a wide walk under an optional cull bound (the 8-slot
+/// box_hit).
+template <bool kCull, typename Node>
+std::uint32_t slot_hits(const Node& node, const Ray& ray, const Vec3& inv_dir,
+                        float delta) {
+  if constexpr (kCull) {
+    if (delta > 0.0f) return node_shrunk_hits(node, ray.origin, delta);
+  }
+  return node_hits(node, ray, inv_dir);
+}
 
 /// Single-ray traversal of the 8-wide SoA BVH. `stack` is the caller's
 /// reusable per-thread buffer (kWideStackDepth entries). `mem`, when
@@ -297,15 +383,21 @@ inline std::uint32_t compressed_node_hits(const CompressedWideNode& node, const 
 /// 0 for the monolithic index (byte-identical to before), or the tile's
 /// region (kTileRegionStride slice) when this walk runs as a BLAS under
 /// the two-level traversal, so distinct tiles' arrays never alias.
+/// A CullingProgram's bound is read once per ray and again after every IS
+/// call; each node step and leaf test uses the bound current at that
+/// moment.
 template <typename Program>
 void trace_one_wide(const WideBvh& bvh, const Ray& ray, std::uint32_t ray_id,
                     Program& program, LaunchStats* stats, std::uint32_t* stack,
                     MemoryHierarchy* mem = nullptr, std::uint64_t mem_base = 0) {
+  constexpr bool kCull = CullingProgram<Program>;
   const auto nodes = bvh.nodes();
   const auto leaves = bvh.leaves();
   const auto prim_order = bvh.prim_order();
   const auto prim_aabbs = bvh.prim_aabbs();
   const Vec3 inv_dir = reciprocal_dir(ray);
+  float delta = 0.0f;  // the cull bound; stays 0 (no culling) unless kCull
+  if constexpr (kCull) delta = program.cull_shrink(ray_id);
   std::uint32_t sp = 0;
   stack[sp++] = bvh.root();
   while (sp > 0) {
@@ -320,7 +412,9 @@ void trace_one_wide(const WideBvh& bvh, const Ray& ray, std::uint32_t ray_id,
       ++stats->node_visits;
       stats->aabb_tests += node.count;
     }
-    std::uint32_t mask = wide_node_hits(node, ray, inv_dir) & node.valid_mask();
+    const float node_delta = delta;
+    std::uint32_t mask =
+        slot_hits<kCull>(node, ray, inv_dir, node_delta) & node.valid_mask();
     std::uint32_t pushes[kWideBvhWidth];
     std::uint32_t n_push = 0;
     while (mask != 0) {
@@ -330,23 +424,30 @@ void trace_one_wide(const WideBvh& bvh, const Ray& ray, std::uint32_t ray_id,
       if (child & WideBvhNode::kLeafBit) {
         const WideLeaf leaf = leaves[child & ~WideBvhNode::kLeafBit];
         // Single-primitive leaves (the RTNN configuration) were already
-        // tested: the slot box *is* the primitive's AABB. Wider leaves
-        // re-test each primitive against the ray like the binary path.
+        // tested: the slot box *is* the primitive's AABB — unless an IS
+        // call since the node step raised the cull bound. Then the slot is
+        // re-tested against the current bound, as the compressed walk
+        // re-tests every leaf primitive, so both layouts keep one IS-call
+        // sequence. Wider leaves re-test each primitive like the binary
+        // path.
+        const bool retest =
+            leaf.count > 1 || (kCull && delta > 0.0f && delta != node_delta);
         for (std::uint32_t s = leaf.first; s < leaf.first + leaf.count; ++s) {
           const std::uint32_t prim = prim_order[s];
-          if (leaf.count > 1) {
+          if (retest) {
             if (mem) {
               mem->access_range(mem_base + kPrimRegionBase + prim * kPrimStride,
                                 sizeof(Aabb));
             }
             if (stats) ++stats->aabb_tests;
-            if (!ray_intersects_aabb(ray, prim_aabbs[prim], inv_dir)) continue;
+            if (!box_hit<kCull>(ray, prim_aabbs[prim], inv_dir, delta)) continue;
           }
           if (stats) ++stats->is_calls;
           if (program.intersect(ray_id, prim) == TraceAction::kTerminate) {
             if (stats) ++stats->terminated_rays;
             return;
           }
+          if constexpr (kCull) delta = program.cull_shrink(ray_id);
         }
       } else {
         pushes[n_push++] = child;
@@ -359,25 +460,30 @@ void trace_one_wide(const WideBvh& bvh, const Ray& ray, std::uint32_t ray_id,
 
 /// Single-ray traversal of the compressed (quantized) wide layout. Same
 /// shape as trace_one_wide with two deliberate differences: nodes are
-/// decoded via compressed_node_hits, and *every* leaf primitive — even a
+/// decoded from the quantized layout, and *every* leaf primitive — even a
 /// single-primitive leaf — is re-tested against its exact FP32 AABB.
 /// Dequantized slot boxes are conservative supersets, so the slot hit
 /// alone is not proof of a primitive hit; the exact re-test is what makes
 /// candidate sets (and hence the IS-call sequence, including kTerminate
 /// cut-offs) identical to the FP32 path: a spurious slot hit leads into a
 /// subtree whose primitives the ray provably misses, contributing zero IS
-/// calls. The re-test reads the leaf-slot-ordered AABB snapshot
+/// calls. That holds under a cull bound too: the bound only grows, so a
+/// subtree the FP32 walk culled stays culled at every exact re-test below
+/// it. The re-test reads the leaf-slot-ordered AABB snapshot
 /// (ordered_prim_aabbs), so the extra fetches stream contiguously in
 /// traversal order instead of gathering through prim_order.
 template <typename Program>
 void trace_one_compressed(const WideBvh& bvh, const Ray& ray, std::uint32_t ray_id,
                           Program& program, LaunchStats* stats, std::uint32_t* stack,
                           MemoryHierarchy* mem = nullptr, std::uint64_t mem_base = 0) {
+  constexpr bool kCull = CullingProgram<Program>;
   const auto nodes = bvh.compressed_nodes();
   const auto leaves = bvh.leaves();
   const auto prim_order = bvh.prim_order();
   const auto ordered_prim_aabbs = bvh.ordered_prim_aabbs();
   const Vec3 inv_dir = reciprocal_dir(ray);
+  float delta = 0.0f;  // the cull bound; stays 0 (no culling) unless kCull
+  if constexpr (kCull) delta = program.cull_shrink(ray_id);
   std::uint32_t sp = 0;
   stack[sp++] = bvh.root();
   while (sp > 0) {
@@ -392,7 +498,7 @@ void trace_one_compressed(const WideBvh& bvh, const Ray& ray, std::uint32_t ray_
       ++stats->node_visits;
       stats->aabb_tests += node.count;
     }
-    std::uint32_t mask = compressed_node_hits(node, ray, inv_dir) & node.valid_mask();
+    std::uint32_t mask = slot_hits<kCull>(node, ray, inv_dir, delta) & node.valid_mask();
     std::uint32_t pushes[kWideBvhWidth];
     std::uint32_t n_push = 0;
     while (mask != 0) {
@@ -407,12 +513,13 @@ void trace_one_compressed(const WideBvh& bvh, const Ray& ray, std::uint32_t ray_
                               sizeof(Aabb));
           }
           if (stats) ++stats->aabb_tests;
-          if (!ray_intersects_aabb(ray, ordered_prim_aabbs[s], inv_dir)) continue;
+          if (!box_hit<kCull>(ray, ordered_prim_aabbs[s], inv_dir, delta)) continue;
           if (stats) ++stats->is_calls;
           if (program.intersect(ray_id, prim) == TraceAction::kTerminate) {
             if (stats) ++stats->terminated_rays;
             return;
           }
+          if constexpr (kCull) delta = program.cull_shrink(ray_id);
         }
       } else {
         pushes[n_push++] = node.child_index(slot);
@@ -428,7 +535,8 @@ void trace_one_compressed(const WideBvh& bvh, const Ray& ray, std::uint32_t ray_
 /// remaps them through the tile's id list before forwarding. kTerminate
 /// is latched so the TLAS walk can stop popping top-level nodes — the
 /// inner walk already returned, and its stats (including
-/// terminated_rays) were counted exactly once.
+/// terminated_rays) were counted exactly once. A cull bound is per ray,
+/// not per primitive, so it forwards unchanged.
 template <typename Program>
 struct TileProgram {
   Program& inner;
@@ -440,6 +548,12 @@ struct TileProgram {
     if (action == TraceAction::kTerminate) terminated = true;
     return action;
   }
+
+  float cull_shrink(std::uint32_t ray_id)
+    requires CullingProgram<Program>
+  {
+    return inner.cull_shrink(ray_id);
+  }
 };
 
 /// Single-ray two-level traversal: a binary stack walk of the top tree
@@ -449,12 +563,16 @@ struct TileProgram {
 /// tile bounds contain every member AABB — top-level culling only skips
 /// tiles the ray provably misses — and tiles partition the primitives, so
 /// the union of per-tile candidates is exactly the monolithic candidate
-/// set. `wide_stack` is the caller's kWideStackDepth scratch reused by
-/// every BLAS walk (tiles traverse one at a time).
+/// set. A cull bound applies to the top tree too: tile bounds are exactly
+/// the union of their member cubes, so a tile whose bounds fail the shrunk
+/// test holds no primitive the program would accept (and is never built
+/// for that ray). `wide_stack` is the caller's kWideStackDepth scratch
+/// reused by every BLAS walk (tiles traverse one at a time).
 template <typename Program>
 void trace_one_tiled(const TiledBvh& tlas, const Ray& ray, std::uint32_t ray_id,
                      Program& program, LaunchStats* stats, std::uint32_t* wide_stack,
                      bool use_compressed, MemoryHierarchy* mem = nullptr) {
+  constexpr bool kCull = CullingProgram<Program>;
   const Bvh& top = tlas.top();
   if (top.empty()) return;
   std::uint32_t stack[kMaxStackDepth];
@@ -462,6 +580,9 @@ void trace_one_tiled(const TiledBvh& tlas, const Ray& ray, std::uint32_t ray_id,
   stack[sp++] = top.root();
   const auto nodes = top.nodes();
   const auto tile_order = top.prim_order();
+  const Vec3 inv_dir = reciprocal_dir(ray);
+  float delta = 0.0f;  // the cull bound; stays 0 (no culling) unless kCull
+  if constexpr (kCull) delta = program.cull_shrink(ray_id);
   while (sp > 0) {
     const BvhNode& node = nodes[stack[--sp]];
     if (mem) {
@@ -471,7 +592,7 @@ void trace_one_tiled(const TiledBvh& tlas, const Ray& ray, std::uint32_t ray_id,
       ++stats->node_visits;
       ++stats->aabb_tests;
     }
-    if (!ray_intersects_aabb(ray, node.bounds)) continue;
+    if (!box_hit<kCull>(ray, node.bounds, inv_dir, delta)) continue;
     if (node.is_leaf()) {
       for (std::uint32_t s = node.first; s < node.first + node.count; ++s) {
         const std::uint32_t t = tile_order[s];
@@ -488,6 +609,7 @@ void trace_one_tiled(const TiledBvh& tlas, const Ray& ray, std::uint32_t ray_id,
                          tile_base);
         }
         if (tp.terminated) return;
+        if constexpr (kCull) delta = program.cull_shrink(ray_id);
       }
     } else {
       RTNN_DCHECK(sp + 2 <= kMaxStackDepth, "traversal stack overflow");

@@ -153,50 +153,28 @@ CostModel CostModel::calibrate(std::span<const Vec3> sample_points, float radius
   const std::size_t nq = std::min<std::size_t>(sample_points.size(), 100'000);
   const std::span<const Vec3> queries = sample_points.subspan(0, nq);
 
-  // --- k2: KNN IS call (measured through a local probe pipeline) ---
-  struct KnnProbe {
-    std::span<const Vec3> points;
-    std::span<const Vec3> queries;
-    float r2;
-    FlatKnnHeaps* heaps;
-    Ray raygen(std::uint32_t i) const { return Ray::short_ray(queries[i]); }
-    ox::TraceAction intersection(std::uint32_t i, std::uint32_t prim) {
-      const float d2 = distance2(points[prim], queries[i]);
-      if (d2 <= r2 && d2 < heaps->worst_dist2(i)) heaps->push(i, d2, prim);
-      return ox::TraceAction::kContinue;
-    }
-  };
+  // The production shaders, over identity launch ids.
+  std::vector<std::uint32_t> ids(nq);
+  std::iota(ids.begin(), ids.end(), 0u);
+
+  // --- k2: KNN IS call. The pipeline is built without a width, so its
+  // walk is unculled: k2 stays seconds per IS call of the full traversal,
+  // which is what the ρS³ IS-count term of the model predicts.
   {
     FlatKnnHeaps heaps(nq, k);
-    KnnProbe probe{sample_points, queries, radius * radius, &heaps};
+    pipelines::KnnPipeline pipeline(sample_points, queries, ids, radius, heaps);
     Timer timer;
-    const auto stats = ox::launch(accel, probe, static_cast<std::uint32_t>(nq));
+    const auto stats = ox::launch(accel, pipeline, static_cast<std::uint32_t>(nq));
     const double t = timer.elapsed();
     if (stats.is_calls > 0) model.k2 = t / static_cast<double>(stats.is_calls);
   }
 
   // --- k3: range IS call, with and without the sphere test ---
-  struct RangeProbe {
-    std::span<const Vec3> points;
-    std::span<const Vec3> queries;
-    float r2;
-    bool skip_test;
-    std::uint32_t k;
-    NeighborResult* result;
-    Ray raygen(std::uint32_t i) const { return Ray::short_ray(queries[i]); }
-    ox::TraceAction intersection(std::uint32_t i, std::uint32_t prim) {
-      if (!skip_test && distance2(points[prim], queries[i]) > r2) {
-        return ox::TraceAction::kContinue;
-      }
-      return result->record(i, prim) >= k ? ox::TraceAction::kTerminate
-                                          : ox::TraceAction::kContinue;
-    }
-  };
   for (const bool skip : {false, true}) {
     NeighborResult result(nq, k, /*store_indices=*/false);
-    RangeProbe probe{sample_points, queries, radius * radius, skip, k, &result};
+    pipelines::RangePipeline pipeline(sample_points, queries, ids, radius, k, skip, result);
     Timer timer;
-    const auto stats = ox::launch(accel, probe, static_cast<std::uint32_t>(nq));
+    const auto stats = ox::launch(accel, pipeline, static_cast<std::uint32_t>(nq));
     const double t = timer.elapsed();
     if (stats.is_calls > 0) {
       const double per_call = t / static_cast<double>(stats.is_calls);

@@ -46,7 +46,11 @@ struct CostModel {
   // defaults merely carry the older layout's (slightly more pessimistic)
   // per-IS-call timings, of which only the k1:k2:k3 ratios matter anyway.
   double k1 = 1.5e-7;       // BVH build per AABB
-  double k2 = 6.0e-9;       // KNN IS call (sphere test + heap)
+  /// KNN IS call (sphere test + heap), per IS call of the *unculled*
+  /// walk — the count the ρS³ term predicts. Searches cull KNN rays by
+  /// the K-th distance (KnnPipeline::cull_shrink) and make fewer calls;
+  /// calibrate() measures k2 with the bound off.
+  double k2 = 6.0e-9;
   double k3_slow = 3.0e-8;  // range IS call with sphere test
   double k3_fast = 6.0e-9;  // range IS call, sphere test elided
   /// Accel refit per AABB (leaf refresh + level sweep + SoA lane rewrite).

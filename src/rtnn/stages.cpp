@@ -190,7 +190,8 @@ void BundleStage::run(SearchContext& ctx) {
 }
 
 void LaunchStage::launch_chunk(SearchContext& ctx, const ox::Accel& accel,
-                               std::span<const std::uint32_t> ids, bool skip_sphere_test) {
+                               float built_width, std::span<const std::uint32_t> ids,
+                               bool skip_sphere_test) {
   Timer timer;
   ox::LaunchOptions options;
   options.model = ctx.params.simt_launches ? ox::ExecutionModel::kWarpLockstep
@@ -204,21 +205,21 @@ void LaunchStage::launch_chunk(SearchContext& ctx, const ox::Accel& accel,
     ctx.report.stats += ox::launch(accel, pipeline, width, options);
   } else {
     pipelines::KnnPipeline pipeline(ctx.points, ctx.queries, ids, ctx.params.radius,
-                                    *ctx.knn_heaps);
+                                    *ctx.knn_heaps, built_width);
     ctx.report.stats += ox::launch(accel, pipeline, width, options);
   }
   ctx.report.time.search += timer.elapsed();
 }
 
 void LaunchStage::launch_unit(SearchContext& ctx, const ox::Accel& accel,
-                              const Unit& unit) {
+                              float built_width, const Unit& unit) {
   // Stream the unit's ids through fixed-size chunks. Partition id lists
   // are consumed as views; only the scratch chunk is ever materialized.
   std::size_t total = 0;
   for (const auto& span : unit.id_spans) total += span.size();
 
   if (unit.id_spans.size() == 1 && total <= kChunkSize) {
-    launch_chunk(ctx, accel, unit.id_spans.front(), unit.skip_sphere_test);
+    launch_chunk(ctx, accel, built_width, unit.id_spans.front(), unit.skip_sphere_test);
     return;
   }
 
@@ -231,12 +232,12 @@ void LaunchStage::launch_unit(SearchContext& ctx, const ox::Accel& accel,
       chunk.insert(chunk.end(), span.begin() + offset, span.begin() + offset + take);
       offset += take;
       if (chunk.size() == kChunkSize) {
-        launch_chunk(ctx, accel, chunk, unit.skip_sphere_test);
+        launch_chunk(ctx, accel, built_width, chunk, unit.skip_sphere_test);
         chunk.clear();
       }
     }
   }
-  if (!chunk.empty()) launch_chunk(ctx, accel, chunk, unit.skip_sphere_test);
+  if (!chunk.empty()) launch_chunk(ctx, accel, built_width, chunk, unit.skip_sphere_test);
 }
 
 void LaunchStage::run(SearchContext& ctx) {
@@ -296,9 +297,15 @@ void LaunchStage::run(SearchContext& ctx) {
       local = ctx.build_accel_width(width);
       accel = &local;
     }
+    // The KNN cull bound needs the width the traversed boxes were built
+    // with: the shared accel's, not this unit's (they may differ by the
+    // is_base tolerance).
+    const float built_width = accel->is_tiled() ? accel->tiled_bvh().aabb_width()
+                              : is_base         ? ctx.base_width
+                                                : width;
     const std::uint32_t built_before =
         accel->is_tiled() ? accel->tiled_bvh().built_tile_count() : 0;
-    launch_unit(ctx, *accel, unit);
+    launch_unit(ctx, *accel, built_width, unit);
     // Footprint gauge: the byte cost of the node layout these launches
     // actually traversed (SIMT launches walk the binary tree and report
     // 0). Taken after the launch so a lazy tiled index reports the tiles

@@ -157,8 +157,11 @@ class LaunchStage final : public SearchStage {
     bool skip_sphere_test = false;
   };
 
-  void launch_unit(SearchContext& ctx, const ox::Accel& accel, const Unit& unit);
-  void launch_chunk(SearchContext& ctx, const ox::Accel& accel,
+  /// `built_width` is the AABB width `accel` was built with (the KNN
+  /// pipeline's cull bound is derived from it).
+  void launch_unit(SearchContext& ctx, const ox::Accel& accel, float built_width,
+                   const Unit& unit);
+  void launch_chunk(SearchContext& ctx, const ox::Accel& accel, float built_width,
                     std::span<const std::uint32_t> ids, bool skip_sphere_test);
 };
 

@@ -1,0 +1,167 @@
+// The degenerate-geometry trials of the differential harness: small
+// seeded clouds spatial structures get wrong (coincident points, collinear
+// and planar sets, extreme coordinate magnitudes, tight clusters), each
+// with a query set mixing exact hits, jittered neighbors and far-away
+// misses. Shared by every suite that checks a search path against a
+// reference under these geometries. Every trial carries its generator
+// name and seed, so a failure reproduces from the test output alone.
+#pragma once
+
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "core/rng.hpp"
+#include "core/vec3.hpp"
+
+namespace rtnn::testing {
+
+struct Trial {
+  std::string generator{};
+  std::uint64_t seed = 0;
+  std::vector<Vec3> points{};
+  std::vector<Vec3> queries{};
+  float radius = 0.0f;
+};
+
+inline constexpr std::size_t kPoints = 384;
+inline constexpr std::size_t kQueries = 96;
+
+/// Queries: half sampled on the points (exact-hit / zero-distance ties),
+/// half jittered around them, a few far outside (empty neighborhoods).
+inline std::vector<Vec3> make_queries(const std::vector<Vec3>& points, float radius,
+                                      Pcg32& rng) {
+  std::vector<Vec3> queries;
+  queries.reserve(kQueries);
+  for (std::size_t i = 0; i < kQueries; ++i) {
+    const Vec3& base = points[rng.next_bounded(static_cast<std::uint32_t>(points.size()))];
+    if (i % 8 == 7) {
+      // Far away: no neighbors at all.
+      queries.push_back({base.x + 1000.0f * radius, base.y, base.z});
+    } else if (i % 2 == 0) {
+      queries.push_back(base);
+    } else {
+      queries.push_back({base.x + radius * (rng.next_float() - 0.5f),
+                         base.y + radius * (rng.next_float() - 0.5f),
+                         base.z + radius * (rng.next_float() - 0.5f)});
+    }
+  }
+  return queries;
+}
+
+inline Trial uniform_trial(std::uint64_t seed) {
+  Trial trial{.generator = "uniform", .seed = seed};
+  Pcg32 rng(seed);
+  trial.points.reserve(kPoints);
+  for (std::size_t i = 0; i < kPoints; ++i) {
+    trial.points.push_back({rng.next_float(), rng.next_float(), rng.next_float()});
+  }
+  trial.radius = 0.15f;
+  trial.queries = make_queries(trial.points, trial.radius, rng);
+  return trial;
+}
+
+/// A handful of sites, every point an exact copy of one of them: zero
+/// extents, zero distances, maximal ties.
+inline Trial coincident_trial(std::uint64_t seed) {
+  Trial trial{.generator = "coincident", .seed = seed};
+  Pcg32 rng(seed);
+  std::vector<Vec3> sites;
+  for (int s = 0; s < 12; ++s) {
+    sites.push_back({rng.next_float(), rng.next_float(), rng.next_float()});
+  }
+  for (std::size_t i = 0; i < kPoints; ++i) {
+    trial.points.push_back(sites[rng.next_bounded(static_cast<std::uint32_t>(sites.size()))]);
+  }
+  trial.radius = 0.05f;
+  trial.queries = make_queries(trial.points, trial.radius, rng);
+  return trial;
+}
+
+/// Exactly collinear points (duplicates included): a 1-D set embedded in
+/// 3-D, degenerate bounds on two axes.
+inline Trial collinear_trial(std::uint64_t seed) {
+  Trial trial{.generator = "collinear", .seed = seed};
+  Pcg32 rng(seed);
+  const Vec3 origin{rng.next_float(), rng.next_float(), rng.next_float()};
+  const Vec3 dir{1.0f, 0.5f, -0.25f};
+  for (std::size_t i = 0; i < kPoints; ++i) {
+    const float t = rng.next_float();
+    trial.points.push_back(
+        {origin.x + t * dir.x, origin.y + t * dir.y, origin.z + t * dir.z});
+  }
+  trial.points[5] = trial.points[4];  // plus exact duplicates on the line
+  trial.radius = 0.04f;
+  trial.queries = make_queries(trial.points, trial.radius, rng);
+  return trial;
+}
+
+/// Exactly planar points: z is one constant for the whole set.
+inline Trial planar_trial(std::uint64_t seed) {
+  Trial trial{.generator = "planar", .seed = seed};
+  Pcg32 rng(seed);
+  const float z = rng.next_float();
+  for (std::size_t i = 0; i < kPoints; ++i) {
+    trial.points.push_back({rng.next_float(), rng.next_float(), z});
+  }
+  trial.radius = 0.12f;
+  trial.queries = make_queries(trial.points, trial.radius, rng);
+  return trial;
+}
+
+/// Large coordinate magnitudes (offsets of ~1e6) with a proportionally
+/// large radius: float cancellation territory.
+inline Trial extreme_trial(std::uint64_t seed) {
+  Trial trial{.generator = "extreme", .seed = seed};
+  Pcg32 rng(seed);
+  const float scale = 1.0e6f;
+  for (std::size_t i = 0; i < kPoints; ++i) {
+    trial.points.push_back({scale + scale * 0.001f * rng.next_float(),
+                            -scale + scale * 0.001f * rng.next_float(),
+                            scale * 0.001f * rng.next_float()});
+  }
+  trial.radius = scale * 1.5e-4f;
+  trial.queries = make_queries(trial.points, trial.radius, rng);
+  return trial;
+}
+
+/// Dense clusters with empty space between them (partitioner stress).
+inline Trial clustered_trial(std::uint64_t seed) {
+  Trial trial{.generator = "clustered", .seed = seed};
+  Pcg32 rng(seed);
+  std::vector<Vec3> centers;
+  for (int c = 0; c < 6; ++c) {
+    centers.push_back(
+        {10.0f * rng.next_float(), 10.0f * rng.next_float(), 10.0f * rng.next_float()});
+  }
+  for (std::size_t i = 0; i < kPoints; ++i) {
+    const Vec3& c = centers[rng.next_bounded(static_cast<std::uint32_t>(centers.size()))];
+    trial.points.push_back({c.x + 0.1f * (rng.next_float() - 0.5f),
+                            c.y + 0.1f * (rng.next_float() - 0.5f),
+                            c.z + 0.1f * (rng.next_float() - 0.5f)});
+  }
+  trial.radius = 0.08f;
+  trial.queries = make_queries(trial.points, trial.radius, rng);
+  return trial;
+}
+
+inline std::vector<Trial> all_trials() {
+  // Seeds derive from one master PCG stream: deterministic, but easy to
+  // widen. Each trial's seed is printed, so any failure reproduces by
+  // constructing that one generator/seed pair.
+  Pcg32 master(0xd1fFu);
+  std::vector<Trial> trials;
+  constexpr int kTrialsPerGenerator = 3;
+  for (int i = 0; i < kTrialsPerGenerator; ++i) {
+    const std::uint64_t seed = master.next_u64();
+    trials.push_back(uniform_trial(seed));
+    trials.push_back(coincident_trial(seed));
+    trials.push_back(collinear_trial(seed));
+    trials.push_back(planar_trial(seed));
+    trials.push_back(extreme_trial(seed));
+    trials.push_back(clustered_trial(seed));
+  }
+  return trials;
+}
+
+}  // namespace rtnn::testing

@@ -223,11 +223,12 @@ TEST(CompressedWideBvh, ConservativeQuantizationProperty) {
   }
 }
 
-/// This build's compressed_node_hits (AVX2 or scalar) must agree with the
-/// scalar dequantize-then-ray_intersects_aabb reference on every slot of
-/// every node, for the same ray classes the FP32 node test is checked
-/// against (short rays, general segments, axis-aligned with ±inf
-/// reciprocals, and NaN-producing face-pinned origins).
+/// This build's node_hits over the compressed layout (AVX2 or scalar)
+/// must agree with the scalar dequantize-then-ray_intersects_aabb
+/// reference on every slot of every node, for the same ray classes the
+/// FP32 node test is checked against (short rays, general segments,
+/// axis-aligned with ±inf reciprocals, and NaN-producing face-pinned
+/// origins).
 TEST(CompressedWideBvh, NodeTestMatchesScalarDecode) {
   const Scene scene = make_scene(CloudKind::kUniform, 2000, 0.08f, 4242);
   const auto compressed = scene.wide.compressed_nodes();
@@ -263,7 +264,7 @@ TEST(CompressedWideBvh, NodeTestMatchesScalarDecode) {
       }
     }
     const Vec3 inv_dir = reciprocal_dir(ray);
-    const std::uint32_t mask = detail::compressed_node_hits(node, ray, inv_dir);
+    const std::uint32_t mask = detail::node_hits(node, ray, inv_dir);
     for (std::uint32_t i = 0; i < node.count; ++i) {
       EXPECT_EQ((mask >> i) & 1u,
                 ray_intersects_aabb(ray, dequantize_slot(node, i), inv_dir) ? 1u : 0u)

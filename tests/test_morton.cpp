@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <vector>
 
 #include "core/rng.hpp"
@@ -74,6 +75,16 @@ TEST(Morton, NormalizedPointEncoding) {
   // Out-of-bounds points clamp instead of wrapping.
   EXPECT_EQ(morton3d_30(Vec3{-5.0f, 0.5f, 0.5f}, bounds),
             morton3d_30(0u, 512u, 512u));
+  // NaN components land in bucket 0 of their axis without reaching the
+  // float-to-integer cast (undefined for NaN); ±inf clamp like any
+  // out-of-bounds value.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  EXPECT_EQ(morton3d_30(Vec3{nan, 0.5f, 0.5f}, bounds), morton3d_30(0u, 512u, 512u));
+  EXPECT_EQ(morton3d_30(Vec3{nan, nan, nan}, bounds), 0u);
+  EXPECT_EQ(morton3d_63(Vec3{inf, nan, 0.5f}, bounds),
+            morton3d_63((1u << 21) - 1, 0u, 1u << 20));
+  EXPECT_EQ(morton3d_63(Vec3{nan, nan, -inf}, bounds), 0u);
 }
 
 TEST(Morton, ZOrderPreservesLocalityOnAverage) {

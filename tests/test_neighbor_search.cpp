@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <tuple>
 
 #include "baselines/brute_force.hpp"
@@ -46,6 +47,17 @@ class RtnnCorrectness : public ::testing::TestWithParam<SearchCase> {
     points_ = testing::make_cloud(kind, static_cast<std::size_t>(n), 31);
     queries_ = data::jittered_queries(points_, 400, testing::typical_radius(kind) * 0.3f,
                                       37);
+    // Hostile rows, which brute force answers with empty rows, so every
+    // test below requires empty rows too. A NaN coordinate makes the short ray's
+    // slab test pass every box on the query's axis line, so only the IS
+    // shader's distance test can reject; an (inf, NaN) row misses every
+    // box, so the scheduler Morton-keys it by its own coordinates (a
+    // sanitizer build checks the NaN never reaches a float-to-integer
+    // cast).
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float inf = std::numeric_limits<float>::infinity();
+    queries_.push_back({nan, 0.5f, 0.5f});
+    queries_.push_back({inf, nan, 0.5f});
     radius_ = testing::typical_radius(kind) * r_scale;
     k_ = static_cast<std::uint32_t>(k);
     params_.radius = radius_;

@@ -184,10 +184,11 @@ TEST(WideBvh, KnnParityAcrossK) {
   }
 }
 
-/// Direct check that this build's wide_node_hits (AVX2 or scalar) agrees
-/// with the scalar single-box test on every slot — including arbitrary ray
-/// directions, zero direction components (±inf reciprocals) and boundary
-/// coordinates that produce NaNs in the slab arithmetic.
+/// Direct check that this build's node_hits over the FP32 layout (AVX2 or
+/// scalar) agrees with the scalar single-box test on every slot —
+/// including arbitrary ray directions, zero direction components (±inf
+/// reciprocals) and boundary coordinates that produce NaNs in the slab
+/// arithmetic.
 TEST(WideBvh, NodeTestMatchesScalarSemantics) {
   Pcg32 rng(4242);
   const Aabb domain{{-1, -1, -1}, {1, 1, 1}};
@@ -230,7 +231,7 @@ TEST(WideBvh, NodeTestMatchesScalarSemantics) {
         break;
     }
     const std::uint32_t mask =
-        detail::wide_node_hits(node, ray, reciprocal_dir(ray));
+        detail::node_hits(node, ray, reciprocal_dir(ray));
     for (std::uint32_t i = 0; i < kWideBvhWidth; ++i) {
       EXPECT_EQ((mask >> i) & 1u, ray_intersects_aabb(ray, boxes[i]) ? 1u : 0u)
           << "iter " << iter << " slot " << i;
