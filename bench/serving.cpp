@@ -92,7 +92,8 @@ RTNN_BENCH_CASE(serving_closed_loop, "serving.closed_loop.100k",
   // The service path: C concurrent clients in closed loop. The service
   // (and its warm snapshot) persists across samples, as a deployment's
   // would; each invocation replays the full request schedule.
-  service::SearchService service(cloud);
+  service::SearchService service;
+  const service::CloudHandle handle = service.register_cloud("bench", cloud);
   const double batched_s = ctx.time(
       "batched.100k",
       [&] {
@@ -101,7 +102,7 @@ RTNN_BENCH_CASE(serving_closed_loop, "serving.closed_loop.100k",
         for (int c = 0; c < clients; ++c) {
           workers.emplace_back([&, c] {
             for (int r = 0; r < kRequestsPerClient; ++r) {
-              (void)service.query(request_queries(cloud, c, r), params);
+              (void)service.query(handle, request_queries(cloud, c, r), params);
             }
           });
         }
@@ -162,13 +163,14 @@ RTNN_BENCH_CASE(serving_coherent, "serving.coherent.100k",
     const std::string tag = ".c" + std::to_string(clients);
 
     // The same coherent request schedule drives both configurations.
-    auto closed_loop = [&](service::SearchService& service) {
+    auto closed_loop = [&](service::SearchService& service,
+                           const service::CloudHandle& handle) {
       std::vector<std::thread> workers;
       workers.reserve(static_cast<std::size_t>(clients));
       for (int c = 0; c < clients; ++c) {
         workers.emplace_back([&, c] {
           for (int r = 0; r < kRequestsPerClient; ++r) {
-            (void)service.query(coherent_request_queries(cloud, c, r), params);
+            (void)service.query(handle, coherent_request_queries(cloud, c, r), params);
           }
         });
       }
@@ -177,17 +179,19 @@ RTNN_BENCH_CASE(serving_coherent, "serving.coherent.100k",
 
     // Optimizer on (the default): merged Morton reorder + coincident
     // dedup + homogeneous bins.
-    service::SearchService optimized(cloud);
-    const double optimized_s = ctx.time("batched" + tag, [&] { closed_loop(optimized); },
-                                        {.work_items = total_queries});
+    service::SearchService optimized;
+    const service::CloudHandle on = optimized.register_cloud("bench", cloud);
+    const double optimized_s = ctx.time(
+        "batched" + tag, [&] { closed_loop(optimized, on); }, {.work_items = total_queries});
     const service::ServiceStats on_stats = optimized.stats();
 
-    // The PR-5 dispatcher: arrival-order concatenation, no reorganization.
-    service::ServiceOptions arrival_options;
-    arrival_options.batch_reorder = false;
-    service::SearchService arrival(cloud, arrival_options);
-    const double arrival_s = ctx.time("arrival" + tag, [&] { closed_loop(arrival); },
-                                      {.work_items = total_queries});
+    // Optimizer off: the same bins in arrival order, no reorder or dedup.
+    service::CloudConfig arrival_config;
+    arrival_config.batch_reorder = false;
+    service::SearchService arrival;
+    const service::CloudHandle off = arrival.register_cloud("bench", cloud, arrival_config);
+    const double arrival_s = ctx.time(
+        "arrival" + tag, [&] { closed_loop(arrival, off); }, {.work_items = total_queries});
 
     const double speedup = arrival_s / optimized_s;
     const double dedup_share =
@@ -216,16 +220,19 @@ RTNN_BENCH_CASE(serving_open_loop, "serving.open_loop.100k",
   const SearchParams params = serving_params(cloud.size());
   constexpr int kRequests = 48;
 
-  service::SearchService service(cloud);
+  service::SearchService service;
+  const service::CloudHandle handle = service.register_cloud("bench", cloud);
 
   // Calibrate the arrival rate off this machine: mean service time of a
   // short solo burst, then arrivals at 2x that period (a ~50%-utilized
   // server — loaded, not saturated; an unbounded queue would measure
   // queueing growth, not batching). The first query is excluded: it pays
   // the snapshot's one-time index build.
-  (void)service.query(request_queries(cloud, 2, 0), params);
+  (void)service.query(handle, request_queries(cloud, 2, 0), params);
   Timer calibrate;
-  for (int r = 0; r < 8; ++r) (void)service.query(request_queries(cloud, 1, r), params);
+  for (int r = 0; r < 8; ++r) {
+    (void)service.query(handle, request_queries(cloud, 1, r), params);
+  }
   const double period_s = 2.0 * calibrate.elapsed() / 8.0;
 
   std::vector<double> latencies;
@@ -253,7 +260,7 @@ RTNN_BENCH_CASE(serving_open_loop, "serving.open_loop.100k",
           Timer arrival;
           stamps[static_cast<std::size_t>(r)].reset();
           tickets[static_cast<std::size_t>(r)] =
-              service.submit(request_queries(cloud, 0, r), params);
+              service.submit(handle, request_queries(cloud, 0, r), params);
           submitted.fetch_add(1, std::memory_order_release);
           const double remaining = period_s - arrival.elapsed();
           if (remaining > 0.0) {

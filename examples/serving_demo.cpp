@@ -53,7 +53,8 @@ int main(int argc, char** argv) {
   std::cout << "serving " << num_points << " drifting points to " << clients
             << " clients x " << requests_per_client << " requests\n";
 
-  rtnn::service::SearchService service(cloud);
+  rtnn::service::SearchService service;
+  const rtnn::service::CloudHandle handle = service.register_cloud("demo", cloud);
 
   // Writer: a drift frame every few milliseconds until the clients are
   // done. Readers keep their pinned snapshot while each publish builds.
@@ -63,7 +64,7 @@ int main(int argc, char** argv) {
     drift.velocity = 0.1f * params.radius;
     rtnn::data::DriftMotion motion(cloud, drift);
     while (!done.load(std::memory_order_relaxed)) {
-      service.update_points(motion.step());
+      service.update_points(handle, motion.step());
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
   });
@@ -80,7 +81,7 @@ int main(int argc, char** argv) {
         const std::span<const rtnn::Vec3> queries =
             rtnn::bench_traffic::request_queries(cloud, c, r);
         rtnn::Timer latency;
-        auto ticket = service.submit(queries, params);
+        auto ticket = service.submit(handle, queries, params);
         const rtnn::service::RequestOutcome outcome = ticket.get();
         latencies[static_cast<std::size_t>(c)].push_back(latency.elapsed());
         total_rows.fetch_add(outcome.result.num_queries(), std::memory_order_relaxed);
@@ -112,7 +113,7 @@ int main(int argc, char** argv) {
                     : 0.0)
             << " requests/batch)\n";
   std::cout << "  snapshots: " << stats.updates << " published (version "
-            << service.snapshot_version() << "), lifecycle "
+            << service.snapshot_version(handle) << "), lifecycle "
             << stats.report.accel_refits << " refits + "
             << stats.report.accel_rebuilds << " rebuilds, sah inflation "
             << stats.report.sah_inflation << "\n";

@@ -134,17 +134,6 @@ NeighborResult NeighborSearch::search(std::span<const Vec3> queries,
   return run_stages(queries, effective, stages, report_out);
 }
 
-std::vector<NeighborResult> NeighborSearch::search_batched(
-    std::span<const Vec3> queries, std::span<const BatchSlice> slices,
-    const SearchParams& params, Report* report_out) {
-  for (const BatchSlice& slice : slices) {
-    RTNN_CHECK(slice.first + slice.count <= queries.size(),
-               "batch slice exceeds the merged query array");
-  }
-  const NeighborResult batch = search(queries, params, report_out);
-  return split_batch_result(batch, slices);
-}
-
 NeighborResult NeighborSearch::search_with_plan(std::span<const Vec3> queries,
                                                 const SearchParams& params,
                                                 const PartitionSet& partitions,

@@ -57,9 +57,9 @@ struct IndexCache {
 
 /// One request's rows within a coalesced batch launch: queries
 /// [first, first + count) of the merged query array belong to this
-/// request. The serving layer (src/service) builds one slice per
-/// in-flight request; split_batch_result() scatters the batch result
-/// back to the slots.
+/// request. The batch optimizer (rtnn/batch_optimizer.hpp) builds one
+/// slice per member request of a bin; split_batch_result() scatters the
+/// batch result back to the slots.
 struct BatchSlice {
   std::size_t first = 0;
   std::size_t count = 0;
@@ -150,19 +150,6 @@ class NeighborSearch {
   /// stage pipeline from `params.opts`.
   NeighborResult search(std::span<const Vec3> queries, const SearchParams& params,
                         Report* report = nullptr);
-
-  /// Coalesced-batch entry point (the serving layer's tick): `queries` is
-  /// the concatenation of many small requests and `slices` tags each
-  /// request's rows. The whole batch flows through the stage pipeline
-  /// exactly once — one schedule/partition/bundle pass and one LaunchStage
-  /// dispatch amortized across every request — and the batch result is
-  /// scattered back into one NeighborResult per slice. `report`, when
-  /// non-null, receives the batch's aggregate Report (requests share the
-  /// batch cost; there is no per-row attribution).
-  std::vector<NeighborResult> search_batched(std::span<const Vec3> queries,
-                                             std::span<const BatchSlice> slices,
-                                             const SearchParams& params,
-                                             Report* report = nullptr);
 
   /// Runs a caller-assembled stage pipeline (see rtnn/stages.hpp). This is
   /// how the Figure-13 ablations and engine-layer experiments drive the

@@ -11,8 +11,7 @@
 namespace rtnn {
 
 ScheduleResult schedule_queries(const ox::Accel& accel, std::span<const Vec3> points,
-                                std::span<const Vec3> queries, bool simt_launch,
-                                bool use_compressed) {
+                                std::span<const Vec3> queries, bool simt_launch) {
   ScheduleResult result;
   const std::size_t n = queries.size();
   result.order.resize(n);
@@ -27,7 +26,6 @@ ScheduleResult schedule_queries(const ox::Accel& accel, std::span<const Vec3> po
     ox::LaunchOptions options;
     options.model = simt_launch ? ox::ExecutionModel::kWarpLockstep
                                 : ox::ExecutionModel::kIndependent;
-    options.use_compressed_bvh = use_compressed;
     result.first_hit_stats = ox::launch(accel, pipeline, static_cast<std::uint32_t>(n), options);
     result.first_hit_seconds = timer.elapsed();
   }

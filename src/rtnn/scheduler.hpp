@@ -35,12 +35,9 @@ struct ScheduleResult {
 
 /// Computes the spatially-ordered query-to-ray mapping against `accel`
 /// (the BVH whose leaf AABBs supply the spatial hints; `points` are the
-/// AABB centers). `use_compressed` selects the quantized wide-BVH layout
-/// for the first-hit launch (independent model only; the SIMT launch
-/// always walks the binary tree).
+/// AABB centers).
 ScheduleResult schedule_queries(const ox::Accel& accel, std::span<const Vec3> points,
                                 std::span<const Vec3> queries,
-                                bool simt_launch = false,
-                                bool use_compressed = true);
+                                bool simt_launch = false);
 
 }  // namespace rtnn

@@ -151,9 +151,8 @@ void ScheduleStage::run(SearchContext& ctx) {
   // here, and belong in the same build-on-first-route count.
   const std::uint32_t built_before =
       accel.is_tiled() ? accel.tiled_bvh().built_tile_count() : 0;
-  ScheduleResult sched = schedule_queries(accel, ctx.points,
-                                          ctx.queries, ctx.params.simt_launches,
-                                          ctx.params.use_compressed_bvh);
+  ScheduleResult sched =
+      schedule_queries(accel, ctx.points, ctx.queries, ctx.params.simt_launches);
   if (accel.is_tiled()) {
     ctx.report.tile_lazy_builds += accel.tiled_bvh().built_tile_count() - built_before;
   }
@@ -196,7 +195,6 @@ void LaunchStage::launch_chunk(SearchContext& ctx, const ox::Accel& accel,
   ox::LaunchOptions options;
   options.model = ctx.params.simt_launches ? ox::ExecutionModel::kWarpLockstep
                                            : ox::ExecutionModel::kIndependent;
-  options.use_compressed_bvh = ctx.params.use_compressed_bvh;
   const auto width = static_cast<std::uint32_t>(ids.size());
   if (ctx.params.mode == SearchMode::kRange) {
     const bool skip_test = skip_sphere_test || ctx.params.elide_sphere_test;
@@ -314,15 +312,13 @@ void LaunchStage::run(SearchContext& ctx) {
       if (accel->is_tiled()) {
         const rt::TiledBvh& tlas = accel->tiled_bvh();
         ctx.report.tile_lazy_builds += tlas.built_tile_count() - built_before;
-        const rt::TiledBvhStats ts = tlas.stats(ctx.params.use_compressed_bvh);
+        const rt::TiledBvhStats ts = tlas.stats(/*compressed=*/true);
         ctx.report.index_node_bytes =
             std::max(ctx.report.index_node_bytes, ts.node_bytes);
         ctx.report.index_total_bytes =
             std::max(ctx.report.index_total_bytes, ts.total_index_bytes);
       } else {
-        const rt::WideBvhStats ws = ctx.params.use_compressed_bvh
-                                        ? accel->wide_bvh().compressed_stats()
-                                        : accel->wide_bvh().stats();
+        const rt::WideBvhStats ws = accel->wide_bvh().compressed_stats();
         ctx.report.index_node_bytes =
             std::max(ctx.report.index_node_bytes, ws.node_bytes);
         ctx.report.index_total_bytes =

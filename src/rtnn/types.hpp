@@ -61,10 +61,10 @@ struct TileOptions {
 /// compare equal are guaranteed the same results from one merged launch,
 /// regardless of how their pipeline-shaping fields (OptimizationFlags,
 /// simt_launches, max_grid_cells — exactness-preserving by contract)
-/// differ. This is the one definition of "batchable" shared by the
-/// serving dispatcher and the batch optimizer's sub-batch splitter
-/// (SearchParams::batch_key()); there is no second hand-rolled
-/// field-by-field comparison to drift from it.
+/// differ. This is the one definition of "batchable": the batch
+/// optimizer's bin splitter — the serving dispatcher's only grouping —
+/// reads it through SearchParams::batch_key(); there is no second
+/// hand-rolled field-by-field comparison to drift from it.
 struct BatchKey {
   SearchMode mode = SearchMode::kRange;
   float radius = 1.0f;
@@ -99,14 +99,6 @@ struct SearchParams {
   /// Use the warp-lockstep SIMT execution model for launches (slower,
   /// enables divergence/occupancy counters; characterization runs only).
   bool simt_launches = false;
-
-  /// Traverse the quantized compressed wide-BVH layout on independent
-  /// launches (the production default; ~1/3 the node bytes, identical
-  /// candidate sets). Clear to traverse the FP32 SoA nodes — the
-  /// configuration the default cost-model constants were calibrated
-  /// against. Pipeline-shaping, like simt_launches: excluded from
-  /// batch_key() because it cannot change any result.
-  bool use_compressed_bvh = true;
 
   // --- Approximate search (paper section 8, "Approximate Neighbor
   // Search") ---

@@ -181,16 +181,6 @@ SearchService::SearchService(const ServiceConfig& config) : config_(config) {
   }
 }
 
-SearchService::SearchService(std::span<const Vec3> points,
-                             const ServiceOptions& options)
-    : SearchService(options.service_config()) {
-  // The single-cloud compatibility form: a registry of size one whose
-  // tenant keeps the historical eager-build semantics.
-  CloudHandle handle = register_cloud("default", points, options.cloud_config());
-  std::lock_guard<std::mutex> lock(registry_mutex_);
-  default_ = handle.state_;
-}
-
 SearchService::~SearchService() { shutdown(); }
 
 void SearchService::shutdown() {
@@ -221,6 +211,18 @@ void SearchService::shutdown() {
   }
 }
 
+// --- Stats -------------------------------------------------------------------
+
+template <typename Update>
+void SearchService::charge(CloudState& cloud, const Update& update) {
+  {
+    std::lock_guard<std::mutex> lock(cloud.stats_mutex);
+    update(cloud.stats);
+  }
+  std::lock_guard<std::mutex> lock(stats_mutex_);
+  update(stats_);
+}
+
 // --- Registry ----------------------------------------------------------------
 
 CloudHandle SearchService::register_cloud(const std::string& name,
@@ -234,7 +236,8 @@ CloudHandle SearchService::register_cloud(const std::string& name,
     throw ServiceError(RejectReason::kInvalid,
                        "register_cloud('" + name + "'): a cloud needs points");
   }
-  RTNN_CHECK(!stopped_.load(), "service is shut down");
+  if (stopped_.load()) throw ServiceError(RejectReason::kShutdown,
+                                          "service is shut down");
   {
     // Early duplicate check so a losing caller fails before paying for
     // a build; the insert below re-checks under the same lock.
@@ -291,7 +294,6 @@ void SearchService::drop_cloud(const std::string& name) {
     RTNN_CHECK(it != clouds_.end(), "unknown cloud: " + name);
     state = *it;
     clouds_.erase(it);
-    if (default_ == state) default_.reset();
   }
   // Mark first: requests already queued are rejected by the dispatcher
   // (kShutdown), new submits through stale handles throw. Then release
@@ -328,13 +330,6 @@ std::size_t SearchService::resident_clouds() const {
     if (cloud->resident.load()) ++count;
   }
   return count;
-}
-
-SearchService::CloudPtr SearchService::default_cloud() const {
-  std::lock_guard<std::mutex> lock(registry_mutex_);
-  RTNN_CHECK(default_ != nullptr,
-             "no default cloud (multi-tenant service): address a CloudHandle");
-  return default_;
 }
 
 SearchService::CloudPtr SearchService::resolve(const CloudHandle& handle) const {
@@ -378,16 +373,10 @@ void SearchService::build_cloud_locked(CloudState& cloud) {
     cloud.snapshot = std::move(snap);
   }
   cloud.resident.store(true);
-  {
-    std::lock_guard<std::mutex> lock(cloud.stats_mutex);
-    ++cloud.stats.builds;
-    cloud.stats.report += warm_report;
-  }
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.builds;
-    stats_.report += warm_report;
-  }
+  charge(cloud, [&](ServiceStats& stats) {
+    ++stats.builds;
+    stats.report += warm_report;
+  });
 }
 
 void SearchService::enforce_residency_cap(const CloudState* keep) {
@@ -421,12 +410,7 @@ void SearchService::enforce_residency_cap(const CloudState* keep) {
     }
     victim->resident.store(false);
     --resident;
-    {
-      std::lock_guard<std::mutex> stats_lock(victim->stats_mutex);
-      ++victim->stats.evictions;
-    }
-    std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-    ++stats_.evictions;
+    charge(*victim, [](ServiceStats& stats) { ++stats.evictions; });
   }
 }
 
@@ -478,7 +462,10 @@ SearchService::Ticket SearchService::submit_to(const CloudPtr& cloud,
                                                std::span<const Vec3> queries,
                                                const SearchParams& params,
                                                const RequestOptions& options) {
-  RTNN_CHECK(!queries.empty(), "a request needs queries");
+  if (queries.empty()) {
+    throw ServiceError(RejectReason::kInvalid,
+                       "cloud '" + cloud->name + "': a request needs queries");
+  }
   if (stopped_.load()) throw ServiceError(RejectReason::kShutdown,
                                           "service is shut down");
   if (cloud->dropped.load()) {
@@ -500,14 +487,7 @@ SearchService::Ticket SearchService::submit_to(const CloudPtr& cloud,
     state->reason = RejectReason::kDeadline;
     state->error =
         "deadline expired before submit on cloud '" + cloud->name + "'";
-    {
-      std::lock_guard<std::mutex> lock(cloud->stats_mutex);
-      ++cloud->stats.deadline_misses;
-    }
-    {
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.deadline_misses;
-    }
+    charge(*cloud, [](ServiceStats& stats) { ++stats.deadline_misses; });
     state->done.signal();
     return Ticket(std::move(state));
   }
@@ -530,7 +510,7 @@ SearchService::Ticket SearchService::submit_to(const CloudPtr& cloud,
     state->reason = RejectReason::kAdmission;
     state->error = "request shed by admission control (" + std::string(refused) +
                    ") on cloud '" + cloud->name + "'";
-    count_shed(*cloud);
+    charge(*cloud, [](ServiceStats& stats) { ++stats.shed; });
     state->done.signal();
     return Ticket(std::move(state));
   }
@@ -544,15 +524,6 @@ SearchService::Ticket SearchService::submit_to(const CloudPtr& cloud,
   }
   cloud->last_used.store(use_clock_.fetch_add(1) + 1);
   return Ticket(std::move(state));
-}
-
-void SearchService::count_shed(CloudState& cloud) {
-  {
-    std::lock_guard<std::mutex> lock(cloud.stats_mutex);
-    ++cloud.stats.shed;
-  }
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  ++stats_.shed;
 }
 
 SearchService::Ticket SearchService::submit(const CloudHandle& cloud,
@@ -569,12 +540,6 @@ SearchService::Ticket SearchService::submit(std::string_view cloud,
   return submit_to(resolve(cloud), queries, params, options);
 }
 
-SearchService::Ticket SearchService::submit(std::span<const Vec3> queries,
-                                            const SearchParams& params,
-                                            const RequestOptions& options) {
-  return submit_to(default_cloud(), queries, params, options);
-}
-
 RequestOutcome SearchService::query(const CloudHandle& cloud,
                                     std::span<const Vec3> queries,
                                     const SearchParams& params,
@@ -587,12 +552,6 @@ RequestOutcome SearchService::query(std::string_view cloud,
                                     const SearchParams& params,
                                     const RequestOptions& options) {
   return submit(cloud, queries, params, options).get();
-}
-
-RequestOutcome SearchService::query(std::span<const Vec3> queries,
-                                    const SearchParams& params,
-                                    const RequestOptions& options) {
-  return submit(queries, params, options).get();
 }
 
 // --- Writer path -------------------------------------------------------------
@@ -669,16 +628,10 @@ void SearchService::update_points(const CloudHandle& cloud,
     state->version.fetch_add(1);
   }
 
-  {
-    std::lock_guard<std::mutex> stats_lock(state->stats_mutex);
-    ++state->stats.updates;
-    state->stats.report += warm_report;
-  }
-  {
-    std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-    ++stats_.updates;
-    stats_.report += warm_report;  // refit/rebuild increments land here
-  }
+  charge(*state, [&](ServiceStats& stats) {
+    ++stats.updates;
+    stats.report += warm_report;  // refit/rebuild increments land here
+  });
   state->last_used.store(use_clock_.fetch_add(1) + 1);
 }
 
@@ -687,28 +640,14 @@ void SearchService::update_points(std::string_view cloud,
   update_points(CloudHandle(resolve(cloud)), points);
 }
 
-void SearchService::update_points(std::span<const Vec3> points) {
-  update_points(CloudHandle(default_cloud()), points);
-}
-
 // --- Introspection -----------------------------------------------------------
 
 std::uint64_t SearchService::snapshot_version(const CloudHandle& cloud) const {
   return resolve(cloud)->version.load();
 }
 
-std::uint64_t SearchService::snapshot_version() const {
-  return default_cloud()->version.load();
-}
-
 std::size_t SearchService::point_count(const CloudHandle& cloud) const {
   const CloudPtr state = resolve(cloud);
-  std::lock_guard<std::mutex> lock(state->update_mutex);
-  return state->points.size();
-}
-
-std::size_t SearchService::point_count() const {
-  const CloudPtr state = default_cloud();
   std::lock_guard<std::mutex> lock(state->update_mutex);
   return state->points.size();
 }
@@ -817,37 +756,22 @@ void SearchService::reject(const RequestPtr& request, RejectReason reason,
 
 void SearchService::fail_requests(const std::vector<RequestPtr>& requests,
                                   RejectReason reason, const std::string& message) {
-  std::size_t failed = 0;
   for (const RequestPtr& request : requests) {
     if (request->done.signaled()) continue;  // served before the throw
     request->cloud->pending.fetch_sub(1);
     pending_requests_.fetch_sub(1);
-    {
-      std::lock_guard<std::mutex> lock(request->cloud->stats_mutex);
-      ++request->cloud->stats.requests;
-    }
-    ++failed;
+    charge(*request->cloud, [](ServiceStats& stats) { ++stats.requests; });
     reject(request, reason, message);
-  }
-  if (failed > 0) {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    stats_.requests += failed;
   }
 }
 
 void SearchService::expire_request(const RequestPtr& request) {
   request->cloud->pending.fetch_sub(1);
   pending_requests_.fetch_sub(1);
-  {
-    std::lock_guard<std::mutex> lock(request->cloud->stats_mutex);
-    ++request->cloud->stats.requests;
-    ++request->cloud->stats.deadline_misses;
-  }
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.requests;
-    ++stats_.deadline_misses;
-  }
+  charge(*request->cloud, [](ServiceStats& stats) {
+    ++stats.requests;
+    ++stats.deadline_misses;
+  });
   reject(request, RejectReason::kDeadline,
          "deadline expired before launch on cloud '" + request->cloud->name + "'");
 }
@@ -874,14 +798,7 @@ void SearchService::requeue_or_reject(std::vector<RequestPtr>& batch) {
       // ticket here, typed — shutdown semantics, never silence.
       request->cloud->pending.fetch_sub(1);
       pending_requests_.fetch_sub(1);
-      {
-        std::lock_guard<std::mutex> lock(request->cloud->stats_mutex);
-        ++request->cloud->stats.requests;
-      }
-      {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.requests;
-      }
+      charge(*request->cloud, [](ServiceStats& stats) { ++stats.requests; });
       reject(request, RejectReason::kShutdown, "service is shut down");
     }
   }
@@ -917,116 +834,18 @@ void SearchService::dispatch_cloud(const CloudPtr& cloud,
   const std::vector<RequestPtr> live = drop_expired(group);
   if (live.empty()) return;
 
-  if (cloud->config.batch_reorder) {
-    // The optimizer path: one bin/reorder/dedup pass over the cloud's
-    // whole tick, one launch per homogeneous bin.
-    dispatch_optimized(*cloud, snap, live);
-    return;
-  }
-
-  // The arrival-order path: coalesce requests whose answer-shaping
-  // params agree (batch_key — the one definition the optimizer's
-  // splitter shares); incompatible requests still dispatch this tick,
-  // as their own groups, in arrival order.
-  std::vector<std::vector<RequestPtr>> groups;
-  for (const RequestPtr& request : live) {
-    auto fits = std::find_if(groups.begin(), groups.end(), [&](const auto& g) {
-      return g.front()->params.batch_key() == request->params.batch_key();
-    });
-    if (fits == groups.end()) {
-      groups.emplace_back().push_back(request);
-    } else {
-      fits->push_back(request);
-    }
-  }
-  for (const std::vector<RequestPtr>& key_group : groups) {
-    dispatch_group(*cloud, snap, key_group);
-  }
-}
-
-void SearchService::dispatch_group(CloudState& cloud,
-                                   const std::shared_ptr<Snapshot>& snap,
-                                   const std::vector<RequestPtr>& group) {
-  // Merge the group into one query array, tagging each request's rows.
-  std::vector<Vec3> merged;
-  std::vector<BatchSlice> slices;
-  slices.reserve(group.size());
-  std::size_t total = 0;
-  for (const RequestPtr& request : group) total += request->queries.size();
-  merged.reserve(total);
-  for (const RequestPtr& request : group) {
-    slices.push_back({merged.size(), request->queries.size()});
-    merged.insert(merged.end(), request->queries.begin(), request->queries.end());
-  }
-
-  const SearchParams& params = group.front()->params;
-  NeighborSearch::Report report;
-  bool served = false;
-  bool degraded = false;
-  try {
-    // One launch for the whole group; per-request results scatter out of
-    // the row-addressed batch result.
-    NeighborResult batch_result = snap->backend->search(merged, params, &report);
-    std::vector<NeighborResult> results = split_batch_result(batch_result, slices);
-    for (std::size_t i = 0; i < group.size(); ++i) {
-      RequestOutcome& outcome = group[i]->outcome;
-      outcome.result = std::move(results[i]);
-      outcome.report = report;
-      outcome.snapshot_version = snap->version;
-      outcome.batch_requests = static_cast<std::uint32_t>(group.size());
-      outcome.batch_queries = merged.size();
-      degraded = note_degradation(*snap, outcome) || degraded;
-    }
-    served = true;
-  } catch (const std::exception& e) {
-    for (const RequestPtr& request : group) {
-      request->reason = RejectReason::kBackend;
-      request->error = e.what();
-    }
-  }
-
-  const auto charge = [&](ServiceStats& stats, std::optional<SearchParams>* warm) {
-    ++stats.batches;
-    stats.requests += group.size();
-    // Failed batches count requests (their tickets were signaled) but not
-    // rows: `queries` means rows actually served, so it stays in step
-    // with the aggregate report's ray counter.
-    if (served) stats.queries += merged.size();
-    if (degraded) stats.degraded += group.size();
-    stats.report += report;
-    // Only params the backend accepted may warm the writer path: a
-    // rejected request must not poison the next update's probe search.
-    if (served && warm != nullptr) *warm = params;
-  };
-  {
-    std::lock_guard<std::mutex> lock(cloud.stats_mutex);
-    charge(cloud.stats, &cloud.warm_params);
-  }
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    charge(stats_, nullptr);
-  }
-  // Signal last: once `done` fires the waiter may destroy the state.
-  for (const RequestPtr& request : group) {
-    cloud.pending.fetch_sub(1);
-    pending_requests_.fetch_sub(1);
-    request->done.signal();
-  }
-}
-
-void SearchService::dispatch_optimized(CloudState& cloud,
-                                       const std::shared_ptr<Snapshot>& snap,
-                                       const std::vector<RequestPtr>& batch) {
+  // One optimizer pass over the cloud's whole tick. With batch_reorder
+  // off the bins are the same — batch_key() groups, capped by
+  // max_bin_queries — but keep arrival order and never dedup.
   std::vector<BatchRequest> requests;
-  requests.reserve(batch.size());
-  for (const RequestPtr& request : batch) {
+  requests.reserve(live.size());
+  for (const RequestPtr& request : live) {
     requests.push_back({request->queries, request->params});
   }
   BatchOptimizerOptions opt;
-  opt.reorder = true;
-  opt.dedup = true;
-  opt.dedup_cell_scale = cloud.config.dedup_cell_scale;
-  opt.max_bin_queries = cloud.config.max_bin_queries;
+  opt.reorder = opt.dedup = cloud->config.batch_reorder;
+  opt.dedup_cell_scale = cloud->config.dedup_cell_scale;
+  opt.max_bin_queries = cloud->config.max_bin_queries;
   const BatchPlan plan = optimize_batch(requests, opt);
 
   for (const BatchBin& bin : plan.bins) {
@@ -1034,16 +853,16 @@ void SearchService::dispatch_optimized(CloudState& cloud,
     bool served = false;
     bool degraded = false;
     try {
-      // One launch per homogeneous bin, over the Morton-ordered
-      // representatives only; the scatter fans representative rows back
-      // out to every duplicate and request slot.
+      // One launch per homogeneous bin, over its representatives only;
+      // the scatter fans representative rows back out to every
+      // duplicate and request slot.
       const NeighborResult rep_result =
           snap->backend->search(bin.queries, bin.params, &report);
       report.queries_deduped = bin.deduped;
       report.batch_bins = 1;
       std::vector<NeighborResult> results = bin.scatter(rep_result);
       for (std::size_t i = 0; i < bin.request_ids.size(); ++i) {
-        RequestOutcome& outcome = batch[bin.request_ids[i]]->outcome;
+        RequestOutcome& outcome = live[bin.request_ids[i]]->outcome;
         outcome.result = std::move(results[i]);
         outcome.report = report;
         outcome.snapshot_version = snap->version;
@@ -1056,33 +875,33 @@ void SearchService::dispatch_optimized(CloudState& cloud,
       // A rejected bin fails only its own members; the tick's other bins
       // still serve.
       for (const std::size_t id : bin.request_ids) {
-        batch[id]->reason = RejectReason::kBackend;
-        batch[id]->error = e.what();
+        live[id]->reason = RejectReason::kBackend;
+        live[id]->error = e.what();
       }
     }
 
-    const auto charge = [&](ServiceStats& stats, std::optional<SearchParams>* warm) {
+    charge(*cloud, [&](ServiceStats& stats) {
       ++stats.batches;
       stats.requests += bin.request_ids.size();
-      // Served rows count what the clients submitted (pre-dedup): the
-      // report's ray counter sees queries - queries_deduped of them.
+      // Failed bins count requests (their tickets are signaled) but not
+      // rows: `queries` counts rows served as the clients submitted them
+      // (pre-dedup), so the report's ray counter sees queries -
+      // queries_deduped of them.
       if (served) stats.queries += bin.merged_queries;
       if (degraded) stats.degraded += bin.request_ids.size();
       stats.report += report;
-      if (served && warm != nullptr) *warm = bin.params;
-    };
-    {
-      std::lock_guard<std::mutex> lock(cloud.stats_mutex);
-      charge(cloud.stats, &cloud.warm_params);
+    });
+    if (served) {
+      // Only params the backend accepted may warm the writer path: a
+      // rejected request must not poison the next update's probe search.
+      std::lock_guard<std::mutex> lock(cloud->stats_mutex);
+      cloud->warm_params = bin.params;
     }
-    {
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      charge(stats_, nullptr);
-    }
+    // Signal last: once `done` fires the waiter may destroy the state.
     for (const std::size_t id : bin.request_ids) {
-      cloud.pending.fetch_sub(1);
+      cloud->pending.fetch_sub(1);
       pending_requests_.fetch_sub(1);
-      batch[id]->done.signal();
+      live[id]->done.signal();
     }
     beat();  // heartbeat per launch: a multi-bin tick is alive, not stalled
   }
@@ -1090,12 +909,7 @@ void SearchService::dispatch_optimized(CloudState& cloud,
   // Tick-level charge: the optimizer ran once for all bins, so its wall
   // time lands in the cloud and service totals, not any single bin's
   // report.
-  {
-    std::lock_guard<std::mutex> lock(cloud.stats_mutex);
-    cloud.stats.report.time.opt += plan.seconds;
-  }
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  stats_.report.time.opt += plan.seconds;
+  charge(*cloud, [&](ServiceStats& stats) { stats.report.time.opt += plan.seconds; });
 }
 
 // --- Robustness: degradation, watchdog, health -------------------------------

@@ -30,11 +30,12 @@
 //     optimizer included — composes unchanged because a sharded cloud is
 //     just another SearchBackend.
 //   * Requests from any number of threads are coalesced by one dispatcher
-//     into batched launches, grouped per cloud per tick: all compatible
-//     pending requests of a cloud merge into one backend search, and the
-//     tick's merged rows run the batch optimizer (bin by batch_key() →
-//     Morton reorder → coincident dedup) exactly as in the single-cloud
-//     service. Results scatter back via rtnn::split_batch_result.
+//     into batched launches, grouped per cloud per tick: each cloud's
+//     pending requests run through the batch optimizer (bin by
+//     batch_key() → Morton reorder → coincident dedup; with
+//     CloudConfig::batch_reorder off, the same bins in arrival order and
+//     no dedup), one backend search per bin. Results scatter back via
+//     BatchBin::scatter.
 //   * *Admission control* guards each cloud's door: a token bucket
 //     (sustained rate + burst) and a pending-request cap
 //     (AdmissionOptions). A request over either limit is shed at
@@ -68,10 +69,10 @@
 //               |                      | the pre-launch check. A request
 //               |                      | whose launch already started is
 //               |                      | served even if it finishes late.
-//   kShutdown   | submit(), query(),   | The service shut down or the
-//               | update_points(),     | cloud was dropped. Thrown
-//               | get(), try_get()     | directly by entry points once
-//               |                      | stopped; thrown from get() when
+//   kShutdown   | register_cloud(),    | The service shut down or the
+//               | submit(), query(),   | cloud was dropped. Thrown
+//               | update_points(),     | directly by entry points once
+//               | get(), try_get()     | stopped; thrown from get() when
 //               |                      | the drop landed while the
 //               |                      | request was queued (drop_cloud
 //               |                      | rejects the queue's leftovers
@@ -79,12 +80,13 @@
 //               |                      | shutdown drain still *serves*
 //               |                      | requests admitted in time.
 //   kInvalid    | register_cloud(),    | Malformed input refused at the
-//               | update_points()      | door: an empty point cloud (a
-//               |                      | cloud with no points has no
+//               | update_points(),     | door: an empty point cloud (a
+//               | submit(), query()    | cloud with no points has no
 //               |                      | bounds to index or route by —
 //               |                      | drop_cloud() is the way to
-//               |                      | retire one). Nothing was
-//               |                      | registered or modified.
+//               |                      | retire one) or an empty query
+//               |                      | span. Nothing was registered,
+//               |                      | modified or queued.
 //
 // Never silent: every admitted ticket is eventually signaled — served,
 // or rejected with one of the reasons above — even across a watchdog
@@ -104,22 +106,13 @@
 // ("service.dispatch.tick", "service.dispatch.launch") so every one of
 // these recovery paths is testable on demand (tests/test_chaos.cpp).
 //
-//   SearchService service;                         // multi-tenant form
+//   SearchService service;
 //   CloudHandle city = service.register_cloud("city", city_points, {});
 //   auto outcome = service.query(city, queries, params);     // sync
 //   auto ticket = service.submit(city, queries, params);     // async
 //   ... ticket.try_get() / ticket.get() ...
 //   service.update_points(city, moved);            // writer path
 //   service.drop_cloud("city");
-//
-// Migration from the single-cloud API (PR-5/6): the old constructor
-// still works and is exactly a registry of size one —
-//
-//   SearchService service(points, options);        // registers "default"
-//   service.query(queries, params);                // default-cloud compat
-//
-// addresses the implicit "default" cloud; ServiceOptions forwards to
-// ServiceConfig + CloudConfig (see the deprecated aggregate below).
 //
 // Reports aggregate per request rather than per call: each outcome
 // carries the Report of the coalesced batch it rode in, and stats()
@@ -225,9 +218,9 @@ struct CloudConfig {
 
   // --- Index lifecycle ---
 
-  /// Build the index at register_cloud() (the single-cloud service's
-  /// historical behavior). false = build on demand: registration just
-  /// stores the points, and the first request pays the build.
+  /// Build the index at register_cloud(). false = build on demand:
+  /// registration just stores the points, and the first request pays
+  /// the build.
   bool build_on_register = true;
   /// Warm every build (registration, rebuild after eviction) with a
   /// one-probe search under these params, so the first real request
@@ -280,11 +273,11 @@ struct CloudConfig {
   // --- Batch optimizer (the coherence pass over a tick's merged rows;
   // see rtnn/batch_optimizer.hpp) ---
 
-  /// Run the bin → Morton-reorder → coincident-dedup pipeline over each
-  /// tick (the default). Off = the arrival-order dispatcher: requests
-  /// group by batch_key() and concatenate in arrival order, no reorder,
-  /// no dedup. Results are identical either way — the optimizer's dedup
-  /// only ever transfers between bitwise-coincident rows.
+  /// Morton-reorder and coincident-dedup each tick's bins (the default).
+  /// Off = the same optimizer pass with both steps off: requests still
+  /// bin by batch_key() (and max_bin_queries), concatenated in arrival
+  /// order. Results are identical either way — dedup only ever transfers
+  /// between bitwise-coincident rows.
   bool batch_reorder = true;
   /// Reorder/dedup grid cell width as a multiple of each bin's radius.
   /// Cost/granularity knob only; never affects results.
@@ -295,38 +288,6 @@ struct CloudConfig {
   /// closes early; the dispatcher's tick caps already bound the merged
   /// set. Same contract as BatchOptimizerOptions::max_bin_queries.
   std::size_t max_bin_queries = 0;
-};
-
-/// Deprecated aggregate kept so PR-5/6 call sites compile unchanged:
-/// the single-cloud constructor's options, now just a projection onto
-/// ServiceConfig (dispatcher fields) + CloudConfig (per-cloud fields).
-/// New code should pass those two directly.
-struct ServiceOptions {
-  std::string backend = "rtnn";
-  std::size_t max_batch_queries = std::size_t{1} << 15;
-  std::size_t max_batch_requests = 1024;
-  std::chrono::microseconds max_delay{200};
-  bool batch_reorder = true;
-  float dedup_cell_scale = 1.0f;
-  /// See CloudConfig::max_bin_queries (0 = unbounded; one contract,
-  /// stated there and in BatchOptimizerOptions).
-  std::size_t max_bin_queries = 0;
-
-  ServiceConfig service_config() const {
-    ServiceConfig config;
-    config.max_batch_queries = max_batch_queries;
-    config.max_batch_requests = max_batch_requests;
-    config.max_delay = max_delay;
-    return config;
-  }
-  CloudConfig cloud_config() const {
-    CloudConfig config;
-    config.backend = backend;
-    config.batch_reorder = batch_reorder;
-    config.dedup_cell_scale = dedup_cell_scale;
-    config.max_bin_queries = max_bin_queries;
-    return config;
-  }
 };
 
 /// Per-request options at submit() time.
@@ -351,10 +312,10 @@ struct RequestOptions {
 struct RequestOutcome {
   NeighborResult result;
   /// The aggregate Report of the coalesced launch this request rode in —
-  /// with the optimizer on, its homogeneous bin (queries_deduped /
-  /// batch_bins count that bin's activity). Shared by every request of
-  /// the launch; there is no per-row attribution. Optimizer wall time is
-  /// tick-level and charged to stats().report.time.opt.
+  /// its homogeneous bin (queries_deduped / batch_bins count that bin's
+  /// activity). Shared by every request of the launch; there is no
+  /// per-row attribution. Optimizer wall time is tick-level and charged
+  /// to stats().report.time.opt.
   NeighborSearch::Report report;
   /// Version of the snapshot that answered (0 = the registration upload;
   /// each update_points() publishes the next version).
@@ -376,7 +337,7 @@ struct RequestOutcome {
 struct ServiceStats {
   std::uint64_t requests = 0;  // requests served (signaled), failed included
   std::uint64_t batches = 0;   // coalesced launches those requests rode in
-                               // (one per homogeneous bin with the optimizer on)
+                               // (one per homogeneous bin)
   std::uint64_t queries = 0;   // query rows served, pre-dedup (the report's ray
                                // counter sees queries - report.queries_deduped)
   std::uint64_t updates = 0;   // update_points() calls absorbed
@@ -473,17 +434,9 @@ class SearchService {
     std::shared_ptr<detail::RequestState> state_;
   };
 
-  /// Multi-tenant form: an empty registry and a running dispatcher;
-  /// add tenants with register_cloud().
+  /// An empty registry and a running dispatcher; add tenants with
+  /// register_cloud().
   explicit SearchService(const ServiceConfig& config = {});
-
-  /// Single-cloud compatibility form (the PR-5/6 constructor): exactly a
-  /// registry of size one — registers `points` under the name "default"
-  /// with the eager build and versioning semantics the old service had,
-  /// and the cloud-less submit()/query()/update_points() overloads below
-  /// address it.
-  explicit SearchService(std::span<const Vec3> points,
-                         const ServiceOptions& options = {});
   ~SearchService();  // shutdown()
 
   SearchService(const SearchService&) = delete;
@@ -494,7 +447,9 @@ class SearchService {
   /// Admits a named cloud; the returned handle addresses it in every
   /// other call. Builds its index now (config.build_on_register, the
   /// default) or at the first request. Throws rtnn::Error for a
-  /// duplicate name or a backend without caps().snapshot.
+  /// duplicate name or a backend without caps().snapshot, and
+  /// ServiceError for an empty cloud (kInvalid) or once the service is
+  /// shut down (kShutdown).
   CloudHandle register_cloud(const std::string& name, std::span<const Vec3> points,
                              const CloudConfig& config = {});
   /// Retires a cloud: its pending requests are rejected (kShutdown),
@@ -516,8 +471,9 @@ class SearchService {
   /// (the returned ticket is already rejected with kAdmission); a
   /// request whose RequestOptions::deadline is already over, or expires
   /// before its launch starts, resolves to ServiceError(kDeadline).
-  /// Throws ServiceError(kShutdown) once the service is shut down or the
-  /// cloud dropped.
+  /// Throws ServiceError(kInvalid) for an empty query span, and
+  /// ServiceError(kShutdown) once the service is shut down or the cloud
+  /// dropped.
   Ticket submit(const CloudHandle& cloud, std::span<const Vec3> queries,
                 const SearchParams& params, const RequestOptions& options = {});
   Ticket submit(std::string_view cloud, std::span<const Vec3> queries,
@@ -547,16 +503,6 @@ class SearchService {
   /// Per-tenant aggregate.
   ServiceStats stats(const CloudHandle& cloud) const;
 
-  // --- Single-cloud compatibility surface (the "default" cloud) ---
-
-  Ticket submit(std::span<const Vec3> queries, const SearchParams& params,
-                const RequestOptions& options = {});
-  RequestOutcome query(std::span<const Vec3> queries, const SearchParams& params,
-                       const RequestOptions& options = {});
-  void update_points(std::span<const Vec3> points);
-  std::uint64_t snapshot_version() const;
-  std::size_t point_count() const;
-
   /// Service-wide aggregate (every cloud; exactly-summed counters).
   ServiceStats stats() const;
 
@@ -573,7 +519,6 @@ class SearchService {
   using RequestPtr = std::shared_ptr<detail::RequestState>;
   using CloudPtr = std::shared_ptr<detail::CloudState>;
 
-  CloudPtr default_cloud() const;
   CloudPtr resolve(const CloudHandle& handle) const;
   CloudPtr resolve(std::string_view name) const;
   Ticket submit_to(const CloudPtr& cloud, std::span<const Vec3> queries,
@@ -589,14 +534,16 @@ class SearchService {
   /// The cloud's current snapshot, building on demand if not resident.
   std::shared_ptr<detail::Snapshot> pin_snapshot(detail::CloudState& cloud);
 
+  /// The one stats rule: `update(ServiceStats&)` lands in `cloud`'s
+  /// totals, then in the service-wide totals — each under its own stats
+  /// lock, cloud first, never both held.
+  template <typename Update>
+  void charge(detail::CloudState& cloud, const Update& update);
+
   void dispatch_loop(std::uint64_t generation);
+  /// Serves one cloud's share of a tick: one optimizer pass over its
+  /// requests, one launch per bin.
   void dispatch_cloud(const CloudPtr& cloud, const std::vector<RequestPtr>& group);
-  void dispatch_group(detail::CloudState& cloud,
-                      const std::shared_ptr<detail::Snapshot>& snap,
-                      const std::vector<RequestPtr>& group);
-  void dispatch_optimized(detail::CloudState& cloud,
-                          const std::shared_ptr<detail::Snapshot>& snap,
-                          const std::vector<RequestPtr>& batch);
   void reject(const RequestPtr& request, RejectReason reason,
               const std::string& message);
   /// Rejects every not-yet-signaled member of `requests` (any mix of
@@ -608,7 +555,6 @@ class SearchService {
   /// Resolves one queued request as a deadline miss (typed kDeadline,
   /// counted in requests + deadline_misses).
   void expire_request(const RequestPtr& request);
-  void count_shed(detail::CloudState& cloud);
   /// Drops `group` members whose deadline is over (typed kDeadline,
   /// counted as misses); returns the survivors in arrival order.
   std::vector<RequestPtr> drop_expired(const std::vector<RequestPtr>& group);
@@ -633,7 +579,6 @@ class SearchService {
 
   mutable std::mutex registry_mutex_;
   std::vector<CloudPtr> clouds_;  // registration order; names unique
-  CloudPtr default_;              // the compat constructor's cloud
 
   WorkQueue<RequestPtr> queue_;
   std::atomic<bool> stopped_{false};

@@ -158,7 +158,7 @@ TEST(BatchOptimizer, PerBinCapOpensAFreshBin) {
 
 TEST(BatchOptimizer, ZeroCapMeansUnbounded) {
   // max_bin_queries = 0 is the documented "unbounded" contract (shared by
-  // BatchOptimizerOptions, CloudConfig, and the deprecated ServiceOptions):
+  // BatchOptimizerOptions and CloudConfig, whichever batch_reorder says):
   // no bin ever closes early, however many rows pile onto one key.
   const std::vector<Vec3> cloud = make_cloud(CloudKind::kUniform, 800, kSeed);
   const SearchParams params = knn_params(typical_radius(CloudKind::kUniform));
@@ -379,4 +379,6 @@ TEST(SplitBatchResult, RowMapBeyondBatchThrows) {
   const std::vector<BatchSlice> slices{{0, 2}};
   EXPECT_THROW(split_batch_result(batch, slices, std::vector<std::uint32_t>{0, 9}), Error);
   EXPECT_THROW(split_batch_result(batch, slices, std::vector<std::uint32_t>{0}), Error);
+  // The identity overload: a slice past the batch's last row.
+  EXPECT_THROW(split_batch_result(batch, std::vector<BatchSlice>{{2, 3}}), Error);
 }

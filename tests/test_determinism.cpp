@@ -138,7 +138,7 @@ TEST(Determinism, BatchedPathInvariantAcrossThreadCounts) {
     NeighborSearch search;
     search.set_points(cloud);
     const std::vector<NeighborResult> results =
-        search.search_batched(merged, slices, params);
+        split_batch_result(search.search(merged, params), slices);
 
     std::vector<std::vector<std::vector<std::uint32_t>>> rows;
     for (std::size_t i = 0; i < slices.size(); ++i) {
@@ -167,12 +167,13 @@ TEST(Determinism, ServiceAnswersInvariantAcrossThreadCounts) {
   std::vector<std::vector<std::vector<std::uint32_t>>> reference;
   for (const int threads : kThreadCounts) {
     set_num_threads(threads);
-    service::SearchService svc(cloud);
+    service::SearchService svc;
+    const service::CloudHandle handle = svc.register_cloud("cloud", cloud);
     std::vector<std::vector<std::vector<std::uint32_t>>> answers;
     for (std::size_t r = 0; r < kRequests; ++r) {
       const std::vector<Vec3> queries(cloud.begin() + static_cast<std::ptrdiff_t>(r * 50),
                                       cloud.begin() + static_cast<std::ptrdiff_t>(r * 50 + 40));
-      const service::RequestOutcome outcome = svc.query(queries, params);
+      const service::RequestOutcome outcome = svc.query(handle, queries, params);
       answers.push_back(canonical(cloud, queries, outcome.result));
     }
     if (reference.empty()) {

@@ -206,8 +206,9 @@ TEST(Differential, BatchOptimizerOnVsOffIsExact) {
 }
 
 TEST(Differential, DegenerateCloudsThroughTheBatchedPath) {
-  // The coalesced entry point sees the same degenerate geometry the
-  // per-request path does (the service merges arbitrary client queries).
+  // A coalesced search scattered by split_batch_result sees the same
+  // degenerate geometry the per-request path does (the service merges
+  // arbitrary client queries).
   for (const auto& make : {coincident_trial, collinear_trial, extreme_trial}) {
     const Trial trial = make(0x5eedULL);
     SCOPED_TRACE(trial.generator);
@@ -229,7 +230,7 @@ TEST(Differential, DegenerateCloudsThroughTheBatchedPath) {
     const std::vector<BatchSlice> slices{{0, half},
                                          {half, trial.queries.size() - half}};
     const std::vector<NeighborResult> parts =
-        search.search_batched(trial.queries, slices, knn);
+        split_batch_result(search.search(trial.queries, knn), slices);
     const auto whole = split_batch_result(expected, slices);
     for (std::size_t i = 0; i < slices.size(); ++i) {
       const std::span<const Vec3> queries(trial.queries.data() + slices[i].first,

@@ -141,33 +141,6 @@ TEST(CloudRegistry, DuplicateAndUnknownNamesThrow) {
   EXPECT_THROW(service.drop_cloud("nope"), Error);
 }
 
-TEST(CloudRegistry, CompatConstructorIsARegistryOfSizeOne) {
-  const std::vector<Vec3> cloud = uniform_cloud(kSeed);
-  const SearchParams params = knn_params(typical_radius(CloudKind::kUniform));
-  const std::vector<Vec3> queries(cloud.begin(), cloud.begin() + 16);
-
-  SearchService service(cloud);  // the PR-5/6 constructor
-  EXPECT_EQ(service.list_clouds(), (std::vector<std::string>{"default"}));
-  EXPECT_EQ(service.point_count(), cloud.size());
-  EXPECT_EQ(service.snapshot_version(), 0u);
-
-  // The cloud-less overloads and the named surface address the same cloud.
-  const RequestOutcome compat = service.query(queries, params);
-  rtnn::testing::expect_knn_distances_match(
-      cloud, queries, compat.result, expected_knn(cloud, queries, params), "compat");
-  rtnn::testing::expect_knn_distances_match(
-      cloud, queries, service.query("default", queries, params).result, compat.result,
-      "by name");
-
-  std::vector<Vec3> moved = cloud;
-  for (Vec3& p : moved) p.x += 0.05f;
-  service.update_points(moved);
-  EXPECT_EQ(service.snapshot_version(), 1u);
-  rtnn::testing::expect_knn_distances_match(moved, queries,
-                                            service.query(queries, params).result,
-                                            expected_knn(moved, queries, params), "moved");
-}
-
 // --- Index lifecycle: build on demand, warmup, LRU eviction -------------------
 
 TEST(CloudLifecycle, BuildOnDemandDefersTheIndex) {
@@ -435,7 +408,7 @@ TEST(Ticket, ShutdownAndDropRejectWithTypedErrors) {
     }
   }
 
-  // submit() after shutdown throws immediately.
+  // submit() and register_cloud() after shutdown throw immediately.
   {
     SearchService service;
     const CloudHandle handle = service.register_cloud("s", cloud);
@@ -446,6 +419,13 @@ TEST(Ticket, ShutdownAndDropRejectWithTypedErrors) {
     } catch (const ServiceError& e) {
       EXPECT_EQ(e.reason(), RejectReason::kShutdown);
     }
+    try {
+      (void)service.register_cloud("late", cloud);
+      FAIL() << "register_cloud after shutdown must throw";
+    } catch (const ServiceError& e) {
+      EXPECT_EQ(e.reason(), RejectReason::kShutdown);
+    }
+    EXPECT_EQ(service.list_clouds(), (std::vector<std::string>{"s"}));
   }
 }
 
@@ -456,14 +436,25 @@ TEST(Stats, ServiceWideTotalsAreTheSumOfTenants) {
   const std::vector<Vec3> b = uniform_cloud(kSeed + 1, 400);
   const SearchParams params = knn_params(typical_radius(CloudKind::kUniform));
 
-  SearchService service;
+  // One resident index at a time, so alternating tenants churn builds
+  // and evictions; b's bucket holds two tokens, so a third request sheds.
+  ServiceConfig config;
+  config.max_resident_clouds = 1;
+  SearchService service(config);
+  CloudConfig gated;
+  gated.admission.tokens_per_second = 1e-9;
+  gated.admission.burst = 2.0;
   const CloudHandle ha = service.register_cloud("a", a);
-  const CloudHandle hb = service.register_cloud("b", b);
+  const CloudHandle hb = service.register_cloud("b", b, gated);  // evicts a
 
   const std::vector<Vec3> qa(a.begin(), a.begin() + 16);
   const std::vector<Vec3> qb(b.begin(), b.begin() + 32);
-  for (int i = 0; i < 3; ++i) (void)service.query(ha, qa, params);
-  for (int i = 0; i < 2; ++i) (void)service.query(hb, qb, params);
+  for (int i = 0; i < 3; ++i) (void)service.query(ha, qa, params);  // rebuilds a
+  for (int i = 0; i < 2; ++i) (void)service.query(hb, qb, params);  // rebuilds b
+  EXPECT_THROW((void)service.query(hb, qb, params), ServiceError);  // shed
+  RequestOptions late;
+  late.deadline = std::chrono::steady_clock::now() - std::chrono::milliseconds(1);
+  EXPECT_THROW((void)service.query(ha, qa, params, late), ServiceError);  // missed
   std::vector<Vec3> moved = b;
   for (Vec3& p : moved) p.x += 0.02f;
   service.update_points(hb, moved);
@@ -476,10 +467,22 @@ TEST(Stats, ServiceWideTotalsAreTheSumOfTenants) {
   EXPECT_EQ(sa.queries, 48u);
   EXPECT_EQ(sb.queries, 64u);
   EXPECT_EQ(sb.updates, 1u);
+  EXPECT_EQ(sb.shed, 1u);
+  EXPECT_EQ(sa.deadline_misses, 1u);
+  EXPECT_EQ(sa.builds, 2u);
+  EXPECT_EQ(sb.builds, 2u);
+  EXPECT_EQ(sa.evictions, 2u);
+  EXPECT_EQ(sb.evictions, 1u);
+  EXPECT_EQ(sa.batches, 3u);
+  EXPECT_EQ(sb.batches, 2u);
   EXPECT_EQ(total.requests, sa.requests + sb.requests);
   EXPECT_EQ(total.queries, sa.queries + sb.queries);
   EXPECT_EQ(total.updates, sa.updates + sb.updates);
   EXPECT_EQ(total.builds, sa.builds + sb.builds);
+  EXPECT_EQ(total.batches, sa.batches + sb.batches);
+  EXPECT_EQ(total.shed, sa.shed + sb.shed);
+  EXPECT_EQ(total.deadline_misses, sa.deadline_misses + sb.deadline_misses);
+  EXPECT_EQ(total.evictions, sa.evictions + sb.evictions);
   // The same per-batch values accumulate into both levels; only the
   // addition order differs, so allow an ulp of float reassociation.
   EXPECT_NEAR(total.report.time.search, sa.report.time.search + sb.report.time.search,

@@ -51,6 +51,20 @@ std::vector<Vec3> client_queries(const std::vector<Vec3>& cloud, std::size_t fir
   return queries;
 }
 
+/// A roomy batching tick: every request a test submits back to back
+/// lands in one tick.
+ServiceConfig roomy_tick() {
+  ServiceConfig config;
+  config.max_delay = std::chrono::microseconds(300'000);
+  return config;
+}
+
+CloudConfig reorder_config(bool batch_reorder) {
+  CloudConfig config;
+  config.batch_reorder = batch_reorder;
+  return config;
+}
+
 }  // namespace
 
 // --- Report aggregation ------------------------------------------------------
@@ -94,9 +108,9 @@ TEST(ReportMerge, CountersSumExactly) {
   EXPECT_DOUBLE_EQ(total.sah_inflation, 1.5);
 }
 
-// --- Batched entry point (rtnn stages) ---------------------------------------
+// --- Coalesced search + scatter (rtnn stages) ---------------------------------
 
-TEST(SearchBatched, TagsResultsBackToRequestSlots) {
+TEST(SplitBatchResult, TagsResultsBackToRequestSlots) {
   const std::vector<Vec3> cloud = make_cloud(CloudKind::kUniform, kCloudSize, kSeed);
   const SearchParams params = knn_params(typical_radius(CloudKind::kUniform));
 
@@ -116,7 +130,7 @@ TEST(SearchBatched, TagsResultsBackToRequestSlots) {
   batched.set_points(cloud);
   NeighborSearch::Report report;
   const std::vector<NeighborResult> results =
-      batched.search_batched(merged, slices, params, &report);
+      split_batch_result(batched.search(merged, params, &report), slices);
   ASSERT_EQ(results.size(), sizes.size());
   EXPECT_EQ(report.stats.rays, merged.size());  // one launch over the batch
 
@@ -130,16 +144,6 @@ TEST(SearchBatched, TagsResultsBackToRequestSlots) {
     rtnn::testing::expect_knn_identical(cloud, rows, results[i], expected,
                                         "slice " + std::to_string(i));
   }
-}
-
-TEST(SearchBatched, SliceBeyondBatchThrows) {
-  const std::vector<Vec3> cloud = make_cloud(CloudKind::kUniform, 100, kSeed);
-  NeighborSearch search;
-  search.set_points(cloud);
-  const std::vector<Vec3> queries(cloud.begin(), cloud.begin() + 4);
-  const std::vector<BatchSlice> bad{{2, 3}};
-  EXPECT_THROW(
-      search.search_batched(queries, bad, knn_params(0.1f)), Error);
 }
 
 TEST(SplitBatchResult, CountsOnlyResults) {
@@ -210,10 +214,11 @@ TEST(SearchService, QueryMatchesDirectBackend) {
 
   for (const std::string& name : {"brute_force", "grid", "octree", "rtnn", "auto"}) {
     SCOPED_TRACE(name);
-    ServiceOptions options;
-    options.backend = name;
-    SearchService svc(cloud, options);
-    RequestOutcome outcome = svc.query(queries, params);
+    CloudConfig config;
+    config.backend = name;
+    SearchService svc;
+    const CloudHandle handle = svc.register_cloud("cloud", cloud, config);
+    RequestOutcome outcome = svc.query(handle, queries, params);
     EXPECT_EQ(outcome.snapshot_version, 0u);
     EXPECT_GE(outcome.batch_requests, 1u);
 
@@ -232,8 +237,9 @@ TEST(SearchService, RangeRequestsServe) {
   params.radius = typical_radius(CloudKind::kUniform);
   params.k = 64;
 
-  SearchService svc(cloud);
-  RequestOutcome outcome = svc.query(queries, params);
+  SearchService svc;
+  const CloudHandle handle = svc.register_cloud("cloud", cloud);
+  RequestOutcome outcome = svc.query(handle, queries, params);
   auto direct = engine::make_backend("rtnn");
   direct->set_points(cloud);
   const NeighborResult expected = direct->search(queries, params, nullptr);
@@ -244,55 +250,89 @@ TEST(SearchService, CoalescesCompatibleRequestsIntoOneBatch) {
   const std::vector<Vec3> cloud = make_cloud(CloudKind::kUniform, kCloudSize, kSeed);
   const SearchParams params = knn_params(typical_radius(CloudKind::kUniform));
 
-  ServiceOptions options;
-  options.max_delay = std::chrono::microseconds(300'000);  // roomy tick
-  SearchService svc(cloud, options);
+  // Both values of the knob run the same bins; only reorder/dedup differ.
+  for (const bool reorder : {true, false}) {
+    SCOPED_TRACE(reorder ? "batch_reorder on" : "batch_reorder off");
+    SearchService svc(roomy_tick());
+    const CloudHandle handle = svc.register_cloud("cloud", cloud, reorder_config(reorder));
 
-  constexpr std::size_t kRequests = 6;
-  std::vector<SearchService::Ticket> tickets;
-  for (std::size_t i = 0; i < kRequests; ++i) {
-    tickets.push_back(svc.submit(client_queries(cloud, i * 31, 10 + i, kSeed + i), params));
-  }
-  std::size_t total_rows = 0;
-  for (std::size_t i = 0; i < kRequests; ++i) total_rows += 10 + i;
+    constexpr std::size_t kRequests = 6;
+    std::vector<SearchService::Ticket> tickets;
+    for (std::size_t i = 0; i < kRequests; ++i) {
+      tickets.push_back(
+          svc.submit(handle, client_queries(cloud, i * 31, 10 + i, kSeed + i), params));
+    }
+    std::size_t total_rows = 0;
+    for (std::size_t i = 0; i < kRequests; ++i) total_rows += 10 + i;
 
-  for (auto& ticket : tickets) {
-    RequestOutcome outcome = ticket.get();
-    // All six were pending within one tick: one coalesced dispatch.
-    EXPECT_EQ(outcome.batch_requests, kRequests);
-    EXPECT_EQ(outcome.batch_queries, total_rows);
+    for (auto& ticket : tickets) {
+      RequestOutcome outcome = ticket.get();
+      // All six were pending within one tick: one coalesced dispatch.
+      EXPECT_EQ(outcome.batch_requests, kRequests);
+      EXPECT_EQ(outcome.batch_queries, total_rows);
+    }
+    const ServiceStats stats = svc.stats();
+    EXPECT_EQ(stats.requests, kRequests);
+    EXPECT_EQ(stats.batches, 1u);
+    EXPECT_EQ(stats.queries, total_rows);
   }
-  const ServiceStats stats = svc.stats();
-  EXPECT_EQ(stats.requests, kRequests);
-  EXPECT_EQ(stats.batches, 1u);
-  EXPECT_EQ(stats.queries, total_rows);
 }
 
 TEST(SearchService, IncompatibleParamsDispatchAsSeparateGroups) {
   const std::vector<Vec3> cloud = make_cloud(CloudKind::kUniform, kCloudSize, kSeed);
-  ServiceOptions options;
-  options.max_delay = std::chrono::microseconds(300'000);
-  SearchService svc(cloud, options);
-
   const SearchParams near = knn_params(typical_radius(CloudKind::kUniform));
   SearchParams far = near;
   far.radius *= 2.0f;
 
-  auto t1 = svc.submit(client_queries(cloud, 0, 8, kSeed), near);
-  auto t2 = svc.submit(client_queries(cloud, 50, 8, kSeed), far);
-  auto t3 = svc.submit(client_queries(cloud, 90, 8, kSeed), near);
+  for (const bool reorder : {true, false}) {
+    SCOPED_TRACE(reorder ? "batch_reorder on" : "batch_reorder off");
+    SearchService svc(roomy_tick());
+    const CloudHandle handle = svc.register_cloud("cloud", cloud, reorder_config(reorder));
 
-  EXPECT_EQ(t1.get().batch_requests, 2u);  // grouped with t3
-  EXPECT_EQ(t2.get().batch_requests, 1u);
-  EXPECT_EQ(t3.get().batch_requests, 2u);
-  EXPECT_EQ(svc.stats().batches, 2u);
+    auto t1 = svc.submit(handle, client_queries(cloud, 0, 8, kSeed), near);
+    auto t2 = svc.submit(handle, client_queries(cloud, 50, 8, kSeed), far);
+    auto t3 = svc.submit(handle, client_queries(cloud, 90, 8, kSeed), near);
+
+    EXPECT_EQ(t1.get().batch_requests, 2u);  // grouped with t3
+    EXPECT_EQ(t2.get().batch_requests, 1u);
+    EXPECT_EQ(t3.get().batch_requests, 2u);
+    EXPECT_EQ(svc.stats().batches, 2u);
+  }
+}
+
+TEST(SearchService, MaxBinQueriesCapsEveryLaunch) {
+  // Regression: with batch_reorder off, the cap used to be ignored — the
+  // arrival-order dispatcher merged the whole tick into one launch.
+  const std::vector<Vec3> cloud = make_cloud(CloudKind::kUniform, kCloudSize, kSeed);
+  const SearchParams params = knn_params(typical_radius(CloudKind::kUniform));
+  constexpr std::size_t kCap = 24;
+
+  for (const bool reorder : {true, false}) {
+    SCOPED_TRACE(reorder ? "batch_reorder on" : "batch_reorder off");
+    SearchService svc(roomy_tick());
+    CloudConfig config = reorder_config(reorder);
+    config.max_bin_queries = kCap;
+    const CloudHandle handle = svc.register_cloud("cloud", cloud, config);
+
+    // One tick of 6 x 10 rows: 60 rows against a cap of 24.
+    std::vector<SearchService::Ticket> tickets;
+    for (std::size_t i = 0; i < 6; ++i) {
+      tickets.push_back(
+          svc.submit(handle, client_queries(cloud, i * 31, 10, kSeed + i), params));
+    }
+    for (auto& ticket : tickets) {
+      const RequestOutcome outcome = ticket.get();
+      EXPECT_EQ(outcome.result.num_queries(), 10u);
+      EXPECT_LE(outcome.batch_queries, kCap);
+    }
+    EXPECT_GT(svc.stats().batches, 1u);
+  }
 }
 
 TEST(SearchService, PipelineOnlyParamDifferencesShareABin) {
   const std::vector<Vec3> cloud = make_cloud(CloudKind::kUniform, kCloudSize, kSeed);
-  ServiceOptions options;
-  options.max_delay = std::chrono::microseconds(300'000);
-  SearchService svc(cloud, options);
+  SearchService svc(roomy_tick());
+  const CloudHandle handle = svc.register_cloud("cloud", cloud);
 
   // Three requests, two distinct batch keys: pipeline-shaping knobs (opts)
   // are exactness-preserving, so they must not force a third launch.
@@ -302,9 +342,9 @@ TEST(SearchService, PipelineOnlyParamDifferencesShareABin) {
   SearchParams far = plain;
   far.radius *= 2.0f;
 
-  auto t1 = svc.submit(client_queries(cloud, 0, 8, kSeed), plain);
-  auto t2 = svc.submit(client_queries(cloud, 50, 8, kSeed), scheduled);
-  auto t3 = svc.submit(client_queries(cloud, 90, 8, kSeed), far);
+  auto t1 = svc.submit(handle, client_queries(cloud, 0, 8, kSeed), plain);
+  auto t2 = svc.submit(handle, client_queries(cloud, 50, 8, kSeed), scheduled);
+  auto t3 = svc.submit(handle, client_queries(cloud, 90, 8, kSeed), far);
 
   EXPECT_EQ(t1.get().batch_requests, 2u);  // binned with t2
   EXPECT_EQ(t2.get().batch_requests, 2u);
@@ -318,12 +358,9 @@ TEST(SearchService, DedupedCoincidentRowsStayExact) {
   const std::vector<Vec3> cloud = make_cloud(CloudKind::kUniform, kCloudSize, kSeed);
   const SearchParams params = knn_params(typical_radius(CloudKind::kUniform));
 
-  ServiceOptions on_options;
-  on_options.max_delay = std::chrono::microseconds(300'000);
-  SearchService on(cloud, on_options);
-  ServiceOptions off_options = on_options;
-  off_options.batch_reorder = false;
-  SearchService off(cloud, off_options);
+  SearchService svc(roomy_tick());
+  const CloudHandle on = svc.register_cloud("on", cloud);
+  const CloudHandle off = svc.register_cloud("off", cloud, reorder_config(false));
 
   // Overlapping exact windows of the cloud: rows repeat bitwise across the
   // tick's requests (the coherent-traffic shape the optimizer dedups).
@@ -332,9 +369,9 @@ TEST(SearchService, DedupedCoincidentRowsStayExact) {
       std::span<const Vec3>(cloud.data() + 20, 40),
       std::span<const Vec3>(cloud.data(), 40),
   };
-  auto run = [&](SearchService& svc) {
+  auto run = [&](const CloudHandle& handle) {
     std::vector<SearchService::Ticket> tickets;
-    for (const auto& window : windows) tickets.push_back(svc.submit(window, params));
+    for (const auto& window : windows) tickets.push_back(svc.submit(handle, window, params));
     std::vector<RequestOutcome> outcomes;
     for (auto& ticket : tickets) outcomes.push_back(ticket.get());
     return outcomes;
@@ -346,18 +383,19 @@ TEST(SearchService, DedupedCoincidentRowsStayExact) {
                                         "request " + std::to_string(i));
   }
 
-  // The arrival-order path never dedups; the optimizer's ray counter plus
-  // its aliased rows reconstruct the submitted volume exactly.
-  EXPECT_EQ(off.stats().report.queries_deduped, 0u);
-  const ServiceStats stats = on.stats();
+  // The off arm never dedups; the on arm's ray counter plus its aliased
+  // rows reconstruct the submitted volume exactly.
+  EXPECT_EQ(svc.stats(off).report.queries_deduped, 0u);
+  const ServiceStats stats = svc.stats(on);
   EXPECT_GT(stats.report.queries_deduped, 0u);
   EXPECT_EQ(stats.report.stats.rays + stats.report.queries_deduped, stats.queries);
 }
 
 TEST(SearchService, TicketWaitForAndReady) {
   const std::vector<Vec3> cloud = make_cloud(CloudKind::kUniform, 500, kSeed);
-  SearchService svc(cloud);
-  auto ticket = svc.submit(client_queries(cloud, 0, 5, kSeed),
+  SearchService svc;
+  const CloudHandle handle = svc.register_cloud("cloud", cloud);
+  auto ticket = svc.submit(handle, client_queries(cloud, 0, 5, kSeed),
                            knn_params(typical_radius(CloudKind::kUniform)));
   ASSERT_TRUE(ticket.valid());
   ASSERT_TRUE(ticket.wait_for(std::chrono::seconds(30)));
@@ -367,15 +405,16 @@ TEST(SearchService, TicketWaitForAndReady) {
 
 TEST(SearchService, BackendErrorsPropagateThroughTickets) {
   const std::vector<Vec3> cloud = make_cloud(CloudKind::kUniform, 300, kSeed);
-  ServiceOptions options;
-  options.backend = "fastrnn";  // KNN-only
-  SearchService svc(cloud, options);
+  CloudConfig config;
+  config.backend = "fastrnn";  // KNN-only
+  SearchService svc;
+  const CloudHandle handle = svc.register_cloud("cloud", cloud, config);
 
   SearchParams range;
   range.mode = SearchMode::kRange;
   range.radius = 0.1f;
   range.k = 8;
-  auto ticket = svc.submit(client_queries(cloud, 0, 4, kSeed), range);
+  auto ticket = svc.submit(handle, client_queries(cloud, 0, 4, kSeed), range);
   EXPECT_THROW(ticket.get(), Error);
   // A failed batch still counts its requests (the tickets were signaled),
   // but no rows were served — `queries` stays in step with the ray counter.
@@ -384,18 +423,20 @@ TEST(SearchService, BackendErrorsPropagateThroughTickets) {
 
   // The service survives and keeps serving valid requests.
   const RequestOutcome ok =
-      svc.query(client_queries(cloud, 0, 4, kSeed), knn_params(0.1f));
+      svc.query(handle, client_queries(cloud, 0, 4, kSeed), knn_params(0.1f));
   EXPECT_EQ(ok.result.num_queries(), 4u);
 }
 
 TEST(SearchService, SubmitAfterShutdownThrows) {
   const std::vector<Vec3> cloud = make_cloud(CloudKind::kUniform, 300, kSeed);
-  SearchService svc(cloud);
-  auto ticket = svc.submit(client_queries(cloud, 0, 4, kSeed), knn_params(0.1f));
+  SearchService svc;
+  const CloudHandle handle = svc.register_cloud("cloud", cloud);
+  auto ticket = svc.submit(handle, client_queries(cloud, 0, 4, kSeed), knn_params(0.1f));
   svc.shutdown();  // drains the queued request first
   EXPECT_NO_THROW(ticket.get());
-  EXPECT_THROW(svc.submit(client_queries(cloud, 0, 4, kSeed), knn_params(0.1f)), Error);
-  EXPECT_THROW(svc.update_points(cloud), Error);
+  EXPECT_THROW(svc.submit(handle, client_queries(cloud, 0, 4, kSeed), knn_params(0.1f)),
+               Error);
+  EXPECT_THROW(svc.update_points(handle, cloud), Error);
   svc.shutdown();  // idempotent
 }
 
@@ -404,42 +445,45 @@ TEST(SearchService, SubmitAfterShutdownThrows) {
 TEST(SearchService, UpdatePublishesNextVersionOffTheReadPath) {
   const std::vector<Vec3> cloud = make_cloud(CloudKind::kUniform, kCloudSize, kSeed);
   const SearchParams params = knn_params(typical_radius(CloudKind::kUniform));
-  SearchService svc(cloud);
-  EXPECT_EQ(svc.snapshot_version(), 0u);
+  SearchService svc;
+  const CloudHandle handle = svc.register_cloud("cloud", cloud);
+  EXPECT_EQ(svc.snapshot_version(handle), 0u);
 
-  (void)svc.query(client_queries(cloud, 0, 10, kSeed), params);
+  (void)svc.query(handle, client_queries(cloud, 0, 10, kSeed), params);
 
   std::vector<Vec3> moved = cloud;
   for (Vec3& p : moved) p.x += 0.001f;
-  svc.update_points(moved);
-  EXPECT_EQ(svc.snapshot_version(), 1u);
+  svc.update_points(handle, moved);
+  EXPECT_EQ(svc.snapshot_version(handle), 1u);
   EXPECT_EQ(svc.stats().updates, 1u);
 
   // Requests after the publish are answered by the new snapshot.
-  const RequestOutcome outcome = svc.query(client_queries(cloud, 5, 10, kSeed), params);
+  const RequestOutcome outcome =
+      svc.query(handle, client_queries(cloud, 5, 10, kSeed), params);
   EXPECT_EQ(outcome.snapshot_version, 1u);
 
   // A resize falls back to a fresh upload + build.
   const std::vector<Vec3> grown = make_cloud(CloudKind::kUniform, kCloudSize + 100, kSeed);
-  svc.update_points(grown);
-  EXPECT_EQ(svc.snapshot_version(), 2u);
-  EXPECT_EQ(svc.point_count(), kCloudSize + 100);
-  const RequestOutcome after = svc.query(client_queries(grown, 0, 10, kSeed), params);
+  svc.update_points(handle, grown);
+  EXPECT_EQ(svc.snapshot_version(handle), 2u);
+  EXPECT_EQ(svc.point_count(handle), kCloudSize + 100);
+  const RequestOutcome after = svc.query(handle, client_queries(grown, 0, 10, kSeed), params);
   EXPECT_EQ(after.snapshot_version, 2u);
 }
 
 TEST(SearchService, UpdateResultsMatchFreshService) {
   const std::vector<Vec3> cloud = make_cloud(CloudKind::kUniform, kCloudSize, kSeed);
   const SearchParams params = knn_params(typical_radius(CloudKind::kUniform));
-  SearchService svc(cloud);
-  (void)svc.query(client_queries(cloud, 0, 5, kSeed), params);  // set warm params
+  SearchService svc;
+  const CloudHandle handle = svc.register_cloud("cloud", cloud);
+  (void)svc.query(handle, client_queries(cloud, 0, 5, kSeed), params);  // set warm params
 
   data::DriftMotion motion(data::PointCloud(cloud.begin(), cloud.end()), {});
   const data::PointCloud& frame = motion.step();
-  svc.update_points(frame);
+  svc.update_points(handle, frame);
 
   const auto queries = client_queries(frame, 17, 40, kSeed + 9);
-  const RequestOutcome outcome = svc.query(queries, params);
+  const RequestOutcome outcome = svc.query(handle, queries, params);
 
   auto reference = engine::make_backend("brute_force");
   reference->set_points(frame);
@@ -451,15 +495,16 @@ TEST(SearchService, UpdateResultsMatchFreshService) {
 TEST(SearchService, RefitRebuildIncrementsAreNeverLost) {
   const std::vector<Vec3> cloud = make_cloud(CloudKind::kUniform, kCloudSize, kSeed);
   const SearchParams params = knn_params(typical_radius(CloudKind::kUniform));
-  SearchService svc(cloud);
-  (void)svc.query(client_queries(cloud, 0, 8, kSeed), params);  // sets warm params
+  SearchService svc;
+  const CloudHandle handle = svc.register_cloud("cloud", cloud);
+  (void)svc.query(handle, client_queries(cloud, 0, 8, kSeed), params);  // sets warm params
 
   data::DriftMotion motion(data::PointCloud(cloud.begin(), cloud.end()), {});
   // Update 1 warms a cold master (a fresh build, counted in time.bvh);
   // every update after that resolves the policy: exactly one refit or
   // rebuild each, and the aggregate must see every single one.
   constexpr std::uint32_t kUpdates = 5;
-  for (std::uint32_t u = 0; u < kUpdates; ++u) svc.update_points(motion.step());
+  for (std::uint32_t u = 0; u < kUpdates; ++u) svc.update_points(handle, motion.step());
 
   const ServiceStats stats = svc.stats();
   EXPECT_EQ(stats.updates, kUpdates);
@@ -473,7 +518,8 @@ TEST(SearchService, RefitRebuildIncrementsAreNeverLost) {
 TEST(SearchService, ConcurrentCountsSumExactly) {
   const std::vector<Vec3> cloud = make_cloud(CloudKind::kUniform, kCloudSize, kSeed);
   const SearchParams params = knn_params(typical_radius(CloudKind::kUniform));
-  SearchService svc(cloud);
+  SearchService svc;
+  const CloudHandle handle = svc.register_cloud("cloud", cloud);
 
   constexpr int kThreads = 4;
   constexpr int kRequestsPerThread = 25;
@@ -485,7 +531,7 @@ TEST(SearchService, ConcurrentCountsSumExactly) {
         const auto queries = client_queries(
             cloud, static_cast<std::size_t>(t) * 101 + static_cast<std::size_t>(r),
             kQueriesPerRequest, kSeed + static_cast<std::uint64_t>(t));
-        const RequestOutcome outcome = svc.query(queries, params);
+        const RequestOutcome outcome = svc.query(handle, queries, params);
         ASSERT_EQ(outcome.result.num_queries(), kQueriesPerRequest);
       }
     });
@@ -522,9 +568,10 @@ TEST(SearchServiceStress, ManyReadersOneWriterWithIndexChurn) {
   const float radius = typical_radius(CloudKind::kUniform);
   const SearchParams params = knn_params(radius);
 
-  ServiceOptions options;
-  options.max_delay = std::chrono::microseconds(100);
-  SearchService svc(cloud, options);
+  ServiceConfig config;
+  config.max_delay = std::chrono::microseconds(100);
+  SearchService svc(config);
+  const CloudHandle handle = svc.register_cloud("cloud", cloud);
 
   constexpr int kReaders = 4;
   constexpr int kRequestsPerReader = 40;
@@ -538,7 +585,7 @@ TEST(SearchServiceStress, ManyReadersOneWriterWithIndexChurn) {
         const auto queries = client_queries(
             cloud, static_cast<std::size_t>(t * 53 + r), 8,
             kSeed + static_cast<std::uint64_t>(t * 1000 + r));
-        RequestOutcome outcome = svc.query(queries, params);
+        RequestOutcome outcome = svc.query(handle, queries, params);
         ASSERT_EQ(outcome.result.num_queries(), queries.size());
         // Result invariants hold against whichever snapshot answered:
         // bounded rows, valid point ids.
@@ -564,11 +611,11 @@ TEST(SearchServiceStress, ManyReadersOneWriterWithIndexChurn) {
         const auto resized =
             make_cloud(CloudKind::kUniform, 2000 + 50 * static_cast<std::size_t>(u),
                        kSeed + static_cast<std::uint64_t>(u));
-        svc.update_points(resized);
+        svc.update_points(handle, resized);
         motion = data::DriftMotion(
             data::PointCloud(resized.begin(), resized.end()), drift);
       } else {
-        svc.update_points(motion.step());
+        svc.update_points(handle, motion.step());
       }
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
@@ -582,14 +629,15 @@ TEST(SearchServiceStress, ManyReadersOneWriterWithIndexChurn) {
             static_cast<std::uint64_t>(kReaders) * kRequestsPerReader);
   EXPECT_EQ(stats.queries, served.load());
   EXPECT_EQ(stats.updates, static_cast<std::uint64_t>(kWriterUpdates));
-  EXPECT_EQ(svc.snapshot_version(), static_cast<std::uint64_t>(kWriterUpdates));
+  EXPECT_EQ(svc.snapshot_version(handle), static_cast<std::uint64_t>(kWriterUpdates));
 }
 
 TEST(SearchServiceStress, ShutdownUnderConcurrentSubmitters) {
   const std::vector<Vec3> cloud = make_cloud(CloudKind::kUniform, 800, kSeed);
   const SearchParams params = knn_params(typical_radius(CloudKind::kUniform));
 
-  SearchService svc(cloud);
+  SearchService svc;
+  const CloudHandle handle = svc.register_cloud("cloud", cloud);
   std::atomic<int> accepted{0};
   std::atomic<int> refused{0};
   std::vector<std::thread> clients;
@@ -598,7 +646,7 @@ TEST(SearchServiceStress, ShutdownUnderConcurrentSubmitters) {
       for (int r = 0; r < 30; ++r) {
         try {
           auto ticket = svc.submit(
-              client_queries(cloud, static_cast<std::size_t>(t * 31 + r), 4,
+              handle, client_queries(cloud, static_cast<std::size_t>(t * 31 + r), 4,
                              kSeed + static_cast<std::uint64_t>(t)),
               params);
           ticket.wait();  // accepted requests are always served, even
@@ -710,8 +758,9 @@ TEST(ErrorContract, EmptyCloudsAreRefusedTyped) {
   // Regression: an empty registration or update on a *sharded* tenant
   // used to fall through to the backend's raw
   // RTNN_CHECK(!points.empty()) internals instead of a typed door-level
-  // rejection. Both doors must throw ServiceError(kInvalid) for every
-  // cloud shape, and leave the registry untouched.
+  // rejection, and an empty request threw an untyped rtnn::Error. Every
+  // door must throw ServiceError(kInvalid) for every cloud shape, and
+  // leave the registry untouched.
   const std::vector<Vec3> cloud = make_cloud(CloudKind::kUniform, 400, kSeed);
   const std::vector<Vec3> empty;
 
@@ -739,8 +788,21 @@ TEST(ErrorContract, EmptyCloudsAreRefusedTyped) {
     } catch (const ServiceError& error) {
       EXPECT_EQ(error.reason(), RejectReason::kInvalid);
     }
-    // The cloud still serves its original points after the refused update.
+    // An empty request is malformed input too, at submit() and query().
     const SearchParams params = knn_params(typical_radius(CloudKind::kUniform));
+    for (const bool sync : {false, true}) {
+      try {
+        if (sync) {
+          (void)service.query(handle, empty, params);
+        } else {
+          (void)service.submit(handle, empty, params);
+        }
+        FAIL() << "an empty request must throw";
+      } catch (const ServiceError& error) {
+        EXPECT_EQ(error.reason(), RejectReason::kInvalid);
+      }
+    }
+    // The cloud still serves its original points after the refused update.
     const std::vector<Vec3> queries(cloud.begin(), cloud.begin() + 8);
     EXPECT_EQ(service.query(handle, queries, params).result.num_queries(), queries.size());
   }
