@@ -83,13 +83,12 @@ RTNN_BENCH_CASE(micro_core, "micro.core",
     print_row(label.c_str(), n, s);
   }
 
-  // --- Traversal: independent (wide FP32 + compressed + binary) and
+  // --- Traversal: independent (compressed wide + binary) and
   // warp-lockstep ---
-  // `traversal.*` measures the FP32 8-wide SoA path;
-  // `traversal_compressed.*` the quantized 80-byte node layout (the
-  // production default — same candidate sets, ~3.2x smaller nodes);
-  // `traversal_binary.*` keeps the binary walk for reference (it is also
-  // what the warp-lockstep simulation pops node by node).
+  // `traversal_compressed.*` measures the production wide walk over the
+  // quantized 80-byte node layout; `traversal_binary.*` keeps the binary
+  // walk for reference (it is also what the warp-lockstep simulation pops
+  // node by node).
   for (const double base : {10e3, 100e3}) {
     const std::size_t n = sz(base);
     const auto points = cloud(n, ctx.seed());
@@ -102,14 +101,8 @@ RTNN_BENCH_CASE(micro_core, "micro.core",
     for (const Vec3& p : points) rays.push_back(Ray::short_ray(p));
     NullProgram program;
     const std::string suffix = std::to_string(static_cast<int>(base / 1e3)) + "k";
-    const double s_wide = ctx.time("traversal." + suffix,
-                                   [&] { rt::trace(wide, rays, program); },
-                                   {.work_items = static_cast<double>(n)});
-    print_row(("traversal." + suffix).c_str(), n, s_wide);
-    rt::TraceConfig compressed;
-    compressed.use_compressed = true;
     const double s_comp = ctx.time("traversal_compressed." + suffix,
-                                   [&] { rt::trace(wide, rays, program, compressed); },
+                                   [&] { rt::trace(wide, rays, program); },
                                    {.work_items = static_cast<double>(n)});
     print_row(("traversal_compressed." + suffix).c_str(), n, s_comp);
     const double s_bin = ctx.time("traversal_binary." + suffix,
@@ -123,35 +116,17 @@ RTNN_BENCH_CASE(micro_core, "micro.core",
                                    {.work_items = static_cast<double>(n)});
     print_row(("traversal_simt." + suffix).c_str(), n, s_simt);
 
-    // Index footprint of each wide layout, and the modeled cache-miss
-    // delta of walking the same rays at each layout's true byte size.
-    const rt::WideBvhStats fp32_stats = wide.stats();
-    const rt::WideBvhStats comp_stats = wide.compressed_stats();
-    ctx.metric("index_bytes.wide." + suffix,
-               static_cast<double>(fp32_stats.total_index_bytes), "B");
+    // Index footprint of the wide tree, and the modeled cache misses of
+    // walking the same rays at its true byte size.
     ctx.metric("index_bytes.compressed." + suffix,
-               static_cast<double>(comp_stats.total_index_bytes), "B");
-    ctx.metric("index_node_bytes_ratio." + suffix,
-               static_cast<double>(fp32_stats.node_bytes) /
-                   static_cast<double>(comp_stats.node_bytes),
-               "x");
+               static_cast<double>(wide.stats().total_index_bytes), "B");
     rt::TraceConfig sim;
     sim.parallel = false;
     sim.simulate_caches = true;
-    const auto misses = [](const rt::LaunchStats& s) {
-      return static_cast<double>((s.l1.accesses - s.l1.hits) +
-                                 (s.l2.accesses - s.l2.hits));
-    };
-    sim.use_compressed = false;
-    const double fp32_misses = misses(rt::trace(wide, rays, program, sim));
-    sim.use_compressed = true;
-    const double comp_misses = misses(rt::trace(wide, rays, program, sim));
-    ctx.metric("modeled_misses.wide." + suffix, fp32_misses);
-    ctx.metric("modeled_misses.compressed." + suffix, comp_misses);
-    if (fp32_misses > 0.0) {
-      ctx.metric("modeled_miss_reduction." + suffix,
-                 100.0 * (1.0 - comp_misses / fp32_misses), "%");
-    }
+    const rt::LaunchStats sim_stats = rt::trace(wide, rays, program, sim);
+    ctx.metric("modeled_misses.compressed." + suffix,
+               static_cast<double>((sim_stats.l1.accesses - sim_stats.l1.hits) +
+                                   (sim_stats.l2.accesses - sim_stats.l2.hits)));
   }
 
   // --- Wide-BVH collapse (amortized into every accel build) ---

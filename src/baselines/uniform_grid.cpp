@@ -62,10 +62,7 @@ void UniformGrid::build(std::span<const Vec3> points, float cell_size,
 Int3 UniformGrid::cell_of(const Vec3& p) const {
   Int3 c;
   for (int axis = 0; axis < 3; ++axis) {
-    const float t = (p[axis] - bounds_.lo[axis]) / cell_size_;
-    int v = static_cast<int>(std::floor(t));
-    v = std::clamp(v, 0, res_[axis] - 1);
-    c[axis] = v;
+    c[axis] = clamp_cell((p[axis] - bounds_.lo[axis]) / cell_size_, res_[axis]);
   }
   return c;
 }

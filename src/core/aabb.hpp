@@ -137,8 +137,8 @@ inline Vec3 reciprocal_dir(const Ray& ray) {
 ///   2. the ray origin lies inside the AABB (required so a ray starting
 ///      inside a node is still allowed to descend into children).
 /// Branchless slab test except for the early containment check. The 8-wide
-/// SoA node test (rt::detail::node_hits) must stay decision-identical
-/// to this scalar form, including its NaN behavior (no swap, keep t0/t1).
+/// node test (rt::detail::node_hits) must stay decision-identical to this
+/// scalar form, including its NaN behavior (no swap, keep t0/t1).
 inline bool ray_intersects_aabb(const Ray& ray, const Aabb& box, const Vec3& inv_dir) {
   // Condition 2: origin inside the box.
   if (box.contains(ray.origin)) return true;

@@ -110,4 +110,15 @@ struct Int3 {
 
 std::ostream& operator<<(std::ostream& os, const Int3& v);
 
+/// The cell along one grid axis of `cells` cells holding a coordinate in
+/// cell units (t = (x - lo) / cell_size): floor(t) clamped to
+/// [0, cells - 1]. The clamp happens in float, before the cast, so ±inf
+/// and |t| >= 2^31 land on the end cells instead of in an undefined
+/// float-to-int conversion; NaN lands in cell 0.
+inline int clamp_cell(float t, int cells) {
+  if (!(t > 0.0f)) return 0;  // below the grid, or NaN
+  if (t >= static_cast<float>(cells - 1)) return cells - 1;
+  return static_cast<int>(t);  // floor, since 0 < t < cells - 1
+}
+
 }  // namespace rtnn

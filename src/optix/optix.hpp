@@ -20,9 +20,9 @@
 //     the ray.
 //   * Optional Pipeline::cull_shrink(ray) has no OptiX counterpart: it is
 //     the software RT core's per-ray cull bound (rt::CullingProgram),
-//     re-read after every IS call. While it returns δ > 0 the wide,
-//     compressed and tiled walks skip every box the ray's origin is not
-//     inside once shrunk by δ per face. KnnPipeline supplies it from its
+//     re-read after every IS call. While it returns δ > 0 the wide and
+//     tiled walks skip every box the ray's origin is not inside once
+//     shrunk by δ per face. KnnPipeline supplies it from its
 //     heap's K-th distance.
 //
 // "Single Instruction Multiple Rays": each launch index maps to one ray /
@@ -68,11 +68,13 @@ struct TiledAccelOptions {
 namespace detail {
 
 /// The shared immutable build product behind an Accel handle. The wide
-/// mirror is collapsed during build_accel — eagerly, so the cost lands in
+/// tree is collapsed during build_accel — eagerly, so the cost lands in
 /// build_seconds()/time.bvh like the rest of the acceleration-structure
 /// work (the cost model's T_build = k1·M stays linear; a lazy collapse
 /// would leak into the first launch's timing and bias the k2 estimate).
 struct AccelData {
+  /// Stays resident beside `wide`: warp-lockstep and use_wide_bvh=false
+  /// launches walk it, and its SAH drives the refit-vs-rebuild policy.
   rt::Bvh bvh;
   rt::WideBvh wide;
   /// The two-level build product (build_tiled_accel). Exactly one of
@@ -99,7 +101,7 @@ class Accel {
     return data_->bvh;
   }
 
-  /// The flattened 8-wide SoA mirror the independent (wall-clock) path
+  /// The compressed 8-wide BVH the independent (wall-clock) path
   /// traverses.
   const rt::WideBvh& wide_bvh() const {
     RTNN_CHECK(data_ != nullptr, "accel not built");
@@ -133,7 +135,7 @@ class Accel {
 
   /// Refits both representations to moved primitive boxes (same count and
   /// id order as the build): bottom-up bound refresh on the binary tree,
-  /// then an in-place SoA lane rewrite on the wide mirror — topology and
+  /// then an in-place re-quantization of the wide tree — topology and
   /// collapse reused, no Morton sort, no re-collapse. Cost is charged to
   /// refit_seconds() (the time.refit phase), not build_seconds(). Quality
   /// after cumulative motion is observable via sah_inflation().
@@ -180,18 +182,11 @@ struct LaunchOptions {
   bool parallel = true;
   bool simulate_caches = false;
   bool collect_stats = true;
-  /// kIndependent launches traverse the accel's 8-wide SoA mirror (the
-  /// wall-clock configuration). Clear to force the binary BVH — parity and
-  /// characterization runs. Ignored by kWarpLockstep, which always walks
-  /// the binary tree for simulation fidelity.
+  /// kIndependent launches traverse the accel's compressed 8-wide BVH
+  /// (the wall-clock configuration). Clear to force the binary BVH —
+  /// parity and characterization runs. Ignored by kWarpLockstep, which
+  /// always walks the binary tree for simulation fidelity.
   bool use_wide_bvh = true;
-  /// Wide launches traverse the quantized compressed node layout (80 B vs
-  /// 256 B per node) — the production default; candidate sets are
-  /// identical by construction. Clear to traverse the FP32 SoA nodes: the
-  /// configuration the cost model's default constants were calibrated
-  /// against, kept as the opt-out fallback. Ignored unless the launch
-  /// takes the wide path.
-  bool use_compressed_bvh = true;
 };
 
 /// Shader-pipeline concepts. A pipeline must at least provide the RG and
@@ -291,11 +286,10 @@ LaunchStats launch(const Accel& accel, P& pipeline, std::uint32_t width,
   config.parallel = options.parallel;
   config.simulate_caches = options.simulate_caches;
   config.collect_stats = options.collect_stats || options.simulate_caches;
-  config.use_compressed = options.use_compressed_bvh;
   const bool wide =
       options.model == ExecutionModel::kIndependent && options.use_wide_bvh;
   // A tiled accel has exactly one traversal: the TLAS walk (independent
-  // model; use_compressed_bvh still selects each tile's BLAS layout).
+  // model).
   const LaunchStats stats =
       accel.is_tiled()
           ? rt::trace(accel.tiled_bvh(), std::span<const Ray>(rays), adapter, config)

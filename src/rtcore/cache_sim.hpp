@@ -75,8 +75,8 @@ class MemoryHierarchy {
   }
 
   /// Touches every cache line in [address, address + bytes) — one access
-  /// per line, the way a streaming fetch of a multi-line object (e.g. a
-  /// 256 B FP32 wide node vs an 80 B compressed one) lands in hardware.
+  /// per line, the way a streaming fetch of a multi-line object (e.g. an
+  /// 80 B compressed wide node straddling two lines) lands in hardware.
   /// The line walk uses the L1's line size; the L2 line size is the same
   /// in every configuration we model (both default to 128 B).
   void access_range(std::uint64_t address, std::uint64_t bytes) {

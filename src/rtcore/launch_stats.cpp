@@ -9,7 +9,6 @@ LaunchStats& LaunchStats::operator+=(const LaunchStats& o) {
   node_visits += o.node_visits;
   aabb_tests += o.aabb_tests;
   is_calls += o.is_calls;
-  hits += o.hits;
   terminated_rays += o.terminated_rays;
   warps += o.warps;
   warp_iterations += o.warp_iterations;
@@ -23,7 +22,7 @@ LaunchStats& LaunchStats::operator+=(const LaunchStats& o) {
 std::ostream& operator<<(std::ostream& os, const LaunchStats& s) {
   os << "{rays=" << s.rays << " node_visits=" << s.node_visits
      << " aabb_tests=" << s.aabb_tests << " is_calls=" << s.is_calls
-     << " hits=" << s.hits << " terminated=" << s.terminated_rays;
+     << " terminated=" << s.terminated_rays;
   if (s.warps) {
     os << " warps=" << s.warps << " substeps=" << s.warp_substeps
        << " occupancy=" << s.occupancy();

@@ -23,7 +23,6 @@ struct LaunchStats {
   std::uint64_t node_visits = 0;     // BVH nodes popped ("TL" steps, RT-core work)
   std::uint64_t aabb_tests = 0;      // ray-AABB tests (node + leaf-primitive boxes)
   std::uint64_t is_calls = 0;        // IS-shader invocations (Step 2 of the algorithm)
-  std::uint64_t hits = 0;            // primitives accepted by the IS shader
   std::uint64_t terminated_rays = 0; // rays ended early by the AH shader
 
   // SIMT-mode counters (zero in independent mode).

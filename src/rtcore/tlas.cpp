@@ -155,15 +155,14 @@ TiledUpdateStats TiledBvh::update(std::span<const Vec3> points,
   return out;
 }
 
-TiledBvhStats TiledBvh::stats(bool compressed) const {
+TiledBvhStats TiledBvh::stats() const {
   TiledBvhStats out;
   out.tile_count = tile_count();
   for (const auto& tile : tiles_) {
     const TileIndex* index = tile->index();
     if (index == nullptr) continue;
     ++out.built_tiles;
-    const WideBvhStats ws =
-        compressed ? index->wide.compressed_stats() : index->wide.stats();
+    const WideBvhStats ws = index->wide.stats();
     out.node_bytes += ws.node_bytes;
     out.total_index_bytes += ws.total_index_bytes;
   }

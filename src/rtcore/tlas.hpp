@@ -7,14 +7,14 @@
 //
 //   * the cloud is split into spatially compact tiles (the caller supplies
 //     the membership — Morton-contiguous runs from the sharding planner);
-//   * each tile owns a bottom-level index (binary `Bvh` + its 8-wide
-//     `WideBvh` mirror, exactly the monolithic build product, just
+//   * each tile owns a bottom-level index (binary `Bvh` + its compressed
+//     8-wide `WideBvh`, exactly the monolithic build product, just
 //     tile-local);
 //   * a small top-level binary BVH over the tight tile AABBs culls whole
 //     tiles before a ray ever touches a bottom-level node.
 //
 // Traversal (rt::trace over a TiledBvh, traversal.hpp) walks the top tree
-// and runs the ordinary wide/compressed BLAS walk inside each intersected
+// and runs the ordinary compressed wide BLAS walk inside each intersected
 // tile, remapping tile-local primitive ids back to the caller's global
 // ids. Candidate sets match the monolithic path: a tile's bounds contain
 // every member AABB, so top-level culling can only skip tiles the ray
@@ -84,12 +84,12 @@ struct TiledUpdateStats {
 
 /// Aggregate footprint of the two-level index: the byte gauges sum the
 /// *built* tiles only (a lazy index's resident footprint is the routed
-/// working set), in whichever node layout the caller traverses.
+/// working set).
 struct TiledBvhStats {
   std::uint32_t tile_count = 0;
   std::uint32_t built_tiles = 0;
-  std::uint64_t node_bytes = 0;         // sum of built tiles' node arrays
-  std::uint64_t total_index_bytes = 0;  // + their leaf/prim arrays
+  std::uint64_t node_bytes = 0;         // sum of built tiles' compressed node arrays
+  std::uint64_t total_index_bytes = 0;  // + their leaf/prim arrays and the top tree
 };
 
 /// The two-level build product. Copyable: copies share every tile (and
@@ -183,8 +183,9 @@ class TiledBvh {
   /// point for callers that want build cost out of the first launch.
   void ensure_all_built() const;
 
-  /// Footprint of the built tiles in the selected node layout.
-  TiledBvhStats stats(bool compressed) const;
+  /// Footprint of the built tiles' wide BLASes (WideBvh::stats) plus the
+  /// top tree.
+  TiledBvhStats stats() const;
 
   /// Worst observed per-tile SAH inflation (1.0 when every built tile is
   /// fresh) — the quality signal the per-tile policy reacts to, surfaced

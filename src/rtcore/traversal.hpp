@@ -5,9 +5,9 @@
 //  * kIndependent — every ray traverses on its own stack; rays are spread
 //    across OpenMP threads. This is the fast path used for wall-clock
 //    performance measurements. It traverses either the binary LBVH or —
-//    the production configuration — the flattened 8-wide SoA WideBvh,
-//    where one ray-vs-node step tests all eight child AABBs with AVX2
-//    (scalar fallback when built with RTNN_ENABLE_AVX2=OFF). Rays are
+//    the production configuration — the compressed 8-wide WideBvh, where
+//    one ray-vs-node step decodes and tests all eight child AABBs with
+//    AVX2 (scalar fallback when built with RTNN_ENABLE_AVX2=OFF). Rays are
 //    batched into chunks that reuse one per-thread traversal stack, and
 //    chunks inherit the caller's Morton ordering so consecutive rays walk
 //    overlapping subtrees.
@@ -35,8 +35,8 @@
 // stop at the first hit).
 //
 // A Program may also declare a cull bound (CullingProgram): a per-ray
-// face shrink δ, re-read after every IS call. While δ > 0 the wide,
-// compressed and tiled walks replace the short-ray test with "origin
+// face shrink δ, re-read after every IS call. While δ > 0 the wide and
+// tiled walks replace the short-ray test with "origin
 // inside the box shrunk by δ on every face", which skips every box that
 // holds no primitive the program would still accept. The binary and
 // lockstep walks ignore the bound, so the paper-characterization
@@ -76,21 +76,21 @@ struct TraceConfig {
   bool parallel = true;
   /// Attach the cache simulator to node/primitive fetches. Supported by
   /// the warp-lockstep model (the paper-characterization path) and by the
-  /// wide-BVH independent overload, where it models each node layout's
-  /// real byte footprint (256 B FP32 vs 80 B compressed). Adds overhead;
-  /// meant for characterization runs.
+  /// wide-BVH independent overload, where it models the compressed
+  /// layout's real byte footprint (80 B nodes). Adds overhead; meant for
+  /// characterization runs.
   bool simulate_caches = false;
   CacheConfig l1{64 * 1024, 128, 4};
   CacheConfig l2{4 * 1024 * 1024, 128, 16};
   /// Collect LaunchStats counters. Disabling removes the accounting from
   /// the hot loop for pure wall-clock runs.
   bool collect_stats = true;
-  /// Wide-BVH overload only: traverse the quantized compressed mirror
-  /// instead of the FP32 SoA nodes. Candidate sets (and the IS-call
-  /// sequence) are identical by construction; only the memory footprint
-  /// changes. Off by default at this layer — the rt:: API stays explicit,
-  /// and the production default lives in ox::LaunchOptions.
-  bool use_compressed = false;
+  /// Must stay true: the compressed layout is the only wide layout, and
+  /// the wide and tiled overloads reject false. Kept only because the
+  /// repo benchmark (perfbench/harness.cpp) still assigns it; the
+  /// ladder-rung [benchmark] change (ROADMAP item 4) deletes that
+  /// assignment, and then this field.
+  bool use_compressed = true;
 };
 
 /// Software prefetch for the traversal inner loop: read-intent, keep in
@@ -126,12 +126,6 @@ constexpr std::uint64_t kPrimStride = 32;
 // copy of the primitive AABBs — contiguous, packed at sizeof(Aabb), in its
 // own region so the simulator sees it as the distinct array it is.
 constexpr std::uint64_t kOrderedPrimRegionBase = std::uint64_t{1} << 41;
-// Two-level traversal: the top-level tree's nodes live in their own
-// region, and each tile's bottom-level arrays are offset by the tile's
-// slice of the address space, so the simulator sees distinct tiles as the
-// distinct allocations they are (per-tile working-set bytes stay honest).
-constexpr std::uint64_t kTlasRegionBase = std::uint64_t{1} << 42;
-constexpr std::uint64_t kTileRegionStride = std::uint64_t{1} << 33;
 
 /// Per-ray traversal state for the lockstep engine.
 struct LaneState {
@@ -215,9 +209,9 @@ bool box_hit(const Ray& ray, const Aabb& box, const Vec3& inv_dir, float delta) 
   return ray_intersects_aabb(ray, box, inv_dir);
 }
 
-/// node_hits tests `ray` against all eight child slots of `node` (either
-/// layout) in one step and returns the bitmask of intersected slots (bit
-/// i = slot i). Must agree bit-for-bit with ray_intersects_aabb on every
+/// node_hits tests `ray` against all eight child slots of `node` in one
+/// step and returns the bitmask of intersected slots (bit i = slot i).
+/// Must agree bit-for-bit with ray_intersects_aabb on every dequantized
 /// slot box; empty slots may report spurious hits and are masked off by
 /// the caller via valid_mask(). `inv_dir` is the precomputed 1/dir (±inf
 /// for zero components), hoisted out of the per-node loop.
@@ -225,25 +219,18 @@ bool box_hit(const Ray& ray, const Aabb& box, const Vec3& inv_dir, float delta) 
 /// bit-for-bit shrunk_box_contains per slot.
 #ifdef RTNN_HAVE_AVX2
 /// A node's eight child boxes, lane i of each register holding child i's
-/// coordinate — the common input of both node layouts' box tests.
+/// coordinate.
 struct SlotLanes {
   __m256 minx, miny, minz, maxx, maxy, maxz;
 };
-
-inline SlotLanes slot_lanes(const WideBvhNode& node) {
-  return {_mm256_load_ps(node.minx), _mm256_load_ps(node.miny),
-          _mm256_load_ps(node.minz), _mm256_load_ps(node.maxx),
-          _mm256_load_ps(node.maxy), _mm256_load_ps(node.maxz)};
-}
 
 /// Dequantizes the eight child boxes of a compressed node. Bitwise-
 /// identical to the scalar dequantize_slot(): uint8 -> int32 -> float
 /// conversion is exact, the multiply by a power-of-two scale is exact, and
 /// the single add rounds the same way — so AVX2 and scalar builds agree
-/// bit-for-bit on every decoded bound, and the SIMD-vs-scalar decision
-/// parity the FP32 path guarantees carries over. No FMA: -mavx2 alone
-/// does not license it, and contracting mul+add would change the rounding
-/// against the scalar decoder.
+/// bit-for-bit on every decoded bound, and hence on every traversal
+/// decision. No FMA: -mavx2 alone does not license it, and contracting
+/// mul+add would change the rounding against the scalar decoder.
 inline SlotLanes slot_lanes(const CompressedWideNode& node) {
   const auto dq = [](const std::uint8_t* q, __m256 anchor, __m256 scale) {
     const __m128i bytes =
@@ -261,10 +248,11 @@ inline SlotLanes slot_lanes(const CompressedWideNode& node) {
           dq(node.qhix, ax, sx), dq(node.qhiy, ay, sy), dq(node.qhiz, az, sz)};
 }
 
-/// The 8-lane box test shared by both node layouts. Decision-identical to
-/// ray_intersects_aabb per lane, including NaN semantics.
-inline std::uint32_t simd_box_hits(const SlotLanes& b, const Ray& ray,
-                                   const Vec3& inv_dir) {
+/// The 8-lane box test. Decision-identical to ray_intersects_aabb per
+/// lane, including NaN semantics.
+inline std::uint32_t node_hits(const CompressedWideNode& node, const Ray& ray,
+                               const Vec3& inv_dir) {
+  const SlotLanes b = slot_lanes(node);
   const __m256 ox = _mm256_set1_ps(ray.origin.x);
   const __m256 oy = _mm256_set1_ps(ray.origin.y);
   const __m256 oz = _mm256_set1_ps(ray.origin.z);
@@ -303,7 +291,9 @@ inline std::uint32_t simd_box_hits(const SlotLanes& b, const Ray& ray,
 
 /// The 8-lane shrunk_box_contains: lo + delta and hi - delta round once
 /// per lane, exactly as the scalar form does.
-inline std::uint32_t simd_shrunk_hits(const SlotLanes& b, const Vec3& q, float delta) {
+inline std::uint32_t node_shrunk_hits(const CompressedWideNode& node, const Vec3& q,
+                                      float delta) {
+  const SlotLanes b = slot_lanes(node);
   const __m256 d = _mm256_set1_ps(delta);
   const auto axis = [&](__m256 lo, __m256 hi, float c) {
     const __m256 cv = _mm256_set1_ps(c);
@@ -315,40 +305,21 @@ inline std::uint32_t simd_shrunk_hits(const SlotLanes& b, const Vec3& q, float d
       axis(b.minz, b.maxz, q.z));
   return static_cast<std::uint32_t>(_mm256_movemask_ps(inside));
 }
-
-template <typename Node>
-std::uint32_t node_hits(const Node& node, const Ray& ray, const Vec3& inv_dir) {
-  return simd_box_hits(slot_lanes(node), ray, inv_dir);
-}
-
-template <typename Node>
-std::uint32_t node_shrunk_hits(const Node& node, const Vec3& q, float delta) {
-  return simd_shrunk_hits(slot_lanes(node), q, delta);
-}
 #else
-inline Aabb slot_box(const WideBvhNode& node, std::uint32_t i) {
-  return {{node.minx[i], node.miny[i], node.minz[i]},
-          {node.maxx[i], node.maxy[i], node.maxz[i]}};
-}
-
-inline Aabb slot_box(const CompressedWideNode& node, std::uint32_t i) {
-  return dequantize_slot(node, i);
-}
-
-template <typename Node>
-std::uint32_t node_hits(const Node& node, const Ray& ray, const Vec3& inv_dir) {
+inline std::uint32_t node_hits(const CompressedWideNode& node, const Ray& ray,
+                               const Vec3& inv_dir) {
   std::uint32_t mask = 0;
   for (std::uint32_t i = 0; i < kWideBvhWidth; ++i) {
-    if (ray_intersects_aabb(ray, slot_box(node, i), inv_dir)) mask |= 1u << i;
+    if (ray_intersects_aabb(ray, dequantize_slot(node, i), inv_dir)) mask |= 1u << i;
   }
   return mask;
 }
 
-template <typename Node>
-std::uint32_t node_shrunk_hits(const Node& node, const Vec3& q, float delta) {
+inline std::uint32_t node_shrunk_hits(const CompressedWideNode& node, const Vec3& q,
+                                      float delta) {
   std::uint32_t mask = 0;
   for (std::uint32_t i = 0; i < kWideBvhWidth; ++i) {
-    if (shrunk_box_contains(slot_box(node, i), q, delta)) mask |= 1u << i;
+    if (shrunk_box_contains(dequantize_slot(node, i), q, delta)) mask |= 1u << i;
   }
   return mask;
 }
@@ -356,8 +327,8 @@ std::uint32_t node_shrunk_hits(const Node& node, const Vec3& q, float delta) {
 
 /// One node step of a wide walk under an optional cull bound (the 8-slot
 /// box_hit).
-template <bool kCull, typename Node>
-std::uint32_t slot_hits(const Node& node, const Ray& ray, const Vec3& inv_dir,
+template <bool kCull>
+std::uint32_t slot_hits(const CompressedWideNode& node, const Ray& ray, const Vec3& inv_dir,
                         float delta) {
   if constexpr (kCull) {
     if (delta > 0.0f) return node_shrunk_hits(node, ray.origin, delta);
@@ -365,117 +336,37 @@ std::uint32_t slot_hits(const Node& node, const Ray& ray, const Vec3& inv_dir,
   return node_hits(node, ray, inv_dir);
 }
 
-/// Single-ray traversal of the 8-wide SoA BVH. `stack` is the caller's
-/// reusable per-thread buffer (kWideStackDepth entries). `mem`, when
-/// non-null, replays node/primitive fetches through the cache simulator at
-/// this layout's real byte footprint.
+/// Single-ray traversal of the compressed wide BVH. `stack` is the
+/// caller's reusable per-thread buffer (kWideStackDepth entries). `mem`,
+/// when non-null, replays node and leaf-ordered AABB fetches through the
+/// cache simulator at the layout's real byte footprint.
 ///
-/// Inner-loop micro-optimizations (shared with the compressed variant so
-/// the two stay decision-order-identical):
-///  * after each pop, the next stack entry's node line is prefetched — by
-///    the time this node's 8-box test and leaf work retire, the next
-///    node's first line is usually in flight;
+/// Dequantized slot boxes are conservative supersets, so a slot hit alone
+/// is not proof of a primitive hit: *every* leaf primitive — even a
+/// single-primitive leaf — is re-tested against its exact AABB. That
+/// re-test is what makes candidate sets identical to the binary walk's: a
+/// spurious slot hit leads into a subtree whose primitives the ray
+/// provably misses, contributing zero IS calls. It holds under a cull
+/// bound too: the bound only grows, so a primitive an exact walk would
+/// cull stays culled at its re-test. The re-test reads the leaf-ordered
+/// AABBs (ordered_prim_aabbs), so its fetches stream contiguously in
+/// traversal order instead of gathering through prim_order.
+///
+/// Inner-loop micro-optimizations:
+///  * after each pop, the next stack entry's node is prefetched — by the
+///    time this node's 8-box test and leaf work retire, the next node is
+///    usually in flight;
 ///  * interior children are buffered and pushed in reverse slot order, so
 ///    pops proceed in ascending slot order — the BFS build allocates a
 ///    parent's children at consecutive indices, making consecutive pops
 ///    walk consecutive node addresses.
-/// `mem_base` shifts every simulated address by a caller-chosen offset —
-/// 0 for the monolithic index (byte-identical to before), or the tile's
-/// region (kTileRegionStride slice) when this walk runs as a BLAS under
-/// the two-level traversal, so distinct tiles' arrays never alias.
 /// A CullingProgram's bound is read once per ray and again after every IS
 /// call; each node step and leaf test uses the bound current at that
 /// moment.
 template <typename Program>
-void trace_one_wide(const WideBvh& bvh, const Ray& ray, std::uint32_t ray_id,
-                    Program& program, LaunchStats* stats, std::uint32_t* stack,
-                    MemoryHierarchy* mem = nullptr, std::uint64_t mem_base = 0) {
-  constexpr bool kCull = CullingProgram<Program>;
-  const auto nodes = bvh.nodes();
-  const auto leaves = bvh.leaves();
-  const auto prim_order = bvh.prim_order();
-  const auto prim_aabbs = bvh.prim_aabbs();
-  const Vec3 inv_dir = reciprocal_dir(ray);
-  float delta = 0.0f;  // the cull bound; stays 0 (no culling) unless kCull
-  if constexpr (kCull) delta = program.cull_shrink(ray_id);
-  std::uint32_t sp = 0;
-  stack[sp++] = bvh.root();
-  while (sp > 0) {
-    const std::uint32_t node_id = stack[--sp];
-    if (sp > 0) RTNN_PREFETCH(&nodes[stack[sp - 1]]);
-    const WideBvhNode& node = nodes[node_id];
-    if (mem) {
-      mem->access_range(mem_base + node_id * sizeof(WideBvhNode),
-                        sizeof(WideBvhNode));
-    }
-    if (stats) {
-      ++stats->node_visits;
-      stats->aabb_tests += node.count;
-    }
-    const float node_delta = delta;
-    std::uint32_t mask =
-        slot_hits<kCull>(node, ray, inv_dir, node_delta) & node.valid_mask();
-    std::uint32_t pushes[kWideBvhWidth];
-    std::uint32_t n_push = 0;
-    while (mask != 0) {
-      const auto slot = static_cast<std::uint32_t>(std::countr_zero(mask));
-      mask &= mask - 1;
-      const std::uint32_t child = node.child[slot];
-      if (child & WideBvhNode::kLeafBit) {
-        const WideLeaf leaf = leaves[child & ~WideBvhNode::kLeafBit];
-        // Single-primitive leaves (the RTNN configuration) were already
-        // tested: the slot box *is* the primitive's AABB — unless an IS
-        // call since the node step raised the cull bound. Then the slot is
-        // re-tested against the current bound, as the compressed walk
-        // re-tests every leaf primitive, so both layouts keep one IS-call
-        // sequence. Wider leaves re-test each primitive like the binary
-        // path.
-        const bool retest =
-            leaf.count > 1 || (kCull && delta > 0.0f && delta != node_delta);
-        for (std::uint32_t s = leaf.first; s < leaf.first + leaf.count; ++s) {
-          const std::uint32_t prim = prim_order[s];
-          if (retest) {
-            if (mem) {
-              mem->access_range(mem_base + kPrimRegionBase + prim * kPrimStride,
-                                sizeof(Aabb));
-            }
-            if (stats) ++stats->aabb_tests;
-            if (!box_hit<kCull>(ray, prim_aabbs[prim], inv_dir, delta)) continue;
-          }
-          if (stats) ++stats->is_calls;
-          if (program.intersect(ray_id, prim) == TraceAction::kTerminate) {
-            if (stats) ++stats->terminated_rays;
-            return;
-          }
-          if constexpr (kCull) delta = program.cull_shrink(ray_id);
-        }
-      } else {
-        pushes[n_push++] = child;
-      }
-    }
-    RTNN_DCHECK(sp + n_push <= kWideStackDepth, "wide traversal stack overflow");
-    for (std::uint32_t i = n_push; i > 0; --i) stack[sp++] = pushes[i - 1];
-  }
-}
-
-/// Single-ray traversal of the compressed (quantized) wide layout. Same
-/// shape as trace_one_wide with two deliberate differences: nodes are
-/// decoded from the quantized layout, and *every* leaf primitive — even a
-/// single-primitive leaf — is re-tested against its exact FP32 AABB.
-/// Dequantized slot boxes are conservative supersets, so the slot hit
-/// alone is not proof of a primitive hit; the exact re-test is what makes
-/// candidate sets (and hence the IS-call sequence, including kTerminate
-/// cut-offs) identical to the FP32 path: a spurious slot hit leads into a
-/// subtree whose primitives the ray provably misses, contributing zero IS
-/// calls. That holds under a cull bound too: the bound only grows, so a
-/// subtree the FP32 walk culled stays culled at every exact re-test below
-/// it. The re-test reads the leaf-slot-ordered AABB snapshot
-/// (ordered_prim_aabbs), so the extra fetches stream contiguously in
-/// traversal order instead of gathering through prim_order.
-template <typename Program>
 void trace_one_compressed(const WideBvh& bvh, const Ray& ray, std::uint32_t ray_id,
                           Program& program, LaunchStats* stats, std::uint32_t* stack,
-                          MemoryHierarchy* mem = nullptr, std::uint64_t mem_base = 0) {
+                          MemoryHierarchy* mem = nullptr) {
   constexpr bool kCull = CullingProgram<Program>;
   const auto nodes = bvh.compressed_nodes();
   const auto leaves = bvh.leaves();
@@ -491,8 +382,7 @@ void trace_one_compressed(const WideBvh& bvh, const Ray& ray, std::uint32_t ray_
     if (sp > 0) RTNN_PREFETCH(&nodes[stack[sp - 1]]);
     const CompressedWideNode& node = nodes[node_id];
     if (mem) {
-      mem->access_range(mem_base + node_id * sizeof(CompressedWideNode),
-                        sizeof(CompressedWideNode));
+      mem->access_range(node_id * sizeof(CompressedWideNode), sizeof(CompressedWideNode));
     }
     if (stats) {
       ++stats->node_visits;
@@ -509,8 +399,7 @@ void trace_one_compressed(const WideBvh& bvh, const Ray& ray, std::uint32_t ray_
         for (std::uint32_t s = leaf.first; s < leaf.first + leaf.count; ++s) {
           const std::uint32_t prim = prim_order[s];
           if (mem) {
-            mem->access_range(mem_base + kOrderedPrimRegionBase + s * sizeof(Aabb),
-                              sizeof(Aabb));
+            mem->access_range(kOrderedPrimRegionBase + s * sizeof(Aabb), sizeof(Aabb));
           }
           if (stats) ++stats->aabb_tests;
           if (!box_hit<kCull>(ray, ordered_prim_aabbs[s], inv_dir, delta)) continue;
@@ -558,7 +447,7 @@ struct TileProgram {
 
 /// Single-ray two-level traversal: a binary stack walk of the top tree
 /// culls whole tiles; each intersected tile leaf lazily builds (first
-/// route) and then runs the ordinary wide/compressed BLAS walk with ids
+/// route) and then runs the ordinary compressed BLAS walk with ids
 /// remapped to global. Candidate sets match the monolithic path because
 /// tile bounds contain every member AABB — top-level culling only skips
 /// tiles the ray provably misses — and tiles partition the primitives, so
@@ -570,8 +459,7 @@ struct TileProgram {
 /// reused by every BLAS walk (tiles traverse one at a time).
 template <typename Program>
 void trace_one_tiled(const TiledBvh& tlas, const Ray& ray, std::uint32_t ray_id,
-                     Program& program, LaunchStats* stats, std::uint32_t* wide_stack,
-                     bool use_compressed, MemoryHierarchy* mem = nullptr) {
+                     Program& program, LaunchStats* stats, std::uint32_t* wide_stack) {
   constexpr bool kCull = CullingProgram<Program>;
   const Bvh& top = tlas.top();
   if (top.empty()) return;
@@ -585,9 +473,6 @@ void trace_one_tiled(const TiledBvh& tlas, const Ray& ray, std::uint32_t ray_id,
   if constexpr (kCull) delta = program.cull_shrink(ray_id);
   while (sp > 0) {
     const BvhNode& node = nodes[stack[--sp]];
-    if (mem) {
-      mem->access(kTlasRegionBase + (&node - nodes.data()) * kNodeStride);
-    }
     if (stats) {
       ++stats->node_visits;
       ++stats->aabb_tests;
@@ -600,14 +485,7 @@ void trace_one_tiled(const TiledBvh& tlas, const Ray& ray, std::uint32_t ray_id,
         const TiledBvh::TileIndex& index =
             tile.ensure_index(tlas.aabb_width(), tlas.leaf_size());
         TileProgram<Program> tp{program, tile.prim_ids().data()};
-        const std::uint64_t tile_base = std::uint64_t{t} * kTileRegionStride;
-        if (use_compressed) {
-          trace_one_compressed(index.wide, ray, ray_id, tp, stats, wide_stack, mem,
-                               tile_base);
-        } else {
-          trace_one_wide(index.wide, ray, ray_id, tp, stats, wide_stack, mem,
-                         tile_base);
-        }
+        trace_one_compressed(index.wide, ray, ray_id, tp, stats, wide_stack);
         if (tp.terminated) return;
         if constexpr (kCull) delta = program.cull_shrink(ray_id);
       }
@@ -758,17 +636,15 @@ LaunchStats trace(const Bvh& bvh, std::span<const Ray> rays, Program& program,
 /// Wide-BVH overload: the wall-clock independent path. Rays are batched
 /// into Morton-coherent chunks (the caller's ordering is preserved), each
 /// chunk reusing one per-thread traversal stack across all of its rays.
-/// config.use_compressed selects the quantized node layout (identical
-/// candidate sets, ~1/3 the node bytes); config.simulate_caches replays
-/// the selected layout's node/primitive fetches through per-worker cache
-/// hierarchies, so the two layouts' modeled miss counts are directly
-/// comparable.
+/// config.simulate_caches replays the walk's node and leaf-ordered AABB
+/// fetches through per-worker cache hierarchies.
 template <typename Program>
 LaunchStats trace(const WideBvh& bvh, std::span<const Ray> rays, Program& program,
                   const TraceConfig& config = {}) {
   RTNN_CHECK(config.model == ExecutionModel::kIndependent,
              "the wide BVH serves only the independent execution model; "
              "warp-lockstep simulation walks the binary BVH");
+  RTNN_CHECK(config.use_compressed, "the compressed layout is the only wide layout");
   LaunchStats total;
   total.rays = rays.size();
   if (rays.empty() || bvh.empty()) return total;
@@ -786,15 +662,9 @@ LaunchStats trace(const WideBvh& bvh, std::span<const Ray> rays, Program& progra
     // One stack allocation per chunk, reused by every ray in it.
     std::uint32_t stack[detail::kWideStackDepth];
     for (std::int64_t i = lo; i < hi; ++i) {
-      if (config.use_compressed) {
-        detail::trace_one_compressed(bvh, rays[static_cast<std::size_t>(i)],
-                                     static_cast<std::uint32_t>(i), program, stats,
-                                     stack, mem_ptr);
-      } else {
-        detail::trace_one_wide(bvh, rays[static_cast<std::size_t>(i)],
-                               static_cast<std::uint32_t>(i), program, stats, stack,
-                               mem_ptr);
-      }
+      detail::trace_one_compressed(bvh, rays[static_cast<std::size_t>(i)],
+                                   static_cast<std::uint32_t>(i), program, stats, stack,
+                                   mem_ptr);
     }
     if (mem) {
       local.l1 = mem->l1_stats();
@@ -812,38 +682,34 @@ LaunchStats trace(const WideBvh& bvh, std::span<const Ray> rays, Program& progra
 }
 
 /// Two-level overload: the TLAS walk over a tiled index. Independent
-/// model only, same chunking/stats/caching shape as the WideBvh overload;
-/// config.use_compressed selects each tile's BLAS layout. Lazy tiles are
-/// built on first route from inside the launch (thread-safe, built once
-/// regardless of how many chunks race to the same tile).
+/// model only, same chunking/stats shape as the WideBvh overload; no cache
+/// simulation. Lazy tiles are built on first route from inside the launch
+/// (thread-safe, built once regardless of how many chunks race to the
+/// same tile).
 template <typename Program>
 LaunchStats trace(const TiledBvh& tlas, std::span<const Ray> rays, Program& program,
                   const TraceConfig& config = {}) {
   RTNN_CHECK(config.model == ExecutionModel::kIndependent,
              "the tiled BVH serves only the independent execution model; "
              "warp-lockstep simulation walks the monolithic binary BVH");
+  RTNN_CHECK(config.use_compressed, "the compressed layout is the only wide layout");
+  RTNN_CHECK(!config.simulate_caches,
+             "cache simulation is not supported on the tiled BVH; simulate the "
+             "monolithic wide or binary walk");
   LaunchStats total;
   total.rays = rays.size();
   if (rays.empty() || tlas.empty()) return total;
 
   const auto n = static_cast<std::int64_t>(rays.size());
   std::optional<StatsAccumulator> accumulator;
-  if (config.collect_stats || config.simulate_caches) accumulator.emplace();
+  if (config.collect_stats) accumulator.emplace();
   auto run_chunk = [&](std::int64_t lo, std::int64_t hi) {
     LaunchStats local;
-    LaunchStats* stats = config.collect_stats ? &local : nullptr;
-    std::optional<MemoryHierarchy> mem;
-    if (config.simulate_caches) mem.emplace(config.l1, config.l2);
-    MemoryHierarchy* mem_ptr = mem ? &*mem : nullptr;
+    LaunchStats* stats = accumulator ? &local : nullptr;
     std::uint32_t stack[detail::kWideStackDepth];
     for (std::int64_t i = lo; i < hi; ++i) {
       detail::trace_one_tiled(tlas, rays[static_cast<std::size_t>(i)],
-                              static_cast<std::uint32_t>(i), program, stats, stack,
-                              config.use_compressed, mem_ptr);
-    }
-    if (mem) {
-      local.l1 = mem->l1_stats();
-      local.l2 = mem->l2_stats();
+                              static_cast<std::uint32_t>(i), program, stats, stack);
     }
     if (accumulator) accumulator->local() += local;
   };

@@ -1,7 +1,28 @@
+// Collapse and quantization of the compressed wide BVH.
+//
+// Each CompressedWideNode encodes its eight child AABBs as 8-bit offsets
+// from a per-node anchor at per-axis power-of-two scales, quantized
+// straight from the bounds of the binary frontier nodes behind its slots.
+// The encoding is *conservative by construction*: after the arithmetic
+// estimate of each quantized lane, a fix-up loop nudges it until the
+// exactly-dequantized value (the same `anchor + float(q) * 2^exp`
+// expression both traversal decoders evaluate) brackets the exact bound
+// from the correct side. Traversal against dequantized boxes can therefore
+// only visit a superset of the nodes an exact-bounds walk visits — never
+// miss — and the exact primitive-AABB re-test at the leaves keeps
+// candidate sets identical.
+//
+// Scale selection starts from frexp of the node's content extent and
+// retries with a doubled scale in the rare case float rounding leaves the
+// top of the range unreachable at q = 255 (e.g. a tiny extent against a
+// huge anchor magnitude). At the exponent ceiling 255 * 2^127 overflows to
+// +inf, which trivially bounds any finite box, so the retry always
+// terminates.
 #include "rtcore/wide_bvh.hpp"
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <limits>
 
 #include "core/error.hpp"
@@ -12,7 +33,7 @@ namespace rtnn::rt {
 namespace {
 
 /// The binary nodes feeding one wide node's slots, recorded during the
-/// serial topology pass and consumed by the parallel bounds fill.
+/// serial topology pass and consumed by every quantization pass.
 using SlotSources = std::array<std::uint32_t, kWideBvhWidth>;
 
 /// Grows `frontier` (binary node ids under one wide node) by repeatedly
@@ -48,37 +69,126 @@ std::uint32_t collapse_frontier(std::span<const BvhNode> bin_nodes, SlotSources&
   return size;
 }
 
-/// Copies the frontier's binary bounds into one wide node's SoA lanes and
-/// inverts the unused slots.
-void fill_bounds(WideBvhNode& node, std::span<const BvhNode> bin_nodes,
-                 const SlotSources& src) {
+constexpr int kExpMin = -126;  // quant_scale()'s normal-float range
+constexpr int kExpMax = 127;
+
+/// Smallest starting exponent such that 255 * 2^e plausibly covers
+/// `extent`; the caller's retry loop handles the rounding corner cases.
+int initial_exponent(float extent) {
+  if (!(extent > 0.0f)) return kExpMin;
+  int ex = 0;
+  std::frexp(extent, &ex);  // extent = m * 2^ex, m in [0.5, 1)
+  return std::clamp(ex - 8, kExpMin, kExpMax);
+}
+
+/// Quantizes one axis of one slot box. Returns false when the hi bound is
+/// unreachable even at q = 255 and the node must retry with a larger
+/// scale. `lo`/`hi` are the exact slot bounds; `anchor` is exact (a copy of
+/// the node's content minimum on this axis), so q = 0 always encodes a
+/// valid conservative lo.
+bool quantize_axis(float lo, float hi, float anchor, float scale,
+                   std::uint8_t& qlo_out, std::uint8_t& qhi_out) {
+  const auto dequant = [&](std::uint32_t q) {
+    return anchor + static_cast<float>(q) * scale;
+  };
+
+  // lo: round down. The division estimate is within an ulp or two; the
+  // fix-up loops land on the largest q whose dequantized value is <= lo.
+  // q = 0 decodes to the anchor, which is the exact content minimum, so a
+  // conservative lo always exists.
+  float est = std::min((lo - anchor) / scale, 255.0f);
+  std::uint32_t qlo = est > 0.0f ? static_cast<std::uint32_t>(est) : 0u;
+  while (qlo > 0 && dequant(qlo) > lo) --qlo;
+  while (qlo < 255 && dequant(qlo + 1) <= lo) ++qlo;
+
+  // hi: round up — smallest q whose dequantized value is >= hi.
+  est = std::min((hi - anchor) / scale, 255.0f);
+  std::uint32_t qhi = est > 0.0f ? static_cast<std::uint32_t>(est) : 0u;
+  while (qhi < 255 && dequant(qhi) < hi) ++qhi;
+  while (qhi > 0 && dequant(qhi - 1) >= hi) --qhi;
+  if (dequant(qhi) < hi) return false;  // q=255 still short: retry with 2x scale
+
+  qlo_out = static_cast<std::uint8_t>(qlo);
+  qhi_out = static_cast<std::uint8_t>(qhi);
+  return true;
+}
+
+/// Quantizes `node`'s valid slots from the bounds of the binary frontier
+/// nodes behind them: anchor, per-axis exponents and lanes. The child
+/// table (count, bases, meta) is the collapse's and stays untouched.
+void quantize_node(CompressedWideNode& node, std::span<const BvhNode> bin_nodes,
+                   const SlotSources& sources) {
+  const std::uint32_t count = node.count;
+  // The slot bounds, gathered per axis, and their union (the content
+  // bounds) over the valid slots.
   constexpr float kInf = std::numeric_limits<float>::infinity();
-  for (std::uint32_t i = 0; i < node.count; ++i) {
-    const Aabb& b = bin_nodes[src[i]].bounds;
-    node.minx[i] = b.lo.x;
-    node.miny[i] = b.lo.y;
-    node.minz[i] = b.lo.z;
-    node.maxx[i] = b.hi.x;
-    node.maxy[i] = b.hi.y;
-    node.maxz[i] = b.hi.z;
+  float slot_lo[3][kWideBvhWidth], slot_hi[3][kWideBvhWidth];
+  float lo[3] = {kInf, kInf, kInf};
+  float hi[3] = {-kInf, -kInf, -kInf};
+  for (std::uint32_t i = 0; i < count; ++i) {
+    const Aabb& b = bin_nodes[sources[i]].bounds;
+    slot_lo[0][i] = b.lo.x;
+    slot_lo[1][i] = b.lo.y;
+    slot_lo[2][i] = b.lo.z;
+    slot_hi[0][i] = b.hi.x;
+    slot_hi[1][i] = b.hi.y;
+    slot_hi[2][i] = b.hi.z;
+    for (int a = 0; a < 3; ++a) {
+      lo[a] = std::min(lo[a], slot_lo[a][i]);
+      hi[a] = std::max(hi[a], slot_hi[a][i]);
+    }
   }
-  for (std::uint32_t i = node.count; i < kWideBvhWidth; ++i) {
-    node.minx[i] = node.miny[i] = node.minz[i] = kInf;
-    node.maxx[i] = node.maxy[i] = node.maxz[i] = -kInf;
+  node.anchor_x = lo[0];
+  node.anchor_y = lo[1];
+  node.anchor_z = lo[2];
+
+  std::uint8_t* qlo[3] = {node.qlox, node.qloy, node.qloz};
+  std::uint8_t* qhi[3] = {node.qhix, node.qhiy, node.qhiz};
+  std::int8_t* exps[3] = {&node.exp_x, &node.exp_y, &node.exp_z};
+
+  for (int a = 0; a < 3; ++a) {
+    int e = initial_exponent(hi[a] - lo[a]);
+    for (;; ++e) {
+      RTNN_CHECK(e <= kExpMax, "quantization exponent retry ran past 2^127");
+      const float scale = quant_scale(static_cast<std::int8_t>(e));
+      bool ok = true;
+      for (std::uint32_t i = 0; i < count && ok; ++i) {
+        ok = quantize_axis(slot_lo[a][i], slot_hi[a][i], lo[a], scale, qlo[a][i], qhi[a][i]);
+      }
+      if (ok) {
+        *exps[a] = static_cast<std::int8_t>(e);
+        break;
+      }
+    }
+    // Empty slots: inverted lanes. Traversal masks them off via
+    // valid_mask() — with a degenerate (zero-extent) axis the decoded box
+    // can collapse to a point rather than stay inverted, so the mask, not
+    // the decoded bounds, is the correctness boundary.
+    for (std::uint32_t i = count; i < kWideBvhWidth; ++i) {
+      qlo[a][i] = 255;
+      qhi[a][i] = 0;
+    }
   }
+}
+
+/// quantize_node over every node, in parallel.
+void quantize_nodes(std::span<CompressedWideNode> nodes, std::span<const BvhNode> bin_nodes,
+                    std::span<const SlotSources> sources) {
+  parallel_for(0, static_cast<std::int64_t>(nodes.size()), [&](std::int64_t ni) {
+    const auto i = static_cast<std::size_t>(ni);
+    quantize_node(nodes[i], bin_nodes, sources[i]);
+  }, grain::kElementwise / kWideBvhWidth);
 }
 
 }  // namespace
 
 void WideBvh::build(const Bvh& source) {
   nodes_.clear();
-  compressed_nodes_.clear();
   leaves_.clear();
   slot_sources_.clear();
   ordered_prim_aabbs_.clear();
   max_depth_ = 0;
   prim_order_.assign(source.prim_order().begin(), source.prim_order().end());
-  prim_aabbs_.assign(source.prim_aabbs().begin(), source.prim_aabbs().end());
   source_node_count_ = static_cast<std::uint32_t>(source.nodes().size());
   if (source.empty()) return;
 
@@ -86,23 +196,23 @@ void WideBvh::build(const Bvh& source) {
 
   // Phase 1 (serial): topology. BFS over wide nodes keeps parents adjacent
   // to children in memory. Each queue entry is a wide node to fill; its
-  // frontier collapse allocates the children. Single-threaded builds fill
-  // the SoA bounds inline while the binary nodes are cache-hot; parallel
-  // builds defer the fill (the bulk of the writes) to phase 2.
-  const bool inline_fill = num_threads() <= 1;
+  // frontier collapse allocates the children. Single-threaded builds
+  // quantize inline while the binary nodes are cache-hot; parallel builds
+  // defer the quantization (the bulk of the work) to phase 2.
+  const bool inline_quantize = num_threads() <= 1;
   struct Pending {
     std::uint32_t bin_root;
     std::uint32_t wide_index;
     std::uint32_t depth;
   };
-  // Capacity up front: growth reallocations are expensive at 256 B/node.
-  // For leaf_size 1 the collapse lands near one wide node per 2.5 binary
-  // leaves; a quarter of the binary node count covers that with slack.
+  // Capacity up front. For leaf_size 1 the collapse lands near one wide
+  // node per 2.5 binary leaves; a quarter of the binary node count covers
+  // that with slack.
   const std::size_t node_estimate = bin_nodes.size() / 4 + 2;
   std::vector<Pending> queue;
   queue.reserve(node_estimate);
   queue.push_back({source.root(), 0, 0});
-  // Slot sources are recorded for every node: the parallel bounds fill
+  // Slot sources are recorded for every node: the parallel quantization
   // consumes them now, refit_from() consumes them for the tree's lifetime.
   slot_sources_.reserve(node_estimate);
   nodes_.reserve(node_estimate);
@@ -126,40 +236,39 @@ void WideBvh::build(const Bvh& source) {
       size = collapse_frontier(bin_nodes, frontier, 2);
     }
 
-    // Allocate children before touching nodes_[p.wide_index]: emplace_back
+    // The child table: this node's interior children get consecutive node
+    // indices from child_base and its leaf children consecutive leaf
+    // indices from leaf_base, so a per-slot ordinal names each one.
+    // Allocate them before touching nodes_[p.wide_index]: emplace_back
     // below may reallocate the node array.
-    SlotSources children;
-    children.fill(WideBvhNode::kEmptyChild);
+    const auto child_base = static_cast<std::uint32_t>(nodes_.size());
+    const auto leaf_base = static_cast<std::uint32_t>(leaves_.size());
+    std::uint8_t meta[kWideBvhWidth] = {};
+    std::uint8_t n_interior = 0, n_leaf = 0;
     for (std::uint32_t i = 0; i < size; ++i) {
       const BvhNode& bin = bin_nodes[frontier[i]];
       if (bin.is_leaf()) {
-        children[i] =
-            WideBvhNode::kLeafBit | static_cast<std::uint32_t>(leaves_.size());
+        meta[i] = static_cast<std::uint8_t>(CompressedWideNode::kMetaLeaf | n_leaf++);
         leaves_.push_back({bin.first, bin.count});
       } else {
-        const auto child_index = static_cast<std::uint32_t>(nodes_.size());
-        children[i] = child_index;
+        meta[i] = n_interior++;
+        queue.push_back({frontier[i], child_base + meta[i], p.depth + 1});
         nodes_.emplace_back();
         slot_sources_.emplace_back();
-        queue.push_back({frontier[i], child_index, p.depth + 1});
       }
     }
 
-    WideBvhNode& node = nodes_[p.wide_index];
-    node.count = size;
-    std::copy(children.begin(), children.end(), node.child);
+    CompressedWideNode& node = nodes_[p.wide_index];
+    node.count = static_cast<std::uint8_t>(size);
+    node.child_base = n_interior > 0 ? child_base : 0;
+    node.leaf_base = n_leaf > 0 ? leaf_base : 0;
+    std::copy(meta, meta + kWideBvhWidth, node.meta);
     slot_sources_[p.wide_index] = frontier;
-    if (inline_fill) fill_bounds(node, bin_nodes, frontier);
+    if (inline_quantize) quantize_node(node, bin_nodes, frontier);
   }
-  if (!inline_fill) {
-    // Phase 2 (parallel): the SoA bounds fill — the bulk of the writes.
-    parallel_for(0, static_cast<std::int64_t>(nodes_.size()), [&](std::int64_t ni) {
-      fill_bounds(nodes_[static_cast<std::size_t>(ni)], bin_nodes,
-                  slot_sources_[static_cast<std::size_t>(ni)]);
-    }, grain::kElementwise / kWideBvhWidth);
-  }
-  compress_nodes();
-  refresh_ordered_prims();
+  // Phase 2 (parallel): quantize every node's slots.
+  if (!inline_quantize) quantize_nodes(nodes_, bin_nodes, slot_sources_);
+  refresh_ordered_prims(source.prim_aabbs());
 }
 
 void WideBvh::refit_from(const Bvh& source) {
@@ -171,83 +280,51 @@ void WideBvh::refit_from(const Bvh& source) {
                          source.prim_order().begin()),
               "source primitive order diverged from the collapse");
 
-  // Only boxes change: refresh the primitive snapshot and rewrite every
-  // node's SoA lanes from the recorded collapse frontier. No topology
-  // decisions, no allocation — a flat parallel copy.
-  const std::span<const BvhNode> bin_nodes = source.nodes();
-  const std::span<const Aabb> moved = source.prim_aabbs();
-  std::copy(moved.begin(), moved.end(), prim_aabbs_.begin());
-  parallel_for(0, static_cast<std::int64_t>(nodes_.size()), [&](std::int64_t ni) {
-    fill_bounds(nodes_[static_cast<std::size_t>(ni)], bin_nodes,
-                slot_sources_[static_cast<std::size_t>(ni)]);
-  }, grain::kElementwise / kWideBvhWidth);
-  compress_nodes();
-  refresh_ordered_prims();
+  // Only boxes change: re-quantize every node from the recorded collapse
+  // frontier and refresh the leaf-ordered primitive boxes. No topology
+  // decisions, no allocation — a flat parallel pass.
+  quantize_nodes(nodes_, source.nodes(), slot_sources_);
+  refresh_ordered_prims(source.prim_aabbs());
 }
 
-void WideBvh::refresh_ordered_prims() {
-  ordered_prim_aabbs_.resize(prim_aabbs_.size());
+void WideBvh::refresh_ordered_prims(std::span<const Aabb> prim_aabbs) {
+  ordered_prim_aabbs_.resize(prim_order_.size());
   parallel_for(0, static_cast<std::int64_t>(prim_order_.size()), [&](std::int64_t si) {
     const auto s = static_cast<std::size_t>(si);
-    ordered_prim_aabbs_[s] = prim_aabbs_[prim_order_[s]];
+    ordered_prim_aabbs_[s] = prim_aabbs[prim_order_[s]];
   }, grain::kElementwise);
 }
-
-namespace {
-
-/// Shared-array footprint: leaf records plus the primitive snapshot, which
-/// both node layouts reference unchanged.
-std::uint64_t shared_index_bytes(std::span<const WideLeaf> leaves,
-                                 std::span<const std::uint32_t> prim_order,
-                                 std::span<const Aabb> prim_aabbs) {
-  return static_cast<std::uint64_t>(leaves.size_bytes()) +
-         static_cast<std::uint64_t>(prim_order.size_bytes()) +
-         static_cast<std::uint64_t>(prim_aabbs.size_bytes());
-}
-
-}  // namespace
 
 WideBvhStats WideBvh::stats() const {
   WideBvhStats s;
   s.node_count = static_cast<std::uint32_t>(nodes_.size());
   s.leaf_count = static_cast<std::uint32_t>(leaves_.size());
   s.max_depth = max_depth_;
-  s.node_bytes = static_cast<std::uint64_t>(nodes_.size()) * sizeof(WideBvhNode);
+  s.node_bytes = static_cast<std::uint64_t>(nodes_.size()) * sizeof(CompressedWideNode);
   s.total_index_bytes =
-      s.node_bytes + shared_index_bytes(leaves_, prim_order_, prim_aabbs_);
+      s.node_bytes + static_cast<std::uint64_t>(leaves_.size()) * sizeof(WideLeaf) +
+      static_cast<std::uint64_t>(prim_order_.size()) * sizeof(std::uint32_t) +
+      static_cast<std::uint64_t>(ordered_prim_aabbs_.size()) * sizeof(Aabb);
   if (nodes_.empty()) return s;
   std::uint64_t children = 0;
-  for (const WideBvhNode& n : nodes_) children += n.count;
+  for (const CompressedWideNode& n : nodes_) children += n.count;
   s.avg_children = static_cast<double>(children) / static_cast<double>(nodes_.size());
-  return s;
-}
-
-WideBvhStats WideBvh::compressed_stats() const {
-  WideBvhStats s = stats();
-  s.node_bytes =
-      static_cast<std::uint64_t>(compressed_nodes_.size()) * sizeof(CompressedWideNode);
-  // The compressed traversal additionally owns the leaf-slot-ordered
-  // primitive snapshot its exact re-test streams through.
-  s.total_index_bytes =
-      s.node_bytes + shared_index_bytes(leaves_, prim_order_, prim_aabbs_) +
-      static_cast<std::uint64_t>(ordered_prim_aabbs_.size()) * sizeof(Aabb);
   return s;
 }
 
 void WideBvh::validate() const {
   if (nodes_.empty()) {
-    RTNN_CHECK(prim_aabbs_.empty(), "empty wide tree but primitives present");
+    RTNN_CHECK(prim_order_.empty(), "empty wide tree but primitives present");
     RTNN_CHECK(leaves_.empty(), "empty wide tree but leaves present");
     return;
   }
-  const auto n_prims = static_cast<std::uint32_t>(prim_aabbs_.size());
-  RTNN_CHECK(prim_order_.size() == n_prims, "prim_order size mismatch");
+  const auto n_prims = static_cast<std::uint32_t>(prim_order_.size());
+  RTNN_CHECK(ordered_prim_aabbs_.size() == n_prims, "leaf-ordered AABBs out of sync");
 
-  auto slot_bounds = [](const WideBvhNode& node, std::uint32_t i) {
-    return Aabb{{node.minx[i], node.miny[i], node.minz[i]},
-                {node.maxx[i], node.maxy[i], node.maxz[i]}};
-  };
-
+  // Structure: packing, reachability, and the consecutive-children
+  // metadata. BFS allocates every child after its parent, so child
+  // indices strictly increase — which also rules out cycles and lets the
+  // bounds pass below run bottom-up in reverse index order.
   std::vector<std::uint32_t> slot_seen(n_prims, 0);
   std::vector<std::uint8_t> node_seen(nodes_.size(), 0);
   std::vector<std::uint8_t> leaf_seen(leaves_.size(), 0);
@@ -255,24 +332,26 @@ void WideBvh::validate() const {
   while (!stack.empty()) {
     const std::uint32_t ni = stack.back();
     stack.pop_back();
-    RTNN_CHECK(ni < nodes_.size(), "wide child index out of range");
-    RTNN_CHECK(!node_seen[ni], "wide node reachable twice (cycle or DAG)");
+    RTNN_CHECK(!node_seen[ni], "wide node reachable twice");
     node_seen[ni] = 1;
-    const WideBvhNode& node = nodes_[ni];
+    const CompressedWideNode& node = nodes_[ni];
     RTNN_CHECK(node.count >= 1 && node.count <= kWideBvhWidth,
                "wide node child count out of range");
+    std::uint32_t n_interior = 0, n_leaf = 0;
     for (std::uint32_t i = 0; i < kWideBvhWidth; ++i) {
       if (i >= node.count) {
-        RTNN_CHECK(node.child[i] == WideBvhNode::kEmptyChild,
-                   "unused slot not marked empty");
-        RTNN_CHECK(slot_bounds(node, i).empty(), "unused slot bounds not inverted");
+        RTNN_CHECK(node.meta[i] == 0, "unused slot carries a child reference");
+        RTNN_CHECK(node.qlox[i] == 255 && node.qhix[i] == 0,
+                   "unused slot lanes not inverted");
         continue;
       }
-      const Aabb bounds = slot_bounds(node, i);
-      RTNN_CHECK(!bounds.empty(), "valid slot with empty bounds");
-      const std::uint32_t child = node.child[i];
-      if (child & WideBvhNode::kLeafBit) {
-        const std::uint32_t li = child & ~WideBvhNode::kLeafBit;
+      const std::uint32_t ordinal = node.meta[i] & CompressedWideNode::kMetaOrdinal;
+      RTNN_CHECK((node.meta[i] & ~(CompressedWideNode::kMetaLeaf |
+                                   CompressedWideNode::kMetaOrdinal)) == 0,
+                 "slot metadata has stray bits");
+      if (node.is_leaf_slot(i)) {
+        RTNN_CHECK(ordinal == n_leaf++, "leaf children not consecutive");
+        const std::uint32_t li = node.leaf_index(i);
         RTNN_CHECK(li < leaves_.size(), "leaf index out of range");
         RTNN_CHECK(!leaf_seen[li], "leaf referenced twice");
         leaf_seen[li] = 1;
@@ -280,23 +359,13 @@ void WideBvh::validate() const {
         RTNN_CHECK(leaf.count >= 1, "empty leaf range");
         RTNN_CHECK(leaf.first + leaf.count <= n_prims, "leaf slot range out of bounds");
         for (std::uint32_t s = leaf.first; s < leaf.first + leaf.count; ++s) {
-          const std::uint32_t prim = prim_order_[s];
-          RTNN_CHECK(prim < n_prims, "primitive id out of range");
-          ++slot_seen[prim];
-          RTNN_CHECK(bounds.contains(prim_aabbs_[prim]),
-                     "leaf slot bounds do not contain primitive AABB");
+          RTNN_CHECK(prim_order_[s] < n_prims, "primitive id out of range");
+          ++slot_seen[prim_order_[s]];
         }
       } else {
-        RTNN_CHECK(child < nodes_.size(), "interior child index out of range");
-        // The slot's box must cover everything reachable through the child
-        // node — its slots' union is exactly the child subtree's bounds.
-        const WideBvhNode& child_node = nodes_[child];
-        Aabb child_union;
-        for (std::uint32_t j = 0; j < child_node.count; ++j) {
-          child_union.grow(slot_bounds(child_node, j));
-        }
-        RTNN_CHECK(bounds.contains(child_union),
-                   "interior slot bounds do not contain child subtree");
+        RTNN_CHECK(ordinal == n_interior++, "interior children not consecutive");
+        const std::uint32_t child = node.child_index(i);
+        RTNN_CHECK(child > ni && child < nodes_.size(), "interior child index out of range");
         stack.push_back(child);
       }
     }
@@ -304,53 +373,34 @@ void WideBvh::validate() const {
   for (std::uint32_t p = 0; p < n_prims; ++p) {
     RTNN_CHECK(slot_seen[p] == 1, "primitive not in exactly one wide leaf");
   }
+  for (std::size_t n = 0; n < nodes_.size(); ++n) {
+    RTNN_CHECK(node_seen[n], "unreachable wide node");
+  }
   for (std::size_t l = 0; l < leaves_.size(); ++l) {
     RTNN_CHECK(leaf_seen[l], "unreachable leaf record");
   }
 
-  // Compressed mirror: same shape node-for-node, dequantized boxes contain
-  // the FP32 slot boxes (the conservativeness traversal exactness rests
-  // on), and the narrowed metadata reconstructs the full child table.
-  RTNN_CHECK(compressed_nodes_.size() == nodes_.size(),
-             "compressed mirror out of sync with the FP32 nodes");
-  for (std::size_t ni = 0; ni < nodes_.size(); ++ni) {
-    const WideBvhNode& node = nodes_[ni];
-    const CompressedWideNode& cn = compressed_nodes_[ni];
-    RTNN_CHECK(cn.count == node.count, "compressed node child count mismatch");
-    for (std::uint32_t i = 0; i < kWideBvhWidth; ++i) {
-      if (i >= node.count) {
-        // Inverted lane pattern; traversal masks unused slots regardless
-        // (the decoded box may degenerate to a point when 255 * 2^exp
-        // underflows against the anchor's magnitude).
-        RTNN_CHECK(cn.qlox[i] == 255 && cn.qhix[i] == 0,
-                   "compressed unused slot lanes not inverted");
-        continue;
-      }
-      const Aabb decoded = dequantize_slot(cn, i);
-      RTNN_CHECK(decoded.contains(slot_bounds(node, i)),
-                 "dequantized slot box does not contain its FP32 box");
-      const std::uint32_t child = node.child[i];
-      if (child & WideBvhNode::kLeafBit) {
-        RTNN_CHECK(cn.is_leaf_slot(i) &&
-                       cn.leaf_index(i) == (child & ~WideBvhNode::kLeafBit),
-                   "compressed leaf reference does not reconstruct");
+  // Conservativeness, the property traversal exactness rests on: every
+  // dequantized slot box contains the exact bounds of everything under
+  // the slot, computed bottom-up as min/max unions of the leaf-ordered
+  // primitive boxes.
+  std::vector<Aabb> subtree(nodes_.size());
+  for (std::size_t ni = nodes_.size(); ni-- > 0;) {
+    const CompressedWideNode& node = nodes_[ni];
+    for (std::uint32_t i = 0; i < node.count; ++i) {
+      Aabb exact;
+      if (node.is_leaf_slot(i)) {
+        const WideLeaf& leaf = leaves_[node.leaf_index(i)];
+        for (std::uint32_t s = leaf.first; s < leaf.first + leaf.count; ++s) {
+          exact.grow(ordered_prim_aabbs_[s]);
+        }
       } else {
-        RTNN_CHECK(!cn.is_leaf_slot(i) && cn.child_index(i) == child,
-                   "compressed interior reference does not reconstruct");
+        exact = subtree[node.child_index(i)];
       }
+      RTNN_CHECK(dequantize_slot(node, i).contains(exact),
+                 "dequantized slot box does not contain its exact bounds");
+      subtree[ni].grow(exact);
     }
-  }
-
-  // The leaf-slot-ordered snapshot the compressed re-test streams must be
-  // an exact permuted copy of the primitive AABBs.
-  RTNN_CHECK(ordered_prim_aabbs_.size() == prim_order_.size(),
-             "ordered primitive snapshot out of sync");
-  for (std::size_t s = 0; s < prim_order_.size(); ++s) {
-    const Aabb& a = ordered_prim_aabbs_[s];
-    const Aabb& b = prim_aabbs_[prim_order_[s]];
-    RTNN_CHECK(a.lo.x == b.lo.x && a.lo.y == b.lo.y && a.lo.z == b.lo.z &&
-                   a.hi.x == b.hi.x && a.hi.y == b.hi.y && a.hi.z == b.hi.z,
-               "ordered primitive snapshot diverged from prim_aabbs");
   }
 }
 

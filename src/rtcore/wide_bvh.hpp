@@ -1,20 +1,22 @@
-// Flattened 8-wide BVH — the wall-clock traversal structure.
+// Compressed 8-wide BVH — the wall-clock traversal structure.
 //
 // The binary LBVH (`Bvh`) stays the simulation-fidelity structure: the
 // warp-lockstep engine and the cache simulator walk it node by node the
 // way the SIMT hardware does. For wall-clock runs the independent-path
 // engine instead traverses this collapsed form, where every node holds up
-// to eight children whose AABBs are stored SoA (minx[8]/miny[8]/…/maxz[8],
-// 64-byte aligned) so a single ray-vs-node step tests all eight child
-// boxes at once with AVX2 (scalar fallback when RTNN_ENABLE_AVX2=OFF).
+// to eight children whose AABBs are quantized to 8-bit offsets against a
+// per-node anchor (the compressed wide BVH of Ylitie et al., HPG 2017).
+// One ray-vs-node step decodes and tests all eight child boxes at once
+// with AVX2 (scalar fallback when RTNN_ENABLE_AVX2=OFF).
 //
 // The collapse is the standard wide-BVH recipe of production tracers:
 // starting from a binary subtree root, greedily expand the frontier node
 // with the largest surface area (the one a random ray is most likely to
 // visit) until eight slots are filled or only leaves remain, then emit one
-// wide node per frontier. Fewer, fatter nodes mean fewer stack operations
-// and fewer dependent cache misses per ray — the software analog of what
-// the RT cores' wide tree does in hardware.
+// wide node per frontier, quantizing each slot straight from the bounds
+// of the binary frontier node behind it. Fewer, fatter, smaller nodes mean
+// fewer stack operations and fewer dependent cache misses per ray — the
+// software analog of what the RT cores' wide tree does in hardware.
 #pragma once
 
 #include <array>
@@ -30,29 +32,6 @@ namespace rtnn::rt {
 
 inline constexpr std::uint32_t kWideBvhWidth = 8;
 
-/// One 8-wide node. Child bounds are struct-of-arrays so lane i of a
-/// 256-bit vector register holds child i's coordinate; the whole node is
-/// four cache lines. Children are packed from slot 0: slots >= count are
-/// empty (inverted bounds, child == kEmptyChild) and masked off by the
-/// traversal before use.
-struct alignas(64) WideBvhNode {
-  float minx[kWideBvhWidth];
-  float miny[kWideBvhWidth];
-  float minz[kWideBvhWidth];
-  float maxx[kWideBvhWidth];
-  float maxy[kWideBvhWidth];
-  float maxz[kWideBvhWidth];
-  /// kLeafBit set: index into WideBvh::leaves(); clear: interior wide-node
-  /// index; kEmptyChild: unused slot.
-  std::uint32_t child[kWideBvhWidth];
-  std::uint32_t count = 0;  // valid children, packed from slot 0
-
-  static constexpr std::uint32_t kLeafBit = 0x80000000u;
-  static constexpr std::uint32_t kEmptyChild = 0xffffffffu;
-
-  std::uint32_t valid_mask() const { return (1u << count) - 1u; }
-};
-
 /// A leaf child: a slot range in prim_order(), same contract as the binary
 /// BvhNode's first/count.
 struct WideLeaf {
@@ -60,21 +39,21 @@ struct WideLeaf {
   std::uint32_t count = 0;
 };
 
-/// The compressed mirror of a WideBvhNode: the same eight children, but
-/// each child AABB stored as 8-bit fixed-point offsets quantized against
-/// this node's own content bounds — a per-node anchor origin (3 x FP32)
-/// plus per-axis power-of-two scale exponents. Quantization is
-/// *conservative* (mins round down, maxs round up), so a dequantized box
-/// always contains its FP32 box and traversal decisions can only widen,
-/// never miss; the exact primitive AABB test downstream keeps candidate
-/// sets identical to the FP32 path.
+/// One 8-wide node: each child AABB stored as 8-bit fixed-point offsets
+/// quantized against this node's own content bounds — a per-node anchor
+/// origin (3 x FP32) plus per-axis power-of-two scale exponents.
+/// Quantization is *conservative* (mins round down, maxs round up), so a
+/// dequantized box always contains the exact bounds of the subtree behind
+/// its slot and traversal decisions can only widen, never miss; the exact
+/// primitive AABB test at the leaves keeps candidate sets identical to the
+/// binary walk's.
 ///
 /// Child references are narrowed to two 32-bit bases plus a per-slot
 /// ordinal: the BFS collapse allocates a node's interior children at
 /// consecutive wide-node indices and its leaf children at consecutive
 /// leaf-record indices, so `meta` only needs a leaf flag and a 3-bit
-/// ordinal. 80 bytes per node against the FP32 layout's 256 — a 3.2x
-/// shrink in traversal-touched node bytes.
+/// ordinal. Children are packed from slot 0; slots >= count are empty and
+/// masked off by the traversal via valid_mask(). 80 bytes per node.
 struct CompressedWideNode {
   float anchor_x, anchor_y, anchor_z;   // quantization origin (content lo)
   std::int8_t exp_x, exp_y, exp_z;      // per-axis scale = 2^exp
@@ -130,93 +109,78 @@ struct WideBvhStats {
   std::uint32_t leaf_count = 0;
   std::uint32_t max_depth = 0;
   double avg_children = 0.0;  // mean valid children per node (fill factor * 8)
-  /// Bytes of the node array this layout's traversal touches per fetch.
+  /// Bytes of the compressed node array.
   std::uint64_t node_bytes = 0;
-  /// node_bytes + the shared leaf/prim-order/prim-AABB arrays — the whole
-  /// resident index footprint of one traversal representation.
+  /// node_bytes + the leaf records, primitive order and leaf-ordered
+  /// primitive AABBs — every array the wide walk reads.
   std::uint64_t total_index_bytes = 0;
 };
 
-/// The 8-wide SoA mirror of a binary Bvh. Self-contained: it snapshots the
-/// source's primitive order and AABBs, so the source Bvh may be destroyed
-/// after build().
+/// The compressed 8-wide collapse of a binary Bvh. Self-contained: it
+/// snapshots the source's primitive order and (leaf-ordered) AABBs, so the
+/// source Bvh may be destroyed after build() — though refit_from() needs
+/// it, or an identically shaped refit of it.
 class WideBvh {
  public:
   WideBvh() = default;
 
-  /// Collapses `source` into wide nodes. Topology is decided in one cheap
-  /// serial pass; the SoA bounds fill (the bulk of the memory traffic) runs
-  /// in parallel over the wide nodes. The binary node feeding each child
-  /// slot is recorded so later refit_from() calls can refresh the lanes
-  /// without re-collapsing.
+  /// Collapses `source` into compressed wide nodes. Topology and the child
+  /// tables are decided in one cheap serial pass; quantizing each slot
+  /// from the bounds of the binary node behind it runs in parallel over
+  /// the wide nodes (inline in the serial pass on one thread). The binary
+  /// node feeding each child slot is recorded so later refit_from() calls
+  /// can re-quantize without re-collapsing.
   void build(const Bvh& source);
 
-  /// Refreshes the SoA min/max lanes (and the primitive snapshot) from an
-  /// already-refitted `source` — which must be the same tree build() last
-  /// collapsed, with the same topology. The collapse decision (which
-  /// binary node landed in which slot) is reused verbatim; only boxes are
-  /// rewritten, in parallel. Together with Bvh::refit this keeps both
-  /// traversal representations coherent at a fraction of a rebuild.
+  /// Re-quantizes every node (and refreshes the leaf-ordered primitive
+  /// AABBs) from an already-refitted `source` — which must be the same
+  /// tree build() last collapsed, with the same topology. The collapse
+  /// decision (which binary node landed in which slot) is reused verbatim;
+  /// only boxes are rewritten, in parallel. Together with Bvh::refit this
+  /// keeps both traversal representations coherent at a fraction of a
+  /// rebuild.
   void refit_from(const Bvh& source);
 
   bool empty() const { return nodes_.empty(); }
   std::uint32_t root() const { return 0; }
 
-  std::span<const WideBvhNode> nodes() const { return nodes_; }
+  std::span<const CompressedWideNode> compressed_nodes() const { return nodes_; }
   std::span<const WideLeaf> leaves() const { return leaves_; }
   std::span<const std::uint32_t> prim_order() const { return prim_order_; }
-  std::span<const Aabb> prim_aabbs() const { return prim_aabbs_; }
 
-  /// prim_aabbs() permuted into leaf-slot order: ordered_prim_aabbs()[s] is
-  /// a bitwise copy of prim_aabbs()[prim_order()[s]]. The compressed leaf
-  /// re-test reads this array so its exact-AABB fetches stream contiguously
-  /// in traversal order instead of gathering through prim_order — same
-  /// values, so candidate-set parity with the FP32 path is unaffected.
+  /// The primitive AABBs in leaf-slot order: ordered_prim_aabbs()[s] is a
+  /// bitwise copy of the source's prim_aabbs()[prim_order()[s]]. The leaf
+  /// re-test reads this array, so its exact-AABB fetches stream
+  /// contiguously in traversal order instead of gathering through
+  /// prim_order.
   std::span<const Aabb> ordered_prim_aabbs() const { return ordered_prim_aabbs_; }
 
-  /// The quantized mirror of nodes(): same topology, node i here compresses
-  /// node i there. Built by build() and re-quantized by refit_from().
-  std::span<const CompressedWideNode> compressed_nodes() const {
-    return compressed_nodes_;
-  }
-
-  std::uint32_t prim_count() const { return static_cast<std::uint32_t>(prim_aabbs_.size()); }
+  std::uint32_t prim_count() const { return static_cast<std::uint32_t>(prim_order_.size()); }
   std::uint32_t max_depth() const { return max_depth_; }
 
   WideBvhStats stats() const;
-  /// stats() with the byte accounting of the compressed layout: 80 B/node
-  /// vs 256, plus the leaf-slot-ordered primitive snapshot the compressed
-  /// leaf re-test streams through (the leaf/order/prim arrays themselves
-  /// are shared between the two layouts).
-  WideBvhStats compressed_stats() const;
 
   /// Structural invariant check (used by tests): children packed from slot
-  /// 0, every node reachable exactly once, every primitive in exactly one
-  /// leaf slot, every child slot's bounds contain its subtree's primitive
-  /// AABBs. Also checks the compressed mirror: dequantized child boxes
-  /// contain the FP32 slot boxes, and reconstructed child references match
-  /// the FP32 child table. Throws rtnn::Error on failure.
+  /// 0, every node and leaf reachable exactly once, the consecutive-
+  /// children metadata, every primitive in exactly one leaf slot, and every
+  /// dequantized slot box containing the exact bounds of its subtree
+  /// (min/max unions of the leaf-ordered AABBs). Throws rtnn::Error on
+  /// failure.
   void validate() const;
 
  private:
-  /// (Re)quantizes compressed_nodes_ from nodes_; called at the end of
-  /// build() and refit_from(). Parallel over nodes.
-  void compress_nodes();
+  /// Rebuilds ordered_prim_aabbs_ from the source's id-ordered boxes and
+  /// prim_order_. Parallel over slots.
+  void refresh_ordered_prims(std::span<const Aabb> prim_aabbs);
 
-  /// Rebuilds ordered_prim_aabbs_ from prim_aabbs_ and prim_order_;
-  /// called alongside compress_nodes(). Parallel over slots.
-  void refresh_ordered_prims();
-
-  std::vector<WideBvhNode> nodes_;
-  std::vector<CompressedWideNode> compressed_nodes_;
+  std::vector<CompressedWideNode> nodes_;
   std::vector<WideLeaf> leaves_;
   std::vector<std::uint32_t> prim_order_;
-  std::vector<Aabb> prim_aabbs_;
-  std::vector<Aabb> ordered_prim_aabbs_;  // prim_aabbs_ in leaf-slot order
+  std::vector<Aabb> ordered_prim_aabbs_;
   std::uint32_t max_depth_ = 0;
-  /// slot_sources_[node][slot] = binary node id whose bounds fill that
-  /// slot's lanes (the collapse frontier), kept so refit_from() is a flat
-  /// parallel copy. ~32 B per 256 B node.
+  /// slot_sources_[node][slot] = binary node id whose bounds that slot
+  /// quantizes (the collapse frontier), kept so refit_from() is a flat
+  /// parallel pass. 32 B per 80 B node.
   std::vector<std::array<std::uint32_t, kWideBvhWidth>> slot_sources_;
   std::uint32_t source_node_count_ = 0;  // binary node count build() saw
 };

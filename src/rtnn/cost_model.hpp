@@ -38,13 +38,11 @@ struct CostModel {
   // on the SMs); on the CPU substrate builds are *expensive* relative to
   // IS calls, so bundling correctly merges more aggressively here.
   //
-  // Layout note: these default constants were fit against the FP32 8-wide
-  // SoA traversal path (ox::LaunchOptions::use_compressed_bvh = false
-  // reproduces that configuration). calibrate() measures the path its
-  // launches take — the compressed layout, which every search traverses —
-  // so a freshly calibrated model is always self-consistent; the defaults
-  // merely carry the older layout's (slightly more pessimistic) per-IS-call
-  // timings, of which only the k1:k2:k3 ratios matter anyway.
+  // Layout note: these default constants were fit on an FP32 wide walk
+  // that no longer exists. Only the k1:k2:k3 ratios matter to the
+  // planner, and calibrate() measures the only wide walk there is — the
+  // compressed layout every search traverses — so a freshly calibrated
+  // model is always self-consistent.
   double k1 = 1.5e-7;       // BVH build per AABB
   /// KNN IS call (sphere test + heap), per IS call of the *unculled*
   /// walk — the count the ρS³ term predicts. Searches cull KNN rays by

@@ -116,8 +116,7 @@ void GridIndex::build(std::span<const Vec3> points, std::uint64_t max_cells) {
 Int3 GridIndex::cell_of(const Vec3& p) const {
   Int3 c;
   for (int axis = 0; axis < 3; ++axis) {
-    const float t = (p[axis] - bounds_.lo[axis]) / cell_size_;
-    c[axis] = std::clamp(static_cast<int>(std::floor(t)), 0, res_[axis] - 1);
+    c[axis] = clamp_cell((p[axis] - bounds_.lo[axis]) / cell_size_, res_[axis]);
   }
   return c;
 }

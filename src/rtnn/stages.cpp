@@ -312,13 +312,13 @@ void LaunchStage::run(SearchContext& ctx) {
       if (accel->is_tiled()) {
         const rt::TiledBvh& tlas = accel->tiled_bvh();
         ctx.report.tile_lazy_builds += tlas.built_tile_count() - built_before;
-        const rt::TiledBvhStats ts = tlas.stats(/*compressed=*/true);
+        const rt::TiledBvhStats ts = tlas.stats();
         ctx.report.index_node_bytes =
             std::max(ctx.report.index_node_bytes, ts.node_bytes);
         ctx.report.index_total_bytes =
             std::max(ctx.report.index_total_bytes, ts.total_index_bytes);
       } else {
-        const rt::WideBvhStats ws = accel->wide_bvh().compressed_stats();
+        const rt::WideBvhStats ws = accel->wide_bvh().stats();
         ctx.report.index_node_bytes =
             std::max(ctx.report.index_node_bytes, ws.node_bytes);
         ctx.report.index_total_bytes =

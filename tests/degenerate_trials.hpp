@@ -145,6 +145,14 @@ inline Trial clustered_trial(std::uint64_t seed) {
   return trial;
 }
 
+/// One trial of every degenerate shape (all generators but uniform),
+/// seeded seed, seed + 1, ... in declaration order — the clouds the
+/// wide-BVH suites build their degenerate scenes from.
+inline std::vector<Trial> degenerate_shapes(std::uint64_t seed) {
+  return {coincident_trial(seed), collinear_trial(seed + 1), planar_trial(seed + 2),
+          extreme_trial(seed + 3), clustered_trial(seed + 4)};
+}
+
 inline std::vector<Trial> all_trials() {
   // Seeds derive from one master PCG stream: deterministic, but easy to
   // widen. Each trial's seed is printed, so any failure reproduces by

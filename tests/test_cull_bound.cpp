@@ -1,7 +1,7 @@
 // The KNN cull bound (KnnPipeline::cull_shrink, rt::CullingProgram):
 // launching with the bound must leave every KNN row byte-identical to the
-// unbounded launch while cutting traversal work, on every layout the
-// bound reaches (FP32 wide, compressed, tiled) and under the geometries
+// unbounded launch while cutting traversal work, on every walk the bound
+// reaches (the monolithic and the tiled wide walk) and under the geometries
 // that break spatial code: the differential harness's degenerate trials,
 // duplicate-heavy clouds, exact-tie lattices, NaN/Inf query rows, and a
 // dense cloud far from the origin. The walks that ignore the bound
@@ -31,28 +31,7 @@ using testing::Trial;
 constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
 constexpr float kInf = std::numeric_limits<float>::infinity();
 
-enum class Layout { kFp32, kCompressed, kTiledFp32, kTiledCompressed };
-
-std::string to_string(Layout layout) {
-  switch (layout) {
-    case Layout::kFp32: return "fp32";
-    case Layout::kCompressed: return "compressed";
-    case Layout::kTiledFp32: return "tiled-fp32";
-    case Layout::kTiledCompressed: return "tiled-compressed";
-  }
-  return "?";
-}
-
-bool is_tiled(Layout layout) {
-  return layout == Layout::kTiledFp32 || layout == Layout::kTiledCompressed;
-}
-
-ox::LaunchOptions options_for(Layout layout) {
-  ox::LaunchOptions options;
-  options.use_compressed_bvh =
-      layout == Layout::kCompressed || layout == Layout::kTiledCompressed;
-  return options;
-}
+std::string to_string(bool tiled) { return tiled ? "tiled" : "monolithic"; }
 
 /// A cloud of cubes of `width`: monolithic, or `tiles` Morton tiles from
 /// the planner the search pipeline uses.
@@ -78,7 +57,7 @@ struct KnnRun {
 /// One KNN launch over every query. `bound_width` 0 is the unbounded
 /// (five-argument) pipeline; otherwise the accel's build width.
 KnnRun run_knn(const ox::Accel& accel, const Trial& trial, std::uint32_t k,
-               float bound_width, const ox::LaunchOptions& options) {
+               float bound_width, const ox::LaunchOptions& options = {}) {
   std::vector<std::uint32_t> ids(trial.queries.size());
   std::iota(ids.begin(), ids.end(), 0u);
   FlatKnnHeaps heaps(trial.queries.size(), k);
@@ -204,17 +183,15 @@ TEST(CullBound, KnnRowsByteIdenticalWithAndWithoutBound) {
   for (const Trial& trial : parity_trials()) {
     for (const float scale : {2.0f, 3.0f, 1.2f}) {
       const float width = scale * trial.radius;
-      for (const Layout layout : {Layout::kFp32, Layout::kCompressed,
-                                  Layout::kTiledFp32, Layout::kTiledCompressed}) {
+      for (const bool tiled : {false, true}) {
         const std::string label = trial.generator + " seed=" + std::to_string(trial.seed) +
                                   " width=" + std::to_string(scale) + "r " +
-                                  to_string(layout);
+                                  to_string(tiled);
         SCOPED_TRACE(label);
-        const ox::Accel accel = build_accel(trial.points, width, is_tiled(layout));
-        const ox::LaunchOptions options = options_for(layout);
+        const ox::Accel accel = build_accel(trial.points, width, tiled);
         for (const std::uint32_t k : {1u, 8u}) {
-          const KnnRun unbounded = run_knn(accel, trial, k, 0.0f, options);
-          const KnnRun bounded = run_knn(accel, trial, k, width, options);
+          const KnnRun unbounded = run_knn(accel, trial, k, 0.0f);
+          const KnnRun bounded = run_knn(accel, trial, k, width);
           expect_rows_identical(bounded.rows, unbounded.rows,
                                 label + " k=" + std::to_string(k));
           EXPECT_LE(bounded.stats.is_calls, unbounded.stats.is_calls) << label;
@@ -228,16 +205,15 @@ TEST(CullBound, KnnRowsByteIdenticalWithAndWithoutBound) {
 TEST(CullBound, OffsetDenseCloudStillCulls) {
   // The margin is a few ulps of the coordinate magnitude: at |q| ≈ 1e5
   // (ulp 2^-7) it is ~0.05, well under h − (K-th distance) here, so the
-  // bound must still cut work — on every layout.
+  // bound must still cut work — monolithic and tiled.
   const Trial trial = dense_trial({1.0e5f, -2.0e4f, 3.0e4f}, "dense-offset-1e5");
   const float width = 2.0f * trial.radius;
-  for (const Layout layout : {Layout::kFp32, Layout::kCompressed, Layout::kTiledFp32,
-                              Layout::kTiledCompressed}) {
-    SCOPED_TRACE(to_string(layout));
-    const ox::Accel accel = build_accel(trial.points, width, is_tiled(layout));
-    const KnnRun unbounded = run_knn(accel, trial, 8, 0.0f, options_for(layout));
-    const KnnRun bounded = run_knn(accel, trial, 8, width, options_for(layout));
-    expect_rows_identical(bounded.rows, unbounded.rows, to_string(layout));
+  for (const bool tiled : {false, true}) {
+    SCOPED_TRACE(to_string(tiled));
+    const ox::Accel accel = build_accel(trial.points, width, tiled);
+    const KnnRun unbounded = run_knn(accel, trial, 8, 0.0f);
+    const KnnRun bounded = run_knn(accel, trial, 8, width);
+    expect_rows_identical(bounded.rows, unbounded.rows, to_string(tiled));
     EXPECT_LT(bounded.stats.is_calls, unbounded.stats.is_calls);
     EXPECT_LT(bounded.stats.node_visits, unbounded.stats.node_visits);
   }
@@ -252,14 +228,13 @@ TEST(CullBound, BoundCutsIsCallsMonolithicAndTiled) {
   // BLAS walk; eight tiles add top-level culling on top.
   const Trial trial = dense_trial({0.0f, 0.0f, 0.0f}, "dense");
   const float width = 2.0f * trial.radius;
-  for (const Layout layout : {Layout::kFp32, Layout::kCompressed, Layout::kTiledFp32,
-                              Layout::kTiledCompressed}) {
+  for (const bool tiled : {false, true}) {
     for (const std::uint32_t tiles : {1u, 8u}) {
-      if (!is_tiled(layout) && tiles > 1) continue;
-      SCOPED_TRACE(to_string(layout) + " tiles=" + std::to_string(tiles));
-      const ox::Accel accel = build_accel(trial.points, width, is_tiled(layout), tiles);
-      const KnnRun unbounded = run_knn(accel, trial, 8, 0.0f, options_for(layout));
-      const KnnRun bounded = run_knn(accel, trial, 8, width, options_for(layout));
+      if (!tiled && tiles > 1) continue;
+      SCOPED_TRACE(to_string(tiled) + " tiles=" + std::to_string(tiles));
+      const ox::Accel accel = build_accel(trial.points, width, tiled, tiles);
+      const KnnRun unbounded = run_knn(accel, trial, 8, 0.0f);
+      const KnnRun bounded = run_knn(accel, trial, 8, width);
       EXPECT_LT(bounded.stats.is_calls, unbounded.stats.is_calls);
       EXPECT_LT(bounded.stats.node_visits, unbounded.stats.node_visits);
       EXPECT_EQ(bounded.stats.terminated_rays, 0u);
@@ -292,63 +267,11 @@ TEST(CullBound, SearchPassesTheBuiltWidth) {
     const NeighborResult rows = search.search(trial.queries, params, &report);
 
     const ox::Accel accel = build_accel(trial.points, width, tiled);
-    const Layout layout = tiled ? Layout::kTiledCompressed : Layout::kCompressed;
-    const KnnRun bounded = run_knn(accel, trial, 8, width, options_for(layout));
-    const KnnRun unbounded = run_knn(accel, trial, 8, 0.0f, options_for(layout));
+    const KnnRun bounded = run_knn(accel, trial, 8, width);
+    const KnnRun unbounded = run_knn(accel, trial, 8, 0.0f);
     EXPECT_EQ(report.stats.is_calls, bounded.stats.is_calls);
     EXPECT_LT(report.stats.is_calls, unbounded.stats.is_calls);
     expect_rows_identical(rows, unbounded.rows, "search vs unbounded launch");
-  }
-}
-
-/// KnnPipeline plus a log of every IS call, in launch order.
-struct RecordingKnn {
-  pipelines::KnnPipeline inner;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>>* log;
-
-  Ray raygen(std::uint32_t index) const { return inner.raygen(index); }
-  ox::TraceAction intersection(std::uint32_t index, std::uint32_t prim) {
-    log->emplace_back(index, prim);
-    return inner.intersection(index, prim);
-  }
-  float cull_shrink(std::uint32_t index) const { return inner.cull_shrink(index); }
-};
-
-std::vector<std::pair<std::uint32_t, std::uint32_t>> is_sequence(const ox::Accel& accel,
-                                                                 const Trial& trial,
-                                                                 float width,
-                                                                 bool compressed) {
-  std::vector<std::uint32_t> ids(trial.queries.size());
-  std::iota(ids.begin(), ids.end(), 0u);
-  FlatKnnHeaps heaps(trial.queries.size(), 8);
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> log;
-  RecordingKnn pipeline{
-      pipelines::KnnPipeline(trial.points, trial.queries, ids, trial.radius, heaps, width),
-      &log};
-  ox::LaunchOptions options;
-  options.parallel = false;  // one deterministic global IS order
-  options.use_compressed_bvh = compressed;
-  ox::launch(accel, pipeline, static_cast<std::uint32_t>(ids.size()), options);
-  return log;
-}
-
-TEST(CullBound, Fp32AndCompressedIsSequencesMatchWithBound) {
-  // Layout parity under the bound: the FP32 walk re-tests single-
-  // primitive leaf slots against the current bound exactly where the
-  // compressed walk re-tests every leaf primitive, so both make the same
-  // IS calls in the same order — monolithic and per tile.
-  for (const Trial& trial : parity_trials()) {
-    const float width = 2.0f * trial.radius;
-    for (const bool tiled : {false, true}) {
-      const std::string label =
-          trial.generator + " seed=" + std::to_string(trial.seed) + (tiled ? " tiled" : "");
-      SCOPED_TRACE(label);
-      const ox::Accel accel = build_accel(trial.points, width, tiled);
-      const auto fp32 = is_sequence(accel, trial, width, /*compressed=*/false);
-      const auto compressed = is_sequence(accel, trial, width, /*compressed=*/true);
-      EXPECT_EQ(fp32.size(), compressed.size());
-      EXPECT_TRUE(fp32 == compressed) << label << ": IS-call sequences differ";
-    }
   }
 }
 
@@ -406,28 +329,22 @@ TEST(CullBound, PipelineBoundContract) {
 TEST(CullBound, ShrunkBoxTestMatchesScalarOnEveryNodeSlot) {
   // This build's 8-slot shrunk test (AVX2, or the scalar fallback in
   // RTNN_ENABLE_AVX2=OFF builds) must agree with shrunk_box_contains on
-  // every slot of both node layouts, for bounds from tiny to box-sized.
+  // every dequantized node slot, for bounds from tiny to box-sized.
   const Trial trial = dense_trial({0.0f, 0.0f, 0.0f}, "dense");
   const ox::Accel accel = build_accel(trial.points, 2.0f * trial.radius, false);
-  const rt::WideBvh& wide = accel.wide_bvh();
+  const auto nodes = accel.wide_bvh().compressed_nodes();
   Pcg32 rng(23);
   for (int i = 0; i < 4000; ++i) {
-    const auto n = static_cast<std::uint32_t>(wide.nodes().size());
-    const std::uint32_t node_id = rng.next_bounded(n);
+    const rt::CompressedWideNode& node =
+        nodes[rng.next_bounded(static_cast<std::uint32_t>(nodes.size()))];
     const Vec3 q{1.2f * rng.next_float() - 0.1f, 1.2f * rng.next_float() - 0.1f,
                  1.2f * rng.next_float() - 0.1f};
     const float delta = 0.2f * rng.next_float();
-    const rt::WideBvhNode& node = wide.nodes()[node_id];
-    const rt::CompressedWideNode& cnode = wide.compressed_nodes()[node_id];
-    const std::uint32_t fp32_mask = rt::detail::node_shrunk_hits(node, q, delta);
-    const std::uint32_t comp_mask = rt::detail::node_shrunk_hits(cnode, q, delta);
+    const std::uint32_t mask = rt::detail::node_shrunk_hits(node, q, delta);
     for (std::uint32_t s = 0; s < node.count; ++s) {
-      const Aabb box{{node.minx[s], node.miny[s], node.minz[s]},
-                     {node.maxx[s], node.maxy[s], node.maxz[s]}};
-      EXPECT_EQ((fp32_mask >> s) & 1u, rt::detail::shrunk_box_contains(box, q, delta) ? 1u : 0u);
-      EXPECT_EQ((comp_mask >> s) & 1u,
-                rt::detail::shrunk_box_contains(rt::dequantize_slot(cnode, s), q, delta) ? 1u
-                                                                                         : 0u);
+      EXPECT_EQ((mask >> s) & 1u,
+                rt::detail::shrunk_box_contains(rt::dequantize_slot(node, s), q, delta) ? 1u
+                                                                                        : 0u);
     }
   }
 }

@@ -1,5 +1,5 @@
-// Dynamic point-cloud lifecycle tests: bottom-up BVH refit, wide-BVH SoA
-// box refresh, Accel coherence across refits, the refit-vs-rebuild cost
+// Dynamic point-cloud lifecycle tests: bottom-up BVH refit, wide-BVH
+// re-quantization, Accel coherence across refits, the refit-vs-rebuild cost
 // policy, NeighborSearch index persistence, the DynamicSearchSession, and
 // the datasets motion models.
 #include <gtest/gtest.h>
@@ -112,15 +112,21 @@ TEST(WideBvhRefit, MirrorsRefittedBinaryTree) {
   bvh.build(cubes(before, 0.08f));
   rt::WideBvh wide;
   wide.build(bvh);
-  const std::size_t wide_nodes = wide.nodes().size();
+  const std::size_t wide_nodes = wide.compressed_nodes().size();
   const std::size_t wide_leaves = wide.leaves().size();
 
   bvh.refit(cubes(after, 0.08f));
   wide.refit_from(bvh);
   wide.validate();
-  EXPECT_EQ(wide.nodes().size(), wide_nodes) << "collapse must be reused, not redone";
+  EXPECT_EQ(wide.compressed_nodes().size(), wide_nodes)
+      << "collapse must be reused, not redone";
   EXPECT_EQ(wide.leaves().size(), wide_leaves);
-  EXPECT_EQ(wide.prim_aabbs()[7], bvh.prim_aabbs()[7]) << "primitive snapshot refreshed";
+  // The leaf-ordered snapshot is refreshed from the moved boxes.
+  ASSERT_EQ(wide.ordered_prim_aabbs().size(), bvh.prim_count());
+  for (std::size_t s = 0; s < bvh.prim_order().size(); ++s) {
+    ASSERT_EQ(wide.ordered_prim_aabbs()[s], bvh.prim_aabbs()[bvh.prim_order()[s]])
+        << "slot " << s;
+  }
 }
 
 TEST(WideBvhRefit, ForeignSourceThrows) {
@@ -150,13 +156,11 @@ struct CollectPipeline {
 
 std::vector<std::vector<std::uint32_t>> collect_hits(const ox::Accel& accel,
                                                      std::span<const Vec3> queries,
-                                                     bool use_wide,
-                                                     bool use_compressed = false) {
+                                                     bool use_wide) {
   std::vector<std::vector<std::uint32_t>> hits(queries.size());
   CollectPipeline pipeline{queries, &hits};
   ox::LaunchOptions options;
   options.use_wide_bvh = use_wide;
-  options.use_compressed_bvh = use_compressed;
   ox::launch(accel, pipeline, static_cast<std::uint32_t>(queries.size()), options);
   for (auto& h : hits) std::sort(h.begin(), h.end());
   return hits;
@@ -185,16 +189,10 @@ TEST(AccelRefit, RefitAndRebuildSeeIdenticalCandidateSets) {
     EXPECT_EQ(collect_hits(refitted, queries, /*use_wide=*/true),
               collect_hits(fresh, queries, /*use_wide=*/true))
         << label << "/wide";
-    EXPECT_EQ(collect_hits(refitted, queries, true, /*use_compressed=*/true),
-              collect_hits(fresh, queries, true, /*use_compressed=*/true))
-        << label << "/compressed";
-    // All three representations of the refitted accel agree with each other
-    // (compressed = refit-then-requantized mirror).
+    // Both representations of the refitted accel agree with each other
+    // (wide = refit-then-requantized nodes).
     EXPECT_EQ(collect_hits(refitted, queries, false), collect_hits(refitted, queries, true))
         << label << "/refit binary-vs-wide";
-    EXPECT_EQ(collect_hits(refitted, queries, true, false),
-              collect_hits(refitted, queries, true, true))
-        << label << "/refit wide-vs-compressed";
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "core/error.hpp"
@@ -96,6 +97,16 @@ TEST(GridIndex, CellOfClampsOutOfBoundsPoints) {
   const Int3 c = grid.cell_of({-100.0f, 0.5f, 200.0f});
   EXPECT_EQ(c.x, 0);
   EXPECT_EQ(c.z, grid.resolution().z - 1);
+  // Coordinates whose cell index overflows int (3e9 and 1e30 over a unit
+  // cloud), infinities and NaN: the clamp must happen before the cast.
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const Int3 last = grid.resolution() - Int3{1, 1, 1};
+  for (const float above : {3.0e9f, 1.0e30f, kInf}) {
+    EXPECT_EQ(grid.cell_of({above, above, above}), last) << above;
+  }
+  for (const float below : {-1.0e30f, -kInf, std::numeric_limits<float>::quiet_NaN()}) {
+    EXPECT_EQ(grid.cell_of({below, below, below}), Int3{}) << below;
+  }
 }
 
 TEST(GridIndex, AnisotropicCloudGetsAnisotropicResolution) {

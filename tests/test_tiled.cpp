@@ -71,7 +71,7 @@ TEST(TiledBvh, BuildPartitionsAndValidates) {
   EXPECT_EQ(tlas.prim_count(), points.size());
   EXPECT_EQ(tlas.top().prim_count(), 8u) << "one top-level prim per tile";
 
-  const rt::TiledBvhStats stats = tlas.stats(/*compressed=*/true);
+  const rt::TiledBvhStats stats = tlas.stats();
   EXPECT_EQ(stats.tile_count, 8u);
   EXPECT_EQ(stats.built_tiles, 8u);
   EXPECT_GT(stats.node_bytes, 0u);
@@ -90,7 +90,7 @@ TEST(TiledBvh, BuildPartitionsAndValidates) {
 TEST(TiledBvh, TraversalMatchesMonolithicCandidateSets) {
   // The exactness claim at the rt:: level: the TLAS walk must surface the
   // byte-identical candidate set (same global prim ids) the monolithic
-  // walk surfaces, compressed and uncompressed alike.
+  // wide walk surfaces.
   const std::vector<Vec3> points = rtnn::testing::make_cloud(CloudKind::kLidar, 5000, 7);
   const float width = 2.5f;
 
@@ -113,17 +113,25 @@ TEST(TiledBvh, TraversalMatchesMonolithicCandidateSets) {
 
   Collector expected(queries.size());
   rt::trace(wide, rays, expected);
-
-  for (const bool compressed : {false, true}) {
-    SCOPED_TRACE(compressed ? "compressed" : "fp32");
-    rt::TraceConfig config;
-    config.use_compressed = compressed;
-    Collector got(queries.size());
-    rt::trace(tlas, rays, got, config);
-    for (std::size_t q = 0; q < queries.size(); ++q) {
-      ASSERT_EQ(got.hits[q], expected.hits[q]) << "query " << q;
-    }
+  Collector got(queries.size());
+  rt::trace(tlas, rays, got);
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    ASSERT_EQ(got.hits[q], expected.hits[q]) << "query " << q;
   }
+}
+
+TEST(TiledBvh, TraceRejectsCacheSimulation) {
+  // The two-level walk has no simulated address map: a cache-simulated
+  // launch must be refused, not silently modeled wrong.
+  const std::vector<Vec3> points = rtnn::testing::make_cloud(CloudKind::kUniform, 500, 2);
+  rt::TiledBvh tlas;
+  tlas.build(points, 0.1f, plan_tiles(points, 4));
+  Collector collector(1);
+  const std::vector<Ray> rays{Ray::short_ray(points[0])};
+  rt::TraceConfig config;
+  config.parallel = false;
+  config.simulate_caches = true;
+  EXPECT_THROW(rt::trace(tlas, rays, collector, config), Error);
 }
 
 TEST(TiledBvh, LazyTilesBuildOnFirstRoute) {
@@ -136,8 +144,8 @@ TEST(TiledBvh, LazyTilesBuildOnFirstRoute) {
 
   EXPECT_EQ(tlas.built_tile_count(), 0u) << "lazy build defers every BLAS";
   // No BLAS bytes are resident yet; the total is just the small top tree.
-  EXPECT_EQ(tlas.stats(true).node_bytes, 0u);
-  const std::uint64_t top_bytes = tlas.stats(true).total_index_bytes;
+  EXPECT_EQ(tlas.stats().node_bytes, 0u);
+  const std::uint64_t top_bytes = tlas.stats().total_index_bytes;
   EXPECT_GT(top_bytes, 0u);
 
   // Rays confined to one corner of the scene must force only the tiles

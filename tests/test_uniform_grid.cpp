@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 
 #include "core/error.hpp"
@@ -44,6 +45,22 @@ TEST(UniformGrid, PointsLandInTheirOwnCell) {
     const Int3 c = grid.cell_of(points[i]);
     const auto cell_points = grid.points_in_cell(c);
     EXPECT_NE(std::find(cell_points.begin(), cell_points.end(), i), cell_points.end());
+  }
+}
+
+TEST(UniformGrid, CellOfClampsHugeAndNonFiniteCoordinates) {
+  // Coordinates whose cell index overflows int (3e9 and 1e30 over a unit
+  // cloud), infinities and NaN: the clamp must happen before the cast.
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const auto points = random_points(1'000, 6);
+  UniformGrid grid;
+  grid.build(points, 0.1f);
+  const Int3 last = grid.resolution() - Int3{1, 1, 1};
+  for (const float above : {3.0e9f, 1.0e30f, kInf}) {
+    EXPECT_EQ(grid.cell_of({above, above, above}), last) << above;
+  }
+  for (const float below : {-1.0e30f, -kInf, std::numeric_limits<float>::quiet_NaN()}) {
+    EXPECT_EQ(grid.cell_of({below, below, below}), Int3{}) << below;
   }
 }
 

@@ -1,16 +1,19 @@
 // WideBvh collapse invariants and binary-vs-wide traversal parity: the
-// wall-clock 8-wide path must find exactly the primitives the binary
-// simulation path finds, whichever of the AVX2 / scalar node tests this
-// build selected.
+// wall-clock compressed 8-wide path must make exactly the IS calls the
+// binary simulation path makes — same primitives, each exactly once —
+// whichever of the AVX2 / scalar node tests this build selected.
 #include "rtcore/wide_bvh.hpp"
 
 #include <gtest/gtest.h>
 
-#include <set>
+#include <algorithm>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/flat_knn.hpp"
 #include "core/rng.hpp"
+#include "degenerate_trials.hpp"
 #include "rtcore/traversal.hpp"
 #include "test_util.hpp"
 
@@ -21,15 +24,16 @@ using rtnn::testing::CloudKind;
 
 struct Scene {
   std::vector<Vec3> points;
+  float width = 0.0f;
   std::vector<Aabb> aabbs;
   Bvh bvh;
   WideBvh wide;
 };
 
-Scene make_scene(CloudKind kind, std::size_t n, float width, std::uint64_t seed,
-                 std::uint32_t leaf_size = 1) {
+Scene build_scene(std::vector<Vec3> points, float width, std::uint32_t leaf_size = 1) {
   Scene scene;
-  scene.points = rtnn::testing::make_cloud(kind, n, seed);
+  scene.points = std::move(points);
+  scene.width = width;
   scene.aabbs.reserve(scene.points.size());
   for (const Vec3& p : scene.points) scene.aabbs.push_back(Aabb::cube(p, width));
   scene.bvh.build(scene.aabbs, BvhBuildOptions{leaf_size});
@@ -37,13 +41,25 @@ Scene make_scene(CloudKind kind, std::size_t n, float width, std::uint64_t seed,
   return scene;
 }
 
-/// Records every primitive the IS stage sees, per ray.
+Scene make_scene(CloudKind kind, std::size_t n, float width, std::uint64_t seed,
+                 std::uint32_t leaf_size = 1) {
+  return build_scene(rtnn::testing::make_cloud(kind, n, seed), width, leaf_size);
+}
+
+/// Records every primitive the IS stage sees, per ray, with multiplicity:
+/// sorted() lists compare equal only if no primitive was called twice
+/// where the other walk called it once.
 struct Collector {
-  std::vector<std::set<std::uint32_t>> hits;
+  std::vector<std::vector<std::uint32_t>> hits;
   explicit Collector(std::size_t rays) : hits(rays) {}
   TraceAction intersect(std::uint32_t ray, std::uint32_t prim) {
-    hits[ray].insert(prim);
+    hits[ray].push_back(prim);
     return TraceAction::kContinue;
+  }
+  std::vector<std::vector<std::uint32_t>> sorted() const {
+    auto rows = hits;
+    for (auto& row : rows) std::sort(row.begin(), row.end());
+    return rows;
   }
 };
 
@@ -126,21 +142,32 @@ TEST(WideBvh, EmptyAndDegenerateInputs) {
   Collector c3(1);
   const std::vector<Ray> r3{Ray::short_ray({0.1f, 0.2f, 0.3f})};
   trace(wide3, r3, c3);
-  EXPECT_EQ(c3.hits[0], std::set<std::uint32_t>{0u});
+  EXPECT_EQ(c3.hits[0], std::vector<std::uint32_t>{0u});
 }
 
-/// The heart of the PR: the wide path and the binary path must invoke the
-/// IS shader on exactly the same primitive sets — on uniform and on
-/// lidar-shaped (highly anisotropic density) clouds, with the SIMD node
-/// test agreeing with the scalar one on every box.
+/// The exactness bar of the wide layout: the wide path and the binary
+/// path must invoke the IS shader on exactly the same primitives, each
+/// exactly once — on uniform and lidar-shaped (highly anisotropic density)
+/// clouds, multi-primitive leaves and every degenerate generator shape,
+/// with the SIMD node test agreeing with the scalar one on every box.
 TEST(WideBvh, TraversalParityWithBinary) {
+  std::vector<std::pair<std::string, Scene>> scenes;
   for (const CloudKind kind : {CloudKind::kUniform, CloudKind::kLidar}) {
     const float width = 2.0f * rtnn::testing::typical_radius(kind);
-    const Scene scene = make_scene(kind, 4000, width, 17);
+    scenes.emplace_back(rtnn::testing::to_string(kind), make_scene(kind, 4000, width, 17));
+  }
+  scenes.emplace_back("uniform-leaf4",
+                      make_scene(CloudKind::kUniform, 3000, 0.08f, 21, /*leaf_size=*/4));
+  for (rtnn::testing::Trial& trial : rtnn::testing::degenerate_shapes(0xbeefu)) {
+    scenes.emplace_back(trial.generator,
+                        build_scene(std::move(trial.points), 2.0f * trial.radius));
+  }
+
+  for (const auto& [label, scene] : scenes) {
     Pcg32 rng(99);
     std::vector<Vec3> queries = scene.points;
     for (int i = 0; i < 500; ++i) {
-      queries.push_back(rng.uniform_in_aabb(scene.bvh.scene_bounds().expanded(width)));
+      queries.push_back(rng.uniform_in_aabb(scene.bvh.scene_bounds().expanded(scene.width)));
     }
     const auto rays = short_rays(queries);
 
@@ -148,21 +175,24 @@ TEST(WideBvh, TraversalParityWithBinary) {
     trace(scene.bvh, rays, binary);
     Collector wide(queries.size());
     trace(scene.wide, rays, wide);
+    const auto expected = binary.sorted();
+    const auto got = wide.sorted();
     for (std::size_t q = 0; q < queries.size(); ++q) {
-      ASSERT_EQ(wide.hits[q], binary.hits[q])
-          << rtnn::testing::to_string(kind) << " query " << q;
+      ASSERT_EQ(got[q], expected[q]) << label << " query " << q;
     }
   }
 }
 
 TEST(WideBvh, TraversalParityWiderLeaves) {
-  const Scene scene = make_scene(CloudKind::kUniform, 3000, 0.08f, 21, 4);
-  const auto rays = short_rays(scene.points);
-  Collector binary(scene.points.size());
-  trace(scene.bvh, rays, binary);
-  Collector wide(scene.points.size());
-  trace(scene.wide, rays, wide);
-  EXPECT_EQ(wide.hits, binary.hits);
+  for (const std::uint32_t leaf_size : {2u, 8u}) {
+    const Scene scene = make_scene(CloudKind::kUniform, 3000, 0.08f, 21, leaf_size);
+    const auto rays = short_rays(scene.points);
+    Collector binary(scene.points.size());
+    trace(scene.bvh, rays, binary);
+    Collector wide(scene.points.size());
+    trace(scene.wide, rays, wide);
+    EXPECT_EQ(wide.sorted(), binary.sorted()) << "leaf_size=" << leaf_size;
+  }
 }
 
 TEST(WideBvh, KnnParityAcrossK) {
@@ -184,61 +214,6 @@ TEST(WideBvh, KnnParityAcrossK) {
   }
 }
 
-/// Direct check that this build's node_hits over the FP32 layout (AVX2 or
-/// scalar) agrees with the scalar single-box test on every slot —
-/// including arbitrary ray directions, zero direction components (±inf
-/// reciprocals) and boundary coordinates that produce NaNs in the slab
-/// arithmetic.
-TEST(WideBvh, NodeTestMatchesScalarSemantics) {
-  Pcg32 rng(4242);
-  const Aabb domain{{-1, -1, -1}, {1, 1, 1}};
-  for (int iter = 0; iter < 2000; ++iter) {
-    alignas(64) WideBvhNode node{};
-    node.count = kWideBvhWidth;
-    Aabb boxes[kWideBvhWidth];
-    for (std::uint32_t i = 0; i < kWideBvhWidth; ++i) {
-      Vec3 a = rng.uniform_in_aabb(domain);
-      Vec3 b = rng.uniform_in_aabb(domain);
-      boxes[i] = Aabb{min(a, b), max(a, b)};
-      node.minx[i] = boxes[i].lo.x;
-      node.miny[i] = boxes[i].lo.y;
-      node.minz[i] = boxes[i].lo.z;
-      node.maxx[i] = boxes[i].hi.x;
-      node.maxy[i] = boxes[i].hi.y;
-      node.maxz[i] = boxes[i].hi.z;
-      node.child[i] = WideBvhNode::kLeafBit | i;
-    }
-    Ray ray;
-    switch (iter % 4) {
-      case 0:  // RTNN's degenerate short ray
-        ray = Ray::short_ray(rng.uniform_in_aabb(domain));
-        break;
-      case 1:  // general segment
-        ray.origin = rng.uniform_in_aabb(domain);
-        ray.dir = rng.uniform_in_aabb(domain);
-        ray.tmin = 0.0f;
-        ray.tmax = 2.0f;
-        break;
-      case 2:  // axis-aligned: two zero components → ±inf reciprocals
-        ray.origin = rng.uniform_in_aabb(domain);
-        ray.dir = Vec3{0.0f, iter % 8 < 4 ? 1.0f : -1.0f, 0.0f};
-        ray.tmax = 1.5f;
-        break;
-      default:  // origin pinned to a box face: NaN (0 * inf) in the slab
-        ray.origin = Vec3{boxes[3].lo.x, boxes[3].lo.y, boxes[3].hi.z};
-        ray.dir = Vec3{1.0f, 0.0f, 0.0f};
-        ray.tmax = 1.0f;
-        break;
-    }
-    const std::uint32_t mask =
-        detail::node_hits(node, ray, reciprocal_dir(ray));
-    for (std::uint32_t i = 0; i < kWideBvhWidth; ++i) {
-      EXPECT_EQ((mask >> i) & 1u, ray_intersects_aabb(ray, boxes[i]) ? 1u : 0u)
-          << "iter " << iter << " slot " << i;
-    }
-  }
-}
-
 TEST(WideBvh, WideTraceRejectsSimulationModes) {
   const Scene scene = make_scene(CloudKind::kUniform, 100, 0.1f, 3);
   Collector collector(1);
@@ -246,6 +221,26 @@ TEST(WideBvh, WideTraceRejectsSimulationModes) {
   TraceConfig config;
   config.model = ExecutionModel::kWarpLockstep;
   EXPECT_THROW(trace(scene.wide, rays, collector, config), Error);
+}
+
+/// The wide overload's cache simulation replays every node and leaf-box
+/// fetch of the walk without changing what the walk does.
+TEST(WideBvh, CacheSimulationLeavesTheWalkUnchanged) {
+  const Scene scene = make_scene(CloudKind::kUniform, 3000, 0.05f, 5);
+  const auto rays = short_rays(scene.points);
+  TraceConfig config;
+  config.parallel = false;
+  Collector plain(rays.size());
+  const LaunchStats plain_stats = trace(scene.wide, rays, plain, config);
+  config.simulate_caches = true;
+  Collector simulated(rays.size());
+  const LaunchStats sim_stats = trace(scene.wide, rays, simulated, config);
+  EXPECT_EQ(simulated.hits, plain.hits);
+  EXPECT_EQ(sim_stats.node_visits, plain_stats.node_visits);
+  EXPECT_EQ(sim_stats.is_calls, plain_stats.is_calls);
+  EXPECT_EQ(plain_stats.l1.accesses, 0u);
+  // At least one line per node fetch and per leaf-box fetch.
+  EXPECT_GE(sim_stats.l1.accesses, sim_stats.node_visits + sim_stats.is_calls);
 }
 
 }  // namespace
