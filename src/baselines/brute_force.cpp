@@ -1,15 +1,13 @@
 #include "baselines/brute_force.hpp"
 
-#include <algorithm>
-
-#include "core/knn_heap.hpp"
+#include "core/flat_knn.hpp"
 #include "core/parallel.hpp"
 
 namespace rtnn::baselines {
 
 NeighborResult brute_force_range(std::span<const Vec3> points, std::span<const Vec3> queries,
-                                 float radius, std::uint32_t k) {
-  NeighborResult result(queries.size(), k);
+                                 float radius, std::uint32_t k, bool store_indices) {
+  NeighborResult result(queries.size(), k, store_indices);
   const float r2 = radius * radius;
   parallel_for(0, static_cast<std::int64_t>(queries.size()), [&](std::int64_t q) {
     const Vec3 query = queries[static_cast<std::size_t>(q)];
@@ -23,24 +21,17 @@ NeighborResult brute_force_range(std::span<const Vec3> points, std::span<const V
 }
 
 NeighborResult brute_force_knn(std::span<const Vec3> points, std::span<const Vec3> queries,
-                               float radius, std::uint32_t k) {
-  NeighborResult result(queries.size(), k);
+                               float radius, std::uint32_t k, bool store_indices) {
+  FlatKnnHeaps heaps(queries.size(), k);
   const float r2 = radius * radius;
-  parallel_for(0, static_cast<std::int64_t>(queries.size()), [&](std::int64_t q) {
-    const Vec3 query = queries[static_cast<std::size_t>(q)];
-    KnnHeap heap(k);
+  parallel_for(0, static_cast<std::int64_t>(queries.size()), [&](std::int64_t qi) {
+    const auto q = static_cast<std::size_t>(qi);
     for (std::uint32_t p = 0; p < points.size(); ++p) {
-      const float d2 = distance2(points[p], query);
-      if (d2 <= r2 && d2 < heap.worst_dist2()) heap.push(d2, p);
+      const float d2 = distance2(points[p], queries[q]);
+      if (d2 <= r2) heaps.push(q, d2, p);
     }
-    auto sorted = heap.extract_sorted();
-    // Deterministic tie order: stable by (distance, index).
-    std::stable_sort(sorted.begin(), sorted.end(), [](const auto& a, const auto& b) {
-      return a.dist2 < b.dist2 || (a.dist2 == b.dist2 && a.index < b.index);
-    });
-    for (const auto& entry : sorted) result.record(static_cast<std::size_t>(q), entry.index);
   }, 64);
-  return result;
+  return heaps.extract(store_indices);
 }
 
 }  // namespace rtnn::baselines

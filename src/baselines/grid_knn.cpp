@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "core/error.hpp"
-#include "core/knn_heap.hpp"
+#include "core/flat_knn.hpp"
 #include "core/parallel.hpp"
 
 namespace rtnn::baselines {
@@ -16,28 +16,30 @@ void GridKnn::build(std::span<const Vec3> points, float radius, const Options& o
   grid_.build(points_, radius * options.cell_factor, options.max_cells);
 }
 
-NeighborResult GridKnn::search(std::span<const Vec3> queries, std::uint32_t k) const {
+NeighborResult GridKnn::search(std::span<const Vec3> queries, std::uint32_t k,
+                               bool store_indices) const {
   RTNN_CHECK(grid_.built(), "search before build");
-  NeighborResult result(queries.size(), k);
+  FlatKnnHeaps heaps(queries.size(), k);
   const float r2 = radius_ * radius_;
   const float cell = grid_.cell_size();
   const int max_shell = static_cast<int>(std::ceil(radius_ / cell)) + 1;
   const Int3 res = grid_.resolution();
 
   parallel_for(0, static_cast<std::int64_t>(queries.size()), [&](std::int64_t qi) {
-    const Vec3 q = queries[static_cast<std::size_t>(qi)];
+    const auto row = static_cast<std::size_t>(qi);
+    const Vec3 q = queries[row];
     const Int3 qc = grid_.cell_of(q);
-    KnnHeap heap(k);
 
     for (int shell = 0; shell <= max_shell; ++shell) {
       // Earliest possible distance of any point in this shell: points in
       // cells at Chebyshev distance `shell` are at least (shell-1) cells
-      // away in space (the query sits somewhere inside its own cell).
+      // away in space (the query sits somewhere inside its own cell). A
+      // point at exactly the worst distance may still displace a tied
+      // entry with a larger id, so only a strictly farther shell stops.
       if (shell >= 2) {
         const float min_dist = static_cast<float>(shell - 1) * cell;
         const float min_dist2 = min_dist * min_dist;
-        if (min_dist2 > r2) break;
-        if (heap.full() && min_dist2 >= heap.worst_dist2()) break;
+        if (min_dist2 > r2 || min_dist2 > heaps.worst_dist2(row)) break;
       }
       // Visit all cells whose Chebyshev distance from qc equals `shell`.
       const int zlo = std::max(qc.z - shell, 0);
@@ -55,22 +57,14 @@ NeighborResult GridKnn::search(std::span<const Vec3> queries, std::uint32_t k) c
             if (shell > 0 && !(x_face || y_face || z_face)) continue;
             for (const std::uint32_t p : grid_.points_in_cell({x, y, z})) {
               const float d2 = distance2(points_[p], q);
-              if (d2 <= r2) heap.push(d2, p);
+              if (d2 <= r2) heaps.push(row, d2, p);
             }
           }
         }
       }
     }
-
-    auto sorted = heap.extract_sorted();
-    std::stable_sort(sorted.begin(), sorted.end(), [](const auto& a, const auto& b) {
-      return a.dist2 < b.dist2 || (a.dist2 == b.dist2 && a.index < b.index);
-    });
-    for (const auto& entry : sorted) {
-      result.record(static_cast<std::size_t>(qi), entry.index);
-    }
   }, 128);
-  return result;
+  return heaps.extract(store_indices);
 }
 
 }  // namespace rtnn::baselines

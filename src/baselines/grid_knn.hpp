@@ -3,8 +3,9 @@
 // FRNN ("fixed radius nearest neighbor", the PyTorch3D knn_points
 // replacement the paper compares against) performs radius-bounded KNN on
 // a uniform grid: expanding Chebyshev shells of cells are visited until
-// the K-th nearest distance found so far rules out any farther shell (or
-// the radius bound is hit).
+// a shell lies strictly beyond the K-th nearest distance found so far (or
+// the radius bound). A shell at exactly that distance is still visited:
+// a tied point with a smaller id would displace the heap's root.
 #pragma once
 
 #include <span>
@@ -27,8 +28,10 @@ class GridKnn {
 
   void build(std::span<const Vec3> points, float radius, const Options& options = Options{});
 
-  /// K nearest neighbors within the radius bound, ascending by distance.
-  NeighborResult search(std::span<const Vec3> queries, std::uint32_t k) const;
+  /// The K smallest (distance², point index) pairs within the radius
+  /// bound, in that order (`store_indices` = false: counts only).
+  NeighborResult search(std::span<const Vec3> queries, std::uint32_t k,
+                        bool store_indices = true) const;
 
   const UniformGrid& grid() const { return grid_; }
 

@@ -13,9 +13,10 @@ void GridRangeSearch::build(std::span<const Vec3> points, float radius,
   grid_.build(points_, radius * options.cell_factor, options.max_cells);
 }
 
-NeighborResult GridRangeSearch::search(std::span<const Vec3> queries, std::uint32_t k) const {
+NeighborResult GridRangeSearch::search(std::span<const Vec3> queries, std::uint32_t k,
+                                       bool store_indices) const {
   RTNN_CHECK(grid_.built(), "search before build");
-  NeighborResult result(queries.size(), k);
+  NeighborResult result(queries.size(), k, store_indices);
   const float r2 = radius_ * radius_;
   parallel_for(0, static_cast<std::int64_t>(queries.size()), [&](std::int64_t qi) {
     const Vec3 q = queries[static_cast<std::size_t>(qi)];

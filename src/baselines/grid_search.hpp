@@ -26,8 +26,10 @@ class GridRangeSearch {
 
   void build(std::span<const Vec3> points, float radius, const Options& options = Options{});
 
-  /// Up to `k` neighbors within the build radius of each query.
-  NeighborResult search(std::span<const Vec3> queries, std::uint32_t k) const;
+  /// Up to `k` neighbors within the build radius of each query
+  /// (`store_indices` = false: counts only).
+  NeighborResult search(std::span<const Vec3> queries, std::uint32_t k,
+                        bool store_indices = true) const;
 
   const UniformGrid& grid() const { return grid_; }
 

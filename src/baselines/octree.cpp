@@ -7,7 +7,7 @@
 #include <queue>
 
 #include "core/error.hpp"
-#include "core/knn_heap.hpp"
+#include "core/flat_knn.hpp"
 #include "core/parallel.hpp"
 
 namespace rtnn::baselines {
@@ -118,9 +118,9 @@ void Octree::subdivide(std::uint32_t node_index, std::vector<std::uint32_t>& ids
 }
 
 NeighborResult Octree::range_search(std::span<const Vec3> queries, float radius,
-                                    std::uint32_t k) const {
+                                    std::uint32_t k, bool store_indices) const {
   RTNN_CHECK(built(), "search before build");
-  NeighborResult result(queries.size(), k);
+  NeighborResult result(queries.size(), k, store_indices);
   const float r2 = radius * radius;
   parallel_for(0, static_cast<std::int64_t>(queries.size()), [&](std::int64_t qi) {
     const Vec3 q = queries[static_cast<std::size_t>(qi)];
@@ -154,26 +154,28 @@ NeighborResult Octree::range_search(std::span<const Vec3> queries, float radius,
 }
 
 NeighborResult Octree::knn_search(std::span<const Vec3> queries, float radius,
-                                  std::uint32_t k) const {
+                                  std::uint32_t k, bool store_indices) const {
   RTNN_CHECK(built(), "search before build");
-  NeighborResult result(queries.size(), k);
+  FlatKnnHeaps heaps(queries.size(), k);
   const float r2 = radius * radius;
   parallel_for(0, static_cast<std::int64_t>(queries.size()), [&](std::int64_t qi) {
-    const Vec3 q = queries[static_cast<std::size_t>(qi)];
-    KnnHeap heap(k);
+    const auto row = static_cast<std::size_t>(qi);
+    const Vec3 q = queries[row];
     using Cand = std::pair<float, std::uint32_t>;  // (min dist2, node)
     std::priority_queue<Cand, std::vector<Cand>, std::greater<>> frontier;
     frontier.emplace(dist2_to_cell(q, nodes_[0].center, nodes_[0].half), 0u);
     while (!frontier.empty()) {
       const auto [d2, ni] = frontier.top();
       frontier.pop();
-      if (d2 > r2 || (heap.full() && d2 >= heap.worst_dist2())) break;
+      // Strict: a cell at exactly the worst distance may still hold a
+      // tied point with a smaller id than the heap's root.
+      if (d2 > r2 || d2 > heaps.worst_dist2(row)) break;
       const Node& node = nodes_[ni];
       if (node.is_leaf()) {
         for (std::uint32_t s = node.first; s < node.first + node.count; ++s) {
           const std::uint32_t p = point_ids_[s];
           const float pd2 = distance2(points_[p], q);
-          if (pd2 <= r2) heap.push(pd2, p);
+          if (pd2 <= r2) heaps.push(row, pd2, p);
         }
       } else {
         for (std::uint32_t o = 0; o < 8; ++o) {
@@ -183,15 +185,8 @@ NeighborResult Octree::knn_search(std::span<const Vec3> queries, float radius,
         }
       }
     }
-    auto sorted = heap.extract_sorted();
-    std::stable_sort(sorted.begin(), sorted.end(), [](const auto& a, const auto& b) {
-      return a.dist2 < b.dist2 || (a.dist2 == b.dist2 && a.index < b.index);
-    });
-    for (const auto& entry : sorted) {
-      result.record(static_cast<std::size_t>(qi), entry.index);
-    }
   }, 64);
-  return result;
+  return heaps.extract(store_indices);
 }
 
 void Octree::validate() const {

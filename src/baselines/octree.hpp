@@ -32,13 +32,15 @@ class Octree {
 
   bool built() const { return !nodes_.empty(); }
 
-  /// Up to `k` points within `radius` of each query.
+  /// Up to `k` points within `radius` of each query (`store_indices` =
+  /// false: counts only).
   NeighborResult range_search(std::span<const Vec3> queries, float radius,
-                              std::uint32_t k) const;
+                              std::uint32_t k, bool store_indices = true) const;
 
-  /// K nearest points within `radius`, ascending by distance.
+  /// The K smallest (distance², point index) pairs within `radius`, in
+  /// that order (`store_indices` = false: counts only).
   NeighborResult knn_search(std::span<const Vec3> queries, float radius,
-                            std::uint32_t k) const;
+                            std::uint32_t k, bool store_indices = true) const;
 
   std::size_t node_count() const { return nodes_.size(); }
 

@@ -1,7 +1,13 @@
 // Flat pool of bounded max-heaps: one K-slot heap per query in contiguous
-// storage. This is the device-friendly layout the KNN IS shader writes to
-// (one row per ray, no per-ray allocation), unlike KnnHeap which owns its
-// own vector and suits host-side single-query use.
+// storage — the "priority queue" of the paper's KNN IS shader, laid out
+// as the device-friendly rows a kernel writes to (one row per ray, no
+// per-ray allocation). Every KNN path in the repo fills one row per query.
+//
+// The one KNN order: entries rank by (dist², index). A row keeps the K
+// smallest pairs pushed into it, so which of several points tied at the
+// K-th distance survives depends on their ids, never on push order, and
+// the kept distances (hence worst_dist2) are those of the K smallest
+// dist² values seen, whatever the order.
 #pragma once
 
 #include <algorithm>
@@ -32,43 +38,50 @@ class FlatKnnHeaps {
   std::size_t num_queries() const { return num_queries_; }
   std::uint32_t size(std::size_t q) const { return sizes_[q]; }
 
+  /// Query q's K-th smallest dist² so far (+inf until K are kept): no
+  /// candidate farther than this can enter the row.
   float worst_dist2(std::size_t q) const {
     return sizes_[q] == k_ ? entries_[q * k_].dist2
                            : std::numeric_limits<float>::infinity();
   }
 
-  /// Offers a candidate to query q's heap; keeps it if among the K nearest
-  /// so far. One thread per query row (the CUDA shader contract).
+  /// Offers a candidate to query q's heap; keeps it if it sorts before
+  /// the root of a full heap. One thread per query row (the CUDA shader
+  /// contract).
   bool push(std::size_t q, float dist2, std::uint32_t index) {
     Entry* heap = entries_.data() + q * k_;
     std::uint32_t& n = sizes_[q];
+    const Entry entry{dist2, index};
+    std::uint32_t i = 0;
     if (n < k_) {
-      heap[n] = {dist2, index};
-      std::uint32_t i = n++;
-      while (i > 0) {
-        const std::uint32_t parent = (i - 1) / 2;
-        if (heap[parent].dist2 >= heap[i].dist2) break;
-        std::swap(heap[parent], heap[i]);
-        i = parent;
+      // Sift up from the new leaf: smaller parents move down into the hole.
+      i = n++;
+      while (i > 0 && before(heap[(i - 1) / 2], entry)) {
+        heap[i] = heap[(i - 1) / 2];
+        i = (i - 1) / 2;
       }
-      return true;
+    } else {
+      if (!before(entry, heap[0])) return false;
+      // Replace the root and sift down: larger children move up.
+      for (std::uint32_t c = 1; c < n; c = 2 * i + 1) {
+        if (c + 1 < n && before(heap[c], heap[c + 1])) ++c;
+        if (!before(entry, heap[c])) break;
+        heap[i] = heap[c];
+        i = c;
+      }
     }
-    if (dist2 >= heap[0].dist2) return false;
-    heap[0] = {dist2, index};
-    sift_down(heap, n, 0);
+    heap[i] = entry;
     return true;
   }
 
   /// Converts all heaps into a NeighborResult with each query's neighbors
-  /// ascending by (distance, index). Parallel over queries.
+  /// ascending by (dist², index). Parallel over queries.
   NeighborResult extract(bool store_indices = true) {
     NeighborResult result(num_queries_, k_, store_indices);
     parallel_for(0, static_cast<std::int64_t>(num_queries_), [&](std::int64_t q) {
       Entry* heap = entries_.data() + static_cast<std::size_t>(q) * k_;
       const std::uint32_t n = sizes_[static_cast<std::size_t>(q)];
-      std::sort(heap, heap + n, [](const Entry& a, const Entry& b) {
-        return a.dist2 < b.dist2 || (a.dist2 == b.dist2 && a.index < b.index);
-      });
+      std::sort(heap, heap + n, before);
       for (std::uint32_t i = 0; i < n; ++i) {
         result.record(static_cast<std::size_t>(q), heap[i].index);
       }
@@ -76,21 +89,9 @@ class FlatKnnHeaps {
     return result;
   }
 
-  /// K-th nearest distance² of query q (+inf if fewer than K found).
-  float kth_dist2(std::size_t q) const { return worst_dist2(q); }
-
  private:
-  static void sift_down(Entry* heap, std::uint32_t n, std::uint32_t i) {
-    for (;;) {
-      const std::uint32_t l = 2 * i + 1;
-      const std::uint32_t r = 2 * i + 2;
-      std::uint32_t largest = i;
-      if (l < n && heap[l].dist2 > heap[largest].dist2) largest = l;
-      if (r < n && heap[r].dist2 > heap[largest].dist2) largest = r;
-      if (largest == i) break;
-      std::swap(heap[i], heap[largest]);
-      i = largest;
-    }
+  static bool before(const Entry& a, const Entry& b) {
+    return a.dist2 < b.dist2 || (a.dist2 == b.dist2 && a.index < b.index);
   }
 
   std::size_t num_queries_;

@@ -33,7 +33,7 @@ class NeighborResult {
   std::uint32_t count(std::size_t query) const { return counts_[query]; }
 
   /// The filled neighbor slots of `query` (point indices, unordered for
-  /// range search, ascending-by-distance for KNN extractions).
+  /// range search, ascending by (dist², index) for KNN extractions).
   std::span<const std::uint32_t> neighbors(std::size_t query) const {
     RTNN_CHECK(!indices_.empty(), "result stores counts only");
     return {indices_.data() + query * k_, counts_[query]};

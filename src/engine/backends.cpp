@@ -32,8 +32,10 @@ NeighborResult BruteForceBackend::search(std::span<const Vec3> queries,
   Timer timer;
   NeighborResult result =
       params.mode == SearchMode::kRange
-          ? baselines::brute_force_range(points_, queries, params.radius, params.k)
-          : baselines::brute_force_knn(points_, queries, params.radius, params.k);
+          ? baselines::brute_force_range(points_, queries, params.radius, params.k,
+                                         params.store_indices)
+          : baselines::brute_force_knn(points_, queries, params.radius, params.k,
+                                       params.store_indices);
   if (report) report->time.search += timer.elapsed();
   return result;
 }
@@ -57,7 +59,7 @@ NeighborResult GridBackend::search(std::span<const Vec3> queries,
       if (report) report->time.bvh += build.elapsed();  // structure build phase
     }
     Timer timer;
-    NeighborResult result = range_.search(queries, params.k);
+    NeighborResult result = range_.search(queries, params.k, params.store_indices);
     if (report) report->time.search += timer.elapsed();
     return result;
   }
@@ -68,7 +70,7 @@ NeighborResult GridBackend::search(std::span<const Vec3> queries,
     if (report) report->time.bvh += build.elapsed();
   }
   Timer timer;
-  NeighborResult result = knn_.search(queries, params.k);
+  NeighborResult result = knn_.search(queries, params.k, params.store_indices);
   if (report) report->time.search += timer.elapsed();
   return result;
 }
@@ -92,8 +94,8 @@ NeighborResult OctreeBackend::search(std::span<const Vec3> queries,
   Timer timer;
   NeighborResult result =
       params.mode == SearchMode::kRange
-          ? octree_.range_search(queries, params.radius, params.k)
-          : octree_.knn_search(queries, params.radius, params.k);
+          ? octree_.range_search(queries, params.radius, params.k, params.store_indices)
+          : octree_.knn_search(queries, params.radius, params.k, params.store_indices);
   if (report) report->time.search += timer.elapsed();
   return result;
 }

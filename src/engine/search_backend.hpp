@@ -23,8 +23,11 @@
 //     time.bvh, and pure query cost in time.search.
 //   * Results use NeighborResult's bounded layout: at most K slots per
 //     query. For range search with more than K true neighbors, *which* K
-//     are returned is backend-defined (any within-radius subset is valid);
-//     KNN results are the K nearest, ascending by distance.
+//     are returned is backend-defined (any within-radius subset is valid).
+//     A KNN row is the K smallest (dist², point id) pairs within the
+//     radius, in that order: a function of the point set alone, so every
+//     backend returns the same bytes. params.store_indices = false
+//     returns counts only.
 //   * caps() declares what the backend honors; callers must not request a
 //     mode (or approximation knob) the backend does not support.
 #pragma once

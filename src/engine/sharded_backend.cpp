@@ -1,5 +1,6 @@
 #include "engine/sharded_backend.hpp"
 
+#include <algorithm>
 #include <string>
 #include <thread>
 #include <utility>
@@ -24,6 +25,12 @@ void ShardedBackend::set_points(std::span<const Vec3> points) {
   plan_ = plan_shards(points_, plan_shard_count(points_.size(),
                                                options_.shard_threshold,
                                                options_.max_shards));
+  // Ascending ids within a shard: local id order is then global id
+  // order, so each inner row is the shard's K smallest (dist², global id)
+  // pairs and the gather's merge reproduces the unsharded row exactly.
+  for (ShardPlan::Shard& shard : plan_.shards) {
+    std::sort(shard.point_ids.begin(), shard.point_ids.end());
+  }
   shards_.clear();
   std::vector<Vec3> shard_points;
   for (const ShardPlan::Shard& shard : plan_.shards) {

@@ -3,10 +3,13 @@
 // Wraps any snapshot-capable inner backend and scales it across spatial
 // shards (rtnn/sharding.hpp): set_points() Morton-splits the cloud into
 // Morton-contiguous shards, each owning an independent inner backend
-// over its slice; search() scatters the queries to the shards whose
-// tight AABB lies within the search radius, runs each shard's inner
-// search, and gathers the partial results exactly (per-shard Reports sum
-// through Report::operator+=; KNN merges through FlatKnnHeaps). The
+// over its slice (its points in ascending global id order, so the inner
+// backend breaks distance ties exactly as the whole cloud would);
+// search() scatters the queries to the shards whose tight AABB lies
+// within the search radius, runs each shard's inner search, and gathers
+// the partial results exactly (per-shard Reports sum through
+// Report::operator+=; KNN merges through FlatKnnHeaps into the
+// unsharded rows, byte for byte). The
 // serving registry (src/service) builds one of these for clouds above
 // its shard threshold — the whole service machinery (snapshots, batch
 // optimizer, dispatcher) composes with it unchanged because it is just

@@ -26,10 +26,11 @@
 //            at scatter time. The exactness guard is bitwise position
 //            equality — the one case where the representative's result is
 //            provably the duplicate's result, for range (byte-identical)
-//            and KNN (the pipeline's tie-breaking is deterministic)
-//            alike. Any row that is merely *near* a representative falls
-//            back to exact per-query search (it becomes its own
-//            representative); no approximate transfer ever happens.
+//            and KNN (a row is the K smallest (dist², id) pairs, fixed by
+//            the query position) alike. Any row that is merely *near* a
+//            representative falls back to exact per-query search (it
+//            becomes its own representative); no approximate transfer
+//            ever happens.
 //
 // The optimizer is pure geometry preprocessing: it never touches an index
 // or a backend, so any engine::SearchBackend can serve its bins. Results

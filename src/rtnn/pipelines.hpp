@@ -102,7 +102,9 @@ class KnnPipeline {
   ox::TraceAction intersection(std::uint32_t index, std::uint32_t prim) {
     const std::uint32_t query = query_ids_[index];
     const float d2 = distance2(points_[prim], queries_[query]);
-    if (d2 <= radius2_ && d2 < heaps_->worst_dist2(query)) heaps_->push(query, d2, prim);
+    // A tie with the worst entry may still displace a larger id; push()
+    // settles it by the (dist², id) order.
+    if (d2 <= radius2_ && d2 <= heaps_->worst_dist2(query)) heaps_->push(query, d2, prim);
     return ox::TraceAction::kContinue;
   }
 
@@ -114,21 +116,23 @@ class KnnPipeline {
   /// skip. Every point p under the box has lo ≤ fl(p.x − h) (the box
   /// contains the point's cube), so q.x < lo + δ means p.x − q.x > s up
   /// to rounding, and likewise on the hi side: p lies farther than s from
-  /// q along one axis. The push test compares the float d² with the
-  /// heap's worst w, so s must absorb rounding (u = 2^-24):
-  ///   * fl(d²) < w gives |p.x − q.x| < √w·(1 + 3u) + 2^-74 — each
+  /// q along one axis. A full heap with worst w still admits a point
+  /// with fl(d²) = w (it may displace a tied larger id), so the bound may
+  /// skip only points with fl(d²) > w, and s must absorb rounding
+  /// (u = 2^-24):
+  ///   * fl(d²) ≤ w gives |p.x − q.x| ≤ √w·(1 + 3u) + 2^-74 — each
   ///     rounded square is at most the rounded sum, and a square that
   ///     underflows loses at most 2^-150;
   ///   * the cube face fl(p.x − h) rounds by at most u·(|q|∞ + 2h);
   ///   * δ = fl(h − s), s = fl(√w + m) and fl(√w) each round by at most
   ///     u·h while δ > 0.
-  /// So m ≥ u·(|q|∞ + 8h) + 2^-74 suffices. m = 2^-21·(|q|∞ + 2h) + 2^-64
-  /// covers it twice over and is 4–8 ulps of the coordinate magnitude,
-  /// so a dense cloud far from the origin still culls. Within
-  /// one launch the heap's worst only falls, so δ only grows and a culled
-  /// point would have been rejected by intersection() at any later call:
-  /// the heaps, and so every result row, are byte-identical with and
-  /// without the bound.
+  /// So m ≥ u·(|q|∞ + 8h) + 2^-74 puts every skipped point past that
+  /// bound, hence at fl(d²) > w. m = 2^-21·(|q|∞ + 2h) + 2^-64 covers it
+  /// twice over and is 4–8 ulps of the coordinate magnitude, so a dense
+  /// cloud far from the origin still culls. Within one launch the heap's
+  /// worst only falls, so δ only grows and a culled point would have
+  /// been rejected by intersection() at any later call: the heaps, and
+  /// so every result row, are byte-identical with and without the bound.
   float cull_shrink(std::uint32_t index) const {
     if (half_width_ <= 0.0f) return 0.0f;  // built without a width: no bound
     const std::uint32_t query = query_ids_[index];

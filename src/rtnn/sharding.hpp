@@ -20,13 +20,12 @@
 //     min(K, sum of per-shard counts) entries — exactly the unsharded
 //     min(K, true count), because a shard only truncates when it already
 //     holds more than K in-radius points (see gather_shard_results).
-//   * KNN gather: each of the global K nearest lives in some shard and
-//     is among that shard's K nearest (fewer than K points of the shard
-//     are closer), so merging per-shard top-K candidate lists through
-//     one FlatKnnHeaps row per query reproduces the global top-K. Ties
-//     at the K-th distance are resolved by the heap's deterministic
-//     (distance, id) order — equidistant candidates may legally differ
-//     from another implementation's pick, like every backend here.
+//   * KNN gather: a KNN row is the K smallest (dist², id) pairs. Each
+//     of the global K lives in some shard and is among that shard's K
+//     smallest, provided the shard ranks by global id (ShardedBackend
+//     lists each shard's ids ascending, so local id order is global id
+//     order). Merging the per-shard rows through one FlatKnnHeaps row per
+//     query therefore reproduces the unsharded row exactly.
 #pragma once
 
 #include <cstdint>
@@ -45,7 +44,8 @@ namespace rtnn {
 struct ShardPlan {
   struct Shard {
     /// Global point ids owned by this shard (each id in exactly one
-    /// shard), in Morton order of the positions at plan time.
+    /// shard), in Morton order of the positions at plan time
+    /// (ShardedBackend re-sorts them ascending).
     std::vector<std::uint32_t> point_ids;
     /// Tight bounds over the shard's current positions. Re-tightened on
     /// update_points so routing stays exact as points drift out of the
@@ -105,7 +105,7 @@ struct ShardPartial {
 ///   * range + indices: ascending-id union of the disjoint per-shard
 ///     sets, truncated at K;
 ///   * KNN + indices: FlatKnnHeaps merge on distances recomputed from
-///     the global `points`, extracted ascending by (distance, id);
+///     the global `points`, extracted ascending by (dist², id);
 ///   * counts only (either mode): per-query sum of partial counts,
 ///     clamped at K — exact for both modes (see the header comment).
 NeighborResult gather_shard_results(std::span<const Vec3> points,

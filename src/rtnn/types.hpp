@@ -11,7 +11,7 @@ namespace rtnn {
 /// neighbor count K.
 enum class SearchMode : std::uint8_t {
   kRange,  // all neighbors within r, up to K of them
-  kKnn,    // the K nearest neighbors, bounded by r
+  kKnn,    // the K smallest (dist², id) pairs within r
 };
 
 /// Which of the paper's optimizations to apply (the Figure 13 ablation

@@ -1,6 +1,7 @@
 // The degenerate-geometry trials of the differential harness: small
 // seeded clouds spatial structures get wrong (coincident points, collinear
-// and planar sets, extreme coordinate magnitudes, tight clusters), each
+// and planar sets, extreme coordinate magnitudes, tight clusters, exact
+// distance ties), each
 // with a query set mixing exact hits, jittered neighbors and far-away
 // misses. Shared by every suite that checks a search path against a
 // reference under these geometries. Every trial carries its generator
@@ -9,6 +10,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/rng.hpp"
@@ -145,9 +147,36 @@ inline Trial clustered_trial(std::uint64_t seed) {
   return trial;
 }
 
-/// One trial of every degenerate shape (all generators but uniform),
-/// seeded seed, seed + 1, ... in declaration order — the clouds the
-/// wide-BVH suites build their degenerate scenes from.
+/// An 8x8x6 lattice at spacing 1/8 (exact in float, so equal distances
+/// are bitwise equal) with ids shuffled by the seed, so id order
+/// disagrees with Morton order. At r = 0.2 an exact-hit query sees its 6
+/// face neighbours at one distance and its 12 edge neighbours at the
+/// next, so K = 8 keeps exactly one edge neighbour: the (dist², id) order
+/// alone decides which.
+inline Trial lattice_trial(std::uint64_t seed) {
+  Trial trial{.generator = "lattice", .seed = seed};
+  Pcg32 rng(seed);
+  for (int x = 0; x < 8; ++x) {
+    for (int y = 0; y < 8; ++y) {
+      for (int z = 0; z < 6; ++z) {
+        trial.points.push_back({0.125f * static_cast<float>(x),
+                                0.125f * static_cast<float>(y),
+                                0.125f * static_cast<float>(z)});
+      }
+    }
+  }
+  for (std::size_t i = trial.points.size() - 1; i > 0; --i) {
+    const std::uint32_t j = rng.next_bounded(static_cast<std::uint32_t>(i + 1));
+    std::swap(trial.points[i], trial.points[j]);
+  }
+  trial.radius = 0.2f;
+  trial.queries = make_queries(trial.points, trial.radius, rng);
+  return trial;
+}
+
+/// One trial of every degenerate shape (all generators but uniform and
+/// lattice), seeded seed, seed + 1, ... in declaration order — the clouds
+/// the wide-BVH suites build their degenerate scenes from.
 inline std::vector<Trial> degenerate_shapes(std::uint64_t seed) {
   return {coincident_trial(seed), collinear_trial(seed + 1), planar_trial(seed + 2),
           extreme_trial(seed + 3), clustered_trial(seed + 4)};
@@ -168,6 +197,7 @@ inline std::vector<Trial> all_trials() {
     trials.push_back(planar_trial(seed));
     trials.push_back(extreme_trial(seed));
     trials.push_back(clustered_trial(seed));
+    trials.push_back(lattice_trial(seed));
   }
   return trials;
 }

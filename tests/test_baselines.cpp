@@ -69,7 +69,7 @@ TEST_P(BaselineCorrectness, GridKnnMatchesBruteForce) {
   GridKnn grid;
   grid.build(points_, radius_);
   const auto got = grid.search(queries_, k_);
-  testing::expect_knn_distances_match(points_, queries_, got, expected, "grid-knn");
+  testing::expect_knn_identical(got, expected, "grid-knn");
 }
 
 TEST_P(BaselineCorrectness, OctreeRangeMatchesBruteForceCounts) {
@@ -86,7 +86,7 @@ TEST_P(BaselineCorrectness, OctreeKnnMatchesBruteForce) {
   Octree octree;
   octree.build(points_);
   const auto got = octree.knn_search(queries_, radius_, k_);
-  testing::expect_knn_distances_match(points_, queries_, got, expected, "octree-knn");
+  testing::expect_knn_identical(got, expected, "octree-knn");
 }
 
 TEST_P(BaselineCorrectness, OctreeStructureValid) {

@@ -60,7 +60,7 @@ void expect_bin_exact(const BatchBin& bin, std::span<const BatchRequest> request
     NeighborSearch solo;
     solo.set_points(cloud);
     const NeighborResult expected = solo.search(request.queries, request.params);
-    rtnn::testing::expect_knn_identical(cloud, request.queries, parts[i], expected,
+    rtnn::testing::expect_knn_identical(parts[i], expected,
                                         "request " + std::to_string(bin.request_ids[i]));
   }
 }
@@ -326,7 +326,7 @@ TEST(SplitBatchResult, SingleRequestBatchIsTheWholeResult) {
   const std::vector<BatchSlice> slices{{0, 24}};
   const auto parts = split_batch_result(batch, slices);
   ASSERT_EQ(parts.size(), 1u);
-  rtnn::testing::expect_knn_identical(cloud, queries, parts[0], batch, "single");
+  rtnn::testing::expect_knn_identical(parts[0], batch, "single");
 }
 
 TEST(SplitBatchResult, ZeroQuerySlices) {

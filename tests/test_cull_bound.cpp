@@ -22,10 +22,12 @@
 #include "rtnn/rtnn.hpp"
 #include "rtnn/sharding.hpp"
 #include "degenerate_trials.hpp"
+#include "test_util.hpp"
 
 namespace rtnn {
 namespace {
 
+using testing::expect_knn_identical;
 using testing::Trial;
 
 constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
@@ -67,18 +69,6 @@ KnnRun run_knn(const ox::Accel& accel, const Trial& trial, std::uint32_t k,
   run.stats = ox::launch(accel, pipeline, static_cast<std::uint32_t>(ids.size()), options);
   run.rows = heaps.extract();
   return run;
-}
-
-void expect_rows_identical(const NeighborResult& got, const NeighborResult& expected,
-                           const std::string& label) {
-  ASSERT_EQ(got.num_queries(), expected.num_queries()) << label;
-  for (std::size_t q = 0; q < got.num_queries(); ++q) {
-    const auto a = got.neighbors(q);
-    const auto b = expected.neighbors(q);
-    ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
-        << label << ": row " << q << " differs (" << a.size() << " vs " << b.size()
-        << " neighbors)";
-  }
 }
 
 /// Query rows no finite geometry answers: NaN and infinite coordinates.
@@ -142,8 +132,8 @@ Trial duplicate_trial() {
 
 /// A 10^3 lattice at spacing 1/8 (exact in float, so equal distances are
 /// bitwise equal): a lattice-point query has twelve exact ties at its 8th
-/// distance, so which tie a heap keeps depends on IS order — the bound
-/// must not change it.
+/// distance, and a tie with a smaller id still displaces the heap's root,
+/// so the bound must not skip a point at exactly the worst distance.
 Trial lattice_trial() {
   Trial trial{.generator = "lattice", .seed = 0};
   for (int x = 0; x < 10; ++x) {
@@ -192,8 +182,7 @@ TEST(CullBound, KnnRowsByteIdenticalWithAndWithoutBound) {
         for (const std::uint32_t k : {1u, 8u}) {
           const KnnRun unbounded = run_knn(accel, trial, k, 0.0f);
           const KnnRun bounded = run_knn(accel, trial, k, width);
-          expect_rows_identical(bounded.rows, unbounded.rows,
-                                label + " k=" + std::to_string(k));
+          expect_knn_identical(bounded.rows, unbounded.rows, label + " k=" + std::to_string(k));
           EXPECT_LE(bounded.stats.is_calls, unbounded.stats.is_calls) << label;
           EXPECT_LE(bounded.stats.node_visits, unbounded.stats.node_visits) << label;
         }
@@ -213,7 +202,7 @@ TEST(CullBound, OffsetDenseCloudStillCulls) {
     const ox::Accel accel = build_accel(trial.points, width, tiled);
     const KnnRun unbounded = run_knn(accel, trial, 8, 0.0f);
     const KnnRun bounded = run_knn(accel, trial, 8, width);
-    expect_rows_identical(bounded.rows, unbounded.rows, to_string(tiled));
+    expect_knn_identical(bounded.rows, unbounded.rows, to_string(tiled));
     EXPECT_LT(bounded.stats.is_calls, unbounded.stats.is_calls);
     EXPECT_LT(bounded.stats.node_visits, unbounded.stats.node_visits);
   }
@@ -271,7 +260,7 @@ TEST(CullBound, SearchPassesTheBuiltWidth) {
     const KnnRun unbounded = run_knn(accel, trial, 8, 0.0f);
     EXPECT_EQ(report.stats.is_calls, bounded.stats.is_calls);
     EXPECT_LT(report.stats.is_calls, unbounded.stats.is_calls);
-    expect_rows_identical(rows, unbounded.rows, "search vs unbounded launch");
+    expect_knn_identical(rows, unbounded.rows, "search vs unbounded launch");
   }
 }
 
@@ -301,7 +290,7 @@ TEST(CullBound, BinaryAndLockstepWalksIgnoreTheBound) {
     const KnnRun unbounded = run_knn(accel, trial, 8, 0.0f, options);
     const KnnRun bounded = run_knn(accel, trial, 8, width, options);
     expect_stats_identical(bounded.stats, unbounded.stats);
-    expect_rows_identical(bounded.rows, unbounded.rows, "ignored bound");
+    expect_knn_identical(bounded.rows, unbounded.rows, "ignored bound");
   }
 }
 

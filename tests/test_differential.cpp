@@ -84,10 +84,7 @@ TEST(Differential, EveryBackendAgreesWithBruteForce) {
       }
       if (caps.knn) {
         const NeighborResult got = backend->search(trial.queries, knn, nullptr);
-        // Tie-tolerant: equidistant points may legally differ; per-rank
-        // distances may not.
-        rtnn::testing::expect_knn_distances_match(trial.points, trial.queries, got,
-                                                  knn_expected, label + " knn " + name);
+        rtnn::testing::expect_knn_identical(got, knn_expected, label + " knn " + name);
       }
     }
   }
@@ -96,9 +93,9 @@ TEST(Differential, EveryBackendAgreesWithBruteForce) {
 TEST(Differential, TiledIndexMatchesMonolithic) {
   // Two-level (TLAS/BLAS) index exactness under the degenerate
   // geometries: zero-extent tiles (coincident), 1-D and 2-D embedded
-  // sets, float-cancellation magnitudes. The tiled traversal must
-  // surface the identical range set and tie-equivalent KNN as the
-  // monolithic index it decomposes.
+  // sets, float-cancellation magnitudes, exact-tie lattices. The tiled
+  // traversal must surface the identical range set and the identical KNN
+  // rows as the monolithic index it decomposes.
   for (const Trial& trial : all_trials()) {
     const std::string label =
         trial.generator + " seed=" + std::to_string(trial.seed);
@@ -132,21 +129,20 @@ TEST(Differential, TiledIndexMatchesMonolithic) {
     knn.k = 8;
     const NeighborResult knn_expected = mono.search(trial.queries, knn, nullptr);
     const NeighborResult knn_got = tiled.search(trial.queries, knn, nullptr);
-    rtnn::testing::expect_knn_distances_match(trial.points, trial.queries, knn_got,
-                                              knn_expected, label + " tiled knn");
+    rtnn::testing::expect_knn_identical(knn_got, knn_expected, label + " tiled knn");
   }
 }
 
 TEST(Differential, BatchOptimizerOnVsOffIsExact) {
   // The serving optimizer's exactness claim, under the geometries that
   // stress it hardest: coincident sites (maximal dedup), degenerate
-  // extents, and float-cancellation magnitudes. Overlapping request
-  // windows guarantee cross-request bitwise-coincident rows on top of the
-  // generators' internal duplicates (half of make_queries' rows are exact
-  // point copies). Range must come back byte-identical; KNN is compared
-  // tie-tolerantly per the suite's convention.
+  // extents, float-cancellation magnitudes, and exact-tie lattices.
+  // Overlapping request windows guarantee cross-request bitwise-coincident
+  // rows on top of the generators' internal duplicates (half of
+  // make_queries' rows are exact point copies). Range and KNN must come
+  // back byte-identical, and KNN rows equal brute force's.
   for (const auto& make :
-       {coincident_trial, collinear_trial, planar_trial, extreme_trial}) {
+       {coincident_trial, collinear_trial, planar_trial, extreme_trial, lattice_trial}) {
     const Trial trial = make(0xbee5ULL);
     SCOPED_TRACE(trial.generator);
     std::printf("[differential] optimizer generator=%s seed=%llu\n",
@@ -167,6 +163,8 @@ TEST(Differential, BatchOptimizerOnVsOffIsExact) {
 
     NeighborSearch search;
     search.set_points(trial.points);
+    auto reference = engine::make_backend("brute_force");
+    reference->set_points(trial.points);
     for (const SearchParams& params : {range, knn}) {
       const std::string mode = params.mode == SearchMode::kRange ? "range" : "knn";
       SCOPED_TRACE(mode);
@@ -197,8 +195,9 @@ TEST(Differential, BatchOptimizerOnVsOffIsExact) {
                 << label << " query " << q;
           }
         } else {
-          rtnn::testing::expect_knn_distances_match(trial.points, windows[i], on[i],
-                                                    off, label);
+          rtnn::testing::expect_knn_identical(on[i], off, label);
+          rtnn::testing::expect_knn_identical(
+              off, reference->search(windows[i], params, nullptr), label + " vs brute force");
         }
       }
     }
@@ -209,7 +208,7 @@ TEST(Differential, DegenerateCloudsThroughTheBatchedPath) {
   // A coalesced search scattered by split_batch_result sees the same
   // degenerate geometry the per-request path does (the service merges
   // arbitrary client queries).
-  for (const auto& make : {coincident_trial, collinear_trial, extreme_trial}) {
+  for (const auto& make : {coincident_trial, collinear_trial, extreme_trial, lattice_trial}) {
     const Trial trial = make(0x5eedULL);
     SCOPED_TRACE(trial.generator);
     std::printf("[differential] batched generator=%s seed=%llu\n",
@@ -235,8 +234,7 @@ TEST(Differential, DegenerateCloudsThroughTheBatchedPath) {
     for (std::size_t i = 0; i < slices.size(); ++i) {
       const std::span<const Vec3> queries(trial.queries.data() + slices[i].first,
                                           slices[i].count);
-      rtnn::testing::expect_knn_distances_match(trial.points, queries, parts[i],
-                                                whole[i], "slice");
+      rtnn::testing::expect_knn_identical(parts[i], whole[i], "slice");
     }
   }
 }
@@ -247,10 +245,10 @@ TEST(Differential, ShardedServiceMatchesUnshardedOnEveryGenerator) {
   // a whole-cloud tenant and a Morton-sharded one — and the answers must
   // agree. Range uses a K past every true count, so the result is a
   // unique set (the gather's canonical ascending-id order may differ from
-  // the flat backend's traversal order, never its membership); KNN is
-  // tie-tolerant per the suite's convention. Coincident and collinear
-  // clouds are the hard cases: zero-extent shard AABBs and duplicate
-  // points split across shard boundaries.
+  // the flat backend's traversal order, never its membership); KNN rows
+  // must be identical. Coincident and collinear clouds are the hard
+  // cases: zero-extent shard AABBs and duplicate points split across
+  // shard boundaries; the lattice splits exact ties across them.
   service::ServiceConfig config;
   config.max_delay = std::chrono::microseconds(0);  // per-request dispatch
   service::SearchService service(config);
@@ -289,9 +287,9 @@ TEST(Differential, ShardedServiceMatchesUnshardedOnEveryGenerator) {
     knn.mode = SearchMode::kKnn;
     knn.radius = trial.radius;
     knn.k = 8;
-    rtnn::testing::expect_knn_distances_match(
-        trial.points, trial.queries, service.query(sharded, trial.queries, knn).result,
-        service.query(flat, trial.queries, knn).result, label + " knn");
+    rtnn::testing::expect_knn_identical(service.query(sharded, trial.queries, knn).result,
+                                        service.query(flat, trial.queries, knn).result,
+                                        label + " knn");
 
     service.drop_cloud(flat_name);
     service.drop_cloud(sharded_name);

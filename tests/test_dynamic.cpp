@@ -266,7 +266,7 @@ TEST(NeighborSearchDynamic, RefitFrameMatchesFreshSearchExactly) {
     if (mode == SearchMode::kRange) {
       rtnn::testing::expect_same_neighbor_sets(refitted, fresh, label);
     } else {
-      rtnn::testing::expect_knn_identical(after, queries, refitted, fresh, label);
+      rtnn::testing::expect_knn_identical(refitted, fresh, label);
     }
   }
 }
@@ -332,8 +332,7 @@ TEST(DynamicSearchSession, StreamsRefittedFramesWithParity) {
     }
     // Every frame must agree with a from-scratch search of that frame.
     const NeighborResult fresh = rtnn::search(cloud, cloud, params);
-    rtnn::testing::expect_knn_identical(cloud, cloud, result, fresh,
-                                        "session frame " + std::to_string(frame));
+    rtnn::testing::expect_knn_identical(result, fresh, "session frame " + std::to_string(frame));
   }
   EXPECT_EQ(session.frame(), 4u);
 }

@@ -105,6 +105,32 @@ TEST(BackendCapsGating, ApproximateKnobsRejectedByExactBackends) {
   EXPECT_NO_THROW(rtnn_backend->search(points, params, nullptr));
 }
 
+TEST(BackendContract, CountsOnlyRunsStoreNoIndices) {
+  // store_indices = false is honored by every registered backend in every
+  // mode it supports: no index slots, and the counts of the indexed run.
+  // Few queries over a small cloud, so "auto" dispatches to a baseline.
+  const std::vector<Vec3> points = rtnn::testing::make_cloud(CloudKind::kUniform, 2000, 13);
+  const std::span<const Vec3> queries(points.data(), 20);
+  for (const std::string& name : BackendRegistry::instance().names()) {
+    const auto backend = make_backend(name);
+    backend->set_points(points);
+    const BackendCaps caps = backend->caps();
+    for (const SearchMode mode : {SearchMode::kRange, SearchMode::kKnn}) {
+      if (!(mode == SearchMode::kRange ? caps.range : caps.knn)) continue;
+      const std::string label = name + (mode == SearchMode::kRange ? "/range" : "/knn");
+      SearchParams params;
+      params.mode = mode;
+      params.radius = 0.1f;
+      params.k = 8;
+      const NeighborResult indexed = backend->search(queries, params, nullptr);
+      params.store_indices = false;
+      const NeighborResult counts = backend->search(queries, params, nullptr);
+      EXPECT_FALSE(counts.stores_indices()) << label;
+      rtnn::testing::expect_counts_equal(counts, indexed, label);
+    }
+  }
+}
+
 TEST(BackendLifecycle, UpdatePointsFallbackMatchesRebuild) {
   // Backends without a refit path must answer update_points() through the
   // set_points() fallback — callers never branch on caps().dynamic.
@@ -133,8 +159,7 @@ TEST(BackendLifecycle, UpdatePointsFallbackMatchesRebuild) {
     (void)backend->search(queries, params, nullptr);  // build against the old frame
     backend->update_points(after);
     const NeighborResult got = backend->search(queries, params, nullptr);
-    expect_knn_identical(after, queries, got, expected,
-                         std::string(name) + "/update_points");
+    expect_knn_identical(got, expected, std::string(name) + "/update_points");
   }
 }
 
@@ -192,8 +217,7 @@ TEST_P(BackendParity, AgreesWithBruteForceOnRandomClouds) {
       params.k = 16;
       const NeighborResult expected = reference.search(queries, params, nullptr);
       const NeighborResult got = backend->search(queries, params, nullptr);
-      expect_knn_identical(points, queries, got, expected,
-                           std::string(name) + "/knn/" + to_string(kind));
+      expect_knn_identical(got, expected, std::string(name) + "/knn/" + to_string(kind));
       params.k = static_cast<std::uint32_t>(points.size());
     }
   }
@@ -225,7 +249,7 @@ TEST(AutoBackend, PicksNonBruteForceOnLargeUniformCloud) {
   BruteForceBackend reference;
   reference.set_points(points);
   const NeighborResult expected = reference.search(queries, params, nullptr);
-  expect_knn_identical(points, queries, result, expected, "auto/knn");
+  expect_knn_identical(result, expected, "auto/knn");
 }
 
 TEST(AutoBackend, PredictsBruteForceForTinyWorkloads) {

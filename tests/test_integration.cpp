@@ -43,20 +43,15 @@ TEST_P(FullSystem, AllKnnImplementationsAgree) {
 
   baselines::GridKnn grid;
   grid.build(points_, radius_);
-  testing::expect_knn_distances_match(points_, queries_, grid.search(queries_, k_),
-                                      expected, "grid");
+  testing::expect_knn_identical(grid.search(queries_, k_), expected, "grid");
 
   baselines::Octree octree;
   octree.build(points_);
-  testing::expect_knn_distances_match(points_, queries_,
-                                      octree.knn_search(queries_, radius_, k_), expected,
-                                      "octree");
+  testing::expect_knn_identical(octree.knn_search(queries_, radius_, k_), expected, "octree");
 
   baselines::FastRnn fastrnn;
   fastrnn.build(points_);
-  testing::expect_knn_distances_match(points_, queries_,
-                                      fastrnn.knn_search(queries_, radius_, k_), expected,
-                                      "fastrnn");
+  testing::expect_knn_identical(fastrnn.knn_search(queries_, radius_, k_), expected, "fastrnn");
 
   SearchParams params;
   params.mode = SearchMode::kKnn;
@@ -65,9 +60,7 @@ TEST_P(FullSystem, AllKnnImplementationsAgree) {
   params.conservative_knn_aabb = true;
   NeighborSearch rtnn_search;
   rtnn_search.set_points(points_);
-  testing::expect_knn_distances_match(points_, queries_,
-                                      rtnn_search.search(queries_, params), expected,
-                                      "rtnn");
+  testing::expect_knn_identical(rtnn_search.search(queries_, params), expected, "rtnn");
 }
 
 TEST_P(FullSystem, AllRangeImplementationsAgreeOnCounts) {
@@ -161,7 +154,7 @@ TEST(OracleMachinery, SearchWithExplicitPlanMatchesDefault) {
   const PartitionSet parts = search.partition(queries, order, params);
   const BundlePlan plan = unbundled_plan(parts, params);
   const auto via_plan = search.search_with_plan(queries, params, parts, plan);
-  testing::expect_knn_distances_match(points, queries, via_plan, via_search, "oracle");
+  testing::expect_knn_identical(via_plan, via_search, "oracle");
 }
 
 TEST(OracleMachinery, SingleBundlePlanStillCorrect) {

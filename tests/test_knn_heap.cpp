@@ -1,80 +1,56 @@
-#include "core/knn_heap.hpp"
+#include "core/flat_knn.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <utility>
 #include <vector>
 
-#include "core/flat_knn.hpp"
 #include "core/neighbor_result.hpp"
 #include "core/rng.hpp"
 
 namespace rtnn {
 namespace {
 
-TEST(KnnHeap, KeepsKSmallest) {
-  KnnHeap heap(3);
-  for (float d : {9.0f, 1.0f, 5.0f, 3.0f, 7.0f, 2.0f}) {
-    heap.push(d, static_cast<std::uint32_t>(d));
+std::vector<std::uint32_t> row_of(const NeighborResult& result, std::size_t q) {
+  const auto row = result.neighbors(q);
+  return {row.begin(), row.end()};
+}
+
+TEST(FlatKnnHeaps, KeepsKSmallest) {
+  FlatKnnHeaps heaps(1, 3);
+  for (const float d : {9.0f, 1.0f, 5.0f, 3.0f, 7.0f, 2.0f}) {
+    heaps.push(0, d, static_cast<std::uint32_t>(d));
   }
-  EXPECT_TRUE(heap.full());
-  auto sorted = heap.extract_sorted();
-  ASSERT_EQ(sorted.size(), 3u);
-  EXPECT_FLOAT_EQ(sorted[0].dist2, 1.0f);
-  EXPECT_FLOAT_EQ(sorted[1].dist2, 2.0f);
-  EXPECT_FLOAT_EQ(sorted[2].dist2, 3.0f);
+  EXPECT_EQ(heaps.size(0), 3u);
+  EXPECT_EQ(row_of(heaps.extract(), 0), (std::vector<std::uint32_t>{1, 2, 3}));
 }
 
-TEST(KnnHeap, WorstDistIsInfinityUntilFull) {
-  KnnHeap heap(2);
-  EXPECT_EQ(heap.worst_dist2(), std::numeric_limits<float>::infinity());
-  heap.push(1.0f, 0);
-  EXPECT_EQ(heap.worst_dist2(), std::numeric_limits<float>::infinity());
-  heap.push(2.0f, 1);
-  EXPECT_FLOAT_EQ(heap.worst_dist2(), 2.0f);
+TEST(FlatKnnHeaps, WorstDistIsInfinityUntilFull) {
+  FlatKnnHeaps heaps(1, 2);
+  EXPECT_EQ(heaps.worst_dist2(0), std::numeric_limits<float>::infinity());
+  heaps.push(0, 1.0f, 0);
+  EXPECT_EQ(heaps.worst_dist2(0), std::numeric_limits<float>::infinity());
+  heaps.push(0, 2.0f, 1);
+  EXPECT_FLOAT_EQ(heaps.worst_dist2(0), 2.0f);
 }
 
-TEST(KnnHeap, RejectsWorseThanCurrentWorst) {
-  KnnHeap heap(2);
-  heap.push(1.0f, 0);
-  heap.push(2.0f, 1);
-  EXPECT_FALSE(heap.push(3.0f, 2));
-  EXPECT_TRUE(heap.push(0.5f, 3));
-  EXPECT_FLOAT_EQ(heap.worst_dist2(), 1.0f);
+TEST(FlatKnnHeaps, RejectsCandidatesAfterTheRoot) {
+  FlatKnnHeaps heaps(1, 2);
+  heaps.push(0, 1.0f, 0);
+  heaps.push(0, 2.0f, 5);
+  EXPECT_FALSE(heaps.push(0, 3.0f, 2));  // farther than the root
+  EXPECT_FALSE(heaps.push(0, 2.0f, 7));  // tied, larger id
+  EXPECT_TRUE(heaps.push(0, 2.0f, 4));   // tied, smaller id: evicts id 5
+  EXPECT_FLOAT_EQ(heaps.worst_dist2(0), 2.0f);
+  EXPECT_TRUE(heaps.push(0, 0.5f, 3));
+  EXPECT_FLOAT_EQ(heaps.worst_dist2(0), 1.0f);
+  EXPECT_EQ(row_of(heaps.extract(), 0), (std::vector<std::uint32_t>{3, 0}));
 }
 
-TEST(KnnHeap, MatchesPartialSortOnRandomData) {
-  Pcg32 rng(99);
-  for (int trial = 0; trial < 20; ++trial) {
-    const std::uint32_t k = 1 + rng.next_bounded(16);
-    const std::size_t n = 1 + rng.next_bounded(500);
-    std::vector<float> dists(n);
-    for (auto& d : dists) d = rng.next_float();
-
-    KnnHeap heap(k);
-    for (std::size_t i = 0; i < n; ++i) {
-      heap.push(dists[i], static_cast<std::uint32_t>(i));
-    }
-    auto sorted_dists = dists;
-    std::sort(sorted_dists.begin(), sorted_dists.end());
-    const auto result = heap.extract_sorted();
-    ASSERT_EQ(result.size(), std::min<std::size_t>(k, n));
-    for (std::size_t i = 0; i < result.size(); ++i) {
-      EXPECT_FLOAT_EQ(result[i].dist2, sorted_dists[i]);
-    }
-  }
-}
-
-TEST(KnnHeap, ClearResets) {
-  KnnHeap heap(2);
-  heap.push(1.0f, 0);
-  heap.clear();
-  EXPECT_TRUE(heap.empty());
-  EXPECT_EQ(heap.worst_dist2(), std::numeric_limits<float>::infinity());
-}
-
-TEST(KnnHeap, RejectsZeroK) {
-  EXPECT_THROW(KnnHeap(0), Error);
+TEST(FlatKnnHeaps, RejectsZeroK) {
+  EXPECT_THROW(FlatKnnHeaps(4, 0), Error);
 }
 
 TEST(FlatKnnHeaps, IndependentRows) {
@@ -95,34 +71,41 @@ TEST(FlatKnnHeaps, ExtractSortsAscending) {
   heaps.push(0, 1.0f, 1);
   heaps.push(0, 3.0f, 3);
   heaps.push(0, 2.0f, 2);
-  NeighborResult result = heaps.extract();
-  const auto row = result.neighbors(0);
-  ASSERT_EQ(row.size(), 4u);
-  EXPECT_EQ(row[0], 1u);
-  EXPECT_EQ(row[1], 2u);
-  EXPECT_EQ(row[2], 3u);
-  EXPECT_EQ(row[3], 4u);
+  EXPECT_EQ(row_of(heaps.extract(), 0), (std::vector<std::uint32_t>{1, 2, 3, 4}));
 }
 
-TEST(FlatKnnHeaps, MatchesKnnHeapOnRandomData) {
+TEST(FlatKnnHeaps, HeavyTiesKeepTheFirstKByDistanceThenId) {
+  // Streams whose dist² takes 1 to 2048 distinct values (heavy ties at
+  // the low end, a plain partial sort at the high end), pushed in random
+  // id order: a row must extract to exactly the first K of its stream
+  // sorted by (dist², id), however the ties arrive.
+  using Entry = FlatKnnHeaps::Entry;
   Pcg32 rng(1234);
-  const std::size_t queries = 50;
-  const std::uint32_t k = 8;
-  FlatKnnHeaps flat(queries, k);
-  std::vector<KnnHeap> reference(queries, KnnHeap(k));
-  for (int i = 0; i < 5000; ++i) {
-    const std::size_t q = rng.next_bounded(queries);
-    const float d = rng.next_float();
-    const std::uint32_t idx = rng.next_u32() % 100000;
-    flat.push(q, d, idx);
-    reference[q].push(d, idx);
-  }
-  for (std::size_t q = 0; q < queries; ++q) {
-    auto expected = reference[q].extract_sorted();
-    EXPECT_EQ(flat.size(q), expected.size());
-    if (!expected.empty() && expected.size() == k) {
-      EXPECT_FLOAT_EQ(flat.worst_dist2(q), expected.back().dist2);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::uint32_t k = 1 + rng.next_bounded(16);
+    const std::uint32_t n = 1 + rng.next_bounded(300);
+    const std::uint32_t levels = 1u << rng.next_bounded(12);
+    std::vector<Entry> stream(n);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      stream[i] = {0.25f * static_cast<float>(rng.next_bounded(levels)), i};
     }
+    for (std::uint32_t i = n - 1; i > 0; --i) {
+      std::swap(stream[i], stream[rng.next_bounded(i + 1)]);
+    }
+    FlatKnnHeaps heaps(1, k);
+    for (const Entry& e : stream) heaps.push(0, e.dist2, e.index);
+
+    std::sort(stream.begin(), stream.end(), [](const Entry& a, const Entry& b) {
+      return a.dist2 < b.dist2 || (a.dist2 == b.dist2 && a.index < b.index);
+    });
+    stream.resize(std::min(k, n));
+    std::vector<std::uint32_t> expected;
+    for (const Entry& e : stream) expected.push_back(e.index);
+    if (n >= k) {
+      EXPECT_EQ(heaps.worst_dist2(0), stream.back().dist2) << "trial " << trial;
+    }
+    ASSERT_EQ(row_of(heaps.extract(), 0), expected)
+        << "trial " << trial << " k=" << k << " n=" << n << " levels=" << levels;
   }
 }
 

@@ -106,17 +106,14 @@ TEST(CloudRegistry, RegisterListQueryDrop) {
 
   // Each tenant answers from its own cloud, exactly.
   const std::vector<Vec3> queries(city.begin(), city.begin() + 24);
-  rtnn::testing::expect_knn_distances_match(
-      city, queries, service.query(ch, queries, params).result,
-      expected_knn(city, queries, params), "city");
-  rtnn::testing::expect_knn_distances_match(
-      park, queries, service.query(ph, queries, params).result,
-      expected_knn(park, queries, params), "park");
+  rtnn::testing::expect_knn_identical(service.query(ch, queries, params).result,
+                                      expected_knn(city, queries, params), "city");
+  rtnn::testing::expect_knn_identical(service.query(ph, queries, params).result,
+                                      expected_knn(park, queries, params), "park");
 
   // Name-addressed overloads hit the same clouds as the handles.
-  rtnn::testing::expect_knn_distances_match(
-      park, queries, service.query("park", queries, params).result,
-      expected_knn(park, queries, params), "park by name");
+  rtnn::testing::expect_knn_identical(service.query("park", queries, params).result,
+                                      expected_knn(park, queries, params), "park by name");
   EXPECT_EQ(service.cloud("city").name(), "city");
 
   service.drop_cloud("park");
@@ -156,9 +153,8 @@ TEST(CloudLifecycle, BuildOnDemandDefersTheIndex) {
 
   // The first request pays the build; results are exact regardless.
   const std::vector<Vec3> queries(cloud.begin(), cloud.begin() + 16);
-  rtnn::testing::expect_knn_distances_match(
-      cloud, queries, service.query(handle, queries, params).result,
-      expected_knn(cloud, queries, params), "first query");
+  rtnn::testing::expect_knn_identical(service.query(handle, queries, params).result,
+                                      expected_knn(cloud, queries, params), "first query");
   EXPECT_EQ(service.resident_clouds(), 1u);
   EXPECT_EQ(service.stats().builds, 1u);
   EXPECT_EQ(service.stats(handle).builds, 1u);
@@ -202,9 +198,8 @@ TEST(CloudLifecycle, ResidencyCapEvictsLeastRecentlyUsed) {
   // The evicted cloud still serves: traffic rebuilds it transparently
   // (and the cap evicts the next-coldest in turn).
   const std::vector<Vec3> queries(a.begin(), a.begin() + 12);
-  rtnn::testing::expect_knn_distances_match(
-      a, queries, service.query(ha, queries, params).result,
-      expected_knn(a, queries, params), "rebuilt");
+  rtnn::testing::expect_knn_identical(service.query(ha, queries, params).result,
+                                      expected_knn(a, queries, params), "rebuilt");
   EXPECT_EQ(service.resident_clouds(), 2u);
   EXPECT_GE(service.stats(ha).builds, 2u);  // registration + rebuild
 
@@ -217,9 +212,8 @@ TEST(CloudLifecycle, ResidencyCapEvictsLeastRecentlyUsed) {
   EXPECT_EQ(service.snapshot_version(ha), 1u);
   const RequestOutcome outcome = service.query(ha, queries, params);
   EXPECT_EQ(outcome.snapshot_version, 1u);
-  rtnn::testing::expect_knn_distances_match(moved, queries, outcome.result,
-                                            expected_knn(moved, queries, params),
-                                            "updated while cold");
+  rtnn::testing::expect_knn_identical(outcome.result, expected_knn(moved, queries, params),
+                                      "updated while cold");
 }
 
 TEST(CloudLifecycle, EvictionWhileABatchIsInFlightServesExactly) {
@@ -255,15 +249,13 @@ TEST(CloudLifecycle, EvictionWhileABatchIsInFlightServesExactly) {
   EXPECT_EQ(service.resident_clouds(), 1u);
   EXPECT_GE(service.stats(hhot).evictions, 1u);
 
-  rtnn::testing::expect_knn_distances_match(
-      hot, queries, inflight.get().result, expected_knn(hot, queries, params),
-      "in-flight batch across eviction");
+  rtnn::testing::expect_knn_identical(inflight.get().result, expected_knn(hot, queries, params),
+                                      "in-flight batch across eviction");
 
   // Both tenants keep serving afterwards ("hot" rebuilds on demand).
   EXPECT_NO_THROW((void)service.query(hcold, queries, params));
-  rtnn::testing::expect_knn_distances_match(
-      hot, queries, service.query(hhot, queries, params).result,
-      expected_knn(hot, queries, params), "rebuilt after eviction");
+  rtnn::testing::expect_knn_identical(service.query(hhot, queries, params).result,
+                                      expected_knn(hot, queries, params), "rebuilt after eviction");
 }
 
 // --- Sharded clouds through the service --------------------------------------
@@ -278,17 +270,15 @@ TEST(ShardedCloud, ServesExactlyAndComposesWithTheOptimizer) {
   const CloudHandle handle = service.register_cloud("sharded", cloud, sharded);
 
   const std::vector<Vec3> queries(cloud.begin(), cloud.begin() + 48);
-  rtnn::testing::expect_knn_distances_match(
-      cloud, queries, service.query(handle, queries, params).result,
-      expected_knn(cloud, queries, params), "sharded knn");
+  rtnn::testing::expect_knn_identical(service.query(handle, queries, params).result,
+                                      expected_knn(cloud, queries, params), "sharded knn");
 
   // The writer path composes: update then query, still exact.
   std::vector<Vec3> moved = cloud;
   for (Vec3& p : moved) p.z += 0.07f;
   service.update_points(handle, moved);
-  rtnn::testing::expect_knn_distances_match(
-      moved, queries, service.query(handle, queries, params).result,
-      expected_knn(moved, queries, params), "sharded after update");
+  rtnn::testing::expect_knn_identical(service.query(handle, queries, params).result,
+                                      expected_knn(moved, queries, params), "sharded after update");
 }
 
 // --- Admission control -------------------------------------------------------
@@ -382,9 +372,8 @@ TEST(Ticket, TryGetIsNonBlockingAndValidTracksState) {
   ticket.wait();
   const std::optional<RequestOutcome> outcome = ticket.try_get();
   ASSERT_TRUE(outcome.has_value());
-  rtnn::testing::expect_knn_distances_match(cloud, queries, outcome->result,
-                                            expected_knn(cloud, queries, params),
-                                            "try_get outcome");
+  rtnn::testing::expect_knn_identical(outcome->result, expected_knn(cloud, queries, params),
+                                      "try_get outcome");
 }
 
 TEST(Ticket, ShutdownAndDropRejectWithTypedErrors) {

@@ -141,8 +141,7 @@ TEST(SplitBatchResult, TagsResultsBackToRequestSlots) {
     ASSERT_EQ(results[i].num_queries(), sizes[i]);
     const std::span<const Vec3> rows(merged.data() + slices[i].first, slices[i].count);
     const NeighborResult expected = solo.search(rows, params);
-    rtnn::testing::expect_knn_identical(cloud, rows, results[i], expected,
-                                        "slice " + std::to_string(i));
+    rtnn::testing::expect_knn_identical(results[i], expected, "slice " + std::to_string(i));
   }
 }
 
@@ -178,7 +177,7 @@ TEST(BackendSnapshot, EveryRegisteredBackendSnapshots) {
     EXPECT_EQ(snapshot->point_count(), cloud.size());
     const NeighborResult expected = backend->search(queries, params, nullptr);
     const NeighborResult got = snapshot->search(queries, params, nullptr);
-    rtnn::testing::expect_knn_identical(cloud, queries, got, expected, name);
+    rtnn::testing::expect_knn_identical(got, expected, name);
   }
 }
 
@@ -202,7 +201,7 @@ TEST(BackendSnapshot, SnapshotUnaffectedByLaterUpdates) {
   (void)backend->search(queries, params, nullptr);
 
   const NeighborResult after = snapshot->search(queries, params, nullptr);
-  rtnn::testing::expect_knn_identical(cloud, queries, after, before, "snapshot");
+  rtnn::testing::expect_knn_identical(after, before, "snapshot");
 }
 
 // --- Service basics ----------------------------------------------------------
@@ -225,7 +224,7 @@ TEST(SearchService, QueryMatchesDirectBackend) {
     auto direct = engine::make_backend(name);
     direct->set_points(cloud);
     const NeighborResult expected = direct->search(queries, params, nullptr);
-    rtnn::testing::expect_knn_identical(cloud, queries, outcome.result, expected, name);
+    rtnn::testing::expect_knn_identical(outcome.result, expected, name);
   }
 }
 
@@ -379,7 +378,7 @@ TEST(SearchService, DedupedCoincidentRowsStayExact) {
   const auto got = run(on);
   const auto want = run(off);
   for (std::size_t i = 0; i < windows.size(); ++i) {
-    rtnn::testing::expect_knn_identical(cloud, windows[i], got[i].result, want[i].result,
+    rtnn::testing::expect_knn_identical(got[i].result, want[i].result,
                                         "request " + std::to_string(i));
   }
 
@@ -488,8 +487,7 @@ TEST(SearchService, UpdateResultsMatchFreshService) {
   auto reference = engine::make_backend("brute_force");
   reference->set_points(frame);
   const NeighborResult expected = reference->search(queries, params, nullptr);
-  rtnn::testing::expect_knn_identical(frame, queries, outcome.result, expected,
-                                      "post-update");
+  rtnn::testing::expect_knn_identical(outcome.result, expected, "post-update");
 }
 
 TEST(SearchService, RefitRebuildIncrementsAreNeverLost) {

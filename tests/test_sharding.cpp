@@ -232,11 +232,10 @@ void expect_sharded_parity(std::span<const Vec3> points, std::span<const Vec3> q
                                      reference->search(queries, counts, nullptr),
                                      label + " counts");
 
-  // KNN: tie-tolerant per the suite's convention.
+  // KNN: identical rows.
   const SearchParams knn = knn_params(radius);
-  rtnn::testing::expect_knn_distances_match(points, queries, sharded.search(queries, knn),
-                                            reference->search(queries, knn, nullptr),
-                                            label + " knn");
+  rtnn::testing::expect_knn_identical(sharded.search(queries, knn),
+                                      reference->search(queries, knn, nullptr), label + " knn");
 }
 
 }  // namespace
@@ -299,15 +298,8 @@ TEST(ShardedBackend, BelowThresholdDelegatesWhole) {
   inner->set_points(points);
   const std::vector<Vec3> queries(points.begin(), points.begin() + 16);
   const SearchParams knn = knn_params(typical_radius(CloudKind::kUniform));
-  const NeighborResult got = backend.search(queries, knn);
-  const NeighborResult want = inner->search(queries, knn, nullptr);
-  ASSERT_EQ(got.num_queries(), want.num_queries());
-  for (std::size_t q = 0; q < got.num_queries(); ++q) {
-    ASSERT_EQ(got.count(q), want.count(q)) << q;
-    const auto a = got.neighbors(q);
-    const auto b = want.neighbors(q);
-    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end())) << q;
-  }
+  rtnn::testing::expect_knn_identical(backend.search(queries, knn),
+                                      inner->search(queries, knn, nullptr), "delegated");
 }
 
 TEST(ShardedBackend, UpdatePointsRefitsAndRetightensBounds) {
@@ -335,18 +327,16 @@ TEST(ShardedBackend, UpdatePointsRefitsAndRetightensBounds) {
   auto reference = engine::make_backend("brute_force");
   reference->set_points(points);
   const SearchParams knn = knn_params(radius);
-  rtnn::testing::expect_knn_distances_match(points, queries, sharded.search(queries, knn),
-                                            reference->search(queries, knn, nullptr),
-                                            "after drift");
+  rtnn::testing::expect_knn_identical(sharded.search(queries, knn),
+                                      reference->search(queries, knn, nullptr), "after drift");
 
   // Resize: replans from scratch (possibly a different shard count).
   points.resize(150);
   sharded.update_points(points);
   EXPECT_EQ(sharded.point_count(), 150u);
   reference->set_points(points);
-  rtnn::testing::expect_knn_distances_match(points, queries, sharded.search(queries, knn),
-                                            reference->search(queries, knn, nullptr),
-                                            "after resize");
+  rtnn::testing::expect_knn_identical(sharded.search(queries, knn),
+                                      reference->search(queries, knn, nullptr), "after resize");
 }
 
 TEST(ShardedBackend, SnapshotIsIndependentOfLaterUpdates) {
@@ -368,12 +358,12 @@ TEST(ShardedBackend, SnapshotIsIndependentOfLaterUpdates) {
   for (Vec3& p : moved) p.z += 1.0f;
   master.update_points(moved);
 
-  rtnn::testing::expect_knn_distances_match(points, queries, snap->search(queries, knn),
-                                            before, "snapshot after master update");
+  rtnn::testing::expect_knn_identical(snap->search(queries, knn), before,
+                                      "snapshot after master update");
   reference->set_points(moved);
-  rtnn::testing::expect_knn_distances_match(moved, queries, master.search(queries, knn),
-                                            reference->search(queries, knn, nullptr),
-                                            "master after update");
+  rtnn::testing::expect_knn_identical(master.search(queries, knn),
+                                      reference->search(queries, knn, nullptr),
+                                      "master after update");
 }
 
 TEST(ShardedBackend, ReportsAggregateAcrossShards) {

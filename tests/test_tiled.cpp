@@ -232,8 +232,7 @@ TEST(TiledBvh, CopiesShareTilesUntilUpdate) {
 
 /// Range + KNN parity between a tiled and a monolithic NeighborSearch
 /// over the same cloud/queries. Range K is set above every true count so
-/// the result set is unique; KNN is compared tie-tolerantly per the
-/// suite's convention.
+/// the result set is unique; KNN rows must be identical.
 void expect_tiled_parity(const std::vector<Vec3>& points, const std::vector<Vec3>& queries,
                          float radius, const TileOptions& tiling,
                          const std::string& label,
@@ -260,8 +259,7 @@ void expect_tiled_parity(const std::vector<Vec3>& points, const std::vector<Vec3
   knn.k = 8;
   const NeighborResult knn_expected = mono.search(queries, knn, nullptr);
   const NeighborResult knn_got = tiled.search(queries, knn, &report);
-  rtnn::testing::expect_knn_distances_match(points, queries, knn_got, knn_expected,
-                                            label + " knn");
+  rtnn::testing::expect_knn_identical(knn_got, knn_expected, label + " knn");
   if (tiled_report) *tiled_report = report;
 }
 
