@@ -1,14 +1,15 @@
-// Sharded + multi-tenant serving benches (the PR-7 service surface).
+// Tiled + multi-tenant serving benches.
 //
 // Not a paper figure. Two questions about the multi-tenant registry at
 // the fixed 100k-point serving scale (absolute size, like the serving.*
 // family — the object is a ratio between two configurations of the same
 // service, comparable across runs regardless of --scale):
 //
-//   sharded      the same cloud served whole vs split into Morton-
-//                contiguous spatial shards (CloudConfig::shard_threshold):
-//                the scatter-gather overhead vs the smaller per-shard
-//                indexes, under the coherent closed-loop schedule.
+//   tiled        the same cloud served whole vs as a two-level index over
+//                ~8 Morton-contiguous tiles (CloudConfig::tile_threshold),
+//                under the coherent closed-loop schedule. One launch walks
+//                both levels, so the rays are the same; the question is
+//                what the top-level tree and the per-tile walks cost.
 //   multi_tenant four tenants behind one dispatcher at ~2x the measured
 //                service capacity: admission OFF queues the overload (p99
 //                grows with the backlog), admission ON sheds it at the
@@ -29,7 +30,7 @@
 #include "core/timing.hpp"
 #include "datasets/uniform.hpp"
 #include "rtnn/rtnn.hpp"
-#include "rtnn/sharding.hpp"
+#include "rtnn/tile_plan.hpp"
 #include "serving_traffic.hpp"
 #include "service/service.hpp"
 
@@ -58,7 +59,8 @@ using bench_traffic::percentile;
 using bench_traffic::request_queries;
 
 /// Per-stage seconds under the `stage.` prefix tools/bench_compare.py
-/// breaks serving deltas down by (route+gather cost lands in stage.opt).
+/// breaks serving deltas down by, plus the tenant's exact traversal work
+/// summed over every run of the case.
 void emit_stage_metrics(rtnn::bench::CaseContext& ctx, const std::string& prefix,
                         const service::ServiceStats& stats) {
   const TimeBreakdown& time = stats.report.time;
@@ -68,14 +70,18 @@ void emit_stage_metrics(rtnn::bench::CaseContext& ctx, const std::string& prefix
   ctx.metric(prefix + "stage.fs", time.first_search, "s");
   ctx.metric(prefix + "stage.search", time.search, "s");
   ctx.metric(prefix + "stage.launches", static_cast<double>(stats.batches));
+  const rt::LaunchStats& work = stats.report.stats;
+  ctx.metric(prefix + "rays", static_cast<double>(work.rays));
+  ctx.metric(prefix + "node_visits", static_cast<double>(work.node_visits));
+  ctx.metric(prefix + "is_calls", static_cast<double>(work.is_calls));
 }
 
 }  // namespace
 
-RTNN_BENCH_CASE(serving_sharded, "serving.sharded.100k",
-                "Sharded cloud vs whole cloud — scatter-gather through the service",
-                "spatial shards trade a routed scatter-gather per query batch "
-                "for smaller per-shard indexes and tighter traversal",
+RTNN_BENCH_CASE(serving_tiled, "serving.tiled.100k",
+                "Tiled cloud vs whole cloud — the two-level index through the service",
+                "the same rays and answers as the whole cloud; tiles add a "
+                "top-level walk and buy per-tile updates and lazy builds",
                 "absolute 100k points; client count = --threads") {
   const int clients = std::max(1, num_threads());
   const data::PointCloud cloud = data::uniform_box(
@@ -99,34 +105,34 @@ RTNN_BENCH_CASE(serving_sharded, "serving.sharded.100k",
     for (auto& w : workers) w.join();
   };
 
-  // Whole cloud: one index serves every query (shard_threshold 0).
-  service::SearchService flat_service;
-  const service::CloudHandle flat = flat_service.register_cloud("flat", cloud);
-  const double flat_s = ctx.time("flat.100k", [&] { closed_loop(flat_service, flat); },
-                                 {.work_items = total_queries});
+  // Whole cloud: one monolithic index serves every query.
+  service::SearchService whole_service;
+  const service::CloudHandle whole = whole_service.register_cloud("whole", cloud);
+  const double whole_s = ctx.time("whole.100k", [&] { closed_loop(whole_service, whole); },
+                                  {.work_items = total_queries});
 
-  // Sharded: ~8 Morton-contiguous shards behind the same service API.
-  service::CloudConfig sharded_config;
-  sharded_config.shard_threshold = kServingPoints / 8;
-  const std::uint32_t shards = plan_shard_count(
-      kServingPoints, sharded_config.shard_threshold, sharded_config.max_shards);
-  service::SearchService sharded_service;
-  const service::CloudHandle sharded =
-      sharded_service.register_cloud("sharded", cloud, sharded_config);
-  const double sharded_s =
-      ctx.time("sharded.100k", [&] { closed_loop(sharded_service, sharded); },
-               {.work_items = total_queries});
+  // Tiled: ~8 lazy Morton-contiguous tiles behind the same service API.
+  // Metrics use the `tiles.` prefix: `tiled.` is dynamic.tiled's.
+  service::CloudConfig tiled_config;
+  tiled_config.tile_threshold = kServingPoints / 8;
+  const std::uint32_t tiles = plan_tile_count(
+      kServingPoints, tiled_config.tile_threshold, tiled_config.max_tiles);
+  service::SearchService tiled_service;
+  const service::CloudHandle tiled =
+      tiled_service.register_cloud("tiled", cloud, tiled_config);
+  const double tiled_s = ctx.time("tiles.100k", [&] { closed_loop(tiled_service, tiled); },
+                                  {.work_items = total_queries});
 
-  const double speedup = flat_s / sharded_s;
+  const double speedup = whole_s / tiled_s;
   ctx.metric("clients", clients);
-  ctx.metric("shards", shards);
+  ctx.metric("tiles", tiles);
   ctx.metric("speedup.100k", speedup, "x");
-  emit_stage_metrics(ctx, "flat.", flat_service.stats());
-  emit_stage_metrics(ctx, "sharded.", sharded_service.stats());
+  emit_stage_metrics(ctx, "whole.", whole_service.stats());
+  emit_stage_metrics(ctx, "tiles.", tiled_service.stats());
   std::printf(
       "%8s %9s %8s  %14s %14s %9s\n%8zu %9d %8u  %14.5f %14.5f %8.2fx\n",
-      "points", "clients", "shards", "flat[s]", "sharded[s]", "speedup",
-      kServingPoints, clients, shards, flat_s, sharded_s, speedup);
+      "points", "clients", "tiles", "whole[s]", "tiled[s]", "speedup",
+      kServingPoints, clients, tiles, whole_s, tiled_s, speedup);
 }
 
 RTNN_BENCH_CASE(serving_multi_tenant, "serving.multi_tenant.100k",

@@ -2,15 +2,15 @@
 //
 // A miniature multi-tenant deployment of the SearchService: several named
 // clouds register with different per-cloud policies (a whole-cloud
-// tenant, a Morton-sharded one, a lazily-built one, and one behind
+// tenant, a Morton-tiled one, a lazily-built one, and one behind
 // admission control), client threads address them through CloudHandles,
 // and one tenant is dropped mid-run to show the typed rejection its
 // leftover traffic gets. The walkthrough exercises, in order:
 //
-//   1. register_cloud() with per-tenant CloudConfig (sharding, lazy
+//   1. register_cloud() with per-tenant CloudConfig (tiling, lazy
 //      build, admission) under one ServiceConfig residency cap,
-//   2. scatter-gather serving off the sharded tenant — same results,
-//      same API, the shards are invisible to the caller,
+//   2. serving off the tiled tenant — same results, same API, the tiles
+//      are invisible to the caller,
 //   3. overload against the admission-gated tenant: the excess is shed
 //      at submit() (Ticket::get() throws ServiceError / kAdmission)
 //      instead of queueing behind everyone else,
@@ -70,15 +70,15 @@ int main(int argc, char** argv) {
   const rtnn::data::PointCloud pier = tenant_cloud(3);
   const rtnn::data::PointCloud mall = tenant_cloud(4);
 
-  // A plain tenant: eager build, no sharding, no admission.
+  // A plain tenant: eager build, no tiling, no admission.
   const rtnn::service::CloudHandle city_h = service.register_cloud("city", city);
 
-  // A sharded tenant: the cloud splits into Morton-contiguous spatial
-  // shards; queries scatter to the shards within the search radius and
-  // gather exactly. Nothing changes for the caller.
-  rtnn::service::CloudConfig sharded;
-  sharded.shard_threshold = tenant_points / 4;
-  const rtnn::service::CloudHandle park_h = service.register_cloud("park", park, sharded);
+  // A tiled tenant: the index is a top-level tree over Morton-contiguous
+  // tiles, each built on its first routed query; an update would refit
+  // only the tiles its motion touched. Nothing changes for the caller.
+  rtnn::service::CloudConfig tiled;
+  tiled.tile_threshold = tenant_points / 4;
+  const rtnn::service::CloudHandle park_h = service.register_cloud("park", park, tiled);
 
   // A lazy tenant: registration stores the points; the first request
   // pays the build (and the LRU cap may evict it again when cold).

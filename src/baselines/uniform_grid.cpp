@@ -19,19 +19,21 @@ void UniformGrid::build(std::span<const Vec3> points, float cell_size,
   const float pad = std::max(1e-6f, 1e-5f * max_component(bounds_.extent()));
   bounds_ = bounds_.expanded(pad);
 
-  // Enlarge cells until the grid fits the memory budget.
+  // Enlarge cells until the grid fits the memory budget. The count is
+  // checked in floating point before any cast: one far-out point makes
+  // extent / cell overflow every integer type (even reach inf).
   cell_size_ = cell_size;
   const Vec3 extent = bounds_.extent();
   for (;;) {
-    std::uint64_t total = 1;
+    double total = 1.0;
     for (int axis = 0; axis < 3; ++axis) {
-      const auto n = static_cast<std::uint64_t>(
-          std::max(1.0f, std::ceil(extent[axis] / cell_size_)));
-      res_[axis] = static_cast<int>(n);
-      total *= n;
+      total *= std::max(1.0f, std::ceil(extent[axis] / cell_size_));
     }
-    if (total <= max_cells) break;
+    if (total <= static_cast<double>(max_cells)) break;
     cell_size_ *= 1.5f;
+  }
+  for (int axis = 0; axis < 3; ++axis) {
+    res_[axis] = static_cast<int>(std::max(1.0f, std::ceil(extent[axis] / cell_size_)));
   }
 
   const std::uint64_t cells = static_cast<std::uint64_t>(res_.x) *
@@ -57,14 +59,6 @@ void UniformGrid::build(std::span<const Vec3> points, float cell_size,
   for (std::size_t i = 0; i < points.size(); ++i) {
     point_ids_[cursor[point_cell[i]]++] = static_cast<std::uint32_t>(i);
   }
-}
-
-Int3 UniformGrid::cell_of(const Vec3& p) const {
-  Int3 c;
-  for (int axis = 0; axis < 3; ++axis) {
-    c[axis] = clamp_cell((p[axis] - bounds_.lo[axis]) / cell_size_, res_[axis]);
-  }
-  return c;
 }
 
 }  // namespace rtnn::baselines

@@ -30,8 +30,8 @@ class UniformGrid {
   Int3 resolution() const { return res_; }
   std::size_t point_count() const { return point_ids_.size(); }
 
-  /// Grid coordinates of `p`, clamped into the grid.
-  Int3 cell_of(const Vec3& p) const;
+  /// Grid coordinates of `p`, clamped into the grid (grid_cell).
+  Int3 cell_of(const Vec3& p) const { return grid_cell(p, bounds_.lo, cell_size_, res_); }
 
   /// Flat cell index.
   std::uint64_t cell_index(const Int3& c) const {

@@ -1,12 +1,13 @@
 // Deterministic fault injection: named failpoints compiled into the
 // production paths.
 //
-// A *failpoint* is a named site in real code — the sharded scatter loop,
-// the snapshot publish, the LRU eviction pass, the dispatcher tick —
-// where a test can make the code fail on demand. The sites are always
-// compiled in (RTNN_FAILPOINT below); when nothing is armed they cost a
-// single relaxed atomic load, so production and bench builds pay nothing
-// measurable. A test arms a site by name with an Action and a firing
+// A *failpoint* is a named site in real code — the snapshot publish
+// ("service.publish"), the LRU eviction pass ("service.evict"), the
+// dispatcher tick ("service.dispatch.tick") and each cloud group's launch
+// ("service.dispatch.launch") — where a test can make the code fail on
+// demand. The sites are always compiled in (RTNN_FAILPOINT below); when
+// nothing is armed they cost a single relaxed atomic load, so production
+// and bench builds pay nothing measurable. A test arms a site by name with an Action and a firing
 // rule, runs the scenario, and asserts the recovery path it wanted to
 // exercise actually ran — this is what makes every error branch in the
 // serving stack *testable* instead of theoretical (in the spirit of
@@ -16,7 +17,7 @@
 // Firing rules (FailConfig):
 //   * fire_on_hit = N   fire on exactly the Nth hit of the site (1-based)
 //                       — deterministic single-shot placement ("fail the
-//                       3rd shard of the 1st batch").
+//                       2nd cloud group to launch").
 //   * probability + seed  fire each hit with probability p from a
 //                       per-site PCG stream — seeded chaos: the same
 //                       seed yields the same firing schedule every run.
@@ -25,8 +26,7 @@
 //
 // Actions:
 //   * kThrow      throw fail::InjectedFault (an rtnn::Error) — models a
-//                 backend/shard/registry failure surfacing as an
-//                 exception.
+//                 backend/registry failure surfacing as an exception.
 //   * kDelay      sleep for `delay` — models a stalled thread (what the
 //                 service watchdog exists to detect).
 //   * kAllocFail  throw std::bad_alloc — models allocation failure at

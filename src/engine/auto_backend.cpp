@@ -28,6 +28,7 @@ constexpr std::size_t kDensitySamples = 64;
 AutoBackend::AutoBackend() = default;
 
 void AutoBackend::set_points(std::span<const Vec3> points) {
+  RTNN_CHECK(all_finite(points), "points must be finite (a NaN or infinite coordinate)");
   points_.assign(points.begin(), points.end());
   stats_grid_valid_ = false;
   ++generation_;
@@ -38,6 +39,7 @@ void AutoBackend::update_points(std::span<const Vec3> points) {
   RTNN_CHECK(!points_.empty(), "set_points() before update_points()");
   RTNN_CHECK(points.size() == points_.size(),
              "update_points() requires the same point count");
+  RTNN_CHECK(all_finite(points), "points must be finite (a NaN or infinite coordinate)");
   std::copy(points.begin(), points.end(), points_.begin());
   stats_grid_valid_ = false;  // density estimate tracks positions
   ++generation_;              // same lineage: stale slots may refit

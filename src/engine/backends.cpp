@@ -23,6 +23,7 @@ void check_mode_supported(const SearchBackend& backend, const SearchParams& para
 // --- BruteForceBackend -------------------------------------------------------
 
 void BruteForceBackend::set_points(std::span<const Vec3> points) {
+  RTNN_CHECK(all_finite(points), "points must be finite (a NaN or infinite coordinate)");
   points_.assign(points.begin(), points.end());
 }
 
@@ -43,6 +44,7 @@ NeighborResult BruteForceBackend::search(std::span<const Vec3> queries,
 // --- GridBackend -------------------------------------------------------------
 
 void GridBackend::set_points(std::span<const Vec3> points) {
+  RTNN_CHECK(all_finite(points), "points must be finite (a NaN or infinite coordinate)");
   points_.assign(points.begin(), points.end());
   range_radius_ = -1.0f;
   knn_radius_ = -1.0f;
@@ -78,6 +80,7 @@ NeighborResult GridBackend::search(std::span<const Vec3> queries,
 // --- OctreeBackend -----------------------------------------------------------
 
 void OctreeBackend::set_points(std::span<const Vec3> points) {
+  RTNN_CHECK(all_finite(points), "points must be finite (a NaN or infinite coordinate)");
   points_.assign(points.begin(), points.end());
   built_ = false;
 }

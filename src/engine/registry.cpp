@@ -5,7 +5,6 @@
 #include "core/error.hpp"
 #include "engine/auto_backend.hpp"
 #include "engine/backends.hpp"
-#include "engine/sharded_backend.hpp"
 
 namespace rtnn::engine {
 
@@ -18,7 +17,6 @@ BackendRegistry::BackendRegistry() {
   add("fastrnn", [] { return std::make_unique<FastRnnBackend>(); });
   add("rtnn", [] { return std::make_unique<RtnnBackend>(); });
   add("auto", [] { return std::make_unique<AutoBackend>(); });
-  add("sharded", [] { return std::make_unique<ShardedBackend>(); });
 }
 
 BackendRegistry& BackendRegistry::instance() {

@@ -10,7 +10,11 @@
 //
 // Contract:
 //   * set_points() uploads the point set; it may be called repeatedly and
-//     invalidates any previously built structure.
+//     invalidates any previously built structure. Points must be finite:
+//     set_points() and update_points() throw rtnn::Error on a NaN or
+//     infinite coordinate (all_finite, core/vec3.hpp), before any
+//     structure sees it — a NaN resets running bounds, so a spatial
+//     structure over it silently drops real points.
 //   * update_points() moves an already-uploaded set to new positions
 //     (same count, same ids) — the dynamic-cloud lifecycle. Backends with
 //     caps().dynamic refit their structures in place; the base-class
@@ -28,6 +32,9 @@
 //     radius, in that order: a function of the point set alone, so every
 //     backend returns the same bytes. params.store_indices = false
 //     returns counts only.
+//   * Queries may be non-finite: a query with a NaN or infinite
+//     coordinate is within no radius of any point, so its row is empty,
+//     on every backend and in both modes.
 //   * caps() declares what the backend honors; callers must not request a
 //     mode (or approximation knob) the backend does not support.
 #pragma once
@@ -79,7 +86,8 @@ class SearchBackend {
 
   virtual BackendCaps caps() const = 0;
 
-  /// Uploads the search points. Invalidates prior structures.
+  /// Uploads the search points. Invalidates prior structures. Throws
+  /// rtnn::Error on a non-finite coordinate.
   virtual void set_points(std::span<const Vec3> points) = 0;
 
   /// Moves the uploaded points to new positions (same count, same ids) —

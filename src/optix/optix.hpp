@@ -181,7 +181,6 @@ struct LaunchOptions {
   ExecutionModel model = ExecutionModel::kIndependent;
   bool parallel = true;
   bool simulate_caches = false;
-  bool collect_stats = true;
   /// kIndependent launches traverse the accel's compressed 8-wide BVH
   /// (the wall-clock configuration). Clear to force the binary BVH —
   /// parity and characterization runs. Ignored by kWarpLockstep, which
@@ -226,7 +225,7 @@ class Context {
 
   /// Builds the two-level (IAS-like) product: `tile_ids[t]` lists the
   /// point ids of spatial tile t (a partition of the cloud; the caller
-  /// supplies Morton-contiguous tiles from the sharding planner), every
+  /// supplies Morton-contiguous tiles from the tile planner), every
   /// point boxed as Aabb::cube(points[i], aabb_width). With lazy_build the
   /// bottom-level indexes defer to their first routed ray and only the
   /// tile bounds + top-level BVH are paid here.
@@ -285,7 +284,6 @@ LaunchStats launch(const Accel& accel, P& pipeline, std::uint32_t width,
   config.model = options.model;
   config.parallel = options.parallel;
   config.simulate_caches = options.simulate_caches;
-  config.collect_stats = options.collect_stats || options.simulate_caches;
   const bool wide =
       options.model == ExecutionModel::kIndependent && options.use_wide_bvh;
   // A tiled accel has exactly one traversal: the TLAS walk (independent

@@ -79,7 +79,7 @@ void TiledBvh::build(std::span<const Vec3> points, float aabb_width,
   tiles_.clear();
   tiles_.reserve(tile_ids.size());
   for (const std::vector<std::uint32_t>& ids : tile_ids) {
-    if (ids.empty()) continue;  // planner may emit fewer shards than asked
+    if (ids.empty()) continue;  // planner may emit fewer tiles than asked
     tiles_.push_back(make_tile(points, ids));
   }
   RTNN_CHECK(!tiles_.empty(), "a tiled build needs at least one non-empty tile");

@@ -6,7 +6,7 @@
 // that by making index maintenance *local*:
 //
 //   * the cloud is split into spatially compact tiles (the caller supplies
-//     the membership — Morton-contiguous runs from the sharding planner);
+//     the membership — Morton-contiguous runs from the tile planner);
 //   * each tile owns a bottom-level index (binary `Bvh` + its compressed
 //     8-wide `WideBvh`, exactly the monolithic build product, just
 //     tile-local);

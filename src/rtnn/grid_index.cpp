@@ -25,18 +25,20 @@ void GridIndex::build(std::span<const Vec3> points, std::uint64_t max_cells) {
   const double volume = static_cast<double>(extent.x) * extent.y * extent.z;
   float cell = static_cast<float>(std::cbrt(volume / static_cast<double>(max_cells)));
   if (!(cell > 0.0f)) cell = 1e-6f;
+  // The count is checked in floating point before any cast, as in
+  // UniformGrid::build: one far-out point overflows every integer type.
   for (;;) {
-    std::uint64_t total_cells = 1;
+    double total_cells = 1.0;
     for (int axis = 0; axis < 3; ++axis) {
-      const auto n = static_cast<std::uint64_t>(
-          std::max(1.0f, std::ceil(extent[axis] / cell)));
-      res_[axis] = static_cast<int>(n);
-      total_cells *= n;
+      total_cells *= std::max(1.0f, std::ceil(extent[axis] / cell));
     }
-    if (total_cells <= max_cells) break;
+    if (total_cells <= static_cast<double>(max_cells)) break;
     cell *= 1.1f;
   }
   cell_size_ = cell;
+  for (int axis = 0; axis < 3; ++axis) {
+    res_[axis] = static_cast<int>(std::max(1.0f, std::ceil(extent[axis] / cell)));
+  }
 
   // Histogram of points per cell (per-thread histograms, merged).
   const std::size_t nx = static_cast<std::size_t>(res_.x);
@@ -111,14 +113,6 @@ void GridIndex::build(std::span<const Vec3> points, std::uint64_t max_cells) {
       }
     }
   }, 1);
-}
-
-Int3 GridIndex::cell_of(const Vec3& p) const {
-  Int3 c;
-  for (int axis = 0; axis < 3; ++axis) {
-    c[axis] = clamp_cell((p[axis] - bounds_.lo[axis]) / cell_size_, res_[axis]);
-  }
-  return c;
 }
 
 std::uint64_t GridIndex::count_in_box(Int3 lo, Int3 hi) const {

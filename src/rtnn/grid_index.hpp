@@ -32,8 +32,8 @@ class GridIndex {
   const Aabb& bounds() const { return bounds_; }
   Int3 resolution() const { return res_; }
 
-  /// Grid coordinates of `p`, clamped into the grid.
-  Int3 cell_of(const Vec3& p) const;
+  /// Grid coordinates of `p`, clamped into the grid (grid_cell).
+  Int3 cell_of(const Vec3& p) const { return grid_cell(p, bounds_.lo, cell_size_, res_); }
 
   /// Number of points in the inclusive cell box [lo, hi] (clamped).
   std::uint64_t count_in_box(Int3 lo, Int3 hi) const;

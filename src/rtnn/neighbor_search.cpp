@@ -21,8 +21,6 @@ NeighborSearch::Report& NeighborSearch::Report::operator+=(const Report& o) {
   sah_inflation = std::max(sah_inflation, o.sah_inflation);
   queries_deduped += o.queries_deduped;
   batch_bins += o.batch_bins;
-  shard_retries += o.shard_retries;
-  shards_dropped += o.shards_dropped;
   tile_count = std::max(tile_count, o.tile_count);
   tiles_touched += o.tiles_touched;
   tile_refits += o.tile_refits;
@@ -34,6 +32,7 @@ NeighborSearch::Report& NeighborSearch::Report::operator+=(const Report& o) {
 }
 
 void NeighborSearch::set_points(std::span<const Vec3> points) {
+  RTNN_CHECK(all_finite(points), "points must be finite (a NaN or infinite coordinate)");
   points_.assign(points.begin(), points.end());
   grid_valid_ = false;
   index_cache_ = IndexCache{};  // a new upload invalidates the lifecycle
@@ -44,6 +43,7 @@ void NeighborSearch::update_points(std::span<const Vec3> points) {
   RTNN_CHECK(points.size() == points_.size(),
              "update_points() requires the same point count; a resized cloud "
              "is a new set_points() upload");
+  RTNN_CHECK(all_finite(points), "points must be finite (a NaN or infinite coordinate)");
   std::copy(points.begin(), points.end(), points_.begin());
   grid_valid_ = false;          // megacell grid tracks positions
   index_cache_.moved = true;    // resolved refit-vs-rebuild at next search

@@ -84,10 +84,6 @@ class NeighborSearch {
     // on plain searches). Optimizer wall time is charged to time.opt.
     std::uint64_t queries_deduped = 0; // rows answered by a coincident representative
     std::uint32_t batch_bins = 0;      // homogeneous launch bins emitted
-    // Shard fault isolation (engine::ShardedBackend's retry/degrade
-    // path; zero everywhere else).
-    std::uint32_t shard_retries = 0;   // failed shard attempts that were retried
-    std::uint32_t shards_dropped = 0;  // shards excluded from a degraded gather
     // Two-level (tiled) index lifecycle (all zero when tiling is off).
     // The touched/refit/rebuild counters are the locality headline: with
     // local motion, tiles_touched / tile_count stays far below 1 while
@@ -112,6 +108,8 @@ class NeighborSearch {
   NeighborSearch() = default;
 
   /// Uploads the search points (the Data phase). Invalidates prior accels.
+  /// Throws rtnn::Error on a NaN or infinite coordinate (update_points()
+  /// too); non-finite *queries* are legal and answer empty rows.
   void set_points(std::span<const Vec3> points);
 
   /// Moves the uploaded points to new positions — one frame of a dynamic

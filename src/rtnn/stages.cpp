@@ -8,7 +8,7 @@
 #include "rtnn/partitioner.hpp"
 #include "rtnn/pipelines.hpp"
 #include "rtnn/scheduler.hpp"
-#include "rtnn/sharding.hpp"
+#include "rtnn/tile_plan.hpp"
 
 namespace rtnn {
 
@@ -48,17 +48,10 @@ ox::Accel SearchContext::build_accel_width(float aabb_width) {
 
 ox::Accel SearchContext::build_tiled_accel_width(float aabb_width) {
   Timer timer;
-  // Tile membership: the same Morton-contiguous near-equal split the
-  // sharding planner uses, so each tile is a compact spatial region with
-  // a tight AABB for the top-level tree.
-  const std::uint32_t num_tiles = plan_shard_count(
-      points.size(), tiling.tile_threshold, tiling.max_tiles);
-  ShardPlan plan = plan_shards(points, num_tiles);
-  std::vector<std::vector<std::uint32_t>> tile_ids;
-  tile_ids.reserve(plan.shards.size());
-  for (ShardPlan::Shard& shard : plan.shards) {
-    tile_ids.push_back(std::move(shard.point_ids));
-  }
+  // Tile membership: Morton-contiguous near-equal runs, so each tile is
+  // a compact spatial region with a tight AABB for the top-level tree.
+  const std::vector<std::vector<std::uint32_t>> tile_ids = plan_tiles(
+      points, plan_tile_count(points.size(), tiling.tile_threshold, tiling.max_tiles));
   const ox::Context ctx;
   ox::TiledAccelOptions options;
   options.lazy_build = tiling.lazy_build;

@@ -83,7 +83,7 @@ struct SearchContext {
   ox::Accel build_accel_width(float aabb_width);
 
   /// Builds the two-level base accel: Morton-contiguous tiles from the
-  /// sharding planner (plan_shards), each owning its own bottom-level
+  /// tile planner (plan_tiles), each owning its own bottom-level
   /// index, under a top-level BVH. Charged to report.time.bvh like any
   /// other build; with tiling.lazy_build only the tile bounds and top
   /// tree are paid here.

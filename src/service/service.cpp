@@ -7,7 +7,6 @@
 #include "core/failpoint.hpp"
 #include "engine/backends.hpp"
 #include "engine/registry.hpp"
-#include "engine/sharded_backend.hpp"
 #include "rtnn/batch_optimizer.hpp"
 
 namespace rtnn::service {
@@ -87,23 +86,12 @@ using detail::RequestState;
 using detail::Snapshot;
 using RequestPtr = std::shared_ptr<RequestState>;
 
-/// The backend a cloud's config asks for: the named engine backend,
-/// wrapped in a ShardedBackend when the cloud is over its threshold.
-std::unique_ptr<engine::SearchBackend> make_cloud_backend(const CloudConfig& config,
-                                                          std::size_t point_count) {
-  if (config.shard_threshold > 0 && point_count > config.shard_threshold) {
-    engine::ShardingOptions sharding;
-    sharding.shard_threshold = config.shard_threshold;
-    sharding.max_shards = config.max_shards;
-    sharding.max_attempts = config.shard_max_attempts;
-    sharding.backoff = config.shard_backoff;
-    sharding.allow_degraded = config.shard_allow_degraded;
-    return std::make_unique<engine::ShardedBackend>(config.backend, sharding);
-  }
+/// The backend a cloud's config asks for: the named engine backend, with
+/// the cloud's tiling knobs forwarded so a large cloud's base index
+/// becomes a TLAS over Morton tiles. Only the full rtnn engine owns the
+/// tiled lifecycle; other backends ignore them.
+std::unique_ptr<engine::SearchBackend> make_cloud_backend(const CloudConfig& config) {
   std::unique_ptr<engine::SearchBackend> backend = engine::make_backend(config.backend);
-  // Unsharded path only: forward the cloud's tiling knobs so a large
-  // cloud's base index becomes a TLAS over Morton tiles. Only the full
-  // rtnn engine owns the tiled lifecycle; other backends ignore them.
   if (config.tile_threshold > 0) {
     if (auto* rtnn = dynamic_cast<engine::RtnnBackend*>(backend.get())) {
       TileOptions tiling;
@@ -229,12 +217,12 @@ CloudHandle SearchService::register_cloud(const std::string& name,
                                           std::span<const Vec3> points,
                                           const CloudConfig& config) {
   RTNN_CHECK(!name.empty(), "a cloud needs a name");
-  // Typed rejection, not a raw RTNN_CHECK: a sharded tenant registering a
-  // degenerate cloud would otherwise surface the backend's internal
-  // "cannot shard an empty cloud" invariant instead of a door-level error.
-  if (points.empty()) {
+  // Typed rejection at the door, before any state exists: an empty cloud
+  // has no bounds to index, and a non-finite point would break every
+  // spatial structure's bounds (the backends throw too, untyped).
+  if (points.empty() || !all_finite(points)) {
     throw ServiceError(RejectReason::kInvalid,
-                       "register_cloud('" + name + "'): a cloud needs points");
+                       "register_cloud('" + name + "'): a cloud needs finite points");
   }
   if (stopped_.load()) throw ServiceError(RejectReason::kShutdown,
                                           "service is shut down");
@@ -256,7 +244,7 @@ CloudHandle SearchService::register_cloud(const std::string& name,
   // Validate the backend choice now, whether or not the build is
   // deferred: an unknown name or a snapshot-less backend must fail at
   // registration, not at the first request.
-  RTNN_CHECK(make_cloud_backend(config, points.size())->caps().snapshot,
+  RTNN_CHECK(make_cloud_backend(config)->caps().snapshot,
              "backend cannot snapshot (caps().snapshot is false)");
 
   if (config.build_on_register) {
@@ -352,7 +340,7 @@ void SearchService::build_cloud_locked(CloudState& cloud) {
   // changes hands: a fired fault leaves the cloud exactly as it was
   // (non-resident, old snapshot intact), so the next build just retries.
   RTNN_FAILPOINT("service.publish");
-  cloud.master = make_cloud_backend(cloud.config, cloud.points.size());
+  cloud.master = make_cloud_backend(cloud.config);
   RTNN_CHECK(cloud.master->caps().snapshot,
              "backend cannot snapshot (caps().snapshot is false)");
   cloud.master->set_index_persistence(true);
@@ -558,9 +546,9 @@ RequestOutcome SearchService::query(std::string_view cloud,
 
 void SearchService::update_points(const CloudHandle& cloud,
                                   std::span<const Vec3> points) {
-  if (points.empty()) {
+  if (points.empty() || !all_finite(points)) {
     throw ServiceError(RejectReason::kInvalid,
-                       "update_points: an update needs points");
+                       "update_points: an update needs finite points");
   }
   const CloudPtr state = resolve(cloud);
   if (stopped_.load()) throw ServiceError(RejectReason::kShutdown,
@@ -851,7 +839,6 @@ void SearchService::dispatch_cloud(const CloudPtr& cloud,
   for (const BatchBin& bin : plan.bins) {
     NeighborSearch::Report report;
     bool served = false;
-    bool degraded = false;
     try {
       // One launch per homogeneous bin, over its representatives only;
       // the scatter fans representative rows back out to every
@@ -868,7 +855,6 @@ void SearchService::dispatch_cloud(const CloudPtr& cloud,
         outcome.snapshot_version = snap->version;
         outcome.batch_requests = static_cast<std::uint32_t>(bin.request_ids.size());
         outcome.batch_queries = bin.merged_queries;
-        degraded = note_degradation(*snap, outcome) || degraded;
       }
       served = true;
     } catch (const std::exception& e) {
@@ -888,7 +874,6 @@ void SearchService::dispatch_cloud(const CloudPtr& cloud,
       // (pre-dedup), so the report's ray counter sees queries -
       // queries_deduped of them.
       if (served) stats.queries += bin.merged_queries;
-      if (degraded) stats.degraded += bin.request_ids.size();
       stats.report += report;
     });
     if (served) {
@@ -912,18 +897,7 @@ void SearchService::dispatch_cloud(const CloudPtr& cloud,
   charge(*cloud, [&](ServiceStats& stats) { stats.report.time.opt += plan.seconds; });
 }
 
-// --- Robustness: degradation, watchdog, health -------------------------------
-
-bool SearchService::note_degradation(const Snapshot& snap, RequestOutcome& outcome) {
-  // Only the dispatcher touches a snapshot's backend, so reading the
-  // per-search scratch right after the launch is race-free.
-  const auto* sharded =
-      dynamic_cast<const engine::ShardedBackend*>(snap.backend.get());
-  if (sharded == nullptr || sharded->last_dropped_shards().empty()) return false;
-  outcome.degraded = true;
-  outcome.dropped_shards = sharded->last_dropped_shards();
-  return true;
-}
+// --- Robustness: watchdog, health -------------------------------------------
 
 void SearchService::watchdog_loop() {
   std::uint64_t last_beat = dispatcher_beat_.load();

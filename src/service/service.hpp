@@ -6,7 +6,7 @@
 // turns that machinery into a concurrent multi-tenant request server:
 //
 //   * A *cloud registry* maps names to tenants: register_cloud() admits a
-//     named cloud with its own backend choice, sharding, optimizer knobs,
+//     named cloud with its own backend choice, tiling, optimizer knobs,
 //     and admission policy (CloudConfig); drop_cloud() retires it;
 //     submit()/query()/update_points() address a cloud through the
 //     CloudHandle register_cloud() returned (or by name). Each cloud owns
@@ -21,14 +21,13 @@
 //     the snapshot current at dispatch time; update_points() builds and
 //     publishes the *next* snapshot on the writer's thread — readers are
 //     never blocked and never observe a half-updated index.
-//   * Clouds above CloudConfig::shard_threshold split into Morton-
-//     contiguous *spatial shards* (engine::ShardedBackend over
-//     rtnn/sharding.hpp): queries scatter to the shards whose tight AABB
-//     lies within the search radius, per-shard results gather exactly
-//     (Reports sum through Report::operator+=, KNN merges through
-//     FlatKnnHeaps), and the whole snapshot/dispatch machinery — batch
-//     optimizer included — composes unchanged because a sharded cloud is
-//     just another SearchBackend.
+//   * Clouds above CloudConfig::tile_threshold index as a two-level
+//     *tiled* accel: Morton-contiguous tiles (rtnn/tile_plan.hpp), each
+//     with its own bottom-level index, under one top-level tree — the
+//     instance-over-GAS split of the RT stack. One launch walks both
+//     levels, so answers and rays match the whole cloud, while an update
+//     refits or rebuilds only the tiles its motion touched, and lazy
+//     tiles build on first route. It is the one spatial decomposition.
 //   * Requests from any number of threads are coalesced by one dispatcher
 //     into batched launches, grouped per cloud per tick: each cloud's
 //     pending requests run through the batch optimizer (bin by
@@ -42,7 +41,7 @@
 //     submit() — its Ticket is already rejected, and Ticket::get()
 //     throws ServiceError with RejectReason::kAdmission — instead of
 //     being queued, so overload cannot grow the backlog and admitted
-//     requests keep a flat p99 (measured by bench/serving_sharded.cpp).
+//     requests keep a flat p99 (measured by bench/serving_tenants.cpp).
 //
 // Error-state contract. Ticket::get()/try_get() throw ServiceError;
 // reason() says which door refused. The full table:
@@ -50,14 +49,14 @@
 //   reason      | thrown from          | meaning / when
 //   ------------|----------------------|----------------------------------
 //   kBackend    | get(), try_get()     | Admitted and dispatched, but the
-//               |                      | cloud's backend rejected the bin:
-//               |                      | params it cannot serve (caps
+//               |                      | cloud's backend rejected the bin
+//               |                      | (params it cannot serve: caps
 //               |                      | mismatch, approximate knobs on an
-//               |                      | exact backend), an exhausted
-//               |                      | shard with allow_degraded off, or
-//               |                      | an injected fault. Only the
-//               |                      | request's bin failed; the tick's
-//               |                      | other bins still serve.
+//               |                      | exact backend), a demand build
+//               |                      | failed, or a fault was injected.
+//               |                      | Only the request's bin (or its
+//               |                      | cloud's group) failed; the tick's
+//               |                      | other bins and clouds still serve.
 //   kAdmission  | get(), try_get()     | Shed at submit() by the cloud's
 //               |                      | token bucket or queue-depth cap.
 //               |                      | Never queued, never dispatched;
@@ -82,29 +81,27 @@
 //   kInvalid    | register_cloud(),    | Malformed input refused at the
 //               | update_points(),     | door: an empty point cloud (a
 //               | submit(), query()    | cloud with no points has no
-//               |                      | bounds to index or route by —
+//               |                      | bounds to index by —
 //               |                      | drop_cloud() is the way to
-//               |                      | retire one) or an empty query
-//               |                      | span. Nothing was registered,
-//               |                      | modified or queued.
+//               |                      | retire one), a point with a NaN
+//               |                      | or infinite coordinate, or an
+//               |                      | empty query span. Nothing was
+//               |                      | registered, modified or queued.
 //
 // Never silent: every admitted ticket is eventually signaled — served,
 // or rejected with one of the reasons above — even across a watchdog
-// dispatcher restart. A degraded answer (shards dropped under
-// allow_degraded) is *served*, with RequestOutcome::degraded set and the
-// dropped shard ids listed, never thrown.
+// dispatcher restart. A served answer is always exact; there are no
+// partial answers.
 //
-// Robustness layer (PR 8): every request may carry a deadline
-// (RequestOptions), the sharded backend retries failing shards with
-// backoff and can serve flagged partial results (CloudConfig::
-// shard_max_attempts / shard_backoff / shard_allow_degraded), a watchdog
-// restarts a stalled dispatcher (ServiceConfig::stall_timeout) and
-// health() reports liveness, and deterministic failpoints
-// (core/failpoint.hpp) are compiled into the scatter-gather path
-// ("sharded.shard_search"), snapshot publish ("service.publish"), LRU
-// eviction ("service.evict"), and the dispatcher tick
-// ("service.dispatch.tick", "service.dispatch.launch") so every one of
-// these recovery paths is testable on demand (tests/test_chaos.cpp).
+// Robustness layer: every request may carry a deadline (RequestOptions),
+// a watchdog restarts a stalled dispatcher (ServiceConfig::stall_timeout)
+// and health() reports liveness, and deterministic failpoints
+// (core/failpoint.hpp) are compiled into snapshot publish
+// ("service.publish"), LRU eviction ("service.evict"), and the
+// dispatcher tick and per-cloud launch ("service.dispatch.tick",
+// "service.dispatch.launch") so every one of these recovery paths is
+// testable on demand (tests/test_chaos.cpp). A fault at the launch site
+// fails only its own cloud's group of the tick.
 //
 //   SearchService service;
 //   CloudHandle city = service.register_cloud("city", city_points, {});
@@ -125,8 +122,8 @@
 // cloud's writer lock), so the backends themselves need no internal
 // locking. Writers to different clouds never contend.
 //
-// See README.md ("Serving") for the registry lifecycle, the shard
-// scatter-gather walkthrough, and the admission semantics, and
+// See README.md ("Serving") for the registry lifecycle, tiled tenants,
+// and the admission semantics, and
 // examples/multi_tenant_demo.cpp for a full multi-tenant program.
 #pragma once
 
@@ -227,44 +224,21 @@ struct CloudConfig {
   /// never pays first-search lazy work.
   std::optional<SearchParams> warmup;
 
-  // --- Spatial sharding (engine::ShardedBackend) ---
-
-  /// Points per shard before this cloud splits into Morton-contiguous
-  /// spatial shards. 0 = never shard (the backend serves the cloud
-  /// whole). Clouds at or below the threshold behave byte-identically
-  /// to an unsharded cloud.
-  std::size_t shard_threshold = 0;
-  /// Upper bound on the split, whatever the cloud size. 0 = unbounded
-  /// (the codebase-wide "0 = no cap" contract).
-  std::uint32_t max_shards = 16;
-
-  // --- Two-level tiled index (rtnn::TileOptions; unsharded clouds
-  // only — a sharded cloud already decomposes spatially per shard) ---
+  // --- Two-level tiled index (rtnn::TileOptions) ---
+  //
+  // The one spatial decomposition for a large tenant. Only the rtnn
+  // backend owns the tiled lifecycle; other backends ignore these knobs.
 
   /// Points per tile before this cloud's base index becomes a TLAS over
   /// Morton-contiguous tiles instead of one monolithic BVH. 0 = never
-  /// tile. Ignored when the cloud shards (shard_threshold wins; tiling a
-  /// shard would nest two spatial splits for no locality gain).
+  /// tile. Answers are identical either way; an update then refits or
+  /// rebuilds only the tiles its motion touched.
   std::size_t tile_threshold = 0;
   /// Upper bound on the tile count. 0 = unbounded.
   std::uint32_t max_tiles = 0;
   /// Defer each tile's bottom-level build until a query first routes to
   /// it; registration pays only tile bounds and the top-level tree.
   bool lazy_tile_build = true;
-
-  // --- Per-shard fault isolation (engine::ShardingOptions; the
-  // degradation ladder: retry -> degrade-or-fail) ---
-
-  /// Search attempts per shard per launch (1 = no retry): a throwing
-  /// shard is retried this many times before the failure policy applies.
-  std::uint32_t shard_max_attempts = 1;
-  /// Sleep before the first shard retry; doubles per attempt.
-  std::chrono::microseconds shard_backoff{0};
-  /// What happens when a shard exhausts its attempts: false (default) =
-  /// the whole bin fails typed (ServiceError(kBackend)); true = the
-  /// shard is dropped from the gather and the request *serves* with
-  /// RequestOutcome::degraded set and the dropped shard ids listed.
-  bool shard_allow_degraded = false;
 
   // --- Admission control (see admission.hpp) ---
 
@@ -324,12 +298,6 @@ struct RequestOutcome {
   /// before dedup — what the clients submitted, not what was searched).
   std::uint32_t batch_requests = 0;
   std::size_t batch_queries = 0;
-  /// True when the answer is a flagged partial: one or more shards
-  /// exhausted their retry budget and were dropped from the gather
-  /// (CloudConfig::shard_allow_degraded). The result is exact over the
-  /// surviving shards' points; `dropped_shards` lists who dropped out.
-  bool degraded = false;
-  std::vector<std::uint32_t> dropped_shards;
 };
 
 /// Exactly-summed totals — service-wide from stats(), per tenant from
@@ -349,8 +317,6 @@ struct ServiceStats {
                                       // (in `requests` when dropped after being
                                       // queued; like `shed` when dropped at the
                                       // submit() door)
-  std::uint64_t degraded = 0;  // requests served as flagged partials
-                               // (shards dropped; subset of `requests`)
   /// Merged per-batch (and update-path warm) reports: times and counters
   /// sum exactly; sah_inflation is the worst observed.
   NeighborSearch::Report report;
@@ -448,8 +414,8 @@ class SearchService {
   /// other call. Builds its index now (config.build_on_register, the
   /// default) or at the first request. Throws rtnn::Error for a
   /// duplicate name or a backend without caps().snapshot, and
-  /// ServiceError for an empty cloud (kInvalid) or once the service is
-  /// shut down (kShutdown).
+  /// ServiceError for an empty cloud or a non-finite point (kInvalid) or
+  /// once the service is shut down (kShutdown).
   CloudHandle register_cloud(const std::string& name, std::span<const Vec3> points,
                              const CloudConfig& config = {});
   /// Retires a cloud: its pending requests are rejected (kShutdown),
@@ -492,7 +458,9 @@ class SearchService {
   /// pinned snapshot and are never blocked. Writers to the same cloud
   /// serialize among themselves; different clouds never contend. On a
   /// non-resident (evicted or not-yet-built) cloud this just replaces
-  /// the stored points — the index catches up at the next build.
+  /// the stored points — the index catches up at the next build. An
+  /// empty update or a non-finite point throws ServiceError(kInvalid)
+  /// and leaves the cloud unchanged.
   void update_points(const CloudHandle& cloud, std::span<const Vec3> points);
   void update_points(std::string_view cloud, std::span<const Vec3> points);
 
@@ -558,9 +526,6 @@ class SearchService {
   /// Drops `group` members whose deadline is over (typed kDeadline,
   /// counted as misses); returns the survivors in arrival order.
   std::vector<RequestPtr> drop_expired(const std::vector<RequestPtr>& group);
-  /// Annotates the outcome with the snapshot backend's degradation
-  /// verdict (sharded clouds only) and returns whether it degraded.
-  static bool note_degradation(const detail::Snapshot& snap, RequestOutcome& outcome);
 
   // --- Watchdog (self-healing dispatch) ---
   void watchdog_loop();

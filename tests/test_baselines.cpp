@@ -162,6 +162,32 @@ TEST(BaselineEdgeCases, KnnRadiusBoundExcludesFarPoints) {
   EXPECT_EQ(grid_knn.neighbors(0)[0], 0u);
 }
 
+TEST(BaselineEdgeCases, GridsMatchBruteForceWithOneFarOutlier) {
+  // One finite point at x = 3e38: at the search radius's cell size the
+  // x resolution is ~3e39 cells, past every integer type. The grids
+  // coarsen the cell until the count fits instead of casting the
+  // overflow, and still answer exactly.
+  Pcg32 rng(7);
+  std::vector<Vec3> points(2000);
+  for (auto& p : points) p = rng.uniform_in_aabb({{0, 0, 0}, {1, 1, 1}});
+  points[1234].x = 3e38f;
+  std::vector<Vec3> queries(200);
+  for (auto& q : queries) q = rng.uniform_in_aabb({{0, 0, 0}, {1, 1, 1}});
+  queries.push_back(points[1234]);
+  constexpr float kRadius = 0.05f;
+
+  GridRangeSearch range;
+  range.build(points, kRadius);
+  const auto want_range = brute_force_range(points, queries, kRadius, 64);
+  const auto got_range = range.search(queries, 64);
+  testing::expect_same_neighbor_sets(got_range, want_range, "grid range");
+
+  GridKnn knn;
+  knn.build(points, kRadius);
+  testing::expect_knn_identical(knn.search(queries, 8),
+                                brute_force_knn(points, queries, kRadius, 8), "grid knn");
+}
+
 TEST(BaselineEdgeCases, BruteForceKnnSortedAscending) {
   Pcg32 rng(1);
   std::vector<Vec3> points(100);

@@ -2,8 +2,8 @@
 // deterministic failpoints compiled into production code
 // (core/failpoint.hpp; the site names are listed in service.hpp's header
 // comment). Each scenario arms a site, provokes the failure, and asserts
-// the contracted behavior: typed errors, flagged partials, exact stats,
-// watchdog recovery — and above all that no ticket is ever abandoned.
+// the contracted behavior: typed errors, exact stats, watchdog recovery
+// — and above all that no ticket is ever abandoned.
 // Carries the "chaos" ctest label; CI runs it under both ASan and TSan.
 #include <gtest/gtest.h>
 
@@ -15,7 +15,7 @@
 
 #include "core/failpoint.hpp"
 #include "core/rng.hpp"
-#include "engine/sharded_backend.hpp"
+#include "engine/registry.hpp"
 #include "service/service.hpp"
 #include "test_util.hpp"
 
@@ -46,33 +46,20 @@ SearchParams knn_params(std::uint32_t k = 8) {
   return params;
 }
 
-/// A multi-shard backend over a small uniform cloud.
-engine::ShardedBackend make_sharded(const std::vector<Vec3>& points,
-                                    engine::ShardingOptions options = {}) {
-  options.shard_threshold = 64;
-  options.max_shards = 6;
-  engine::ShardedBackend backend("rtnn", options);
-  backend.set_points(points);
-  return backend;
-}
-
-/// A cloud config that shards the test cloud and carries the given
-/// fault-isolation policy.
-CloudConfig sharded_cloud_config(std::uint32_t attempts, bool degraded,
-                                 std::chrono::microseconds backoff = 0us) {
+/// A cloud config that tiles the test cloud (6 lazy Morton tiles).
+CloudConfig tiled_cloud_config() {
   CloudConfig config;
-  config.shard_threshold = 64;
-  config.max_shards = 6;
-  config.shard_max_attempts = attempts;
-  config.shard_backoff = backoff;
-  config.shard_allow_degraded = degraded;
+  config.tile_threshold = 64;
+  config.max_tiles = 6;
   return config;
 }
 
-std::size_t total_neighbors(const NeighborResult& result) {
-  std::size_t total = 0;
-  for (std::size_t q = 0; q < result.num_queries(); ++q) total += result.count(q);
-  return total;
+/// The exact KNN rows of `queries` over `points`.
+NeighborResult brute_force_knn(const std::vector<Vec3>& points,
+                               const std::vector<Vec3>& queries) {
+  auto reference = engine::make_backend("brute_force");
+  reference->set_points(points);
+  return reference->search(queries, knn_params(), nullptr);
 }
 
 class ChaosTest : public ::testing::Test {
@@ -85,177 +72,6 @@ class ChaosTest : public ::testing::Test {
 };
 
 }  // namespace
-
-// --- Scatter-gather fault isolation (engine::ShardedBackend) -----------------
-
-TEST_F(ChaosTest, ShardFaultWithoutRetryFailsTyped) {
-  engine::ShardedBackend backend = make_sharded(points_);
-  ASSERT_GT(backend.shard_count(), 1u);
-  FailConfig config;
-  config.fire_on_hit = 1;
-  config.message = "injected shard outage";
-  ScopedFailpoint fp("sharded.shard_search", config);
-  try {
-    (void)backend.search(queries_, knn_params());
-    FAIL() << "expected a typed shard failure";
-  } catch (const Error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("shard"), std::string::npos);
-    EXPECT_NE(what.find("injected shard outage"), std::string::npos);
-  }
-}
-
-TEST_F(ChaosTest, RetryHealsATransientShardFault) {
-  engine::ShardingOptions options;
-  options.max_attempts = 2;
-  engine::ShardedBackend backend = make_sharded(points_, options);
-  ASSERT_GT(backend.shard_count(), 1u);
-  const NeighborResult want = backend.search(queries_, knn_params());
-
-  FailConfig config;
-  config.fire_on_hit = 1;  // first attempt of the first routed shard
-  ScopedFailpoint fp("sharded.shard_search", config);
-  engine::SearchBackend::Report report;
-  const NeighborResult got = backend.search(queries_, knn_params(), &report);
-  EXPECT_EQ(report.shard_retries, 1u);
-  EXPECT_EQ(report.shards_dropped, 0u);
-  EXPECT_TRUE(backend.last_dropped_shards().empty());
-  ASSERT_EQ(got.num_queries(), want.num_queries());
-  for (std::size_t q = 0; q < got.num_queries(); ++q) {
-    EXPECT_EQ(got.count(q), want.count(q)) << q;
-  }
-}
-
-TEST_F(ChaosTest, ExhaustedShardDropsFromTheGatherWhenDegradedAllowed) {
-  engine::ShardingOptions options;
-  options.allow_degraded = true;
-  engine::ShardedBackend backend = make_sharded(points_, options);
-  ASSERT_GT(backend.shard_count(), 1u);
-  // Query every point: each shard contributes at least its own points,
-  // so dropping one strictly shrinks the answer.
-  const NeighborResult full = backend.search(points_, knn_params());
-
-  FailConfig config;
-  config.fire_on_hit = 1;
-  ScopedFailpoint fp("sharded.shard_search", config);
-  engine::SearchBackend::Report report;
-  const NeighborResult partial = backend.search(points_, knn_params(), &report);
-  EXPECT_EQ(report.shards_dropped, 1u);
-  ASSERT_EQ(backend.last_dropped_shards().size(), 1u);
-  ASSERT_EQ(partial.num_queries(), full.num_queries());
-  for (std::size_t q = 0; q < partial.num_queries(); ++q) {
-    EXPECT_LE(partial.count(q), full.count(q)) << q;
-  }
-  EXPECT_LT(total_neighbors(partial), total_neighbors(full));
-}
-
-TEST_F(ChaosTest, EveryShardDownStillReturnsAnEmptyGather) {
-  engine::ShardingOptions options;
-  options.allow_degraded = true;
-  engine::ShardedBackend backend = make_sharded(points_, options);
-  ASSERT_GT(backend.shard_count(), 1u);
-  ScopedFailpoint fp("sharded.shard_search", {});  // every hit fires
-  const NeighborResult result = backend.search(points_, knn_params());
-  EXPECT_EQ(total_neighbors(result), 0u);
-  EXPECT_EQ(backend.last_dropped_shards().size(), backend.shard_count());
-}
-
-TEST_F(ChaosTest, DroppedShardScratchResetsOnTheNextSearch) {
-  engine::ShardingOptions options;
-  options.allow_degraded = true;
-  engine::ShardedBackend backend = make_sharded(points_, options);
-  {
-    FailConfig config;
-    config.fire_on_hit = 1;
-    ScopedFailpoint fp("sharded.shard_search", config);
-    (void)backend.search(queries_, knn_params());
-    EXPECT_FALSE(backend.last_dropped_shards().empty());
-  }
-  (void)backend.search(queries_, knn_params());
-  EXPECT_TRUE(backend.last_dropped_shards().empty());
-}
-
-TEST_F(ChaosTest, RetryBackoffIsObserved) {
-  engine::ShardingOptions options;
-  options.max_attempts = 3;
-  options.backoff = 3ms;
-  engine::ShardedBackend backend = make_sharded(points_, options);
-  ScopedFailpoint fp("sharded.shard_search", {});  // every attempt fails
-  const auto start = std::chrono::steady_clock::now();
-  EXPECT_THROW((void)backend.search(queries_, knn_params()), Error);
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  // The first failing shard alone sleeps 3ms + 6ms between its attempts.
-  EXPECT_GE(elapsed, 9ms);
-}
-
-TEST_F(ChaosTest, RetryCountersAggregateAcrossShards) {
-  engine::ShardingOptions options;
-  options.max_attempts = 2;
-  options.allow_degraded = true;
-  engine::ShardedBackend backend = make_sharded(points_, options);
-  ASSERT_GT(backend.shard_count(), 1u);
-  ScopedFailpoint fp("sharded.shard_search", {});  // everything fails
-  engine::SearchBackend::Report report;
-  (void)backend.search(points_, knn_params(), &report);
-  const auto dropped = static_cast<std::uint64_t>(backend.last_dropped_shards().size());
-  EXPECT_EQ(dropped, backend.shard_count());
-  EXPECT_EQ(report.shards_dropped, dropped);
-  EXPECT_EQ(report.shard_retries, dropped);  // one retried attempt per shard
-}
-
-// --- Service: shard faults surface per the cloud's policy --------------------
-
-TEST_F(ChaosTest, ServiceShardFaultRejectsKBackend) {
-  SearchService service;
-  CloudHandle cloud = service.register_cloud(
-      "chaos", points_, sharded_cloud_config(/*attempts=*/1, /*degraded=*/false));
-  ScopedFailpoint fp("sharded.shard_search", {});
-  try {
-    (void)service.query(cloud, queries_, knn_params());
-    FAIL() << "expected ServiceError";
-  } catch (const ServiceError& e) {
-    EXPECT_EQ(e.reason(), RejectReason::kBackend);
-  }
-  FailpointRegistry::instance().disarm("sharded.shard_search");
-  EXPECT_NO_THROW((void)service.query(cloud, queries_, knn_params()))
-      << "the dispatcher must outlive an injected backend fault";
-}
-
-TEST_F(ChaosTest, ServiceRetryPolicyHealsATransientFault) {
-  SearchService service;
-  CloudHandle cloud = service.register_cloud(
-      "chaos", points_, sharded_cloud_config(/*attempts=*/3, /*degraded=*/false));
-  FailConfig config;
-  config.fire_on_hit = 1;
-  ScopedFailpoint fp("sharded.shard_search", config);
-  const RequestOutcome outcome = service.query(cloud, queries_, knn_params());
-  EXPECT_FALSE(outcome.degraded);
-  EXPECT_EQ(outcome.report.shard_retries, 1u);
-  EXPECT_EQ(service.stats(cloud).report.shard_retries, 1u);
-}
-
-TEST_F(ChaosTest, ServiceDegradedOutcomeIsServedAndFlagged) {
-  SearchService service;
-  CloudHandle cloud = service.register_cloud(
-      "chaos", points_, sharded_cloud_config(/*attempts=*/1, /*degraded=*/true));
-  FailConfig config;
-  config.fire_on_hit = 1;
-  ScopedFailpoint fp("sharded.shard_search", config);
-  const RequestOutcome outcome = service.query(cloud, queries_, knn_params());
-  EXPECT_TRUE(outcome.degraded);
-  EXPECT_EQ(outcome.dropped_shards.size(), 1u);
-  EXPECT_EQ(outcome.report.shards_dropped, 1u);
-  const ServiceStats stats = service.stats(cloud);
-  EXPECT_EQ(stats.degraded, 1u);
-  EXPECT_EQ(stats.requests, 1u);
-
-  // Healed: the next request serves whole and is not counted degraded.
-  FailpointRegistry::instance().disarm("sharded.shard_search");
-  const RequestOutcome healed = service.query(cloud, queries_, knn_params());
-  EXPECT_FALSE(healed.degraded);
-  EXPECT_TRUE(healed.dropped_shards.empty());
-  EXPECT_EQ(service.stats(cloud).degraded, 1u);
-}
 
 // --- Service: publish, eviction, and dispatch-site faults --------------------
 
@@ -378,21 +194,28 @@ TEST_F(ChaosTest, AllocFailureAtTheTickIsATypedRejection) {
   EXPECT_NO_THROW((void)service.query(cloud, queries_, knn_params()));
 }
 
-TEST_F(ChaosTest, ShardFaultInOneBinLeavesTheTicksOtherBinsServing) {
-  // Two tenants in one tick: the sharded one fails, the plain one serves.
+TEST_F(ChaosTest, LaunchFaultInOneCloudGroupLeavesTheTicksOtherGroupsServing) {
+  // Two tenants in one tick: the first cloud group's launch faults, the
+  // second group still serves, exactly.
   ServiceConfig service_config;
   service_config.max_delay = 20ms;  // wide tick so both requests coalesce
   SearchService service(service_config);
-  CloudHandle fragile = service.register_cloud(
-      "fragile", points_, sharded_cloud_config(/*attempts=*/1, /*degraded=*/false));
+  CloudHandle fragile = service.register_cloud("fragile", points_, tiled_cloud_config());
   const std::vector<Vec3> other = make_cloud(CloudKind::kUniform, kCloudSize, kSeed + 3);
   CloudHandle solid = service.register_cloud("solid", other, {});
 
-  ScopedFailpoint fp("sharded.shard_search", {});
+  FailConfig config;
+  config.fire_on_hit = 1;  // the first cloud group to launch: arrival order
+  ScopedFailpoint fp("service.dispatch.launch", config);
   SearchService::Ticket bad = service.submit(fragile, queries_, knn_params());
   SearchService::Ticket good = service.submit(solid, queries_, knn_params());
   EXPECT_THROW((void)bad.get(), ServiceError);
-  EXPECT_NO_THROW((void)good.get());
+  rtnn::testing::expect_knn_identical(good.get().result, brute_force_knn(other, queries_),
+                                      "the other group");
+  EXPECT_EQ(fp.fires(), 1u);
+  EXPECT_EQ(service.stats(fragile).requests, 1u);
+  EXPECT_EQ(service.stats(fragile).queries, 0u);  // failed: no rows served
+  EXPECT_EQ(service.stats(solid).queries, queries_.size());
 }
 
 // --- Deadlines ---------------------------------------------------------------
@@ -641,18 +464,18 @@ TEST_F(ChaosTest, WedgedWriterSurfacesInHealth) {
 
 // --- Seeded chaos soak -------------------------------------------------------
 
-TEST_F(ChaosTest, SeededShardChaosSoakResolvesEveryTicketWithExactBookkeeping) {
+TEST_F(ChaosTest, SeededLaunchChaosSoakResolvesEveryTicketWithExactBookkeeping) {
   SearchService service;
-  CloudHandle a = service.register_cloud(
-      "tenant_a", points_, sharded_cloud_config(/*attempts=*/2, /*degraded=*/true));
+  CloudHandle a = service.register_cloud("tenant_a", points_, tiled_cloud_config());
   const std::vector<Vec3> other = make_cloud(CloudKind::kUniform, kCloudSize, kSeed + 5);
-  CloudHandle b = service.register_cloud(
-      "tenant_b", other, sharded_cloud_config(/*attempts=*/1, /*degraded=*/false));
+  CloudHandle b = service.register_cloud("tenant_b", other, {});
+  const NeighborResult expected_a = brute_force_knn(points_, queries_);
+  const NeighborResult expected_b = brute_force_knn(other, queries_);
 
   FailConfig config;
   config.probability = 0.25;
   config.seed = 20260809;  // deterministic schedule: reruns replay exactly
-  ScopedFailpoint fp("sharded.shard_search", config);
+  ScopedFailpoint fp("service.dispatch.launch", config);
 
   constexpr int kRequests = 40;
   std::vector<SearchService::Ticket> tickets;
@@ -661,28 +484,37 @@ TEST_F(ChaosTest, SeededShardChaosSoakResolvesEveryTicketWithExactBookkeeping) {
     tickets.push_back(service.submit(i % 2 == 0 ? a : b, queries_, knn_params(),
                                      RequestOptions::within(30s)));
   }
-  std::size_t served = 0, degraded = 0, backend_failures = 0;
-  for (SearchService::Ticket& ticket : tickets) {
+  std::size_t served = 0, backend_failures = 0;
+  for (int i = 0; i < kRequests; ++i) {
     try {
-      const RequestOutcome outcome = ticket.get();
+      const RequestOutcome outcome = tickets[static_cast<std::size_t>(i)].get();
       ++served;
-      if (outcome.degraded) ++degraded;
+      // A fault never leaks into a group it did not hit: served is exact.
+      rtnn::testing::expect_knn_identical(outcome.result,
+                                          i % 2 == 0 ? expected_a : expected_b,
+                                          "request " + std::to_string(i));
     } catch (const ServiceError& e) {
       EXPECT_EQ(e.reason(), RejectReason::kBackend);
+      EXPECT_NE(std::string(e.what()).find("service.dispatch.launch"), std::string::npos);
       ++backend_failures;
     }
   }
-  // Every ticket resolved, one way or the other.
+  // Every ticket resolved, one way or the other; each fire failed at
+  // least its own group's requests.
   EXPECT_EQ(served + backend_failures, static_cast<std::size_t>(kRequests));
   EXPECT_GT(fp.fires(), 0u) << "the soak must actually have injected faults";
+  EXPECT_GE(backend_failures, fp.fires());
 
-  // Exact bookkeeping across the chaos: nothing pending, nothing leaked.
+  // Exact bookkeeping across the chaos: nothing pending, nothing leaked;
+  // failed requests count, their rows do not.
   const ServiceHealth health = service.health();
   EXPECT_EQ(health.pending_requests, 0u);
   EXPECT_EQ(health.queue_depth, 0u);
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.requests, static_cast<std::uint64_t>(kRequests));
-  EXPECT_EQ(stats.degraded, degraded);
+  EXPECT_EQ(service.stats(a).requests, static_cast<std::uint64_t>(kRequests / 2));
+  EXPECT_EQ(service.stats(b).requests, static_cast<std::uint64_t>(kRequests / 2));
+  EXPECT_EQ(stats.queries, served * queries_.size());
   EXPECT_EQ(stats.shed, 0u);
   EXPECT_EQ(stats.deadline_misses, 0u);
 }

@@ -20,7 +20,7 @@
 #include "optix/optix.hpp"
 #include "rtnn/pipelines.hpp"
 #include "rtnn/rtnn.hpp"
-#include "rtnn/sharding.hpp"
+#include "rtnn/tile_plan.hpp"
 #include "degenerate_trials.hpp"
 #include "test_util.hpp"
 
@@ -40,12 +40,7 @@ std::string to_string(bool tiled) { return tiled ? "tiled" : "monolithic"; }
 ox::Accel build_accel(const std::vector<Vec3>& points, float width, bool tiled,
                       std::uint32_t tiles = 8) {
   const ox::Context ctx;
-  if (tiled) {
-    ShardPlan plan = plan_shards(points, tiles);
-    std::vector<std::vector<std::uint32_t>> tile_ids;
-    for (ShardPlan::Shard& shard : plan.shards) tile_ids.push_back(std::move(shard.point_ids));
-    return ctx.build_tiled_accel(points, width, tile_ids);
-  }
+  if (tiled) return ctx.build_tiled_accel(points, width, plan_tiles(points, tiles));
   std::vector<Aabb> boxes(points.size());
   for (std::size_t i = 0; i < points.size(); ++i) boxes[i] = Aabb::cube(points[i], width);
   return ctx.build_accel(boxes);

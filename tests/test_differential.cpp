@@ -239,38 +239,36 @@ TEST(Differential, DegenerateCloudsThroughTheBatchedPath) {
   }
 }
 
-TEST(Differential, ShardedServiceMatchesUnshardedOnEveryGenerator) {
-  // The spatial-sharding exactness claim, end to end through the serving
-  // path: every degenerate generator runs as two tenants of one service —
-  // a whole-cloud tenant and a Morton-sharded one — and the answers must
-  // agree. Range uses a K past every true count, so the result is a
-  // unique set (the gather's canonical ascending-id order may differ from
-  // the flat backend's traversal order, never its membership); KNN rows
-  // must be identical. Coincident and collinear clouds are the hard
-  // cases: zero-extent shard AABBs and duplicate points split across
-  // shard boundaries; the lattice splits exact ties across them.
+TEST(Differential, TiledServiceMatchesWholeOnEveryGenerator) {
+  // The tiled-tenant exactness claim, end to end through the serving
+  // path: every generator, the lattice and coincident clouds included,
+  // runs as two tenants of one service — a whole-cloud tenant and a
+  // 4-tile one — and the answers must agree exactly. Range uses a K past
+  // every true count, so the result is a unique set; KNN rows must be
+  // identical slot for slot. Coincident and collinear clouds give
+  // zero-extent tiles and duplicates split across tile boundaries; the
+  // lattice splits exact ties across them.
   service::ServiceConfig config;
   config.max_delay = std::chrono::microseconds(0);  // per-request dispatch
   service::SearchService service(config);
 
-  service::CloudConfig sharded_config;
-  sharded_config.shard_threshold = 64;  // kPoints=384 -> 4 shards (capped)
-  sharded_config.max_shards = 4;
+  service::CloudConfig tiled_config;
+  tiled_config.tile_threshold = kPoints / 4;
 
   int tenant = 0;
   for (const Trial& trial : all_trials()) {
     const std::string label =
         trial.generator + " seed=" + std::to_string(trial.seed);
     SCOPED_TRACE(label);
-    std::printf("[differential] sharded-service generator=%s seed=%llu\n",
+    std::printf("[differential] tiled-service generator=%s seed=%llu\n",
                 trial.generator.c_str(), static_cast<unsigned long long>(trial.seed));
 
-    const std::string flat_name = "flat-" + std::to_string(tenant);
-    const std::string sharded_name = "sharded-" + std::to_string(tenant);
+    const std::string whole_name = "whole-" + std::to_string(tenant);
+    const std::string tiled_name = "tiled-" + std::to_string(tenant);
     ++tenant;
-    const service::CloudHandle flat = service.register_cloud(flat_name, trial.points);
-    const service::CloudHandle sharded =
-        service.register_cloud(sharded_name, trial.points, sharded_config);
+    const service::CloudHandle whole = service.register_cloud(whole_name, trial.points);
+    const service::CloudHandle tiled =
+        service.register_cloud(tiled_name, trial.points, tiled_config);
 
     auto reference = engine::make_backend("brute_force");
     reference->set_points(trial.points);
@@ -279,19 +277,21 @@ TEST(Differential, ShardedServiceMatchesUnshardedOnEveryGenerator) {
     range.mode = SearchMode::kRange;
     range.radius = trial.radius;
     range.k = max_range_count(*reference, trial) + 2;
+    const service::RequestOutcome tiled_range = service.query(tiled, trial.queries, range);
+    EXPECT_EQ(tiled_range.report.tile_count, 4u) << label << ": tiling must engage";
     rtnn::testing::expect_same_neighbor_sets(
-        service.query(sharded, trial.queries, range).result,
-        service.query(flat, trial.queries, range).result, label + " range");
+        tiled_range.result, service.query(whole, trial.queries, range).result,
+        label + " range");
 
     SearchParams knn;
     knn.mode = SearchMode::kKnn;
     knn.radius = trial.radius;
     knn.k = 8;
-    rtnn::testing::expect_knn_identical(service.query(sharded, trial.queries, knn).result,
-                                        service.query(flat, trial.queries, knn).result,
+    rtnn::testing::expect_knn_identical(service.query(tiled, trial.queries, knn).result,
+                                        service.query(whole, trial.queries, knn).result,
                                         label + " knn");
 
-    service.drop_cloud(flat_name);
-    service.drop_cloud(sharded_name);
+    service.drop_cloud(whole_name);
+    service.drop_cloud(tiled_name);
   }
 }

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
+#include <string>
 
 #include "core/rng.hpp"
 #include "engine/engine.hpp"
@@ -127,6 +129,72 @@ TEST(BackendContract, CountsOnlyRunsStoreNoIndices) {
       const NeighborResult counts = backend->search(queries, params, nullptr);
       EXPECT_FALSE(counts.stores_indices()) << label;
       rtnn::testing::expect_counts_equal(counts, indexed, label);
+    }
+  }
+}
+
+TEST(BackendContract, NonFinitePointsThrowOnUpload) {
+  // A NaN or infinite coordinate is refused at set_points() and
+  // update_points() on every registered backend, with a typed
+  // rtnn::Error, before any structure is built over it. Each upload is
+  // followed by a search in every supported mode, so a backend that
+  // accepted the point would have to answer over it.
+  const std::vector<Vec3> points = rtnn::testing::make_cloud(CloudKind::kUniform, 2000, 13);
+  const std::span<const Vec3> queries(points.data(), 20);
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity()}) {
+    std::vector<Vec3> poisoned = points;
+    poisoned[17].x = bad;
+    for (const std::string& name : BackendRegistry::instance().names()) {
+      SCOPED_TRACE(name + " " + std::to_string(bad));
+      const auto upload_and_search = [&](bool update) {
+        const auto backend = make_backend(name);
+        if (update) {
+          backend->set_points(points);
+          backend->update_points(poisoned);
+        } else {
+          backend->set_points(poisoned);
+        }
+        const BackendCaps caps = backend->caps();
+        for (const SearchMode mode : {SearchMode::kRange, SearchMode::kKnn}) {
+          if (!(mode == SearchMode::kRange ? caps.range : caps.knn)) continue;
+          SearchParams params;
+          params.mode = mode;
+          params.radius = 0.1f;
+          params.k = 8;
+          (void)backend->search(queries, params, nullptr);
+        }
+      };
+      EXPECT_THROW(upload_and_search(/*update=*/false), Error) << "set_points";
+      EXPECT_THROW(upload_and_search(/*update=*/true), Error) << "update_points";
+    }
+  }
+}
+
+TEST(BackendContract, NonFiniteQueriesAnswerEmptyRows) {
+  // The other half of the non-finite contract: a NaN or infinite query
+  // coordinate is legal input and answers an empty row, on every
+  // registered backend in every mode it supports.
+  const std::vector<Vec3> points = rtnn::testing::make_cloud(CloudKind::kUniform, 2000, 13);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::vector<Vec3> queries = {{nan, 0.5f, 0.5f}, {inf, nan, 0.5f}, {0.5f, 0.5f, nan},
+                                     {inf, 0.5f, 0.5f}, {-inf, -inf, -inf}};
+  for (const std::string& name : BackendRegistry::instance().names()) {
+    const auto backend = make_backend(name);
+    backend->set_points(points);
+    const BackendCaps caps = backend->caps();
+    for (const SearchMode mode : {SearchMode::kRange, SearchMode::kKnn}) {
+      if (!(mode == SearchMode::kRange ? caps.range : caps.knn)) continue;
+      SearchParams params;
+      params.mode = mode;
+      params.radius = 0.1f;
+      params.k = 8;
+      const NeighborResult rows = backend->search(queries, params, nullptr);
+      for (std::size_t q = 0; q < queries.size(); ++q) {
+        EXPECT_EQ(rows.count(q), 0u) << name << (mode == SearchMode::kRange ? "/range" : "/knn")
+                                     << " row " << q;
+      }
     }
   }
 }

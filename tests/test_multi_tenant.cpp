@@ -2,7 +2,7 @@
 // list / handles), build-on-demand and LRU residency, admission control
 // (token bucket + queue-depth shedding, the typed ServiceError contract),
 // the Ticket try_get()/valid() additions, per-cloud vs service-wide
-// stats, and multi-cloud concurrency. Carries the "sharded" ctest label
+// stats, and multi-cloud concurrency. Carries the "service" ctest label
 // (the TSan CI job runs it alongside the service suite).
 #include <gtest/gtest.h>
 
@@ -43,7 +43,7 @@ std::vector<Vec3> uniform_cloud(std::uint64_t seed, std::size_t n = kCloudSize) 
 }
 
 /// Expected result for `queries` against `points`, straight from brute
-/// force (the service must serve exactly this, sharded or not).
+/// force (the service must serve exactly this, tiled or not).
 NeighborResult expected_knn(const std::vector<Vec3>& points,
                             const std::vector<Vec3>& queries, const SearchParams& params) {
   auto reference = engine::make_backend("brute_force");
@@ -258,27 +258,29 @@ TEST(CloudLifecycle, EvictionWhileABatchIsInFlightServesExactly) {
                                       expected_knn(hot, queries, params), "rebuilt after eviction");
 }
 
-// --- Sharded clouds through the service --------------------------------------
+// --- Tiled clouds through the service ----------------------------------------
 
-TEST(ShardedCloud, ServesExactlyAndComposesWithTheOptimizer) {
+TEST(TiledCloud, ServesExactlyAndComposesWithTheOptimizer) {
   const std::vector<Vec3> cloud = uniform_cloud(kSeed);
   const SearchParams params = knn_params(typical_radius(CloudKind::kUniform));
 
   SearchService service;
-  CloudConfig sharded;
-  sharded.shard_threshold = 100;  // 800 points -> 8 shards (cap 16)
-  const CloudHandle handle = service.register_cloud("sharded", cloud, sharded);
+  CloudConfig tiled;
+  tiled.tile_threshold = 100;  // 800 points -> 8 tiles
+  const CloudHandle handle = service.register_cloud("tiled", cloud, tiled);
 
   const std::vector<Vec3> queries(cloud.begin(), cloud.begin() + 48);
-  rtnn::testing::expect_knn_identical(service.query(handle, queries, params).result,
-                                      expected_knn(cloud, queries, params), "sharded knn");
+  const RequestOutcome outcome = service.query(handle, queries, params);
+  EXPECT_EQ(outcome.report.tile_count, 8u);
+  rtnn::testing::expect_knn_identical(outcome.result, expected_knn(cloud, queries, params),
+                                      "tiled knn");
 
   // The writer path composes: update then query, still exact.
   std::vector<Vec3> moved = cloud;
   for (Vec3& p : moved) p.z += 0.07f;
   service.update_points(handle, moved);
   rtnn::testing::expect_knn_identical(service.query(handle, queries, params).result,
-                                      expected_knn(moved, queries, params), "sharded after update");
+                                      expected_knn(moved, queries, params), "tiled after update");
 }
 
 // --- Admission control -------------------------------------------------------
@@ -492,7 +494,7 @@ TEST(MultiTenant, ConcurrentClientsAcrossCloudsStayIsolated) {
   std::vector<CloudHandle> handles;
   for (int t = 0; t < 3; ++t) {
     CloudConfig config;
-    if (t == 2) config.shard_threshold = 128;  // one tenant sharded
+    if (t == 2) config.tile_threshold = 128;  // one tenant tiled
     handles.push_back(
         service.register_cloud("tenant" + std::to_string(t), clouds[t], config));
   }

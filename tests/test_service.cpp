@@ -6,6 +6,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -726,13 +728,13 @@ TEST(ErrorContract, EveryRejectReasonSurfacesThroughGetAndTryGet) {
   }
 
   {
-    SCOPED_TRACE("kBackend: injected shard fault on a sharded cloud");
+    SCOPED_TRACE("kBackend: injected launch fault on a tiled cloud");
     SearchService service;
-    CloudConfig sharded;
-    sharded.shard_threshold = 64;
-    sharded.max_shards = 4;
-    const CloudHandle handle = service.register_cloud("sharded", cloud, sharded);
-    fail::ScopedFailpoint fp("sharded.shard_search", {});
+    CloudConfig tiled;
+    tiled.tile_threshold = 64;
+    tiled.max_tiles = 4;
+    const CloudHandle handle = service.register_cloud("tiled", cloud, tiled);
+    fail::ScopedFailpoint fp("service.dispatch.launch", {});
     auto failed_a = service.submit(handle, queries, params);
     auto failed_b = service.submit(handle, queries, params);
     EXPECT_EQ(reason_via_get(failed_a), RejectReason::kBackend);
@@ -753,7 +755,7 @@ TEST(ErrorContract, EveryRejectReasonSurfacesThroughGetAndTryGet) {
 }
 
 TEST(ErrorContract, EmptyCloudsAreRefusedTyped) {
-  // Regression: an empty registration or update on a *sharded* tenant
+  // Regression: an empty registration or update on a decomposed tenant
   // used to fall through to the backend's raw
   // RTNN_CHECK(!points.empty()) internals instead of a typed door-level
   // rejection, and an empty request threw an untyped rtnn::Error. Every
@@ -763,12 +765,12 @@ TEST(ErrorContract, EmptyCloudsAreRefusedTyped) {
   const std::vector<Vec3> empty;
 
   SearchService service;
-  CloudConfig sharded;
-  sharded.shard_threshold = 64;
-  sharded.max_shards = 4;
+  CloudConfig tiled;
+  tiled.tile_threshold = 64;
+  tiled.max_tiles = 4;
   for (const auto& [label, config] :
        {std::pair<const char*, CloudConfig>{"plain", CloudConfig{}},
-        std::pair<const char*, CloudConfig>{"sharded", sharded}}) {
+        std::pair<const char*, CloudConfig>{"tiled", tiled}}) {
     SCOPED_TRACE(label);
     try {
       (void)service.register_cloud(std::string("empty-") + label, empty, config);
@@ -804,4 +806,46 @@ TEST(ErrorContract, EmptyCloudsAreRefusedTyped) {
     const std::vector<Vec3> queries(cloud.begin(), cloud.begin() + 8);
     EXPECT_EQ(service.query(handle, queries, params).result.num_queries(), queries.size());
   }
+}
+
+TEST(ErrorContract, NonFinitePointsAreRefusedTypedAndLeaveTheCloudUnchanged) {
+  // Regression: a NaN point reached the tile planner, whose bounds a NaN
+  // resets, so the tile holding it got bounds that excluded most of its
+  // members and the top-level walk culled them (wrong rows, no error).
+  // Registration and update must both refuse it typed, before any state
+  // changes.
+  const std::vector<Vec3> cloud = make_cloud(CloudKind::kUniform, 2000, kSeed);
+  const std::vector<Vec3> queries = make_cloud(CloudKind::kUniform, 200, kSeed + 1);
+  const SearchParams params = knn_params(typical_radius(CloudKind::kUniform));
+  auto reference = engine::make_backend("brute_force");
+  reference->set_points(cloud);
+  const NeighborResult expected = reference->search(queries, params, nullptr);
+
+  SearchService service;
+  CloudConfig tiled;
+  tiled.tile_threshold = 200;  // 10 tiles
+  const CloudHandle handle = service.register_cloud("tiled", cloud, tiled);
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity()}) {
+    std::vector<Vec3> poisoned = cloud;
+    poisoned[17].y = bad;
+    SCOPED_TRACE(bad);
+    try {
+      (void)service.register_cloud("poisoned", poisoned, tiled);
+      FAIL() << "a non-finite registration must throw";
+    } catch (const ServiceError& error) {
+      EXPECT_EQ(error.reason(), RejectReason::kInvalid);
+    }
+    try {
+      service.update_points(handle, poisoned);
+      FAIL() << "a non-finite update must throw";
+    } catch (const ServiceError& error) {
+      EXPECT_EQ(error.reason(), RejectReason::kInvalid);
+    }
+  }
+  EXPECT_EQ(service.list_clouds(), std::vector<std::string>{"tiled"});
+  EXPECT_EQ(service.snapshot_version(handle), 0u);
+  EXPECT_EQ(service.stats(handle).updates, 0u);
+  rtnn::testing::expect_knn_identical(service.query(handle, queries, params).result,
+                                      expected, "after the refused update");
 }

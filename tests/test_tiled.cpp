@@ -1,20 +1,23 @@
-// Two-level (TLAS/BLAS) index tests: rt::TiledBvh structure and lazy
-// build, per-tile copy-on-write across updates, tiled-vs-monolithic
+// Two-level (TLAS/BLAS) index tests: the Morton tile planner,
+// rt::TiledBvh structure and lazy build, per-tile copy-on-write across updates, tiled-vs-monolithic
 // search parity (static and over dynamic frame sequences), locality of
 // per-frame update work, and the service-level tiling knobs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <set>
 #include <vector>
 
+#include "core/aabb.hpp"
+#include "core/morton.hpp"
 #include "core/rng.hpp"
 #include "datasets/motion.hpp"
 #include "optix/optix.hpp"
 #include "rtcore/tlas.hpp"
 #include "rtcore/traversal.hpp"
-#include "rtnn/sharding.hpp"
 #include "rtnn/stages.hpp"
+#include "rtnn/tile_plan.hpp"
 #include "service/service.hpp"
 #include "test_util.hpp"
 
@@ -23,16 +26,62 @@ namespace {
 
 using rtnn::testing::CloudKind;
 
-/// Morton-contiguous tile memberships, the same planner the pipeline uses.
-std::vector<std::vector<std::uint32_t>> plan_tiles(std::span<const Vec3> points,
-                                                   std::uint32_t num_tiles) {
-  ShardPlan plan = plan_shards(points, num_tiles);
-  std::vector<std::vector<std::uint32_t>> tile_ids;
-  tile_ids.reserve(plan.shards.size());
-  for (ShardPlan::Shard& shard : plan.shards) {
-    tile_ids.push_back(std::move(shard.point_ids));
+// --- Tile planner ------------------------------------------------------------
+
+TEST(TilePlanning, TileCountFollowsThresholdAndCap) {
+  EXPECT_EQ(plan_tile_count(1000, 0, 16), 1u);     // threshold 0 = never tile
+  EXPECT_EQ(plan_tile_count(1000, 1000, 16), 1u);  // at the threshold: whole
+  EXPECT_EQ(plan_tile_count(1001, 1000, 16), 2u);  // one past: split
+  EXPECT_EQ(plan_tile_count(5000, 1000, 16), 5u);  // ceil(n / threshold)
+  EXPECT_EQ(plan_tile_count(5001, 1000, 16), 6u);
+  EXPECT_EQ(plan_tile_count(100'000, 1000, 16), 16u);  // capped
+  // max_tiles = 0 is the "unbounded" contract: the split follows
+  // ceil(n / threshold) however large the cloud, and threshold 0 is
+  // still off.
+  EXPECT_EQ(plan_tile_count(100'000, 1000, 0), 100u);
+  EXPECT_EQ(plan_tile_count(1000, 1000, 0), 1u);
+  EXPECT_EQ(plan_tile_count(1000, 0, 0), 1u);
+}
+
+TEST(TilePlanning, SingleTileKeepsIdentityOrder) {
+  const std::vector<Vec3> points = rtnn::testing::make_cloud(CloudKind::kUniform, 200, 2917);
+  const std::vector<std::vector<std::uint32_t>> tiles = plan_tiles(points, 1);
+  ASSERT_EQ(tiles.size(), 1u);
+  std::vector<std::uint32_t> iota(points.size());
+  std::iota(iota.begin(), iota.end(), 0u);
+  EXPECT_EQ(tiles[0], iota);
+}
+
+TEST(TilePlanning, TilesAreNearEqualMortonRuns) {
+  // The split is pinned exactly: ids stably sorted by their 63-bit Morton
+  // code over the cloud bounds, cut into runs whose sizes differ by at
+  // most one (the larger runs first). Every id lands in one tile.
+  const std::vector<Vec3> points = rtnn::testing::make_cloud(CloudKind::kNBody, 500, 2917);
+  Aabb bounds;
+  for (const Vec3& p : points) bounds.grow(p);
+  std::vector<std::uint32_t> order(points.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::stable_sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
+    return morton3d_63(points[a], bounds) < morton3d_63(points[b], bounds);
+  });
+  for (const std::uint32_t num_tiles : {2u, 5u, 8u}) {
+    SCOPED_TRACE(num_tiles);
+    const std::vector<std::vector<std::uint32_t>> tiles = plan_tiles(points, num_tiles);
+    ASSERT_EQ(tiles.size(), num_tiles);
+    std::vector<std::uint32_t> concatenated;
+    for (std::size_t t = 0; t < tiles.size(); ++t) {
+      const std::size_t want = points.size() / num_tiles +
+                               (t < points.size() % num_tiles ? 1 : 0);
+      EXPECT_EQ(tiles[t].size(), want) << "tile " << t;
+      concatenated.insert(concatenated.end(), tiles[t].begin(), tiles[t].end());
+    }
+    EXPECT_EQ(concatenated, order);
   }
-  return tile_ids;
+}
+
+TEST(TilePlanning, MoreTilesThanPointsClamps) {
+  const std::vector<Vec3> points = rtnn::testing::make_cloud(CloudKind::kUniform, 3, 2917);
+  EXPECT_EQ(plan_tiles(points, 16).size(), 3u);  // one point per tile at most
 }
 
 /// Records every primitive the IS stage sees, per ray (global ids).

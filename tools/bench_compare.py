@@ -60,8 +60,7 @@ def index_timings(report):
 # scalars rather than stage times; surface them in the same informational
 # breakdown so an admission-policy change is read next to its latencies.
 # The serving.deadline.* robustness case contributes the same way: p99
-# with deadlines on/off, the deadline-miss share under overload, and the
-# degraded-request share when shard fault isolation drops a shard.
+# with deadlines on/off and the deadline-miss share under overload.
 ADMISSION_METRICS = frozenset(
     {
         "queued_p99_ms",
@@ -71,7 +70,6 @@ ADMISSION_METRICS = frozenset(
         "deadline_p99_on_ms",
         "deadline_p99_off_ms",
         "deadline_miss_share",
-        "degraded_share",
     }
 )
 
@@ -91,7 +89,7 @@ def index_stage_metrics(report):
     reports' values attributes a wall-clock delta to its phase — e.g.
     reorder cost showing up in stage.opt against a larger win in
     stage.search. The serving cases emit the shape per tenant
-    (``flat.stage.*`` / ``sharded.stage.*``), fig11 emits it per dataset
+    (``whole.stage.*`` / ``tiles.stage.*``), fig11 emits it per dataset
     for the rtnn backend (``knn.rtnn.<ds>.stage.*``), and the
     multi-tenant overload case (serving.multi_tenant.*) contributes its
     admission scalars (ADMISSION_METRICS), and the tiled-index cases
