@@ -39,6 +39,7 @@ RTNN_BENCH_CASE(fig08, "fig08", "Figure 8 — IS calls vs AABB width",
       aabbs[i] = Aabb::cube(ds.points[i], sweep.width);
     }
     const ox::Accel accel = ox::Context{}.build_accel(aabbs);
+    (void)accel.bvh();  // the binary walk below: built here, outside its timing
     NeighborResult result(queries.size(), 0xffffff, /*store_indices=*/false);
     std::vector<std::uint32_t> ids(queries.size());
     for (std::uint32_t i = 0; i < ids.size(); ++i) ids[i] = i;

@@ -14,33 +14,33 @@ namespace rtnn::baselines {
 
 namespace {
 
-// Squared distance from point to the cubic cell (0 if inside).
-float dist2_to_cell(const Vec3& p, const Vec3& center, float half) {
+// Squared distance from point to the cell (0 if inside).
+float dist2_to_cell(const Vec3& p, const Aabb& cell) {
   float d2 = 0.0f;
   for (int axis = 0; axis < 3; ++axis) {
-    const float lo = center[axis] - half;
-    const float hi = center[axis] + half;
     const float v = p[axis];
-    if (v < lo) {
-      d2 += (lo - v) * (lo - v);
-    } else if (v > hi) {
-      d2 += (v - hi) * (v - hi);
+    if (v < cell.lo[axis]) {
+      d2 += (cell.lo[axis] - v) * (cell.lo[axis] - v);
+    } else if (v > cell.hi[axis]) {
+      d2 += (v - cell.hi[axis]) * (v - cell.hi[axis]);
     }
   }
   return d2;
 }
 
 // Largest squared distance from p to any corner of the cell.
-float max_dist2_to_cell(const Vec3& p, const Vec3& center, float half) {
+float max_dist2_to_cell(const Vec3& p, const Aabb& cell) {
   float d2 = 0.0f;
   for (int axis = 0; axis < 3; ++axis) {
-    const float lo = center[axis] - half;
-    const float hi = center[axis] + half;
-    const float d = std::max(std::abs(p[axis] - lo), std::abs(p[axis] - hi));
+    const float d = std::max(std::abs(p[axis] - cell.lo[axis]), std::abs(p[axis] - cell.hi[axis]));
     d2 += d * d;
   }
   return d2;
 }
+
+// The plane a cell splits at: its midpoint, halved before adding so it
+// cannot overflow, and between lo and hi whatever the rounding.
+Vec3 split_of(const Aabb& cell) { return cell.lo * 0.5f + cell.hi * 0.5f; }
 
 }  // namespace
 
@@ -52,15 +52,18 @@ void Octree::build(std::span<const Vec3> points, const Options& options) {
 
   Aabb bounds;
   for (const Vec3& p : points_) bounds.grow(p);
+  // A cube around the points, grown by the points themselves in case the
+  // cube's rounded faces fall short of them.
   const Vec3 center = bounds.center();
   const float half = 0.5f * max_component(bounds.extent()) * 1.0001f + 1e-6f;
+  Aabb cell{center - Vec3{half, half, half}, center + Vec3{half, half, half}};
+  cell.grow(bounds);
 
   point_ids_.resize(points_.size());
   std::iota(point_ids_.begin(), point_ids_.end(), 0u);
 
   Node root;
-  root.center = center;
-  root.half = half;
+  root.cell = cell;
   root.first = 0;
   root.count = static_cast<std::uint32_t>(points_.size());
   nodes_.push_back(root);
@@ -70,8 +73,8 @@ void Octree::build(std::span<const Vec3> points, const Options& options) {
 void Octree::subdivide(std::uint32_t node_index, std::vector<std::uint32_t>& ids,
                        std::uint32_t depth, const Options& options) {
   // Copy out: nodes_ reallocates as children are appended.
-  const Vec3 center = nodes_[node_index].center;
-  const float half = nodes_[node_index].half;
+  const Aabb cell = nodes_[node_index].cell;
+  const Vec3 center = split_of(cell);
   const std::uint32_t first = nodes_[node_index].first;
   const std::uint32_t count = nodes_[node_index].count;
   if (count <= options.leaf_capacity || depth >= options.max_depth) return;
@@ -101,13 +104,12 @@ void Octree::subdivide(std::uint32_t node_index, std::vector<std::uint32_t>& ids
 
   const auto children = static_cast<std::uint32_t>(nodes_.size());
   nodes_[node_index].children = children;
-  const float child_half = half * 0.5f;
   for (std::uint32_t o = 0; o < 8; ++o) {
     Node child;
-    child.center = {center.x + ((o & 1u) ? child_half : -child_half),
-                    center.y + ((o & 2u) ? child_half : -child_half),
-                    center.z + ((o & 4u) ? child_half : -child_half)};
-    child.half = child_half;
+    child.cell.lo = {(o & 1u) ? center.x : cell.lo.x, (o & 2u) ? center.y : cell.lo.y,
+                     (o & 4u) ? center.z : cell.lo.z};
+    child.cell.hi = {(o & 1u) ? cell.hi.x : center.x, (o & 2u) ? cell.hi.y : center.y,
+                     (o & 4u) ? cell.hi.z : center.z};
     child.first = first + bucket_offset[o];
     child.count = bucket_count[o];
     nodes_.push_back(child);
@@ -130,8 +132,8 @@ NeighborResult Octree::range_search(std::span<const Vec3> queries, float radius,
     while (sp > 0) {
       const Node& node = nodes_[stack[--sp]];
       if (node.count == 0) continue;
-      if (dist2_to_cell(q, node.center, node.half) > r2) continue;
-      if (!node.is_leaf() && max_dist2_to_cell(q, node.center, node.half) <= r2) {
+      if (dist2_to_cell(q, node.cell) > r2) continue;
+      if (!node.is_leaf() && max_dist2_to_cell(q, node.cell) <= r2) {
         // Whole subtree inside the sphere: its ids are contiguous.
         for (std::uint32_t s = node.first; s < node.first + node.count; ++s) {
           if (result.record(static_cast<std::size_t>(qi), point_ids_[s]) == k) return;
@@ -163,7 +165,7 @@ NeighborResult Octree::knn_search(std::span<const Vec3> queries, float radius,
     const Vec3 q = queries[row];
     using Cand = std::pair<float, std::uint32_t>;  // (min dist2, node)
     std::priority_queue<Cand, std::vector<Cand>, std::greater<>> frontier;
-    frontier.emplace(dist2_to_cell(q, nodes_[0].center, nodes_[0].half), 0u);
+    frontier.emplace(dist2_to_cell(q, nodes_[0].cell), 0u);
     while (!frontier.empty()) {
       const auto [d2, ni] = frontier.top();
       frontier.pop();
@@ -181,7 +183,7 @@ NeighborResult Octree::knn_search(std::span<const Vec3> queries, float radius,
         for (std::uint32_t o = 0; o < 8; ++o) {
           const Node& child = nodes_[node.children + o];
           if (child.count == 0) continue;
-          frontier.emplace(dist2_to_cell(q, child.center, child.half), node.children + o);
+          frontier.emplace(dist2_to_cell(q, child.cell), node.children + o);
         }
       }
     }
@@ -201,15 +203,14 @@ void Octree::validate() const {
       for (std::uint32_t s = node.first; s < node.first + node.count; ++s) {
         const std::uint32_t p = point_ids_[s];
         ++seen[p];
-        RTNN_CHECK(dist2_to_cell(points_[p], node.center, node.half) == 0.0f,
-                   "point outside its leaf cell");
+        RTNN_CHECK(node.cell.contains(points_[p]), "point outside its leaf cell");
       }
     } else {
       std::uint32_t child_total = 0;
       for (std::uint32_t o = 0; o < 8; ++o) {
         const Node& child = nodes_[node.children + o];
         child_total += child.count;
-        RTNN_CHECK(child.half * 2.0f <= node.half * 2.0f, "child larger than parent");
+        RTNN_CHECK(node.cell.contains(child.cell), "child cell outside its parent");
         stack.push_back(node.children + o);
       }
       RTNN_CHECK(child_total == node.count, "children do not partition parent's points");

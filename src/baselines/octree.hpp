@@ -49,9 +49,13 @@ class Octree {
   void validate() const;
 
  private:
+  /// A cell stores its exact extent. Children split it at the plane
+  /// octant_of tests (split_of(cell)), so a child's bounds are that
+  /// plane's bits: a center ± half sum can round past the points a cell
+  /// holds, by the whole cloud's offset once one far outlier stretches
+  /// the root to ~3e38.
   struct Node {
-    Vec3 center;
-    float half = 0.0f;            // half-width of the cubic cell
+    Aabb cell;
     std::uint32_t children = 0;   // index of first of 8 children (0 = leaf)
     std::uint32_t first = 0;      // leaf: offset into point_ids_
     std::uint32_t count = 0;      // leaf: number of points

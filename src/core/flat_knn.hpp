@@ -1,7 +1,9 @@
-// Flat pool of bounded max-heaps: one K-slot heap per query in contiguous
+// Flat pool of bounded max-heaps: one K-slot heap per row in contiguous
 // storage — the "priority queue" of the paper's KNN IS shader, laid out
 // as the device-friendly rows a kernel writes to (one row per ray, no
-// per-ray allocation). Every KNN path in the repo fills one row per query.
+// per-ray allocation). The baselines keep a row per query and extract()
+// them; the RTNN launch stage keeps a row per launch index of one chunk
+// and drain()s each into its query's result row after the launch.
 //
 // The one KNN order: entries rank by (dist², index). A row keeps the K
 // smallest pairs pushed into it, so which of several points tied at the
@@ -28,14 +30,13 @@ class FlatKnnHeaps {
     std::uint32_t index;
   };
 
-  FlatKnnHeaps(std::size_t num_queries, std::uint32_t k)
-      : num_queries_(num_queries), k_(k), entries_(num_queries * k),
-        sizes_(num_queries, 0) {
+  FlatKnnHeaps(std::size_t num_rows, std::uint32_t k)
+      : num_rows_(num_rows), k_(k), entries_(num_rows * k), sizes_(num_rows, 0) {
     RTNN_CHECK(k > 0, "K must be positive");
   }
 
   std::uint32_t k() const { return k_; }
-  std::size_t num_queries() const { return num_queries_; }
+  std::size_t num_rows() const { return num_rows_; }
   std::uint32_t size(std::size_t q) const { return sizes_[q]; }
 
   /// Query q's K-th smallest dist² so far (+inf until K are kept): no
@@ -74,17 +75,21 @@ class FlatKnnHeaps {
     return true;
   }
 
-  /// Converts all heaps into a NeighborResult with each query's neighbors
-  /// ascending by (dist², index). Parallel over queries.
+  /// Appends row q's neighbors, ascending by (dist², index), to row
+  /// `dest` of `result`, and empties row q for reuse. One thread per row.
+  void drain(std::size_t q, NeighborResult& result, std::size_t dest) {
+    Entry* heap = entries_.data() + q * k_;
+    std::sort(heap, heap + sizes_[q], before);
+    for (std::uint32_t i = 0; i < sizes_[q]; ++i) result.record(dest, heap[i].index);
+    sizes_[q] = 0;
+  }
+
+  /// Drains every row into a NeighborResult with one row per heap row.
+  /// Parallel over rows.
   NeighborResult extract(bool store_indices = true) {
-    NeighborResult result(num_queries_, k_, store_indices);
-    parallel_for(0, static_cast<std::int64_t>(num_queries_), [&](std::int64_t q) {
-      Entry* heap = entries_.data() + static_cast<std::size_t>(q) * k_;
-      const std::uint32_t n = sizes_[static_cast<std::size_t>(q)];
-      std::sort(heap, heap + n, before);
-      for (std::uint32_t i = 0; i < n; ++i) {
-        result.record(static_cast<std::size_t>(q), heap[i].index);
-      }
+    NeighborResult result(num_rows_, k_, store_indices);
+    parallel_for(0, static_cast<std::int64_t>(num_rows_), [&](std::int64_t q) {
+      drain(static_cast<std::size_t>(q), result, static_cast<std::size_t>(q));
     }, 512);
     return result;
   }
@@ -94,7 +99,7 @@ class FlatKnnHeaps {
     return a.dist2 < b.dist2 || (a.dist2 == b.dist2 && a.index < b.index);
   }
 
-  std::size_t num_queries_;
+  std::size_t num_rows_;
   std::uint32_t k_;
   std::vector<Entry> entries_;
   std::vector<std::uint32_t> sizes_;

@@ -30,9 +30,11 @@
 // LaunchOptions.
 #pragma once
 
+#include <atomic>
 #include <concepts>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <span>
 
 #include "core/aabb.hpp"
@@ -67,21 +69,36 @@ struct TiledAccelOptions {
 
 namespace detail {
 
-/// The shared immutable build product behind an Accel handle. The wide
-/// tree is collapsed during build_accel — eagerly, so the cost lands in
+/// The shared immutable build product behind an Accel handle: one
+/// resident wide tree (or one tiled index). build_accel collapses the
+/// binary LBVH into `wide` eagerly, so the cost lands in
 /// build_seconds()/time.bvh like the rest of the acceleration-structure
-/// work (the cost model's T_build = k1·M stays linear; a lazy collapse
-/// would leak into the first launch's timing and bias the k2 estimate).
+/// work (the cost model's T_build = k1·M stays linear), then drops it.
 struct AccelData {
-  /// Stays resident beside `wide`: warp-lockstep and use_wide_bvh=false
-  /// launches walk it, and its SAH drives the refit-vs-rebuild policy.
-  rt::Bvh bvh;
+  AccelData() = default;
+  /// Copies (copy-on-write refits) start without a binary tree.
+  AccelData(const AccelData& other)
+      : wide(other.wide), tiled(other.tiled), leaf_size(other.leaf_size) {}
+
   rt::WideBvh wide;
   /// The two-level build product (build_tiled_accel). Exactly one of
-  /// {bvh+wide, tiled} is populated per accel; a tiled accel's per-tile
+  /// {wide, tiled} is populated per accel; a tiled accel's per-tile
   /// copy-on-write nests inside this struct's own COW, so snapshots of a
   /// tiled accel share untouched tiles even across update_tiled() calls.
   rt::TiledBvh tiled;
+  std::uint32_t leaf_size = 1;  // the build's, so binary() rebuilds the same tree
+
+  /// The binary LBVH over the wide tree's boxes, which only warp-lockstep
+  /// and use_wide_bvh=false launches walk (the Figures 5–8 paths): built
+  /// on first use, concurrently safe, then shared — the publish pattern of
+  /// rt::TiledBvh::Tile::ensure_index.
+  const rt::Bvh& binary() const;
+  const rt::Bvh* binary_if_built() const { return binary_.load(std::memory_order_acquire); }
+
+ private:
+  mutable std::mutex binary_mutex_;
+  mutable std::unique_ptr<const rt::Bvh> binary_storage_;
+  mutable std::atomic<const rt::Bvh*> binary_{nullptr};
 };
 
 }  // namespace detail
@@ -95,14 +112,19 @@ class Accel {
  public:
   Accel() = default;
 
+  /// The binary BVH of warp-lockstep and use_wide_bvh=false launches,
+  /// built from the accel's boxes on first use (AccelData::binary()).
   const rt::Bvh& bvh() const {
     RTNN_CHECK(data_ != nullptr, "accel not built");
     RTNN_CHECK(!is_tiled(), "a tiled accel has no monolithic binary BVH");
-    return data_->bvh;
+    return data_->binary();
   }
 
+  /// False until a launch (or bvh()) builds the binary tree.
+  bool has_bvh() const { return data_ != nullptr && data_->binary_if_built() != nullptr; }
+
   /// The compressed 8-wide BVH the independent (wall-clock) path
-  /// traverses.
+  /// traverses — the one tree every monolithic accel keeps resident.
   const rt::WideBvh& wide_bvh() const {
     RTNN_CHECK(data_ != nullptr, "accel not built");
     RTNN_CHECK(!is_tiled(), "a tiled accel has no monolithic wide BVH");
@@ -122,7 +144,7 @@ class Accel {
   std::uint32_t prim_count() const {
     if (data_ == nullptr) return 0;
     if (is_tiled()) return static_cast<std::uint32_t>(data_->tiled.prim_count());
-    return data_->bvh.prim_count();
+    return data_->wide.prim_count();
   }
   bool built() const { return data_ != nullptr; }
 
@@ -130,13 +152,11 @@ class Accel {
   /// scheduler seeds its uniform grid from this).
   const Aabb& scene_bounds() const {
     RTNN_CHECK(data_ != nullptr, "accel not built");
-    return is_tiled() ? data_->tiled.scene_bounds() : data_->bvh.scene_bounds();
+    return is_tiled() ? data_->tiled.scene_bounds() : data_->wide.scene_bounds();
   }
 
-  /// Refits both representations to moved primitive boxes (same count and
-  /// id order as the build): bottom-up bound refresh on the binary tree,
-  /// then an in-place re-quantization of the wide tree — topology and
-  /// collapse reused, no Morton sort, no re-collapse. Cost is charged to
+  /// Refits the wide tree to moved primitive boxes (same count and id
+  /// order as the build; rt::WideBvh::refit). Cost is charged to
   /// refit_seconds() (the time.refit phase), not build_seconds(). Quality
   /// after cumulative motion is observable via sah_inflation().
   void refit(std::span<const Aabb> prim_aabbs);
@@ -167,7 +187,7 @@ class Accel {
   /// per-tile policy reacted to most recently.
   double sah_inflation() const {
     if (data_ == nullptr) return 1.0;
-    return is_tiled() ? data_->tiled.max_sah_inflation() : data_->bvh.sah_inflation();
+    return is_tiled() ? data_->tiled.max_sah_inflation() : data_->wide.sah_inflation();
   }
 
  private:

@@ -120,10 +120,6 @@ void Bvh::build(std::span<const Aabb> prims, const BvhBuildOptions& options) {
   leaf_size_ = options.leaf_size;
   max_depth_seen_ = 0;
   scene_bounds_ = Aabb{};
-  level_nodes_.clear();
-  level_offsets_.clear();
-  baseline_sah_ = -1.0;
-  sah_inflation_ = 1.0;
   const auto n = static_cast<std::uint32_t>(prims.size());
   if (n == 0) return;
 
@@ -291,140 +287,6 @@ void Bvh::build(std::span<const Aabb> prims, const BvhBuildOptions& options) {
     deepest = std::max(deepest, local_depth[t] + task_depth[t]);
   }
   max_depth_seen_ = deepest;
-}
-
-// Node ids bucketed by depth, deepest level first, so a level sweep can
-// process each bucket with parallel_for: a node's children are always one
-// level deeper, hence already final when their parent is re-united. The
-// schedule depends only on topology and is cached until the next build().
-void Bvh::ensure_levels() const {
-  if (!level_nodes_.empty() || nodes_.empty()) return;
-  const auto n = static_cast<std::uint32_t>(nodes_.size());
-  std::vector<std::uint32_t> depth(n, 0);
-  std::uint32_t max_depth = 0;
-  // Every builder allocates children after their parent, so one forward
-  // pass assigns depths before they are read.
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const BvhNode& node = nodes_[i];
-    if (node.is_leaf()) continue;
-    RTNN_DCHECK(node.left > i && node.right > i, "child precedes parent");
-    depth[node.left] = depth[node.right] = depth[i] + 1;
-    max_depth = std::max(max_depth, depth[i] + 1);
-  }
-  // Counting sort into deepest-first buckets.
-  std::vector<std::uint32_t> counts(max_depth + 1, 0);
-  for (std::uint32_t i = 0; i < n; ++i) ++counts[depth[i]];
-  level_offsets_.assign(max_depth + 2, 0);
-  for (std::uint32_t d = 0; d <= max_depth; ++d) {
-    // Bucket b processes depth (max_depth - b).
-    level_offsets_[d + 1] = level_offsets_[d] + counts[max_depth - d];
-  }
-  std::vector<std::uint32_t> cursor(level_offsets_.begin(), level_offsets_.end() - 1);
-  level_nodes_.resize(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    level_nodes_[cursor[max_depth - depth[i]]++] = i;
-  }
-}
-
-double Bvh::sah_cost_of_bounds() const {
-  if (nodes_.empty()) return 0.0;
-  const double root_area = nodes_[0].bounds.surface_area();
-  if (root_area <= 0.0) return 0.0;
-  const double sum = parallel_reduce<double>(
-      0, static_cast<std::int64_t>(nodes_.size()), 0.0,
-      [&](std::int64_t i) {
-        const BvhNode& node = nodes_[static_cast<std::size_t>(i)];
-        return static_cast<double>(node.bounds.surface_area()) *
-               (node.is_leaf() ? node.count : 1.0);
-      },
-      [](double a, double b) { return a + b; }, grain::kElementwise);
-  return sum / root_area;
-}
-
-// The refit engine: one bottom-up sweep that recomputes leaf bounds from
-// the moved primitive boxes (writing the primitive snapshot cache-hot, in
-// the same touch), re-unites interior bounds, and accumulates the SAH
-// quality metric — all in a single pass over the node array. `prim_box`
-// yields primitive id's moved box; it is called exactly once per
-// primitive (each primitive lives in exactly one leaf).
-template <typename PrimBox>
-void Bvh::refit_impl(std::size_t prim_count, PrimBox prim_box) {
-  RTNN_CHECK(prim_count == prim_aabbs_.size(),
-             "refit requires the same primitive count as the build");
-  if (nodes_.empty()) return;
-
-  // The inflation baseline: the SAH cost this topology had for the boxes
-  // it was built over, captured lazily before the first refit disturbs it.
-  if (baseline_sah_ < 0.0) baseline_sah_ = sah_cost_of_bounds();
-
-  struct SweepAcc {
-    double area = 0.0;
-    std::uint64_t empties = 0;
-  };
-  const auto refit_node = [&](BvhNode& node) {
-    SweepAcc acc;
-    if (node.is_leaf()) {
-      Aabb bounds;
-      for (std::uint32_t s = node.first; s < node.first + node.count; ++s) {
-        const std::uint32_t prim = prim_order_[s];
-        const Aabb box = prim_box(prim);
-        acc.empties += box.empty() ? 1 : 0;
-        prim_aabbs_[prim] = box;
-        bounds.grow(box);
-      }
-      node.bounds = bounds;
-      acc.area = static_cast<double>(bounds.surface_area()) * node.count;
-    } else {
-      node.bounds = unite(nodes_[node.left].bounds, nodes_[node.right].bounds);
-      acc.area = static_cast<double>(node.bounds.surface_area());
-    }
-    return acc;
-  };
-
-  SweepAcc total;
-  if (num_threads() <= 1 || nodes_.size() < 16 * 1024) {
-    // Children always follow their parent in the node array, so a reverse
-    // index loop is a valid (and cache-friendly) serial bottom-up sweep.
-    for (std::size_t i = nodes_.size(); i-- > 0;) {
-      const SweepAcc acc = refit_node(nodes_[i]);
-      total.area += acc.area;
-      total.empties += acc.empties;
-    }
-  } else {
-    ensure_levels();
-    for (std::size_t level = 0; level + 1 < level_offsets_.size(); ++level) {
-      const SweepAcc acc = parallel_reduce<SweepAcc>(
-          level_offsets_[level], level_offsets_[level + 1], SweepAcc{},
-          [&](std::int64_t s) {
-            return refit_node(nodes_[level_nodes_[static_cast<std::size_t>(s)]]);
-          },
-          [](SweepAcc a, const SweepAcc& b) {
-            a.area += b.area;
-            a.empties += b.empties;
-            return a;
-          },
-          grain::kElementwise);
-      total.area += acc.area;
-      total.empties += acc.empties;
-    }
-  }
-  RTNN_CHECK(total.empties == 0, "cannot refit over an empty AABB");
-
-  // The root *is* the union of every primitive box.
-  scene_bounds_ = nodes_[0].bounds;
-  const double root_area = nodes_[0].bounds.surface_area();
-  const double sah = root_area > 0.0 ? total.area / root_area : 0.0;
-  sah_inflation_ = (baseline_sah_ > 0.0 && sah > 0.0) ? sah / baseline_sah_ : 1.0;
-}
-
-void Bvh::refit(std::span<const Aabb> prims) {
-  refit_impl(prims.size(), [&](std::uint32_t prim) { return prims[prim]; });
-}
-
-void Bvh::refit(std::span<const Vec3> centers, float width) {
-  RTNN_CHECK(width > 0.0f, "refit AABB width must be positive");
-  refit_impl(centers.size(),
-             [&](std::uint32_t prim) { return Aabb::cube(centers[prim], width); });
 }
 
 BvhStats Bvh::stats() const {

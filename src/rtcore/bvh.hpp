@@ -1,7 +1,10 @@
 // Bounding Volume Hierarchy over axis-aligned bounding boxes.
 //
 // This is the data structure the RT cores traverse in hardware (paper
-// section 2.2/2.3). We build a binary LBVH: primitives are sorted by the
+// section 2.2/2.3). Every acceleration structure is built from it and
+// then keeps only its compressed 8-wide collapse (WideBvh), which also
+// refits itself; the warp-lockstep model and use_wide_bvh=false launches
+// walk a binary tree rebuilt on demand. We build a binary LBVH: primitives are sorted by the
 // 63-bit Morton code of their AABB centroid and the tree is formed by
 // recursively splitting the sorted range at the highest differing Morton
 // bit (Karras 2012-style top-down formulation), then node bounds are
@@ -55,31 +58,6 @@ class Bvh {
   /// device-side geometry snapshot).
   void build(std::span<const Aabb> prims, const BvhBuildOptions& options = {});
 
-  /// Refits the tree to moved primitives without rebuilding: `prims` must
-  /// have the same count (and mean the same primitive ids) as the last
-  /// build(). Leaf bounds are recomputed from the moved boxes and interior
-  /// bounds re-united bottom-up in a parallel level sweep; topology,
-  /// prim_order() and Morton layout are untouched. This is the driver-side
-  /// AS *update* of the RT stack (OPTIX_BUILD_OPERATION_UPDATE): linear,
-  /// sort-free, several times cheaper than build() — the right move for
-  /// dynamic clouds whose frame-to-frame motion is small. Quality erodes
-  /// as points drift from where the topology was decided; sah_inflation()
-  /// makes that observable so callers can schedule a rebuild. On failure
-  /// (empty input box) the tree's bounds are unspecified; rebuild.
-  void refit(std::span<const Aabb> prims);
-
-  /// Point-cloud fast path: refit over Aabb::cube(centers[i], width)
-  /// without materializing the box array — the RTNN frame shape (one
-  /// cubic AABB per moved point). Saves a full write+read pass over the
-  /// primitive boxes; the refit hot loop computes them in registers.
-  void refit(std::span<const Vec3> centers, float width);
-
-  /// Surface-area-heuristic cost of the current bounds relative to the
-  /// bounds this topology was built for: 1.0 after build(), growing as
-  /// successive refit()s stretch the boxes. The rebuild policy's quality
-  /// signal (CostModel::max_sah_inflation).
-  double sah_inflation() const { return sah_inflation_; }
-
   bool empty() const { return nodes_.empty(); }
   std::uint32_t root() const { return 0; }
 
@@ -101,30 +79,12 @@ class Bvh {
   void validate() const;
 
  private:
-  std::uint32_t build_range(std::uint32_t lo, std::uint32_t hi,
-                            const std::vector<std::uint64_t>& codes,
-                            std::uint32_t depth);
-  void ensure_levels() const;
-  double sah_cost_of_bounds() const;
-  /// Shared refit engine: `prim_box(id)` yields primitive id's moved box.
-  template <typename PrimBox>
-  void refit_impl(std::size_t prim_count, PrimBox prim_box);
-
   std::vector<BvhNode> nodes_;
   std::vector<std::uint32_t> prim_order_;
   std::vector<Aabb> prim_aabbs_;
   Aabb scene_bounds_;
   std::uint32_t leaf_size_ = 1;
   std::uint32_t max_depth_seen_ = 0;
-
-  // Refit state. The level schedule (node ids bucketed by depth, deepest
-  // first) depends only on topology, so it is computed on the first refit
-  // and reused until the next build(); baseline_sah_ is the fresh-build
-  // SAH cost the inflation metric is measured against.
-  mutable std::vector<std::uint32_t> level_nodes_;    // ids, deepest level first
-  mutable std::vector<std::uint32_t> level_offsets_;  // level l = [l, l+1) slice
-  double baseline_sah_ = -1.0;  // <0: not captured yet
-  double sah_inflation_ = 1.0;
 };
 
 }  // namespace rtnn::rt

@@ -22,25 +22,26 @@ Aabb member_bounds(std::span<const Vec3> positions, float width) {
   return Aabb{box.lo - pad, box.hi + pad};
 }
 
-std::shared_ptr<const TiledBvh::TileIndex> build_index(
-    std::span<const Vec3> positions, float width, std::uint32_t leaf_size) {
+/// A tile's wide index; the binary tree it collapses is dropped here.
+std::shared_ptr<const WideBvh> build_index(std::span<const Vec3> positions, float width,
+                                           std::uint32_t leaf_size) {
   std::vector<Aabb> boxes(positions.size());
   for (std::size_t i = 0; i < positions.size(); ++i) {
     boxes[i] = Aabb::cube(positions[i], width);
   }
-  auto index = std::make_shared<TiledBvh::TileIndex>();
-  index->bvh.build(boxes, BvhBuildOptions{.leaf_size = leaf_size});
-  index->wide.build(index->bvh);
+  Bvh bvh;
+  bvh.build(boxes, BvhBuildOptions{.leaf_size = leaf_size});
+  auto index = std::make_shared<WideBvh>();
+  index->build(bvh);
   return index;
 }
 
 }  // namespace
 
-const TiledBvh::TileIndex& TiledBvh::Tile::ensure_index(
-    float aabb_width, std::uint32_t leaf_size) const {
-  if (const TileIndex* built = index_.load(std::memory_order_acquire)) return *built;
+const WideBvh& TiledBvh::Tile::ensure_index(float aabb_width, std::uint32_t leaf_size) const {
+  if (const WideBvh* built = index_.load(std::memory_order_acquire)) return *built;
   std::lock_guard<std::mutex> lock(build_mutex_);
-  if (const TileIndex* built = index_.load(std::memory_order_relaxed)) return *built;
+  if (const WideBvh* built = index_.load(std::memory_order_relaxed)) return *built;
   storage_ = build_index(positions_, aabb_width, leaf_size);
   index_.store(storage_.get(), std::memory_order_release);
   return *storage_;
@@ -129,14 +130,13 @@ TiledUpdateStats TiledBvh::update(std::span<const Vec3> points,
 
     // Replace, never mutate: snapshots sharing the old tile keep it.
     auto fresh = make_tile(points, old_tile.prim_ids_);
-    if (const TileIndex* old_index = old_tile.index()) {
-      if (policy(old_index->bvh.sah_inflation()) == TileUpdate::kRefit) {
+    if (const WideBvh* old_index = old_tile.index()) {
+      if (policy(old_index->sah_inflation()) == TileUpdate::kRefit) {
         Timer timer;
         // Copy-then-refit: the shared old index stays frozen for earlier
         // snapshots while the copy absorbs the motion.
-        auto refitted = std::make_shared<TileIndex>(*old_index);
-        refitted->bvh.refit(fresh->positions_, width_);
-        refitted->wide.refit_from(refitted->bvh);
+        auto refitted = std::make_shared<WideBvh>(*old_index);
+        refitted->refit(fresh->positions_, width_);
         fresh->publish(std::move(refitted));
         out.refit_seconds += timer.elapsed();
         ++out.tile_refits;
@@ -159,25 +159,27 @@ TiledBvhStats TiledBvh::stats() const {
   TiledBvhStats out;
   out.tile_count = tile_count();
   for (const auto& tile : tiles_) {
-    const TileIndex* index = tile->index();
+    const WideBvh* index = tile->index();
     if (index == nullptr) continue;
     ++out.built_tiles;
-    const WideBvhStats ws = index->wide.stats();
+    const WideBvhStats ws = index->stats();
     out.node_bytes += ws.node_bytes;
     out.total_index_bytes += ws.total_index_bytes;
   }
   // The top tree is part of the resident index too; tiny (one node pair
-  // per tile) but accounted so the gauge is the whole two-level footprint.
+  // per tile) but accounted, every array of it, so the gauge is the whole
+  // two-level footprint.
   out.total_index_bytes += top_.nodes().size() * sizeof(BvhNode) +
-                           top_.prim_order().size() * sizeof(std::uint32_t);
+                           top_.prim_order().size() * sizeof(std::uint32_t) +
+                           top_.prim_aabbs().size() * sizeof(Aabb);
   return out;
 }
 
 double TiledBvh::max_sah_inflation() const {
   double worst = 1.0;
   for (const auto& tile : tiles_) {
-    if (const TileIndex* index = tile->index()) {
-      worst = std::max(worst, index->bvh.sah_inflation());
+    if (const WideBvh* index = tile->index()) {
+      worst = std::max(worst, index->sah_inflation());
     }
   }
   return worst;
@@ -204,11 +206,10 @@ void TiledBvh::validate() const {
       RTNN_CHECK(tile->bounds_.contains(Aabb::cube(tile->positions_[i], width_)),
                  "tile bounds do not contain a member AABB");
     }
-    if (const TileIndex* index = tile->index()) {
-      RTNN_CHECK(index->bvh.prim_count() == tile->prim_ids_.size(),
+    if (const WideBvh* index = tile->index()) {
+      RTNN_CHECK(index->prim_count() == tile->prim_ids_.size(),
                  "tile index primitive count mismatch");
-      index->bvh.validate();
-      index->wide.validate();
+      index->validate();
     }
   }
   RTNN_CHECK(members == point_count_, "tiles do not partition the point ids");

@@ -7,9 +7,9 @@
 //
 //   * the cloud is split into spatially compact tiles (the caller supplies
 //     the membership — Morton-contiguous runs from the tile planner);
-//   * each tile owns a bottom-level index (binary `Bvh` + its compressed
-//     8-wide `WideBvh`, exactly the monolithic build product, just
-//     tile-local);
+//   * each tile owns a bottom-level index: a compressed 8-wide `WideBvh`,
+//     exactly the monolithic build product, just tile-local (the binary
+//     LBVH it is collapsed from is dropped after the build);
 //   * a small top-level binary BVH over the tight tile AABBs culls whole
 //     tiles before a ray ever touches a bottom-level node.
 //
@@ -98,14 +98,6 @@ struct TiledBvhStats {
 /// matter how large the cloud is.
 class TiledBvh {
  public:
-  /// One tile's bottom-level index: the same pair every monolithic accel
-  /// holds, built over the tile's member AABBs in member order (local
-  /// prim id i = slot i of the tile's id list).
-  struct TileIndex {
-    Bvh bvh;
-    WideBvh wide;
-  };
-
   /// One spatial tile: its member point ids (global, fixed at build; the
   /// Morton-contiguous run the planner assigned), their current
   /// positions, tight bounds over the member AABBs, and the lazily built
@@ -118,20 +110,22 @@ class TiledBvh {
     std::span<const Vec3> positions() const { return positions_; }
     const Aabb& bounds() const { return bounds_; }
 
-    /// The built index, or nullptr while the tile is still lazy.
-    const TileIndex* index() const { return index_.load(std::memory_order_acquire); }
+    /// The built index — the wide tree every monolithic accel holds, over
+    /// the tile's member AABBs in member order (local prim id i = slot i
+    /// of the tile's id list) — or nullptr while the tile is still lazy.
+    const WideBvh* index() const { return index_.load(std::memory_order_acquire); }
 
     /// The index, built on first use (the build-on-first-route step).
     /// Safe to call concurrently from traversal threads sharing a
     /// snapshot: one caller builds under the tile mutex, the rest reuse
     /// the published pointer.
-    const TileIndex& ensure_index(float aabb_width, std::uint32_t leaf_size) const;
+    const WideBvh& ensure_index(float aabb_width, std::uint32_t leaf_size) const;
 
    private:
     friend class TiledBvh;
 
     /// Publishes an already-built index (eager builds and updates).
-    void publish(std::shared_ptr<const TileIndex> index) {
+    void publish(std::shared_ptr<const WideBvh> index) {
       storage_ = std::move(index);
       index_.store(storage_.get(), std::memory_order_release);
     }
@@ -140,8 +134,8 @@ class TiledBvh {
     std::vector<Vec3> positions_;
     Aabb bounds_;
     mutable std::mutex build_mutex_;                       // serializes lazy builds
-    mutable std::shared_ptr<const TileIndex> storage_;     // owns the index
-    mutable std::atomic<const TileIndex*> index_{nullptr}; // lock-free read side
+    mutable std::shared_ptr<const WideBvh> storage_;     // owns the index
+    mutable std::atomic<const WideBvh*> index_{nullptr}; // lock-free read side
   };
 
   TiledBvh() = default;

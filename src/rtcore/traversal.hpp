@@ -482,10 +482,9 @@ void trace_one_tiled(const TiledBvh& tlas, const Ray& ray, std::uint32_t ray_id,
       for (std::uint32_t s = node.first; s < node.first + node.count; ++s) {
         const std::uint32_t t = tile_order[s];
         const TiledBvh::Tile& tile = tlas.tile(t);
-        const TiledBvh::TileIndex& index =
-            tile.ensure_index(tlas.aabb_width(), tlas.leaf_size());
+        const WideBvh& index = tile.ensure_index(tlas.aabb_width(), tlas.leaf_size());
         TileProgram<Program> tp{program, tile.prim_ids().data()};
-        trace_one_compressed(index.wide, ray, ray_id, tp, stats, wide_stack);
+        trace_one_compressed(index, ray, ray_id, tp, stats, wide_stack);
         if (tp.terminated) return;
         if constexpr (kCull) delta = program.cull_shrink(ray_id);
       }

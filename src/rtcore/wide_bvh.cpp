@@ -1,8 +1,9 @@
-// Collapse and quantization of the compressed wide BVH.
+// Collapse, quantization and refit of the compressed wide BVH.
 //
 // Each CompressedWideNode encodes its eight child AABBs as 8-bit offsets
-// from a per-node anchor at per-axis power-of-two scales, quantized
-// straight from the bounds of the binary frontier nodes behind its slots.
+// from a per-node anchor at per-axis power-of-two scales, quantized from
+// the exact bounds of the subtree behind each slot: min/max unions of the
+// leaf boxes, re-united bottom-up at build and at every refit.
 // The encoding is *conservative by construction*: after the arithmetic
 // estimate of each quantized lane, a fix-up loop nudges it until the
 // exactly-dequantized value (the same `anchor + float(q) * 2^exp`
@@ -22,6 +23,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -32,23 +34,29 @@ namespace rtnn::rt {
 
 namespace {
 
-/// The binary nodes feeding one wide node's slots, recorded during the
-/// serial topology pass and consumed by every quantization pass.
-using SlotSources = std::array<std::uint32_t, kWideBvhWidth>;
+/// The binary nodes behind one wide node's slots (the collapse frontier).
+using Frontier = std::array<std::uint32_t, kWideBvhWidth>;
 
-/// Grows `frontier` (binary node ids under one wide node) by repeatedly
-/// replacing the interior entry with the largest surface area — the child a
-/// random ray is most likely to enter — with its two children, until all
-/// eight slots are used or only leaves remain. Returns the frontier size.
-/// Areas are computed once per entry (-1 marks a leaf), not rescanned.
-std::uint32_t collapse_frontier(std::span<const BvhNode> bin_nodes, SlotSources& frontier,
-                                std::uint32_t size) {
+/// Grows `frontier` (binary node ids under one wide node, starting from
+/// its binary root's two children) by repeatedly replacing the interior
+/// entry with the largest surface area — the child a random ray is most
+/// likely to enter — with its two children, until all eight slots are used
+/// or only leaves remain, and records each expansion's slot mask. Returns
+/// the frontier size. Areas are computed once per entry (-1 marks a
+/// leaf), not rescanned.
+std::uint32_t collapse_frontier(std::span<const BvhNode> bin_nodes, Frontier& frontier,
+                                ExpandMasks& expanded) {
   const auto entry_area = [&](std::uint32_t id) {
     const BvhNode& node = bin_nodes[id];
     return node.is_leaf() ? -1.0f : node.bounds.surface_area();
   };
+  std::uint32_t size = 2;
   float area[kWideBvhWidth];
   for (std::uint32_t i = 0; i < size; ++i) area[i] = entry_area(frontier[i]);
+  // Expansion j splits the entry at split_at[j] into itself (left child)
+  // and the new entry at 2 + j (right child).
+  std::uint32_t split_at[kWideBvhWidth - 2];
+  std::uint32_t n_expanded = 0;
   while (size < kWideBvhWidth) {
     std::uint32_t expand = kWideBvhWidth;  // sentinel: nothing to expand
     float best_area = -1.0f;
@@ -59,12 +67,22 @@ std::uint32_t collapse_frontier(std::span<const BvhNode> bin_nodes, SlotSources&
       }
     }
     if (expand == kWideBvhWidth) break;  // all leaves
+    split_at[n_expanded++] = expand;
     const BvhNode& node = bin_nodes[frontier[expand]];
     frontier[expand] = node.left;
     area[expand] = entry_area(node.left);
     frontier[size] = node.right;
     area[size] = entry_area(node.right);
     ++size;
+  }
+  // Undo the expansions last-first: each merges the right child's slots
+  // back into the entry it split from, which then spans the expansion.
+  std::uint8_t cover[kWideBvhWidth];
+  for (std::uint32_t i = 0; i < size; ++i) cover[i] = static_cast<std::uint8_t>(1u << i);
+  expanded.fill(0);
+  for (std::uint32_t j = n_expanded; j-- > 0;) {
+    cover[split_at[j]] |= cover[2 + j];
+    expanded[j] = cover[split_at[j]];
   }
   return size;
 }
@@ -113,11 +131,10 @@ bool quantize_axis(float lo, float hi, float anchor, float scale,
   return true;
 }
 
-/// Quantizes `node`'s valid slots from the bounds of the binary frontier
-/// nodes behind them: anchor, per-axis exponents and lanes. The child
-/// table (count, bases, meta) is the collapse's and stays untouched.
-void quantize_node(CompressedWideNode& node, std::span<const BvhNode> bin_nodes,
-                   const SlotSources& sources) {
+/// Quantizes `node`'s valid slots from their exact bounds `slots[0,
+/// count)`: anchor, per-axis exponents and lanes. The child table (count,
+/// bases, meta) is the collapse's and stays untouched.
+void quantize_node(CompressedWideNode& node, const Aabb* slots) {
   const std::uint32_t count = node.count;
   // The slot bounds, gathered per axis, and their union (the content
   // bounds) over the valid slots.
@@ -126,7 +143,7 @@ void quantize_node(CompressedWideNode& node, std::span<const BvhNode> bin_nodes,
   float lo[3] = {kInf, kInf, kInf};
   float hi[3] = {-kInf, -kInf, -kInf};
   for (std::uint32_t i = 0; i < count; ++i) {
-    const Aabb& b = bin_nodes[sources[i]].bounds;
+    const Aabb& b = slots[i];
     slot_lo[0][i] = b.lo.x;
     slot_lo[1][i] = b.lo.y;
     slot_lo[2][i] = b.lo.z;
@@ -171,38 +188,32 @@ void quantize_node(CompressedWideNode& node, std::span<const BvhNode> bin_nodes,
   }
 }
 
-/// quantize_node over every node, in parallel.
-void quantize_nodes(std::span<CompressedWideNode> nodes, std::span<const BvhNode> bin_nodes,
-                    std::span<const SlotSources> sources) {
-  parallel_for(0, static_cast<std::int64_t>(nodes.size()), [&](std::int64_t ni) {
-    const auto i = static_cast<std::size_t>(ni);
-    quantize_node(nodes[i], bin_nodes, sources[i]);
-  }, grain::kElementwise / kWideBvhWidth);
-}
+/// Wide nodes below which the sweep runs serially (reverse index order)
+/// rather than level by level in parallel.
+constexpr std::size_t kParallelSweepNodes = 2 * 1024;
 
 }  // namespace
 
 void WideBvh::build(const Bvh& source) {
   nodes_.clear();
   leaves_.clear();
-  slot_sources_.clear();
-  ordered_prim_aabbs_.clear();
-  max_depth_ = 0;
+  expand_masks_.clear();
+  level_offsets_.clear();
   prim_order_.assign(source.prim_order().begin(), source.prim_order().end());
-  source_node_count_ = static_cast<std::uint32_t>(source.nodes().size());
+  ordered_prim_aabbs_.clear();
+  scene_bounds_ = Aabb{};
+  baseline_sah_ = 0.0;
+  sah_inflation_ = 1.0;
   if (source.empty()) return;
 
   const std::span<const BvhNode> bin_nodes = source.nodes();
 
-  // Phase 1 (serial): topology. BFS over wide nodes keeps parents adjacent
-  // to children in memory. Each queue entry is a wide node to fill; its
-  // frontier collapse allocates the children. Single-threaded builds
-  // quantize inline while the binary nodes are cache-hot; parallel builds
-  // defer the quantization (the bulk of the work) to phase 2.
-  const bool inline_quantize = num_threads() <= 1;
+  // Topology (serial): BFS over wide nodes keeps parents adjacent to
+  // children in memory and each depth a contiguous index range (the level
+  // table). Each queue entry is a wide node to fill; its frontier collapse
+  // allocates the children, so queue index == node index.
   struct Pending {
     std::uint32_t bin_root;
-    std::uint32_t wide_index;
     std::uint32_t depth;
   };
   // Capacity up front. For leaf_size 1 the collapse lands near one wide
@@ -211,20 +222,21 @@ void WideBvh::build(const Bvh& source) {
   const std::size_t node_estimate = bin_nodes.size() / 4 + 2;
   std::vector<Pending> queue;
   queue.reserve(node_estimate);
-  queue.push_back({source.root(), 0, 0});
-  // Slot sources are recorded for every node: the parallel quantization
-  // consumes them now, refit_from() consumes them for the tree's lifetime.
-  slot_sources_.reserve(node_estimate);
+  queue.push_back({source.root(), 0});
   nodes_.reserve(node_estimate);
+  expand_masks_.reserve(node_estimate);
   leaves_.reserve((bin_nodes.size() + 1) / 2);
   nodes_.emplace_back();
-  slot_sources_.emplace_back();
+  expand_masks_.emplace_back();
 
   for (std::size_t head = 0; head < queue.size(); ++head) {
     const Pending p = queue[head];
-    max_depth_ = std::max(max_depth_, p.depth);
+    if (level_offsets_.size() == p.depth) {
+      level_offsets_.push_back(static_cast<std::uint32_t>(head));
+    }
 
-    SlotSources frontier{};
+    Frontier frontier{};
+    ExpandMasks masks{};
     std::uint32_t size;
     const BvhNode& bin_root = bin_nodes[p.bin_root];
     if (bin_root.is_leaf()) {
@@ -233,14 +245,14 @@ void WideBvh::build(const Bvh& source) {
     } else {
       frontier[0] = bin_root.left;
       frontier[1] = bin_root.right;
-      size = collapse_frontier(bin_nodes, frontier, 2);
+      size = collapse_frontier(bin_nodes, frontier, masks);
     }
 
     // The child table: this node's interior children get consecutive node
     // indices from child_base and its leaf children consecutive leaf
     // indices from leaf_base, so a per-slot ordinal names each one.
-    // Allocate them before touching nodes_[p.wide_index]: emplace_back
-    // below may reallocate the node array.
+    // Allocate them before touching nodes_[head]: emplace_back below may
+    // reallocate the node array.
     const auto child_base = static_cast<std::uint32_t>(nodes_.size());
     const auto leaf_base = static_cast<std::uint32_t>(leaves_.size());
     std::uint8_t meta[kWideBvhWidth] = {};
@@ -252,59 +264,149 @@ void WideBvh::build(const Bvh& source) {
         leaves_.push_back({bin.first, bin.count});
       } else {
         meta[i] = n_interior++;
-        queue.push_back({frontier[i], child_base + meta[i], p.depth + 1});
+        queue.push_back({frontier[i], p.depth + 1});
         nodes_.emplace_back();
-        slot_sources_.emplace_back();
+        expand_masks_.emplace_back();
       }
     }
 
-    CompressedWideNode& node = nodes_[p.wide_index];
+    CompressedWideNode& node = nodes_[head];
     node.count = static_cast<std::uint8_t>(size);
     node.child_base = n_interior > 0 ? child_base : 0;
     node.leaf_base = n_leaf > 0 ? leaf_base : 0;
     std::copy(meta, meta + kWideBvhWidth, node.meta);
-    slot_sources_[p.wide_index] = frontier;
-    if (inline_quantize) quantize_node(node, bin_nodes, frontier);
+    expand_masks_[head] = masks;
   }
-  // Phase 2 (parallel): quantize every node's slots.
-  if (!inline_quantize) quantize_nodes(nodes_, bin_nodes, slot_sources_);
-  refresh_ordered_prims(source.prim_aabbs());
-}
+  level_offsets_.push_back(static_cast<std::uint32_t>(nodes_.size()));
 
-void WideBvh::refit_from(const Bvh& source) {
-  RTNN_CHECK(static_cast<std::uint32_t>(source.nodes().size()) == source_node_count_ &&
-                 source.prim_count() == prim_count(),
-             "refit_from requires the Bvh this WideBvh was collapsed from");
-  if (nodes_.empty()) return;
-  RTNN_DCHECK(std::equal(prim_order_.begin(), prim_order_.end(),
-                         source.prim_order().begin()),
-              "source primitive order diverged from the collapse");
-
-  // Only boxes change: re-quantize every node from the recorded collapse
-  // frontier and refresh the leaf-ordered primitive boxes. No topology
-  // decisions, no allocation — a flat parallel pass.
-  quantize_nodes(nodes_, source.nodes(), slot_sources_);
-  refresh_ordered_prims(source.prim_aabbs());
-}
-
-void WideBvh::refresh_ordered_prims(std::span<const Aabb> prim_aabbs) {
+  // Bounds: the leaf-ordered boxes, then the sweep — the exact unions it
+  // quantizes from are the bits of the binary nodes behind the slots, and
+  // its SAH cost is the inflation baseline.
+  const std::span<const Aabb> prim_aabbs = source.prim_aabbs();
   ordered_prim_aabbs_.resize(prim_order_.size());
   parallel_for(0, static_cast<std::int64_t>(prim_order_.size()), [&](std::int64_t si) {
     const auto s = static_cast<std::size_t>(si);
     ordered_prim_aabbs_[s] = prim_aabbs[prim_order_[s]];
   }, grain::kElementwise);
+  baseline_sah_ = sweep();
+}
+
+// One bottom-up pass, children before parents (level by level in
+// parallel on large trees). Per node: exact slot bounds (leaf slots from
+// their boxes, interior slots from the child's content union) to
+// quantize, and the SAH terms of the binary nodes its collapse covers —
+// its binary root (the content), the expansions (unions under their
+// masks) and its binary leaves (area × primitive count).
+double WideBvh::sweep() {
+  struct Content {
+    Aabb bounds;
+    std::uint32_t first;  // first leaf slot under the node: its primitive-order key
+  };
+  std::vector<Content> content(nodes_.size());
+  const auto visit = [&](std::size_t ni) {
+    CompressedWideNode& node = nodes_[ni];
+    const std::uint32_t count = node.count;
+    Aabb slots[kWideBvhWidth];
+    std::uint32_t first[kWideBvhWidth] = {};
+    double area = 0.0;
+    for (std::uint32_t i = 0; i < count; ++i) {
+      if (node.is_leaf_slot(i)) {
+        const WideLeaf& leaf = leaves_[node.leaf_index(i)];
+        Aabb bounds;
+        for (std::uint32_t s = leaf.first; s < leaf.first + leaf.count; ++s) {
+          bounds.grow(ordered_prim_aabbs_[s]);
+        }
+        slots[i] = bounds;
+        first[i] = leaf.first;
+        area += static_cast<double>(bounds.surface_area()) * leaf.count;
+      } else {
+        const Content& child = content[node.child_index(i)];
+        slots[i] = child.bounds;
+        first[i] = child.first;
+      }
+    }
+    // Unite the slots in primitive order, as the binary tree unites left
+    // then right: a -0.0/+0.0 tie then keeps the binary refit's bits.
+    std::uint32_t order[kWideBvhWidth] = {};
+    for (std::uint32_t i = 0; i < count; ++i) {
+      std::uint32_t j = i;
+      for (; j > 0 && first[order[j - 1]] > first[i]; --j) order[j] = order[j - 1];
+      order[j] = i;
+    }
+    Aabb all;
+    for (std::uint32_t k = 0; k < count; ++k) all.grow(slots[order[k]]);
+    content[ni] = {all, first[order[0]]};
+    if (count > 1) area += static_cast<double>(all.surface_area());  // interior binary root
+    for (const std::uint8_t mask : expand_masks_[ni]) {
+      if (mask == 0) break;
+      Aabb expanded;
+      for (std::uint32_t m = mask; m != 0; m &= m - 1) {
+        expanded.grow(slots[std::countr_zero(m)]);
+      }
+      area += static_cast<double>(expanded.surface_area());
+    }
+    quantize_node(node, slots);
+    return area;
+  };
+
+  double total = 0.0;
+  if (num_threads() <= 1 || nodes_.size() < kParallelSweepNodes) {
+    for (std::size_t ni = nodes_.size(); ni-- > 0;) total += visit(ni);
+  } else {
+    for (std::size_t level = level_offsets_.size() - 1; level-- > 0;) {
+      total += parallel_reduce<double>(
+          level_offsets_[level], level_offsets_[level + 1], 0.0,
+          [&](std::int64_t ni) { return visit(static_cast<std::size_t>(ni)); },
+          [](double a, double b) { return a + b; }, grain::kElementwise / kWideBvhWidth);
+    }
+  }
+  scene_bounds_ = content[0].bounds;
+  const double root_area = content[0].bounds.surface_area();
+  return root_area > 0.0 ? total / root_area : 0.0;
+}
+
+template <typename PrimBox>
+void WideBvh::refit_impl(std::size_t prim_count, PrimBox prim_box) {
+  RTNN_CHECK(prim_count == prim_order_.size(),
+             "refit requires the same primitive count as the build");
+  if (nodes_.empty()) return;
+  const std::uint64_t empties = parallel_reduce<std::uint64_t>(
+      0, static_cast<std::int64_t>(prim_order_.size()), 0,
+      [&](std::int64_t si) -> std::uint64_t {
+        const auto s = static_cast<std::size_t>(si);
+        const Aabb box = prim_box(prim_order_[s]);
+        ordered_prim_aabbs_[s] = box;
+        return box.empty() ? 1 : 0;
+      },
+      [](std::uint64_t a, std::uint64_t b) { return a + b; }, grain::kElementwise);
+  RTNN_CHECK(empties == 0, "cannot refit over an empty AABB");
+
+  const double sah = sweep();
+  sah_inflation_ = (baseline_sah_ > 0.0 && sah > 0.0) ? sah / baseline_sah_ : 1.0;
+}
+
+void WideBvh::refit(std::span<const Aabb> prims) {
+  refit_impl(prims.size(), [&](std::uint32_t prim) { return prims[prim]; });
+}
+
+void WideBvh::refit(std::span<const Vec3> centers, float width) {
+  RTNN_CHECK(width > 0.0f, "refit AABB width must be positive");
+  refit_impl(centers.size(),
+             [&](std::uint32_t prim) { return Aabb::cube(centers[prim], width); });
 }
 
 WideBvhStats WideBvh::stats() const {
   WideBvhStats s;
   s.node_count = static_cast<std::uint32_t>(nodes_.size());
   s.leaf_count = static_cast<std::uint32_t>(leaves_.size());
-  s.max_depth = max_depth_;
+  s.max_depth = level_offsets_.empty() ? 0 : static_cast<std::uint32_t>(level_offsets_.size() - 2);
   s.node_bytes = static_cast<std::uint64_t>(nodes_.size()) * sizeof(CompressedWideNode);
   s.total_index_bytes =
       s.node_bytes + static_cast<std::uint64_t>(leaves_.size()) * sizeof(WideLeaf) +
       static_cast<std::uint64_t>(prim_order_.size()) * sizeof(std::uint32_t) +
-      static_cast<std::uint64_t>(ordered_prim_aabbs_.size()) * sizeof(Aabb);
+      static_cast<std::uint64_t>(ordered_prim_aabbs_.size()) * sizeof(Aabb) +
+      static_cast<std::uint64_t>(expand_masks_.size()) * sizeof(ExpandMasks) +
+      static_cast<std::uint64_t>(level_offsets_.size()) * sizeof(std::uint32_t);
   if (nodes_.empty()) return s;
   std::uint64_t children = 0;
   for (const CompressedWideNode& n : nodes_) children += n.count;
@@ -320,6 +422,14 @@ void WideBvh::validate() const {
   }
   const auto n_prims = static_cast<std::uint32_t>(prim_order_.size());
   RTNN_CHECK(ordered_prim_aabbs_.size() == n_prims, "leaf-ordered AABBs out of sync");
+  RTNN_CHECK(expand_masks_.size() == nodes_.size() && level_offsets_.size() >= 2 &&
+                 level_offsets_.front() == 0 && level_offsets_.back() == nodes_.size(),
+             "collapse records out of sync");
+  std::vector<std::uint32_t> level(nodes_.size());
+  for (std::uint32_t l = 0; l + 1 < level_offsets_.size(); ++l) {
+    RTNN_CHECK(level_offsets_[l] < level_offsets_[l + 1], "empty BFS level");
+    std::fill(level.begin() + level_offsets_[l], level.begin() + level_offsets_[l + 1], l);
+  }
 
   // Structure: packing, reachability, and the consecutive-children
   // metadata. BFS allocates every child after its parent, so child
@@ -337,6 +447,13 @@ void WideBvh::validate() const {
     const CompressedWideNode& node = nodes_[ni];
     RTNN_CHECK(node.count >= 1 && node.count <= kWideBvhWidth,
                "wide node child count out of range");
+    // One mask per slot beyond the first two, each a multi-slot subset.
+    for (std::uint32_t j = 0; j < expand_masks_[ni].size(); ++j) {
+      const std::uint8_t mask = expand_masks_[ni][j];
+      RTNN_CHECK((mask != 0) == (j + 2 < node.count) && (mask & ~node.valid_mask()) == 0 &&
+                     std::popcount(mask) != 1,
+                 "expand masks do not match the node's slots");
+    }
     std::uint32_t n_interior = 0, n_leaf = 0;
     for (std::uint32_t i = 0; i < kWideBvhWidth; ++i) {
       if (i >= node.count) {
@@ -366,6 +483,7 @@ void WideBvh::validate() const {
         RTNN_CHECK(ordinal == n_interior++, "interior children not consecutive");
         const std::uint32_t child = node.child_index(i);
         RTNN_CHECK(child > ni && child < nodes_.size(), "interior child index out of range");
+        RTNN_CHECK(level[child] == level[ni] + 1, "child not one BFS level below its parent");
         stack.push_back(child);
       }
     }

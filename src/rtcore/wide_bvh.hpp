@@ -1,13 +1,13 @@
-// Compressed 8-wide BVH — the wall-clock traversal structure.
+// Compressed 8-wide BVH — the one resident traversal structure.
 //
-// The binary LBVH (`Bvh`) stays the simulation-fidelity structure: the
-// warp-lockstep engine and the cache simulator walk it node by node the
-// way the SIMT hardware does. For wall-clock runs the independent-path
-// engine instead traverses this collapsed form, where every node holds up
-// to eight children whose AABBs are quantized to 8-bit offsets against a
-// per-node anchor (the compressed wide BVH of Ylitie et al., HPG 2017).
-// One ray-vs-node step decodes and tests all eight child boxes at once
-// with AVX2 (scalar fallback when RTNN_ENABLE_AVX2=OFF).
+// Every acceleration structure keeps only this tree; the binary LBVH
+// (`Bvh`) it is collapsed from is dropped after the build, and rebuilt on
+// demand for the warp-lockstep walks (ox::detail::AccelData::binary()).
+// Every node holds up to eight children whose AABBs are quantized to
+// 8-bit offsets against a per-node anchor (the compressed wide BVH of
+// Ylitie et al., HPG 2017). One ray-vs-node step decodes and tests all
+// eight child boxes at once with AVX2 (scalar fallback when
+// RTNN_ENABLE_AVX2=OFF).
 //
 // The collapse is the standard wide-BVH recipe of production tracers:
 // starting from a binary subtree root, greedily expand the frontier node
@@ -17,6 +17,11 @@
 // of the binary frontier node behind it. Fewer, fatter, smaller nodes mean
 // fewer stack operations and fewer dependent cache misses per ray — the
 // software analog of what the RT cores' wide tree does in hardware.
+//
+// The tree refits itself: exact slot bounds re-united bottom-up from the
+// leaf boxes, then re-quantized. Per node it records the slots under each
+// binary node its collapse expanded, so every binary node's bounds, and
+// the binary tree's SAH the refit policy reads, come out on the way.
 #pragma once
 
 #include <array>
@@ -104,6 +109,11 @@ inline Aabb dequantize_slot(const CompressedWideNode& node, std::uint32_t i) {
                node.anchor_z + static_cast<float>(node.qhiz[i]) * sz}};
 }
 
+/// Slot masks of the binary nodes one wide node's collapse expanded: bit i
+/// of entry j is set when slot i lies under the j-th expansion; unused
+/// entries are 0 (each expansion adds one slot to the first two).
+using ExpandMasks = std::array<std::uint8_t, kWideBvhWidth - 2>;
+
 struct WideBvhStats {
   std::uint32_t node_count = 0;
   std::uint32_t leaf_count = 0;
@@ -111,35 +121,43 @@ struct WideBvhStats {
   double avg_children = 0.0;  // mean valid children per node (fill factor * 8)
   /// Bytes of the compressed node array.
   std::uint64_t node_bytes = 0;
-  /// node_bytes + the leaf records, primitive order and leaf-ordered
-  /// primitive AABBs — every array the wide walk reads.
+  /// node_bytes + the leaf records, primitive order, leaf-ordered
+  /// primitive AABBs and collapse records (expand masks, level table) —
+  /// every array the tree keeps resident.
   std::uint64_t total_index_bytes = 0;
 };
 
 /// The compressed 8-wide collapse of a binary Bvh. Self-contained: it
-/// snapshots the source's primitive order and (leaf-ordered) AABBs, so the
-/// source Bvh may be destroyed after build() — though refit_from() needs
-/// it, or an identically shaped refit of it.
+/// snapshots the source's primitive order and (leaf-ordered) AABBs, and
+/// refits without it, so the source Bvh may be destroyed after build().
 class WideBvh {
  public:
   WideBvh() = default;
 
-  /// Collapses `source` into compressed wide nodes. Topology and the child
-  /// tables are decided in one cheap serial pass; quantizing each slot
-  /// from the bounds of the binary node behind it runs in parallel over
-  /// the wide nodes (inline in the serial pass on one thread). The binary
-  /// node feeding each child slot is recorded so later refit_from() calls
-  /// can re-quantize without re-collapsing.
+  /// Collapses `source` into compressed wide nodes: topology, child tables
+  /// and expand masks in one serial pass, then the refit's sweep over the
+  /// source's boxes quantizes every slot.
   void build(const Bvh& source);
 
-  /// Re-quantizes every node (and refreshes the leaf-ordered primitive
-  /// AABBs) from an already-refitted `source` — which must be the same
-  /// tree build() last collapsed, with the same topology. The collapse
-  /// decision (which binary node landed in which slot) is reused verbatim;
-  /// only boxes are rewritten, in parallel. Together with Bvh::refit this
-  /// keeps both traversal representations coherent at a fraction of a
-  /// rebuild.
-  void refit_from(const Bvh& source);
+  /// Refits to moved boxes of the same primitive ids — the driver-side AS
+  /// update (OPTIX_BUILD_OPERATION_UPDATE): linear, sort-free, topology
+  /// and collapse untouched. Slot bounds are exact min/max unions folded
+  /// in primitive order, the bits a refit of the source binary tree gives
+  /// the node behind each slot. On failure (an empty box) the bounds are
+  /// unspecified; rebuild.
+  void refit(std::span<const Aabb> prims);
+
+  /// Point-cloud fast path: refit over Aabb::cube(centers[i], width)
+  /// without materializing the box array — the RTNN frame shape.
+  void refit(std::span<const Vec3> centers, float width);
+
+  /// The source binary tree's SAH cost relative to its cost at build():
+  /// 1.0 until refit()s stretch the boxes. The rebuild policy's quality
+  /// signal (CostModel::max_sah_inflation).
+  double sah_inflation() const { return sah_inflation_; }
+
+  /// Union of every primitive box (the binary root's bounds).
+  const Aabb& scene_bounds() const { return scene_bounds_; }
 
   bool empty() const { return nodes_.empty(); }
   std::uint32_t root() const { return 0; }
@@ -149,40 +167,46 @@ class WideBvh {
   std::span<const std::uint32_t> prim_order() const { return prim_order_; }
 
   /// The primitive AABBs in leaf-slot order: ordered_prim_aabbs()[s] is a
-  /// bitwise copy of the source's prim_aabbs()[prim_order()[s]]. The leaf
-  /// re-test reads this array, so its exact-AABB fetches stream
-  /// contiguously in traversal order instead of gathering through
-  /// prim_order.
+  /// bitwise copy of the box primitive prim_order()[s] was last built or
+  /// refit with. The leaf re-test reads this array, so its exact-AABB
+  /// fetches stream contiguously in traversal order instead of gathering
+  /// through prim_order.
   std::span<const Aabb> ordered_prim_aabbs() const { return ordered_prim_aabbs_; }
 
+  /// The collapse records: per-node expand masks and the BFS level table
+  /// (level l is nodes [level_offsets()[l], level_offsets()[l + 1])).
+  std::span<const ExpandMasks> expand_masks() const { return expand_masks_; }
+  std::span<const std::uint32_t> level_offsets() const { return level_offsets_; }
+
   std::uint32_t prim_count() const { return static_cast<std::uint32_t>(prim_order_.size()); }
-  std::uint32_t max_depth() const { return max_depth_; }
 
   WideBvhStats stats() const;
 
   /// Structural invariant check (used by tests): children packed from slot
   /// 0, every node and leaf reachable exactly once, the consecutive-
-  /// children metadata, every primitive in exactly one leaf slot, and every
+  /// children metadata, the collapse records, every primitive in exactly
+  /// one leaf slot, and every
   /// dequantized slot box containing the exact bounds of its subtree
   /// (min/max unions of the leaf-ordered AABBs). Throws rtnn::Error on
   /// failure.
   void validate() const;
 
  private:
-  /// Rebuilds ordered_prim_aabbs_ from the source's id-ordered boxes and
-  /// prim_order_. Parallel over slots.
-  void refresh_ordered_prims(std::span<const Aabb> prim_aabbs);
+  /// Re-quantizes every node from the leaf-ordered boxes, bottom-up;
+  /// refreshes scene_bounds_ and returns the binary tree's SAH cost.
+  double sweep();
+  template <typename PrimBox>
+  void refit_impl(std::size_t prim_count, PrimBox prim_box);
 
   std::vector<CompressedWideNode> nodes_;
   std::vector<WideLeaf> leaves_;
   std::vector<std::uint32_t> prim_order_;
   std::vector<Aabb> ordered_prim_aabbs_;
-  std::uint32_t max_depth_ = 0;
-  /// slot_sources_[node][slot] = binary node id whose bounds that slot
-  /// quantizes (the collapse frontier), kept so refit_from() is a flat
-  /// parallel pass. 32 B per 80 B node.
-  std::vector<std::array<std::uint32_t, kWideBvhWidth>> slot_sources_;
-  std::uint32_t source_node_count_ = 0;  // binary node count build() saw
+  std::vector<ExpandMasks> expand_masks_;  // 6 B per 80 B node
+  std::vector<std::uint32_t> level_offsets_;  // the sweep's parallel schedule
+  Aabb scene_bounds_;
+  double baseline_sah_ = 0.0;  // the SAH cost of the build's boxes
+  double sah_inflation_ = 1.0;
 };
 
 }  // namespace rtnn::rt

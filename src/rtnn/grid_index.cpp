@@ -1,12 +1,11 @@
 #include "rtnn/grid_index.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
-#include <mutex>
-
-#include "core/parallel.hpp"
 
 #include "core/error.hpp"
+#include "core/parallel.hpp"
 
 namespace rtnn {
 
@@ -40,49 +39,28 @@ void GridIndex::build(std::span<const Vec3> points, std::uint64_t max_cells) {
     res_[axis] = static_cast<int>(std::max(1.0f, std::ceil(extent[axis] / cell)));
   }
 
-  // Histogram of points per cell (per-thread histograms, merged).
+  // 3D summed-area table, dims (nx+1)(ny+1)(nz+1):
+  // sat(x,y,z) = #points in cells [0,x) × [0,y) × [0,z).
+  // Points are counted straight into it, each cell's count at the slot
+  // shifted by (1,1,1): one shared histogram, relaxed atomic increments
+  // (counts do not depend on their order). Then three separable
+  // prefix-sum passes, each parallel over the untouched dimensions.
   const std::size_t nx = static_cast<std::size_t>(res_.x);
   const std::size_t ny = static_cast<std::size_t>(res_.y);
   const std::size_t nz = static_cast<std::size_t>(res_.z);
-  const std::size_t cells = nx * ny * nz;
-  std::vector<std::uint32_t> histogram(cells, 0);
-  {
-    std::mutex merge_mutex;
-    parallel_for_chunks(0, static_cast<std::int64_t>(points.size()),
-                        [&](std::int64_t lo, std::int64_t hi) {
-                          std::vector<std::uint32_t> local(cells, 0);
-                          for (std::int64_t i = lo; i < hi; ++i) {
-                            const Int3 c = cell_of(points[static_cast<std::size_t>(i)]);
-                            ++local[(static_cast<std::size_t>(c.z) * ny +
-                                     static_cast<std::size_t>(c.y)) *
-                                        nx +
-                                    static_cast<std::size_t>(c.x)];
-                          }
-                          const std::lock_guard<std::mutex> lock(merge_mutex);
-                          for (std::size_t c = 0; c < cells; ++c) histogram[c] += local[c];
-                        },
-                        1 << 16);
-  }
-
-  // 3D summed-area table, dims (nx+1)(ny+1)(nz+1):
-  // sat(x,y,z) = #points in cells [0,x) × [0,y) × [0,z).
-  // Built as three separable prefix-sum passes, each parallel over the
-  // untouched dimensions.
   sat_.assign((nx + 1) * (ny + 1) * (nz + 1), 0);
   const std::size_t sx = nx + 1;
   const std::size_t sy = ny + 1;
   auto sat_index = [&](std::size_t x, std::size_t y, std::size_t z) {
     return (z * sy + y) * sx + x;
   };
-  // Seed with the histogram shifted by (1,1,1).
-  parallel_for(0, static_cast<std::int64_t>(nz), [&](std::int64_t z) {
-    for (std::size_t y = 0; y < ny; ++y) {
-      for (std::size_t x = 0; x < nx; ++x) {
-        sat_[sat_index(x + 1, y + 1, static_cast<std::size_t>(z) + 1)] =
-            histogram[((static_cast<std::size_t>(z)) * ny + y) * nx + x];
-      }
-    }
-  }, 1);
+  parallel_for(0, static_cast<std::int64_t>(points.size()), [&](std::int64_t i) {
+    const Int3 c = cell_of(points[static_cast<std::size_t>(i)]);
+    std::atomic_ref<std::uint64_t>(sat_[sat_index(static_cast<std::size_t>(c.x) + 1,
+                                                  static_cast<std::size_t>(c.y) + 1,
+                                                  static_cast<std::size_t>(c.z) + 1)])
+        .fetch_add(1, std::memory_order_relaxed);
+  }, grain::kElementwise);
   // Prefix along x.
   parallel_for(0, static_cast<std::int64_t>(nz + 1), [&](std::int64_t z) {
     for (std::size_t y = 0; y <= ny; ++y) {

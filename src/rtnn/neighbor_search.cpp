@@ -3,7 +3,6 @@
 #include <numeric>
 
 #include "core/error.hpp"
-#include "core/flat_knn.hpp"
 #include "rtnn/partitioner.hpp"
 #include "rtnn/stages.hpp"
 
@@ -101,11 +100,8 @@ void NeighborSearch::init_context(SearchContext& ctx, std::span<const Vec3> quer
 }
 
 NeighborResult NeighborSearch::finish_context(SearchContext& ctx, Report* report_out) {
-  NeighborResult result = (ctx.params.mode == SearchMode::kRange)
-                              ? std::move(ctx.range_result)
-                              : ctx.knn_heaps->extract(ctx.params.store_indices);
   if (report_out) *report_out = ctx.report;
-  return result;
+  return std::move(ctx.result);
 }
 
 NeighborResult NeighborSearch::run_stages(std::span<const Vec3> queries,
@@ -115,7 +111,7 @@ NeighborResult NeighborSearch::run_stages(std::span<const Vec3> queries,
   SearchContext ctx;
   init_context(ctx, queries, params);
   for (const auto& stage : stages) stage->run(ctx);
-  RTNN_CHECK(ctx.range_result.num_queries() == ctx.queries.size() || ctx.knn_heaps,
+  RTNN_CHECK(ctx.result.num_queries() == ctx.queries.size(),
              "pipeline must end in a LaunchStage");
   return finish_context(ctx, report_out);
 }

@@ -34,7 +34,6 @@
 
 namespace rtnn {
 
-class FlatKnnHeaps;
 class SearchStage;
 struct SearchContext;
 

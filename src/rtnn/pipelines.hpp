@@ -70,7 +70,10 @@ class RangePipeline {
   NeighborResult& result_;
 };
 
-/// KNN search: the IS shader maintains a bounded max-heap per ray. Rays
+/// KNN search: the IS shader maintains a bounded max-heap per ray, in the
+/// heap pool's row of the ray's *launch index* (not its query id): a
+/// launch's rows are its own, so the pool needs only one row per launch
+/// index, and the caller drains row i into query query_ids[i]. Rays
 /// are never terminated early — the K *nearest* neighbors can improve
 /// until the traversal exhausts the tree (this is why KNN does more
 /// traversal work than range search; paper section 6.3). What a full heap
@@ -79,8 +82,8 @@ class RangePipeline {
 /// cull_shrink() hands the walk that bound as a per-ray face shrink.
 class KnnPipeline {
  public:
-  /// Heap capacity (the K bound) lives in the heap pool; launch setup
-  /// asserts it matches `SearchParams::k` before constructing pipelines.
+  /// Heap capacity (the K bound) lives in the heap pool, which needs a row
+  /// per launch index.
   /// `aabb_width` is the width the traversed accel's point cubes were
   /// built with; it enables the cull bound. Without it (0, the default)
   /// cull_shrink() reports no bound and the walk visits what the short
@@ -100,11 +103,10 @@ class KnnPipeline {
   }
 
   ox::TraceAction intersection(std::uint32_t index, std::uint32_t prim) {
-    const std::uint32_t query = query_ids_[index];
-    const float d2 = distance2(points_[prim], queries_[query]);
+    const float d2 = distance2(points_[prim], queries_[query_ids_[index]]);
     // A tie with the worst entry may still displace a larger id; push()
     // settles it by the (dist², id) order.
-    if (d2 <= radius2_ && d2 <= heaps_->worst_dist2(query)) heaps_->push(query, d2, prim);
+    if (d2 <= radius2_ && d2 <= heaps_->worst_dist2(index)) heaps_->push(index, d2, prim);
     return ox::TraceAction::kContinue;
   }
 
@@ -135,11 +137,10 @@ class KnnPipeline {
   /// so every result row, are byte-identical with and without the bound.
   float cull_shrink(std::uint32_t index) const {
     if (half_width_ <= 0.0f) return 0.0f;  // built without a width: no bound
-    const std::uint32_t query = query_ids_[index];
-    const Vec3& q = queries_[query];
+    const Vec3& q = queries_[query_ids_[index]];
     const float magnitude = std::max({std::abs(q.x), std::abs(q.y), std::abs(q.z)});
     const float margin = 0x1p-21f * (magnitude + 2.0f * half_width_) + 0x1p-64f;
-    return half_width_ - (std::sqrt(heaps_->worst_dist2(query)) + margin);
+    return half_width_ - (std::sqrt(heaps_->worst_dist2(index)) + margin);
   }
 
  private:

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "core/error.hpp"
 #include "core/parallel.hpp"
@@ -42,6 +43,9 @@ ox::Accel SearchContext::build_accel_width(float aabb_width) {
   const std::vector<Aabb> aabbs = point_cubes(points, aabb_width);
   const ox::Context ctx;
   ox::Accel accel = ctx.build_accel(aabbs);
+  // Lockstep launches walk the binary tree: build it in this phase, not
+  // inside the first launch's timing.
+  if (params.simt_launches) (void)accel.bvh();
   report.time.bvh += timer.elapsed();
   return accel;
 }
@@ -111,6 +115,7 @@ void SearchContext::sync_index_cache() {
       // the observed quality holds; otherwise pay a build to reset it.
       Timer timer;
       cache.accel.refit(points, base_width);  // boxes computed in-loop
+      if (params.simt_launches) (void)cache.accel.bvh();  // over the moved boxes
       report.time.refit += timer.elapsed();
       ++report.accel_refits;
     } else {
@@ -183,7 +188,7 @@ void BundleStage::run(SearchContext& ctx) {
 
 void LaunchStage::launch_chunk(SearchContext& ctx, const ox::Accel& accel,
                                float built_width, std::span<const std::uint32_t> ids,
-                               bool skip_sphere_test) {
+                               bool skip_sphere_test, FlatKnnHeaps* heaps) {
   Timer timer;
   ox::LaunchOptions options;
   options.model = ctx.params.simt_launches ? ox::ExecutionModel::kWarpLockstep
@@ -192,25 +197,32 @@ void LaunchStage::launch_chunk(SearchContext& ctx, const ox::Accel& accel,
   if (ctx.params.mode == SearchMode::kRange) {
     const bool skip_test = skip_sphere_test || ctx.params.elide_sphere_test;
     pipelines::RangePipeline pipeline(ctx.points, ctx.queries, ids, ctx.params.radius,
-                                      ctx.params.k, skip_test, ctx.range_result);
+                                      ctx.params.k, skip_test, ctx.result);
     ctx.report.stats += ox::launch(accel, pipeline, width, options);
   } else {
+    RTNN_CHECK(width <= heaps->num_rows(), "a launch chunk outgrew the KNN heap pool");
     pipelines::KnnPipeline pipeline(ctx.points, ctx.queries, ids, ctx.params.radius,
-                                    *ctx.knn_heaps, built_width);
+                                    *heaps, built_width);
     ctx.report.stats += ox::launch(accel, pipeline, width, options);
+    // The chunk's rows, sorted into their queries' result rows, leave the
+    // pool empty for the next chunk.
+    parallel_for(0, width, [&](std::int64_t i) {
+      const auto row = static_cast<std::size_t>(i);
+      heaps->drain(row, ctx.result, ids[row]);
+    }, 512);
   }
   ctx.report.time.search += timer.elapsed();
 }
 
 void LaunchStage::launch_unit(SearchContext& ctx, const ox::Accel& accel,
-                              float built_width, const Unit& unit) {
+                              float built_width, const Unit& unit, FlatKnnHeaps* heaps) {
   // Stream the unit's ids through fixed-size chunks. Partition id lists
   // are consumed as views; only the scratch chunk is ever materialized.
   std::size_t total = 0;
   for (const auto& span : unit.id_spans) total += span.size();
 
   if (unit.id_spans.size() == 1 && total <= kChunkSize) {
-    launch_chunk(ctx, accel, built_width, unit.id_spans.front(), unit.skip_sphere_test);
+    launch_chunk(ctx, accel, built_width, unit.id_spans.front(), unit.skip_sphere_test, heaps);
     return;
   }
 
@@ -223,29 +235,20 @@ void LaunchStage::launch_unit(SearchContext& ctx, const ox::Accel& accel,
       chunk.insert(chunk.end(), span.begin() + offset, span.begin() + offset + take);
       offset += take;
       if (chunk.size() == kChunkSize) {
-        launch_chunk(ctx, accel, built_width, chunk, unit.skip_sphere_test);
+        launch_chunk(ctx, accel, built_width, chunk, unit.skip_sphere_test, heaps);
         chunk.clear();
       }
     }
   }
-  if (!chunk.empty()) launch_chunk(ctx, accel, built_width, chunk, unit.skip_sphere_test);
+  if (!chunk.empty()) {
+    launch_chunk(ctx, accel, built_width, chunk, unit.skip_sphere_test, heaps);
+  }
 }
 
 void LaunchStage::run(SearchContext& ctx) {
-  // Result storage: one K-slot row per query, written by the pipelines.
-  if (ctx.params.mode == SearchMode::kRange) {
-    ctx.range_result =
-        NeighborResult(ctx.queries.size(), ctx.params.k, ctx.params.store_indices);
-  } else if (!ctx.knn_heaps) {
-    ctx.knn_heaps = std::make_unique<FlatKnnHeaps>(ctx.queries.size(), ctx.params.k);
-  } else {
-    // A caller-supplied heap pool must match the K bound the pipelines
-    // will assume (the check KnnPipeline's dropped `k` parameter became).
-    RTNN_CHECK(ctx.knn_heaps->k() == ctx.params.k,
-               "KNN heap capacity must match params.k");
-    RTNN_CHECK(ctx.knn_heaps->num_queries() == ctx.queries.size(),
-               "KNN heap pool must cover every query");
-  }
+  // Result storage: one K-slot row per query, written by the range
+  // pipeline directly and by the KNN chunks' drains.
+  ctx.result = NeighborResult(ctx.queries.size(), ctx.params.k, ctx.params.store_indices);
 
   std::vector<Unit> units;
   if (ctx.planned) {
@@ -273,6 +276,12 @@ void LaunchStage::run(SearchContext& ctx) {
     units.push_back(std::move(unit));
   }
 
+  // The KNN chunk pool: a row per launch index of a chunk.
+  std::optional<FlatKnnHeaps> heaps;
+  if (ctx.params.mode == SearchMode::kKnn) {
+    heaps.emplace(std::min(ctx.queries.size(), kChunkSize), ctx.params.k);
+  }
+
   for (const Unit& unit : units) {
     // Approximation: shrink partition widths by aabb_scale too.
     const float width =
@@ -296,7 +305,7 @@ void LaunchStage::run(SearchContext& ctx) {
                                                 : width;
     const std::uint32_t built_before =
         accel->is_tiled() ? accel->tiled_bvh().built_tile_count() : 0;
-    launch_unit(ctx, *accel, built_width, unit);
+    launch_unit(ctx, *accel, built_width, unit, heaps ? &*heaps : nullptr);
     // Footprint gauge: the byte cost of the node layout these launches
     // actually traversed (SIMT launches walk the binary tree and report
     // 0). Taken after the launch so a lazy tiled index reports the tiles

@@ -15,7 +15,10 @@
 //
 // LaunchStage streams each launch unit's query ids through fixed-size
 // chunks instead of materializing one concatenated id vector per bundle,
-// so peak memory is O(chunk) rather than O(Q) per unit.
+// so peak memory is O(chunk) rather than O(Q) per unit. KNN heaps are
+// chunk-local too: one pool of min(Q, chunk) rows, indexed by launch
+// index, drained into the call's result after each chunk's launch (and
+// timed in time.search).
 #pragma once
 
 #include <cstdint>
@@ -74,8 +77,7 @@ struct SearchContext {
   bool scale_launch_widths = true;
 
   // --- Outputs ---
-  NeighborResult range_result;
-  std::unique_ptr<FlatKnnHeaps> knn_heaps;
+  NeighborResult result;  // one K-slot row per query, written by LaunchStage
   NeighborSearch::Report report;
 
   /// Builds a BVH over `points` with cubic AABBs of `aabb_width`,
@@ -142,9 +144,9 @@ class BundleStage final : public SearchStage {
 /// unit's query ids through chunked ox::launch calls.
 class LaunchStage final : public SearchStage {
  public:
-  /// Queries per launch chunk. Bounds the ray buffer and the id scratch;
-  /// launches wider than this are split (results are row-addressed by
-  /// query id, so splitting is invisible to output).
+  /// Queries per launch chunk. Bounds the ray buffer, the id scratch and
+  /// the KNN heap pool; launches wider than this are split (results are
+  /// row-addressed by query id, so splitting is invisible to output).
   static constexpr std::size_t kChunkSize = std::size_t{1} << 15;
 
   const char* name() const override { return "launch"; }
@@ -158,11 +160,14 @@ class LaunchStage final : public SearchStage {
   };
 
   /// `built_width` is the AABB width `accel` was built with (the KNN
-  /// pipeline's cull bound is derived from it).
+  /// pipeline's cull bound is derived from it). `heaps` is the KNN chunk
+  /// pool (null for range search): row i holds launch index i's
+  /// neighbors until the chunk drains it into ctx.result.
   void launch_unit(SearchContext& ctx, const ox::Accel& accel, float built_width,
-                   const Unit& unit);
+                   const Unit& unit, FlatKnnHeaps* heaps);
   void launch_chunk(SearchContext& ctx, const ox::Accel& accel, float built_width,
-                    std::span<const std::uint32_t> ids, bool skip_sphere_test);
+                    std::span<const std::uint32_t> ids, bool skip_sphere_test,
+                    FlatKnnHeaps* heaps);
 };
 
 /// The stage list search() runs for the given optimization flags.

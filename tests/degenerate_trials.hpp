@@ -1,7 +1,7 @@
 // The degenerate-geometry trials of the differential harness: small
 // seeded clouds spatial structures get wrong (coincident points, collinear
-// and planar sets, extreme coordinate magnitudes, tight clusters, exact
-// distance ties), each
+// and planar sets, extreme coordinate magnitudes, one far outlier, tight
+// clusters, exact distance ties), each
 // with a query set mixing exact hits, jittered neighbors and far-away
 // misses. Shared by every suite that checks a search path against a
 // reference under these geometries. Every trial carries its generator
@@ -127,6 +127,23 @@ inline Trial extreme_trial(std::uint64_t seed) {
   return trial;
 }
 
+/// A uniform unit cube plus one finite point at x = 3e38, at a seeded
+/// position in the id order. The outlier stretches every root cell, grid
+/// and tile plan to ~3e38, where a cell bound computed as center ± half
+/// absorbs the whole cloud's offset.
+inline Trial far_outlier_trial(std::uint64_t seed) {
+  Trial trial{.generator = "far_outlier", .seed = seed};
+  Pcg32 rng(seed);
+  for (std::size_t i = 0; i + 1 < kPoints; ++i) {
+    trial.points.push_back({rng.next_float(), rng.next_float(), rng.next_float()});
+  }
+  const std::uint32_t at = rng.next_bounded(static_cast<std::uint32_t>(kPoints));
+  trial.points.insert(trial.points.begin() + at, Vec3{3.0e38f, 0.5f, 0.5f});
+  trial.radius = 0.15f;
+  trial.queries = make_queries(trial.points, trial.radius, rng);
+  return trial;
+}
+
 /// Dense clusters with empty space between them (partitioner stress).
 inline Trial clustered_trial(std::uint64_t seed) {
   Trial trial{.generator = "clustered", .seed = seed};
@@ -178,8 +195,9 @@ inline Trial lattice_trial(std::uint64_t seed) {
 /// lattice), seeded seed, seed + 1, ... in declaration order — the clouds
 /// the wide-BVH suites build their degenerate scenes from.
 inline std::vector<Trial> degenerate_shapes(std::uint64_t seed) {
-  return {coincident_trial(seed), collinear_trial(seed + 1), planar_trial(seed + 2),
-          extreme_trial(seed + 3), clustered_trial(seed + 4)};
+  return {coincident_trial(seed),     collinear_trial(seed + 1), planar_trial(seed + 2),
+          extreme_trial(seed + 3),    clustered_trial(seed + 4),
+          far_outlier_trial(seed + 5)};
 }
 
 inline std::vector<Trial> all_trials() {
@@ -196,6 +214,7 @@ inline std::vector<Trial> all_trials() {
     trials.push_back(collinear_trial(seed));
     trials.push_back(planar_trial(seed));
     trials.push_back(extreme_trial(seed));
+    trials.push_back(far_outlier_trial(seed));
     trials.push_back(clustered_trial(seed));
     trials.push_back(lattice_trial(seed));
   }

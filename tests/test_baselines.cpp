@@ -8,6 +8,7 @@
 #include "baselines/octree.hpp"
 #include "core/rng.hpp"
 #include "datasets/point_cloud.hpp"
+#include "degenerate_trials.hpp"
 #include "test_util.hpp"
 
 namespace rtnn::baselines {
@@ -186,6 +187,38 @@ TEST(BaselineEdgeCases, GridsMatchBruteForceWithOneFarOutlier) {
   knn.build(points, kRadius);
   testing::expect_knn_identical(knn.search(queries, 8),
                                 brute_force_knn(points, queries, kRadius, 8), "grid knn");
+}
+
+TEST(BaselineEdgeCases, OctreeMatchesBruteForceWithOneFarOutlier) {
+  // 2,000 uniform points plus (3e38, 0.5, 0.5): the root cell spans
+  // ~3e38, and cells placed at center ± half put a -y child's top at
+  // y = 0 while its points reach 0.5, so the walks pruned true
+  // neighbours. Cells split at the octant planes keep every point inside
+  // its leaf, and every row is exact.
+  Pcg32 rng(11);
+  std::vector<Vec3> points(2000);
+  for (auto& p : points) p = rng.uniform_in_aabb({{0, 0, 0}, {1, 1, 1}});
+  points.push_back({3e38f, 0.5f, 0.5f});
+  std::vector<Vec3> queries(200);
+  for (auto& q : queries) q = rng.uniform_in_aabb({{0, 0, 0}, {1, 1, 1}});
+  queries.push_back(points.back());
+  constexpr float kRadius = 0.05f;
+
+  Octree octree;
+  octree.build(points);
+  EXPECT_NO_THROW(octree.validate());
+  testing::expect_same_neighbor_sets(octree.range_search(queries, kRadius, 64),
+                                     brute_force_range(points, queries, kRadius, 64),
+                                     "octree range");
+  testing::expect_knn_identical(octree.knn_search(queries, kRadius, 8),
+                                brute_force_knn(points, queries, kRadius, 8), "octree knn");
+
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    const testing::Trial trial = testing::far_outlier_trial(seed);
+    Octree tree;
+    tree.build(trial.points);
+    EXPECT_NO_THROW(tree.validate()) << "far_outlier seed " << seed;
+  }
 }
 
 TEST(BaselineEdgeCases, BruteForceKnnSortedAscending) {

@@ -1,7 +1,7 @@
 // Compressed wide-BVH node correctness: conservative quantization against
-// the exact subtree bounds, SIMD-vs-scalar decode parity, and refit-then-
-// requantize frames that stay valid, call-for-call exact against the
-// binary walk, and bit-identical to the build when nothing moved.
+// the exact subtree bounds, SIMD-vs-scalar decode parity, and self-refit
+// frames that stay valid, call-for-call exact against a binary walk over
+// the moved boxes, and bit-identical to the build when nothing moved.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -163,9 +163,9 @@ TEST(CompressedWideBvh, NodeTestMatchesScalarDecode) {
   }
 }
 
-/// Refit-then-requantize frames: after each frame of motion the
-/// re-quantized nodes must be freshly conservative (validate) and the
-/// wide walk still call-for-call exact against the refitted binary tree.
+/// Refit frames: after each frame of motion the re-quantized nodes must be
+/// freshly conservative (validate) and the wide walk still call-for-call
+/// exact against a binary tree built over the moved boxes.
 TEST(CompressedWideBvh, RefitRequantizeParity) {
   Pcg32 rng(61);
   std::vector<Vec3> points = rtnn::testing::make_cloud(CloudKind::kUniform, 3000, 5);
@@ -179,13 +179,14 @@ TEST(CompressedWideBvh, RefitRequantizeParity) {
     std::vector<Aabb> moved;
     moved.reserve(points.size());
     for (const Vec3& p : points) moved.push_back(Aabb::cube(p, 0.08f));
-    scene.bvh.refit(moved);
-    scene.wide.refit_from(scene.bvh);
+    scene.wide.refit(moved);
     ASSERT_NO_THROW(scene.wide.validate()) << "frame " << frame;
 
+    Bvh fresh;
+    fresh.build(moved);
     const auto rays = short_rays(points);
     Collector binary(points.size());
-    trace(scene.bvh, rays, binary);
+    trace(fresh, rays, binary);
     Collector wide(points.size());
     trace(scene.wide, rays, wide);
     ASSERT_EQ(wide.sorted(), binary.sorted()) << "frame " << frame;
@@ -193,7 +194,8 @@ TEST(CompressedWideBvh, RefitRequantizeParity) {
 }
 
 /// Min/max unions are exact, so refitting over unmoved boxes must
-/// reproduce the build's nodes and leaf-ordered boxes bit for bit.
+/// reproduce the build's nodes and leaf-ordered boxes bit for bit, and
+/// leave the SAH inflation at 1.
 TEST(CompressedWideBvh, IdentityRefitIsBitIdentical) {
   Scene scene = make_scene(CloudKind::kLidar, 4000,
                            2.0f * rtnn::testing::typical_radius(CloudKind::kLidar), 19);
@@ -201,8 +203,8 @@ TEST(CompressedWideBvh, IdentityRefitIsBitIdentical) {
                                               scene.wide.compressed_nodes().end());
   const std::vector<Aabb> prims(scene.wide.ordered_prim_aabbs().begin(),
                                 scene.wide.ordered_prim_aabbs().end());
-  scene.bvh.refit(scene.aabbs);
-  scene.wide.refit_from(scene.bvh);
+  scene.wide.refit(scene.aabbs);
+  EXPECT_NEAR(scene.wide.sah_inflation(), 1.0, 1e-12);
   ASSERT_EQ(scene.wide.compressed_nodes().size(), nodes.size());
   ASSERT_EQ(scene.wide.ordered_prim_aabbs().size(), prims.size());
   EXPECT_EQ(std::memcmp(scene.wide.compressed_nodes().data(), nodes.data(),

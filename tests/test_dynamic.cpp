@@ -1,5 +1,5 @@
-// Dynamic point-cloud lifecycle tests: bottom-up BVH refit, wide-BVH
-// re-quantization, Accel coherence across refits, the refit-vs-rebuild cost
+// Dynamic point-cloud lifecycle tests: the wide BVH's bottom-up refit and
+// its binary-tree SAH signal, Accel coherence across refits, the refit-vs-rebuild cost
 // policy, NeighborSearch index persistence, the DynamicSearchSession, and
 // the datasets motion models.
 #include <gtest/gtest.h>
@@ -35,110 +35,150 @@ std::vector<Aabb> cubes(std::span<const Vec3> points, float width) {
   return aabbs;
 }
 
-// --- rt::Bvh refit -----------------------------------------------------------
+// --- rt::WideBvh refit ------------------------------------------------------
 
-TEST(BvhRefit, PreservesInvariantsAndTopology) {
-  // Sized past the parallel-level-sweep threshold (16k nodes) so multi-
-  // thread runs exercise the level schedule, not just the serial sweep.
+rt::WideBvh collapse(std::span<const Aabb> boxes, std::uint32_t leaf_size = 1) {
+  rt::Bvh bvh;
+  bvh.build(boxes, rt::BvhBuildOptions{leaf_size});
+  rt::WideBvh wide;
+  wide.build(bvh);
+  return wide;
+}
+
+TEST(WideBvhRefit, PreservesInvariantsAndTopology) {
+  // Sized past the parallel-level-sweep threshold (2k wide nodes) so
+  // multi-thread runs exercise the level schedule, not just the serial
+  // sweep.
   const std::vector<Vec3> before = rtnn::testing::make_cloud(CloudKind::kUniform, 20'000, 3);
   const std::vector<Vec3> after = jitter_cloud(before, 0.01f, 17);
 
-  rt::Bvh bvh;
-  bvh.build(cubes(before, 0.1f));
-  const std::size_t node_count = bvh.nodes().size();
-  const std::vector<std::uint32_t> order(bvh.prim_order().begin(), bvh.prim_order().end());
+  rt::WideBvh wide = collapse(cubes(before, 0.1f));
+  const std::size_t node_count = wide.compressed_nodes().size();
+  const std::size_t leaf_count = wide.leaves().size();
+  const std::vector<std::uint32_t> order(wide.prim_order().begin(), wide.prim_order().end());
 
-  bvh.refit(cubes(after, 0.1f));
-  bvh.validate();
-  EXPECT_EQ(bvh.nodes().size(), node_count) << "refit must not change topology";
-  EXPECT_TRUE(std::equal(order.begin(), order.end(), bvh.prim_order().begin()))
+  wide.refit(after, 0.1f);
+  wide.validate();
+  EXPECT_EQ(wide.compressed_nodes().size(), node_count) << "refit must not change topology";
+  EXPECT_EQ(wide.leaves().size(), leaf_count);
+  EXPECT_TRUE(std::equal(order.begin(), order.end(), wide.prim_order().begin()))
       << "refit must not reorder primitives";
-  // The primitive snapshot must be the moved boxes.
-  EXPECT_EQ(bvh.prim_aabbs()[42], Aabb::cube(after[42], 0.1f));
+  // The leaf-ordered snapshot must be the moved boxes.
+  for (std::size_t s = 0; s < order.size(); ++s) {
+    ASSERT_EQ(wide.ordered_prim_aabbs()[s], Aabb::cube(after[order[s]], 0.1f)) << "slot " << s;
+  }
 }
 
-TEST(BvhRefit, IdentityRefitKeepsBoundsAndInflationAtOne) {
+TEST(WideBvhRefit, IdentityRefitKeepsBoundsAndInflationAtOne) {
   const std::vector<Vec3> points = rtnn::testing::make_cloud(CloudKind::kLidar, 3000, 5);
-  rt::Bvh bvh;
-  bvh.build(cubes(points, 2.0f));
-  const Aabb root_before = bvh.nodes()[bvh.root()].bounds;
+  rt::WideBvh wide = collapse(cubes(points, 2.0f));
+  const Aabb bounds_before = wide.scene_bounds();
 
-  bvh.refit(cubes(points, 2.0f));
-  bvh.validate();
-  EXPECT_EQ(bvh.nodes()[bvh.root()].bounds, root_before);
-  EXPECT_NEAR(bvh.sah_inflation(), 1.0, 1e-6);
+  wide.refit(cubes(points, 2.0f));
+  wide.validate();
+  EXPECT_EQ(wide.scene_bounds(), bounds_before);
+  EXPECT_NEAR(wide.sah_inflation(), 1.0, 1e-6);
 }
 
-TEST(BvhRefit, SahInflationGrowsWhenCorrespondenceBreaks) {
+TEST(WideBvhRefit, SahInflationGrowsWhenCorrespondenceBreaks) {
   // Shuffling the positions destroys spatial correspondence: every leaf
   // box teleports, internal boxes balloon, and the quality metric must see
   // it — that observability is what drives the rebuild policy.
   std::vector<Vec3> points = rtnn::testing::make_cloud(CloudKind::kUniform, 4000, 9);
-  rt::Bvh bvh;
-  bvh.build(cubes(points, 0.05f));
+  rt::WideBvh wide = collapse(cubes(points, 0.05f));
 
   data::shuffle(points, 123);
-  bvh.refit(cubes(points, 0.05f));
-  bvh.validate();  // still a correct tree, just a bad one
-  EXPECT_GT(bvh.sah_inflation(), 2.0);
+  wide.refit(cubes(points, 0.05f));
+  wide.validate();  // still a correct tree, just a bad one
+  EXPECT_GT(wide.sah_inflation(), 2.0);
 }
 
-TEST(BvhRefit, CountMismatchThrows) {
+TEST(WideBvhRefit, CountMismatchThrows) {
   const std::vector<Vec3> points = rtnn::testing::make_cloud(CloudKind::kUniform, 1000, 2);
-  rt::Bvh bvh;
-  bvh.build(cubes(points, 0.1f));
+  rt::WideBvh wide = collapse(cubes(points, 0.1f));
   std::vector<Aabb> wrong = cubes(points, 0.1f);
   wrong.pop_back();
-  EXPECT_THROW(bvh.refit(wrong), Error);
+  EXPECT_THROW(wide.refit(wrong), Error);
+  EXPECT_THROW(wide.refit(std::span<const Vec3>(points).subspan(1), 0.1f), Error);
 }
 
-TEST(BvhRefit, EmptyTreeRefitsToEmpty) {
-  rt::Bvh bvh;
-  bvh.build({});
-  EXPECT_NO_THROW(bvh.refit({}));
-  EXPECT_TRUE(bvh.empty());
+TEST(WideBvhRefit, EmptyTreeRefitsToEmpty) {
+  rt::WideBvh wide = collapse({});
+  EXPECT_NO_THROW(wide.refit(std::span<const Aabb>{}));
+  EXPECT_TRUE(wide.empty());
 }
 
-// --- rt::WideBvh refit -------------------------------------------------------
+/// The test-local reference: `bvh`'s topology re-bounded over `boxes` (id
+/// order) with exact bottom-up unions, and its SAH cost — area times
+/// primitive count at leaves, area at interior nodes, over the root area.
+struct BinaryRefit {
+  Aabb root;
+  double sah = 0.0;
+};
 
-TEST(WideBvhRefit, MirrorsRefittedBinaryTree) {
-  // Past the 16k-node threshold: the wide refresh mirrors a binary tree
-  // that was refitted by the parallel level sweep on multi-thread runs.
-  const std::vector<Vec3> before =
-      rtnn::testing::make_cloud(CloudKind::kUniform, 20'000, 11);
-  const std::vector<Vec3> after = jitter_cloud(before, 0.02f, 23);
-
-  rt::Bvh bvh;
-  bvh.build(cubes(before, 0.08f));
-  rt::WideBvh wide;
-  wide.build(bvh);
-  const std::size_t wide_nodes = wide.compressed_nodes().size();
-  const std::size_t wide_leaves = wide.leaves().size();
-
-  bvh.refit(cubes(after, 0.08f));
-  wide.refit_from(bvh);
-  wide.validate();
-  EXPECT_EQ(wide.compressed_nodes().size(), wide_nodes)
-      << "collapse must be reused, not redone";
-  EXPECT_EQ(wide.leaves().size(), wide_leaves);
-  // The leaf-ordered snapshot is refreshed from the moved boxes.
-  ASSERT_EQ(wide.ordered_prim_aabbs().size(), bvh.prim_count());
-  for (std::size_t s = 0; s < bvh.prim_order().size(); ++s) {
-    ASSERT_EQ(wide.ordered_prim_aabbs()[s], bvh.prim_aabbs()[bvh.prim_order()[s]])
-        << "slot " << s;
+BinaryRefit binary_refit(const rt::Bvh& bvh, std::span<const Aabb> boxes) {
+  const auto nodes = bvh.nodes();
+  std::vector<Aabb> bounds(nodes.size());
+  double sum = 0.0;
+  for (std::size_t i = nodes.size(); i-- > 0;) {  // children follow their parent
+    const rt::BvhNode& node = nodes[i];
+    if (node.is_leaf()) {
+      for (std::uint32_t s = node.first; s < node.first + node.count; ++s) {
+        bounds[i].grow(boxes[bvh.prim_order()[s]]);
+      }
+      sum += static_cast<double>(bounds[i].surface_area()) * node.count;
+    } else {
+      bounds[i] = unite(bounds[node.left], bounds[node.right]);
+      sum += static_cast<double>(bounds[i].surface_area());
+    }
   }
+  return {bounds[0], sum / static_cast<double>(bounds[0].surface_area())};
 }
 
-TEST(WideBvhRefit, ForeignSourceThrows) {
-  const std::vector<Vec3> points = rtnn::testing::make_cloud(CloudKind::kUniform, 2000, 4);
-  rt::Bvh bvh;
-  bvh.build(cubes(points, 0.1f));
-  rt::WideBvh wide;
-  wide.build(bvh);
-
-  rt::Bvh other;
-  other.build(cubes(std::span<const Vec3>(points).subspan(0, 1000), 0.1f));
-  EXPECT_THROW(wide.refit_from(other), Error);
+/// The refit policy's signal is the binary tree's SAH, re-derived by the
+/// wide tree alone from its expand masks: within 1e-9 relative of the
+/// reference in every frame, for deep trees, wide leaves and one-leaf
+/// trees (one point; five points under leaf_size 8) — and the scene
+/// bounds are the reference root's bits.
+TEST(WideBvhRefit, SahInflationIsTheBinaryTreesSah) {
+  struct Case {
+    const char* label;
+    std::vector<Vec3> points;
+    float width;
+    std::uint32_t leaf_size;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"uniform", rtnn::testing::make_cloud(CloudKind::kUniform, 20'000, 31),
+                   0.05f, 1});
+  cases.push_back({"nbody", rtnn::testing::make_cloud(CloudKind::kNBody, 5000, 32), 0.1f, 1});
+  cases.push_back({"lidar_leaf4", rtnn::testing::make_cloud(CloudKind::kLidar, 3000, 33),
+                   2.0f, 4});
+  cases.push_back({"one_point", {{0.25f, 0.5f, 0.75f}}, 0.1f, 1});
+  cases.push_back({"one_leaf",
+                   rtnn::testing::make_cloud(CloudKind::kUniform, 5, 34), 0.1f, 8});
+  for (Case& c : cases) {
+    std::vector<Aabb> boxes = cubes(c.points, c.width);
+    rt::Bvh bvh;
+    bvh.build(boxes, rt::BvhBuildOptions{c.leaf_size});
+    rt::WideBvh wide;
+    wide.build(bvh);
+    const double baseline = binary_refit(bvh, boxes).sah;
+    EXPECT_EQ(wide.sah_inflation(), 1.0) << c.label;
+    for (int frame = 1; frame <= 4; ++frame) {
+      if (frame == 4) {
+        data::shuffle(c.points, 7);  // a frame that wrecks the topology's fit
+      } else {
+        c.points = jitter_cloud(c.points, 0.01f * c.width * frame, 40 + frame);
+      }
+      boxes = cubes(c.points, c.width);
+      wide.refit(boxes);
+      const BinaryRefit ref = binary_refit(bvh, boxes);
+      const double expected = ref.sah / baseline;
+      EXPECT_NEAR(wide.sah_inflation(), expected, 1e-9 * expected)
+          << c.label << " frame " << frame;
+      EXPECT_EQ(wide.scene_bounds(), ref.root) << c.label << " frame " << frame;
+    }
+  }
 }
 
 // --- ox::Accel refit ---------------------------------------------------------

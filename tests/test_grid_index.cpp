@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/error.hpp"
+#include "core/parallel.hpp"
 #include "core/rng.hpp"
 
 namespace rtnn {
@@ -65,6 +66,66 @@ TEST(GridIndex, SatMatchesDirectCountsOnRandomBoxes) {
             lo.z + static_cast<int>(rng.next_bounded(res.z - lo.z))};
     EXPECT_EQ(grid.count_in_box(lo, hi), direct_count(grid, points, lo, hi));
   }
+}
+
+/// Counting is one shared histogram under relaxed atomic increments, so
+/// it must give the serial counts whatever the thread interleaving: a
+/// clustered cloud (many points racing into each cell) on four threads,
+/// every cell count and every prefix-box (SAT) entry against a serial
+/// reference built from cell_of.
+TEST(GridIndex, CountsAndSatMatchSerialReference) {
+  std::vector<Vec3> points = random_points(60'000, 5, {{0, 0, 0}, {0.1f, 0.1f, 0.1f}});
+  const std::vector<Vec3> spread = random_points(40'000, 6);
+  points.insert(points.end(), spread.begin(), spread.end());
+  const int threads_before = num_threads();
+  set_num_threads(4);
+  GridIndex grid;
+  grid.build(points, 4096);
+  set_num_threads(threads_before);
+
+  const Int3 res = grid.resolution();
+  const auto nx = static_cast<std::size_t>(res.x);
+  const auto ny = static_cast<std::size_t>(res.y);
+  const auto nz = static_cast<std::size_t>(res.z);
+  const auto cell = [&](std::size_t x, std::size_t y, std::size_t z) {
+    return (z * ny + y) * nx + x;
+  };
+  std::vector<std::uint64_t> counts(nx * ny * nz, 0);
+  for (const Vec3& p : points) {
+    const Int3 c = grid.cell_of(p);
+    ++counts[cell(static_cast<std::size_t>(c.x), static_cast<std::size_t>(c.y),
+                  static_cast<std::size_t>(c.z))];
+  }
+  // sat[x][y][z] = points in cells [0, x] × [0, y] × [0, z].
+  std::vector<std::uint64_t> sat(counts.size(), 0);
+  for (std::size_t z = 0; z < nz; ++z) {
+    for (std::size_t y = 0; y < ny; ++y) {
+      for (std::size_t x = 0; x < nx; ++x) {
+        std::uint64_t v = counts[cell(x, y, z)];
+        if (x > 0) v += sat[cell(x - 1, y, z)];
+        if (y > 0) v += sat[cell(x, y - 1, z)];
+        if (z > 0) v += sat[cell(x, y, z - 1)];
+        if (x > 0 && y > 0) v -= sat[cell(x - 1, y - 1, z)];
+        if (x > 0 && z > 0) v -= sat[cell(x - 1, y, z - 1)];
+        if (y > 0 && z > 0) v -= sat[cell(x, y - 1, z - 1)];
+        if (x > 0 && y > 0 && z > 0) v += sat[cell(x - 1, y - 1, z - 1)];
+        sat[cell(x, y, z)] = v;
+      }
+    }
+  }
+  for (int z = 0; z < res.z; ++z) {
+    for (int y = 0; y < res.y; ++y) {
+      for (int x = 0; x < res.x; ++x) {
+        const std::size_t c = cell(static_cast<std::size_t>(x), static_cast<std::size_t>(y),
+                                   static_cast<std::size_t>(z));
+        ASSERT_EQ(grid.count_in_box({x, y, z}, {x, y, z}), counts[c])
+            << "cell " << x << "," << y << "," << z;
+        ASSERT_EQ(grid.count_in_box({0, 0, 0}, {x, y, z}), sat[c])
+            << "prefix " << x << "," << y << "," << z;
+      }
+    }
+  }
+  EXPECT_EQ(grid.total(), points.size());
 }
 
 TEST(GridIndex, FullBoxEqualsTotal) {

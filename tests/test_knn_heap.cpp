@@ -109,6 +109,24 @@ TEST(FlatKnnHeaps, HeavyTiesKeepTheFirstKByDistanceThenId) {
   }
 }
 
+TEST(FlatKnnHeaps, DrainSortsIntoTheDestinationRowAndEmptiesTheRow) {
+  // The launch stage's chunk pool: row i (a launch index) lands in the
+  // result row of its query, and the emptied row serves the next chunk.
+  FlatKnnHeaps heaps(2, 3);
+  NeighborResult result(5, 3);
+  for (const float d : {4.0f, 1.0f, 3.0f, 2.0f}) heaps.push(1, d, static_cast<std::uint32_t>(d));
+  heaps.drain(1, result, 4);
+  EXPECT_EQ(row_of(result, 4), (std::vector<std::uint32_t>{1, 2, 3}));
+  EXPECT_EQ(heaps.size(1), 0u);
+  EXPECT_EQ(heaps.worst_dist2(1), std::numeric_limits<float>::infinity());
+  heaps.push(1, 0.5f, 9);
+  heaps.drain(1, result, 2);
+  EXPECT_EQ(row_of(result, 2), (std::vector<std::uint32_t>{9}));
+  EXPECT_EQ(row_of(result, 4), (std::vector<std::uint32_t>{1, 2, 3}));
+  heaps.drain(0, result, 0);  // an empty row adds nothing
+  EXPECT_EQ(result.count(0), 0u);
+}
+
 TEST(NeighborResultContainer, RecordAndBounds) {
   NeighborResult result(2, 3);
   EXPECT_EQ(result.record(0, 7), 1u);

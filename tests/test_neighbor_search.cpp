@@ -8,6 +8,7 @@
 #include "baselines/brute_force.hpp"
 #include "baselines/fastrnn.hpp"
 #include "datasets/point_cloud.hpp"
+#include "rtnn/stages.hpp"
 #include "test_util.hpp"
 
 namespace rtnn {
@@ -212,6 +213,30 @@ TEST(RtnnApi, DeterministicCountsAcrossRuns) {
   const auto a = search.search(queries, params);
   const auto b = search.search(queries, params);
   testing::expect_counts_equal(a, b, "determinism");
+}
+
+TEST(RtnnApi, KnnRowsSurviveChunkLocalHeaps) {
+  // More queries than one launch chunk: every chunk reuses the same
+  // heap rows (indexed by launch index) and drains them into its queries'
+  // result rows, whether a unit is one span or several partitions'. Rows
+  // must be brute force's, in both modes of a partitioned search.
+  const auto points = testing::make_cloud(CloudKind::kUniform, 4000, 21);
+  const auto queries =
+      data::jittered_queries(points, LaunchStage::kChunkSize + 1500, 0.02f, 22);
+  SearchParams params;
+  params.mode = SearchMode::kKnn;
+  params.radius = 0.06f;
+  params.k = 6;
+  const auto expected =
+      baselines::brute_force_knn(points, queries, params.radius, params.k);
+  for (const OptimizationFlags& opts :
+       {OptimizationFlags::scheduling_only(), OptimizationFlags::all()}) {
+    params.opts = opts;
+    NeighborSearch search;
+    search.set_points(points);
+    testing::expect_knn_identical(search.search(queries, params), expected,
+                                  opts.partitioning ? "partitioned" : "one unit");
+  }
 }
 
 TEST(RtnnApi, FreeFunctionWrapper) {

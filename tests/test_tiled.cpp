@@ -136,6 +136,56 @@ TEST(TiledBvh, BuildPartitionsAndValidates) {
   EXPECT_EQ(seen.size(), points.size());
 }
 
+/// Every array a wide tree keeps resident, by the vectors' own byte sizes.
+std::uint64_t resident_bytes(const rt::WideBvh& wide) {
+  return wide.compressed_nodes().size_bytes() + wide.leaves().size_bytes() +
+         wide.prim_order().size_bytes() + wide.ordered_prim_aabbs().size_bytes() +
+         wide.expand_masks().size_bytes() + wide.level_offsets().size_bytes();
+}
+
+/// The index_bytes gauge counts what the accel keeps resident and nothing
+/// else: for a monolithic accel its one wide tree (no binary tree stays
+/// behind), for a tiled one the built tiles' wide trees plus every array
+/// of the top tree — and the search report carries the same number.
+TEST(IndexGauge, CountsEveryResidentArray) {
+  const std::vector<Vec3> points = rtnn::testing::make_cloud(CloudKind::kUniform, 6000, 47);
+  const std::vector<Vec3> queries = rtnn::testing::make_cloud(CloudKind::kUniform, 300, 53);
+  const float radius = rtnn::testing::typical_radius(CloudKind::kUniform);
+  std::vector<Aabb> boxes(points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) boxes[i] = Aabb::cube(points[i], 2.0f * radius);
+  const ox::Accel accel = ox::Context().build_accel(boxes);
+  EXPECT_FALSE(accel.has_bvh());
+  const std::uint64_t mono_bytes = resident_bytes(accel.wide_bvh());
+  EXPECT_EQ(accel.wide_bvh().stats().total_index_bytes, mono_bytes);
+
+  SearchParams params;
+  params.mode = SearchMode::kKnn;
+  params.radius = radius;
+  params.k = 8;
+  params.opts.partitioning = false;  // one launch over the base-width accel
+  NeighborSearch mono;
+  mono.set_points(points);
+  NeighborSearch::Report report;
+  mono.search(queries, params, &report);
+  EXPECT_EQ(report.index_total_bytes, mono_bytes);
+
+  rt::TiledBvh tlas;
+  rt::TiledBuildOptions lazy;
+  lazy.lazy_build = true;
+  tlas.build(points, 2.0f * radius, plan_tiles(points, 12), lazy);
+  Collector collector(queries.size() / 3);
+  rt::trace(tlas, short_rays(std::span<const Vec3>(queries).subspan(0, queries.size() / 3)),
+            collector);
+  ASSERT_GT(tlas.built_tile_count(), 0u);
+  std::uint64_t tiled_bytes = tlas.top().nodes().size_bytes() +
+                              tlas.top().prim_order().size_bytes() +
+                              tlas.top().prim_aabbs().size_bytes();
+  for (std::uint32_t t = 0; t < tlas.tile_count(); ++t) {
+    if (const rt::WideBvh* index = tlas.tile(t).index()) tiled_bytes += resident_bytes(*index);
+  }
+  EXPECT_EQ(tlas.stats().total_index_bytes, tiled_bytes);
+}
+
 TEST(TiledBvh, TraversalMatchesMonolithicCandidateSets) {
   // The exactness claim at the rt:: level: the TLAS walk must surface the
   // byte-identical candidate set (same global prim ids) the monolithic
@@ -231,7 +281,7 @@ TEST(TiledBvh, UpdateTouchesOnlyMovedTiles) {
     moved[id].z += 0.01f;
   }
 
-  std::vector<const rt::TiledBvh::TileIndex*> before;
+  std::vector<const rt::WideBvh*> before;
   for (std::uint32_t t = 0; t < tlas.tile_count(); ++t) {
     before.push_back(tlas.tile(t).index());
   }
