@@ -8,16 +8,21 @@
 // Here: LiDAR points, queries assigned uniformly to grid cells and emitted
 // in raster order vs shuffled. Only the Search phase is timed (the BVH is
 // identical for both orders), min over the runner's repeats. Both engines
-// are reported: the independent-traversal engine shows the effect through
-// the CPU memory hierarchy; the warp-lockstep SIMT engine adds the
+// are reported: the independent-traversal engine (a NeighborSearch) shows
+// the effect through the CPU memory hierarchy; the warp-lockstep SIMT
+// engine (one launch over the binary BVH of the same boxes) adds the
 // control-flow divergence penalty the RT hardware pays.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <numeric>
 
 #include "bench/bench.hpp"
 #include "bench_util.hpp"
+#include "core/timing.hpp"
 #include "datasets/uniform.hpp"
+#include "optix/optix.hpp"
+#include "rtnn/pipelines.hpp"
 #include "rtnn/rtnn.hpp"
 
 using namespace rtnn;
@@ -40,19 +45,45 @@ RTNN_BENCH_CASE(fig05, "fig05",
 
   NeighborSearch search;
   search.set_points(ds.points);
+  // The SIMT engine's tree: the binary BVH over the search's own boxes
+  // (width 2r), built here, outside its timing.
+  std::vector<Aabb> aabbs(ds.points.size());
+  for (std::size_t i = 0; i < ds.points.size(); ++i) {
+    aabbs[i] = Aabb::cube(ds.points[i], 2.0f * ds.radius);
+  }
+  rt::Bvh bvh;
+  bvh.build(aabbs);
+  rt::TraceConfig lockstep;
+  lockstep.model = rt::ExecutionModel::kWarpLockstep;
 
-  // Each sample is the Search-phase time of one full search() call; the
+  // Each independent sample is the Search-phase time of one full search()
+  // call; each SIMT sample is one lockstep launch over every query. The
   // warp-substep counters are deterministic per input, so reading them
   // from the last repeat is exact.
   std::uint64_t substeps = 0;
-  auto run = [&](const data::PointCloud& queries, bool simt, const std::string& name) {
-    params.simt_launches = simt;
+  auto run = [&](const data::PointCloud& queries, const std::string& name) {
     return ctx.sample(name,
                       [&] {
                         NeighborSearch::Report report;
                         search.search(queries, params, &report);
-                        substeps = report.stats.warp_substeps;
                         return report.time.search;
+                      },
+                      {.work_items = static_cast<double>(queries.size())});
+  };
+  auto run_simt = [&](const data::PointCloud& queries, const std::string& name) {
+    std::vector<std::uint32_t> ids(queries.size());
+    std::iota(ids.begin(), ids.end(), 0u);
+    return ctx.sample(name,
+                      [&] {
+                        NeighborResult result(queries.size(), params.k, params.store_indices);
+                        pipelines::RangePipeline pipeline(ds.points, queries, ids, ds.radius,
+                                                          params.k, /*skip_sphere_test=*/false,
+                                                          result);
+                        Timer timer;
+                        substeps = ox::launch(bvh, pipeline,
+                                              static_cast<std::uint32_t>(ids.size()), lockstep)
+                                       .warp_substeps;
+                        return timer.elapsed();
                       },
                       {.work_items = static_cast<double>(queries.size())});
   };
@@ -75,11 +106,11 @@ RTNN_BENCH_CASE(fig05, "fig05",
     data::shuffle(random, bench::mix_seed(ctx.seed(), 6));
 
     const std::string sz = sweep.label;
-    const double ind_raster = run(raster, false, "ind.raster." + sz);
-    const double ind_random = run(random, false, "ind.random." + sz);
-    const double simt_raster = run(raster, true, "simt.raster." + sz);
+    const double ind_raster = run(raster, "ind.raster." + sz);
+    const double ind_random = run(random, "ind.random." + sz);
+    const double simt_raster = run_simt(raster, "simt.raster." + sz);
     const std::uint64_t raster_substeps = substeps;
-    const double simt_random = run(random, true, "simt.random." + sz);
+    const double simt_random = run_simt(random, "simt.random." + sz);
     // "gpu-cost" = ratio of serialized warp sub-steps, the substrate's
     // cycle-count analog of the hardware's SIMT execution time.
     const double gpu_cost =

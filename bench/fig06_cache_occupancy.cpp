@@ -25,12 +25,14 @@ RTNN_BENCH_CASE(fig06, "fig06",
                 "is the comparable memory-system signal") {
   bench::BenchDataset ds = bench::paper_dataset("KITTI-12M", ctx.scale(), 16, ctx.seed());
 
-  // Build the paper's search BVH (AABB width 2r).
+  // Build the paper's search BVH (AABB width 2r): the binary tree the
+  // lockstep engine walks.
   std::vector<Aabb> aabbs(ds.points.size());
   for (std::size_t i = 0; i < ds.points.size(); ++i) {
     aabbs[i] = Aabb::cube(ds.points[i], 2.0f * ds.radius);
   }
-  const ox::Accel accel = ox::Context{}.build_accel(aabbs);
+  rt::Bvh bvh;
+  bvh.build(aabbs);
 
   data::GridQueryParams gq;
   gq.resolution = 96;
@@ -46,12 +48,12 @@ RTNN_BENCH_CASE(fig06, "fig06",
     for (std::uint32_t i = 0; i < ids.size(); ++i) ids[i] = i;
     pipelines::RangePipeline pipeline(ds.points, queries, ids, ds.radius, 16,
                                       /*skip_sphere_test=*/false, result);
-    ox::LaunchOptions options;
-    options.model = ox::ExecutionModel::kWarpLockstep;
-    options.simulate_caches = true;
-    options.parallel = false;  // exact, shared memory hierarchy
+    rt::TraceConfig config;
+    config.model = rt::ExecutionModel::kWarpLockstep;
+    config.simulate_caches = true;
+    config.parallel = false;  // exact, shared memory hierarchy
     const auto stats =
-        ox::launch(accel, pipeline, static_cast<std::uint32_t>(queries.size()), options);
+        ox::launch(bvh, pipeline, static_cast<std::uint32_t>(queries.size()), config);
     const double dram_per_k =
         1000.0 *
         static_cast<double>(stats.l2.accesses - stats.l2.hits) /

@@ -38,8 +38,8 @@ RTNN_BENCH_CASE(fig08, "fig08", "Figure 8 — IS calls vs AABB width",
     for (std::size_t i = 0; i < ds.points.size(); ++i) {
       aabbs[i] = Aabb::cube(ds.points[i], sweep.width);
     }
-    const ox::Accel accel = ox::Context{}.build_accel(aabbs);
-    (void)accel.bvh();  // the binary walk below: built here, outside its timing
+    rt::Bvh bvh;  // the binary walk below: built here, outside its timing
+    bvh.build(aabbs);
     NeighborResult result(queries.size(), 0xffffff, /*store_indices=*/false);
     std::vector<std::uint32_t> ids(queries.size());
     for (std::uint32_t i = 0; i < ids.size(); ++i) ids[i] = i;
@@ -48,14 +48,9 @@ RTNN_BENCH_CASE(fig08, "fig08", "Figure 8 — IS calls vs AABB width",
     ox::LaunchStats stats;
     // Binary walk: the figure's IS-call and node-visit columns count the
     // RT-core model's per-node work, which the wide SoA path coarsens.
-    ox::LaunchOptions options;
-    options.use_wide_bvh = false;
     const double seconds = ctx.time(
         std::string("trace.") + sweep.label,
-        [&] {
-          stats = ox::launch(accel, pipeline,
-                             static_cast<std::uint32_t>(queries.size()), options);
-        },
+        [&] { stats = ox::launch(bvh, pipeline, static_cast<std::uint32_t>(queries.size())); },
         {.work_items = static_cast<double>(queries.size())});
     const double per_call =
         stats.is_calls ? 1e9 * seconds / static_cast<double>(stats.is_calls) : 0.0;

@@ -31,7 +31,8 @@ RTNN_BENCH_CASE(micro_steps, "micro.steps",
   std::vector<Aabb> aabbs(n);
   for (std::size_t i = 0; i < n; ++i) aabbs[i] = Aabb::cube(points[i], 2.0f * radius);
   const ox::Accel accel = ox::Context{}.build_accel(aabbs);
-  (void)accel.bvh();  // the binary walks below: built here, outside their timings
+  rt::Bvh bvh;  // the binary walks below: built here, outside their timings
+  bvh.build(aabbs);
   const std::size_t nq = n;
   std::vector<std::uint32_t> ids(nq);
   for (std::uint32_t i = 0; i < nq; ++i) ids[i] = i;
@@ -56,14 +57,10 @@ RTNN_BENCH_CASE(micro_steps, "micro.steps",
     // ns-per-IS-call constants model the RT core popping the binary tree
     // (what the warp-lockstep simulation counts), so the counters must
     // keep that meaning.
-    ox::LaunchOptions model_opts;
-    model_opts.use_wide_bvh = false;
     ox::LaunchStats stats;
     const double t_step1 = ctx.time(
         "step1_traversal",
-        [&] {
-          stats = ox::launch(accel, trav, static_cast<std::uint32_t>(nq), model_opts);
-        },
+        [&] { stats = ox::launch(bvh, trav, static_cast<std::uint32_t>(nq)); },
         {.work_items = static_cast<double>(nq)});
 
     FlatKnnHeaps heaps(nq, 16);
@@ -82,7 +79,7 @@ RTNN_BENCH_CASE(micro_steps, "micro.steps",
     KnnIs knn{points, points, radius * radius, &heaps};
     const double t_step2 = ctx.time(
         "step2_knn_is",
-        [&] { ox::launch(accel, knn, static_cast<std::uint32_t>(nq), model_opts); },
+        [&] { ox::launch(bvh, knn, static_cast<std::uint32_t>(nq)); },
         {.work_items = static_cast<double>(nq)});
 
     const double step1_per_event =
@@ -132,17 +129,17 @@ RTNN_BENCH_CASE(micro_steps, "micro.steps",
   {
     NeighborResult result(nq, 16, false);
     pipelines::RangePipeline pipeline(points, points, ids, radius, 16, false, result);
-    ox::LaunchOptions opt;
     const double t_ind = ctx.time(
         "engine.independent",
-        [&] { ox::launch(accel, pipeline, static_cast<std::uint32_t>(nq), opt); },
+        [&] { ox::launch(accel, pipeline, static_cast<std::uint32_t>(nq)); },
         {.work_items = static_cast<double>(nq)});
     NeighborResult result2(nq, 16, false);
     pipelines::RangePipeline pipeline2(points, points, ids, radius, 16, false, result2);
-    opt.model = ox::ExecutionModel::kWarpLockstep;
+    rt::TraceConfig lockstep;
+    lockstep.model = rt::ExecutionModel::kWarpLockstep;
     const double t_simt = ctx.time(
         "engine.lockstep",
-        [&] { ox::launch(accel, pipeline2, static_cast<std::uint32_t>(nq), opt); },
+        [&] { ox::launch(bvh, pipeline2, static_cast<std::uint32_t>(nq), lockstep); },
         {.work_items = static_cast<double>(nq)});
     ctx.metric("lockstep_overhead", t_simt / t_ind, "x");
     std::printf("\nengine ablation: independent %.3fs vs warp-lockstep %.3fs "

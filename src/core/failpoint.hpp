@@ -3,9 +3,8 @@
 //
 // A *failpoint* is a named site in real code — the snapshot publish
 // ("service.publish"), the LRU eviction pass ("service.evict"), the
-// dispatcher tick ("service.dispatch.tick"), each cloud group's launch
-// ("service.dispatch.launch") and an accel's on-demand binary tree
-// ("ox.accel.binary_build") — where a test can make the code fail on
+// dispatcher tick ("service.dispatch.tick") and each cloud group's launch
+// ("service.dispatch.launch") — where a test can make the code fail on
 // demand. The sites are always compiled in (RTNN_FAILPOINT below); when
 // nothing is armed they cost a single relaxed atomic load, so production
 // and bench builds pay nothing measurable. A test arms a site by name with an Action and a firing

@@ -1,34 +1,13 @@
 #include "optix/optix.hpp"
 
-#include "core/failpoint.hpp"
 #include "core/timing.hpp"
 
 namespace rtnn::ox {
-
-const rt::Bvh& detail::AccelData::binary() const {
-  if (const rt::Bvh* built = binary_.load(std::memory_order_acquire)) return *built;
-  std::lock_guard<std::mutex> lock(binary_mutex_);
-  if (const rt::Bvh* built = binary_.load(std::memory_order_relaxed)) return *built;
-  RTNN_FAILPOINT("ox.accel.binary_build");
-  // The boxes back in id order. Until a refit moves them, they give, with
-  // the build's leaf size (and thread count), the tree build_accel
-  // collapsed.
-  const std::span<const std::uint32_t> order = wide.prim_order();
-  const std::span<const Aabb> ordered = wide.ordered_prim_aabbs();
-  std::vector<Aabb> boxes(order.size());
-  for (std::size_t s = 0; s < order.size(); ++s) boxes[order[s]] = ordered[s];
-  auto bvh = std::make_unique<rt::Bvh>();
-  bvh->build(boxes, rt::BvhBuildOptions{.leaf_size = leaf_size});
-  binary_storage_ = std::move(bvh);
-  binary_.store(binary_storage_.get(), std::memory_order_release);
-  return *binary_storage_;
-}
 
 Accel Context::build_accel(std::span<const Aabb> prim_aabbs,
                            const AccelBuildOptions& options) const {
   Timer timer;
   auto data = std::make_shared<detail::AccelData>();
-  data->leaf_size = options.leaf_size;
   rt::Bvh bvh;  // dropped on return: the wide tree is the resident index
   bvh.build(prim_aabbs, rt::BvhBuildOptions{.leaf_size = options.leaf_size});
   data->wide.build(bvh);
@@ -57,13 +36,10 @@ namespace {
 
 /// Copy-on-write handle for a refit: the build product may be shared with
 /// other Accel handles (they are snapshots, like real GASes); mutate in
-/// place only when the caller is the sole owner and no binary tree was
-/// built over the old boxes (the copy starts without one).
+/// place only when the caller is the sole owner.
 std::shared_ptr<detail::AccelData> writable(
     const std::shared_ptr<const detail::AccelData>& data) {
-  if (data.use_count() == 1 && data->binary_if_built() == nullptr) {
-    return std::const_pointer_cast<detail::AccelData>(data);
-  }
+  if (data.use_count() == 1) return std::const_pointer_cast<detail::AccelData>(data);
   return std::make_shared<detail::AccelData>(*data);
 }
 

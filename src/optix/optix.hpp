@@ -9,7 +9,7 @@
 //
 //   * ox::Context::build_accel(aabbs)  ~ optixAccelBuild over
 //     OPTIX_BUILD_INPUT_TYPE_CUSTOM_PRIMITIVES
-//   * ox::launch(ctx, accel, pipeline, width) ~ optixLaunch
+//   * ox::launch(accel, pipeline, width) ~ optixLaunch
 //   * Pipeline::raygen(i) is the RG shader: it returns the ray for launch
 //     index i (optixGetLaunchIndex + optixTrace).
 //   * Pipeline::intersection(ray, prim) is the IS shader; returning
@@ -26,15 +26,15 @@
 //     heap's K-th distance.
 //
 // "Single Instruction Multiple Rays": each launch index maps to one ray /
-// one SIMT lane; the warp-lockstep execution model is selected through
-// LaunchOptions.
+// one SIMT lane. launch(accel, …) walks the accel's one resident tree.
+// The hardware characterizations of Figures 5–8 (warp-lockstep SIMT
+// execution, cache replay, per-node counts) launch on a binary rt::Bvh
+// the caller builds, through launch(bvh, …, rt::TraceConfig).
 #pragma once
 
-#include <atomic>
 #include <concepts>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <span>
 
 #include "core/aabb.hpp"
@@ -75,30 +75,12 @@ namespace detail {
 /// build_seconds()/time.bvh like the rest of the acceleration-structure
 /// work (the cost model's T_build = k1·M stays linear), then drops it.
 struct AccelData {
-  AccelData() = default;
-  /// Copies (copy-on-write refits) start without a binary tree.
-  AccelData(const AccelData& other)
-      : wide(other.wide), tiled(other.tiled), leaf_size(other.leaf_size) {}
-
   rt::WideBvh wide;
   /// The two-level build product (build_tiled_accel). Exactly one of
   /// {wide, tiled} is populated per accel; a tiled accel's per-tile
   /// copy-on-write nests inside this struct's own COW, so snapshots of a
   /// tiled accel share untouched tiles even across update_tiled() calls.
   rt::TiledBvh tiled;
-  std::uint32_t leaf_size = 1;  // the build's, so binary() rebuilds the same tree
-
-  /// The binary LBVH over the wide tree's boxes, which only warp-lockstep
-  /// and use_wide_bvh=false launches walk (the Figures 5–8 paths): built
-  /// on first use, concurrently safe, then shared — the publish pattern of
-  /// rt::TiledBvh::Tile::ensure_index.
-  const rt::Bvh& binary() const;
-  const rt::Bvh* binary_if_built() const { return binary_.load(std::memory_order_acquire); }
-
- private:
-  mutable std::mutex binary_mutex_;
-  mutable std::unique_ptr<const rt::Bvh> binary_storage_;
-  mutable std::atomic<const rt::Bvh*> binary_{nullptr};
 };
 
 }  // namespace detail
@@ -112,19 +94,8 @@ class Accel {
  public:
   Accel() = default;
 
-  /// The binary BVH of warp-lockstep and use_wide_bvh=false launches,
-  /// built from the accel's boxes on first use (AccelData::binary()).
-  const rt::Bvh& bvh() const {
-    RTNN_CHECK(data_ != nullptr, "accel not built");
-    RTNN_CHECK(!is_tiled(), "a tiled accel has no monolithic binary BVH");
-    return data_->binary();
-  }
-
-  /// False until a launch (or bvh()) builds the binary tree.
-  bool has_bvh() const { return data_ != nullptr && data_->binary_if_built() != nullptr; }
-
-  /// The compressed 8-wide BVH the independent (wall-clock) path
-  /// traverses — the one tree every monolithic accel keeps resident.
+  /// The compressed 8-wide BVH every launch on a monolithic accel
+  /// traverses — the one tree it keeps resident.
   const rt::WideBvh& wide_bvh() const {
     RTNN_CHECK(data_ != nullptr, "accel not built");
     RTNN_CHECK(!is_tiled(), "a tiled accel has no monolithic wide BVH");
@@ -197,17 +168,6 @@ class Accel {
   double refit_seconds_ = 0.0;
 };
 
-struct LaunchOptions {
-  ExecutionModel model = ExecutionModel::kIndependent;
-  bool parallel = true;
-  bool simulate_caches = false;
-  /// kIndependent launches traverse the accel's compressed 8-wide BVH
-  /// (the wall-clock configuration). Clear to force the binary BVH —
-  /// parity and characterization runs. Ignored by kWarpLockstep, which
-  /// always walks the binary tree for simulation fidelity.
-  bool use_wide_bvh = true;
-};
-
 /// Shader-pipeline concepts. A pipeline must at least provide the RG and
 /// IS shaders; AH (termination), CH and Miss are optional, mirroring
 /// OptiX where those program groups may be null. The cull bound
@@ -277,18 +237,12 @@ struct ProgramAdapter {
   }
 };
 
-}  // namespace detail
-
-/// optixLaunch: runs the RG shader for every index in [0, width), traces
-/// the generated rays, and dispatches CH/Miss per ray if the pipeline
-/// defines them.
-template <PipelineShaders P>
-LaunchStats launch(const Accel& accel, P& pipeline, std::uint32_t width,
-                   const LaunchOptions& options = {}) {
-  RTNN_CHECK(accel.built(), "launch against an unbuilt accel");
-
-  // RG shader: materialize rays (the engine consumes them as a span; the
-  // RG stage is a data-parallel kernel of its own).
+/// The body both launch overloads share: the RG shader materializes the
+/// rays (a data-parallel kernel of its own; the walks consume them as a
+/// span), `walk(rays, adapter)` traces them, then CH/Miss run per ray if
+/// the pipeline defines them.
+template <PipelineShaders P, typename Walk>
+LaunchStats run_launch(P& pipeline, std::uint32_t width, Walk&& walk) {
   std::vector<Ray> rays(width);
   parallel_for(0, width, [&](std::int64_t i) {
     rays[static_cast<std::size_t>(i)] = pipeline.raygen(static_cast<std::uint32_t>(i));
@@ -298,22 +252,8 @@ LaunchStats launch(const Accel& accel, P& pipeline, std::uint32_t width,
   std::vector<std::uint8_t> is_invoked;
   if constexpr (kNeedsHitInfo) is_invoked.assign(width, 0);
 
-  detail::ProgramAdapter<P> adapter{pipeline, kNeedsHitInfo ? &is_invoked : nullptr};
-
-  rt::TraceConfig config;
-  config.model = options.model;
-  config.parallel = options.parallel;
-  config.simulate_caches = options.simulate_caches;
-  const bool wide =
-      options.model == ExecutionModel::kIndependent && options.use_wide_bvh;
-  // A tiled accel has exactly one traversal: the TLAS walk (independent
-  // model).
-  const LaunchStats stats =
-      accel.is_tiled()
-          ? rt::trace(accel.tiled_bvh(), std::span<const Ray>(rays), adapter, config)
-      : wide
-          ? rt::trace(accel.wide_bvh(), std::span<const Ray>(rays), adapter, config)
-          : rt::trace(accel.bvh(), std::span<const Ray>(rays), adapter, config);
+  ProgramAdapter<P> adapter{pipeline, kNeedsHitInfo ? &is_invoked : nullptr};
+  const LaunchStats stats = walk(std::span<const Ray>(rays), adapter);
 
   if constexpr (kNeedsHitInfo) {
     parallel_for(0, width, [&](std::int64_t i) {
@@ -328,4 +268,34 @@ LaunchStats launch(const Accel& accel, P& pipeline, std::uint32_t width,
   return stats;
 }
 
+}  // namespace detail
+
+/// optixLaunch: runs the RG shader for every index in [0, width), traces
+/// the generated rays through the accel's one resident tree — the TLAS
+/// walk of a tiled accel, the compressed wide walk otherwise — and
+/// dispatches CH/Miss per ray if the pipeline defines them.
+template <PipelineShaders P>
+LaunchStats launch(const Accel& accel, P& pipeline, std::uint32_t width) {
+  RTNN_CHECK(accel.built(), "launch against an unbuilt accel");
+  return detail::run_launch(pipeline, width, [&](std::span<const Ray> rays, auto& adapter) {
+    return accel.is_tiled() ? rt::trace(accel.tiled_bvh(), rays, adapter)
+                            : rt::trace(accel.wide_bvh(), rays, adapter);
+  });
+}
+
+/// The characterization launch: the same pipeline stages over a binary
+/// BVH the caller built (outside its timing), in either execution model.
+/// Warp-lockstep runs count the SIMT sub-steps and lane occupancy of
+/// Figures 5–6 and replay fetches through the cache simulator
+/// (config.simulate_caches); independent runs give Figures 7–8 their
+/// per-node counts. These walks ignore a pipeline's cull bound.
+template <PipelineShaders P>
+LaunchStats launch(const rt::Bvh& bvh, P& pipeline, std::uint32_t width,
+                   const rt::TraceConfig& config = {}) {
+  return detail::run_launch(pipeline, width, [&](std::span<const Ray> rays, auto& adapter) {
+    return rt::trace(bvh, rays, adapter, config);
+  });
+}
+
 }  // namespace rtnn::ox
+

@@ -3,12 +3,14 @@
 // This is the data structure the RT cores traverse in hardware (paper
 // section 2.2/2.3). Every acceleration structure is built from it and
 // then keeps only its compressed 8-wide collapse (WideBvh), which also
-// refits itself; the warp-lockstep model and use_wide_bvh=false launches
-// walk a binary tree rebuilt on demand. We build a binary LBVH: primitives are sorted by the
-// 63-bit Morton code of their AABB centroid and the tree is formed by
-// recursively splitting the sorted range at the highest differing Morton
-// bit (Karras 2012-style top-down formulation), then node bounds are
-// computed bottom-up. Construction cost is dominated by the radix sort and
+// refits itself. Besides the tiled index's top-level tree, only the paper
+// characterizations (warp-lockstep SIMT, cache replay, per-node counts of
+// Figures 5–8) walk a binary tree: one they build themselves and launch
+// through ox::launch's rt::Bvh overload. We build a binary LBVH:
+// primitives are sorted by the 63-bit Morton code of their AABB centroid
+// and the tree is formed by recursively splitting the sorted range at the
+// highest differing Morton bit (Karras 2012-style top-down formulation),
+// then node bounds are computed bottom-up. Construction cost is dominated by the radix sort and
 // is linear in the number of AABBs — matching the paper's empirical
 // observation (Figure 15, R² = 0.996) which RTNN's bundling cost model
 // depends on (T_build = k1 · M, paper equation (3)).

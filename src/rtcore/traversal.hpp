@@ -4,13 +4,15 @@
 //
 //  * kIndependent — every ray traverses on its own stack; rays are spread
 //    across OpenMP threads. This is the fast path used for wall-clock
-//    performance measurements. It traverses either the binary LBVH or —
-//    the production configuration — the compressed 8-wide WideBvh, where
-//    one ray-vs-node step decodes and tests all eight child AABBs with
-//    AVX2 (scalar fallback when built with RTNN_ENABLE_AVX2=OFF). Rays are
-//    batched into chunks that reuse one per-thread traversal stack, and
-//    chunks inherit the caller's Morton ordering so consecutive rays walk
-//    overlapping subtrees.
+//    performance measurements. It traverses the compressed 8-wide WideBvh
+//    (the production configuration; the tiled TLAS walk ends in such
+//    trees), where one ray-vs-node step decodes and tests all eight child
+//    AABBs with AVX2 (scalar fallback when built with
+//    RTNN_ENABLE_AVX2=OFF), or a binary LBVH the caller built for the
+//    per-node counts of the paper characterizations. Rays are batched into
+//    chunks that reuse one per-thread traversal stack, and chunks inherit
+//    the caller's Morton ordering so consecutive rays walk overlapping
+//    subtrees.
 //
 //  * kWarpLockstep — rays are grouped into 32-lane warps that advance in
 //    lockstep, the way the SIMT hardware schedules them (paper section
@@ -24,8 +26,9 @@
 //    model always walks the binary BVH so its step/cache/occupancy
 //    figures stay bit-identical to the hardware characterization.
 //
-// Stats are accumulated in per-worker slots (StatsAccumulator) and summed
-// once per launch — no locks on the hot path.
+// Every walk counts its work (LaunchStats). Stats are accumulated in
+// per-worker slots (StatsAccumulator) and summed once per launch — no
+// locks on the hot path.
 //
 // The `Program` template parameter plays the role of the compiled shader
 // kernel: `program.intersect(ray_id, prim_id)` is the IS shader, invoked
@@ -82,9 +85,6 @@ struct TraceConfig {
   bool simulate_caches = false;
   CacheConfig l1{64 * 1024, 128, 4};
   CacheConfig l2{4 * 1024 * 1024, 128, 16};
-  /// Collect LaunchStats counters. Disabling removes the accounting from
-  /// the hot loop for pure wall-clock runs.
-  bool collect_stats = true;
   /// Must stay true: the compressed layout is the only wide layout, and
   /// the wide and tiled overloads reject false. Kept only because the
   /// repo benchmark (perfbench/harness.cpp) still assigns it; the
@@ -139,16 +139,16 @@ struct LaneState {
 
 template <typename Program>
 TraceAction process_leaf(const Bvh& bvh, const BvhNode& node, const Ray& ray,
-                         std::uint32_t ray_id, Program& program, LaunchStats* stats,
+                         std::uint32_t ray_id, Program& program, LaunchStats& stats,
                          MemoryHierarchy* mem) {
   const auto prim_order = bvh.prim_order();
   const auto prim_aabbs = bvh.prim_aabbs();
   for (std::uint32_t s = node.first; s < node.first + node.count; ++s) {
     const std::uint32_t prim = prim_order[s];
     if (mem) mem->access(kPrimRegionBase + prim * kPrimStride);
-    if (stats) ++stats->aabb_tests;
+    ++stats.aabb_tests;
     if (!ray_intersects_aabb(ray, prim_aabbs[prim])) continue;
-    if (stats) ++stats->is_calls;
+    ++stats.is_calls;
     if (program.intersect(ray_id, prim) == TraceAction::kTerminate) {
       return TraceAction::kTerminate;
     }
@@ -159,7 +159,7 @@ TraceAction process_leaf(const Bvh& bvh, const BvhNode& node, const Ray& ray,
 /// Classic single-ray stack traversal.
 template <typename Program>
 void trace_one(const Bvh& bvh, const Ray& ray, std::uint32_t ray_id, Program& program,
-               LaunchStats* stats) {
+               LaunchStats& stats) {
   if (bvh.empty()) return;
   std::uint32_t stack[kMaxStackDepth];
   std::uint32_t sp = 0;
@@ -167,15 +167,13 @@ void trace_one(const Bvh& bvh, const Ray& ray, std::uint32_t ray_id, Program& pr
   const auto nodes = bvh.nodes();
   while (sp > 0) {
     const BvhNode& node = nodes[stack[--sp]];
-    if (stats) {
-      ++stats->node_visits;
-      ++stats->aabb_tests;
-    }
+    ++stats.node_visits;
+    ++stats.aabb_tests;
     if (!ray_intersects_aabb(ray, node.bounds)) continue;
     if (node.is_leaf()) {
       if (process_leaf(bvh, node, ray, ray_id, program, stats, nullptr) ==
           TraceAction::kTerminate) {
-        if (stats) ++stats->terminated_rays;
+        ++stats.terminated_rays;
         return;
       }
     } else {
@@ -365,7 +363,7 @@ std::uint32_t slot_hits(const CompressedWideNode& node, const Ray& ray, const Ve
 /// moment.
 template <typename Program>
 void trace_one_compressed(const WideBvh& bvh, const Ray& ray, std::uint32_t ray_id,
-                          Program& program, LaunchStats* stats, std::uint32_t* stack,
+                          Program& program, LaunchStats& stats, std::uint32_t* stack,
                           MemoryHierarchy* mem = nullptr) {
   constexpr bool kCull = CullingProgram<Program>;
   const auto nodes = bvh.compressed_nodes();
@@ -384,10 +382,8 @@ void trace_one_compressed(const WideBvh& bvh, const Ray& ray, std::uint32_t ray_
     if (mem) {
       mem->access_range(node_id * sizeof(CompressedWideNode), sizeof(CompressedWideNode));
     }
-    if (stats) {
-      ++stats->node_visits;
-      stats->aabb_tests += node.count;
-    }
+    ++stats.node_visits;
+    stats.aabb_tests += node.count;
     std::uint32_t mask = slot_hits<kCull>(node, ray, inv_dir, delta) & node.valid_mask();
     std::uint32_t pushes[kWideBvhWidth];
     std::uint32_t n_push = 0;
@@ -401,11 +397,11 @@ void trace_one_compressed(const WideBvh& bvh, const Ray& ray, std::uint32_t ray_
           if (mem) {
             mem->access_range(kOrderedPrimRegionBase + s * sizeof(Aabb), sizeof(Aabb));
           }
-          if (stats) ++stats->aabb_tests;
+          ++stats.aabb_tests;
           if (!box_hit<kCull>(ray, ordered_prim_aabbs[s], inv_dir, delta)) continue;
-          if (stats) ++stats->is_calls;
+          ++stats.is_calls;
           if (program.intersect(ray_id, prim) == TraceAction::kTerminate) {
-            if (stats) ++stats->terminated_rays;
+            ++stats.terminated_rays;
             return;
           }
           if constexpr (kCull) delta = program.cull_shrink(ray_id);
@@ -459,7 +455,7 @@ struct TileProgram {
 /// reused by every BLAS walk (tiles traverse one at a time).
 template <typename Program>
 void trace_one_tiled(const TiledBvh& tlas, const Ray& ray, std::uint32_t ray_id,
-                     Program& program, LaunchStats* stats, std::uint32_t* wide_stack) {
+                     Program& program, LaunchStats& stats, std::uint32_t* wide_stack) {
   constexpr bool kCull = CullingProgram<Program>;
   const Bvh& top = tlas.top();
   if (top.empty()) return;
@@ -473,10 +469,8 @@ void trace_one_tiled(const TiledBvh& tlas, const Ray& ray, std::uint32_t ray_id,
   if constexpr (kCull) delta = program.cull_shrink(ray_id);
   while (sp > 0) {
     const BvhNode& node = nodes[stack[--sp]];
-    if (stats) {
-      ++stats->node_visits;
-      ++stats->aabb_tests;
-    }
+    ++stats.node_visits;
+    ++stats.aabb_tests;
     if (!box_hit<kCull>(ray, node.bounds, inv_dir, delta)) continue;
     if (node.is_leaf()) {
       for (std::uint32_t s = node.first; s < node.first + node.count; ++s) {
@@ -545,7 +539,7 @@ void trace_warp(const Bvh& bvh, std::span<const Ray> rays, std::uint32_t first_r
         const Ray& ray = rays[lane.ray_id];
         if (!ray_intersects_aabb(ray, node.bounds)) continue;
         if (node.is_leaf()) {
-          if (process_leaf(bvh, node, ray, lane.ray_id, program, &stats, mem) ==
+          if (process_leaf(bvh, node, ray, lane.ray_id, program, stats, mem) ==
               TraceAction::kTerminate) {
             lane.terminated = true;
             ++stats.terminated_rays;
@@ -574,36 +568,30 @@ LaunchStats trace(const Bvh& bvh, std::span<const Ray> rays, Program& program,
   if (rays.empty() || bvh.empty()) return total;
 
   const auto n = static_cast<std::int64_t>(rays.size());
-  // Lazily sized so stats-off launches (pure wall-clock runs, often many
-  // tiny per-partition launches) skip the slot allocation entirely.
-  std::optional<StatsAccumulator> accumulator;
+  StatsAccumulator accumulator;
 
   if (config.model == ExecutionModel::kIndependent) {
     RTNN_CHECK(!config.simulate_caches,
                "cache simulation requires the warp-lockstep execution model");
-    if (config.collect_stats) accumulator.emplace();
     auto run_chunk = [&](std::int64_t lo, std::int64_t hi) {
       // Counters bump a stack-local struct through the chunk and fold into
       // the worker's slot once — no heap writes on the per-node path.
       LaunchStats local;
-      LaunchStats* stats = accumulator ? &local : nullptr;
       for (std::int64_t i = lo; i < hi; ++i) {
         detail::trace_one(bvh, rays[static_cast<std::size_t>(i)],
-                          static_cast<std::uint32_t>(i), program, stats);
+                          static_cast<std::uint32_t>(i), program, local);
       }
-      if (accumulator) accumulator->local() += local;
+      accumulator.local() += local;
     };
     if (config.parallel) {
       parallel_for_chunks(0, n, run_chunk, grain::kTrace);
     } else {
       run_chunk(0, n);
     }
-    if (accumulator) total += accumulator->reduce();
+    total += accumulator.reduce();
     return total;
   }
 
-  // Warp-lockstep model (always collects: its counters are the figures).
-  accumulator.emplace();
   const std::int64_t n_warps =
       (n + detail::kWarpSize - 1) / static_cast<std::int64_t>(detail::kWarpSize);
   auto run_warps = [&](std::int64_t lo, std::int64_t hi) {
@@ -621,14 +609,14 @@ LaunchStats trace(const Bvh& bvh, std::span<const Ray> rays, Program& program,
       local.l1 = mem->l1_stats();
       local.l2 = mem->l2_stats();
     }
-    accumulator->local() += local;
+    accumulator.local() += local;
   };
   if (config.parallel) {
     parallel_for_chunks(0, n_warps, run_warps, grain::kWarp);
   } else {
     run_warps(0, n_warps);
   }
-  total += accumulator->reduce();
+  total += accumulator.reduce();
   return total;
 }
 
@@ -649,12 +637,9 @@ LaunchStats trace(const WideBvh& bvh, std::span<const Ray> rays, Program& progra
   if (rays.empty() || bvh.empty()) return total;
 
   const auto n = static_cast<std::int64_t>(rays.size());
-  std::optional<StatsAccumulator> accumulator;
-  // Cache stats travel inside LaunchStats, so simulation forces collection.
-  if (config.collect_stats || config.simulate_caches) accumulator.emplace();
+  StatsAccumulator accumulator;
   auto run_chunk = [&](std::int64_t lo, std::int64_t hi) {
     LaunchStats local;
-    LaunchStats* stats = config.collect_stats ? &local : nullptr;
     std::optional<MemoryHierarchy> mem;
     if (config.simulate_caches) mem.emplace(config.l1, config.l2);
     MemoryHierarchy* mem_ptr = mem ? &*mem : nullptr;
@@ -662,21 +647,21 @@ LaunchStats trace(const WideBvh& bvh, std::span<const Ray> rays, Program& progra
     std::uint32_t stack[detail::kWideStackDepth];
     for (std::int64_t i = lo; i < hi; ++i) {
       detail::trace_one_compressed(bvh, rays[static_cast<std::size_t>(i)],
-                                   static_cast<std::uint32_t>(i), program, stats, stack,
+                                   static_cast<std::uint32_t>(i), program, local, stack,
                                    mem_ptr);
     }
     if (mem) {
       local.l1 = mem->l1_stats();
       local.l2 = mem->l2_stats();
     }
-    if (accumulator) accumulator->local() += local;
+    accumulator.local() += local;
   };
   if (config.parallel) {
     parallel_for_chunks(0, n, run_chunk, grain::kTrace);
   } else {
     run_chunk(0, n);
   }
-  if (accumulator) total += accumulator->reduce();
+  total += accumulator.reduce();
   return total;
 }
 
@@ -700,24 +685,22 @@ LaunchStats trace(const TiledBvh& tlas, std::span<const Ray> rays, Program& prog
   if (rays.empty() || tlas.empty()) return total;
 
   const auto n = static_cast<std::int64_t>(rays.size());
-  std::optional<StatsAccumulator> accumulator;
-  if (config.collect_stats) accumulator.emplace();
+  StatsAccumulator accumulator;
   auto run_chunk = [&](std::int64_t lo, std::int64_t hi) {
     LaunchStats local;
-    LaunchStats* stats = accumulator ? &local : nullptr;
     std::uint32_t stack[detail::kWideStackDepth];
     for (std::int64_t i = lo; i < hi; ++i) {
       detail::trace_one_tiled(tlas, rays[static_cast<std::size_t>(i)],
-                              static_cast<std::uint32_t>(i), program, stats, stack);
+                              static_cast<std::uint32_t>(i), program, local, stack);
     }
-    if (accumulator) accumulator->local() += local;
+    accumulator.local() += local;
   };
   if (config.parallel) {
     parallel_for_chunks(0, n, run_chunk, grain::kTrace);
   } else {
     run_chunk(0, n);
   }
-  if (accumulator) total += accumulator->reduce();
+  total += accumulator.reduce();
   return total;
 }
 
@@ -726,7 +709,7 @@ template <typename Program>
 LaunchStats trace_ray(const Bvh& bvh, const Ray& ray, Program& program) {
   LaunchStats stats;
   stats.rays = 1;
-  detail::trace_one(bvh, ray, 0, program, &stats);
+  detail::trace_one(bvh, ray, 0, program, stats);
   return stats;
 }
 

@@ -1,8 +1,9 @@
 // Compressed 8-wide BVH — the one resident traversal structure.
 //
 // Every acceleration structure keeps only this tree; the binary LBVH
-// (`Bvh`) it is collapsed from is dropped after the build, and rebuilt on
-// demand for the warp-lockstep walks (ox::detail::AccelData::binary()).
+// (`Bvh`) it is collapsed from is dropped after the build. The
+// warp-lockstep characterization walks take a binary tree their caller
+// builds (ox::launch's rt::Bvh overload).
 // Every node holds up to eight children whose AABBs are quantized to
 // 8-bit offsets against a per-node anchor (the compressed wide BVH of
 // Ylitie et al., HPG 2017). One ray-vs-node step decodes and tests all

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <unordered_map>
 
 #include "core/aabb.hpp"
 #include "core/morton.hpp"
@@ -53,66 +52,52 @@ void finalize_bin(BinBuild& build, const BatchOptimizerOptions& options) {
   bin.rep_rows.resize(n);
   if (n == 0) return;
 
-  // The reorder/dedup grid: radius-derived cells (dedup_cell_scale · r),
-  // widened when the bin spans more than 2^21 cells per axis.
-  std::vector<std::uint64_t> keys;
-  if (options.reorder || options.dedup) {
-    Aabb bounds;
-    for (const Vec3& q : merged) bounds.grow(q);
-    const float scale = options.dedup_cell_scale > 0.0f ? options.dedup_cell_scale : 1.0f;
-    const Vec3 extent = bounds.extent();
-    const float span = std::max({extent.x, extent.y, extent.z, 0.0f});
-    const float cell_width = std::max(bin.params.radius * scale,
-                                      span / static_cast<float>(1u << 21));
-    keys.resize(n);
-    parallel_for(0, static_cast<std::int64_t>(n), [&](std::int64_t i) {
-      keys[static_cast<std::size_t>(i)] =
-          cell_key(merged[static_cast<std::size_t>(i)], bounds.lo, cell_width);
-    }, grain::kElementwise);
+  if (!options.reorder) {
+    // Arrival order; every row is its own representative.
+    bin.queries = merged;
+    std::iota(bin.rep_rows.begin(), bin.rep_rows.end(), 0u);
+    return;
   }
 
+  // The reorder/dedup grid: cells one radius wide, widened when the bin
+  // spans more than 2^21 cells per axis.
+  Aabb bounds;
+  for (const Vec3& q : merged) bounds.grow(q);
+  const Vec3 extent = bounds.extent();
+  const float span = std::max({extent.x, extent.y, extent.z, 0.0f});
+  const float cell_width = std::max(bin.params.radius, span / static_cast<float>(1u << 21));
+  std::vector<std::uint64_t> keys(n);
+  parallel_for(0, static_cast<std::int64_t>(n), [&](std::int64_t i) {
+    keys[static_cast<std::size_t>(i)] =
+        cell_key(merged[static_cast<std::size_t>(i)], bounds.lo, cell_width);
+  }, grain::kElementwise);
+
   // Visit order decides representative order (what the backend searches):
-  // Morton-of-cell when reordering, arrival order otherwise. The radix
-  // sort is stable, so coincident rows keep arrival order within a cell
-  // and the elected representative is deterministic.
+  // Morton-of-cell. The radix sort is stable, so coincident rows keep
+  // arrival order within a cell and the elected representative is
+  // deterministic.
   std::vector<std::uint32_t> order(n);
   std::iota(order.begin(), order.end(), 0u);
-  if (options.reorder) radix_sort_pairs(keys, order);  // keys sorted alongside
+  radix_sort_pairs(keys, order);  // keys sorted alongside
 
+  // Sorted visit: a cell is one contiguous run of equal keys; each row
+  // aliases a coincident representative of its run or becomes one.
   bin.queries.reserve(n);
-  auto elect = [&](std::uint32_t row, std::vector<std::uint32_t>& cell_reps) {
-    for (const std::uint32_t rep : cell_reps) {
-      if (coincident(bin.queries[rep], merged[row])) {
-        bin.rep_rows[row] = rep;
-        ++bin.deduped;
-        return;
-      }
+  std::vector<std::uint32_t> run_reps;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i > 0 && keys[i] != keys[i - 1]) run_reps.clear();
+    const std::uint32_t row = order[i];
+    const auto same = std::find_if(run_reps.begin(), run_reps.end(), [&](std::uint32_t rep) {
+      return coincident(bin.queries[rep], merged[row]);
+    });
+    if (same != run_reps.end()) {
+      bin.rep_rows[row] = *same;
+      ++bin.deduped;
+      continue;
     }
-    const auto rep = static_cast<std::uint32_t>(bin.queries.size());
+    bin.rep_rows[row] = static_cast<std::uint32_t>(bin.queries.size());
+    run_reps.push_back(bin.rep_rows[row]);
     bin.queries.push_back(merged[row]);
-    bin.rep_rows[row] = rep;
-    cell_reps.push_back(rep);
-  };
-
-  if (!options.dedup) {
-    // Every row is its own representative, in visit order.
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint32_t row = order[i];
-      bin.rep_rows[row] = static_cast<std::uint32_t>(bin.queries.size());
-      bin.queries.push_back(merged[row]);
-    }
-  } else if (options.reorder) {
-    // Sorted visit: a cell is one contiguous run of equal keys.
-    std::vector<std::uint32_t> run_reps;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (i > 0 && keys[i] != keys[i - 1]) run_reps.clear();
-      elect(order[i], run_reps);
-    }
-  } else {
-    // Arrival-order visit: bucket cells by key.
-    std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> cells;
-    cells.reserve(n);
-    for (std::size_t row = 0; row < n; ++row) elect(static_cast<std::uint32_t>(row), cells[keys[row]]);
   }
 }
 

@@ -15,7 +15,7 @@
 //            requests that differ only in pipeline-shaping fields no
 //            longer force separate dispatch groups.
 //   reorder  Each bin's merged rows are sorted by the Morton code of
-//            their grid cell (cell width = dedup_cell_scale · r), so
+//            their grid cell (cell width = r, the bin's radius), so
 //            spatially adjacent queries from *different* requests become
 //            adjacent in the launch (the paper's section-4 idea, applied
 //            across requests; no first-hit cast — the serving path's
@@ -63,14 +63,9 @@ struct BatchRequest {
 };
 
 struct BatchOptimizerOptions {
-  /// Morton-sort each bin's merged rows (off = arrival order kept).
+  /// Morton-sort each bin's merged rows and dedup coincident ones (off =
+  /// arrival order kept, every row its own representative).
   bool reorder = true;
-  /// Coincident-row dedup (off = every row is its own representative).
-  bool dedup = true;
-  /// Cell width for the reorder/dedup grid, as a multiple of the bin's
-  /// search radius. Affects sort granularity and bucketing cost only —
-  /// never results: dedup requires bitwise equality inside a cell.
-  float dedup_cell_scale = 1.0f;
   /// Per-bin cap on merged rows: a request that would push an open bin
   /// past the cap closes it and opens a fresh bin for the same key
   /// (bounds launch and scratch size). 0 = unbounded — no bin ever

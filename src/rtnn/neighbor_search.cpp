@@ -33,7 +33,7 @@ NeighborSearch::Report& NeighborSearch::Report::operator+=(const Report& o) {
 void NeighborSearch::set_points(std::span<const Vec3> points) {
   RTNN_CHECK(all_finite(points), "points must be finite (a NaN or infinite coordinate)");
   points_.assign(points.begin(), points.end());
-  grid_valid_ = false;
+  grid_cap_ = 0;
   index_cache_ = IndexCache{};  // a new upload invalidates the lifecycle
 }
 
@@ -44,7 +44,7 @@ void NeighborSearch::update_points(std::span<const Vec3> points) {
              "is a new set_points() upload");
   RTNN_CHECK(all_finite(points), "points must be finite (a NaN or infinite coordinate)");
   std::copy(points.begin(), points.end(), points_.begin());
-  grid_valid_ = false;          // megacell grid tracks positions
+  grid_cap_ = 0;                // megacell grid tracks positions
   index_cache_.moved = true;    // resolved refit-vs-rebuild at next search
   index_persistence_ = true;
 }
@@ -65,7 +65,7 @@ void NeighborSearch::set_tiling(const TileOptions& options) {
 PartitionSet NeighborSearch::partition(std::span<const Vec3> queries,
                                        std::span<const std::uint32_t> order,
                                        const SearchParams& params) const {
-  ensure_grid_built(points_, params, grid_, grid_valid_);
+  ensure_grid_built(points_, params, grid_, grid_cap_);
   return partition_queries(grid_, queries, order, params);
 }
 
@@ -78,16 +78,13 @@ void NeighborSearch::init_context(SearchContext& ctx, std::span<const Vec3> quer
              "aabb_scale must be in (0, 1]");
   RTNN_CHECK(!params.elide_sphere_test || params.mode == SearchMode::kRange,
              "elide_sphere_test applies to range search only");
-  RTNN_CHECK(!(tiling_.enabled() && params.simt_launches),
-             "tiled indexes serve independent launches only; warp-lockstep "
-             "characterization walks the monolithic binary BVH");
 
   ctx.points = points_;
   ctx.params = params;
   ctx.tiling = tiling_;
   ctx.cost_model = &cost_model_;
   ctx.grid = &grid_;
-  ctx.grid_valid = &grid_valid_;
+  ctx.grid_cap = &grid_cap_;
   ctx.index_cache = index_persistence_ ? &index_cache_ : nullptr;
   ctx.base_width = 2.0f * params.radius * params.aabb_scale;
 

@@ -136,8 +136,6 @@ class NeighborSearch {
   /// Enables the two-level (tiled) base index (see TileOptions). Takes
   /// effect at the next search(); changing the tiling invalidates the
   /// persistent index cache (the decomposition is part of the build).
-  /// Incompatible with simt_launches — the warp-lockstep characterization
-  /// model walks the monolithic binary BVH.
   void set_tiling(const TileOptions& options);
   const TileOptions& tiling() const { return tiling_; }
 
@@ -177,7 +175,7 @@ class NeighborSearch {
   std::vector<Vec3> points_;  // the "device" copy
   CostModel cost_model_{};
   mutable GridIndex grid_;    // rebuilt per point set, cached across searches
-  mutable bool grid_valid_ = false;
+  mutable std::uint64_t grid_cap_ = 0;  // the cell cap grid_ was built under (0 = stale)
   IndexCache index_cache_;    // persistent base-width accel (opt-in)
   bool index_persistence_ = false;
   TileOptions tiling_{};      // two-level base index (opt-in)

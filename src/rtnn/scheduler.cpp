@@ -11,7 +11,7 @@
 namespace rtnn {
 
 ScheduleResult schedule_queries(const ox::Accel& accel, std::span<const Vec3> points,
-                                std::span<const Vec3> queries, bool simt_launch) {
+                                std::span<const Vec3> queries) {
   ScheduleResult result;
   const std::size_t n = queries.size();
   result.order.resize(n);
@@ -23,10 +23,7 @@ ScheduleResult schedule_queries(const ox::Accel& accel, std::span<const Vec3> po
   {
     Timer timer;
     pipelines::FirstHitPipeline pipeline(queries, first_hit);
-    ox::LaunchOptions options;
-    options.model = simt_launch ? ox::ExecutionModel::kWarpLockstep
-                                : ox::ExecutionModel::kIndependent;
-    result.first_hit_stats = ox::launch(accel, pipeline, static_cast<std::uint32_t>(n), options);
+    result.first_hit_stats = ox::launch(accel, pipeline, static_cast<std::uint32_t>(n));
     result.first_hit_seconds = timer.elapsed();
   }
 

@@ -37,7 +37,6 @@ struct ScheduleResult {
 /// (the BVH whose leaf AABBs supply the spatial hints; `points` are the
 /// AABB centers).
 ScheduleResult schedule_queries(const ox::Accel& accel, std::span<const Vec3> points,
-                                std::span<const Vec3> queries,
-                                bool simt_launch = false);
+                                std::span<const Vec3> queries);
 
 }  // namespace rtnn

@@ -14,14 +14,17 @@
 namespace rtnn {
 
 void ensure_grid_built(std::span<const Vec3> points, const SearchParams& params,
-                       GridIndex& grid, bool& valid) {
-  if (valid) return;
+                       GridIndex& grid, std::uint64_t& built_cap) {
   // Cap the grid at ~128 cells per point: far finer cells cannot sharpen
   // the megacell estimate and the SAT would dominate small datasets.
   const std::uint64_t useful =
       std::max<std::uint64_t>(4096, 128 * static_cast<std::uint64_t>(points.size()));
-  grid.build(points, std::min(params.max_grid_cells, useful));
-  valid = true;
+  const std::uint64_t cap = std::min(params.max_grid_cells, useful);
+  // A built grid has cap >= 8 (GridIndex::build rejects less), so 0 never
+  // matches a built cap.
+  if (built_cap != 0 && built_cap == cap) return;
+  grid.build(points, cap);
+  built_cap = cap;
 }
 
 namespace {
@@ -43,9 +46,6 @@ ox::Accel SearchContext::build_accel_width(float aabb_width) {
   const std::vector<Aabb> aabbs = point_cubes(points, aabb_width);
   const ox::Context ctx;
   ox::Accel accel = ctx.build_accel(aabbs);
-  // Lockstep launches walk the binary tree: build it in this phase, not
-  // inside the first launch's timing.
-  if (params.simt_launches) (void)accel.bvh();
   report.time.bvh += timer.elapsed();
   return accel;
 }
@@ -115,7 +115,6 @@ void SearchContext::sync_index_cache() {
       // the observed quality holds; otherwise pay a build to reset it.
       Timer timer;
       cache.accel.refit(points, base_width);  // boxes computed in-loop
-      if (params.simt_launches) (void)cache.accel.bvh();  // over the moved boxes
       report.time.refit += timer.elapsed();
       ++report.accel_refits;
     } else {
@@ -149,8 +148,7 @@ void ScheduleStage::run(SearchContext& ctx) {
   // here, and belong in the same build-on-first-route count.
   const std::uint32_t built_before =
       accel.is_tiled() ? accel.tiled_bvh().built_tile_count() : 0;
-  ScheduleResult sched =
-      schedule_queries(accel, ctx.points, ctx.queries, ctx.params.simt_launches);
+  ScheduleResult sched = schedule_queries(accel, ctx.points, ctx.queries);
   if (accel.is_tiled()) {
     ctx.report.tile_lazy_builds += accel.tiled_bvh().built_tile_count() - built_before;
   }
@@ -161,9 +159,9 @@ void ScheduleStage::run(SearchContext& ctx) {
 }
 
 void PartitionStage::run(SearchContext& ctx) {
-  RTNN_CHECK(ctx.grid != nullptr && ctx.grid_valid != nullptr,
+  RTNN_CHECK(ctx.grid != nullptr && ctx.grid_cap != nullptr,
              "PartitionStage needs the owner's grid cache");
-  ensure_grid_built(ctx.points, ctx.params, *ctx.grid, *ctx.grid_valid);
+  ensure_grid_built(ctx.points, ctx.params, *ctx.grid, *ctx.grid_cap);
   ctx.partitions = partition_queries(*ctx.grid, ctx.queries, ctx.order, ctx.params);
   ctx.partitioned = true;
   ctx.report.time.opt += ctx.partitions.seconds;
@@ -190,20 +188,17 @@ void LaunchStage::launch_chunk(SearchContext& ctx, const ox::Accel& accel,
                                float built_width, std::span<const std::uint32_t> ids,
                                bool skip_sphere_test, FlatKnnHeaps* heaps) {
   Timer timer;
-  ox::LaunchOptions options;
-  options.model = ctx.params.simt_launches ? ox::ExecutionModel::kWarpLockstep
-                                           : ox::ExecutionModel::kIndependent;
   const auto width = static_cast<std::uint32_t>(ids.size());
   if (ctx.params.mode == SearchMode::kRange) {
     const bool skip_test = skip_sphere_test || ctx.params.elide_sphere_test;
     pipelines::RangePipeline pipeline(ctx.points, ctx.queries, ids, ctx.params.radius,
                                       ctx.params.k, skip_test, ctx.result);
-    ctx.report.stats += ox::launch(accel, pipeline, width, options);
+    ctx.report.stats += ox::launch(accel, pipeline, width);
   } else {
     RTNN_CHECK(width <= heaps->num_rows(), "a launch chunk outgrew the KNN heap pool");
     pipelines::KnnPipeline pipeline(ctx.points, ctx.queries, ids, ctx.params.radius,
                                     *heaps, built_width);
-    ctx.report.stats += ox::launch(accel, pipeline, width, options);
+    ctx.report.stats += ox::launch(accel, pipeline, width);
     // The chunk's rows, sorted into their queries' result rows, leave the
     // pool empty for the next chunk.
     parallel_for(0, width, [&](std::int64_t i) {
@@ -307,25 +302,20 @@ void LaunchStage::run(SearchContext& ctx) {
         accel->is_tiled() ? accel->tiled_bvh().built_tile_count() : 0;
     launch_unit(ctx, *accel, built_width, unit, heaps ? &*heaps : nullptr);
     // Footprint gauge: the byte cost of the node layout these launches
-    // actually traversed (SIMT launches walk the binary tree and report
-    // 0). Taken after the launch so a lazy tiled index reports the tiles
-    // the rays actually forced resident, not the pre-launch zero.
-    if (!ctx.params.simt_launches) {
-      if (accel->is_tiled()) {
-        const rt::TiledBvh& tlas = accel->tiled_bvh();
-        ctx.report.tile_lazy_builds += tlas.built_tile_count() - built_before;
-        const rt::TiledBvhStats ts = tlas.stats();
-        ctx.report.index_node_bytes =
-            std::max(ctx.report.index_node_bytes, ts.node_bytes);
-        ctx.report.index_total_bytes =
-            std::max(ctx.report.index_total_bytes, ts.total_index_bytes);
-      } else {
-        const rt::WideBvhStats ws = accel->wide_bvh().stats();
-        ctx.report.index_node_bytes =
-            std::max(ctx.report.index_node_bytes, ws.node_bytes);
-        ctx.report.index_total_bytes =
-            std::max(ctx.report.index_total_bytes, ws.total_index_bytes);
-      }
+    // traversed. Taken after the launch so a lazy tiled index reports the
+    // tiles the rays actually forced resident, not the pre-launch zero.
+    if (accel->is_tiled()) {
+      const rt::TiledBvh& tlas = accel->tiled_bvh();
+      ctx.report.tile_lazy_builds += tlas.built_tile_count() - built_before;
+      const rt::TiledBvhStats ts = tlas.stats();
+      ctx.report.index_node_bytes = std::max(ctx.report.index_node_bytes, ts.node_bytes);
+      ctx.report.index_total_bytes =
+          std::max(ctx.report.index_total_bytes, ts.total_index_bytes);
+    } else {
+      const rt::WideBvhStats ws = accel->wide_bvh().stats();
+      ctx.report.index_node_bytes = std::max(ctx.report.index_node_bytes, ws.node_bytes);
+      ctx.report.index_total_bytes =
+          std::max(ctx.report.index_total_bytes, ws.total_index_bytes);
     }
   }
 }

@@ -33,9 +33,11 @@ namespace rtnn {
 
 /// Lazily (re)builds the megacell grid for `points` under the
 /// `max_grid_cells` policy shared by PartitionStage and
-/// NeighborSearch::partition(). `valid` is the owner's cache flag.
+/// NeighborSearch::partition(). `built_cap` is the owner's cache key: the
+/// effective cell cap `grid` was built under (0 = stale). A cached grid
+/// is reused only while the cap it was built under still applies.
 void ensure_grid_built(std::span<const Vec3> points, const SearchParams& params,
-                       GridIndex& grid, bool& valid);
+                       GridIndex& grid, std::uint64_t& built_cap);
 
 /// Everything a search() call accumulates while flowing through the
 /// stages. Inputs are set up by NeighborSearch; each stage reads what the
@@ -47,7 +49,7 @@ struct SearchContext {
   SearchParams params{};
   const CostModel* cost_model = nullptr;
   GridIndex* grid = nullptr;   // owner's cached grid (PartitionStage builds it)
-  bool* grid_valid = nullptr;
+  std::uint64_t* grid_cap = nullptr;  // the cap it was built under (0 = stale)
   /// Owner's persistent base-width accel (dynamic sequences). When set,
   /// acquire_global_accel() serves it — refitting or rebuilding stale
   /// entries per choose_index_update — instead of building a call-local

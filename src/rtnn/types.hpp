@@ -60,7 +60,7 @@ struct TileOptions {
 /// The answer-shaping subset of SearchParams: two requests whose keys
 /// compare equal are guaranteed the same results from one merged launch,
 /// regardless of how their pipeline-shaping fields (OptimizationFlags,
-/// simt_launches, max_grid_cells — exactness-preserving by contract)
+/// max_grid_cells — exactness-preserving by contract)
 /// differ. This is the one definition of "batchable": the batch
 /// optimizer's bin splitter — the serving dispatcher's only grouping —
 /// reads it through SearchParams::batch_key(); there is no second
@@ -95,10 +95,6 @@ struct SearchParams {
   /// w = 2·cbrt(3/(4π))·a (default) or the conservative √3·a bound that
   /// guarantees exactness (section 5.1, "Determining AABB Size").
   bool conservative_knn_aabb = false;
-
-  /// Use the warp-lockstep SIMT execution model for launches (slower,
-  /// enables divergence/occupancy counters; characterization runs only).
-  bool simt_launches = false;
 
   // --- Approximate search (paper section 8, "Approximate Neighbor
   // Search") ---

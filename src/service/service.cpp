@@ -831,8 +831,7 @@ void SearchService::dispatch_cloud(const CloudPtr& cloud,
     requests.push_back({request->queries, request->params});
   }
   BatchOptimizerOptions opt;
-  opt.reorder = opt.dedup = cloud->config.batch_reorder;
-  opt.dedup_cell_scale = cloud->config.dedup_cell_scale;
+  opt.reorder = cloud->config.batch_reorder;
   opt.max_bin_queries = cloud->config.max_bin_queries;
   const BatchPlan plan = optimize_batch(requests, opt);
 

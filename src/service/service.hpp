@@ -253,9 +253,6 @@ struct CloudConfig {
   /// order. Results are identical either way — dedup only ever transfers
   /// between bitwise-coincident rows.
   bool batch_reorder = true;
-  /// Reorder/dedup grid cell width as a multiple of each bin's radius.
-  /// Cost/granularity knob only; never affects results.
-  float dedup_cell_scale = 1.0f;
   /// Per-bin cap on merged rows: a request that would push an open bin
   /// past the cap closes it and opens a fresh bin for the same key
   /// (bounds launch and scratch size). 0 = unbounded — no bin ever

@@ -102,7 +102,6 @@ TEST(BatchKey, PipelineShapingFieldsDoNot) {
   // pipeline runs, never what it returns.
   EXPECT_TRUE(same([](SearchParams& p) { p.opts = OptimizationFlags::all(); }));
   EXPECT_TRUE(same([](SearchParams& p) { p.opts = OptimizationFlags::scheduling_only(); }));
-  EXPECT_TRUE(same([](SearchParams& p) { p.simt_launches = true; }));
   EXPECT_TRUE(same([](SearchParams& p) { p.max_grid_cells = 512; }));
 }
 
@@ -220,7 +219,6 @@ TEST(BatchOptimizer, ReorderOffKeepsArrivalOrder) {
   };
   BatchOptimizerOptions options;
   options.reorder = false;
-  options.dedup = false;
   const BatchPlan plan = optimize_batch(requests, options);
   ASSERT_EQ(plan.bins.size(), 1u);
   const BatchBin& bin = plan.bins[0];
@@ -258,17 +256,15 @@ TEST(BatchOptimizer, DedupsCoincidentRowsAcrossRequests) {
 TEST(BatchOptimizer, NearButNotCoincidentRowsAreNotDeduped) {
   const std::vector<Vec3> cloud = make_cloud(CloudKind::kUniform, 200, kSeed);
   const SearchParams params = knn_params(typical_radius(CloudKind::kUniform));
-  // Jitter far below the dedup cell width: same cell, different bits —
-  // the exactness guard must keep every row its own representative.
+  // Jitter far below the dedup cell width (r): same cell, different bits
+  // — the exactness guard must keep every row its own representative.
   std::vector<Vec3> jittered(cloud.begin(), cloud.begin() + 30);
   for (Vec3& p : jittered) p.x += 1e-6f;
   const std::vector<BatchRequest> requests{
       {std::span<const Vec3>(cloud.data(), 30), params},
       {jittered, params},
   };
-  BatchOptimizerOptions options;
-  options.dedup_cell_scale = 4.0f;  // coarse cells: everything collides
-  const BatchPlan plan = optimize_batch(requests, options);
+  const BatchPlan plan = optimize_batch(requests);
   ASSERT_EQ(plan.bins.size(), 1u);
   EXPECT_EQ(plan.bins[0].deduped, 0u);
   EXPECT_EQ(plan.bins[0].queries.size(), 60u);

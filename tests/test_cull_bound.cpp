@@ -51,17 +51,19 @@ struct KnnRun {
   rt::LaunchStats stats;
 };
 
-/// One KNN launch over every query. `bound_width` 0 is the unbounded
-/// (five-argument) pipeline; otherwise the accel's build width.
-KnnRun run_knn(const ox::Accel& accel, const Trial& trial, std::uint32_t k,
-               float bound_width, const ox::LaunchOptions& options = {}) {
+/// One KNN launch over every query, on an ox::Accel or (with a trace
+/// config) a binary rt::Bvh. `bound_width` 0 is the unbounded
+/// (five-argument) pipeline; otherwise the boxes' build width.
+template <typename Index, typename... Config>
+KnnRun run_knn(const Index& index, const Trial& trial, std::uint32_t k, float bound_width,
+               const Config&... config) {
   std::vector<std::uint32_t> ids(trial.queries.size());
   std::iota(ids.begin(), ids.end(), 0u);
   FlatKnnHeaps heaps(trial.queries.size(), k);
   pipelines::KnnPipeline pipeline(trial.points, trial.queries, ids, trial.radius, heaps,
                                   bound_width);
   KnnRun run;
-  run.stats = ox::launch(accel, pipeline, static_cast<std::uint32_t>(ids.size()), options);
+  run.stats = ox::launch(index, pipeline, static_cast<std::uint32_t>(ids.size()), config...);
   run.rows = heaps.extract();
   return run;
 }
@@ -275,15 +277,17 @@ TEST(CullBound, BinaryAndLockstepWalksIgnoreTheBound) {
   // changes neither their counters nor their rows.
   const Trial trial = dense_trial({0.0f, 0.0f, 0.0f}, "dense");
   const float width = 2.0f * trial.radius;
-  const ox::Accel accel = build_accel(trial.points, width, /*tiled=*/false);
-  ox::LaunchOptions lockstep;
-  lockstep.model = ox::ExecutionModel::kWarpLockstep;
-  ox::LaunchOptions binary;
-  binary.use_wide_bvh = false;
-  for (const ox::LaunchOptions& options : {lockstep, binary}) {
-    SCOPED_TRACE(options.use_wide_bvh ? "warp-lockstep" : "binary");
-    const KnnRun unbounded = run_knn(accel, trial, 8, 0.0f, options);
-    const KnnRun bounded = run_knn(accel, trial, 8, width, options);
+  std::vector<Aabb> boxes(trial.points.size());
+  for (std::size_t i = 0; i < boxes.size(); ++i) boxes[i] = Aabb::cube(trial.points[i], width);
+  rt::Bvh bvh;
+  bvh.build(boxes);
+  for (const rt::ExecutionModel model :
+       {rt::ExecutionModel::kWarpLockstep, rt::ExecutionModel::kIndependent}) {
+    SCOPED_TRACE(model == rt::ExecutionModel::kWarpLockstep ? "warp-lockstep" : "binary");
+    rt::TraceConfig config;
+    config.model = model;
+    const KnnRun unbounded = run_knn(bvh, trial, 8, 0.0f, config);
+    const KnnRun bounded = run_knn(bvh, trial, 8, width, config);
     expect_stats_identical(bounded.stats, unbounded.stats);
     expect_knn_identical(bounded.rows, unbounded.rows, "ignored bound");
   }

@@ -194,14 +194,13 @@ struct CollectPipeline {
   }
 };
 
-std::vector<std::vector<std::uint32_t>> collect_hits(const ox::Accel& accel,
-                                                     std::span<const Vec3> queries,
-                                                     bool use_wide) {
+/// Launches on an ox::Accel (its wide tree) or a binary rt::Bvh.
+template <typename Index>
+std::vector<std::vector<std::uint32_t>> collect_hits(const Index& index,
+                                                     std::span<const Vec3> queries) {
   std::vector<std::vector<std::uint32_t>> hits(queries.size());
   CollectPipeline pipeline{queries, &hits};
-  ox::LaunchOptions options;
-  options.use_wide_bvh = use_wide;
-  ox::launch(accel, pipeline, static_cast<std::uint32_t>(queries.size()), options);
+  ox::launch(index, pipeline, static_cast<std::uint32_t>(queries.size()));
   for (auto& h : hits) std::sort(h.begin(), h.end());
   return hits;
 }
@@ -209,7 +208,7 @@ std::vector<std::vector<std::uint32_t>> collect_hits(const ox::Accel& accel,
 TEST(AccelRefit, RefitAndRebuildSeeIdenticalCandidateSets) {
   // The acceptance bar of the lifecycle: a refitted accel must yield
   // byte-identical candidate sets to a from-scratch build of the moved
-  // cloud, on both the binary and the 8-wide traversal.
+  // cloud and to the binary walk of a tree over the moved boxes.
   for (const CloudKind kind : {CloudKind::kUniform, CloudKind::kLidar}) {
     const std::vector<Vec3> before = rtnn::testing::make_cloud(kind, 4000, 13);
     const float radius = rtnn::testing::typical_radius(kind);
@@ -220,19 +219,14 @@ TEST(AccelRefit, RefitAndRebuildSeeIdenticalCandidateSets) {
     ox::Accel refitted = ctx.build_accel(cubes(before, 2.0f * radius));
     refitted.refit(cubes(after, 2.0f * radius));
     const ox::Accel fresh = ctx.build_accel(cubes(after, 2.0f * radius));
+    rt::Bvh binary;  // the binary walk's tree over the moved boxes
+    binary.build(cubes(after, 2.0f * radius));
     ASSERT_GT(refitted.refit_seconds(), 0.0);
 
     const auto label = rtnn::testing::to_string(kind);
-    EXPECT_EQ(collect_hits(refitted, queries, /*use_wide=*/false),
-              collect_hits(fresh, queries, /*use_wide=*/false))
-        << label << "/binary";
-    EXPECT_EQ(collect_hits(refitted, queries, /*use_wide=*/true),
-              collect_hits(fresh, queries, /*use_wide=*/true))
-        << label << "/wide";
-    // Both representations of the refitted accel agree with each other
-    // (wide = refit-then-requantized nodes).
-    EXPECT_EQ(collect_hits(refitted, queries, false), collect_hits(refitted, queries, true))
-        << label << "/refit binary-vs-wide";
+    const auto refitted_hits = collect_hits(refitted, queries);
+    EXPECT_EQ(refitted_hits, collect_hits(fresh, queries)) << label << "/wide";
+    EXPECT_EQ(refitted_hits, collect_hits(binary, queries)) << label << "/binary";
   }
 }
 
@@ -245,8 +239,8 @@ TEST(AccelRefit, SharedDataCopiesOnWrite) {
   const std::vector<Vec3> moved = jitter_cloud(points, 0.05f, 41);
   a.refit(cubes(moved, 0.1f));
   // The snapshot still answers for the original cloud.
-  EXPECT_EQ(snapshot.bvh().prim_aabbs()[3], Aabb::cube(points[3], 0.1f));
-  EXPECT_EQ(a.bvh().prim_aabbs()[3], Aabb::cube(moved[3], 0.1f));
+  EXPECT_EQ(rtnn::testing::prim_box(snapshot.wide_bvh(), 3), Aabb::cube(points[3], 0.1f));
+  EXPECT_EQ(rtnn::testing::prim_box(a.wide_bvh(), 3), Aabb::cube(moved[3], 0.1f));
 }
 
 TEST(AccelRefit, UnbuiltAccelThrows) {

@@ -12,7 +12,10 @@
 #include "baselines/grid_search.hpp"
 #include "baselines/octree.hpp"
 #include "datasets/point_cloud.hpp"
+#include "optix/optix.hpp"
+#include "rtnn/pipelines.hpp"
 #include "rtnn/rtnn.hpp"
+#include "rtnn/scheduler.hpp"
 #include "test_util.hpp"
 
 namespace rtnn {
@@ -86,25 +89,32 @@ TEST_P(FullSystem, AllRangeImplementationsAgreeOnCounts) {
 }
 
 TEST_P(FullSystem, SchedulingReducesSimtDivergence) {
-  // Mechanism check on the real pipeline: with SIMT launches, scheduling
-  // must improve warp occupancy over the shuffled input order.
+  // Mechanism check: launched warp-lockstep in the scheduler's order, the
+  // range search must diverge less (higher occupancy, fewer serialized
+  // sub-steps) than in the shuffled input order.
   auto shuffled = queries_;
   data::shuffle(shuffled, 103);
-  SearchParams params;
-  params.mode = SearchMode::kRange;
-  params.radius = radius_;
-  params.k = k_;
-  params.simt_launches = true;
-  params.opts = OptimizationFlags::none();
-  NeighborSearch search;
-  search.set_points(points_);
-  NeighborSearch::Report unsched;
-  search.search(shuffled, params, &unsched);
-  params.opts = OptimizationFlags::scheduling_only();
-  NeighborSearch::Report sched;
-  search.search(shuffled, params, &sched);
-  EXPECT_GT(sched.stats.occupancy(), unsched.stats.occupancy());
-  EXPECT_LT(sched.stats.warp_substeps, unsched.stats.warp_substeps);
+  std::vector<Aabb> boxes(points_.size());
+  for (std::size_t i = 0; i < points_.size(); ++i) {
+    boxes[i] = Aabb::cube(points_[i], 2.0f * radius_);
+  }
+  const ox::Accel accel = ox::Context().build_accel(boxes);
+  rt::Bvh bvh;
+  bvh.build(boxes);
+  auto lockstep = [&](std::span<const std::uint32_t> order) {
+    NeighborResult result(shuffled.size(), k_, /*store_indices=*/true);
+    pipelines::RangePipeline pipeline(points_, shuffled, order, radius_, k_,
+                                      /*skip_sphere_test=*/false, result);
+    rt::TraceConfig config;
+    config.model = rt::ExecutionModel::kWarpLockstep;
+    return ox::launch(bvh, pipeline, static_cast<std::uint32_t>(order.size()), config);
+  };
+  std::vector<std::uint32_t> input_order(shuffled.size());
+  std::iota(input_order.begin(), input_order.end(), 0u);
+  const rt::LaunchStats unsched = lockstep(input_order);
+  const rt::LaunchStats sched = lockstep(schedule_queries(accel, points_, shuffled).order);
+  EXPECT_GT(sched.occupancy(), unsched.occupancy());
+  EXPECT_LT(sched.warp_substeps, unsched.warp_substeps);
 }
 
 TEST_P(FullSystem, PartitioningReducesIsCalls) {

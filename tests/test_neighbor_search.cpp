@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <numeric>
 #include <tuple>
 
 #include "baselines/brute_force.hpp"
@@ -261,21 +262,38 @@ TEST(RtnnApi, FastRnnBaselineMatchesBruteForce) {
   testing::expect_knn_identical(got, expected, "fastrnn");
 }
 
-TEST(RtnnApi, SimtLaunchesProduceSameResults) {
-  const auto points = testing::make_cloud(CloudKind::kUniform, 2000, 13);
-  const auto queries = data::jittered_queries(points, 150, 0.01f, 14);
-  SearchParams params;
-  params.mode = SearchMode::kKnn;
-  params.radius = 0.08f;
-  params.k = 8;
-  NeighborSearch search;
-  search.set_points(points);
-  const auto independent = search.search(queries, params);
-  params.simt_launches = true;
-  NeighborSearch::Report report;
-  const auto simt = search.search(queries, params, &report);
-  testing::expect_knn_identical(simt, independent, "simt");
-  EXPECT_GT(report.stats.warps, 0u);
+TEST(RtnnApi, CachedGridFollowsAChangedCellCap) {
+  // The megacell grid is cached across searches, but only under the cell
+  // cap it was built with: a later call with another max_grid_cells must
+  // partition exactly like a fresh instance would.
+  const auto points = testing::make_cloud(CloudKind::kUniform, 20000, 17);
+  std::vector<std::uint32_t> order(points.size());
+  std::iota(order.begin(), order.end(), 0u);
+  SearchParams coarse;
+  coarse.mode = SearchMode::kKnn;
+  coarse.radius = 0.2f;
+  coarse.k = 16;
+  coarse.opts = OptimizationFlags::all();
+  coarse.max_grid_cells = 4096;
+  SearchParams fine = coarse;
+  fine.max_grid_cells = std::uint64_t{1} << 21;
+
+  NeighborSearch reused;
+  reused.set_points(points);
+  // PartitionStage caches a coarse grid.
+  (void)reused.search(std::span<const Vec3>(points).first(2000), coarse);
+  NeighborSearch fresh;
+  fresh.set_points(points);
+  for (const SearchParams* params : {&fine, &coarse}) {
+    SCOPED_TRACE(params->max_grid_cells);
+    const PartitionSet got = reused.partition(points, order, *params);
+    const PartitionSet expected = fresh.partition(points, order, *params);
+    EXPECT_EQ(got.cell_size, expected.cell_size);
+    EXPECT_EQ(got.partitions.size(), expected.partitions.size());
+  }
+  EXPECT_LT(fresh.partition(points, order, fine).cell_size,
+            fresh.partition(points, order, coarse).cell_size)
+      << "the two caps must give different grids";
 }
 
 TEST(RtnnApi, UncalibratedModelStillProducesValidPlan) {

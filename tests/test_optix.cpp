@@ -2,13 +2,14 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
-#include <latch>
-#include <thread>
+#include <numeric>
 #include <vector>
 
-#include "core/failpoint.hpp"
+#include "core/flat_knn.hpp"
 #include "core/rng.hpp"
+#include "datasets/point_cloud.hpp"
+#include "rtnn/pipelines.hpp"
+#include "test_util.hpp"
 
 namespace rtnn::ox {
 namespace {
@@ -70,9 +71,10 @@ TEST(Optix, AccelBuildSnapshotsGeometry) {
   EXPECT_GE(scene.accel.build_seconds(), 0.0);
   // Mutating the source AABBs must not affect the accel (snapshot
   // semantics, like a GPU build).
-  const Aabb before = scene.accel.bvh().prim_aabbs()[0];
+  const Aabb before = testing::prim_box(scene.accel.wide_bvh(), 0);
+  ASSERT_EQ(before, scene.aabbs[0]);
   scene.aabbs[0] = Aabb::cube({100, 100, 100}, 1.0f);
-  EXPECT_EQ(scene.accel.bvh().prim_aabbs()[0], before);
+  EXPECT_EQ(testing::prim_box(scene.accel.wide_bvh(), 0), before);
 }
 
 TEST(Optix, LaunchRunsEveryIndex) {
@@ -114,110 +116,52 @@ TEST(Optix, LaunchAgainstUnbuiltAccelThrows) {
   EXPECT_THROW(launch(accel, pipeline, 1), Error);
 }
 
-TEST(Optix, SimtLaunchOptionProducesWarpStats) {
+TEST(Optix, LockstepLaunchProducesWarpStats) {
   TestScene scene = make_scene(300, 0.1f, 4);
+  rt::Bvh bvh;
+  bvh.build(scene.aabbs);
   Pcg32 rng(4);
   CountingPipeline pipeline;
   for (int i = 0; i < 64; ++i) {
     pipeline.queries.push_back(rng.uniform_in_aabb({{0, 0, 0}, {1, 1, 1}}));
   }
   pipeline.counts.assign(pipeline.queries.size(), 0);
-  LaunchOptions options;
-  options.model = ExecutionModel::kWarpLockstep;
-  const auto stats = launch(scene.accel, pipeline, 64, options);
+  rt::TraceConfig config;
+  config.model = ExecutionModel::kWarpLockstep;
+  const auto stats = launch(bvh, pipeline, 64, config);
   EXPECT_EQ(stats.warps, 2u);
   EXPECT_GT(stats.occupancy(), 0.0);
 }
 
-// Records every primitive the IS shader sees, one row per ray (each ray
-// writes only its own row, the CUDA contract).
-struct HitPipeline {
-  const std::vector<Vec3>* queries;
-  std::vector<std::vector<std::uint32_t>> hits;
-  Ray raygen(std::uint32_t i) const { return Ray::short_ray((*queries)[i]); }
-  TraceAction intersection(std::uint32_t ray, std::uint32_t prim) {
-    hits[ray].push_back(prim);
-    return TraceAction::kContinue;
-  }
-};
+// The characterization launch answers like the production one: KNN rows
+// of a lockstep launch over a caller-built binary tree match the wide
+// launch of an accel over the same boxes, slot for slot.
+TEST(Optix, LockstepKnnRowsMatchTheWideLaunch) {
+  const std::vector<Vec3> points =
+      testing::make_cloud(testing::CloudKind::kUniform, 2000, 13);
+  const std::vector<Vec3> queries = data::jittered_queries(points, 150, 0.01f, 14);
+  const float radius = 0.08f;
+  const float width = 2.0f * radius;
+  std::vector<Aabb> boxes(points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) boxes[i] = Aabb::cube(points[i], width);
+  const Accel accel = Context().build_accel(boxes);
+  rt::Bvh bvh;
+  bvh.build(boxes);
+  std::vector<std::uint32_t> ids(queries.size());
+  std::iota(ids.begin(), ids.end(), 0u);
+  const auto n = static_cast<std::uint32_t>(ids.size());
 
-struct LockstepRun {
-  std::vector<std::vector<std::uint32_t>> hits;
-  LaunchStats stats;
-};
+  FlatKnnHeaps wide_heaps(queries.size(), 8);
+  pipelines::KnnPipeline wide(points, queries, ids, radius, wide_heaps, width);
+  launch(accel, wide, n);
+  FlatKnnHeaps lockstep_heaps(queries.size(), 8);
+  pipelines::KnnPipeline lockstep(points, queries, ids, radius, lockstep_heaps, width);
+  rt::TraceConfig config;
+  config.model = ExecutionModel::kWarpLockstep;
+  const LaunchStats stats = launch(bvh, lockstep, n, config);
 
-LockstepRun lockstep_launch(const Accel& accel, const std::vector<Vec3>& queries) {
-  HitPipeline pipeline{&queries, std::vector<std::vector<std::uint32_t>>(queries.size())};
-  LaunchOptions options;
-  options.model = ExecutionModel::kWarpLockstep;
-  options.parallel = false;  // the threads are the test's own
-  LockstepRun run;
-  run.stats = launch(accel, pipeline, static_cast<std::uint32_t>(queries.size()), options);
-  run.hits = std::move(pipeline.hits);
-  return run;
-}
-
-// The binary tree is built on demand. Threads making the first lockstep
-// launch on one shared snapshot at once build it exactly once (the build
-// site is stretched so the late threads queue on it) and see the hits and
-// stats of a lockstep launch on a separately built accel; an accel that
-// served only independent launches holds no binary tree.
-TEST(Optix, LazyBinaryTreeBuildsOnceUnderConcurrentLockstepLaunches) {
-  TestScene scene = make_scene(3000, 0.05f, 6);
-  Pcg32 rng(6);
-  std::vector<Vec3> queries;
-  for (int i = 0; i < 200; ++i) queries.push_back(rng.uniform_in_aabb({{0, 0, 0}, {1, 1, 1}}));
-
-  HitPipeline wide{&queries, std::vector<std::vector<std::uint32_t>>(queries.size())};
-  launch(scene.accel, wide, static_cast<std::uint32_t>(queries.size()));
-  EXPECT_FALSE(scene.accel.has_bvh()) << "independent launches walk the wide tree only";
-
-  const LockstepRun reference = lockstep_launch(Context().build_accel(scene.aabbs), queries);
-  ASSERT_GT(reference.stats.is_calls, 0u);
-
-  fail::FailConfig stall;
-  stall.action = fail::Action::kDelay;
-  stall.delay = std::chrono::milliseconds(20);
-  fail::ScopedFailpoint build_site("ox.accel.binary_build", stall);
-  constexpr int kThreads = 4;
-  const Accel shared = scene.accel;  // a snapshot handle on the same build product
-  std::vector<LockstepRun> runs(kThreads);
-  std::latch start(kThreads);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      start.arrive_and_wait();
-      runs[t] = lockstep_launch(shared, queries);
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-
-  EXPECT_EQ(build_site.hits(), 1u) << "the binary tree must be built once";
-  EXPECT_TRUE(scene.accel.has_bvh()) << "snapshots share the built tree";
-  for (int t = 0; t < kThreads; ++t) {
-    EXPECT_EQ(runs[t].hits, reference.hits) << "thread " << t;
-    EXPECT_EQ(runs[t].stats.node_visits, reference.stats.node_visits) << "thread " << t;
-    EXPECT_EQ(runs[t].stats.aabb_tests, reference.stats.aabb_tests) << "thread " << t;
-    EXPECT_EQ(runs[t].stats.is_calls, reference.stats.is_calls) << "thread " << t;
-    EXPECT_EQ(runs[t].stats.warps, reference.stats.warps) << "thread " << t;
-    EXPECT_EQ(runs[t].stats.warp_iterations, reference.stats.warp_iterations)
-        << "thread " << t;
-    EXPECT_EQ(runs[t].stats.warp_substeps, reference.stats.warp_substeps) << "thread " << t;
-    EXPECT_EQ(runs[t].stats.active_lane_slots, reference.stats.active_lane_slots)
-        << "thread " << t;
-  }
-}
-
-// A refit moves the boxes under a built binary tree: the refitted handle
-// drops it and rebuilds over the moved boxes on demand.
-TEST(Optix, RefitDropsTheBinaryTree) {
-  TestScene scene = make_scene(500, 0.05f, 7);
-  ASSERT_EQ(scene.accel.bvh().prim_aabbs()[3], scene.aabbs[3]);
-  ASSERT_TRUE(scene.accel.has_bvh());
-  scene.points[3] += Vec3{0.01f, 0.0f, 0.0f};
-  scene.accel.refit(scene.points, 0.05f);
-  EXPECT_FALSE(scene.accel.has_bvh());
-  EXPECT_EQ(scene.accel.bvh().prim_aabbs()[3], Aabb::cube(scene.points[3], 0.05f));
+  testing::expect_knn_identical(lockstep_heaps.extract(), wide_heaps.extract(), "lockstep");
+  EXPECT_GT(stats.warps, 0u);
 }
 
 TEST(Optix, LeafSizeOptionHonored) {
@@ -230,9 +174,8 @@ TEST(Optix, LeafSizeOptionHonored) {
   AccelBuildOptions options;
   options.leaf_size = 4;
   const Accel accel = ctx.build_accel(aabbs, options);
-  for (const auto& node : accel.bvh().nodes()) {
-    if (node.is_leaf()) EXPECT_LE(node.count, 4u);
-  }
+  ASSERT_FALSE(accel.wide_bvh().leaves().empty());
+  for (const rt::WideLeaf& leaf : accel.wide_bvh().leaves()) EXPECT_LE(leaf.count, 4u);
 }
 
 }  // namespace

@@ -204,24 +204,6 @@ TEST(Traversal, EmptyLaunches) {
   EXPECT_EQ(s2.is_calls, 0u);
 }
 
-TEST(Traversal, StatsDisabledStillComputesHits) {
-  const Scene scene = make_scene(500, 0.1f, 11);
-  Pcg32 rng(11);
-  std::vector<Vec3> queries;
-  for (int i = 0; i < 50; ++i) {
-    queries.push_back(rng.uniform_in_aabb({{0, 0, 0}, {1, 1, 1}}));
-  }
-  Collector with_stats(queries.size());
-  Collector without_stats(queries.size());
-  const auto rays = short_rays(queries);
-  trace(scene.bvh, rays, with_stats);
-  TraceConfig config;
-  config.collect_stats = false;
-  const auto stats = trace(scene.bvh, rays, without_stats, config);
-  EXPECT_EQ(with_stats.hits, without_stats.hits);
-  EXPECT_EQ(stats.node_visits, 0u);
-}
-
 TEST(Traversal, SingleRayHelper) {
   const Scene scene = make_scene(100, 0.3f, 12);
   Collector collector(1);

@@ -16,6 +16,7 @@
 #include "datasets/nbody.hpp"
 #include "datasets/surface.hpp"
 #include "datasets/uniform.hpp"
+#include "rtcore/wide_bvh.hpp"
 
 namespace rtnn::testing {
 
@@ -122,6 +123,14 @@ inline void expect_all_within_radius(std::span<const Vec3> points,
           << label << " query " << q << " point " << p;
     }
   }
+}
+
+/// The box a wide tree holds for primitive `prim`: its leaf-ordered copy
+/// of the box the primitive was built or last refit with.
+inline Aabb prim_box(const rt::WideBvh& wide, std::uint32_t prim) {
+  const auto order = wide.prim_order();
+  const auto slot = std::find(order.begin(), order.end(), prim) - order.begin();
+  return wide.ordered_prim_aabbs()[static_cast<std::size_t>(slot)];
 }
 
 }  // namespace rtnn::testing
