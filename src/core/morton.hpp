@@ -4,8 +4,9 @@
 //   * the LBVH builder sorts primitive centroids by 30-bit 3D Morton code
 //     (10 bits per axis) — the classic Karras/LBVH construction;
 //   * RTNN's query scheduler sorts queries by the Morton code of their
-//     first-hit AABB center (paper section 4, Figure 9) so that adjacent
-//     rays are spatially close.
+//     own positions (paper section 4, Figure 9) so that adjacent rays are
+//     spatially close; the serving batch optimizer and the tile planner
+//     reuse that order (rtnn/scheduler.hpp).
 // A 63-bit (21 bits/axis) variant is provided for large scenes where 10
 // bits per axis would alias too many distinct cells.
 #pragma once

@@ -1,8 +1,8 @@
 // Key-value radix sorts.
 //
 // Used for: Morton-sorting primitive centroids (LBVH build), Morton-sorting
-// first-hit AABB centers (query scheduling, paper Figure 9), and counting
-// points into grid cells (uniform-grid baseline and megacell grid).
+// queries (query scheduling, paper Figure 9), and counting points into
+// grid cells (uniform-grid baseline and megacell grid).
 // LSD radix sort, 8 bits per pass, with per-thread histograms.
 #pragma once
 

@@ -40,10 +40,12 @@ class ScopedAccumulator {
 /// The phases the paper breaks end-to-end search time into (Figure 12):
 /// Data (host<->device transfers), Opt (applying the optimizations:
 /// reordering + partitioning), BVH (acceleration-structure builds from
-/// scratch), FS (the first, truncated search that finds first-hit AABBs),
-/// and Search (the actual neighbor search). Dynamic point-cloud sequences
-/// add Refit: in-place acceleration-structure refreshes that amortize the
-/// BVH phase across frames (zero on static workloads).
+/// scratch), FS (the paper's first, truncated search that finds first-hit
+/// AABBs) and Search (the actual neighbor search). FS reads 0 here: the
+/// scheduler keys queries by their own positions and casts no first-hit
+/// rays (rtnn/scheduler.hpp). Dynamic point-cloud sequences add Refit:
+/// in-place acceleration-structure refreshes that amortize the BVH phase
+/// across frames (zero on static workloads).
 struct TimeBreakdown {
   double data = 0.0;
   double opt = 0.0;

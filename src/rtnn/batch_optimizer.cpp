@@ -3,11 +3,8 @@
 #include <algorithm>
 #include <numeric>
 
-#include "core/aabb.hpp"
-#include "core/morton.hpp"
-#include "core/parallel.hpp"
-#include "core/sort.hpp"
 #include "core/timing.hpp"
+#include "rtnn/scheduler.hpp"
 
 namespace rtnn {
 
@@ -28,22 +25,6 @@ inline bool coincident(const Vec3& a, const Vec3& b) {
   return a.x == b.x && a.y == b.y && a.z == b.z;
 }
 
-/// Morton code of the grid cell holding `p`. Cells are `cell_width` wide,
-/// anchored at the bin's lower bound; coordinates clamp to the 21-bit
-/// Morton domain (clamping only coarsens far cells — dedup stays exact,
-/// it compares positions, never cells).
-inline std::uint64_t cell_key(const Vec3& p, const Vec3& lo, float cell_width) {
-  constexpr std::uint32_t kMaxCell = (1u << 21) - 1;
-  auto cell = [&](float v, float anchor) -> std::uint32_t {
-    if (cell_width <= 0.0f) return 0;
-    const float t = (v - anchor) / cell_width;
-    if (t <= 0.0f) return 0;
-    const auto c = static_cast<std::uint32_t>(t);
-    return std::min(c, kMaxCell);
-  };
-  return morton3d_63(cell(p.x, lo.x), cell(p.y, lo.y), cell(p.z, lo.z));
-}
-
 void finalize_bin(BinBuild& build, const BatchOptimizerOptions& options) {
   BatchBin& bin = build.bin;
   const std::vector<Vec3>& merged = build.merged;
@@ -59,29 +40,16 @@ void finalize_bin(BinBuild& build, const BatchOptimizerOptions& options) {
     return;
   }
 
-  // The reorder/dedup grid: cells one radius wide, widened when the bin
-  // spans more than 2^21 cells per axis.
-  Aabb bounds;
-  for (const Vec3& q : merged) bounds.grow(q);
-  const Vec3 extent = bounds.extent();
-  const float span = std::max({extent.x, extent.y, extent.z, 0.0f});
-  const float cell_width = std::max(bin.params.radius, span / static_cast<float>(1u << 21));
-  std::vector<std::uint64_t> keys(n);
-  parallel_for(0, static_cast<std::int64_t>(n), [&](std::int64_t i) {
-    keys[static_cast<std::size_t>(i)] =
-        cell_key(merged[static_cast<std::size_t>(i)], bounds.lo, cell_width);
-  }, grain::kElementwise);
-
   // Visit order decides representative order (what the backend searches):
-  // Morton-of-cell. The radix sort is stable, so coincident rows keep
-  // arrival order within a cell and the elected representative is
-  // deterministic.
-  std::vector<std::uint32_t> order(n);
-  std::iota(order.begin(), order.end(), 0u);
-  radix_sort_pairs(keys, order);  // keys sorted alongside
+  // the scheduler's Morton order. The sort is stable, so coincident rows
+  // (always one key) keep arrival order within their run and the elected
+  // representative is deterministic.
+  const ScheduleResult sorted = schedule_queries(merged);
+  const std::vector<std::uint64_t>& keys = sorted.keys;
+  const std::vector<std::uint32_t>& order = sorted.order;
 
-  // Sorted visit: a cell is one contiguous run of equal keys; each row
-  // aliases a coincident representative of its run or becomes one.
+  // Sorted visit: each row aliases a coincident representative of its
+  // run of equal keys or becomes one.
   bin.queries.reserve(n);
   std::vector<std::uint32_t> run_reps;
   for (std::size_t i = 0; i < n; ++i) {

@@ -14,13 +14,12 @@
 //            store_indices, approximation knobs) — one launch per bin, so
 //            requests that differ only in pipeline-shaping fields no
 //            longer force separate dispatch groups.
-//   reorder  Each bin's merged rows are sorted by the Morton code of
-//            their grid cell (cell width = r, the bin's radius), so
-//            spatially adjacent queries from *different* requests become
-//            adjacent in the launch (the paper's section-4 idea, applied
-//            across requests; no first-hit cast — the serving path's
-//            requests are too small to amortize one).
-//   dedup    Within a cell, exactly coincident rows elect one
+//   reorder  Each bin's merged rows are sorted by their own 63-bit
+//            Morton code (schedule_queries, the order ScheduleStage
+//            launches in), so spatially adjacent queries from *different*
+//            requests become adjacent in the launch (the paper's
+//            section-4 idea, applied across requests).
+//   dedup    Within a run of equal codes, exactly coincident rows elect one
 //            representative; only the representatives are searched, and
 //            the representative's result row fans out to its duplicates
 //            at scatter time. The exactness guard is bitwise position

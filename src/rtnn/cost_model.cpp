@@ -182,7 +182,6 @@ CostModel CostModel::calibrate(std::span<const Vec3> sample_points, float radius
     }
   }
 
-  model.calibrated = true;
   return model;
 }
 

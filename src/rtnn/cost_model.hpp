@@ -11,9 +11,10 @@
 //                                      the sphere test is elided)
 //
 // Only the *ratios* of k1:k2:k3 matter for choosing a bundling; they are
-// obtained by offline profiling (calibrate()) — "absent the offline
-// profiling, we fall back to the default strategy" (no bundling), which
-// NeighborSearch honors when given an uncalibrated model.
+// obtained by offline profiling (calibrate()), and the defaults below
+// stand in for a profile. The paper's fallback without one, "the default
+// strategy" (one bundle per partition, Listing 3), is
+// OptimizationFlags::no_bundling().
 //
 // The optimal bundling (Supp. C theorem): with partitions sorted by query
 // count, the best plan with M_o bundles keeps the (M_o − 1) most-populous
@@ -62,7 +63,6 @@ struct CostModel {
   /// next frame rebuilds. Matches the ~1.3-1.5x degradation point where
   /// measured traversal work starts tracking the SAH estimate upward.
   double max_sah_inflation = 1.4;
-  bool calibrated = false;
 
   /// Offline profiling (paper: "obtained offline through profiling the BVH
   /// construction time per AABB and the IS shader execution time per

@@ -4,9 +4,9 @@
 //
 //   set_points()           — upload points to "device" memory   [Data]
 //   search():
-//     ScheduleStage:  first-hit cast (K=1) + Morton sort        [FS/Opt]
-//     PartitionStage: megacell growth on a uniform grid,
-//                     bucket queries by megacell width          [Opt]
+//     ScheduleStage:  Morton sort of the queries' own positions [Opt]
+//     PartitionStage: megacell growth on a uniform grid (built
+//                     when stale), bucket queries by width      [Opt]
 //     BundleStage:    cost-model scan over partition bundlings  [Opt]
 //     LaunchStage:    per-bundle BVH build (width = bundle AABB
 //                     width) + chunked range/KNN launches       [BVH/Search]
@@ -70,7 +70,9 @@ class NeighborSearch {
   struct Report {
     TimeBreakdown time;
     rt::LaunchStats stats;           // actual-search launches, accumulated
-    rt::LaunchStats first_hit_stats; // the scheduling pre-pass
+    /// Reads 0: scheduling casts no first-hit rays. Kept, with
+    /// time.first_search, for the benchmark harness that still reads it.
+    rt::LaunchStats first_hit_stats;
     std::uint32_t num_partitions = 0;
     std::uint32_t num_bundles = 0;
     double predicted_bundle_cost = 0.0;
@@ -127,9 +129,8 @@ class NeighborSearch {
   bool index_persistence() const { return index_persistence_; }
 
   /// Supplies a calibrated cost model for bundling decisions. Without one
-  /// the library falls back to the built-in defaults; pass an uncalibrated
-  /// model (calibrated == false) to force the paper's fallback of skipping
-  /// bundling.
+  /// the library plans with the built-in defaults; the paper's fallback of
+  /// one bundle per partition is OptimizationFlags::no_bundling().
   void set_cost_model(const CostModel& model) { cost_model_ = model; }
   const CostModel& cost_model() const { return cost_model_; }
 

@@ -12,15 +12,10 @@ namespace rtnn {
 namespace {
 
 constexpr float kSqrt3 = 1.7320508f;
-// 2 * cbrt(3 / (4*pi)) — the equi-volume sphere diameter for a unit cube
-// (paper footnote 2).
-constexpr float kEquiVolume = 1.2407011f;
 
 }  // namespace
 
-float knn_aabb_width(float megacell_width, bool conservative) {
-  return megacell_width * (conservative ? kSqrt3 : kEquiVolume);
-}
+float knn_aabb_width(float megacell_width) { return megacell_width * kSqrt3; }
 
 PartitionSet partition_queries(const GridIndex& grid, std::span<const Vec3> queries,
                                std::span<const std::uint32_t> order,
@@ -108,8 +103,7 @@ PartitionSet partition_queries(const GridIndex& grid, std::span<const Vec3> quer
       // provably within r: |p-q|∞ ≤ w/2 ⇒ |p-q|₂ ≤ w·√3/2 ≤ r.
       part.skip_sphere_test = (part.aabb_width * kSqrt3 * 0.5f) <= r;
     } else {
-      part.aabb_width = std::min(knn_aabb_width(slopped, params.conservative_knn_aabb),
-                                 2.0f * r);
+      part.aabb_width = std::min(knn_aabb_width(slopped), 2.0f * r);
       part.skip_sphere_test = false;  // KNN always measures exact distance
     }
 

@@ -13,10 +13,14 @@
 //     megacell cannot poke out of the sphere (section 5.1's "significant
 //     performance gains").
 //
-//   * KNN search: the K nearest neighbors are contained in the megacell's
-//     circumsphere (Figure 10c); the conservative width is √3·a, the
-//     paper's equi-volume heuristic is w = 2·cbrt(3/(4π))·a. Partitions
-//     whose megacell hit the sphere bound fall back to w = 2r.
+//   * KNN search: the K nearest neighbors are contained in the
+//     circumsphere of the megacell (width a, Figure 10c), so with the
+//     same cell c of slop the width is that sphere's diameter √3·(a + c),
+//     capped at 2r. The paper's equi-volume heuristic
+//     2·cbrt(3/(4π))·(a + c) is not offered: it sees only points within
+//     ∞-distance 0.62·(a + c) of the query and misses true neighbors out
+//     to 0.87·(a + c). Partitions whose megacell hit the sphere bound
+//     fall back to w = 2r.
 #pragma once
 
 #include <cstdint>
@@ -60,8 +64,8 @@ PartitionSet partition_queries(const GridIndex& grid, std::span<const Vec3> quer
                                std::span<const std::uint32_t> order,
                                const SearchParams& params);
 
-/// The AABB width for a KNN partition of megacell width `a`:
-/// equi-volume heuristic 2·cbrt(3/(4π))·a, or conservative √3·a.
-float knn_aabb_width(float megacell_width, bool conservative);
+/// The AABB width for a KNN partition of megacell width `a`: √3·a, the
+/// diameter of the megacell's circumsphere, which holds its K points.
+float knn_aabb_width(float megacell_width);
 
 }  // namespace rtnn

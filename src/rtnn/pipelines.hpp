@@ -1,8 +1,9 @@
 // The OptiX shader pipelines of the RTNN algorithm.
 //
-// These are the direct ports of paper Listing 1 (range search), its KNN
-// variant ("the IS shader would operate a priority queue"), and the
-// truncated first-hit pipeline of Listing 2 used for query scheduling.
+// These are the direct ports of paper Listing 1 (range search) and its KNN
+// variant ("the IS shader would operate a priority queue"). Listing 2's
+// truncated first-hit pipeline has no port: queries are scheduled by
+// their own Morton codes (rtnn/scheduler.hpp).
 //
 // Each pipeline's raygen() emits the paper's degenerate short ray from the
 // query (tmin = 0, tmax = 1e-16, direction [1,0,0]) so that only AABBs
@@ -150,30 +151,6 @@ class KnnPipeline {
   float radius2_;
   float half_width_;
   FlatKnnHeaps* heaps_;
-};
-
-/// The scheduling pre-pass of paper Listing 2: "initial search with K=1"
-/// that terminates each ray at its first intersected leaf AABB, recording
-/// which primitive was hit. Extremely cheap: one IS call per ray.
-class FirstHitPipeline {
- public:
-  static constexpr std::uint32_t kNoHit = 0xffffffffu;
-
-  FirstHitPipeline(std::span<const Vec3> queries, std::span<std::uint32_t> first_hit)
-      : queries_(queries), first_hit_(first_hit) {}
-
-  Ray raygen(std::uint32_t index) const { return Ray::short_ray(queries_[index]); }
-
-  ox::TraceAction intersection(std::uint32_t index, std::uint32_t prim) {
-    // Any enclosing AABB is an equally useful spatial hint (section 4:
-    // "we are not interested in a particular enclosing AABB").
-    first_hit_[index] = prim;
-    return ox::TraceAction::kTerminate;  // AH shader: stop at first hit
-  }
-
- private:
-  std::span<const Vec3> queries_;
-  std::span<std::uint32_t> first_hit_;
 };
 
 }  // namespace rtnn::pipelines

@@ -5,6 +5,7 @@
 #include <optional>
 
 #include "core/error.hpp"
+#include "core/failpoint.hpp"
 #include "core/parallel.hpp"
 #include "rtnn/partitioner.hpp"
 #include "rtnn/pipelines.hpp"
@@ -23,6 +24,7 @@ void ensure_grid_built(std::span<const Vec3> points, const SearchParams& params,
   // A built grid has cap >= 8 (GridIndex::build rejects less), so 0 never
   // matches a built cap.
   if (built_cap != 0 && built_cap == cap) return;
+  RTNN_FAILPOINT("rtnn.grid.build");
   grid.build(points, cap);
   built_cap = cap;
 }
@@ -143,25 +145,18 @@ const ox::Accel& SearchContext::acquire_global_accel() {
 }
 
 void ScheduleStage::run(SearchContext& ctx) {
-  const ox::Accel& accel = ctx.acquire_global_accel();
-  // The first-hit cast routes rays too: tiles it reaches lazily build
-  // here, and belong in the same build-on-first-route count.
-  const std::uint32_t built_before =
-      accel.is_tiled() ? accel.tiled_bvh().built_tile_count() : 0;
-  ScheduleResult sched = schedule_queries(accel, ctx.points, ctx.queries);
-  if (accel.is_tiled()) {
-    ctx.report.tile_lazy_builds += accel.tiled_bvh().built_tile_count() - built_before;
-  }
+  ScheduleResult sched = schedule_queries(ctx.queries);
   ctx.order = std::move(sched.order);
-  ctx.report.first_hit_stats = sched.first_hit_stats;
-  ctx.report.time.first_search += sched.first_hit_seconds;
   ctx.report.time.opt += sched.sort_seconds;
 }
 
 void PartitionStage::run(SearchContext& ctx) {
   RTNN_CHECK(ctx.grid != nullptr && ctx.grid_cap != nullptr,
              "PartitionStage needs the owner's grid cache");
-  ensure_grid_built(ctx.points, ctx.params, *ctx.grid, *ctx.grid_cap);
+  {
+    ScopedAccumulator opt(ctx.report.time.opt);
+    ensure_grid_built(ctx.points, ctx.params, *ctx.grid, *ctx.grid_cap);
+  }
   ctx.partitions = partition_queries(*ctx.grid, ctx.queries, ctx.order, ctx.params);
   ctx.partitioned = true;
   ctx.report.time.opt += ctx.partitions.seconds;
@@ -173,7 +168,6 @@ void BundleStage::run(SearchContext& ctx) {
   Timer timer;
   if (use_cost_model_) {
     RTNN_CHECK(ctx.cost_model != nullptr, "BundleStage needs a cost model");
-    // Paper: absent offline profiling, fall back to Listing 3.
     ctx.plan = plan_bundles(ctx.partitions, ctx.points.size(), ctx.params, *ctx.cost_model);
   } else {
     ctx.plan = unbundled_plan(ctx.partitions, ctx.params);
@@ -241,16 +235,14 @@ void LaunchStage::launch_unit(SearchContext& ctx, const ox::Accel& accel,
 }
 
 void LaunchStage::run(SearchContext& ctx) {
-  // Result storage: one K-slot row per query, written by the range
-  // pipeline directly and by the KNN chunks' drains.
-  ctx.result = NeighborResult(ctx.queries.size(), ctx.params.k, ctx.params.store_indices);
-
+  // Approximation: search() shrinks partition widths by aabb_scale too.
+  const float scale = ctx.scale_launch_widths ? ctx.params.aabb_scale : 1.0f;
   std::vector<Unit> units;
   if (ctx.planned) {
     units.reserve(ctx.plan.bundles.size());
     for (const Bundle& bundle : ctx.plan.bundles) {
       Unit unit;
-      unit.aabb_width = bundle.aabb_width;
+      unit.aabb_width = bundle.aabb_width * scale;
       unit.skip_sphere_test = bundle.skip_sphere_test;
       unit.id_spans.reserve(bundle.partition_indices.size());
       for (const std::uint32_t pi : bundle.partition_indices) {
@@ -265,11 +257,24 @@ void LaunchStage::run(SearchContext& ctx) {
     // Unpartitioned: one unit over the (possibly scheduled) order, at the
     // naive base width.
     Unit unit;
-    unit.aabb_width = ctx.scale_launch_widths ? 2.0f * ctx.params.radius : ctx.base_width;
+    unit.aabb_width = ctx.base_width;
     unit.skip_sphere_test = false;
     unit.id_spans.emplace_back(ctx.order);
     units.push_back(std::move(unit));
   }
+
+  // Share the global base-width BVH across every launch unit that needs
+  // exactly it (the unpartitioned path, and the sparse-fallback bundle).
+  const auto at_base = [&](const Unit& unit) {
+    return std::abs(unit.aabb_width - ctx.base_width) <= 1e-6f * ctx.params.radius;
+  };
+  // It is built before the result rows and the KNN heap pool exist, so
+  // its build scratch never coexists with them in peak memory.
+  if (std::any_of(units.begin(), units.end(), at_base)) (void)ctx.acquire_global_accel();
+
+  // Result storage: one K-slot row per query, written by the range
+  // pipeline directly and by the KNN chunks' drains.
+  ctx.result = NeighborResult(ctx.queries.size(), ctx.params.k, ctx.params.store_indices);
 
   // The KNN chunk pool: a row per launch index of a chunk.
   std::optional<FlatKnnHeaps> heaps;
@@ -278,26 +283,21 @@ void LaunchStage::run(SearchContext& ctx) {
   }
 
   for (const Unit& unit : units) {
-    // Approximation: shrink partition widths by aabb_scale too.
-    const float width =
-        ctx.scale_launch_widths ? unit.aabb_width * ctx.params.aabb_scale : unit.aabb_width;
-    // Share the global base-width BVH across every launch unit that needs
-    // exactly it (the unpartitioned path, and the sparse-fallback bundle).
-    const bool is_base = std::abs(width - ctx.base_width) <= 1e-6f * ctx.params.radius;
+    const bool is_base = at_base(unit);
     ox::Accel local;
     const ox::Accel* accel;
     if (is_base) {
       accel = &ctx.acquire_global_accel();
     } else {
-      local = ctx.build_accel_width(width);
+      local = ctx.build_accel_width(unit.aabb_width);
       accel = &local;
     }
     // The KNN cull bound needs the width the traversed boxes were built
     // with: the shared accel's, not this unit's (they may differ by the
-    // is_base tolerance).
+    // at_base tolerance).
     const float built_width = accel->is_tiled() ? accel->tiled_bvh().aabb_width()
                               : is_base         ? ctx.base_width
-                                                : width;
+                                                : unit.aabb_width;
     const std::uint32_t built_before =
         accel->is_tiled() ? accel->tiled_bvh().built_tile_count() : 0;
     launch_unit(ctx, *accel, built_width, unit, heaps ? &*heaps : nullptr);

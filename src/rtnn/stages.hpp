@@ -8,8 +8,8 @@
 // them through NeighborSearch::run_stages() — the ablation axes are real
 // objects, not bool flags threaded through a monolith.
 //
-//   ScheduleStage   first-hit cast + Morton sort → ctx.order        [FS/Opt]
-//   PartitionStage  megacell growth on the cached grid → partitions [Opt]
+//   ScheduleStage   Morton sort of the queries → ctx.order          [Opt]
+//   PartitionStage  megacell grid + growth → partitions             [Opt]
 //   BundleStage     cost-model scan (or Listing-3 default) → plan   [Opt]
 //   LaunchStage     per-bundle BVH builds + chunked launches        [BVH/Search]
 //
@@ -93,11 +93,12 @@ struct SearchContext {
   /// tree are paid here.
   ox::Accel build_tiled_accel_width(float aabb_width);
 
-  /// The base-width BVH shared by the scheduling pre-pass and the
-  /// unpartitioned launch path. With an index_cache attached this is the
-  /// index-lifecycle entry point: a fresh cloud builds (time.bvh), small
-  /// motion refits in place (time.refit), degraded or resized indexes
-  /// rebuild — per the cost model's choose_index_update policy.
+  /// The base-width BVH shared by every launch unit at the base width
+  /// (the unpartitioned path, the sparse-fallback bundle). With an
+  /// index_cache attached this is the index-lifecycle entry point: a
+  /// fresh cloud builds (time.bvh), small motion refits in place
+  /// (time.refit), degraded or resized indexes rebuild — per the cost
+  /// model's choose_index_update policy.
   const ox::Accel& acquire_global_accel();
 
  private:
@@ -114,14 +115,16 @@ class SearchStage {
   virtual void run(SearchContext& ctx) = 0;
 };
 
-/// Section 4: spatially-ordered query scheduling. Rewrites ctx.order.
+/// Section 4: spatially-ordered query scheduling. Rewrites ctx.order
+/// with schedule_queries (rtnn/scheduler.hpp); launches nothing.
 class ScheduleStage final : public SearchStage {
  public:
   const char* name() const override { return "schedule"; }
   void run(SearchContext& ctx) override;
 };
 
-/// Section 5.1: megacell partitioning. Fills ctx.partitions.
+/// Section 5.1: megacell partitioning. Builds the owner's megacell grid
+/// when stale and fills ctx.partitions; both are charged to time.opt.
 class PartitionStage final : public SearchStage {
  public:
   const char* name() const override { return "partition"; }
@@ -130,7 +133,7 @@ class PartitionStage final : public SearchStage {
 
 /// Section 5.2: partition bundling. Fills ctx.plan from ctx.partitions —
 /// the cost-model linear scan, or the Listing-3 default (one bundle per
-/// partition) when disabled or the model is uncalibrated.
+/// partition) when disabled (OptimizationFlags::no_bundling()).
 class BundleStage final : public SearchStage {
  public:
   explicit BundleStage(bool use_cost_model = true) : use_cost_model_(use_cost_model) {}
@@ -141,9 +144,11 @@ class BundleStage final : public SearchStage {
   bool use_cost_model_;
 };
 
-/// Executes the plan: allocates result storage, builds each launch unit's
-/// BVH (reusing the global one when widths coincide), and streams the
-/// unit's query ids through chunked ox::launch calls.
+/// Executes the plan: acquires the global base-width BVH if any launch
+/// unit uses it (before the result rows exist, to keep its build scratch
+/// out of the peak), allocates result storage, builds every other unit's
+/// BVH, and streams each unit's query ids through chunked ox::launch
+/// calls.
 class LaunchStage final : public SearchStage {
  public:
   /// Queries per launch chunk. Bounds the ray buffer, the id scratch and
@@ -157,7 +162,7 @@ class LaunchStage final : public SearchStage {
  private:
   struct Unit {
     std::vector<std::span<const std::uint32_t>> id_spans;  // views, not copies
-    float aabb_width = 0.0f;
+    float aabb_width = 0.0f;  // the launch width, aabb_scale applied
     bool skip_sphere_test = false;
   };
 

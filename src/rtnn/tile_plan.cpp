@@ -4,10 +4,8 @@
 #include <limits>
 #include <numeric>
 
-#include "core/aabb.hpp"
 #include "core/error.hpp"
-#include "core/morton.hpp"
-#include "core/sort.hpp"
+#include "rtnn/scheduler.hpp"
 
 namespace rtnn {
 
@@ -31,18 +29,16 @@ std::vector<std::vector<std::uint32_t>> plan_tiles(std::span<const Vec3> points,
   num_tiles = static_cast<std::uint32_t>(
       std::min<std::size_t>(std::max<std::uint32_t>(num_tiles, 1), n));
 
-  std::vector<std::uint32_t> ids(n);
-  std::iota(ids.begin(), ids.end(), 0u);
-  if (num_tiles == 1) return {std::move(ids)};
+  if (num_tiles == 1) {
+    std::vector<std::uint32_t> ids(n);
+    std::iota(ids.begin(), ids.end(), 0u);
+    return {std::move(ids)};
+  }
 
-  // Morton-sort the ids (the LBVH/scheduler ordering), then cut the
-  // sorted sequence into contiguous near-equal runs: each run is a
-  // compact Z-order region.
-  Aabb bounds;
-  for (const Vec3& p : points) bounds.grow(p);
-  std::vector<std::uint64_t> codes(n);
-  for (std::size_t i = 0; i < n; ++i) codes[i] = morton3d_63(points[i], bounds);
-  radix_sort_pairs(codes, ids);
+  // Sort the ids in the scheduler's Morton order, then cut the sorted
+  // sequence into contiguous near-equal runs: each run is a compact
+  // Z-order region.
+  const std::vector<std::uint32_t> ids = schedule_queries(points).order;
 
   std::vector<std::vector<std::uint32_t>> tiles(num_tiles);
   const std::size_t base = n / num_tiles;

@@ -1,13 +1,12 @@
 // The tile planner: split one cloud into Morton-contiguous tiles.
 //
 // This is the membership behind the two-level index (rt::TiledBvh, built
-// by SearchContext::build_tiled_accel_width). The split reuses the same
-// Morton machinery the scheduler and LBVH already rely on
-// (core/morton.hpp + core/sort.hpp): points sort by 63-bit Morton code
-// over the cloud bounds and cut into contiguous near-equal runs, so each
-// tile is a compact spatial region with a tight AABB for the top-level
-// tree. The split is a pure function of the positions: the same cloud
-// always yields the same tiles.
+// by SearchContext::build_tiled_accel_width). The split reuses the query
+// scheduler's order (schedule_queries, rtnn/scheduler.hpp): points sort by
+// 63-bit Morton code over the cloud bounds and cut into contiguous
+// near-equal runs, so each tile is a compact spatial region with a tight
+// AABB for the top-level tree. The split is a pure function of the
+// positions: the same cloud always yields the same tiles.
 #pragma once
 
 #include <cstdint>

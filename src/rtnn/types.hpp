@@ -17,8 +17,8 @@ enum class SearchMode : std::uint8_t {
 /// Which of the paper's optimizations to apply (the Figure 13 ablation
 /// axes). Defaults = the full RTNN configuration.
 struct OptimizationFlags {
-  /// Section 4: spatially-ordered query scheduling (first-hit AABB cast +
-  /// Morton sort of queries).
+  /// Section 4: spatially-ordered query scheduling (Morton sort of the
+  /// queries by their own positions; no first-hit cast).
   bool scheduling = true;
   /// Section 5.1: query partitioning via megacells, one BVH per partition.
   bool partitioning = true;
@@ -70,7 +70,6 @@ struct BatchKey {
   float radius = 1.0f;
   std::uint32_t k = 16;
   bool store_indices = true;
-  bool conservative_knn_aabb = false;
   float aabb_scale = 1.0f;
   bool elide_sphere_test = false;
 
@@ -91,11 +90,6 @@ struct SearchParams {
   /// allowed by the GPU memory capacity" knob of section 5.1.
   std::uint64_t max_grid_cells = std::uint64_t{1} << 21;
 
-  /// KNN partition AABB width: the paper's equi-volume heuristic
-  /// w = 2·cbrt(3/(4π))·a (default) or the conservative √3·a bound that
-  /// guarantees exactness (section 5.1, "Determining AABB Size").
-  bool conservative_knn_aabb = false;
-
   // --- Approximate search (paper section 8, "Approximate Neighbor
   // Search") ---
 
@@ -112,9 +106,7 @@ struct SearchParams {
   /// The fields that shape the answer (see BatchKey): requests with equal
   /// keys may share one launch without changing any per-request result.
   BatchKey batch_key() const {
-    return {mode,  radius,     k,
-            store_indices, conservative_knn_aabb, aabb_scale,
-            elide_sphere_test};
+    return {mode, radius, k, store_indices, aabb_scale, elide_sphere_test};
   }
 };
 

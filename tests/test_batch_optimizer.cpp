@@ -82,7 +82,6 @@ TEST(BatchKey, AnswerShapingFieldsSeparate) {
   EXPECT_TRUE(differs([](SearchParams& p) { p.radius *= 2.0f; }));
   EXPECT_TRUE(differs([](SearchParams& p) { p.k += 1; }));
   EXPECT_TRUE(differs([](SearchParams& p) { p.store_indices = false; }));
-  EXPECT_TRUE(differs([](SearchParams& p) { p.conservative_knn_aabb = true; }));
   EXPECT_TRUE(differs([](SearchParams& p) { p.aabb_scale = 0.5f; }));
   SearchParams elide = base;
   elide.mode = SearchMode::kRange;

@@ -55,7 +55,6 @@ TEST(CostModel, BundlesCoverAllPartitionsExactlyOnce) {
   const auto set = synthetic_partitions(
       {{0.1f, 5000}, {0.15f, 800}, {0.2f, 300}, {0.3f, 40}, {0.5f, 5}}, 8);
   CostModel model;
-  model.calibrated = true;
   const auto plan = plan_bundles(set, 100000, knn_params(1.0f, 8), model);
   std::vector<int> seen(set.partitions.size(), 0);
   for (const auto& b : plan.bundles) {
@@ -70,7 +69,6 @@ TEST(CostModel, MergedBundleUsesMaxWidth) {
   // Make builds extremely expensive so everything merges into one bundle.
   model.k1 = 1.0;
   model.k2 = 1e-12;
-  model.calibrated = true;
   const auto plan = plan_bundles(set, 100000, knn_params(1.0f, 8), model);
   ASSERT_EQ(plan.bundles.size(), 1u);
   EXPECT_FLOAT_EQ(plan.bundles[0].aabb_width, set.partitions[2].aabb_width);
@@ -82,7 +80,6 @@ TEST(CostModel, CheapBuildsKeepPartitionsSeparate) {
   CostModel model;
   model.k1 = 1e-15;  // builds are free → bundling can only hurt search
   model.k2 = 1.0;
-  model.calibrated = true;
   const auto plan = plan_bundles(set, 100000, knn_params(1.0f, 8), model);
   EXPECT_EQ(plan.bundles.size(), set.partitions.size());
 }
@@ -93,7 +90,6 @@ TEST(CostModel, PlanIsOptimalAmongTheoremFamily) {
   const auto set = synthetic_partitions(
       {{0.08f, 20000}, {0.12f, 4000}, {0.2f, 700}, {0.35f, 90}, {0.6f, 8}}, 16);
   CostModel model;  // defaults
-  model.calibrated = true;
   const SearchParams params = knn_params(2.0f, 16);
   const std::size_t n_points = 500000;
   const auto plan = plan_bundles(set, n_points, params, model);
@@ -132,7 +128,6 @@ TEST(CostModel, BundlingNeverWorseThanExtremesUnderModel) {
   const auto set = synthetic_partitions(
       {{0.05f, 50000}, {0.1f, 9000}, {0.18f, 1200}, {0.3f, 150}, {0.55f, 12}}, 8);
   CostModel model;
-  model.calibrated = true;
   const SearchParams params = knn_params(1.5f, 8);
   const auto plan = plan_bundles(set, 1000000, params, model);
   const double chosen = predict_cost(plan, set, 1000000, params, model);
@@ -150,7 +145,6 @@ TEST(CostModel, RangeCostUsesFastPathWhenContained) {
   const auto narrow = synthetic_partitions({{0.5f, 1000}}, 8);   // w=0.62, fits
   const auto wide = synthetic_partitions({{1.55f, 1000}}, 8);    // w=1.92, pokes out
   CostModel model;
-  model.calibrated = true;
   const auto plan_narrow = unbundled_plan(narrow, params);
   const auto plan_wide = unbundled_plan(wide, params);
   EXPECT_LT(predict_cost(plan_narrow, narrow, 1000, params, model),
@@ -160,7 +154,6 @@ TEST(CostModel, RangeCostUsesFastPathWhenContained) {
 TEST(CostModel, CalibrationProducesSaneRatios) {
   const auto points = data::uniform_box(50'000, {{0, 0, 0}, {1, 1, 1}}, 21);
   const CostModel model = CostModel::calibrate(points, 0.05f, 8);
-  EXPECT_TRUE(model.calibrated);
   EXPECT_GT(model.k1, 0.0);
   EXPECT_GT(model.k2, 0.0);
   EXPECT_GT(model.k3_slow, 0.0);

@@ -164,13 +164,10 @@ TEST_F(PartitionerFixture, ScheduledOrderPreservedWithinPartitions) {
   }
 }
 
-TEST(KnnAabbWidth, HeuristicAndConservative) {
-  EXPECT_NEAR(knn_aabb_width(1.0f, /*conservative=*/true), std::sqrt(3.0f), 1e-5f);
-  // Equi-volume: (4/3)π(w/2)³ = a³ ⇒ w = 2·cbrt(3/(4π)).
-  EXPECT_NEAR(knn_aabb_width(1.0f, /*conservative=*/false),
-              2.0f * std::cbrt(3.0f / (4.0f * 3.14159265f)), 1e-4f);
-  // Heuristic is smaller than conservative (that is its purpose).
-  EXPECT_LT(knn_aabb_width(2.0f, false), knn_aabb_width(2.0f, true));
+TEST(KnnAabbWidth, IsTheMegacellCircumsphereDiameter) {
+  // √3·a: the sphere around a cube of width a, which holds its K points.
+  EXPECT_NEAR(knn_aabb_width(1.0f), std::sqrt(3.0f), 1e-5f);
+  EXPECT_NEAR(knn_aabb_width(2.0f), 2.0f * std::sqrt(3.0f), 1e-5f);
 }
 
 }  // namespace
