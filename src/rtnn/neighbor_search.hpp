@@ -70,8 +70,8 @@ class NeighborSearch {
   struct Report {
     TimeBreakdown time;
     rt::LaunchStats stats;           // actual-search launches, accumulated
-    /// Reads 0: scheduling casts no first-hit rays. Kept, with
-    /// time.first_search, for the benchmark harness that still reads it.
+    /// Reads 0: scheduling casts no first-hit rays. Kept, like
+    /// time.first_search, because perfbench/ still reads it.
     rt::LaunchStats first_hit_stats;
     std::uint32_t num_partitions = 0;
     std::uint32_t num_bundles = 0;

@@ -6,7 +6,6 @@
 #include <limits>
 #include <numeric>
 
-#include "core/rng.hpp"
 #include "datasets/point_cloud.hpp"
 #include "rtnn/neighbor_search.hpp"
 #include "test_util.hpp"
