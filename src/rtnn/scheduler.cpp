@@ -6,7 +6,6 @@
 #include "core/morton.hpp"
 #include "core/parallel.hpp"
 #include "core/sort.hpp"
-#include "core/timing.hpp"
 
 namespace rtnn {
 
@@ -25,13 +24,11 @@ std::vector<std::uint64_t> morton_keys(std::span<const Vec3> positions) {
 }
 
 ScheduleResult schedule_queries(std::span<const Vec3> queries) {
-  Timer timer;
   ScheduleResult result;
   result.keys = morton_keys(queries);
   result.order.resize(queries.size());
   std::iota(result.order.begin(), result.order.end(), 0u);
   radix_sort_pairs(result.keys, result.order);
-  result.sort_seconds = timer.elapsed();
   return result;
 }
 

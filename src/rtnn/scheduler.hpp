@@ -33,8 +33,6 @@ struct ScheduleResult {
   std::vector<std::uint32_t> order;
   /// The sort keys in scheduled order: keys[i] is query order[i]'s code.
   std::vector<std::uint64_t> keys;
-  /// Wall time of key generation + sort (part of the Opt phase).
-  double sort_seconds = 0.0;
 };
 
 /// The 63-bit Morton code of every position, over the bounds of the

@@ -145,9 +145,8 @@ const ox::Accel& SearchContext::acquire_global_accel() {
 }
 
 void ScheduleStage::run(SearchContext& ctx) {
-  ScheduleResult sched = schedule_queries(ctx.queries);
-  ctx.order = std::move(sched.order);
-  ctx.report.time.opt += sched.sort_seconds;
+  ScopedAccumulator opt(ctx.report.time.opt);
+  ctx.order = schedule_queries(ctx.queries).order;
 }
 
 void PartitionStage::run(SearchContext& ctx) {
