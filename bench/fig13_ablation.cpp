@@ -13,38 +13,22 @@
 // Oracle plan is timed once — the Oracle is already a min over many
 // trials, so the runner's min-of-N is applied to the ablation axes only.
 //
-// Each ablation point is a hand-assembled stage pipeline (rtnn/stages.hpp)
-// run through NeighborSearch::run_stages() — the axes are real stage
-// objects, not bool flags.
+// Each ablation point is one OptimizationFlags value run through
+// NeighborSearch::search(); the Oracle's plans run through
+// search_with_plan().
 #include <algorithm>
 #include <cstdio>
-#include <limits>
-#include <memory>
 #include <numeric>
 
 #include "bench/bench.hpp"
 #include "bench_util.hpp"
 #include "rtnn/rtnn.hpp"
-#include "rtnn/stages.hpp"
 
 using namespace rtnn;
 
 namespace {
 
 constexpr std::uint32_t kK = 16;
-
-/// One ablation point: which stages run before the launch.
-std::vector<std::unique_ptr<SearchStage>> ablation_pipeline(bool sched, bool part,
-                                                            bool bundle) {
-  std::vector<std::unique_ptr<SearchStage>> stages;
-  if (sched) stages.push_back(std::make_unique<ScheduleStage>());
-  if (part) {
-    stages.push_back(std::make_unique<PartitionStage>());
-    stages.push_back(std::make_unique<BundleStage>(bundle));
-  }
-  stages.push_back(std::make_unique<LaunchStage>());
-  return stages;
-}
 
 SearchParams ablation_params(const bench::BenchDataset& ds, SearchMode mode) {
   SearchParams params;
@@ -58,21 +42,19 @@ SearchParams ablation_params(const bench::BenchDataset& ds, SearchMode mode) {
 
 double run_config(bench::CaseContext& ctx, const std::string& name,
                   NeighborSearch& search, const bench::BenchDataset& ds,
-                  SearchMode mode, bool sched, bool part, bool bundle) {
-  const SearchParams params = ablation_params(ds, mode);
-  const auto stages = ablation_pipeline(sched, part, bundle);
-  return ctx.time(name, [&] { search.run_stages(ds.points, params, stages); },
+                  SearchMode mode, const OptimizationFlags& opts) {
+  SearchParams params = ablation_params(ds, mode);
+  params.opts = opts;
+  return ctx.time(name, [&] { search.search(ds.points, params); },
                   {.work_items = static_cast<double>(ds.points.size())});
 }
 
 double run_oracle(NeighborSearch& search, const bench::BenchDataset& ds,
                   SearchMode mode) {
-  const SearchParams params = ablation_params(ds, mode);
+  SearchParams params = ablation_params(ds, mode);
   // Candidate 1: no partitioning at all.
-  const auto sched_only = ablation_pipeline(/*sched=*/true, /*part=*/false,
-                                            /*bundle=*/false);
-  double best = bench::time_call(
-      [&] { search.run_stages(ds.points, params, sched_only); });
+  params.opts = OptimizationFlags::scheduling_only();
+  double best = bench::time_call([&] { search.search(ds.points, params); });
   // Candidates 2..: every theorem-family plan, executed for real.
   std::vector<std::uint32_t> order(ds.points.size());
   std::iota(order.begin(), order.end(), 0u);
@@ -82,36 +64,7 @@ double run_oracle(NeighborSearch& search, const bench::BenchDataset& ds,
   const std::size_t max_plans = 12;
   const std::size_t step = std::max<std::size_t>(1, m / max_plans);
   for (std::size_t mo = 1; mo <= m; mo += step) {
-    // Build the theorem plan for this mo directly.
-    std::vector<std::uint32_t> by_count(m);
-    std::iota(by_count.begin(), by_count.end(), 0u);
-    std::stable_sort(by_count.begin(), by_count.end(),
-                     [&](std::uint32_t a, std::uint32_t b) {
-                       return parts.partitions[a].query_ids.size() <
-                              parts.partitions[b].query_ids.size();
-                     });
-    BundlePlan plan;
-    plan.m_opt = static_cast<std::uint32_t>(mo);
-    const std::size_t merged = m - mo + 1;
-    Bundle big;
-    for (std::size_t i = 0; i < merged; ++i) {
-      const Partition& p = parts.partitions[by_count[i]];
-      big.partition_indices.push_back(by_count[i]);
-      big.aabb_width = std::max(big.aabb_width, p.aabb_width);
-      big.query_count += p.query_ids.size();
-    }
-    big.skip_sphere_test = (mode == SearchMode::kRange) &&
-                           (big.aabb_width * 1.7320508f * 0.5f) <= ds.radius;
-    plan.bundles.push_back(std::move(big));
-    for (std::size_t i = merged; i < m; ++i) {
-      const Partition& p = parts.partitions[by_count[i]];
-      Bundle solo;
-      solo.partition_indices.push_back(by_count[i]);
-      solo.aabb_width = p.aabb_width;
-      solo.skip_sphere_test = p.skip_sphere_test;
-      solo.query_count = p.query_ids.size();
-      plan.bundles.push_back(std::move(solo));
-    }
+    const BundlePlan plan = theorem_plan(parts, mo, params);
     const double t = bench::time_call(
         [&] { search.search_with_plan(ds.points, params, parts, plan); });
     best = std::min(best, t);
@@ -141,14 +94,14 @@ RTNN_BENCH_CASE(fig13, "fig13",
     for (const SearchMode mode : {SearchMode::kKnn, SearchMode::kRange}) {
       const std::string prefix =
           std::string(name) + "." + (mode == SearchMode::kKnn ? "knn" : "range");
-      const double t_noopt =
-          run_config(ctx, prefix + ".noopt", search, ds, mode, false, false, false);
-      const double t_sched =
-          run_config(ctx, prefix + ".sched", search, ds, mode, true, false, false);
-      const double t_part =
-          run_config(ctx, prefix + ".part", search, ds, mode, true, true, false);
-      const double t_bundle =
-          run_config(ctx, prefix + ".bundle", search, ds, mode, true, true, true);
+      const double t_noopt = run_config(ctx, prefix + ".noopt", search, ds, mode,
+                                        OptimizationFlags::none());
+      const double t_sched = run_config(ctx, prefix + ".sched", search, ds, mode,
+                                        OptimizationFlags::scheduling_only());
+      const double t_part = run_config(ctx, prefix + ".part", search, ds, mode,
+                                       OptimizationFlags::no_bundling());
+      const double t_bundle = run_config(ctx, prefix + ".bundle", search, ds, mode,
+                                         OptimizationFlags::all());
       const double t_oracle = run_oracle(search, ds, mode);
       ctx.metric(prefix + ".oracle_s", t_oracle, "s");
       ctx.metric(prefix + ".bundle_vs_oracle", t_bundle / t_oracle, "x");

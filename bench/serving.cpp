@@ -10,7 +10,7 @@
 //
 //   closed_loop  C client threads, each submit→wait→next over mixed
 //                request sizes (16/64/256 queries). `batched.100k` drives
-//                the service (one coalesced LaunchStage dispatch per
+//                the service (one coalesced launch per bin per
 //                tick); `sequential.100k` is the pre-service behavior —
 //                a per-request NeighborSearch::search() loop, paying the
 //                per-call accel build every time.

@@ -1,6 +1,9 @@
 #include "rtnn/batch_optimizer.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <cmath>
 #include <numeric>
 
 #include "core/timing.hpp"
@@ -17,13 +20,22 @@ struct BinBuild {
   std::vector<Vec3> merged;
 };
 
-/// The dedup transfer guard: a representative's result is provably a
-/// duplicate's result only for bitwise-coincident positions (value
-/// equality; ±0 coincide and compute identical distances). Anything
-/// merely near a representative stays its own exact search.
-inline bool coincident(const Vec3& a, const Vec3& b) {
-  return a.x == b.x && a.y == b.y && a.z == b.z;
+/// A row of a run of equal Morton keys, keyed by its position bits. The
+/// dedup transfer guard is value equality of positions: bits equal after
+/// folding -0 into +0 (±0 compute identical distances). A NaN coordinate
+/// equals nothing, so NaN rows never get an entry.
+struct RunEntry {
+  std::array<std::uint32_t, 3> bits;
+  std::uint32_t visit;  // index into the sorted visit order
+
+  friend auto operator<=>(const RunEntry&, const RunEntry&) = default;
+};
+
+std::uint32_t position_bits(float v) {
+  return std::bit_cast<std::uint32_t>(v == 0.0f ? 0.0f : v);
 }
+
+bool has_nan(const Vec3& p) { return std::isnan(p.x) || std::isnan(p.y) || std::isnan(p.z); }
 
 void finalize_bin(BinBuild& build, const BatchOptimizerOptions& options) {
   BatchBin& bin = build.bin;
@@ -48,24 +60,48 @@ void finalize_bin(BinBuild& build, const BatchOptimizerOptions& options) {
   const std::vector<std::uint64_t>& keys = sorted.keys;
   const std::vector<std::uint32_t>& order = sorted.order;
 
-  // Sorted visit: each row aliases a coincident representative of its
-  // run of equal keys or becomes one.
+  // Sorted visit, one run of equal keys at a time: each row aliases the
+  // representative of its leader — the run's first-visited row coincident
+  // with it — or becomes one.
   bin.queries.reserve(n);
-  std::vector<std::uint32_t> run_reps;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i > 0 && keys[i] != keys[i - 1]) run_reps.clear();
+  const auto visit = [&](std::size_t i, std::size_t lead) {
     const std::uint32_t row = order[i];
-    const auto same = std::find_if(run_reps.begin(), run_reps.end(), [&](std::uint32_t rep) {
-      return coincident(bin.queries[rep], merged[row]);
-    });
-    if (same != run_reps.end()) {
-      bin.rep_rows[row] = *same;
+    if (lead != i) {
+      bin.rep_rows[row] = bin.rep_rows[order[lead]];
       ++bin.deduped;
-      continue;
+      return;
     }
     bin.rep_rows[row] = static_cast<std::uint32_t>(bin.queries.size());
-    run_reps.push_back(bin.rep_rows[row]);
     bin.queries.push_back(merged[row]);
+  };
+  std::vector<RunEntry> run;
+  std::vector<std::uint32_t> leader;  // leader[i - begin]: visit i's leader
+  for (std::size_t begin = 0, end = 0; begin < n; begin = end) {
+    end = begin + 1;
+    while (end < n && keys[end] == keys[begin]) ++end;
+    if (end - begin == 1) {
+      visit(begin, begin);
+      continue;
+    }
+    // Sorting the run's entries by (bits, visit) puts each coincident
+    // group together, leader first, so a run of many distinct rows costs
+    // O(len log len), not O(len²).
+    run.clear();
+    for (std::size_t i = begin; i < end; ++i) {
+      const Vec3& p = merged[order[i]];
+      if (has_nan(p)) continue;
+      run.push_back({{position_bits(p.x), position_bits(p.y), position_bits(p.z)},
+                     static_cast<std::uint32_t>(i)});
+    }
+    std::sort(run.begin(), run.end());
+    leader.resize(end - begin);
+    std::iota(leader.begin(), leader.end(), static_cast<std::uint32_t>(begin));
+    for (std::size_t j = 1; j < run.size(); ++j) {
+      if (run[j].bits == run[j - 1].bits) {
+        leader[run[j].visit - begin] = leader[run[j - 1].visit - begin];
+      }
+    }
+    for (std::size_t i = begin; i < end; ++i) visit(i, leader[i - begin]);
   }
 }
 
@@ -75,41 +111,20 @@ BatchPlan optimize_batch(std::span<const BatchRequest> requests,
                          const BatchOptimizerOptions& options) {
   Timer timer;
   BatchPlan plan;
+  // One bin per distinct key, in order of first arrival; linear scan — a
+  // tick holds a handful of distinct param sets, not thousands.
   std::vector<BinBuild> builds;
-  // The open (most recent) bin of each distinct key; linear scan — a tick
-  // holds a handful of distinct param sets, not thousands.
-  std::vector<std::pair<BatchKey, std::size_t>> open;
-
   for (std::size_t r = 0; r < requests.size(); ++r) {
     const BatchRequest& request = requests[r];
     const BatchKey key = request.params.batch_key();
-    const std::size_t rows = request.queries.size();
-
-    BinBuild* target = nullptr;
-    for (auto& [open_key, index] : open) {
-      if (!(open_key == key)) continue;
-      BinBuild& candidate = builds[index];
-      // The per-bin cap starts a fresh bin rather than splitting a
-      // request; an oversized request still gets a bin of its own.
-      if (options.max_bin_queries == 0 || candidate.merged.empty() ||
-          candidate.merged.size() + rows <= options.max_bin_queries) {
-        target = &candidate;
-      } else {
-        index = builds.size();  // retire the full bin for this key
-      }
-      break;
-    }
-    if (target == nullptr) {
-      if (std::none_of(open.begin(), open.end(),
-                       [&](const auto& entry) { return entry.first == key; })) {
-        open.emplace_back(key, builds.size());
-      }
-      builds.emplace_back();
-      target = &builds.back();
+    auto target = std::find_if(builds.begin(), builds.end(), [&](const BinBuild& build) {
+      return build.bin.params.batch_key() == key;
+    });
+    if (target == builds.end()) {
+      target = builds.emplace(builds.end());
       target->bin.params = request.params;
     }
-
-    target->bin.slices.push_back({target->merged.size(), rows});
+    target->bin.slices.push_back({target->merged.size(), request.queries.size()});
     target->bin.request_ids.push_back(r);
     target->merged.insert(target->merged.end(), request.queries.begin(),
                           request.queries.end());

@@ -15,8 +15,8 @@
 //            requests that differ only in pipeline-shaping fields no
 //            longer force separate dispatch groups.
 //   reorder  Each bin's merged rows are sorted by their own 63-bit
-//            Morton code (schedule_queries, the order ScheduleStage
-//            launches in), so spatially adjacent queries from *different*
+//            Morton code (schedule_queries, the order search() schedules
+//            queries in), so spatially adjacent queries from *different*
 //            requests become adjacent in the launch (the paper's
 //            section-4 idea, applied across requests).
 //   dedup    Within a run of equal codes, exactly coincident rows elect one
@@ -65,12 +65,6 @@ struct BatchOptimizerOptions {
   /// Morton-sort each bin's merged rows and dedup coincident ones (off =
   /// arrival order kept, every row its own representative).
   bool reorder = true;
-  /// Per-bin cap on merged rows: a request that would push an open bin
-  /// past the cap closes it and opens a fresh bin for the same key
-  /// (bounds launch and scratch size). 0 = unbounded — no bin ever
-  /// closes early; the dispatcher's tick caps already bound the merged
-  /// set. Same contract as CloudConfig::max_bin_queries (service.hpp).
-  std::size_t max_bin_queries = 0;
 };
 
 /// One homogeneous launch bin: search `queries` under `params`, then
@@ -109,8 +103,8 @@ struct BatchPlan {
 };
 
 /// Runs the bin → reorder → dedup pipeline over a tick's requests.
-/// Requests with equal batch_key() land in the same bin (subject to
-/// max_bin_queries); every bin's scatter() output is exactly what a
+/// Requests with equal batch_key() land in the same bin (one bin per
+/// distinct key); every bin's scatter() output is exactly what a
 /// per-request search would have returned. Zero-row requests are legal
 /// and produce empty per-request results.
 BatchPlan optimize_batch(std::span<const BatchRequest> requests,

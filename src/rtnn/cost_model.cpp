@@ -14,8 +14,6 @@ namespace rtnn {
 
 namespace {
 
-constexpr float kSqrt3 = 1.7320508f;
-
 // Search cost of a set of partitions sharing one BVH of width `width`.
 double bundle_search_cost(std::span<const std::uint32_t> members, const PartitionSet& set,
                           float width, const SearchParams& params, const CostModel& model) {
@@ -31,8 +29,8 @@ double bundle_search_cost(std::span<const std::uint32_t> members, const Partitio
   }
   // Range: k3 · N · K, with the cheap k3 only if the merged width still
   // guarantees containment in the sphere.
-  const bool skip = (width * kSqrt3 * 0.5f) <= params.radius;
-  const double k3 = skip ? model.k3_fast : model.k3_slow;
+  const double k3 =
+      sphere_test_elidable(width, params.radius) ? model.k3_fast : model.k3_slow;
   std::uint64_t n = 0;
   for (const std::uint32_t i : members) n += set.partitions[i].query_ids.size();
   return k3 * static_cast<double>(n) * static_cast<double>(params.k);
@@ -48,7 +46,7 @@ Bundle make_bundle(std::span<const std::uint32_t> members, const PartitionSet& s
     b.query_count += p.query_ids.size();
   }
   b.skip_sphere_test = (params.mode == SearchMode::kRange) &&
-                       (b.aabb_width * kSqrt3 * 0.5f) <= params.radius;
+                       sphere_test_elidable(b.aabb_width, params.radius);
   return b;
 }
 
@@ -62,7 +60,6 @@ IndexUpdate choose_index_update(const CostModel& model, double sah_inflation) {
 
 BundlePlan unbundled_plan(const PartitionSet& set, const SearchParams& params) {
   BundlePlan plan;
-  plan.m_opt = static_cast<std::uint32_t>(set.partitions.size());
   for (std::uint32_t i = 0; i < set.partitions.size(); ++i) {
     const std::uint32_t members[] = {i};
     plan.bundles.push_back(make_bundle(members, set, params));
@@ -80,44 +77,39 @@ double predict_cost(const BundlePlan& plan, const PartitionSet& set, std::size_t
   return cost;
 }
 
-BundlePlan plan_bundles(const PartitionSet& set, std::size_t n_points,
-                        const SearchParams& params, const CostModel& model) {
+BundlePlan theorem_plan(const PartitionSet& set, std::size_t m_o,
+                        const SearchParams& params) {
   const std::size_t m = set.partitions.size();
-  if (m <= 1) {
-    BundlePlan plan = unbundled_plan(set, params);
-    plan.predicted_seconds = predict_cost(plan, set, n_points, params, model);
-    return plan;
-  }
-
+  RTNN_CHECK(m_o >= 1 && m_o <= m, "a theorem plan needs 1 <= m_o <= partition count");
   // Partitions in ascending query-count order (Supp. C).
   std::vector<std::uint32_t> by_count(m);
   std::iota(by_count.begin(), by_count.end(), 0u);
   std::stable_sort(by_count.begin(), by_count.end(), [&](std::uint32_t a, std::uint32_t b) {
     return set.partitions[a].query_ids.size() < set.partitions[b].query_ids.size();
   });
+  const std::size_t merged_count = m - m_o + 1;
+  BundlePlan plan;
+  plan.bundles.push_back(make_bundle(
+      std::span<const std::uint32_t>(by_count.data(), merged_count), set, params));
+  for (std::size_t i = merged_count; i < m; ++i) {
+    const std::uint32_t members[] = {by_count[i]};
+    plan.bundles.push_back(make_bundle(members, set, params));
+  }
+  return plan;
+}
 
-  // For each M_o: merge the (m - M_o + 1) least-populous partitions,
-  // keep the (M_o - 1) most-populous separate.
-  BundlePlan best;
+BundlePlan plan_bundles(const PartitionSet& set, std::size_t n_points,
+                        const SearchParams& params, const CostModel& model) {
+  BundlePlan best;  // no partitions, no bundles
   double best_cost = std::numeric_limits<double>::infinity();
-  for (std::uint32_t m_opt = 1; m_opt <= m; ++m_opt) {
-    const std::size_t merged_count = m - m_opt + 1;
-    BundlePlan plan;
-    plan.m_opt = m_opt;
-    plan.bundles.push_back(
-        make_bundle(std::span<const std::uint32_t>(by_count.data(), merged_count), set,
-                    params));
-    for (std::size_t i = merged_count; i < m; ++i) {
-      const std::uint32_t members[] = {by_count[i]};
-      plan.bundles.push_back(make_bundle(members, set, params));
-    }
+  for (std::size_t m_o = 1; m_o <= set.partitions.size(); ++m_o) {
+    BundlePlan plan = theorem_plan(set, m_o, params);
     const double cost = predict_cost(plan, set, n_points, params, model);
     if (cost < best_cost) {
       best_cost = cost;
       best = std::move(plan);
     }
   }
-  best.predicted_seconds = best_cost;
   return best;
 }
 

@@ -82,8 +82,6 @@ struct Bundle {
 
 struct BundlePlan {
   std::vector<Bundle> bundles;
-  double predicted_seconds = 0.0;
-  std::uint32_t m_opt = 0;  // number of bundles chosen
 };
 
 /// The two ways a persistent index can absorb a frame of motion.
@@ -104,7 +102,12 @@ IndexUpdate choose_index_update(const CostModel& model, double sah_inflation);
 /// The default strategy (Listing 3): one bundle per partition.
 BundlePlan unbundled_plan(const PartitionSet& set, const SearchParams& params);
 
-/// Cost-model-optimal bundling via the Supp. C linear scan.
+/// The Supp. C plan with `m_o` bundles (1 ≤ m_o ≤ partition count): the
+/// (m − m_o + 1) least-populous partitions merge into one bundle, and each
+/// of the rest keeps its own. Ties in query count keep partition order.
+BundlePlan theorem_plan(const PartitionSet& set, std::size_t m_o, const SearchParams& params);
+
+/// Cost-model-optimal bundling: the cheapest theorem_plan over m_o = 1..M.
 BundlePlan plan_bundles(const PartitionSet& set, std::size_t n_points,
                         const SearchParams& params, const CostModel& model);
 

@@ -1,10 +1,10 @@
 #include "rtnn/neighbor_search.hpp"
 
-#include <numeric>
+#include <algorithm>
 
 #include "core/error.hpp"
+#include "core/failpoint.hpp"
 #include "rtnn/partitioner.hpp"
-#include "rtnn/stages.hpp"
 
 namespace rtnn {
 
@@ -14,7 +14,6 @@ NeighborSearch::Report& NeighborSearch::Report::operator+=(const Report& o) {
   first_hit_stats += o.first_hit_stats;
   num_partitions += o.num_partitions;
   num_bundles += o.num_bundles;
-  predicted_bundle_cost += o.predicted_bundle_cost;
   accel_refits += o.accel_refits;
   accel_rebuilds += o.accel_rebuilds;
   sah_inflation = std::max(sah_inflation, o.sah_inflation);
@@ -65,84 +64,20 @@ void NeighborSearch::set_tiling(const TileOptions& options) {
 PartitionSet NeighborSearch::partition(std::span<const Vec3> queries,
                                        std::span<const std::uint32_t> order,
                                        const SearchParams& params) const {
-  ensure_grid_built(points_, params, grid_, grid_cap_);
-  return partition_queries(grid_, queries, order, params);
-}
-
-void NeighborSearch::init_context(SearchContext& ctx, std::span<const Vec3> queries,
-                                  const SearchParams& params) {
-  RTNN_CHECK(!points_.empty(), "set_points() before search()");
-  RTNN_CHECK(params.radius > 0.0f, "radius must be positive");
-  RTNN_CHECK(params.k > 0, "K must be positive");
-  RTNN_CHECK(params.aabb_scale > 0.0f && params.aabb_scale <= 1.0f,
-             "aabb_scale must be in (0, 1]");
-  RTNN_CHECK(!params.elide_sphere_test || params.mode == SearchMode::kRange,
-             "elide_sphere_test applies to range search only");
-
-  ctx.points = points_;
-  ctx.params = params;
-  ctx.tiling = tiling_;
-  ctx.cost_model = &cost_model_;
-  ctx.grid = &grid_;
-  ctx.grid_cap = &grid_cap_;
-  ctx.index_cache = index_persistence_ ? &index_cache_ : nullptr;
-  ctx.base_width = 2.0f * params.radius * params.aabb_scale;
-
-  // Data phase: queries land in device memory.
-  Timer timer;
-  ctx.queries.assign(queries.begin(), queries.end());
-  ctx.order.resize(ctx.queries.size());
-  std::iota(ctx.order.begin(), ctx.order.end(), 0u);
-  ctx.report.time.data += timer.elapsed();
-}
-
-NeighborResult NeighborSearch::finish_context(SearchContext& ctx, Report* report_out) {
-  if (report_out) *report_out = ctx.report;
-  return std::move(ctx.result);
-}
-
-NeighborResult NeighborSearch::run_stages(std::span<const Vec3> queries,
-                                          const SearchParams& params,
-                                          std::span<const std::unique_ptr<SearchStage>> stages,
-                                          Report* report_out) {
-  SearchContext ctx;
-  init_context(ctx, queries, params);
-  for (const auto& stage : stages) stage->run(ctx);
-  RTNN_CHECK(ctx.result.num_queries() == ctx.queries.size(),
-             "pipeline must end in a LaunchStage");
-  return finish_context(ctx, report_out);
-}
-
-NeighborResult NeighborSearch::search(std::span<const Vec3> queries,
-                                      const SearchParams& params, Report* report_out) {
-  SearchParams effective = params;
-  if (tiling_.enabled() && points_.size() > tiling_.tile_threshold) {
-    // Tiling replaces megacell decomposition: both split the same launch
-    // spatially, and partition-local accel builds would discard the tiled
-    // index's per-tile reuse. Scheduling (query ordering) still composes.
-    effective.opts.partitioning = false;
-    effective.opts.bundling = false;
+  // Cap the grid at ~128 cells per point: far finer cells cannot sharpen
+  // the megacell estimate and the SAT would dominate small datasets.
+  const std::uint64_t useful =
+      std::max<std::uint64_t>(4096, 128 * static_cast<std::uint64_t>(points_.size()));
+  const std::uint64_t cap = std::min(params.max_grid_cells, useful);
+  // The cached grid is reused only while the cap it was built under still
+  // applies. A built grid has cap >= 8 (GridIndex::build rejects less), so
+  // the stale mark 0 never matches a built cap.
+  if (grid_cap_ == 0 || grid_cap_ != cap) {
+    RTNN_FAILPOINT("rtnn.grid.build");
+    grid_.build(points_, cap);
+    grid_cap_ = cap;
   }
-  const auto stages = make_pipeline(effective.opts);
-  return run_stages(queries, effective, stages, report_out);
-}
-
-NeighborResult NeighborSearch::search_with_plan(std::span<const Vec3> queries,
-                                                const SearchParams& params,
-                                                const PartitionSet& partitions,
-                                                const BundlePlan& plan, Report* report_out) {
-  SearchContext ctx;
-  init_context(ctx, queries, params);
-  // Inject the caller's partitioning + plan; its widths are final.
-  ctx.partitions = partitions;
-  ctx.partitioned = true;
-  ctx.plan = plan;
-  ctx.planned = true;
-  ctx.scale_launch_widths = false;
-  ctx.report.num_partitions = static_cast<std::uint32_t>(partitions.partitions.size());
-  ctx.report.num_bundles = static_cast<std::uint32_t>(plan.bundles.size());
-  LaunchStage().run(ctx);
-  return finish_context(ctx, report_out);
+  return partition_queries(grid_, queries, order, params);
 }
 
 NeighborResult search(std::span<const Vec3> points, std::span<const Vec3> queries,

@@ -2,24 +2,22 @@
 //
 // End-to-end flow (the paper's full system):
 //
-//   set_points()           — upload points to "device" memory   [Data]
-//   search():
-//     ScheduleStage:  Morton sort of the queries' own positions [Opt]
-//     PartitionStage: megacell growth on a uniform grid (built
-//                     when stale), bucket queries by width      [Opt]
-//     BundleStage:    cost-model scan over partition bundlings  [Opt]
-//     LaunchStage:    per-bundle BVH build (width = bundle AABB
-//                     width) + chunked range/KNN launches       [BVH/Search]
+//   set_points()    — upload points to "device" memory          [Data]
+//   search(), one straight line over params.opts:
+//     schedule:  Morton sort of the queries' own positions      [Opt]
+//     partition: megacell growth on a uniform grid (built when
+//                stale), bucket queries by width                [Opt]
+//     bundle:    cost-model scan over partition bundlings       [Opt]
+//     launch:    per-bundle BVH build (width = bundle AABB
+//                width) + chunked range/KNN launches            [BVH/Search]
 //
-// search() assembles the stage list from the OptimizationFlags and runs
-// it over a SearchContext (see rtnn/stages.hpp); run_stages() accepts a
-// caller-built stage list so ablations can compose their own pipelines.
-// With all optimizations disabled this degenerates to the naive mapping of
+// The steps live in rtnn/stages.cpp. search_with_plan() runs the launch
+// step on a caller's partitions and plan (the Figure-13 Oracle). With all
+// optimizations disabled this degenerates to the naive mapping of
 // section 3 (also exposed as the FastRNN baseline).
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -34,14 +32,13 @@
 
 namespace rtnn {
 
-class SearchStage;
-struct SearchContext;
+struct SearchContext;  // search()'s per-call state (rtnn/stages.cpp)
 
-/// The persistent base-width accel of a dynamic sequence, owned by
-/// NeighborSearch and threaded into each search()'s SearchContext when
-/// index persistence is on. `moved` marks positions changed since the
-/// accel last synced; the refit-vs-rebuild policy resolves it at the next
-/// acquire (see SearchContext::acquire_global_accel in stages.cpp).
+/// The base-width accel of a search: NeighborSearch's persistent one when
+/// index persistence is on, else a call-local one built at most once.
+/// `moved` marks positions changed since the accel last synced; the
+/// refit-vs-rebuild policy resolves it at the next sync (see
+/// NeighborSearch::sync_index_cache in stages.cpp).
 struct IndexCache {
   ox::Accel accel;
   float width = -1.0f;     // AABB width the accel was built at
@@ -75,7 +72,6 @@ class NeighborSearch {
     rt::LaunchStats first_hit_stats;
     std::uint32_t num_partitions = 0;
     std::uint32_t num_bundles = 0;
-    double predicted_bundle_cost = 0.0;
     // Index lifecycle of this call (persistent-index searches only; all
     // zero / 1.0 on the static path).
     std::uint32_t accel_refits = 0;    // base accel refitted this call
@@ -142,20 +138,14 @@ class NeighborSearch {
 
   std::size_t point_count() const { return points_.size(); }
 
-  /// Runs a neighbor search for `queries` under `params`, assembling the
-  /// stage pipeline from `params.opts`.
+  /// Runs a neighbor search for `queries` under `params`: schedules,
+  /// partitions and bundles as `params.opts` says, then launches.
   NeighborResult search(std::span<const Vec3> queries, const SearchParams& params,
                         Report* report = nullptr);
 
-  /// Runs a caller-assembled stage pipeline (see rtnn/stages.hpp). This is
-  /// how the Figure-13 ablations and engine-layer experiments drive the
-  /// schedule/partition/bundle/launch steps as real objects.
-  NeighborResult run_stages(std::span<const Vec3> queries, const SearchParams& params,
-                            std::span<const std::unique_ptr<SearchStage>> stages,
-                            Report* report = nullptr);
-
   /// Runs a search with an externally chosen bundle plan (used by the
-  /// Oracle ablation of Figure 13, which exhaustively tries plans).
+  /// Oracle ablation of Figure 13, which exhaustively tries plans). Plan
+  /// widths are scaled by params.aabb_scale, as search() scales its own.
   NeighborResult search_with_plan(std::span<const Vec3> queries, const SearchParams& params,
                                   const PartitionSet& partitions, const BundlePlan& plan,
                                   Report* report = nullptr);
@@ -167,11 +157,22 @@ class NeighborSearch {
                          const SearchParams& params) const;
 
  private:
-  /// Populates a SearchContext's inputs (including the persistent index
-  /// cache when enabled) and charges the query upload to the Data phase.
+  /// Checks `params`, fills a SearchContext's inputs and charges the
+  /// query upload to the Data phase.
   void init_context(SearchContext& ctx, std::span<const Vec3> queries,
-                    const SearchParams& params);
-  static NeighborResult finish_context(SearchContext& ctx, Report* report_out);
+                    const SearchParams& params) const;
+  /// The launch step: builds or syncs each launch unit's accel and runs
+  /// its chunked launches into ctx.result.
+  void launch(SearchContext& ctx);
+  /// Brings `cache` up to date with the points at AABB width `width`: a
+  /// fresh build, or a refit or rebuild of moved points per the cost
+  /// model's choose_index_update policy.
+  void sync_index_cache(IndexCache& cache, float width, Report& report);
+  /// Whether the base accel is a TLAS over tiles: tiling is on and the
+  /// cloud is over the threshold.
+  bool tiled() const {
+    return tiling_.enabled() && points_.size() > tiling_.tile_threshold;
+  }
 
   std::vector<Vec3> points_;  // the "device" copy
   CostModel cost_model_{};

@@ -5,7 +5,6 @@
 
 #include "core/error.hpp"
 #include "core/parallel.hpp"
-#include "core/timing.hpp"
 
 namespace rtnn {
 
@@ -17,12 +16,15 @@ constexpr float kSqrt3 = 1.7320508f;
 
 float knn_aabb_width(float megacell_width) { return megacell_width * kSqrt3; }
 
+bool sphere_test_elidable(float aabb_width, float radius) {
+  return (aabb_width * kSqrt3 * 0.5f) <= radius;
+}
+
 PartitionSet partition_queries(const GridIndex& grid, std::span<const Vec3> queries,
                                std::span<const std::uint32_t> order,
                                const SearchParams& params) {
   RTNN_CHECK(grid.built(), "partition before grid build");
   RTNN_CHECK(order.size() == queries.size(), "order/queries size mismatch");
-  Timer timer;
   PartitionSet set;
   set.cell_size = grid.cell_size();
 
@@ -99,9 +101,7 @@ PartitionSet partition_queries(const GridIndex& grid, std::span<const Vec3> quer
       part.skip_sphere_test = false;
     } else if (params.mode == SearchMode::kRange) {
       part.aabb_width = std::min(slopped, 2.0f * r);
-      // Skip Step 2 only if every point whose AABB contains the query is
-      // provably within r: |p-q|∞ ≤ w/2 ⇒ |p-q|₂ ≤ w·√3/2 ≤ r.
-      part.skip_sphere_test = (part.aabb_width * kSqrt3 * 0.5f) <= r;
+      part.skip_sphere_test = sphere_test_elidable(part.aabb_width, r);
     } else {
       part.aabb_width = std::min(knn_aabb_width(slopped), 2.0f * r);
       part.skip_sphere_test = false;  // KNN always measures exact distance
@@ -113,7 +113,6 @@ PartitionSet partition_queries(const GridIndex& grid, std::span<const Vec3> quer
     set.partitions.push_back(std::move(part));
   }
 
-  set.seconds = timer.elapsed();
   return set;
 }
 

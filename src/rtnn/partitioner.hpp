@@ -54,8 +54,6 @@ struct PartitionSet {
   std::vector<Partition> partitions;
   /// Grid cell size used (megacell widths are odd multiples of it).
   float cell_size = 0.0f;
-  /// Wall time of megacell computation + bucketing (Opt phase).
-  double seconds = 0.0;
 };
 
 /// Partitions `queries` (visited in `order`; pass the scheduled order so
@@ -67,5 +65,10 @@ PartitionSet partition_queries(const GridIndex& grid, std::span<const Vec3> quer
 /// The AABB width for a KNN partition of megacell width `a`: √3·a, the
 /// diameter of the megacell's circumsphere, which holds its K points.
 float knn_aabb_width(float megacell_width);
+
+/// Whether a range launch at `aabb_width` may skip the sphere test: every
+/// point whose AABB contains the query is provably within `radius`, as
+/// |p-q|∞ ≤ w/2 ⇒ |p-q|₂ ≤ w·√3/2 ≤ r.
+bool sphere_test_elidable(float aabb_width, float radius);
 
 }  // namespace rtnn

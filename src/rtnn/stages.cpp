@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <optional>
 
 #include "core/error.hpp"
-#include "core/failpoint.hpp"
+#include "core/flat_knn.hpp"
 #include "core/parallel.hpp"
 #include "rtnn/partitioner.hpp"
 #include "rtnn/pipelines.hpp"
@@ -14,20 +15,26 @@
 
 namespace rtnn {
 
-void ensure_grid_built(std::span<const Vec3> points, const SearchParams& params,
-                       GridIndex& grid, std::uint64_t& built_cap) {
-  // Cap the grid at ~128 cells per point: far finer cells cannot sharpen
-  // the megacell estimate and the SAT would dominate small datasets.
-  const std::uint64_t useful =
-      std::max<std::uint64_t>(4096, 128 * static_cast<std::uint64_t>(points.size()));
-  const std::uint64_t cap = std::min(params.max_grid_cells, useful);
-  // A built grid has cap >= 8 (GridIndex::build rejects less), so 0 never
-  // matches a built cap.
-  if (built_cap != 0 && built_cap == cap) return;
-  RTNN_FAILPOINT("rtnn.grid.build");
-  grid.build(points, cap);
-  built_cap = cap;
-}
+/// Everything one search() or search_with_plan() call accumulates: the
+/// inputs init_context uploads, what each step leaves for the next, and
+/// what the call returns.
+struct SearchContext {
+  /// One launch unit: query ids launched together against one accel.
+  struct Unit {
+    std::vector<std::span<const std::uint32_t>> id_spans;  // views, not copies
+    float aabb_width = 0.0f;  // the launch width, aabb_scale applied
+    bool skip_sphere_test = false;
+  };
+
+  std::span<const Vec3> points;
+  std::vector<Vec3> queries;  // the "device" copy
+  SearchParams params{};
+  float base_width = 0.0f;           // 2r·aabb_scale, the naive AABB width
+  std::vector<std::uint32_t> order;  // query-to-ray mapping (starts as iota)
+  std::vector<Unit> units;           // what the launch step runs
+  NeighborResult result;             // one K-slot row per query
+  NeighborSearch::Report report;
+};
 
 namespace {
 
@@ -40,9 +47,10 @@ std::vector<Aabb> point_cubes(std::span<const Vec3> points, float width) {
   return aabbs;
 }
 
-}  // namespace
-
-ox::Accel SearchContext::build_accel_width(float aabb_width) {
+/// Builds a BVH over `points` with cubic AABBs of `aabb_width`, charging
+/// the build to report.time.bvh.
+ox::Accel build_accel_width(std::span<const Vec3> points, float aabb_width,
+                            NeighborSearch::Report& report) {
   // AABB generation is part of the build (Listing 1, buildBVH).
   Timer timer;
   const std::vector<Aabb> aabbs = point_cubes(points, aabb_width);
@@ -52,7 +60,12 @@ ox::Accel SearchContext::build_accel_width(float aabb_width) {
   return accel;
 }
 
-ox::Accel SearchContext::build_tiled_accel_width(float aabb_width) {
+/// Builds the two-level base accel: Morton-contiguous tiles from the tile
+/// planner (plan_tiles), each owning its own bottom-level index, under a
+/// top-level BVH. Charged to report.time.bvh like any other build; with
+/// tiling.lazy_build only the tile bounds and top tree are paid here.
+ox::Accel build_tiled_accel_width(std::span<const Vec3> points, const TileOptions& tiling,
+                                  float aabb_width, NeighborSearch::Report& report) {
   Timer timer;
   // Tile membership: Morton-contiguous near-equal runs, so each tile is
   // a compact spatial region with a tight AABB for the top-level tree.
@@ -68,118 +81,30 @@ ox::Accel SearchContext::build_tiled_accel_width(float aabb_width) {
   return accel;
 }
 
-void SearchContext::sync_index_cache() {
-  IndexCache& cache = *index_cache;
-  const bool want_tiled = tiled_active();
-  const bool reusable =
-      cache.accel.built() && cache.count == points.size() &&
-      cache.width == base_width && cache.tiled == want_tiled &&
-      (!want_tiled ||
-       (cache.tiling.tile_threshold == tiling.tile_threshold &&
-        cache.tiling.max_tiles == tiling.max_tiles &&
-        cache.tiling.lazy_build == tiling.lazy_build));
-  if (!reusable) {
-    // New cloud, new radius, new decomposition, or first use: a fresh
-    // build is the only option (and re-anchors the quality baseline).
-    cache.accel =
-        want_tiled ? build_tiled_accel_width(base_width) : build_accel_width(base_width);
-    cache.width = base_width;
-    cache.count = points.size();
-    cache.moved = false;
-    cache.tiled = want_tiled;
-    cache.tiling = tiling;
-  } else if (cache.moved) {
-    if (want_tiled) {
-      // The per-tile form of the refit-vs-rebuild decision: only touched
-      // tiles do any work, each judged on its *own* observed quality —
-      // a tile under heavy motion rebuilds while its neighbors refit (or
-      // stay untouched entirely).
-      Timer timer;
-      const CostModel* model = cost_model;
-      const rt::TiledUpdateStats us =
-          cache.accel.update_tiled(points, [model](double inflation) {
-            return choose_index_update(*model, inflation) == IndexUpdate::kRefit
-                       ? rt::TileUpdate::kRefit
-                       : rt::TileUpdate::kRebuild;
-          });
-      // Phase split: per-tile rebuilds are BVH work, refits are refit
-      // work; the shared overhead (touched detection, top-tree rebuild)
-      // rides with refit — it is maintenance, not fresh construction.
-      report.time.bvh += us.build_seconds;
-      report.time.refit +=
-          std::max(0.0, timer.elapsed() - us.build_seconds);
-      report.tiles_touched += us.tiles_touched;
-      report.tile_refits += us.tile_refits;
-      report.tile_rebuilds += us.tile_rebuilds;
-    } else if (choose_index_update(*cost_model, cache.accel.sah_inflation()) ==
-               IndexUpdate::kRefit) {
-      // The per-frame decision: refit in place while it is cheaper and
-      // the observed quality holds; otherwise pay a build to reset it.
-      Timer timer;
-      cache.accel.refit(points, base_width);  // boxes computed in-loop
-      report.time.refit += timer.elapsed();
-      ++report.accel_refits;
-    } else {
-      cache.accel = build_accel_width(base_width);
-      ++report.accel_rebuilds;
+/// A plan's bundles as launch units, widths scaled by `scale`.
+std::vector<SearchContext::Unit> plan_units(const PartitionSet& set,
+                                            const BundlePlan& plan, float scale) {
+  std::vector<SearchContext::Unit> units;
+  units.reserve(plan.bundles.size());
+  for (const Bundle& bundle : plan.bundles) {
+    SearchContext::Unit unit;
+    unit.aabb_width = bundle.aabb_width * scale;
+    unit.skip_sphere_test = bundle.skip_sphere_test;
+    unit.id_spans.reserve(bundle.partition_indices.size());
+    for (const std::uint32_t pi : bundle.partition_indices) {
+      const auto& ids = set.partitions[pi].query_ids;
+      if (!ids.empty()) unit.id_spans.emplace_back(ids);
     }
-    cache.moved = false;
+    // Skip empty bundles (caller-supplied plans may contain them)
+    // before paying their O(N) BVH build.
+    if (!unit.id_spans.empty()) units.push_back(std::move(unit));
   }
-  report.sah_inflation = cache.accel.sah_inflation();
-  if (cache.tiled) {
-    report.tile_count =
-        std::max(report.tile_count, cache.accel.tiled_bvh().tile_count());
-  }
+  return units;
 }
 
-const ox::Accel& SearchContext::acquire_global_accel() {
-  if (index_cache) {
-    sync_index_cache();
-    return index_cache->accel;
-  }
-  if (!global_accel.built()) {
-    global_accel = tiled_active() ? build_tiled_accel_width(base_width)
-                                  : build_accel_width(base_width);
-  }
-  return global_accel;
-}
-
-void ScheduleStage::run(SearchContext& ctx) {
-  ScopedAccumulator opt(ctx.report.time.opt);
-  ctx.order = schedule_queries(ctx.queries).order;
-}
-
-void PartitionStage::run(SearchContext& ctx) {
-  RTNN_CHECK(ctx.grid != nullptr && ctx.grid_cap != nullptr,
-             "PartitionStage needs the owner's grid cache");
-  {
-    ScopedAccumulator opt(ctx.report.time.opt);
-    ensure_grid_built(ctx.points, ctx.params, *ctx.grid, *ctx.grid_cap);
-  }
-  ctx.partitions = partition_queries(*ctx.grid, ctx.queries, ctx.order, ctx.params);
-  ctx.partitioned = true;
-  ctx.report.time.opt += ctx.partitions.seconds;
-  ctx.report.num_partitions = static_cast<std::uint32_t>(ctx.partitions.partitions.size());
-}
-
-void BundleStage::run(SearchContext& ctx) {
-  RTNN_CHECK(ctx.partitioned, "BundleStage requires PartitionStage output");
-  Timer timer;
-  if (use_cost_model_) {
-    RTNN_CHECK(ctx.cost_model != nullptr, "BundleStage needs a cost model");
-    ctx.plan = plan_bundles(ctx.partitions, ctx.points.size(), ctx.params, *ctx.cost_model);
-  } else {
-    ctx.plan = unbundled_plan(ctx.partitions, ctx.params);
-  }
-  ctx.planned = true;
-  ctx.report.num_bundles = static_cast<std::uint32_t>(ctx.plan.bundles.size());
-  ctx.report.predicted_bundle_cost = ctx.plan.predicted_seconds;
-  ctx.report.time.opt += timer.elapsed();
-}
-
-void LaunchStage::launch_chunk(SearchContext& ctx, const ox::Accel& accel,
-                               float built_width, std::span<const std::uint32_t> ids,
-                               bool skip_sphere_test, FlatKnnHeaps* heaps) {
+void launch_chunk(SearchContext& ctx, const ox::Accel& accel, float built_width,
+                  std::span<const std::uint32_t> ids, bool skip_sphere_test,
+                  FlatKnnHeaps* heaps) {
   Timer timer;
   const auto width = static_cast<std::uint32_t>(ids.size());
   if (ctx.params.mode == SearchMode::kRange) {
@@ -202,27 +127,32 @@ void LaunchStage::launch_chunk(SearchContext& ctx, const ox::Accel& accel,
   ctx.report.time.search += timer.elapsed();
 }
 
-void LaunchStage::launch_unit(SearchContext& ctx, const ox::Accel& accel,
-                              float built_width, const Unit& unit, FlatKnnHeaps* heaps) {
+/// `built_width` is the AABB width `accel` was built with (the KNN
+/// pipeline's cull bound is derived from it). `heaps` is the KNN chunk
+/// pool (null for range search): row i holds launch index i's neighbors
+/// until the chunk drains it into ctx.result.
+void launch_unit(SearchContext& ctx, const ox::Accel& accel, float built_width,
+                 const SearchContext::Unit& unit, FlatKnnHeaps* heaps) {
   // Stream the unit's ids through fixed-size chunks. Partition id lists
   // are consumed as views; only the scratch chunk is ever materialized.
   std::size_t total = 0;
   for (const auto& span : unit.id_spans) total += span.size();
 
-  if (unit.id_spans.size() == 1 && total <= kChunkSize) {
+  if (unit.id_spans.size() == 1 && total <= kLaunchChunkSize) {
     launch_chunk(ctx, accel, built_width, unit.id_spans.front(), unit.skip_sphere_test, heaps);
     return;
   }
 
   std::vector<std::uint32_t> chunk;
-  chunk.reserve(std::min(total, kChunkSize));
+  chunk.reserve(std::min(total, kLaunchChunkSize));
   for (const auto& span : unit.id_spans) {
     std::size_t offset = 0;
     while (offset < span.size()) {
-      const std::size_t take = std::min(kChunkSize - chunk.size(), span.size() - offset);
+      const std::size_t take =
+          std::min(kLaunchChunkSize - chunk.size(), span.size() - offset);
       chunk.insert(chunk.end(), span.begin() + offset, span.begin() + offset + take);
       offset += take;
-      if (chunk.size() == kChunkSize) {
+      if (chunk.size() == kLaunchChunkSize) {
         launch_chunk(ctx, accel, built_width, chunk, unit.skip_sphere_test, heaps);
         chunk.clear();
       }
@@ -233,43 +163,159 @@ void LaunchStage::launch_unit(SearchContext& ctx, const ox::Accel& accel,
   }
 }
 
-void LaunchStage::run(SearchContext& ctx) {
-  // Approximation: search() shrinks partition widths by aabb_scale too.
-  const float scale = ctx.scale_launch_widths ? ctx.params.aabb_scale : 1.0f;
-  std::vector<Unit> units;
-  if (ctx.planned) {
-    units.reserve(ctx.plan.bundles.size());
-    for (const Bundle& bundle : ctx.plan.bundles) {
-      Unit unit;
-      unit.aabb_width = bundle.aabb_width * scale;
-      unit.skip_sphere_test = bundle.skip_sphere_test;
-      unit.id_spans.reserve(bundle.partition_indices.size());
-      for (const std::uint32_t pi : bundle.partition_indices) {
-        const auto& ids = ctx.partitions.partitions[pi].query_ids;
-        if (!ids.empty()) unit.id_spans.emplace_back(ids);
-      }
-      // Skip empty bundles (caller-supplied plans may contain them)
-      // before paying their O(N) BVH build.
-      if (!unit.id_spans.empty()) units.push_back(std::move(unit));
+}  // namespace
+
+void NeighborSearch::init_context(SearchContext& ctx, std::span<const Vec3> queries,
+                                  const SearchParams& params) const {
+  RTNN_CHECK(!points_.empty(), "set_points() before search()");
+  RTNN_CHECK(params.radius > 0.0f, "radius must be positive");
+  RTNN_CHECK(params.k > 0, "K must be positive");
+  RTNN_CHECK(params.aabb_scale > 0.0f && params.aabb_scale <= 1.0f,
+             "aabb_scale must be in (0, 1]");
+  RTNN_CHECK(!params.elide_sphere_test || params.mode == SearchMode::kRange,
+             "elide_sphere_test applies to range search only");
+
+  ctx.points = points_;
+  ctx.params = params;
+  ctx.base_width = 2.0f * params.radius * params.aabb_scale;
+
+  // Data phase: queries land in device memory.
+  Timer timer;
+  ctx.queries.assign(queries.begin(), queries.end());
+  ctx.order.resize(ctx.queries.size());
+  std::iota(ctx.order.begin(), ctx.order.end(), 0u);
+  ctx.report.time.data += timer.elapsed();
+}
+
+NeighborResult NeighborSearch::search(std::span<const Vec3> queries,
+                                      const SearchParams& params, Report* report_out) {
+  SearchContext ctx;
+  init_context(ctx, queries, params);
+  const OptimizationFlags& opts = params.opts;
+
+  // Section 4: spatially-ordered query scheduling.
+  if (opts.scheduling) {
+    ScopedAccumulator opt(ctx.report.time.opt);
+    ctx.order = schedule_queries(ctx.queries).order;
+  }
+
+  // Sections 5.1-5.2: megacell partitioning, then bundling. Tiling
+  // replaces megacell decomposition: both split the same launch
+  // spatially, and partition-local accel builds would discard the tiled
+  // index's per-tile reuse. Scheduling (query ordering) still composes.
+  PartitionSet partitions;  // the launch units view its id lists
+  if (opts.partitioning && !tiled()) {
+    BundlePlan plan;
+    {
+      ScopedAccumulator opt(ctx.report.time.opt);
+      partitions = partition(ctx.queries, ctx.order, params);
+      plan = opts.bundling ? plan_bundles(partitions, points_.size(), params, cost_model_)
+                           : unbundled_plan(partitions, params);
     }
+    ctx.report.num_partitions = static_cast<std::uint32_t>(partitions.partitions.size());
+    ctx.report.num_bundles = static_cast<std::uint32_t>(plan.bundles.size());
+    ctx.units = plan_units(partitions, plan, params.aabb_scale);
   } else if (!ctx.order.empty()) {
     // Unpartitioned: one unit over the (possibly scheduled) order, at the
     // naive base width.
-    Unit unit;
-    unit.aabb_width = ctx.base_width;
-    unit.skip_sphere_test = false;
-    unit.id_spans.emplace_back(ctx.order);
-    units.push_back(std::move(unit));
+    ctx.units.push_back({{ctx.order}, ctx.base_width, false});
   }
 
-  // Share the global base-width BVH across every launch unit that needs
-  // exactly it (the unpartitioned path, and the sparse-fallback bundle).
-  const auto at_base = [&](const Unit& unit) {
+  launch(ctx);
+  if (report_out) *report_out = ctx.report;
+  return std::move(ctx.result);
+}
+
+NeighborResult NeighborSearch::search_with_plan(std::span<const Vec3> queries,
+                                                const SearchParams& params,
+                                                const PartitionSet& partitions,
+                                                const BundlePlan& plan, Report* report_out) {
+  SearchContext ctx;
+  init_context(ctx, queries, params);
+  ctx.report.num_partitions = static_cast<std::uint32_t>(partitions.partitions.size());
+  ctx.report.num_bundles = static_cast<std::uint32_t>(plan.bundles.size());
+  ctx.units = plan_units(partitions, plan, params.aabb_scale);
+  launch(ctx);
+  if (report_out) *report_out = ctx.report;
+  return std::move(ctx.result);
+}
+
+void NeighborSearch::sync_index_cache(IndexCache& cache, float width, Report& report) {
+  const bool want_tiled = tiled();
+  const bool reusable =
+      cache.accel.built() && cache.count == points_.size() && cache.width == width &&
+      cache.tiled == want_tiled &&
+      (!want_tiled ||
+       (cache.tiling.tile_threshold == tiling_.tile_threshold &&
+        cache.tiling.max_tiles == tiling_.max_tiles &&
+        cache.tiling.lazy_build == tiling_.lazy_build));
+  if (!reusable) {
+    // New cloud, new radius, new decomposition, or first use: a fresh
+    // build is the only option (and re-anchors the quality baseline).
+    cache.accel = want_tiled ? build_tiled_accel_width(points_, tiling_, width, report)
+                             : build_accel_width(points_, width, report);
+    cache.width = width;
+    cache.count = points_.size();
+    cache.moved = false;
+    cache.tiled = want_tiled;
+    cache.tiling = tiling_;
+  } else if (cache.moved) {
+    if (want_tiled) {
+      // The per-tile form of the refit-vs-rebuild decision: only touched
+      // tiles do any work, each judged on its *own* observed quality —
+      // a tile under heavy motion rebuilds while its neighbors refit (or
+      // stay untouched entirely).
+      Timer timer;
+      const CostModel& model = cost_model_;
+      const rt::TiledUpdateStats us =
+          cache.accel.update_tiled(points_, [&model](double inflation) {
+            return choose_index_update(model, inflation) == IndexUpdate::kRefit
+                       ? rt::TileUpdate::kRefit
+                       : rt::TileUpdate::kRebuild;
+          });
+      // Phase split: per-tile rebuilds are BVH work, refits are refit
+      // work; the shared overhead (touched detection, top-tree rebuild)
+      // rides with refit — it is maintenance, not fresh construction.
+      report.time.bvh += us.build_seconds;
+      report.time.refit += std::max(0.0, timer.elapsed() - us.build_seconds);
+      report.tiles_touched += us.tiles_touched;
+      report.tile_refits += us.tile_refits;
+      report.tile_rebuilds += us.tile_rebuilds;
+    } else if (choose_index_update(cost_model_, cache.accel.sah_inflation()) ==
+               IndexUpdate::kRefit) {
+      // The per-frame decision: refit in place while it is cheaper and
+      // the observed quality holds; otherwise pay a build to reset it.
+      Timer timer;
+      cache.accel.refit(points_, width);  // boxes computed in-loop
+      report.time.refit += timer.elapsed();
+      ++report.accel_refits;
+    } else {
+      cache.accel = build_accel_width(points_, width, report);
+      ++report.accel_rebuilds;
+    }
+    cache.moved = false;
+  }
+  report.sah_inflation = cache.accel.sah_inflation();
+  if (cache.tiled) {
+    report.tile_count =
+        std::max(report.tile_count, cache.accel.tiled_bvh().tile_count());
+  }
+}
+
+void NeighborSearch::launch(SearchContext& ctx) {
+  // The base-width accel, shared by every launch unit at exactly that
+  // width (the unpartitioned path, the sparse-fallback bundle): the
+  // persistent cache of a dynamic sequence, else one built for this call.
+  IndexCache call_index;
+  IndexCache& base = index_persistence_ ? index_cache_ : call_index;
+  const auto at_base = [&](const SearchContext::Unit& unit) {
     return std::abs(unit.aabb_width - ctx.base_width) <= 1e-6f * ctx.params.radius;
   };
-  // It is built before the result rows and the KNN heap pool exist, so
+  // It is synced before the result rows and the KNN heap pool exist, so
   // its build scratch never coexists with them in peak memory.
-  if (std::any_of(units.begin(), units.end(), at_base)) (void)ctx.acquire_global_accel();
+  if (std::any_of(ctx.units.begin(), ctx.units.end(), at_base)) {
+    sync_index_cache(base, ctx.base_width, ctx.report);
+  }
 
   // Result storage: one K-slot row per query, written by the range
   // pipeline directly and by the KNN chunks' drains.
@@ -278,17 +324,18 @@ void LaunchStage::run(SearchContext& ctx) {
   // The KNN chunk pool: a row per launch index of a chunk.
   std::optional<FlatKnnHeaps> heaps;
   if (ctx.params.mode == SearchMode::kKnn) {
-    heaps.emplace(std::min(ctx.queries.size(), kChunkSize), ctx.params.k);
+    heaps.emplace(std::min(ctx.queries.size(), kLaunchChunkSize), ctx.params.k);
   }
 
-  for (const Unit& unit : units) {
+  for (const SearchContext::Unit& unit : ctx.units) {
     const bool is_base = at_base(unit);
     ox::Accel local;
     const ox::Accel* accel;
     if (is_base) {
-      accel = &ctx.acquire_global_accel();
+      sync_index_cache(base, ctx.base_width, ctx.report);
+      accel = &base.accel;
     } else {
-      local = ctx.build_accel_width(unit.aabb_width);
+      local = build_accel_width(points_, unit.aabb_width, ctx.report);
       accel = &local;
     }
     // The KNN cull bound needs the width the traversed boxes were built
@@ -381,17 +428,6 @@ NeighborResult DynamicSearchSession::step(std::span<const Vec3> points,
   }
   ++frame_;
   return search_.search(queries, params_, report);
-}
-
-std::vector<std::unique_ptr<SearchStage>> make_pipeline(const OptimizationFlags& opts) {
-  std::vector<std::unique_ptr<SearchStage>> stages;
-  if (opts.scheduling) stages.push_back(std::make_unique<ScheduleStage>());
-  if (opts.partitioning) {
-    stages.push_back(std::make_unique<PartitionStage>());
-    stages.push_back(std::make_unique<BundleStage>(opts.bundling));
-  }
-  stages.push_back(std::make_unique<LaunchStage>());
-  return stages;
 }
 
 }  // namespace rtnn

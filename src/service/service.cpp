@@ -86,6 +86,11 @@ using detail::RequestState;
 using detail::Snapshot;
 using RequestPtr = std::shared_ptr<RequestState>;
 
+/// Coalescing caps per tick: a batch dispatches as soon as it holds this
+/// many query rows (or requests), even if the tick is not over.
+constexpr std::size_t kMaxBatchQueries = std::size_t{1} << 15;
+constexpr std::size_t kMaxBatchRequests = 1024;
+
 /// The backend a cloud's config asks for: the named engine backend, with
 /// the cloud's tiling knobs forwarded so a large cloud's base index
 /// becomes a TLAS over Morton tiles. Only the full rtnn engine owns the
@@ -158,8 +163,6 @@ std::optional<RequestOutcome> SearchService::Ticket::try_get() {
 // --- Construction / lifecycle ------------------------------------------------
 
 SearchService::SearchService(const ServiceConfig& config) : config_(config) {
-  RTNN_CHECK(config_.max_batch_queries > 0 && config_.max_batch_requests > 0,
-             "batch caps must be positive");
   RTNN_CHECK(config_.stall_timeout.count() == 0 ||
                  config_.watchdog_interval.count() > 0,
              "the watchdog needs a positive sampling interval");
@@ -676,8 +679,7 @@ void SearchService::dispatch_loop(std::uint64_t generation) {
     };
     admit(std::move(*first));
     const auto tick_over = std::chrono::steady_clock::now() + config_.max_delay;
-    while (batch.size() < config_.max_batch_requests &&
-           total < config_.max_batch_queries) {
+    while (batch.size() < kMaxBatchRequests && total < kMaxBatchQueries) {
       const auto now = std::chrono::steady_clock::now();
       if (now >= tick_over) break;
       std::optional<RequestPtr> next = queue_.pop_for(tick_over - now);
@@ -823,8 +825,8 @@ void SearchService::dispatch_cloud(const CloudPtr& cloud,
   if (live.empty()) return;
 
   // One optimizer pass over the cloud's whole tick. With batch_reorder
-  // off the bins are the same — batch_key() groups, capped by
-  // max_bin_queries — but keep arrival order and never dedup.
+  // off the bins are the same — one per batch_key() — but keep arrival
+  // order and never dedup.
   std::vector<BatchRequest> requests;
   requests.reserve(live.size());
   for (const RequestPtr& request : live) {
@@ -832,7 +834,6 @@ void SearchService::dispatch_cloud(const CloudPtr& cloud,
   }
   BatchOptimizerOptions opt;
   opt.reorder = cloud->config.batch_reorder;
-  opt.max_bin_queries = cloud->config.max_bin_queries;
   const BatchPlan plan = optimize_batch(requests, opt);
 
   for (const BatchBin& bin : plan.bins) {

@@ -176,10 +176,6 @@ class ServiceError : public Error {
 /// Service-wide configuration (the dispatcher and the registry's
 /// residency policy), fixed at construction.
 struct ServiceConfig {
-  /// Coalescing caps per tick: a batch dispatches as soon as it holds
-  /// this many query rows (or requests), even if the tick is not over.
-  std::size_t max_batch_queries = std::size_t{1} << 15;
-  std::size_t max_batch_requests = 1024;
   /// The batching tick: how long the oldest pending request waits for
   /// company before its batch dispatches. 0 = dispatch immediately
   /// (degenerates to per-request launches; useful for tests).
@@ -249,16 +245,10 @@ struct CloudConfig {
 
   /// Morton-reorder and coincident-dedup each tick's bins (the default).
   /// Off = the same optimizer pass with both steps off: requests still
-  /// bin by batch_key() (and max_bin_queries), concatenated in arrival
-  /// order. Results are identical either way — dedup only ever transfers
-  /// between bitwise-coincident rows.
+  /// bin by batch_key(), concatenated in arrival order. Results are
+  /// identical either way — dedup only ever transfers between
+  /// bitwise-coincident rows.
   bool batch_reorder = true;
-  /// Per-bin cap on merged rows: a request that would push an open bin
-  /// past the cap closes it and opens a fresh bin for the same key
-  /// (bounds launch and scratch size). 0 = unbounded — no bin ever
-  /// closes early; the dispatcher's tick caps already bound the merged
-  /// set. Same contract as BatchOptimizerOptions::max_bin_queries.
-  std::size_t max_bin_queries = 0;
 };
 
 /// Per-request options at submit() time.

@@ -1,17 +1,21 @@
 // The coherence-aware batch optimizer (rtnn/batch_optimizer.hpp):
-// batch_key() as the one definition of "batchable", key-homogeneous
-// binning with per-bin caps, Morton reorder as a pure permutation,
-// coincident dedup under the bitwise exactness guard, and the
+// batch_key() as the one definition of "batchable", one bin per key,
+// Morton reorder as a pure permutation, coincident dedup under the
+// bitwise exactness guard (checked against the plain run scan), and the
 // permutation-aware split_batch_result scatter — including its
 // empty-request / zero-query / single-request edge cases.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <limits>
 #include <numeric>
 #include <vector>
 
+#include "core/rng.hpp"
 #include "rtnn/batch_optimizer.hpp"
 #include "rtnn/neighbor_search.hpp"
+#include "rtnn/scheduler.hpp"
 #include "test_util.hpp"
 
 using namespace rtnn;
@@ -134,30 +138,9 @@ TEST(BatchOptimizer, BinsByKeyInFirstArrivalOrder) {
   EXPECT_EQ(plan.bins[0].slices[1].count, 30u);
 }
 
-TEST(BatchOptimizer, PerBinCapOpensAFreshBin) {
-  const std::vector<Vec3> cloud = make_cloud(CloudKind::kUniform, 200, kSeed);
-  const SearchParams params = knn_params(typical_radius(CloudKind::kUniform));
-  std::vector<BatchRequest> requests;
-  for (int r = 0; r < 3; ++r) {
-    requests.push_back({std::span<const Vec3>(cloud.data() + 40 * r, 15), params});
-  }
-  // An oversized request still gets a bin of its own rather than splitting.
-  requests.push_back({std::span<const Vec3>(cloud.data(), 50), params});
-
-  BatchOptimizerOptions options;
-  options.max_bin_queries = 20;
-  const BatchPlan plan = optimize_batch(requests, options);
-  ASSERT_EQ(plan.bins.size(), 4u);
-  EXPECT_EQ(plan.bins[0].merged_queries, 15u);
-  EXPECT_EQ(plan.bins[1].merged_queries, 15u);
-  EXPECT_EQ(plan.bins[2].merged_queries, 15u);
-  EXPECT_EQ(plan.bins[3].merged_queries, 50u);
-}
-
-TEST(BatchOptimizer, ZeroCapMeansUnbounded) {
-  // max_bin_queries = 0 is the documented "unbounded" contract (shared by
-  // BatchOptimizerOptions and CloudConfig, whichever batch_reorder says):
-  // no bin ever closes early, however many rows pile onto one key.
+TEST(BatchOptimizer, OneKeyIsOneBin) {
+  // Every request with one batch_key() lands in one bin, however many
+  // rows pile onto the key.
   const std::vector<Vec3> cloud = make_cloud(CloudKind::kUniform, 800, kSeed);
   const SearchParams params = knn_params(typical_radius(CloudKind::kUniform));
   std::vector<BatchRequest> requests;
@@ -168,18 +151,11 @@ TEST(BatchOptimizer, ZeroCapMeansUnbounded) {
     total_rows += size;
   }
 
-  BatchOptimizerOptions options;
-  options.max_bin_queries = 0;
-  const BatchPlan plan = optimize_batch(requests, options);
+  const BatchPlan plan = optimize_batch(requests);
   ASSERT_EQ(plan.bins.size(), 1u);  // one key, one bin — never split
   EXPECT_EQ(plan.bins[0].merged_queries, total_rows);
   EXPECT_EQ(plan.bins[0].request_ids.size(), requests.size());
   expect_valid_rep_map(plan.bins[0]);
-
-  // Sanity: the same stream under a finite cap does split, so the zero
-  // really is the unbounded sentinel and not a tiny cap.
-  options.max_bin_queries = 64;
-  EXPECT_GT(optimize_batch(requests, options).bins.size(), 1u);
 }
 
 // --- Reorder -----------------------------------------------------------------
@@ -280,6 +256,94 @@ TEST(BatchOptimizer, AllRowsCoincidentCollapseToOneRepresentative) {
   EXPECT_EQ(plan.bins[0].queries.size(), 1u);
   EXPECT_EQ(plan.bins[0].deduped, 127u);
   expect_bin_exact(plan.bins[0], requests, cloud);
+}
+
+namespace {
+
+/// The reference dedup: the sorted visit scans every representative of
+/// the current run of equal Morton keys for a coincident one (value
+/// equality, so ±0 coincide and NaN equals nothing). Quadratic in a run's
+/// length, and what the optimizer's representatives, their order,
+/// rep_rows and deduped must reproduce exactly.
+struct ScanDedup {
+  std::vector<Vec3> queries;
+  std::vector<std::uint32_t> rep_rows;
+  std::size_t deduped = 0;
+};
+
+ScanDedup scan_dedup(std::span<const Vec3> merged) {
+  ScanDedup out;
+  out.rep_rows.resize(merged.size());
+  const ScheduleResult sorted = schedule_queries(merged);
+  std::vector<std::uint32_t> run_reps;
+  for (std::size_t i = 0; i < merged.size(); ++i) {
+    if (i > 0 && sorted.keys[i] != sorted.keys[i - 1]) run_reps.clear();
+    const std::uint32_t row = sorted.order[i];
+    const Vec3& q = merged[row];
+    const auto same = std::find_if(run_reps.begin(), run_reps.end(), [&](std::uint32_t rep) {
+      const Vec3& r = out.queries[rep];
+      return r.x == q.x && r.y == q.y && r.z == q.z;
+    });
+    if (same != run_reps.end()) {
+      out.rep_rows[row] = *same;
+      ++out.deduped;
+      continue;
+    }
+    out.rep_rows[row] = static_cast<std::uint32_t>(out.queries.size());
+    run_reps.push_back(out.rep_rows[row]);
+    out.queries.push_back(q);
+  }
+  return out;
+}
+
+void expect_matches_scan(std::span<const Vec3> rows) {
+  const std::vector<BatchRequest> requests{{rows, knn_params(0.1f)}};
+  const BatchPlan plan = optimize_batch(requests);
+  ASSERT_EQ(plan.bins.size(), 1u);
+  const BatchBin& bin = plan.bins[0];
+  const ScanDedup expected = scan_dedup(rows);
+  EXPECT_EQ(bin.deduped, expected.deduped);
+  EXPECT_EQ(bin.rep_rows, expected.rep_rows);
+  ASSERT_EQ(bin.queries.size(), expected.queries.size());
+  for (std::size_t i = 0; i < bin.queries.size(); ++i) {
+    // Bitwise: a NaN row and the sign of a zero carry over unchanged.
+    ASSERT_EQ(std::memcmp(&bin.queries[i], &expected.queries[i], sizeof(Vec3)), 0)
+        << "representative " << i;
+  }
+}
+
+}  // namespace
+
+TEST(BatchOptimizer, DedupMatchesTheScanOnNaNRows) {
+  // One Morton key for every row, and no two rows equal.
+  const std::vector<Vec3> rows(4000, Vec3{std::numeric_limits<float>::quiet_NaN(), 0.0f, 0.0f});
+  expect_matches_scan(rows);
+}
+
+TEST(BatchOptimizer, DedupMatchesTheScanInsideOneMortonCell) {
+  // Two corner rows span [-1, 1]³, so every cluster row near the origin
+  // normalizes to exactly 0.5 on each axis: one run of distinct rows,
+  // exact duplicates (16³ values for 3,000 rows) and ±0 variants.
+  std::vector<Vec3> rows{{-1.0f, -1.0f, -1.0f}, {1.0f, 1.0f, 1.0f}};
+  Pcg32 rng(kSeed);
+  const auto tiny = [&] {
+    const float v = static_cast<float>(rng.next_bounded(8)) * 1e-9f;
+    return rng.next_bounded(2) ? v : -v;
+  };
+  for (int i = 0; i < 3000; ++i) rows.push_back({tiny(), tiny(), tiny()});
+  for (const float sx : {0.0f, -0.0f}) {
+    for (const float sy : {0.0f, -0.0f}) rows.push_back({sx, sy, -0.0f});
+  }
+  const std::vector<std::uint64_t> keys = morton_keys(rows);
+  ASSERT_TRUE(std::all_of(keys.begin() + 2, keys.end(),
+                          [&](std::uint64_t key) { return key == keys[2]; }));
+  expect_matches_scan(rows);
+}
+
+TEST(BatchOptimizer, DedupMatchesTheScanOnAUniformBin) {
+  std::vector<Vec3> rows = make_cloud(CloudKind::kUniform, 5000, kSeed);
+  rows.insert(rows.end(), rows.begin(), rows.begin() + 1000);
+  expect_matches_scan(rows);
 }
 
 // --- Edge cases --------------------------------------------------------------

@@ -86,7 +86,8 @@ TEST(CostModel, CheapBuildsKeepPartitionsSeparate) {
 
 TEST(CostModel, PlanIsOptimalAmongTheoremFamily) {
   // plan_bundles must pick the minimum-cost member of the theorem family
-  // {merge the (M - Mo + 1) least-populous partitions}, for every Mo.
+  // {merge the (M - Mo + 1) least-populous partitions}, for every Mo, and
+  // theorem_plan must build each member bundle for bundle.
   const auto set = synthetic_partitions(
       {{0.08f, 20000}, {0.12f, 4000}, {0.2f, 700}, {0.35f, 90}, {0.6f, 8}}, 16);
   CostModel model;  // defaults
@@ -102,6 +103,7 @@ TEST(CostModel, PlanIsOptimalAmongTheoremFamily) {
     return set.partitions[a].query_ids.size() < set.partitions[b].query_ids.size();
   });
   for (std::uint32_t mo = 1; mo <= set.partitions.size(); ++mo) {
+    SCOPED_TRACE(mo);
     BundlePlan candidate;
     const std::size_t merged = set.partitions.size() - mo + 1;
     Bundle big;
@@ -120,6 +122,17 @@ TEST(CostModel, PlanIsOptimalAmongTheoremFamily) {
     }
     EXPECT_LE(chosen,
               predict_cost(candidate, set, n_points, params, model) * (1.0 + 1e-12));
+
+    const BundlePlan theorem = theorem_plan(set, mo, params);
+    ASSERT_EQ(theorem.bundles.size(), candidate.bundles.size());
+    for (std::size_t b = 0; b < candidate.bundles.size(); ++b) {
+      const Bundle& got = theorem.bundles[b];
+      const Bundle& want = candidate.bundles[b];
+      EXPECT_EQ(got.partition_indices, want.partition_indices) << "bundle " << b;
+      EXPECT_EQ(got.aabb_width, want.aabb_width) << "bundle " << b;
+      EXPECT_EQ(got.query_count, want.query_count) << "bundle " << b;
+      EXPECT_EQ(got.skip_sphere_test, want.skip_sphere_test) << "bundle " << b;
+    }
   }
 }
 

@@ -231,7 +231,7 @@ TEST(CullBound, BoundCutsIsCallsMonolithicAndTiled) {
 TEST(CullBound, SearchPassesTheBuiltWidth) {
   // End to end: a KNN search (no optimizations: one launch at the base
   // width) makes exactly the bounded launch's IS calls, monolithic and
-  // tiled — LaunchStage hands the pipeline the accel's width.
+  // tiled — the launch step hands the pipeline the accel's width.
   const Trial trial = dense_trial({0.0f, 0.0f, 0.0f}, "dense");
   const float width = 2.0f * trial.radius;
   SearchParams params;

@@ -1,6 +1,5 @@
 // Engine-layer tests: registry construction, backend parity against the
-// exhaustive reference, AutoBackend dispatch, and stage-pipeline
-// composition.
+// exhaustive reference, and AutoBackend dispatch.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,7 +9,6 @@
 
 #include "core/rng.hpp"
 #include "engine/engine.hpp"
-#include "rtnn/stages.hpp"
 #include "test_util.hpp"
 
 namespace rtnn::engine {
@@ -347,42 +345,6 @@ TEST(AutoBackend, DensityEstimateTracksUniformCloud) {
   // accounting for boundary clipping of the sampled boxes.
   EXPECT_GT(stats.density, 0.25 * static_cast<double>(n));
   EXPECT_LT(stats.density, 1.5 * static_cast<double>(n));
-}
-
-TEST(StagePipeline, ComposedStagesMatchFlaggedSearch) {
-  const std::vector<Vec3> points =
-      rtnn::testing::make_cloud(CloudKind::kUniform, 4000, /*seed=*/21);
-  const std::span<const Vec3> queries(points.data(), 800);
-
-  SearchParams params;
-  params.mode = SearchMode::kRange;
-  params.radius = 0.06f;
-  params.k = 64;
-  params.opts = OptimizationFlags::all();
-
-  NeighborSearch search;
-  search.set_points(points);
-  const NeighborResult flagged = search.search(queries, params);
-
-  // The same pipeline, assembled by hand from real stage objects.
-  std::vector<std::unique_ptr<SearchStage>> stages;
-  stages.push_back(std::make_unique<ScheduleStage>());
-  stages.push_back(std::make_unique<PartitionStage>());
-  stages.push_back(std::make_unique<BundleStage>(/*use_cost_model=*/true));
-  stages.push_back(std::make_unique<LaunchStage>());
-  const NeighborResult composed = search.run_stages(queries, params, stages);
-
-  rtnn::testing::expect_same_neighbor_sets(composed, flagged, "stages/range");
-
-  // A truncated pipeline (no partitioning) must equal the flag-driven
-  // scheduling-only configuration.
-  std::vector<std::unique_ptr<SearchStage>> sched_only;
-  sched_only.push_back(std::make_unique<ScheduleStage>());
-  sched_only.push_back(std::make_unique<LaunchStage>());
-  const NeighborResult truncated = search.run_stages(queries, params, sched_only);
-  params.opts = OptimizationFlags::scheduling_only();
-  const NeighborResult sched_flagged = search.search(queries, params);
-  rtnn::testing::expect_same_neighbor_sets(truncated, sched_flagged, "stages/sched-only");
 }
 
 }  // namespace

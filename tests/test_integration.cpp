@@ -145,7 +145,9 @@ INSTANTIATE_TEST_SUITE_P(Clouds, FullSystem,
 
 TEST(OracleMachinery, SearchWithExplicitPlanMatchesDefault) {
   // search_with_plan() is the Oracle's entry point: running the default
-  // plan through it must reproduce search()'s results.
+  // plan through it must reproduce search()'s results, exact and
+  // approximate (aabb_scale shrinks the plan's widths as it does
+  // search()'s own).
   const auto points = testing::make_cloud(CloudKind::kUniform, 6000, 201);
   const auto queries = data::jittered_queries(points, 400, 0.01f, 202);
   SearchParams params;
@@ -155,14 +157,17 @@ TEST(OracleMachinery, SearchWithExplicitPlanMatchesDefault) {
   params.opts = OptimizationFlags::no_bundling();
   NeighborSearch search;
   search.set_points(points);
-  const auto via_search = search.search(queries, params);
-
   std::vector<std::uint32_t> order(queries.size());
   std::iota(order.begin(), order.end(), 0u);
-  const PartitionSet parts = search.partition(queries, order, params);
-  const BundlePlan plan = unbundled_plan(parts, params);
-  const auto via_plan = search.search_with_plan(queries, params, parts, plan);
-  testing::expect_knn_identical(via_plan, via_search, "oracle");
+  for (const float scale : {1.0f, 0.6f}) {
+    SCOPED_TRACE(scale);
+    params.aabb_scale = scale;
+    const auto via_search = search.search(queries, params);
+    const PartitionSet parts = search.partition(queries, order, params);
+    const BundlePlan plan = unbundled_plan(parts, params);
+    const auto via_plan = search.search_with_plan(queries, params, parts, plan);
+    testing::expect_knn_identical(via_plan, via_search, "oracle");
+  }
 }
 
 TEST(OracleMachinery, SingleBundlePlanStillCorrect) {

@@ -211,7 +211,7 @@ TEST(RtnnApi, KnnRowsSurviveChunkLocalHeaps) {
   // must be brute force's, in both modes of a partitioned search.
   const auto points = testing::make_cloud(CloudKind::kUniform, 4000, 21);
   const auto queries =
-      data::jittered_queries(points, LaunchStage::kChunkSize + 1500, 0.02f, 22);
+      data::jittered_queries(points, kLaunchChunkSize + 1500, 0.02f, 22);
   SearchParams params;
   params.mode = SearchMode::kKnn;
   params.radius = 0.06f;
@@ -268,7 +268,7 @@ TEST(RtnnApi, CachedGridFollowsAChangedCellCap) {
 
   NeighborSearch reused;
   reused.set_points(points);
-  // PartitionStage caches a coarse grid.
+  // The partition step caches a coarse grid.
   (void)reused.search(std::span<const Vec3>(points).first(2000), coarse);
   NeighborSearch fresh;
   fresh.set_points(points);
@@ -304,7 +304,7 @@ TEST(RtnnApi, UncalibratedModelStillProducesValidPlan) {
 }
 
 TEST(RtnnApi, GridBuildIsChargedToOpt) {
-  // PartitionStage times the megacell grid build into time.opt, not into
+  // The partition step times the megacell grid build into time.opt, not into
   // the call's unattributed remainder. A delay injected into the build
   // is a one-sided bound: time.opt can only exceed it.
   const auto points = testing::make_cloud(CloudKind::kUniform, 3000, 17);

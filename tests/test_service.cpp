@@ -301,35 +301,6 @@ TEST(SearchService, IncompatibleParamsDispatchAsSeparateGroups) {
   }
 }
 
-TEST(SearchService, MaxBinQueriesCapsEveryLaunch) {
-  // Regression: with batch_reorder off, the cap used to be ignored — the
-  // arrival-order dispatcher merged the whole tick into one launch.
-  const std::vector<Vec3> cloud = make_cloud(CloudKind::kUniform, kCloudSize, kSeed);
-  const SearchParams params = knn_params(typical_radius(CloudKind::kUniform));
-  constexpr std::size_t kCap = 24;
-
-  for (const bool reorder : {true, false}) {
-    SCOPED_TRACE(reorder ? "batch_reorder on" : "batch_reorder off");
-    SearchService svc(roomy_tick());
-    CloudConfig config = reorder_config(reorder);
-    config.max_bin_queries = kCap;
-    const CloudHandle handle = svc.register_cloud("cloud", cloud, config);
-
-    // One tick of 6 x 10 rows: 60 rows against a cap of 24.
-    std::vector<SearchService::Ticket> tickets;
-    for (std::size_t i = 0; i < 6; ++i) {
-      tickets.push_back(
-          svc.submit(handle, client_queries(cloud, i * 31, 10, kSeed + i), params));
-    }
-    for (auto& ticket : tickets) {
-      const RequestOutcome outcome = ticket.get();
-      EXPECT_EQ(outcome.result.num_queries(), 10u);
-      EXPECT_LE(outcome.batch_queries, kCap);
-    }
-    EXPECT_GT(svc.stats().batches, 1u);
-  }
-}
-
 TEST(SearchService, PipelineOnlyParamDifferencesShareABin) {
   const std::vector<Vec3> cloud = make_cloud(CloudKind::kUniform, kCloudSize, kSeed);
   SearchService svc(roomy_tick());
