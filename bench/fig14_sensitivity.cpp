@@ -8,12 +8,11 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "baselines/fastrnn.hpp"
-#include "baselines/grid_knn.hpp"
 #include "baselines/grid_search.hpp"
 #include "baselines/octree.hpp"
 #include "bench/bench.hpp"
 #include "bench_util.hpp"
+#include "engine/backends.hpp"
 #include "rtnn/rtnn.hpp"
 
 using namespace rtnn;
@@ -56,7 +55,7 @@ RTNN_BENCH_CASE(fig14, "fig14", "Figure 14 — sensitivity to r and K (Buddha)",
                                    [&] {
                                      baselines::GridRangeSearch grid;
                                      grid.build(points, sweep.r);
-                                     grid.search(points, 16);
+                                     grid.range_search(points, 16);
                                    },
                                    {.work_items = nq});
     ctx.metric(std::string("14a.speedup.octree.") + sweep.label, t_octree / t_rtnn, "x");
@@ -84,20 +83,23 @@ RTNN_BENCH_CASE(fig14, "fig14", "Figure 14 — sensitivity to r and K (Buddha)",
                                    {.work_items = nq});
     const double t_frnn = ctx.time("14b.frnn." + label,
                                    [&] {
-                                     baselines::GridKnn grid;
+                                     baselines::GridRangeSearch grid;
                                      grid.build(points, ds.radius);
-                                     grid.search(points, k);
+                                     grid.knn_search(points, k);
                                    },
                                    {.work_items = nq});
-    // FastRNN probed on 10% of queries and extrapolated.
+    // FastRNN probed on 10% of queries and extrapolated. It keeps the
+    // neighbor ids (the original FastRNN returns neighbor lists).
     const std::size_t probe = std::max<std::size_t>(points.size() / 10, 1000);
     const std::span<const Vec3> probe_queries(points.data(),
                                               std::min(probe, points.size()));
+    SearchParams naive = params;
+    naive.store_indices = true;
     const double t_probe = ctx.time("14b.fastrnn_probe." + label,
                                     [&] {
-                                      baselines::FastRnn fastrnn;
-                                      fastrnn.build(points);
-                                      fastrnn.knn_search(probe_queries, ds.radius, k);
+                                      engine::FastRnnBackend fastrnn;
+                                      fastrnn.set_points(points);
+                                      fastrnn.search(probe_queries, naive, nullptr);
                                     },
                                     {.work_items = static_cast<double>(probe_queries.size())});
     const double t_fast =

@@ -162,7 +162,7 @@ RTNN_BENCH_CASE(micro_core, "micro.core",
     baselines::GridRangeSearch grid;
     grid.build(points, 0.02f);
     const double s = ctx.time("grid_range_query.100k",
-                              [&] { grid.search(points, 16); },
+                              [&] { grid.range_search(points, 16); },
                               {.work_items = static_cast<double>(n)});
     print_row("grid_range_query.100k", n, s);
   }

@@ -46,33 +46,23 @@ NeighborResult BruteForceBackend::search(std::span<const Vec3> queries,
 void GridBackend::set_points(std::span<const Vec3> points) {
   RTNN_CHECK(all_finite(points), "points must be finite (a NaN or infinite coordinate)");
   points_.assign(points.begin(), points.end());
-  range_radius_ = -1.0f;
-  knn_radius_ = -1.0f;
+  radius_ = -1.0f;
 }
 
 NeighborResult GridBackend::search(std::span<const Vec3> queries,
                                    const SearchParams& params, Report* report) {
   check_mode_supported(*this, params);
-  if (params.mode == SearchMode::kRange) {
-    if (range_radius_ != params.radius) {
-      Timer build;
-      range_.build(points_, params.radius);
-      range_radius_ = params.radius;
-      if (report) report->time.bvh += build.elapsed();  // structure build phase
-    }
-    Timer timer;
-    NeighborResult result = range_.search(queries, params.k, params.store_indices);
-    if (report) report->time.search += timer.elapsed();
-    return result;
-  }
-  if (knn_radius_ != params.radius) {
+  if (radius_ != params.radius) {
     Timer build;
-    knn_.build(points_, params.radius);
-    knn_radius_ = params.radius;
-    if (report) report->time.bvh += build.elapsed();
+    grid_.build(points_, params.radius);
+    radius_ = params.radius;
+    if (report) report->time.bvh += build.elapsed();  // structure build phase
   }
   Timer timer;
-  NeighborResult result = knn_.search(queries, params.k, params.store_indices);
+  const bool store = params.store_indices;
+  NeighborResult result = params.mode == SearchMode::kRange
+                              ? grid_.range_search(queries, params.k, store)
+                              : grid_.knn_search(queries, params.k, store);
   if (report) report->time.search += timer.elapsed();
   return result;
 }

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "baselines/brute_force.hpp"
-#include "baselines/grid_knn.hpp"
 #include "baselines/grid_search.hpp"
 #include "baselines/octree.hpp"
 #include "engine/search_backend.hpp"
@@ -34,9 +33,9 @@ class BruteForceBackend final : public SearchBackend {
 };
 
 /// Uniform-grid search ("grid"): cuNSearch-style cell scan for range
-/// queries, FRNN-style expanding shells for KNN. The grid is keyed by the
-/// search radius, so it is rebuilt lazily when the radius (or mode)
-/// changes between calls.
+/// queries, FRNN-style expanding shells for KNN, over one grid. The grid
+/// is keyed by the search radius, so it is rebuilt lazily when the radius
+/// changes between calls (or the points do).
 class GridBackend final : public SearchBackend {
  public:
   std::string_view name() const override { return "grid"; }
@@ -53,10 +52,8 @@ class GridBackend final : public SearchBackend {
 
  private:
   std::vector<Vec3> points_;
-  baselines::GridRangeSearch range_;
-  baselines::GridKnn knn_;
-  float range_radius_ = -1.0f;  // radius the structure was built for
-  float knn_radius_ = -1.0f;
+  baselines::GridRangeSearch grid_;
+  float radius_ = -1.0f;  // radius the grid was built for
 };
 
 /// Octree search ("octree"), the PCL analog. Built once per point set.

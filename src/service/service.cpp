@@ -14,18 +14,21 @@ namespace rtnn::service {
 namespace detail {
 
 /// One published index version of one cloud: `backend` is searched only
-/// by the dispatcher thread, never mutated by writers (they clone the
-/// master instead), so in-flight batches and snapshot publishes never
-/// share mutable state.
+/// by the dispatcher of `generation` (the one current at publish), never
+/// mutated by writers (they clone the master instead), so in-flight
+/// batches, snapshot publishes and a restarted dispatcher never share
+/// mutable state.
 struct Snapshot {
   std::uint64_t version = 0;
+  std::uint64_t generation = 0;
   std::unique_ptr<engine::SearchBackend> backend;
 };
 
 /// Everything one in-flight request carries between submit() and get().
 /// The submitter owns a reference through the Ticket; the dispatcher
-/// fills outcome/error and fires `done`. After the signal the dispatcher
-/// never touches the state again, so the waiter reads without a lock.
+/// fills the outcome and settle() records the error and fires `done`.
+/// After the signal the dispatcher never touches the state again, so the
+/// waiter reads without a lock.
 struct RequestState {
   std::shared_ptr<CloudState> cloud;
   std::vector<Vec3> queries;  // copied at submit: the caller's span may die
@@ -163,9 +166,6 @@ std::optional<RequestOutcome> SearchService::Ticket::try_get() {
 // --- Construction / lifecycle ------------------------------------------------
 
 SearchService::SearchService(const ServiceConfig& config) : config_(config) {
-  RTNN_CHECK(config_.stall_timeout.count() == 0 ||
-                 config_.watchdog_interval.count() > 0,
-             "the watchdog needs a positive sampling interval");
   dispatcher_ = std::thread([this] { dispatch_loop(0); });
   if (config_.stall_timeout.count() > 0) {
     watchdog_ = std::thread([this] { watchdog_loop(); });
@@ -311,7 +311,11 @@ std::vector<std::string> SearchService::list_clouds() const {
 }
 
 CloudHandle SearchService::cloud(const std::string& name) const {
-  return CloudHandle(resolve(name));
+  std::lock_guard<std::mutex> lock(registry_mutex_);
+  for (const CloudPtr& cloud : clouds_) {
+    if (cloud->name == name) return CloudHandle(cloud);
+  }
+  throw Error("unknown cloud: " + name);
 }
 
 std::size_t SearchService::resident_clouds() const {
@@ -328,17 +332,9 @@ SearchService::CloudPtr SearchService::resolve(const CloudHandle& handle) const 
   return handle.state_;
 }
 
-SearchService::CloudPtr SearchService::resolve(std::string_view name) const {
-  std::lock_guard<std::mutex> lock(registry_mutex_);
-  for (const CloudPtr& cloud : clouds_) {
-    if (cloud->name == name) return cloud;
-  }
-  throw Error("unknown cloud: " + std::string(name));
-}
-
 // --- Residency ---------------------------------------------------------------
 
-void SearchService::build_cloud_locked(CloudState& cloud) {
+std::shared_ptr<Snapshot> SearchService::build_cloud_locked(CloudState& cloud) {
   // Injection site for the build/publish step, placed before any state
   // changes hands: a fired fault leaves the cloud exactly as it was
   // (non-resident, old snapshot intact), so the next build just retries.
@@ -356,18 +352,24 @@ void SearchService::build_cloud_locked(CloudState& cloud) {
                                *cloud.config.warmup, &warm_report);
   }
 
-  auto snap = std::make_shared<Snapshot>();
-  snap->version = cloud.version.load();
-  snap->backend = cloud.master->snapshot();
-  {
-    std::lock_guard<std::mutex> lock(cloud.snapshot_mutex);
-    cloud.snapshot = std::move(snap);
-  }
+  std::shared_ptr<Snapshot> snap = publish(cloud, cloud.version.load());
   cloud.resident.store(true);
   charge(cloud, [&](ServiceStats& stats) {
     ++stats.builds;
     stats.report += warm_report;
   });
+  return snap;
+}
+
+std::shared_ptr<Snapshot> SearchService::publish(CloudState& cloud,
+                                                 std::uint64_t version) {
+  auto snap = std::make_shared<Snapshot>();
+  snap->version = version;
+  snap->generation = dispatcher_generation_.load(std::memory_order_acquire);
+  snap->backend = cloud.master->snapshot();
+  std::lock_guard<std::mutex> lock(cloud.snapshot_mutex);
+  cloud.snapshot = snap;
+  return snap;
 }
 
 void SearchService::enforce_residency_cap(const CloudState* keep) {
@@ -405,38 +407,34 @@ void SearchService::enforce_residency_cap(const CloudState* keep) {
   }
 }
 
-std::shared_ptr<Snapshot> SearchService::pin_snapshot(CloudState& cloud) {
-  {
+std::shared_ptr<Snapshot> SearchService::pin_snapshot(CloudState& cloud,
+                                                      std::uint64_t generation) {
+  // The published snapshot, if this dispatcher's generation owns it.
+  const auto owned = [&]() -> std::shared_ptr<Snapshot> {
     std::lock_guard<std::mutex> lock(cloud.snapshot_mutex);
-    if (cloud.snapshot != nullptr) return cloud.snapshot;
-  }
-  // Not resident: build on demand on the dispatcher's thread, then evict
-  // whatever the build pushed past the cap.
+    if (cloud.snapshot == nullptr || cloud.snapshot->generation != generation) {
+      return nullptr;
+    }
+    return cloud.snapshot;
+  };
+  if (std::shared_ptr<Snapshot> snap = owned()) return snap;
+
+  // Not resident, or published under another generation: build on demand
+  // or clone the intact master (copy-on-write accel sharing, no rebuild)
+  // on the dispatcher's thread, then evict whatever that pushed past the
+  // cap. A stale dispatcher gets nothing, before and after the wait: a
+  // snapshot published after the restart belongs to the replacement.
   std::shared_ptr<Snapshot> snap;
   {
     std::lock_guard<std::mutex> lock(cloud.update_mutex);
-    {
-      std::lock_guard<std::mutex> snap_lock(cloud.snapshot_mutex);
-      snap = cloud.snapshot;  // a racing writer may have built already
-    }
-    if (snap == nullptr && cloud.master != nullptr) {
-      // Quarantined by a watchdog restart: the master is intact, so a
-      // fresh clone (copy-on-write accel sharing) republishes without
-      // paying for a rebuild — and without ever touching the backend
-      // scratch the wedged dispatcher may still hold.
-      auto next = std::make_shared<Snapshot>();
-      next->version = cloud.version.load();
-      next->backend = cloud.master->snapshot();
-      std::lock_guard<std::mutex> snap_lock(cloud.snapshot_mutex);
-      cloud.snapshot = next;
-      snap = std::move(next);
-    }
+    if (dispatcher_stale(generation)) return nullptr;
+    snap = owned();  // a racing writer or build may have published already
     if (snap == nullptr) {
-      build_cloud_locked(cloud);
-      std::lock_guard<std::mutex> snap_lock(cloud.snapshot_mutex);
-      snap = cloud.snapshot;
+      snap = cloud.master != nullptr ? publish(cloud, cloud.version.load())
+                                     : build_cloud_locked(cloud);
     }
   }
+  if (dispatcher_stale(generation)) return nullptr;
   try {
     enforce_residency_cap(&cloud);
   } catch (const std::exception&) {
@@ -473,13 +471,9 @@ SearchService::Ticket SearchService::submit_to(const CloudPtr& cloud,
   // A deadline already over is resolved at the door, before admission —
   // a dead request must not consume a token. Counted like shed (a miss,
   // never a served request) since it was never queued.
-  if (state->deadline.has_value() &&
-      std::chrono::steady_clock::now() >= *state->deadline) {
-    state->reason = RejectReason::kDeadline;
-    state->error =
-        "deadline expired before submit on cloud '" + cloud->name + "'";
-    charge(*cloud, [](ServiceStats& stats) { ++stats.deadline_misses; });
-    state->done.signal();
+  if (expired(state)) {
+    settle(state, /*admitted=*/false, RejectReason::kDeadline,
+           "deadline expired before submit on cloud '" + cloud->name + "'");
     return Ticket(std::move(state));
   }
 
@@ -498,11 +492,9 @@ SearchService::Ticket SearchService::submit_to(const CloudPtr& cloud,
     }
   }
   if (refused != nullptr) {
-    state->reason = RejectReason::kAdmission;
-    state->error = "request shed by admission control (" + std::string(refused) +
-                   ") on cloud '" + cloud->name + "'";
-    charge(*cloud, [](ServiceStats& stats) { ++stats.shed; });
-    state->done.signal();
+    settle(state, /*admitted=*/false, RejectReason::kAdmission,
+           "request shed by admission control (" + std::string(refused) +
+               ") on cloud '" + cloud->name + "'");
     return Ticket(std::move(state));
   }
 
@@ -524,21 +516,7 @@ SearchService::Ticket SearchService::submit(const CloudHandle& cloud,
   return submit_to(resolve(cloud), queries, params, options);
 }
 
-SearchService::Ticket SearchService::submit(std::string_view cloud,
-                                            std::span<const Vec3> queries,
-                                            const SearchParams& params,
-                                            const RequestOptions& options) {
-  return submit_to(resolve(cloud), queries, params, options);
-}
-
 RequestOutcome SearchService::query(const CloudHandle& cloud,
-                                    std::span<const Vec3> queries,
-                                    const SearchParams& params,
-                                    const RequestOptions& options) {
-  return submit(cloud, queries, params, options).get();
-}
-
-RequestOutcome SearchService::query(std::string_view cloud,
                                     std::span<const Vec3> queries,
                                     const SearchParams& params,
                                     const RequestOptions& options) {
@@ -607,12 +585,7 @@ void SearchService::update_points(const CloudHandle& cloud,
     // and the version unchanged — readers never see the half-update, and
     // a retried update_points() succeeds cleanly.
     RTNN_FAILPOINT("service.publish");
-
-    auto snap = std::make_shared<Snapshot>();
-    snap->version = state->version.fetch_add(1) + 1;
-    snap->backend = state->master->snapshot();
-    std::lock_guard<std::mutex> snap_lock(state->snapshot_mutex);
-    state->snapshot = std::move(snap);
+    publish(*state, state->version.fetch_add(1) + 1);
   } else {
     // Non-resident (deferred or evicted): the stored points are the
     // whole truth, and the next build publishes this version.
@@ -624,11 +597,6 @@ void SearchService::update_points(const CloudHandle& cloud,
     stats.report += warm_report;  // refit/rebuild increments land here
   });
   state->last_used.store(use_clock_.fetch_add(1) + 1);
-}
-
-void SearchService::update_points(std::string_view cloud,
-                                  std::span<const Vec3> points) {
-  update_points(CloudHandle(resolve(cloud)), points);
 }
 
 // --- Introspection -----------------------------------------------------------
@@ -671,7 +639,8 @@ void SearchService::dispatch_loop(std::uint64_t generation) {
     std::size_t total = 0;
     const auto admit = [&](RequestPtr request) {
       if (expired(request)) {
-        expire_request(request);
+        settle(request, /*admitted=*/true, RejectReason::kDeadline,
+               "deadline expired before launch on cloud '" + request->cloud->name + "'");
         return;
       }
       total += request->queries.size();
@@ -723,47 +692,51 @@ void SearchService::dispatch_loop(std::uint64_t generation) {
         fits->second.push_back(std::move(request));
       }
     }
-    for (const auto& [cloud, group] : by_cloud) {
+    for (std::size_t g = 0; g < by_cloud.size(); ++g) {
+      const auto& [cloud, group] = by_cloud[g];
+      bool pinned = true;
       try {
-        dispatch_cloud(cloud, group);
+        pinned = dispatch_cloud(cloud, group, generation);
       } catch (const std::exception& e) {
         // The dispatcher never dies: whatever a dispatch path threw past
         // its own handlers rejects the group's unserved members, typed.
         fail_requests(group, RejectReason::kBackend, e.what());
+      }
+      if (!pinned) {
+        // Superseded while pinning (inside a demand build or republish):
+        // hand this group and every later one back, as at the tick check.
+        for (; g < by_cloud.size(); ++g) requeue_or_reject(by_cloud[g].second);
+        return;
       }
       beat();
     }
   }
 }
 
-void SearchService::reject(const RequestPtr& request, RejectReason reason,
-                           const std::string& message) {
-  if (request->done.signaled()) return;  // already served or rejected
+void SearchService::settle(const RequestPtr& request, bool admitted,
+                           RejectReason reason, const std::string& error) {
+  if (request->done.signaled()) return;  // served before a catch-all's throw
   request->reason = reason;
-  request->error = message;
+  request->error = error;
+  const bool failed = !error.empty();
+  charge(*request->cloud, [&](ServiceStats& stats) {
+    if (admitted) ++stats.requests;
+    if (failed && reason == RejectReason::kDeadline) ++stats.deadline_misses;
+    if (failed && reason == RejectReason::kAdmission) ++stats.shed;
+  });
+  if (admitted) {
+    request->cloud->pending.fetch_sub(1);
+    pending_requests_.fetch_sub(1);
+  }
+  // Signal last: once `done` fires the waiter may destroy the state.
   request->done.signal();
 }
 
 void SearchService::fail_requests(const std::vector<RequestPtr>& requests,
                                   RejectReason reason, const std::string& message) {
   for (const RequestPtr& request : requests) {
-    if (request->done.signaled()) continue;  // served before the throw
-    request->cloud->pending.fetch_sub(1);
-    pending_requests_.fetch_sub(1);
-    charge(*request->cloud, [](ServiceStats& stats) { ++stats.requests; });
-    reject(request, reason, message);
+    settle(request, /*admitted=*/true, reason, message);
   }
-}
-
-void SearchService::expire_request(const RequestPtr& request) {
-  request->cloud->pending.fetch_sub(1);
-  pending_requests_.fetch_sub(1);
-  charge(*request->cloud, [](ServiceStats& stats) {
-    ++stats.requests;
-    ++stats.deadline_misses;
-  });
-  reject(request, RejectReason::kDeadline,
-         "deadline expired before launch on cloud '" + request->cloud->name + "'");
 }
 
 std::vector<SearchService::RequestPtr> SearchService::drop_expired(
@@ -772,7 +745,8 @@ std::vector<SearchService::RequestPtr> SearchService::drop_expired(
   live.reserve(group.size());
   for (const RequestPtr& request : group) {
     if (expired(request)) {
-      expire_request(request);
+      settle(request, /*admitted=*/true, RejectReason::kDeadline,
+             "deadline expired before launch on cloud '" + request->cloud->name + "'");
     } else {
       live.push_back(request);
     }
@@ -780,37 +754,35 @@ std::vector<SearchService::RequestPtr> SearchService::drop_expired(
   return live;
 }
 
-void SearchService::requeue_or_reject(std::vector<RequestPtr>& batch) {
-  for (RequestPtr& request : batch) {
-    if (request->done.signaled()) continue;
+void SearchService::requeue_or_reject(const std::vector<RequestPtr>& requests) {
+  for (const RequestPtr& request : requests) {
+    // The queue closed while this thread was wedged: resolve the ticket
+    // here, typed — shutdown semantics, never silence.
     if (!queue_.push(request)) {
-      // The queue closed while this thread was wedged: resolve the
-      // ticket here, typed — shutdown semantics, never silence.
-      request->cloud->pending.fetch_sub(1);
-      pending_requests_.fetch_sub(1);
-      charge(*request->cloud, [](ServiceStats& stats) { ++stats.requests; });
-      reject(request, RejectReason::kShutdown, "service is shut down");
+      settle(request, /*admitted=*/true, RejectReason::kShutdown, "service is shut down");
     }
   }
 }
 
-void SearchService::dispatch_cloud(const CloudPtr& cloud,
-                                   const std::vector<RequestPtr>& group) {
+bool SearchService::dispatch_cloud(const CloudPtr& cloud,
+                                   const std::vector<RequestPtr>& group,
+                                   std::uint64_t generation) {
   if (cloud->dropped.load()) {
     // drop_cloud() retired the tenant while these were queued: reject
     // the leftovers instead of serving from a released index.
     fail_requests(group, RejectReason::kShutdown,
                   "cloud '" + cloud->name + "' was dropped");
-    return;
+    return true;
   }
 
   std::shared_ptr<Snapshot> snap;
   try {
-    snap = pin_snapshot(*cloud);  // builds on demand when not resident
+    snap = pin_snapshot(*cloud, generation);  // builds on demand when not resident
   } catch (const std::exception& e) {
     fail_requests(group, RejectReason::kBackend, e.what());
-    return;
+    return true;
   }
+  if (snap == nullptr) return false;  // superseded: the group goes back
   cloud->last_used.store(use_clock_.fetch_add(1) + 1);
 
   // Launch-step injection site, after the pin: a kDelay here holds the
@@ -822,7 +794,7 @@ void SearchService::dispatch_cloud(const CloudPtr& cloud,
   // may have taken longer than some member's budget allowed. Past this
   // point a request is launched, and a launch is never cancelled.
   const std::vector<RequestPtr> live = drop_expired(group);
-  if (live.empty()) return;
+  if (live.empty()) return true;
 
   // One optimizer pass over the cloud's whole tick. With batch_reorder
   // off the bins are the same — one per batch_key() — but keep arrival
@@ -838,7 +810,7 @@ void SearchService::dispatch_cloud(const CloudPtr& cloud,
 
   for (const BatchBin& bin : plan.bins) {
     NeighborSearch::Report report;
-    bool served = false;
+    std::string error;  // empty: the bin served
     try {
       // One launch per homogeneous bin, over its representatives only;
       // the scatter fans representative rows back out to every
@@ -856,23 +828,19 @@ void SearchService::dispatch_cloud(const CloudPtr& cloud,
         outcome.batch_requests = static_cast<std::uint32_t>(bin.request_ids.size());
         outcome.batch_queries = bin.merged_queries;
       }
-      served = true;
     } catch (const std::exception& e) {
       // A rejected bin fails only its own members; the tick's other bins
       // still serve.
-      for (const std::size_t id : bin.request_ids) {
-        live[id]->reason = RejectReason::kBackend;
-        live[id]->error = e.what();
-      }
+      error = e.what();
     }
 
+    const bool served = error.empty();
     charge(*cloud, [&](ServiceStats& stats) {
       ++stats.batches;
-      stats.requests += bin.request_ids.size();
-      // Failed bins count requests (their tickets are signaled) but not
-      // rows: `queries` counts rows served as the clients submitted them
-      // (pre-dedup), so the report's ray counter sees queries -
-      // queries_deduped of them.
+      // Failed bins count requests (settle() counts each as it signals)
+      // but not rows: `queries` counts rows served as the clients
+      // submitted them (pre-dedup), so the report's ray counter sees
+      // queries - queries_deduped of them.
       if (served) stats.queries += bin.merged_queries;
       stats.report += report;
     });
@@ -882,11 +850,8 @@ void SearchService::dispatch_cloud(const CloudPtr& cloud,
       std::lock_guard<std::mutex> lock(cloud->stats_mutex);
       cloud->warm_params = bin.params;
     }
-    // Signal last: once `done` fires the waiter may destroy the state.
     for (const std::size_t id : bin.request_ids) {
-      cloud->pending.fetch_sub(1);
-      pending_requests_.fetch_sub(1);
-      live[id]->done.signal();
+      settle(live[id], /*admitted=*/true, RejectReason::kBackend, error);
     }
     beat();  // heartbeat per launch: a multi-bin tick is alive, not stalled
   }
@@ -895,11 +860,15 @@ void SearchService::dispatch_cloud(const CloudPtr& cloud,
   // time lands in the cloud and service totals, not any single bin's
   // report.
   charge(*cloud, [&](ServiceStats& stats) { stats.report.time.opt += plan.seconds; });
+  return true;
 }
 
 // --- Robustness: watchdog, health -------------------------------------------
 
 void SearchService::watchdog_loop() {
+  // The sampling period (also the health() staleness granularity), in
+  // microseconds so a millisecond timeout never samples in a busy loop.
+  const auto interval = std::chrono::microseconds(config_.stall_timeout) / 4;
   std::uint64_t last_beat = dispatcher_beat_.load();
   // After a restart, detection re-arms only at the replacement's first
   // beat: until the stale thread hands its batch back, the work is
@@ -909,7 +878,7 @@ void SearchService::watchdog_loop() {
   std::optional<std::chrono::steady_clock::time_point> stall_since;
   std::unique_lock<std::mutex> lock(watchdog_mutex_);
   while (!stopped_.load()) {
-    watchdog_cv_.wait_for(lock, config_.watchdog_interval);
+    watchdog_cv_.wait_for(lock, interval);
     if (stopped_.load()) return;
 
     // Stalled = work outstanding AND no heartbeat progress for a full
@@ -943,24 +912,14 @@ void SearchService::watchdog_loop() {
 }
 
 void SearchService::restart_dispatcher() {
-  // Quarantine every published snapshot first: the wedged thread may be
-  // inside a launch holding backend scratch, so the replacement must
-  // never serve from the same backend objects. Masters are untouched —
-  // pin_snapshot() republishes a fresh clone on the next dispatch.
-  std::vector<CloudPtr> clouds;
-  {
-    std::lock_guard<std::mutex> lock(registry_mutex_);
-    clouds = clouds_;
-  }
-  for (const CloudPtr& cloud : clouds) {
-    std::lock_guard<std::mutex> lock(cloud->snapshot_mutex);
-    cloud->snapshot.reset();
-  }
-
   std::lock_guard<std::mutex> lock(dispatcher_mutex_);
   // The generation bump is what retires the old thread: it observes
-  // dispatcher_stale() at its next check, re-enqueues its in-flight
-  // batch, and exits; shutdown() joins it from retired_dispatchers_.
+  // dispatcher_stale() at its next check (the tick, or a pin that has to
+  // build or republish), re-enqueues its unserved requests, and exits;
+  // shutdown() joins it from retired_dispatchers_. The wedged thread may
+  // be inside a launch holding backend scratch, but every snapshot it can
+  // search carries the old generation, so the replacement republishes a
+  // clone from the master before its first search on each cloud.
   const std::uint64_t next =
       dispatcher_generation_.fetch_add(1, std::memory_order_acq_rel) + 1;
   retired_dispatchers_.push_back(std::move(dispatcher_));

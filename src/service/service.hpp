@@ -9,7 +9,7 @@
 //     named cloud with its own backend choice, tiling, optimizer knobs,
 //     and admission policy (CloudConfig); drop_cloud() retires it;
 //     submit()/query()/update_points() address a cloud through the
-//     CloudHandle register_cloud() returned (or by name). Each cloud owns
+//     CloudHandle register_cloud() or cloud(name) returned. Each cloud owns
 //     its writer-side master backend and snapshot chain. Indexes build on
 //     demand at the first request (or eagerly — build_on_register, with
 //     an optional warmup probe), and a max_resident_clouds cap evicts the
@@ -90,7 +90,8 @@
 //
 // Never silent: every admitted ticket is eventually signaled — served,
 // or rejected with one of the reasons above — even across a watchdog
-// dispatcher restart. A served answer is always exact; there are no
+// dispatcher restart, through one exit that signals it once and counts
+// it by this table. A served answer is always exact; there are no
 // partial answers.
 //
 // Robustness layer: every request may carry a deadline (RequestOptions),
@@ -117,10 +118,11 @@
 // (stats(handle)); batch counters sum via Report::operator+=.
 //
 // Threading contract: every public method is safe from any thread.
-// Backend search state is only ever touched by the dispatcher thread
-// (snapshots) and the update path (each cloud's master, under that
-// cloud's writer lock), so the backends themselves need no internal
-// locking. Writers to different clouds never contend.
+// Backend search state is only ever touched by one dispatcher thread
+// (a snapshot, by the dispatcher generation stamped on it at publish)
+// and the update path (each cloud's master, under that cloud's writer
+// lock), so the backends themselves need no internal locking. Writers to
+// different clouds never contend.
 //
 // See README.md ("Serving") for the registry lifecycle, tiled tenants,
 // and the admission semantics, and
@@ -136,7 +138,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -188,19 +189,17 @@ struct ServiceConfig {
 
   // --- Watchdog (self-healing dispatch) ---
 
-  /// A dispatcher with work outstanding whose heartbeat does not advance
-  /// for this long is declared stalled: the watchdog quarantines the
-  /// published snapshots (so the replacement never shares backend scratch
-  /// with the wedged thread), starts a fresh dispatcher, and the stale
-  /// one hands its in-flight requests back to the queue when it wakes —
+  /// A dispatcher with work outstanding whose heartbeat (sampled every
+  /// stall_timeout / 4) does not advance for this long is declared
+  /// stalled: the watchdog starts a fresh dispatcher under the next
+  /// generation (which republishes the snapshots it searches, so it never
+  /// shares backend scratch with the wedged thread), and the stale one
+  /// hands its in-flight requests back to the queue when it wakes —
   /// tickets are always resolved, never abandoned. 0 (the default)
   /// disables the watchdog thread entirely. The timeout must comfortably
   /// exceed the longest legitimate batch: a restart while the old
   /// dispatcher is genuinely inside a launch re-runs that work.
   std::chrono::milliseconds stall_timeout{0};
-  /// How often the watchdog samples the heartbeat (also the health()
-  /// staleness granularity). Only meaningful with stall_timeout > 0.
-  std::chrono::milliseconds watchdog_interval{20};
 };
 
 /// Per-cloud configuration, fixed at register_cloud().
@@ -429,13 +428,9 @@ class SearchService {
   /// dropped.
   Ticket submit(const CloudHandle& cloud, std::span<const Vec3> queries,
                 const SearchParams& params, const RequestOptions& options = {});
-  Ticket submit(std::string_view cloud, std::span<const Vec3> queries,
-                const SearchParams& params, const RequestOptions& options = {});
 
   /// Synchronous convenience: submit() + get().
   RequestOutcome query(const CloudHandle& cloud, std::span<const Vec3> queries,
-                       const SearchParams& params, const RequestOptions& options = {});
-  RequestOutcome query(std::string_view cloud, std::span<const Vec3> queries,
                        const SearchParams& params, const RequestOptions& options = {});
 
   /// Writer path: moves `cloud` to `points` and publishes its next
@@ -449,7 +444,6 @@ class SearchService {
   /// empty update or a non-finite point throws ServiceError(kInvalid)
   /// and leaves the cloud unchanged.
   void update_points(const CloudHandle& cloud, std::span<const Vec3> points);
-  void update_points(std::string_view cloud, std::span<const Vec3> points);
 
   /// Version of the cloud's currently published snapshot.
   std::uint64_t snapshot_version(const CloudHandle& cloud) const;
@@ -475,19 +469,24 @@ class SearchService {
   using CloudPtr = std::shared_ptr<detail::CloudState>;
 
   CloudPtr resolve(const CloudHandle& handle) const;
-  CloudPtr resolve(std::string_view name) const;
   Ticket submit_to(const CloudPtr& cloud, std::span<const Vec3> queries,
                    const SearchParams& params, const RequestOptions& options);
 
-  /// Builds `cloud`'s master + snapshot from its stored points (caller
-  /// must hold the cloud's update mutex), then enforces the residency
-  /// cap. Counted in stats as a build.
-  void build_cloud_locked(detail::CloudState& cloud);
+  /// Builds `cloud`'s master from its stored points and publishes it
+  /// (caller must hold the cloud's update mutex). Counted as a build.
+  std::shared_ptr<detail::Snapshot> build_cloud_locked(detail::CloudState& cloud);
+  /// A snapshot's one entrance: swaps in a clone of `cloud`'s master
+  /// stamped with `version` and the current dispatcher generation
+  /// (caller must hold the cloud's update mutex).
+  std::shared_ptr<detail::Snapshot> publish(detail::CloudState& cloud,
+                                            std::uint64_t version);
   /// Evicts least-recently-used resident clouds (other than `keep`)
   /// until the cap holds.
   void enforce_residency_cap(const detail::CloudState* keep);
-  /// The cloud's current snapshot, building on demand if not resident.
-  std::shared_ptr<detail::Snapshot> pin_snapshot(detail::CloudState& cloud);
+  /// The published snapshot if it carries `generation`, else a fresh
+  /// clone or a demand build; null once that dispatcher is stale.
+  std::shared_ptr<detail::Snapshot> pin_snapshot(detail::CloudState& cloud,
+                                                 std::uint64_t generation);
 
   /// The one stats rule: `update(ServiceStats&)` lands in `cloud`'s
   /// totals, then in the service-wide totals — each under its own stats
@@ -497,31 +496,30 @@ class SearchService {
 
   void dispatch_loop(std::uint64_t generation);
   /// Serves one cloud's share of a tick: one optimizer pass over its
-  /// requests, one launch per bin.
-  void dispatch_cloud(const CloudPtr& cloud, const std::vector<RequestPtr>& group);
-  void reject(const RequestPtr& request, RejectReason reason,
-              const std::string& message);
-  /// Rejects every not-yet-signaled member of `requests` (any mix of
-  /// clouds), settling their pending counts and stats — the dispatcher's
-  /// catch-all, so a throwing dispatch path never kills the thread or
-  /// abandons a ticket.
+  /// requests, one launch per bin. False (group untouched) once stale.
+  bool dispatch_cloud(const CloudPtr& cloud, const std::vector<RequestPtr>& group,
+                      std::uint64_t generation);
+  /// A ticket's one exit and only signal: records `error` (empty =
+  /// served), counts the request by the error table — `admitted` in
+  /// `requests` and out of both pending gauges, a door refusal in `shed`,
+  /// either in `deadline_misses` under kDeadline — and signals it once.
+  void settle(const RequestPtr& request, bool admitted, RejectReason reason,
+              const std::string& error);
+  /// Settles each unsignaled request as a failure — the catch-all, so a
+  /// throwing dispatch path never kills the thread or abandons a ticket.
   void fail_requests(const std::vector<RequestPtr>& requests, RejectReason reason,
                      const std::string& message);
-  /// Resolves one queued request as a deadline miss (typed kDeadline,
-  /// counted in requests + deadline_misses).
-  void expire_request(const RequestPtr& request);
-  /// Drops `group` members whose deadline is over (typed kDeadline,
-  /// counted as misses); returns the survivors in arrival order.
+  /// Settles `group` members whose deadline is over (kDeadline); returns
+  /// the survivors in arrival order.
   std::vector<RequestPtr> drop_expired(const std::vector<RequestPtr>& group);
 
   // --- Watchdog (self-healing dispatch) ---
   void watchdog_loop();
-  /// Declares the current dispatcher stalled: quarantines published
-  /// snapshots, bumps the generation (the stale thread re-enqueues its
-  /// in-flight batch when it wakes), and starts a replacement.
+  /// Declares the current dispatcher stalled: bumps the generation (the
+  /// stale one hands its batch back at its next check), starts a new one.
   void restart_dispatcher();
-  /// A stale dispatcher hands its popped-but-unserved requests back.
-  void requeue_or_reject(std::vector<RequestPtr>& batch);
+  /// A stale dispatcher hands its unsettled requests back (or settles them).
+  void requeue_or_reject(const std::vector<RequestPtr>& requests);
   bool dispatcher_stale(std::uint64_t generation) const {
     return dispatcher_generation_.load(std::memory_order_acquire) != generation;
   }

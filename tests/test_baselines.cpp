@@ -3,7 +3,6 @@
 #include <tuple>
 
 #include "baselines/brute_force.hpp"
-#include "baselines/grid_knn.hpp"
 #include "baselines/grid_search.hpp"
 #include "baselines/octree.hpp"
 #include "core/rng.hpp"
@@ -45,7 +44,7 @@ TEST_P(BaselineCorrectness, GridRangeMatchesBruteForceCounts) {
   const auto expected = brute_force_range(points_, queries_, radius_, k_);
   GridRangeSearch grid;
   grid.build(points_, radius_);
-  const auto got = grid.search(queries_, k_);
+  const auto got = grid.range_search(queries_, k_);
   testing::expect_counts_equal(got, expected, "grid-range");
   testing::expect_all_within_radius(points_, queries_, got, radius_, "grid-range");
 }
@@ -61,15 +60,15 @@ TEST_P(BaselineCorrectness, GridRangeExactSetsWhenUnsaturated) {
   if (saturated) GTEST_SKIP() << "radius too large for exact-set comparison";
   GridRangeSearch grid;
   grid.build(points_, radius_);
-  const auto got = grid.search(queries_, big_k);
+  const auto got = grid.range_search(queries_, big_k);
   testing::expect_same_neighbor_sets(got, expected, "grid-range-sets");
 }
 
 TEST_P(BaselineCorrectness, GridKnnMatchesBruteForce) {
   const auto expected = brute_force_knn(points_, queries_, radius_, k_);
-  GridKnn grid;
+  GridRangeSearch grid;
   grid.build(points_, radius_);
-  const auto got = grid.search(queries_, k_);
+  const auto got = grid.knn_search(queries_, k_);
   testing::expect_knn_identical(got, expected, "grid-knn");
 }
 
@@ -120,7 +119,7 @@ TEST(BaselineEdgeCases, SinglePointCloud) {
   const std::vector<Vec3> queries{{0.5f, 0.5f, 0.5f}, {10.0f, 0.0f, 0.0f}};
   GridRangeSearch grid;
   grid.build(points, 0.1f);
-  const auto got = grid.search(queries, 4);
+  const auto got = grid.range_search(queries, 4);
   EXPECT_EQ(got.count(0), 1u);
   EXPECT_EQ(got.count(1), 0u);
 
@@ -135,14 +134,10 @@ TEST(BaselineEdgeCases, QueryOnDuplicatePoints) {
   // 50 coincident points: range must cap at K, KNN must return exactly K.
   std::vector<Vec3> points(50, Vec3{0.3f, 0.3f, 0.3f});
   const std::vector<Vec3> queries{{0.3f, 0.3f, 0.3f}};
-  GridKnn grid;
+  GridRangeSearch grid;
   grid.build(points, 0.1f);
-  const auto knn = grid.search(queries, 8);
-  EXPECT_EQ(knn.count(0), 8u);
-
-  GridRangeSearch range;
-  range.build(points, 0.1f);
-  EXPECT_EQ(range.search(queries, 8).count(0), 8u);
+  EXPECT_EQ(grid.knn_search(queries, 8).count(0), 8u);
+  EXPECT_EQ(grid.range_search(queries, 8).count(0), 8u);
 }
 
 TEST(BaselineEdgeCases, KnnRadiusBoundExcludesFarPoints) {
@@ -156,9 +151,9 @@ TEST(BaselineEdgeCases, KnnRadiusBoundExcludesFarPoints) {
   ASSERT_EQ(knn.count(0), 1u);
   EXPECT_EQ(knn.neighbors(0)[0], 0u);
 
-  GridKnn grid;
+  GridRangeSearch grid;
   grid.build(points, 1.5f);
-  const auto grid_knn = grid.search(queries, 2);
+  const auto grid_knn = grid.knn_search(queries, 2);
   ASSERT_EQ(grid_knn.count(0), 1u);
   EXPECT_EQ(grid_knn.neighbors(0)[0], 0u);
 }
@@ -177,15 +172,12 @@ TEST(BaselineEdgeCases, GridsMatchBruteForceWithOneFarOutlier) {
   queries.push_back(points[1234]);
   constexpr float kRadius = 0.05f;
 
-  GridRangeSearch range;
-  range.build(points, kRadius);
+  GridRangeSearch grid;
+  grid.build(points, kRadius);
   const auto want_range = brute_force_range(points, queries, kRadius, 64);
-  const auto got_range = range.search(queries, 64);
+  const auto got_range = grid.range_search(queries, 64);
   testing::expect_same_neighbor_sets(got_range, want_range, "grid range");
-
-  GridKnn knn;
-  knn.build(points, kRadius);
-  testing::expect_knn_identical(knn.search(queries, 8),
+  testing::expect_knn_identical(grid.knn_search(queries, 8),
                                 brute_force_knn(points, queries, kRadius, 8), "grid knn");
 }
 

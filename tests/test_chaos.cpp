@@ -62,6 +62,17 @@ NeighborResult brute_force_knn(const std::vector<Vec3>& points,
   return reference->search(queries, knn_params(), nullptr);
 }
 
+/// Bounded poll: true once `done()` holds, false after 5 s.
+template <typename Done>
+bool eventually(const Done& done) {
+  const auto until = std::chrono::steady_clock::now() + 5s;
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= until) return false;
+    std::this_thread::sleep_for(1ms);
+  }
+  return true;
+}
+
 class ChaosTest : public ::testing::Test {
  protected:
   void TearDown() override { FailpointRegistry::instance().disarm_all(); }
@@ -218,6 +229,30 @@ TEST_F(ChaosTest, LaunchFaultInOneCloudGroupLeavesTheTicksOtherGroupsServing) {
   EXPECT_EQ(service.stats(solid).queries, queries_.size());
 }
 
+TEST_F(ChaosTest, DroppedCloudSettlesItsQueuedRequestAsShutdown) {
+  ServiceConfig service_config;
+  service_config.max_delay = 250ms;  // the request waits in the tick for the drop
+  SearchService service(service_config);
+  CloudHandle cloud = service.register_cloud("doomed", points_, {});
+  SearchService::Ticket ticket = service.submit(cloud, queries_, knn_params());
+  service.drop_cloud("doomed");
+  try {
+    (void)ticket.get();
+    FAIL() << "expected ServiceError";
+  } catch (const ServiceError& e) {
+    EXPECT_EQ(e.reason(), RejectReason::kShutdown);
+  }
+  // Admitted, so counted as a request — per cloud (the handle still reads
+  // the dropped tenant's totals) and service-wide; no rows, no miss.
+  const ServiceStats stats = service.stats(cloud);
+  EXPECT_EQ(stats.requests, 1u);
+  EXPECT_EQ(stats.queries, 0u);
+  EXPECT_EQ(stats.deadline_misses, 0u);
+  EXPECT_EQ(stats.shed, 0u);
+  EXPECT_EQ(service.stats().requests, 1u);
+  EXPECT_EQ(service.health().pending_requests, 0u);
+}
+
 // --- Deadlines ---------------------------------------------------------------
 
 TEST_F(ChaosTest, DeadlineAlreadyOverResolvesAtTheDoor) {
@@ -250,6 +285,9 @@ TEST_F(ChaosTest, DeadlineExpiringInTheQueueIsDroppedBeforeLaunch) {
   ScopedFailpoint fp("service.dispatch.tick", config);
 
   SearchService::Ticket a = service.submit(cloud, queries_, knn_params());
+  // B arrives once A's tick is wedged, so it waits in the queue past its
+  // budget and the queue gate drops it as it is popped.
+  ASSERT_TRUE(eventually([&] { return fp.fires() == 1; }));
   SearchService::Ticket b = service.submit(cloud, queries_, knn_params(),
                                            RequestOptions::within(30ms));
   EXPECT_NO_THROW((void)a.get());
@@ -287,7 +325,10 @@ TEST_F(ChaosTest, DeadlineExpiringAtThePreLaunchGateIsDropped) {
   } catch (const ServiceError& e) {
     EXPECT_EQ(e.reason(), RejectReason::kDeadline);
   }
-  EXPECT_EQ(service.stats(cloud).deadline_misses, 1u);
+  const ServiceStats stats = service.stats(cloud);
+  EXPECT_EQ(stats.deadline_misses, 1u);
+  EXPECT_EQ(stats.requests, 2u);  // a pre-launch miss was admitted: a request
+  EXPECT_EQ(service.health().pending_requests, 0u);
 }
 
 TEST_F(ChaosTest, GenerousDeadlineServesNormally) {
@@ -323,7 +364,6 @@ namespace {
 ServiceConfig watched_config(std::chrono::milliseconds stall_timeout = 60ms) {
   ServiceConfig config;
   config.stall_timeout = stall_timeout;
-  config.watchdog_interval = 15ms;
   return config;
 }
 
@@ -397,7 +437,7 @@ TEST_F(ChaosTest, WatchdogLeavesHealthyTrafficAlone) {
   EXPECT_EQ(service.health().dispatcher_restarts, 0u);
 }
 
-TEST_F(ChaosTest, RestartQuarantinesSnapshotsAndServesCorrectAnswers) {
+TEST_F(ChaosTest, RestartStampsAFreshSnapshotAndServesCorrectAnswers) {
   SearchService service(watched_config());
   CloudHandle cloud = service.register_cloud("chaos", points_, {});
   const RequestOutcome before = service.query(cloud, queries_, knn_params());
@@ -411,13 +451,73 @@ TEST_F(ChaosTest, RestartQuarantinesSnapshotsAndServesCorrectAnswers) {
   const RequestOutcome after = stalled.get();
   ASSERT_GE(service.health().dispatcher_restarts, 1u);
 
-  // The republished (post-quarantine) snapshot answers identically.
+  // The snapshot republished under the replacement's generation answers
+  // identically.
   ASSERT_EQ(after.result.num_queries(), before.result.num_queries());
   for (std::size_t q = 0; q < after.result.num_queries(); ++q) {
     EXPECT_EQ(after.result.count(q), before.result.count(q)) << q;
   }
   // And a fresh request on the healed service too.
   EXPECT_NO_THROW((void)service.query(cloud, queries_, knn_params()));
+}
+
+TEST_F(ChaosTest, RestartInsideADemandBuildNeverSharesTheBuiltSnapshot) {
+  // The first dispatcher wedges inside a lazily registered cloud's demand
+  // build; the watchdog replaces it, and the replacement's request waits
+  // on the same build. The snapshot that build publishes belongs to one
+  // dispatcher generation only, so the two never search one backend, and
+  // both requests serve exact rows.
+  const std::vector<Vec3> points = make_cloud(CloudKind::kUniform, 20'000, kSeed);
+  const std::vector<Vec3> queries(points.begin(), points.begin() + 2'000);
+  SearchService service(watched_config(/*stall_timeout=*/40ms));
+  CloudConfig lazy;
+  lazy.build_on_register = false;
+  CloudHandle cloud = service.register_cloud("lazy", points, lazy);
+
+  FailConfig config;
+  config.action = Action::kDelay;
+  config.delay = 300ms;
+  config.max_fires = 1;
+  ScopedFailpoint fp("service.publish", config);
+  SearchService::Ticket first = service.submit(cloud, queries, knn_params());
+  ASSERT_TRUE(eventually([&] { return service.health().dispatcher_restarts >= 1; }));
+  SearchService::Ticket second = service.submit(cloud, queries, knn_params());
+
+  const NeighborResult expected = brute_force_knn(points, queries);
+  rtnn::testing::expect_knn_identical(first.get().result, expected, "wedged dispatcher");
+  rtnn::testing::expect_knn_identical(second.get().result, expected, "replacement");
+  EXPECT_EQ(fp.fires(), 1u);
+  EXPECT_EQ(service.health().pending_requests, 0u);
+}
+
+TEST_F(ChaosTest, ShutdownWhileAStaleDispatcherHoldsTheBatchSettlesItAsShutdown) {
+  SearchService service(watched_config(/*stall_timeout=*/40ms));
+  CloudHandle cloud = service.register_cloud("chaos", points_, {});
+  FailConfig config;
+  config.action = Action::kDelay;
+  config.delay = 400ms;
+  config.max_fires = 1;
+  ScopedFailpoint fp("service.dispatch.tick", config);
+
+  SearchService::Ticket ticket = service.submit(cloud, queries_, knn_params());
+  ASSERT_TRUE(eventually([&] { return service.health().dispatcher_restarts >= 1; }));
+  // The replacement is idle and the stale dispatcher still holds the
+  // batch: shutdown closes the queue, so its hand-back is refused and the
+  // ticket settles as kShutdown when it wakes.
+  service.shutdown();
+  ASSERT_TRUE(ticket.ready());
+  try {
+    (void)ticket.get();
+    FAIL() << "expected ServiceError";
+  } catch (const ServiceError& e) {
+    EXPECT_EQ(e.reason(), RejectReason::kShutdown);
+  }
+  const ServiceStats stats = service.stats(cloud);
+  EXPECT_EQ(stats.requests, 1u);  // admitted: counted, though never served
+  EXPECT_EQ(stats.queries, 0u);
+  EXPECT_EQ(stats.deadline_misses, 0u);
+  EXPECT_EQ(stats.shed, 0u);
+  EXPECT_EQ(service.health().pending_requests, 0u);
 }
 
 TEST_F(ChaosTest, HealthSnapshotOnAQuietService) {

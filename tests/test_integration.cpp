@@ -7,11 +7,10 @@
 #include <numeric>
 
 #include "baselines/brute_force.hpp"
-#include "baselines/fastrnn.hpp"
-#include "baselines/grid_knn.hpp"
 #include "baselines/grid_search.hpp"
 #include "baselines/octree.hpp"
 #include "datasets/point_cloud.hpp"
+#include "engine/backends.hpp"
 #include "optix/optix.hpp"
 #include "rtnn/pipelines.hpp"
 #include "rtnn/rtnn.hpp"
@@ -44,22 +43,23 @@ class FullSystem : public ::testing::TestWithParam<CloudKind> {
 TEST_P(FullSystem, AllKnnImplementationsAgree) {
   const auto expected = baselines::brute_force_knn(points_, queries_, radius_, k_);
 
-  baselines::GridKnn grid;
+  baselines::GridRangeSearch grid;
   grid.build(points_, radius_);
-  testing::expect_knn_identical(grid.search(queries_, k_), expected, "grid");
+  testing::expect_knn_identical(grid.knn_search(queries_, k_), expected, "grid");
 
   baselines::Octree octree;
   octree.build(points_);
   testing::expect_knn_identical(octree.knn_search(queries_, radius_, k_), expected, "octree");
 
-  baselines::FastRnn fastrnn;
-  fastrnn.build(points_);
-  testing::expect_knn_identical(fastrnn.knn_search(queries_, radius_, k_), expected, "fastrnn");
-
   SearchParams params;
   params.mode = SearchMode::kKnn;
   params.radius = radius_;
   params.k = k_;
+  engine::FastRnnBackend fastrnn;
+  fastrnn.set_points(points_);
+  testing::expect_knn_identical(fastrnn.search(queries_, params, nullptr), expected,
+                                "fastrnn");
+
   NeighborSearch rtnn_search;
   rtnn_search.set_points(points_);
   testing::expect_knn_identical(rtnn_search.search(queries_, params), expected, "rtnn");
@@ -70,7 +70,7 @@ TEST_P(FullSystem, AllRangeImplementationsAgreeOnCounts) {
 
   baselines::GridRangeSearch grid;
   grid.build(points_, radius_);
-  testing::expect_counts_equal(grid.search(queries_, k_), expected, "grid");
+  testing::expect_counts_equal(grid.range_search(queries_, k_), expected, "grid");
 
   baselines::Octree octree;
   octree.build(points_);

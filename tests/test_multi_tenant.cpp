@@ -111,9 +111,10 @@ TEST(CloudRegistry, RegisterListQueryDrop) {
   rtnn::testing::expect_knn_identical(service.query(ph, queries, params).result,
                                       expected_knn(park, queries, params), "park");
 
-  // Name-addressed overloads hit the same clouds as the handles.
-  rtnn::testing::expect_knn_identical(service.query("park", queries, params).result,
-                                      expected_knn(park, queries, params), "park by name");
+  // A handle looked up by name hits the same cloud as the registered one.
+  rtnn::testing::expect_knn_identical(
+      service.query(service.cloud("park"), queries, params).result,
+      expected_knn(park, queries, params), "park by name");
   EXPECT_EQ(service.cloud("city").name(), "city");
 
   service.drop_cloud("park");

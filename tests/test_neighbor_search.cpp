@@ -8,10 +8,10 @@
 #include <tuple>
 
 #include "baselines/brute_force.hpp"
-#include "baselines/fastrnn.hpp"
 #include "core/failpoint.hpp"
 #include "core/rng.hpp"
 #include "datasets/point_cloud.hpp"
+#include "engine/backends.hpp"
 #include "rtnn/stages.hpp"
 #include "test_util.hpp"
 
@@ -241,12 +241,15 @@ TEST(RtnnApi, FreeFunctionWrapper) {
 TEST(RtnnApi, FastRnnBaselineMatchesBruteForce) {
   const auto points = testing::make_cloud(CloudKind::kUniform, 3000, 11);
   const auto queries = data::jittered_queries(points, 200, 0.01f, 12);
-  const float radius = 0.08f;
-  const std::uint32_t k = 8;
-  baselines::FastRnn fastrnn;
-  fastrnn.build(points);
-  const auto got = fastrnn.knn_search(queries, radius, k);
-  const auto expected = baselines::brute_force_knn(points, queries, radius, k);
+  SearchParams params;
+  params.mode = SearchMode::kKnn;
+  params.radius = 0.08f;
+  params.k = 8;
+  engine::FastRnnBackend fastrnn;
+  fastrnn.set_points(points);
+  const auto got = fastrnn.search(queries, params, nullptr);
+  const auto expected =
+      baselines::brute_force_knn(points, queries, params.radius, params.k);
   testing::expect_knn_identical(got, expected, "fastrnn");
 }
 
