@@ -102,7 +102,9 @@
 // dispatcher tick and per-cloud launch ("service.dispatch.tick",
 // "service.dispatch.launch") so every one of these recovery paths is
 // testable on demand (tests/test_chaos.cpp). A fault at the launch site
-// fails only its own cloud's group of the tick.
+// fails only its own cloud's group of the tick. A restart bumps the
+// dispatcher generation, and a dispatcher searches only snapshots stamped
+// with its own, so it never shares a backend with a wedged predecessor.
 //
 //   SearchService service;
 //   CloudHandle city = service.register_cloud("city", city_points, {});
@@ -118,11 +120,10 @@
 // (stats(handle)); batch counters sum via Report::operator+=.
 //
 // Threading contract: every public method is safe from any thread.
-// Backend search state is only ever touched by one dispatcher thread
-// (a snapshot, by the dispatcher generation stamped on it at publish)
-// and the update path (each cloud's master, under that cloud's writer
-// lock), so the backends themselves need no internal locking. Writers to
-// different clouds never contend.
+// Backend search state is only ever touched by one dispatcher thread (a
+// snapshot, by the generation it carries) and the update path (each
+// cloud's master, under its writer lock), so the backends need no
+// internal locking. Writers to different clouds never contend.
 //
 // See README.md ("Serving") for the registry lifecycle, tiled tenants,
 // and the admission semantics, and
