@@ -1,12 +1,12 @@
 // Shared dataset infrastructure for the figure-reproduction cases.
 //
 // Every case in bench/ regenerates one figure of the paper's evaluation
-// (see DESIGN.md section 4 for the index) and registers itself with the
+// (`rtnn_bench --list` prints the index) and registers itself with the
 // BenchRegistry (src/bench/); the rtnn_bench CLI runs them. Datasets are
-// the synthetic stand-ins of DESIGN.md section 2, sized by the runner's
-// scale option (default 0.02 — i.e. KITTI-25M becomes 500k points) so the
-// whole suite runs in minutes on a CPU; the paper's *shapes* are
-// preserved, absolute numbers are not (different substrate).
+// the synthetic stand-ins of src/datasets/ (paper_dataset below), sized
+// by the runner's scale option (default 0.02 — i.e. KITTI-25M becomes
+// 500k points) so the whole suite runs in minutes on a CPU; the paper's
+// *shapes* are preserved, absolute numbers are not (different substrate).
 //
 // Timing and console headers live in the runner (src/bench/runner.hpp):
 // cases measure through CaseContext's min-of-N API, never single shots.

@@ -42,8 +42,8 @@ namespace {
 
 constexpr std::uint32_t kFrameK = 8;
 
-/// KNN frame search over one persistent monolithic index (the
-/// dynamic-session configuration): radius sized for ~2K expected
+/// KNN frame search over one kept monolithic index (the frame-loop
+/// configuration): radius sized for ~2K expected
 /// neighbors in the unit cube at population n.
 SearchParams frame_params(std::size_t n) {
   SearchParams params;
@@ -102,8 +102,8 @@ RTNN_BENCH_CASE(dynamic_frame, "dynamic.frame",
     drift.velocity = 0.1f * params.radius;
     drift.seed = bench::mix_seed(ctx.seed(), 39);
 
-    // One motion stream and one session/searcher per measured timing, so
-    // every sample is a fresh frame absorbed by the path under test.
+    // One motion stream and one searcher per path and timing, so every
+    // sample is a fresh frame absorbed by the path under test.
     enum class Load { kIndex, kTrack, kSelf };
     struct FrameTiming {
       const char* name;
@@ -112,20 +112,22 @@ RTNN_BENCH_CASE(dynamic_frame, "dynamic.frame",
     for (const FrameTiming timing : {FrameTiming{"frame_step", Load::kIndex},
                                      FrameTiming{"track", Load::kTrack},
                                      FrameTiming{"selfknn", Load::kSelf}}) {
-      // Refit lifecycle path.
-      DynamicSearchSession session(params);
-      data::DriftMotion session_motion(cloud, drift);
-      (void)session.step(session_motion.points());  // frame 0: build, untimed
+      // Refit lifecycle path: moves, then searches, one kept index.
+      NeighborSearch lifecycle;
+      data::DriftMotion lifecycle_motion(cloud, drift);
+      lifecycle.set_points(lifecycle_motion.points());
+      (void)lifecycle.search(lifecycle_motion.points(), params);  // frame 0: build, untimed
       NeighborSearch::Report last_report;
       const double refit_s = ctx.sample(
           std::string(timing.name) + ".refit." + label,
           [&] {
-            const data::PointCloud& frame = session_motion.step();  // untimed
+            const data::PointCloud& frame = lifecycle_motion.step();  // untimed
             Timer timer;
+            lifecycle.update_points(frame);
             if (timing.load == Load::kSelf) {
-              (void)session.step(frame, &last_report);
+              (void)lifecycle.search(frame, params, &last_report);
             } else {
-              (void)session.step(frame, tracked_queries(frame), &last_report);
+              (void)lifecycle.search(tracked_queries(frame), params, &last_report);
             }
             return timing.load == Load::kIndex
                        ? last_report.time.bvh + last_report.time.refit
@@ -215,7 +217,6 @@ RTNN_BENCH_CASE(dynamic_tiled, "dynamic.tiled",
   for (const Path path : {Path{"tiled", true}, Path{"mono", false}}) {
     NeighborSearch search;
     if (path.tiled) search.set_tiling(tiling);
-    search.set_index_persistence(true);
     search.set_points(street);
     data::PointCloud frame = street;
     Pcg32 rng(bench::mix_seed(ctx.seed(), 83));
@@ -293,7 +294,7 @@ RTNN_BENCH_CASE(dynamic_policy, "dynamic.policy",
   params.radius = 0.5f;  // ~K neighbors at this density
   params.opts = OptimizationFlags::none();
 
-  DynamicSearchSession session(params);
+  NeighborSearch search;
   std::uint32_t refits = 0;
   std::uint32_t rebuilds = 0;
   double max_inflation = 1.0;
@@ -303,7 +304,12 @@ RTNN_BENCH_CASE(dynamic_policy, "dynamic.policy",
     const data::PointCloud frame = sweep.frame(t);
     NeighborSearch::Report report;
     Timer timer;
-    (void)session.step(frame, tracked_queries(frame), &report);
+    if (t == 0) {
+      search.set_points(frame);
+    } else {
+      search.update_points(frame);  // every sweep has the same point count
+    }
+    (void)search.search(tracked_queries(frame), params, &report);
     const double seconds = timer.elapsed();
     refits += report.accel_refits;
     rebuilds += report.accel_rebuilds;

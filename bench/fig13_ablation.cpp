@@ -15,7 +15,8 @@
 //
 // Each ablation point is one OptimizationFlags value run through
 // NeighborSearch::search(); the Oracle's plans run through
-// search_with_plan().
+// search_with_plan(). Every timed call is cold: it re-uploads the points,
+// which drops the accel (and grid) the previous call kept.
 #include <algorithm>
 #include <cstdio>
 #include <numeric>
@@ -45,7 +46,11 @@ double run_config(bench::CaseContext& ctx, const std::string& name,
                   SearchMode mode, const OptimizationFlags& opts) {
   SearchParams params = ablation_params(ds, mode);
   params.opts = opts;
-  return ctx.time(name, [&] { search.search(ds.points, params); },
+  return ctx.time(name,
+                  [&] {
+                    search.set_points(ds.points);
+                    search.search(ds.points, params);
+                  },
                   {.work_items = static_cast<double>(ds.points.size())});
 }
 
@@ -54,7 +59,10 @@ double run_oracle(NeighborSearch& search, const bench::BenchDataset& ds,
   SearchParams params = ablation_params(ds, mode);
   // Candidate 1: no partitioning at all.
   params.opts = OptimizationFlags::scheduling_only();
-  double best = bench::time_call([&] { search.search(ds.points, params); });
+  double best = bench::time_call([&] {
+    search.set_points(ds.points);
+    search.search(ds.points, params);
+  });
   // Candidates 2..: every theorem-family plan, executed for real.
   std::vector<std::uint32_t> order(ds.points.size());
   std::iota(order.begin(), order.end(), 0u);
@@ -65,8 +73,10 @@ double run_oracle(NeighborSearch& search, const bench::BenchDataset& ds,
   const std::size_t step = std::max<std::size_t>(1, m / max_plans);
   for (std::size_t mo = 1; mo <= m; mo += step) {
     const BundlePlan plan = theorem_plan(parts, mo, params);
-    const double t = bench::time_call(
-        [&] { search.search_with_plan(ds.points, params, parts, plan); });
+    const double t = bench::time_call([&] {
+      search.set_points(ds.points);
+      search.search_with_plan(ds.points, params, parts, plan);
+    });
     best = std::min(best, t);
   }
   return best;
@@ -87,7 +97,6 @@ RTNN_BENCH_CASE(fig13, "fig13",
     // has headroom).
     ds.radius = bench::paper_radius(name, ds);
     NeighborSearch search;
-    search.set_points(ds.points);
     std::printf("\n--- %s ---\n", name);
     std::printf("%-8s %10s %10s %12s %14s %10s\n", "mode", "NoOpt[s]", "Sched[s]",
                 "+Part[s]", "+Bundle[s]", "Oracle[s]");

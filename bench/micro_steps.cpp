@@ -4,8 +4,8 @@
 //         magnitude slower in our experiments."
 //   §3.1 short rays eliminate the false-positive IS calls of long rays
 //         (Figure 4c).
-//   plus two substrate ablations DESIGN.md calls out: warp-lockstep vs
-//   independent traversal overhead, and BVH leaf size.
+//   plus two substrate ablations: warp-lockstep vs independent traversal
+//   overhead, and BVH leaf size.
 #include <algorithm>
 #include <cstdio>
 

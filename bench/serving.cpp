@@ -12,8 +12,8 @@
 //                request sizes (16/64/256 queries). `batched.100k` drives
 //                the service (one coalesced launch per bin per
 //                tick); `sequential.100k` is the pre-service behavior —
-//                a per-request NeighborSearch::search() loop, paying the
-//                per-call accel build every time.
+//                a per-request NeighborSearch::search() loop over one
+//                kept accel, one launch per request.
 //   open_loop    one client submitting at a fixed arrival rate while a
 //                collector drains tickets: per-request latency
 //                percentiles (p50/p90/p99) under batching delay.
@@ -80,7 +80,7 @@ void emit_stage_metrics(rtnn::bench::CaseContext& ctx, const std::string& prefix
 RTNN_BENCH_CASE(serving_closed_loop, "serving.closed_loop.100k",
                 "Serving closed loop — batched submit vs per-request search()",
                 "coalescing in-flight requests into one launch per tick "
-                "amortizes the per-call index build and pipeline overhead",
+                "amortizes the per-call launch and pipeline overhead",
                 "absolute 100k points; client count = --threads") {
   const int clients = std::max(1, num_threads());
   const data::PointCloud cloud = data::uniform_box(
@@ -112,7 +112,7 @@ RTNN_BENCH_CASE(serving_closed_loop, "serving.closed_loop.100k",
   const service::ServiceStats stats = service.stats();
 
   // The pre-service behavior: the same request stream, one search() per
-  // request. One searcher, static-path semantics: every call rebuilds.
+  // request. One searcher: the first call builds, the rest reuse its accel.
   NeighborSearch sequential;
   sequential.set_points(cloud);
   const double sequential_s = ctx.time(

@@ -4,11 +4,11 @@
 // which uses cuNSearch) call a fixed-radius neighbor search every timestep
 // to evaluate kernel sums. This example runs a miniature dam-break:
 // a block of fluid particles under gravity with a weakly-compressible
-// equation of state, stepping a DynamicSearchSession for the per-timestep
-// neighbor lists. Particle motion per step is tiny relative to the kernel
-// support, so the session's index lifecycle refits the acceleration
-// structure in place frame over frame instead of rebuilding it — the
-// report printed at the end shows the build/refit split.
+// equation of state, moving the particles in one NeighborSearch
+// (update_points) for the per-timestep neighbor lists. Particle motion per
+// step is tiny relative to the kernel support, so the search refits its
+// acceleration structure in place frame over frame instead of rebuilding
+// it — the report printed at the end shows the build/refit split.
 //
 //   ./sph_fluid [num_particles] [steps]
 #include <algorithm>
@@ -78,17 +78,19 @@ int main(int argc, char** argv) {
   // and particles move a fraction of it per step, the refit sweet spot.
   params.opts = rtnn::OptimizationFlags::none();
 
-  rtnn::DynamicSearchSession session(params);
+  rtnn::NeighborSearch search;
+  search.set_points(pos);
   double search_seconds = 0.0;
   rtnn::TimeBreakdown time_totals;
   std::uint32_t refits = 0;
   std::uint32_t rebuilds = 0;
   for (int step = 0; step < steps; ++step) {
     // Neighbor lists for this configuration (the per-timestep search that
-    // dominates SPH runtime): the session uploads the moved particles and
-    // refits or rebuilds the index per the cost-model policy.
+    // dominates SPH runtime): the moved particles go in as an update, and
+    // the search refits or rebuilds the index per the refit policy.
+    if (step > 0) search.update_points(pos);
     rtnn::NeighborSearch::Report report;
-    const rtnn::NeighborResult neighbors = session.step(pos, &report);
+    const rtnn::NeighborResult neighbors = search.search(pos, params, &report);
     search_seconds += report.time.total();
     time_totals += report.time;
     refits += report.accel_refits;

@@ -40,10 +40,7 @@ class NeighborResult {
   }
 
   /// Device-style mutable access for kernels.
-  std::uint32_t* slots(std::size_t query) { return indices_.data() + query * k_; }
   std::uint32_t& count_ref(std::size_t query) { return counts_[query]; }
-  std::span<std::uint32_t> counts_span() { return counts_; }
-  std::span<const std::uint32_t> counts_span() const { return counts_; }
 
   /// Appends `point` to `query`'s slots if space remains; returns the new
   /// count. Caller guarantees exclusive access to the query's row (one

@@ -78,26 +78,6 @@ void parallel_for_impl(std::int64_t begin, std::int64_t end, std::int64_t grain,
 
 }  // namespace detail
 
-std::uint64_t exclusive_scan(std::vector<std::uint32_t>& v) {
-  std::uint64_t sum = 0;
-  for (auto& x : v) {
-    const std::uint32_t cur = x;
-    x = static_cast<std::uint32_t>(sum);
-    sum += cur;
-  }
-  return sum;
-}
-
-std::uint64_t exclusive_scan(std::vector<std::uint64_t>& v) {
-  std::uint64_t sum = 0;
-  for (auto& x : v) {
-    const std::uint64_t cur = x;
-    x = sum;
-    sum += cur;
-  }
-  return sum;
-}
-
 void CompletionEvent::signal() {
   {
     std::lock_guard<std::mutex> lock(mutex_);

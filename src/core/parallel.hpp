@@ -133,12 +133,6 @@ T parallel_reduce(std::int64_t begin, std::int64_t end, T init, Map&& map, Op&& 
   return result;
 }
 
-/// Exclusive prefix sum over `v` in place; returns the grand total.
-/// (Serial: the arrays this is used on — cell histograms — are small
-/// relative to the point data, and a serial scan keeps it deterministic.)
-std::uint64_t exclusive_scan(std::vector<std::uint32_t>& v);
-std::uint64_t exclusive_scan(std::vector<std::uint64_t>& v);
-
 /// One-shot completion latch: wait() blocks until some other thread calls
 /// signal(). This is the synchronization primitive behind service tickets
 /// (src/service): the submitting thread parks on the event while the
@@ -187,17 +181,10 @@ class WorkQueue {
     return take_locked();
   }
 
-  /// Like pop(), but gives up after `timeout` (nullopt on timeout too —
-  /// check closed() to distinguish when it matters).
+  /// Like pop(), but gives up after `timeout` (nullopt on timeout too).
   std::optional<T> pop_for(std::chrono::nanoseconds timeout) {
     std::unique_lock<std::mutex> lock(mutex_);
     cv_.wait_for(lock, timeout, [&] { return !items_.empty() || closed_; });
-    return take_locked();
-  }
-
-  /// Non-blocking pop.
-  std::optional<T> try_pop() {
-    std::lock_guard<std::mutex> lock(mutex_);
     return take_locked();
   }
 
@@ -210,11 +197,6 @@ class WorkQueue {
       closed_ = true;
     }
     cv_.notify_all();
-  }
-
-  bool closed() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return closed_;
   }
 
   std::size_t size() const {

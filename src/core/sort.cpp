@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <numeric>
 
 #include "core/parallel.hpp"
 
@@ -28,7 +27,7 @@ void radix_pass(const Key* keys_in, Key* keys_out, const std::uint32_t* vals_in,
     const Key k = keys_in[i];
     const std::uint32_t dst = hist[static_cast<std::size_t>((k >> shift) & 0xffu)]++;
     keys_out[dst] = k;
-    if (vals_in) vals_out[dst] = vals_in[i];
+    vals_out[dst] = vals_in[i];
   }
 }
 
@@ -55,29 +54,27 @@ void lsd_sort(Key* keys, std::uint32_t* values, std::size_t n, unsigned max_byte
     if (!pass_needed(kin, n, byte * 8)) continue;
     radix_pass(kin, kout, vin, vout, n, byte * 8);
     std::swap(kin, kout);
-    if (values) std::swap(vin, vout);
+    std::swap(vin, vout);
     in_place = !in_place;
   }
   if (!in_place) {
     std::copy(kin, kin + n, keys);
-    if (values) std::copy(vin, vin + n, values);
+    std::copy(vin, vin + n, values);
   }
 }
 
 template <typename Key>
-void radix_sort_impl(std::vector<Key>& keys, std::vector<std::uint32_t>* values) {
+void radix_sort_impl(std::vector<Key>& keys, std::vector<std::uint32_t>& values) {
   const std::size_t n = keys.size();
   if (n < 2) return;
   std::vector<Key> key_buf(n);
-  std::vector<std::uint32_t> val_buf(values ? n : 0);
-  std::uint32_t* vals = values ? values->data() : nullptr;
-  std::uint32_t* vals_scratch = values ? val_buf.data() : nullptr;
+  std::vector<std::uint32_t> val_buf(n);
 
   constexpr unsigned kBytes = sizeof(Key);
 
   // Small arrays or single-threaded: plain LSD.
   if (n < (std::size_t{1} << 16) || num_threads() <= 1) {
-    lsd_sort(keys.data(), vals, n, kBytes, key_buf.data(), vals_scratch);
+    lsd_sort(keys.data(), values.data(), n, kBytes, key_buf.data(), val_buf.data());
     return;
   }
 
@@ -151,13 +148,11 @@ void radix_sort_impl(std::vector<Key>& keys, std::vector<std::uint32_t>* values)
       const Key k = keys[i];
       const std::uint32_t dst = offset[static_cast<std::size_t>((k >> shift) & 0xffu)]++;
       key_buf[dst] = k;
-      if (vals) val_buf[dst] = vals[i];
+      val_buf[dst] = values[i];
     }
   }, grain::kTask);
   keys.swap(key_buf);
-  if (values) values->swap(val_buf);
-  vals = values ? values->data() : nullptr;
-  vals_scratch = values ? val_buf.data() : nullptr;
+  values.swap(val_buf);
 
   // LSD on the lower bytes of each bucket, buckets in parallel. Scratch
   // reuses the (now stale) buffers at matching offsets.
@@ -166,44 +161,19 @@ void radix_sort_impl(std::vector<Key>& keys, std::vector<std::uint32_t>* values)
     const std::uint32_t hi = (b == 255) ? static_cast<std::uint32_t>(n)
                                         : bucket_start[static_cast<std::size_t>(b) + 1];
     if (hi - lo < 2) return;
-    lsd_sort(keys.data() + lo, vals ? vals + lo : nullptr, hi - lo, split_byte,
-             key_buf.data() + lo, vals_scratch ? vals_scratch + lo : nullptr);
+    lsd_sort(keys.data() + lo, values.data() + lo, hi - lo, split_byte,
+             key_buf.data() + lo, val_buf.data() + lo);
   }, grain::kTask);
 }
 
 }  // namespace
 
 void radix_sort_pairs(std::vector<std::uint32_t>& keys, std::vector<std::uint32_t>& values) {
-  radix_sort_impl(keys, &values);
+  radix_sort_impl(keys, values);
 }
 
 void radix_sort_pairs(std::vector<std::uint64_t>& keys, std::vector<std::uint32_t>& values) {
-  radix_sort_impl(keys, &values);
-}
-
-void radix_sort(std::vector<std::uint32_t>& keys) { radix_sort_impl<std::uint32_t>(keys, nullptr); }
-
-void radix_sort(std::vector<std::uint64_t>& keys) { radix_sort_impl<std::uint64_t>(keys, nullptr); }
-
-namespace {
-
-template <typename Key>
-std::vector<std::uint32_t> sort_permutation_impl(const std::vector<Key>& keys) {
-  std::vector<Key> copy = keys;
-  std::vector<std::uint32_t> perm(keys.size());
-  std::iota(perm.begin(), perm.end(), 0u);
-  radix_sort_impl(copy, &perm);
-  return perm;
-}
-
-}  // namespace
-
-std::vector<std::uint32_t> sort_permutation(const std::vector<std::uint32_t>& keys) {
-  return sort_permutation_impl(keys);
-}
-
-std::vector<std::uint32_t> sort_permutation(const std::vector<std::uint64_t>& keys) {
-  return sort_permutation_impl(keys);
+  radix_sort_impl(keys, values);
 }
 
 }  // namespace rtnn

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "core/error.hpp"
-#include "engine/backends.hpp"
 #include "engine/registry.hpp"
 
 namespace rtnn::engine {
@@ -45,24 +44,13 @@ void AutoBackend::update_points(std::span<const Vec3> points) {
   ++generation_;              // same lineage: stale slots may refit
 }
 
-void AutoBackend::set_cost_model(const CostModel& model) {
-  model_ = model;
-  for (auto& [name, slot] : backends_) {
-    if (name == "rtnn") {
-      static_cast<RtnnBackend*>(slot.backend.get())->set_cost_model(model);
-    }
-  }
-}
-
 std::unique_ptr<SearchBackend> AutoBackend::snapshot() const {
   auto copy = std::make_unique<AutoBackend>();
   copy->points_ = points_;
-  copy->model_ = model_;
   copy->stats_grid_ = stats_grid_;
   copy->stats_grid_valid_ = stats_grid_valid_;
   copy->generation_ = generation_;
   copy->lineage_ = lineage_;
-  copy->persistent_ = persistent_;
   copy->last_choice_ = last_choice_;
   for (const auto& [name, slot] : backends_) {
     Slot cloned;
@@ -73,11 +61,6 @@ std::unique_ptr<SearchBackend> AutoBackend::snapshot() const {
     copy->backends_.emplace_back(name, std::move(cloned));
   }
   return copy;
-}
-
-void AutoBackend::set_index_persistence(bool on) {
-  persistent_ = on;
-  for (auto& [name, slot] : backends_) slot.backend->set_index_persistence(on);
 }
 
 SearchBackend& AutoBackend::acquire(std::string_view name) {
@@ -100,10 +83,6 @@ SearchBackend& AutoBackend::acquire(std::string_view name) {
   }
   Slot slot;
   slot.backend = make_backend(name);
-  if (name == "rtnn") {
-    static_cast<RtnnBackend*>(slot.backend.get())->set_cost_model(model_);
-  }
-  slot.backend->set_index_persistence(persistent_);
   slot.backend->set_points(points_);
   slot.points_generation = generation_;
   slot.upload_lineage = lineage_;
@@ -144,19 +123,20 @@ WorkloadStats AutoBackend::measure(std::span<const Vec3> queries,
 
 std::string_view AutoBackend::predict(const WorkloadStats& stats,
                                       const SearchParams& params) const {
+  const CostModel model{};
   const auto n = static_cast<double>(stats.n);
   const auto q = static_cast<double>(stats.q);
 
   // One sphere test per (point, query) pair.
-  const double brute = model_.k2 * n * q;
+  const double brute = model.k2 * n * q;
 
   // Counting-sort build + per-query scan of the 3r cell neighborhood
   // (27/8 the volume of the sampled 2r box).
-  const double grid = kGridBuildPerPoint * n + model_.k3_slow * q * stats.e_box * 27.0 / 8.0;
+  const double grid = kGridBuildPerPoint * n + model.k3_slow * q * stats.e_box * 27.0 / 8.0;
 
   // BVH build over N AABBs + one IS call per point in each query's 2r box.
-  const double is_cost = params.mode == SearchMode::kKnn ? model_.k2 : model_.k3_slow;
-  const double rtnn = model_.k1 * n + is_cost * q * stats.e_box;
+  const double is_cost = params.mode == SearchMode::kKnn ? model.k2 : model.k3_slow;
+  const double rtnn = model.k1 * n + is_cost * q * stats.e_box;
 
   if (brute <= grid && brute <= rtnn) return "brute_force";
   return grid <= rtnn ? "grid" : "rtnn";

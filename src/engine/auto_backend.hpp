@@ -1,7 +1,7 @@
 // Cost-model-driven backend dispatch.
 //
 // AutoBackend answers every search() through whichever substrate the
-// calibrated CostModel predicts to be cheapest for the workload at hand.
+// default CostModel predicts to be cheapest for the workload at hand.
 // Workload statistics come from the same GridIndex the partitioner uses:
 // N, Q, and the sampled point population of a query-centered 2r box (the
 // density term ρ·S³ of the paper's eq. 4).
@@ -55,15 +55,10 @@ class AutoBackend final : public SearchBackend {
   NeighborResult search(std::span<const Vec3> queries, const SearchParams& params,
                         Report* report = nullptr) override;
 
-  /// Member-wise snapshot: points, model and grid copy; every
-  /// materialized candidate is snapshotted in turn (so the clone keeps
-  /// amortizing whatever indexes dispatch already paid for).
+  /// Member-wise snapshot: points and grid copy; every materialized
+  /// candidate is snapshotted in turn (so the clone keeps amortizing
+  /// whatever indexes dispatch already paid for).
   std::unique_ptr<SearchBackend> snapshot() const override;
-  void set_index_persistence(bool on) override;
-
-  /// Supplies a calibrated cost model (k1/k2/k3 ratios) for dispatch and
-  /// for the rtnn candidate's bundling decisions.
-  void set_cost_model(const CostModel& model);
 
   /// The backend the last search() dispatched to (empty before any call).
   std::string_view last_choice() const { return last_choice_; }
@@ -79,7 +74,6 @@ class AutoBackend final : public SearchBackend {
   SearchBackend& acquire(std::string_view name);
 
   std::vector<Vec3> points_;
-  CostModel model_{};
   GridIndex stats_grid_;
   bool stats_grid_valid_ = false;
 
@@ -91,7 +85,6 @@ class AutoBackend final : public SearchBackend {
   std::vector<std::pair<std::string, Slot>> backends_;
   std::uint64_t generation_ = 0;  // bumped by every points change
   std::uint64_t lineage_ = 0;     // bumped only by set_points (count resets)
-  bool persistent_ = false;       // serving hint, applied to every candidate
   std::string last_choice_;
 };
 

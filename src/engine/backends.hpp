@@ -98,7 +98,6 @@ class FastRnnBackend final : public SearchBackend {
   std::unique_ptr<SearchBackend> snapshot() const override {
     return std::make_unique<FastRnnBackend>(*this);
   }
-  void set_index_persistence(bool on) override { search_.set_index_persistence(on); }
 
  private:
   NeighborSearch search_;
@@ -115,7 +114,7 @@ class RtnnBackend final : public SearchBackend {
   }
   void set_points(std::span<const Vec3> points) override { search_.set_points(points); }
   /// Dynamic lifecycle: keeps the base-width accel across frames and lets
-  /// the cost model refit or rebuild it (Report::time.refit / time.bvh).
+  /// the refit policy refit or rebuild it (Report::time.refit / time.bvh).
   void update_points(std::span<const Vec3> points) override {
     search_.update_points(points);
   }
@@ -130,10 +129,6 @@ class RtnnBackend final : public SearchBackend {
   std::unique_ptr<SearchBackend> snapshot() const override {
     return std::make_unique<RtnnBackend>(*this);
   }
-  void set_index_persistence(bool on) override { search_.set_index_persistence(on); }
-
-  /// Supplies a calibrated cost model for bundling decisions.
-  void set_cost_model(const CostModel& model) { search_.set_cost_model(model); }
   NeighborSearch& core() { return search_; }
 
  private:

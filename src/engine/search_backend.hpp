@@ -5,7 +5,7 @@
 // implementations (RT-core mapping, classic GPU grids, trees, exhaustive
 // search). SearchBackend is that contract: every implementation in this
 // repo adapts to it, BackendRegistry constructs them by name, and
-// AutoBackend dispatches per call using the calibrated cost model plus
+// AutoBackend dispatches per call using the default cost model plus
 // workload statistics.
 //
 // Contract:
@@ -22,9 +22,10 @@
 //     drive frame sequences without ever branching on capability.
 //   * search() answers `queries` under `params` (same SearchParams as the
 //     RTNN core — mode, radius, k). Backends build their spatial index
-//     lazily on first search (and rebuild when the radius changes, for
-//     radius-keyed structures), so a Report captures build cost in
-//     time.bvh, and pure query cost in time.search.
+//     lazily on first search and keep it for later searches until the
+//     points change (or, for radius-keyed structures, the radius), so a
+//     Report captures build cost in time.bvh, and pure query cost in
+//     time.search.
 //   * Results use NeighborResult's bounded layout: at most K slots per
 //     query. For range search with more than K true neighbors, *which* K
 //     are returned is backend-defined (any within-radius subset is valid).
@@ -114,11 +115,9 @@ class SearchBackend {
   /// snapshot (caps().snapshot is false).
   virtual std::unique_ptr<SearchBackend> snapshot() const { return nullptr; }
 
-  /// Serving hint: keep lazily built index structures alive across
-  /// search() calls instead of rebuilding per call, where the backend
-  /// distinguishes the two (NeighborSearch's static path builds per call
-  /// by default to preserve its historical timing profile). No-op for
-  /// backends that always cache.
+  /// Inert: every backend keeps its index until the points (or, for a
+  /// radius-keyed structure, the radius) change. Kept only because
+  /// perfbench's TracingBackend overrides it.
   virtual void set_index_persistence(bool on) { (void)on; }
 };
 

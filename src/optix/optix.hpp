@@ -59,8 +59,6 @@ struct AccelBuildOptions {
 /// Options for the two-level (IAS-like) build: a top-level BVH over
 /// spatial tiles, each owning its own bottom-level index.
 struct TiledAccelOptions {
-  /// Primitives per bottom-level leaf (1 = RTNN's configuration).
-  std::uint32_t leaf_size = 1;
   /// Defer each tile's bottom-level build to its first routed ray
   /// (build-on-first-route). The deferred cost lands inside the first
   /// launch that reaches the tile.
@@ -71,8 +69,8 @@ namespace detail {
 
 /// The shared immutable build product behind an Accel handle: one
 /// resident wide tree (or one tiled index). build_accel collapses the
-/// binary LBVH into `wide` eagerly, so the cost lands in
-/// build_seconds()/time.bvh like the rest of the acceleration-structure
+/// binary LBVH into `wide` eagerly, so the cost lands in the caller's
+/// build timing (time.bvh) like the rest of the acceleration-structure
 /// work (the cost model's T_build = k1·M stays linear), then drops it.
 struct AccelData {
   rt::WideBvh wide;
@@ -127,9 +125,8 @@ class Accel {
   }
 
   /// Refits the wide tree to moved primitive boxes (same count and id
-  /// order as the build; rt::WideBvh::refit). Cost is charged to
-  /// refit_seconds() (the time.refit phase), not build_seconds(). Quality
-  /// after cumulative motion is observable via sah_inflation().
+  /// order as the build; rt::WideBvh::refit). Quality after cumulative
+  /// motion is observable via sah_inflation().
   void refit(std::span<const Aabb> prim_aabbs);
 
   /// Point-cloud fast path: refit over Aabb::cube(points[i], aabb_width)
@@ -141,15 +138,8 @@ class Accel {
   /// refit-vs-rebuild through `policy` — the per-tile form of the
   /// monolithic refit-or-rebuild choice. Copy-on-write like refit():
   /// snapshots sharing this build product keep the pre-update tiles.
-  /// Wall time is charged to refit_seconds().
   rt::TiledUpdateStats update_tiled(std::span<const Vec3> points,
                                     const rt::TileUpdatePolicy& policy);
-
-  /// Build-time of the last build, seconds (the BVH phase of Figure 12).
-  double build_seconds() const { return build_seconds_; }
-
-  /// Wall time of the last refit(), seconds (the Refit phase).
-  double refit_seconds() const { return refit_seconds_; }
 
   /// SAH cost relative to the last full build of this topology: 1.0 when
   /// freshly built, growing as refits stretch the boxes. Feeds the
@@ -164,8 +154,6 @@ class Accel {
  private:
   friend class Context;
   std::shared_ptr<const detail::AccelData> data_;
-  double build_seconds_ = 0.0;
-  double refit_seconds_ = 0.0;
 };
 
 /// Shader-pipeline concepts. A pipeline must at least provide the RG and

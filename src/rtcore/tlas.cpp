@@ -22,15 +22,15 @@ Aabb member_bounds(std::span<const Vec3> positions, float width) {
   return Aabb{box.lo - pad, box.hi + pad};
 }
 
-/// A tile's wide index; the binary tree it collapses is dropped here.
-std::shared_ptr<const WideBvh> build_index(std::span<const Vec3> positions, float width,
-                                           std::uint32_t leaf_size) {
+/// A tile's wide index (one primitive per leaf, the RTNN configuration);
+/// the binary tree it collapses is dropped here.
+std::shared_ptr<const WideBvh> build_index(std::span<const Vec3> positions, float width) {
   std::vector<Aabb> boxes(positions.size());
   for (std::size_t i = 0; i < positions.size(); ++i) {
     boxes[i] = Aabb::cube(positions[i], width);
   }
   Bvh bvh;
-  bvh.build(boxes, BvhBuildOptions{.leaf_size = leaf_size});
+  bvh.build(boxes);
   auto index = std::make_shared<WideBvh>();
   index->build(bvh);
   return index;
@@ -38,11 +38,11 @@ std::shared_ptr<const WideBvh> build_index(std::span<const Vec3> positions, floa
 
 }  // namespace
 
-const WideBvh& TiledBvh::Tile::ensure_index(float aabb_width, std::uint32_t leaf_size) const {
+const WideBvh& TiledBvh::Tile::ensure_index(float aabb_width) const {
   if (const WideBvh* built = index_.load(std::memory_order_acquire)) return *built;
   std::lock_guard<std::mutex> lock(build_mutex_);
   if (const WideBvh* built = index_.load(std::memory_order_relaxed)) return *built;
-  storage_ = build_index(positions_, aabb_width, leaf_size);
+  storage_ = build_index(positions_, aabb_width);
   index_.store(storage_.get(), std::memory_order_release);
   return *storage_;
 }
@@ -74,7 +74,6 @@ void TiledBvh::build(std::span<const Vec3> points, float aabb_width,
   RTNN_CHECK(aabb_width > 0.0f, "AABB width must be positive");
   RTNN_CHECK(!tile_ids.empty(), "a tiled build needs at least one tile");
   width_ = aabb_width;
-  leaf_size_ = std::max<std::uint32_t>(1, options.leaf_size);
   point_count_ = points.size();
 
   tiles_.clear();
@@ -92,7 +91,7 @@ void TiledBvh::build(std::span<const Vec3> points, float aabb_width,
 void TiledBvh::ensure_all_built() const {
   parallel_for(
       0, static_cast<std::int64_t>(tiles_.size()),
-      [&](std::int64_t t) { tiles_[t]->ensure_index(width_, leaf_size_); },
+      [&](std::int64_t t) { tiles_[t]->ensure_index(width_); },
       grain::kTask);
 }
 
@@ -132,17 +131,15 @@ TiledUpdateStats TiledBvh::update(std::span<const Vec3> points,
     auto fresh = make_tile(points, old_tile.prim_ids_);
     if (const WideBvh* old_index = old_tile.index()) {
       if (policy(old_index->sah_inflation()) == TileUpdate::kRefit) {
-        Timer timer;
         // Copy-then-refit: the shared old index stays frozen for earlier
         // snapshots while the copy absorbs the motion.
         auto refitted = std::make_shared<WideBvh>(*old_index);
         refitted->refit(fresh->positions_, width_);
         fresh->publish(std::move(refitted));
-        out.refit_seconds += timer.elapsed();
         ++out.tile_refits;
       } else {
         Timer timer;
-        fresh->publish(build_index(fresh->positions_, width_, leaf_size_));
+        fresh->publish(build_index(fresh->positions_, width_));
         out.build_seconds += timer.elapsed();
         ++out.tile_rebuilds;
       }

@@ -64,8 +64,6 @@ enum class TileUpdate : std::uint8_t { kRefit, kRebuild };
 using TileUpdatePolicy = std::function<TileUpdate(double sah_inflation)>;
 
 struct TiledBuildOptions {
-  /// Primitives per BLAS leaf (1 = the RTNN configuration).
-  std::uint32_t leaf_size = 1;
   /// Defer every tile's BLAS build to its first routed ray (or an
   /// explicit ensure call). false = build all tiles at build() time.
   bool lazy_build = false;
@@ -78,7 +76,6 @@ struct TiledUpdateStats {
   std::uint32_t tiles_touched = 0;   // tiles whose member positions changed
   std::uint32_t tile_refits = 0;     // touched + built, policy chose refit
   std::uint32_t tile_rebuilds = 0;   // touched + built, policy chose rebuild
-  double refit_seconds = 0.0;        // wall time of the per-tile refits
   double build_seconds = 0.0;        // wall time of the per-tile rebuilds
 };
 
@@ -119,7 +116,7 @@ class TiledBvh {
     /// Safe to call concurrently from traversal threads sharing a
     /// snapshot: one caller builds under the tile mutex, the rest reuse
     /// the published pointer.
-    const WideBvh& ensure_index(float aabb_width, std::uint32_t leaf_size) const;
+    const WideBvh& ensure_index(float aabb_width) const;
 
    private:
     friend class TiledBvh;
@@ -165,7 +162,6 @@ class TiledBvh {
   std::uint32_t built_tile_count() const;
   std::size_t prim_count() const { return point_count_; }
   float aabb_width() const { return width_; }
-  std::uint32_t leaf_size() const { return leaf_size_; }
 
   /// The top-level binary BVH: primitive t is tile t (top().prim_order()
   /// maps leaf slots back to tile indices).
@@ -199,7 +195,6 @@ class TiledBvh {
   std::vector<std::shared_ptr<Tile>> tiles_;
   Bvh top_;
   float width_ = 0.0f;
-  std::uint32_t leaf_size_ = 1;
   std::size_t point_count_ = 0;
 };
 

@@ -34,8 +34,7 @@
 // kernel: `program.intersect(ray_id, prim_id)` is the IS shader, invoked
 // for each primitive whose AABB the ray intersects; returning
 // TraceAction::kTerminate is the AH shader's optixTerminateRay (used by
-// RTNN when K neighbors have been found, and by the scheduling pass to
-// stop at the first hit).
+// RTNN's range search once a query's K slots are full).
 //
 // A Program may also declare a cull bound (CullingProgram): a per-ray
 // face shrink δ, re-read after every IS call. While δ > 0 the wide and
@@ -476,7 +475,7 @@ void trace_one_tiled(const TiledBvh& tlas, const Ray& ray, std::uint32_t ray_id,
       for (std::uint32_t s = node.first; s < node.first + node.count; ++s) {
         const std::uint32_t t = tile_order[s];
         const TiledBvh::Tile& tile = tlas.tile(t);
-        const WideBvh& index = tile.ensure_index(tlas.aabb_width(), tlas.leaf_size());
+        const WideBvh& index = tile.ensure_index(tlas.aabb_width());
         TileProgram<Program> tp{program, tile.prim_ids().data()};
         trace_one_compressed(index, ray, ray_id, tp, stats, wide_stack);
         if (tp.terminated) return;
@@ -702,15 +701,6 @@ LaunchStats trace(const TiledBvh& tlas, std::span<const Ray> rays, Program& prog
   }
   total += accumulator.reduce();
   return total;
-}
-
-/// Convenience for tests: trace a single ray with stats.
-template <typename Program>
-LaunchStats trace_ray(const Bvh& bvh, const Ray& ray, Program& program) {
-  LaunchStats stats;
-  stats.rays = 1;
-  detail::trace_one(bvh, ray, 0, program, stats);
-  return stats;
 }
 
 }  // namespace rtnn::rt

@@ -84,7 +84,7 @@ struct BundlePlan {
   std::vector<Bundle> bundles;
 };
 
-/// The two ways a persistent index can absorb a frame of motion.
+/// The two ways a kept index can absorb a frame of motion.
 enum class IndexUpdate : std::uint8_t {
   kRefit,    // bounds refreshed in place, topology reused
   kRebuild,  // from-scratch build (Morton sort + tree + wide collapse)

@@ -45,12 +45,6 @@ void NeighborSearch::update_points(std::span<const Vec3> points) {
   std::copy(points.begin(), points.end(), points_.begin());
   grid_cap_ = 0;                // megacell grid tracks positions
   index_cache_.moved = true;    // resolved refit-vs-rebuild at next search
-  index_persistence_ = true;
-}
-
-void NeighborSearch::set_index_persistence(bool on) {
-  index_persistence_ = on;
-  if (!on) index_cache_ = IndexCache{};
 }
 
 void NeighborSearch::set_tiling(const TileOptions& options) {

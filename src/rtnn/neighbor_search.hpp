@@ -11,6 +11,11 @@
 //     launch:    per-bundle BVH build (width = bundle AABB
 //                width) + chunked range/KNN launches            [BVH/Search]
 //
+// What search() derives from the points lives until they change: the
+// megacell grid, and the base-width accel (the unpartitioned launch's, and
+// any bundle at 2r·aabb_scale). set_points() and set_tiling() drop it;
+// after update_points() the next search refits or rebuilds the accel.
+//
 // The steps live in rtnn/stages.cpp. search_with_plan() runs the launch
 // step on a caller's partitions and plan (the Figure-13 Oracle). With all
 // optimizations disabled this degenerates to the naive mapping of
@@ -34,23 +39,6 @@ namespace rtnn {
 
 struct SearchContext;  // search()'s per-call state (rtnn/stages.cpp)
 
-/// The base-width accel of a search: NeighborSearch's persistent one when
-/// index persistence is on, else a call-local one built at most once.
-/// `moved` marks positions changed since the accel last synced; the
-/// refit-vs-rebuild policy resolves it at the next sync (see
-/// NeighborSearch::sync_index_cache in stages.cpp).
-struct IndexCache {
-  ox::Accel accel;
-  float width = -1.0f;     // AABB width the accel was built at
-  std::size_t count = 0;   // point count it covers
-  bool moved = false;
-  /// Whether the cached accel is the two-level (tiled) build product, and
-  /// the tiling it was built under — a change to either invalidates the
-  /// cache like a width change would.
-  bool tiled = false;
-  TileOptions tiling{};
-};
-
 /// One request's rows within a coalesced batch launch: queries
 /// [first, first + count) of the merged query array belong to this
 /// request. The batch optimizer (rtnn/batch_optimizer.hpp) builds one
@@ -72,8 +60,8 @@ class NeighborSearch {
     rt::LaunchStats first_hit_stats;
     std::uint32_t num_partitions = 0;
     std::uint32_t num_bundles = 0;
-    // Index lifecycle of this call (persistent-index searches only; all
-    // zero / 1.0 on the static path).
+    // Index lifecycle of this call: what update_points() cost the kept
+    // base accel (zero / 1.0 when it was fresh or reused as is).
     std::uint32_t accel_refits = 0;    // base accel refitted this call
     std::uint32_t accel_rebuilds = 0;  // base accel rebuilt by the policy
     double sah_inflation = 1.0;        // base accel quality after this call
@@ -104,35 +92,21 @@ class NeighborSearch {
 
   NeighborSearch() = default;
 
-  /// Uploads the search points (the Data phase). Invalidates prior accels.
+  /// Uploads the search points (the Data phase) and drops what was
+  /// derived from the old ones: the base accel and the megacell grid.
   /// Throws rtnn::Error on a NaN or infinite coordinate (update_points()
   /// too); non-finite *queries* are legal and answer empty rows.
   void set_points(std::span<const Vec3> points);
 
   /// Moves the uploaded points to new positions — one frame of a dynamic
   /// sequence. Requires set_points() first and an identical count (a
-  /// resized cloud is a new upload, not a move). Enables index
-  /// persistence: the next search() refits or rebuilds the cached
-  /// base-width accel per the cost model's choose_index_update policy
-  /// instead of always rebuilding.
+  /// resized cloud is a new upload, not a move). The next search() refits
+  /// or rebuilds the kept base accel per choose_index_update().
   void update_points(std::span<const Vec3> points);
 
-  /// Keeps the base-width accel alive across search() calls so frame
-  /// sequences can refit instead of rebuild. Off by default: one-shot
-  /// searches keep the historical build-per-call semantics (and their
-  /// timing profile). update_points() turns it on implicitly.
-  void set_index_persistence(bool on);
-  bool index_persistence() const { return index_persistence_; }
-
-  /// Supplies a calibrated cost model for bundling decisions. Without one
-  /// the library plans with the built-in defaults; the paper's fallback of
-  /// one bundle per partition is OptimizationFlags::no_bundling().
-  void set_cost_model(const CostModel& model) { cost_model_ = model; }
-  const CostModel& cost_model() const { return cost_model_; }
-
   /// Enables the two-level (tiled) base index (see TileOptions). Takes
-  /// effect at the next search(); changing the tiling invalidates the
-  /// persistent index cache (the decomposition is part of the build).
+  /// effect at the next search(), which rebuilds the base accel: the
+  /// decomposition is part of the build.
   void set_tiling(const TileOptions& options);
   const TileOptions& tiling() const { return tiling_; }
 
@@ -164,22 +138,30 @@ class NeighborSearch {
   /// The launch step: builds or syncs each launch unit's accel and runs
   /// its chunked launches into ctx.result.
   void launch(SearchContext& ctx);
-  /// Brings `cache` up to date with the points at AABB width `width`: a
-  /// fresh build, or a refit or rebuild of moved points per the cost
-  /// model's choose_index_update policy.
-  void sync_index_cache(IndexCache& cache, float width, Report& report);
+  /// Brings index_cache_ up to date with the points at AABB width
+  /// `width`: reused as is, built fresh, or a refit or rebuild of moved
+  /// points per choose_index_update.
+  void sync_index_cache(float width, Report& report);
   /// Whether the base accel is a TLAS over tiles: tiling is on and the
   /// cloud is over the threshold.
   bool tiled() const {
     return tiling_.enabled() && points_.size() > tiling_.tile_threshold;
   }
 
+  /// The base-width accel kept until the points change: set_points() and
+  /// set_tiling() reset it, update_points() marks it `moved` (the next
+  /// sync refits or rebuilds it), and a search at another width rebuilds
+  /// it (sync_index_cache in stages.cpp).
+  struct IndexCache {
+    ox::Accel accel;
+    float width = -1.0f;  // AABB width the accel was built at
+    bool moved = false;   // positions changed since the accel last synced
+  };
+
   std::vector<Vec3> points_;  // the "device" copy
-  CostModel cost_model_{};
   mutable GridIndex grid_;    // rebuilt per point set, cached across searches
   mutable std::uint64_t grid_cap_ = 0;  // the cell cap grid_ was built under (0 = stale)
-  IndexCache index_cache_;    // persistent base-width accel (opt-in)
-  bool index_persistence_ = false;
+  IndexCache index_cache_;
   TileOptions tiling_{};      // two-level base index (opt-in)
 };
 

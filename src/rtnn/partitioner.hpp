@@ -8,10 +8,9 @@
 //   * range search: any point whose AABB (width w, centered on the point)
 //     contains the query is reported — safe if w is the megacell width
 //     (+1 cell of slop because the query sits anywhere inside its central
-//     cell, a refinement over the paper's width which we document in
-//     DESIGN.md). The sphere test is elided when w·√3/2 ≤ r, i.e. the
-//     megacell cannot poke out of the sphere (section 5.1's "significant
-//     performance gains").
+//     cell, a refinement over the paper's width). The sphere test is
+//     elided when w·√3/2 ≤ r, i.e. the megacell cannot poke out of the
+//     sphere (section 5.1's "significant performance gains").
 //
 //   * KNN search: the K nearest neighbors are contained in the
 //     circumsphere of the megacell (width a, Figure 10c), so with the

@@ -209,7 +209,7 @@ NeighborResult NeighborSearch::search(std::span<const Vec3> queries,
     {
       ScopedAccumulator opt(ctx.report.time.opt);
       partitions = partition(ctx.queries, ctx.order, params);
-      plan = opts.bundling ? plan_bundles(partitions, points_.size(), params, cost_model_)
+      plan = opts.bundling ? plan_bundles(partitions, points_.size(), params, CostModel{})
                            : unbundled_plan(partitions, params);
     }
     ctx.report.num_partitions = static_cast<std::uint32_t>(partitions.partitions.size());
@@ -240,33 +240,24 @@ NeighborResult NeighborSearch::search_with_plan(std::span<const Vec3> queries,
   return std::move(ctx.result);
 }
 
-void NeighborSearch::sync_index_cache(IndexCache& cache, float width, Report& report) {
+void NeighborSearch::sync_index_cache(float width, Report& report) {
+  IndexCache& cache = index_cache_;
   const bool want_tiled = tiled();
-  const bool reusable =
-      cache.accel.built() && cache.count == points_.size() && cache.width == width &&
-      cache.tiled == want_tiled &&
-      (!want_tiled ||
-       (cache.tiling.tile_threshold == tiling_.tile_threshold &&
-        cache.tiling.max_tiles == tiling_.max_tiles &&
-        cache.tiling.lazy_build == tiling_.lazy_build));
-  if (!reusable) {
-    // New cloud, new radius, new decomposition, or first use: a fresh
-    // build is the only option (and re-anchors the quality baseline).
+  if (!cache.accel.built() || cache.width != width) {
+    // First use since set_points() or set_tiling(), or a new radius: a
+    // fresh build (which re-anchors the quality baseline).
     cache.accel = want_tiled ? build_tiled_accel_width(points_, tiling_, width, report)
                              : build_accel_width(points_, width, report);
     cache.width = width;
-    cache.count = points_.size();
     cache.moved = false;
-    cache.tiled = want_tiled;
-    cache.tiling = tiling_;
   } else if (cache.moved) {
+    const CostModel model{};
     if (want_tiled) {
       // The per-tile form of the refit-vs-rebuild decision: only touched
       // tiles do any work, each judged on its *own* observed quality —
       // a tile under heavy motion rebuilds while its neighbors refit (or
       // stay untouched entirely).
       Timer timer;
-      const CostModel& model = cost_model_;
       const rt::TiledUpdateStats us =
           cache.accel.update_tiled(points_, [&model](double inflation) {
             return choose_index_update(model, inflation) == IndexUpdate::kRefit
@@ -281,7 +272,7 @@ void NeighborSearch::sync_index_cache(IndexCache& cache, float width, Report& re
       report.tiles_touched += us.tiles_touched;
       report.tile_refits += us.tile_refits;
       report.tile_rebuilds += us.tile_rebuilds;
-    } else if (choose_index_update(cost_model_, cache.accel.sah_inflation()) ==
+    } else if (choose_index_update(model, cache.accel.sah_inflation()) ==
                IndexUpdate::kRefit) {
       // The per-frame decision: refit in place while it is cheaper and
       // the observed quality holds; otherwise pay a build to reset it.
@@ -296,7 +287,7 @@ void NeighborSearch::sync_index_cache(IndexCache& cache, float width, Report& re
     cache.moved = false;
   }
   report.sah_inflation = cache.accel.sah_inflation();
-  if (cache.tiled) {
+  if (want_tiled) {
     report.tile_count =
         std::max(report.tile_count, cache.accel.tiled_bvh().tile_count());
   }
@@ -304,17 +295,15 @@ void NeighborSearch::sync_index_cache(IndexCache& cache, float width, Report& re
 
 void NeighborSearch::launch(SearchContext& ctx) {
   // The base-width accel, shared by every launch unit at exactly that
-  // width (the unpartitioned path, the sparse-fallback bundle): the
-  // persistent cache of a dynamic sequence, else one built for this call.
-  IndexCache call_index;
-  IndexCache& base = index_persistence_ ? index_cache_ : call_index;
+  // width (the unpartitioned path, the sparse-fallback bundle), is the
+  // one kept across searches.
   const auto at_base = [&](const SearchContext::Unit& unit) {
     return std::abs(unit.aabb_width - ctx.base_width) <= 1e-6f * ctx.params.radius;
   };
   // It is synced before the result rows and the KNN heap pool exist, so
   // its build scratch never coexists with them in peak memory.
   if (std::any_of(ctx.units.begin(), ctx.units.end(), at_base)) {
-    sync_index_cache(base, ctx.base_width, ctx.report);
+    sync_index_cache(ctx.base_width, ctx.report);
   }
 
   // Result storage: one K-slot row per query, written by the range
@@ -330,14 +319,8 @@ void NeighborSearch::launch(SearchContext& ctx) {
   for (const SearchContext::Unit& unit : ctx.units) {
     const bool is_base = at_base(unit);
     ox::Accel local;
-    const ox::Accel* accel;
-    if (is_base) {
-      sync_index_cache(base, ctx.base_width, ctx.report);
-      accel = &base.accel;
-    } else {
-      local = build_accel_width(points_, unit.aabb_width, ctx.report);
-      accel = &local;
-    }
+    if (!is_base) local = build_accel_width(points_, unit.aabb_width, ctx.report);
+    const ox::Accel* accel = is_base ? &index_cache_.accel : &local;
     // The KNN cull bound needs the width the traversed boxes were built
     // with: the shared accel's, not this unit's (they may differ by the
     // at_base tolerance).
@@ -408,26 +391,6 @@ std::vector<NeighborResult> split_batch_result(const NeighborResult& batch,
     RTNN_CHECK(row < batch_rows.size(), "batch slice exceeds the row map");
     return static_cast<std::size_t>(batch_rows[row]);
   });
-}
-
-DynamicSearchSession::DynamicSearchSession(const SearchParams& params,
-                                           const CostModel& model)
-    : params_(params) {
-  search_.set_cost_model(model);
-  search_.set_index_persistence(true);
-}
-
-NeighborResult DynamicSearchSession::step(std::span<const Vec3> points,
-                                          std::span<const Vec3> queries,
-                                          NeighborSearch::Report* report) {
-  RTNN_CHECK(!points.empty(), "a frame needs points");
-  if (search_.point_count() == points.size()) {
-    search_.update_points(points);  // moved positions: refit-eligible
-  } else {
-    search_.set_points(points);     // first frame or a resize: fresh index
-  }
-  ++frame_;
-  return search_.search(queries, params_, report);
 }
 
 }  // namespace rtnn

@@ -166,7 +166,7 @@ std::optional<RequestOutcome> SearchService::Ticket::try_get() {
 // --- Construction / lifecycle ------------------------------------------------
 
 SearchService::SearchService(const ServiceConfig& config) : config_(config) {
-  dispatcher_ = std::thread([this] { dispatch_loop(0); });
+  dispatcher_ = std::thread([this] { run_dispatcher(0); });
   if (config_.stall_timeout.count() > 0) {
     watchdog_ = std::thread([this] { watchdog_loop(); });
   }
@@ -190,16 +190,11 @@ void SearchService::shutdown() {
   // dispatcher_ out from under the joins below.
   if (watchdog_.joinable()) watchdog_.join();
   queue_.close();  // dispatcher drains what is queued, then exits
-  std::vector<std::thread> workers;
-  {
-    std::lock_guard<std::mutex> dispatcher_lock(dispatcher_mutex_);
-    workers = std::move(retired_dispatchers_);
-    retired_dispatchers_.clear();
-    if (dispatcher_.joinable()) workers.push_back(std::move(dispatcher_));
-  }
-  for (std::thread& worker : workers) {
-    if (worker.joinable()) worker.join();
-  }
+  // A retired dispatcher still winding down finds the queue closed when it
+  // hands its batch back, and settles it as kShutdown.
+  std::lock_guard<std::mutex> dispatcher_lock(dispatcher_mutex_);
+  if (retired_dispatcher_.joinable()) retired_dispatcher_.join();
+  if (dispatcher_.joinable()) dispatcher_.join();
 }
 
 // --- Stats -------------------------------------------------------------------
@@ -342,7 +337,6 @@ std::shared_ptr<Snapshot> SearchService::build_cloud_locked(CloudState& cloud) {
   cloud.master = make_cloud_backend(cloud.config);
   RTNN_CHECK(cloud.master->caps().snapshot,
              "backend cannot snapshot (caps().snapshot is false)");
-  cloud.master->set_index_persistence(true);
   cloud.master->set_points(cloud.points);
 
   NeighborSearch::Report warm_report;
@@ -555,8 +549,7 @@ void SearchService::update_points(const CloudHandle& cloud,
   NeighborSearch::Report warm_report;
   if (state->master != nullptr) {
     // The master absorbs the motion: same count = a move dynamic
-    // backends refit; a resize = a fresh upload (new index lineage,
-    // like the DynamicSearchSession resize fallback).
+    // backends refit; a resize = a fresh upload (a new index lineage).
     if (points.size() == state->master->point_count()) {
       state->master->update_points(points);
     } else {
@@ -870,16 +863,30 @@ void SearchService::watchdog_loop() {
   // microseconds so a millisecond timeout never samples in a busy loop.
   const auto interval = std::chrono::microseconds(config_.stall_timeout) / 4;
   std::uint64_t last_beat = dispatcher_beat_.load();
-  // After a restart, detection re-arms only at the replacement's first
-  // beat: until the stale thread hands its batch back, the work is
-  // outstanding but the replacement is legitimately idle, and restarting
-  // again would only churn threads.
-  bool armed = true;
+  bool winding_down = false;  // a retired dispatcher has yet to be joined
   std::optional<std::chrono::steady_clock::time_point> stall_since;
   std::unique_lock<std::mutex> lock(watchdog_mutex_);
   while (!stopped_.load()) {
     watchdog_cv_.wait_for(lock, interval);
     if (stopped_.load()) return;
+
+    // One wedge, one restart: while the retired dispatcher winds down,
+    // detection stays off. Its replacement is idle (the retired thread
+    // holds the batch) or blocked behind it (on the update mutex of the
+    // demand build the retired thread is inside), and restarting the
+    // replacement too would only churn threads. Once the retired thread
+    // has returned, join it and re-arm from a fresh sample.
+    if (winding_down) {
+      if (!retired_returned_.load()) continue;
+      {
+        std::lock_guard<std::mutex> dispatcher_lock(dispatcher_mutex_);
+        retired_dispatcher_.join();
+      }
+      winding_down = false;
+      last_beat = dispatcher_beat_.load();
+      stall_since.reset();
+      continue;
+    }
 
     // Stalled = work outstanding AND no heartbeat progress for a full
     // stall window *observed by this loop*. An idle dispatcher does not
@@ -888,11 +895,10 @@ void SearchService::watchdog_loop() {
     if (now_beat != last_beat) {
       last_beat = now_beat;
       stall_since.reset();
-      armed = true;
       dispatcher_stalled_.store(false);
       continue;
     }
-    if (!armed || pending_requests_.load() == 0) {
+    if (pending_requests_.load() == 0) {
       stall_since.reset();
       continue;
     }
@@ -904,26 +910,35 @@ void SearchService::watchdog_loop() {
     if (now - *stall_since >= config_.stall_timeout) {
       dispatcher_stalled_.store(true);
       restart_dispatcher();
+      winding_down = true;
       stall_since.reset();
-      armed = false;
-      last_beat = dispatcher_beat_.load();
     }
   }
+}
+
+void SearchService::run_dispatcher(std::uint64_t generation) {
+  dispatch_loop(generation);
+  // Only a retired thread returns while the watchdog runs: the current
+  // one returns only once shutdown() has closed the queue.
+  retired_returned_.store(true);
 }
 
 void SearchService::restart_dispatcher() {
   std::lock_guard<std::mutex> lock(dispatcher_mutex_);
   // The generation bump is what retires the old thread: it observes
   // dispatcher_stale() at its next check (the tick, or a pin that has to
-  // build or republish), re-enqueues its unserved requests, and exits;
-  // shutdown() joins it from retired_dispatchers_. The wedged thread may
+  // build or republish), re-enqueues its unserved requests, and returns;
+  // the watchdog joins it then (or shutdown() does). The wedged thread may
   // be inside a launch holding backend scratch, but every snapshot it can
   // search carries the old generation, so the replacement republishes a
-  // clone from the master before its first search on each cloud.
+  // clone from the master before its first search on each cloud. The
+  // returned flag is cleared before the bump, so the retired thread's
+  // return, which follows its reading of the bump, is what sets it.
+  retired_returned_.store(false);
   const std::uint64_t next =
       dispatcher_generation_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  retired_dispatchers_.push_back(std::move(dispatcher_));
-  dispatcher_ = std::thread([this, next] { dispatch_loop(next); });
+  retired_dispatcher_ = std::move(dispatcher_);
+  dispatcher_ = std::thread([this, next] { run_dispatcher(next); });
   dispatcher_restarts_.fetch_add(1);
   dispatcher_stalled_.store(false);
 }

@@ -1,8 +1,9 @@
 // The serving layer: many named point clouds, many concurrent callers.
 //
-// Every entry point below the service — NeighborSearch::search(), the
-// engine backends, DynamicSearchSession — is single-caller: one thread
-// owns the index and queries arrive as one monolithic array. SearchService
+// Every entry point below the service — NeighborSearch::search() and the
+// engine backends — is single-caller: one thread owns the index (kept
+// across searches until the points change) and queries arrive as one
+// monolithic array. SearchService
 // turns that machinery into a concurrent multi-tenant request server:
 //
 //   * A *cloud registry* maps names to tenants: register_cloud() admits a
@@ -196,8 +197,10 @@ struct ServiceConfig {
   /// generation (which republishes the snapshots it searches, so it never
   /// shares backend scratch with the wedged thread), and the stale one
   /// hands its in-flight requests back to the queue when it wakes —
-  /// tickets are always resolved, never abandoned. 0 (the default)
-  /// disables the watchdog thread entirely. The timeout must comfortably
+  /// tickets are always resolved, never abandoned. One wedge costs one
+  /// restart: detection stays off until the stale thread has returned
+  /// (the watchdog then joins it). 0 (the default) disables the watchdog
+  /// thread entirely. The timeout must comfortably
   /// exceed the longest legitimate batch: a restart while the old
   /// dispatcher is genuinely inside a launch re-runs that work.
   std::chrono::milliseconds stall_timeout{0};
@@ -516,8 +519,12 @@ class SearchService {
 
   // --- Watchdog (self-healing dispatch) ---
   void watchdog_loop();
+  /// Runs dispatch_loop(generation), then marks the thread as returned
+  /// (the watchdog joins a retired dispatcher only once it has).
+  void run_dispatcher(std::uint64_t generation);
   /// Declares the current dispatcher stalled: bumps the generation (the
-  /// stale one hands its batch back at its next check), starts a new one.
+  /// stale one hands its batch back at its next check), retires it and
+  /// starts a new one.
   void restart_dispatcher();
   /// A stale dispatcher hands its unsettled requests back (or settles them).
   void requeue_or_reject(const std::vector<RequestPtr>& requests);
@@ -535,12 +542,14 @@ class SearchService {
   std::atomic<bool> stopped_{false};
   std::mutex lifecycle_mutex_;  // serializes shutdown()
 
-  /// Dispatcher lifecycle, all guarded by dispatcher_mutex_ except the
-  /// atomics: the current thread, the generation the current thread was
-  /// started with, and stale predecessors awaiting join.
+  /// Dispatcher lifecycle, guarded by dispatcher_mutex_ except the
+  /// atomics: the current thread, and the retired one still winding down
+  /// (at most one: the watchdog restarts no further until it has
+  /// returned, then joins it).
   std::mutex dispatcher_mutex_;
   std::thread dispatcher_;
-  std::vector<std::thread> retired_dispatchers_;
+  std::thread retired_dispatcher_;
+  std::atomic<bool> retired_returned_{false};  // set as a dispatcher returns
   std::atomic<std::uint64_t> dispatcher_generation_{0};
   std::atomic<std::uint64_t> dispatcher_beat_{0};   // advances once per tick
   std::atomic<std::uint64_t> dispatcher_restarts_{0};

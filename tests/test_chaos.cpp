@@ -466,17 +466,24 @@ TEST_F(ChaosTest, RestartInsideADemandBuildNeverSharesTheBuiltSnapshot) {
   // build; the watchdog replaces it, and the replacement's request waits
   // on the same build. The snapshot that build publishes belongs to one
   // dispatcher generation only, so the two never search one backend, and
-  // both requests serve exact rows.
+  // both requests serve exact rows. One wedge costs one restart: the
+  // replacement, blocked behind the wedged build, is not restarted too,
+  // and the cloud is built once. The stall window must comfortably exceed
+  // the replacement's legitimate first batch (the accel build plus the
+  // launch: ~120 ms under ThreadSanitizer, up to ~400 ms in a
+  // single-threaded AddressSanitizer Debug build), or the watchdog
+  // restarts it as stalled by definition; the wedge outlasts the window
+  // several times.
   const std::vector<Vec3> points = make_cloud(CloudKind::kUniform, 20'000, kSeed);
   const std::vector<Vec3> queries(points.begin(), points.begin() + 2'000);
-  SearchService service(watched_config(/*stall_timeout=*/40ms));
+  SearchService service(watched_config(/*stall_timeout=*/500ms));
   CloudConfig lazy;
   lazy.build_on_register = false;
   CloudHandle cloud = service.register_cloud("lazy", points, lazy);
 
   FailConfig config;
   config.action = Action::kDelay;
-  config.delay = 300ms;
+  config.delay = 2s;
   config.max_fires = 1;
   ScopedFailpoint fp("service.publish", config);
   SearchService::Ticket first = service.submit(cloud, queries, knn_params());
@@ -488,6 +495,8 @@ TEST_F(ChaosTest, RestartInsideADemandBuildNeverSharesTheBuiltSnapshot) {
   rtnn::testing::expect_knn_identical(second.get().result, expected, "replacement");
   EXPECT_EQ(fp.fires(), 1u);
   EXPECT_EQ(service.health().pending_requests, 0u);
+  EXPECT_EQ(service.health().dispatcher_restarts, 1u);
+  EXPECT_EQ(service.stats(cloud).builds, 1u);
 }
 
 TEST_F(ChaosTest, ShutdownWhileAStaleDispatcherHoldsTheBatchSettlesItAsShutdown) {

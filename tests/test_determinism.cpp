@@ -1,7 +1,8 @@
 // Fixed-seed results must be invariant across worker thread counts: the
 // per-worker StatsAccumulator refactor promised that parallelism changes
 // only wall clock, never answers. Locked in here for the static search
-// pipeline, dynamic session stepping, and the coalesced batch path.
+// pipeline, dynamic frame stepping (update_points), and the coalesced
+// batch path.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -87,7 +88,7 @@ TEST(Determinism, SearchInvariantAcrossThreadCounts) {
   }
 }
 
-TEST(Determinism, SessionSteppingInvariantAcrossThreadCounts) {
+TEST(Determinism, FrameSteppingInvariantAcrossThreadCounts) {
   ThreadCountGuard guard;
   const std::vector<Vec3> cloud = make_cloud(CloudKind::kUniform, 2000, kSeed);
   SearchParams params;
@@ -100,7 +101,7 @@ TEST(Determinism, SessionSteppingInvariantAcrossThreadCounts) {
   std::vector<std::vector<std::vector<std::uint32_t>>> reference;  // per frame
   for (const int threads : kThreadCounts) {
     set_num_threads(threads);
-    DynamicSearchSession session(params);
+    NeighborSearch search;
     data::DriftParams drift;
     drift.velocity = 0.2f * params.radius;
     data::DriftMotion motion(cloud, drift);
@@ -108,7 +109,12 @@ TEST(Determinism, SessionSteppingInvariantAcrossThreadCounts) {
     std::vector<std::vector<std::vector<std::uint32_t>>> frames;
     for (int f = 0; f < kFrames; ++f) {
       const data::PointCloud& frame = motion.step();
-      const NeighborResult result = session.step(frame);
+      if (f == 0) {
+        search.set_points(frame);
+      } else {
+        search.update_points(frame);  // refits: the lifecycle under test
+      }
+      const NeighborResult result = search.search(frame, params);
       frames.push_back(canonical(frame, frame, result));
     }
     if (reference.empty()) {

@@ -1,7 +1,7 @@
 // Dynamic point-cloud lifecycle tests: the wide BVH's bottom-up refit and
-// its binary-tree SAH signal, Accel coherence across refits, the refit-vs-rebuild cost
-// policy, NeighborSearch index persistence, the DynamicSearchSession, and
-// the datasets motion models.
+// its binary-tree SAH signal, Accel coherence across refits, the
+// refit-vs-rebuild cost policy, NeighborSearch's kept base accel (reuse,
+// reset, refit and rebuild across frames), and the datasets motion models.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,7 +11,6 @@
 #include "datasets/motion.hpp"
 #include "optix/optix.hpp"
 #include "rtnn/rtnn.hpp"
-#include "rtnn/stages.hpp"
 #include "test_util.hpp"
 
 namespace rtnn {
@@ -221,7 +220,6 @@ TEST(AccelRefit, RefitAndRebuildSeeIdenticalCandidateSets) {
     const ox::Accel fresh = ctx.build_accel(cubes(after, 2.0f * radius));
     rt::Bvh binary;  // the binary walk's tree over the moved boxes
     binary.build(cubes(after, 2.0f * radius));
-    ASSERT_GT(refitted.refit_seconds(), 0.0);
 
     const auto label = rtnn::testing::to_string(kind);
     const auto refitted_hits = collect_hits(refitted, queries);
@@ -267,7 +265,7 @@ TEST(IndexPolicy, RebuildsOnQualityOrCostGrounds) {
   EXPECT_EQ(choose_index_update(slow_refit, 1.0), IndexUpdate::kRebuild);
 }
 
-// --- NeighborSearch index persistence ---------------------------------------
+// --- NeighborSearch's kept base accel ----------------------------------------
 
 TEST(NeighborSearchDynamic, RefitFrameMatchesFreshSearchExactly) {
   for (const SearchMode mode : {SearchMode::kRange, SearchMode::kKnn}) {
@@ -280,12 +278,11 @@ TEST(NeighborSearchDynamic, RefitFrameMatchesFreshSearchExactly) {
     params.mode = mode;
     params.radius = 0.06f;
     params.k = mode == SearchMode::kRange ? 4096 : 16;  // range: never truncate
-    params.opts = OptimizationFlags::none();  // the persistent-index configuration
+    params.opts = OptimizationFlags::none();  // every launch uses the base accel
 
     NeighborSearch dynamic;
-    dynamic.set_index_persistence(true);
     dynamic.set_points(before);
-    (void)dynamic.search(queries, params);  // frame 0: builds the cached accel
+    (void)dynamic.search(queries, params);  // frame 0: builds the kept accel
     dynamic.update_points(after);
     NeighborSearch::Report report;
     const NeighborResult refitted = dynamic.search(queries, params, &report);
@@ -314,29 +311,74 @@ TEST(NeighborSearchDynamic, UpdateBeforeSetOrCountChangeThrows) {
   EXPECT_THROW(search.update_points(fewer), Error);
 }
 
-TEST(NeighborSearchDynamic, StaticSemanticsUnchangedWithoutPersistence) {
-  // Without opting in, repeated searches still build per call: the
-  // historical timing semantics every static bench depends on.
+/// The lifecycle rule, monolithic and tiled: a search on unchanged points
+/// reuses the kept accel (no build, identical rows); set_points(),
+/// set_tiling() and a new radius rebuild it; update_points() has the next
+/// search refit it, after which it is kept again.
+TEST(NeighborSearchDynamic, KeepsTheBaseAccelUntilThePointsChange) {
   const std::vector<Vec3> points = rtnn::testing::make_cloud(CloudKind::kUniform, 2000, 8);
+  const std::vector<Vec3> moved = jitter_cloud(points, 0.002f, 9);
   SearchParams params;
   params.mode = SearchMode::kKnn;
   params.radius = 0.08f;
   params.k = 8;
   params.opts = OptimizationFlags::none();
+  TileOptions tiling;
+  tiling.tile_threshold = 256;  // 2000 points: a tiled base accel
+  tiling.max_tiles = 8;
+  tiling.lazy_build = false;    // every touched tile is built, so refits == touched
 
-  NeighborSearch search;
-  search.set_points(points);
-  NeighborSearch::Report first, second;
-  (void)search.search(points, params, &first);
-  (void)search.search(points, params, &second);
-  EXPECT_GT(first.time.bvh, 0.0);
-  EXPECT_GT(second.time.bvh, 0.0) << "static path must rebuild per call";
-  EXPECT_EQ(second.time.refit, 0.0);
+  for (const bool tiled : {false, true}) {
+    const std::string label = tiled ? "tiled" : "monolithic";
+    const TileOptions options = tiled ? tiling : TileOptions{};
+    NeighborSearch search;
+    search.set_tiling(options);
+    search.set_points(points);
+
+    NeighborSearch::Report first, second;
+    const NeighborResult built = search.search(points, params, &first);
+    const NeighborResult reused = search.search(points, params, &second);
+    EXPECT_GT(first.time.bvh, 0.0) << label;
+    EXPECT_EQ(second.time.bvh, 0.0) << label << ": unchanged points reuse the accel";
+    EXPECT_EQ(second.time.refit, 0.0) << label;
+    EXPECT_EQ(second.tile_count, first.tile_count) << label;
+    EXPECT_EQ(tiled, first.tile_count > 0) << label;
+    rtnn::testing::expect_knn_identical(reused, built, label + "/reuse");
+
+    const auto rebuilds = [&](const char* step, const SearchParams& p) {
+      NeighborSearch::Report report;
+      (void)search.search(points, p, &report);
+      EXPECT_GT(report.time.bvh, 0.0) << label << ": " << step << " must rebuild";
+    };
+    search.set_points(points);
+    rebuilds("set_points()", params);
+    SearchParams wider = params;
+    wider.radius *= 1.5f;
+    rebuilds("a new radius", wider);
+    rebuilds("the old radius again", params);  // one kept accel, not one per width
+    search.set_tiling(options);
+    rebuilds("set_tiling()", params);
+
+    search.update_points(moved);
+    NeighborSearch::Report refit, after;
+    const NeighborResult refitted = search.search(moved, params, &refit);
+    EXPECT_EQ(refit.time.bvh, 0.0) << label << ": a small move refits";
+    EXPECT_GT(refit.time.refit, 0.0) << label;
+    if (tiled) {
+      EXPECT_GT(refit.tiles_touched, 0u) << label;
+      EXPECT_EQ(refit.tile_refits, refit.tiles_touched) << label;
+    } else {
+      EXPECT_EQ(refit.accel_refits, 1u) << label;
+    }
+    rtnn::testing::expect_knn_identical(refitted, rtnn::search(moved, moved, params),
+                                        label + "/refit");
+    (void)search.search(moved, params, &after);
+    EXPECT_EQ(after.time.bvh + after.time.refit, 0.0) << label << ": kept after the refit";
+    EXPECT_EQ(after.accel_refits + after.tiles_touched, 0u) << label;
+  }
 }
 
-// --- DynamicSearchSession ----------------------------------------------------
-
-TEST(DynamicSearchSession, StreamsRefittedFramesWithParity) {
+TEST(NeighborSearchDynamic, StreamsRefittedFramesWithParity) {
   const std::size_t n = 3000;
   SearchParams params;
   params.mode = SearchMode::kKnn;
@@ -346,13 +388,18 @@ TEST(DynamicSearchSession, StreamsRefittedFramesWithParity) {
 
   data::DriftParams drift;
   drift.velocity = 0.002f;
-  DynamicSearchSession session(params);
+  NeighborSearch search;
   data::DriftMotion motion(rtnn::testing::make_cloud(CloudKind::kUniform, n, 21), drift);
 
   for (int frame = 0; frame < 4; ++frame) {
     const data::PointCloud& cloud = frame == 0 ? motion.points() : motion.step();
+    if (frame == 0) {
+      search.set_points(cloud);
+    } else {
+      search.update_points(cloud);
+    }
     NeighborSearch::Report report;
-    const NeighborResult result = session.step(cloud, &report);
+    const NeighborResult result = search.search(cloud, params, &report);
     ASSERT_EQ(result.num_queries(), n);
 
     if (frame == 0) {
@@ -366,72 +413,82 @@ TEST(DynamicSearchSession, StreamsRefittedFramesWithParity) {
     }
     // Every frame must agree with a from-scratch search of that frame.
     const NeighborResult fresh = rtnn::search(cloud, cloud, params);
-    rtnn::testing::expect_knn_identical(result, fresh, "session frame " + std::to_string(frame));
+    rtnn::testing::expect_knn_identical(result, fresh, "frame " + std::to_string(frame));
   }
-  EXPECT_EQ(session.frame(), 4u);
 }
 
-TEST(DynamicSearchSession, PolicyRebuildsAfterQualityCollapse) {
+TEST(NeighborSearchDynamic, PolicyRebuildsAfterQualityCollapse) {
   SearchParams params;
   params.mode = SearchMode::kKnn;
   params.radius = 0.06f;
   params.k = 8;
   params.opts = OptimizationFlags::none();
 
-  CostModel model;
-  model.max_sah_inflation = 1.2;  // tight quality guard
-  DynamicSearchSession session(params, model);
-
+  NeighborSearch search;
   std::vector<Vec3> cloud = rtnn::testing::make_cloud(CloudKind::kUniform, 4000, 33);
-  (void)session.step(cloud);  // build
+  search.set_points(cloud);
+  (void)search.search(cloud, params);  // build
   // A correspondence-destroying frame: refit happens (decision precedes
-  // the damage being observable) but inflation is then measured high.
+  // the damage being observable) but inflation is then measured far past
+  // the default model's guard.
   data::shuffle(cloud, 55);
+  search.update_points(cloud);
   NeighborSearch::Report scrambled;
-  (void)session.step(cloud, &scrambled);
+  (void)search.search(cloud, params, &scrambled);
   EXPECT_EQ(scrambled.accel_refits, 1u);
-  EXPECT_GT(scrambled.sah_inflation, model.max_sah_inflation);
+  EXPECT_GT(scrambled.sah_inflation, 2.0 * CostModel{}.max_sah_inflation);
   // The next frame sees the degraded index and rebuilds.
   cloud = jitter_cloud(cloud, 0.001f, 77);
+  search.update_points(cloud);
   NeighborSearch::Report recovered;
-  (void)session.step(cloud, &recovered);
+  (void)search.search(cloud, params, &recovered);
   EXPECT_EQ(recovered.accel_rebuilds, 1u);
   EXPECT_EQ(recovered.accel_refits, 0u);
   EXPECT_LT(recovered.sah_inflation, 1.1);
 }
 
-TEST(DynamicSearchSession, CountChangeFallsBackToRebuild) {
+TEST(NeighborSearchDynamic, ResizedCloudIsAFreshUpload) {
   SearchParams params;
   params.mode = SearchMode::kKnn;
   params.radius = 0.08f;
   params.k = 4;
   params.opts = OptimizationFlags::none();
-  DynamicSearchSession session(params);
+  NeighborSearch search;
 
   std::vector<Vec3> cloud = rtnn::testing::make_cloud(CloudKind::kUniform, 1000, 3);
-  (void)session.step(cloud);
-  cloud.resize(900);  // a resize is a topology change: rebuild, don't throw
+  search.set_points(cloud);
+  (void)search.search(cloud, params);
+  cloud.resize(900);  // a resize is a topology change: not a move
+  EXPECT_THROW(search.update_points(cloud), Error);
+  search.set_points(cloud);
   NeighborSearch::Report report;
-  const NeighborResult result = session.step(cloud, &report);
+  const NeighborResult result = search.search(cloud, params, &report);
   EXPECT_EQ(result.num_queries(), 900u);
   EXPECT_EQ(report.accel_refits, 0u);
   EXPECT_GT(report.time.bvh, 0.0);
+  rtnn::testing::expect_knn_identical(result, rtnn::search(cloud, cloud, params), "resized");
 }
 
-TEST(DynamicSearchSession, SeparateQuerySetSupported) {
+TEST(NeighborSearchDynamic, SeparateQuerySetSupported) {
   SearchParams params;
   params.mode = SearchMode::kRange;
   params.radius = 0.08f;
   params.k = 64;
   params.opts = OptimizationFlags::none();
-  DynamicSearchSession session(params);
+  NeighborSearch search;
 
   const std::vector<Vec3> cloud = rtnn::testing::make_cloud(CloudKind::kUniform, 2000, 51);
-  const std::vector<Vec3> queries = data::jittered_queries(cloud, 250, 0.02f, 52);
-  const NeighborResult result = session.step(cloud, queries);
+  search.set_points(cloud);
+  (void)search.search(cloud, params);  // the self-query frame builds
+  const std::vector<Vec3> moved = jitter_cloud(cloud, 0.002f, 53);
+  search.update_points(moved);
+  const std::vector<Vec3> queries = data::jittered_queries(moved, 250, 0.02f, 52);
+  NeighborSearch::Report report;
+  const NeighborResult result = search.search(queries, params, &report);
   ASSERT_EQ(result.num_queries(), queries.size());
-  rtnn::testing::expect_all_within_radius(cloud, queries, result, params.radius,
-                                          "session/queries");
+  EXPECT_EQ(report.accel_refits, 1u);
+  rtnn::testing::expect_all_within_radius(moved, queries, result, params.radius,
+                                          "moved/queries");
 }
 
 // --- datasets motion models --------------------------------------------------

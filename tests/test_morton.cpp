@@ -11,30 +11,10 @@
 namespace rtnn {
 namespace {
 
-TEST(Morton, ExpandCompact10Roundtrip) {
-  for (std::uint32_t v : {0u, 1u, 5u, 511u, 1023u}) {
-    EXPECT_EQ(compact_bits_10(expand_bits_10(v)), v);
-  }
-}
-
 TEST(Morton, ExpandCompact21Roundtrip) {
   for (std::uint64_t v : {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{77777},
                           (std::uint64_t{1} << 21) - 1}) {
     EXPECT_EQ(compact_bits_21(expand_bits_21(v)), v);
-  }
-}
-
-TEST(Morton, Encode30Decode30Roundtrip) {
-  Pcg32 rng(123);
-  for (int i = 0; i < 1000; ++i) {
-    const std::uint32_t x = rng.next_bounded(1024);
-    const std::uint32_t y = rng.next_bounded(1024);
-    const std::uint32_t z = rng.next_bounded(1024);
-    std::uint32_t dx, dy, dz;
-    morton3d_30_decode(morton3d_30(x, y, z), dx, dy, dz);
-    EXPECT_EQ(dx, x);
-    EXPECT_EQ(dy, y);
-    EXPECT_EQ(dz, z);
   }
 }
 
@@ -54,36 +34,29 @@ TEST(Morton, Encode63Decode63Roundtrip) {
 
 TEST(Morton, BitInterleavingOrder) {
   // x occupies the highest bit of each 3-bit group (shift 2).
-  EXPECT_EQ(morton3d_30(1, 0, 0), 0b100u);
-  EXPECT_EQ(morton3d_30(0, 1, 0), 0b010u);
-  EXPECT_EQ(morton3d_30(0, 0, 1), 0b001u);
-  EXPECT_EQ(morton3d_30(1, 1, 1), 0b111u);
-  EXPECT_EQ(morton3d_30(2, 0, 0), 0b100000u);
-}
-
-TEST(Morton, Morton2dRoundtripBits) {
-  EXPECT_EQ(morton2d_32(1, 0), 0b10u);
-  EXPECT_EQ(morton2d_32(0, 1), 0b01u);
-  EXPECT_EQ(morton2d_32(0xffffu, 0u), 0xAAAAAAAAu);
+  EXPECT_EQ(morton3d_63(1, 0, 0), 0b100u);
+  EXPECT_EQ(morton3d_63(0, 1, 0), 0b010u);
+  EXPECT_EQ(morton3d_63(0, 0, 1), 0b001u);
+  EXPECT_EQ(morton3d_63(1, 1, 1), 0b111u);
+  EXPECT_EQ(morton3d_63(2, 0, 0), 0b100000u);
 }
 
 TEST(Morton, NormalizedPointEncoding) {
   const Aabb bounds{{0.0f, 0.0f, 0.0f}, {1.0f, 1.0f, 1.0f}};
+  constexpr std::uint32_t kMax = (1u << 21) - 1;
   // Origin maps to code 0, far corner to the max code.
-  EXPECT_EQ(morton3d_30(Vec3{0.0f, 0.0f, 0.0f}, bounds), 0u);
-  EXPECT_EQ(morton3d_30(Vec3{1.0f, 1.0f, 1.0f}, bounds), morton3d_30(1023u, 1023u, 1023u));
+  EXPECT_EQ(morton3d_63(Vec3{0.0f, 0.0f, 0.0f}, bounds), 0u);
+  EXPECT_EQ(morton3d_63(Vec3{1.0f, 1.0f, 1.0f}, bounds), morton3d_63(kMax, kMax, kMax));
   // Out-of-bounds points clamp instead of wrapping.
-  EXPECT_EQ(morton3d_30(Vec3{-5.0f, 0.5f, 0.5f}, bounds),
-            morton3d_30(0u, 512u, 512u));
+  EXPECT_EQ(morton3d_63(Vec3{-5.0f, 0.5f, 0.5f}, bounds),
+            morton3d_63(0u, 1u << 20, 1u << 20));
   // NaN components land in bucket 0 of their axis without reaching the
   // float-to-integer cast (undefined for NaN); ±inf clamp like any
   // out-of-bounds value.
   const float nan = std::numeric_limits<float>::quiet_NaN();
   const float inf = std::numeric_limits<float>::infinity();
-  EXPECT_EQ(morton3d_30(Vec3{nan, 0.5f, 0.5f}, bounds), morton3d_30(0u, 512u, 512u));
-  EXPECT_EQ(morton3d_30(Vec3{nan, nan, nan}, bounds), 0u);
-  EXPECT_EQ(morton3d_63(Vec3{inf, nan, 0.5f}, bounds),
-            morton3d_63((1u << 21) - 1, 0u, 1u << 20));
+  EXPECT_EQ(morton3d_63(Vec3{nan, 0.5f, 0.5f}, bounds), morton3d_63(0u, 1u << 20, 1u << 20));
+  EXPECT_EQ(morton3d_63(Vec3{inf, nan, 0.5f}, bounds), morton3d_63(kMax, 0u, 1u << 20));
   EXPECT_EQ(morton3d_63(Vec3{nan, nan, -inf}, bounds), 0u);
 }
 

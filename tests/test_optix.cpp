@@ -68,7 +68,6 @@ TEST(Optix, AccelBuildSnapshotsGeometry) {
   TestScene scene = make_scene(100, 0.05f, 1);
   EXPECT_TRUE(scene.accel.built());
   EXPECT_EQ(scene.accel.prim_count(), 100u);
-  EXPECT_GE(scene.accel.build_seconds(), 0.0);
   // Mutating the source AABBs must not affect the accel (snapshot
   // semantics, like a GPU build).
   const Aabb before = testing::prim_box(scene.accel.wide_bvh(), 0);

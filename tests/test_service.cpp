@@ -189,7 +189,6 @@ TEST(BackendSnapshot, SnapshotUnaffectedByLaterUpdates) {
   const SearchParams params = knn_params(typical_radius(CloudKind::kUniform));
 
   auto backend = engine::make_backend("rtnn");
-  backend->set_index_persistence(true);
   backend->set_points(cloud);
   const NeighborResult before = backend->search(queries, params, nullptr);
 

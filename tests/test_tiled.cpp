@@ -330,7 +330,9 @@ TEST(TiledBvh, CopiesShareTilesUntilUpdate) {
 
 /// Range + KNN parity between a tiled and a monolithic NeighborSearch
 /// over the same cloud/queries. Range K is set above every true count so
-/// the result set is unique; KNN rows must be identical.
+/// the result set is unique; KNN rows must be identical. `tiled_report`
+/// receives the sum of the tiled side's two reports (the KNN search
+/// reuses the accel, and the lazy tiles, the range search built).
 void expect_tiled_parity(const std::vector<Vec3>& points, const std::vector<Vec3>& queries,
                          float radius, const TileOptions& tiling,
                          const std::string& label,
@@ -356,8 +358,10 @@ void expect_tiled_parity(const std::vector<Vec3>& points, const std::vector<Vec3
   knn.radius = radius;
   knn.k = 8;
   const NeighborResult knn_expected = mono.search(queries, knn, nullptr);
-  const NeighborResult knn_got = tiled.search(queries, knn, &report);
+  NeighborSearch::Report knn_report;
+  const NeighborResult knn_got = tiled.search(queries, knn, &knn_report);
   rtnn::testing::expect_knn_identical(knn_got, knn_expected, label + " knn");
+  report += knn_report;
   if (tiled_report) *tiled_report = report;
 }
 
@@ -409,7 +413,7 @@ TEST(TiledSearch, MaxTilesCapsAndZeroMeansUnbounded) {
 
 TEST(TiledDynamic, DriftFramesMatchMonolithic) {
   // Drift motion (point identity preserved, small displacement): the
-  // refit-friendly regime. Both engines run the persistent-index
+  // refit-friendly regime. Both engines run the update_points()
   // lifecycle; the tiled one must answer every frame identically while
   // doing per-tile update work.
   const std::vector<Vec3> initial = rtnn::testing::make_cloud(CloudKind::kNBody, 3000, 47);
@@ -425,14 +429,12 @@ TEST(TiledDynamic, DriftFramesMatchMonolithic) {
   params.k = static_cast<std::uint32_t>(initial.size());
 
   NeighborSearch mono;
-  mono.set_index_persistence(true);
   mono.set_points(initial);
   NeighborSearch tiled;
   TileOptions tiling = small_tiles(/*threshold=*/256);
   tiling.lazy_build = false;  // every touched tile is built, so the
                               // refit+rebuild == touched identity holds
   tiled.set_tiling(tiling);
-  tiled.set_index_persistence(true);
   tiled.set_points(initial);
 
   NeighborSearch::Report total;
@@ -474,10 +476,8 @@ TEST(TiledDynamic, LidarSweepFramesMatchMonolithic) {
   params.k = static_cast<std::uint32_t>(base.target_points);
 
   NeighborSearch mono;
-  mono.set_index_persistence(true);
   NeighborSearch tiled;
   tiled.set_tiling(small_tiles(/*threshold=*/256));
-  tiled.set_index_persistence(true);
 
   NeighborSearch::Report total;
   for (std::uint32_t frame = 0; frame < 4; ++frame) {
@@ -506,7 +506,6 @@ TEST(TiledDynamic, LocalizedMotionTouchesFewTiles) {
   const std::vector<Vec3> points = rtnn::testing::make_cloud(CloudKind::kUniform, 4000, 59);
   NeighborSearch tiled;
   tiled.set_tiling(small_tiles(/*threshold=*/250));
-  tiled.set_index_persistence(true);
   tiled.set_points(points);
 
   SearchParams params;

@@ -204,13 +204,5 @@ TEST(Traversal, EmptyLaunches) {
   EXPECT_EQ(s2.is_calls, 0u);
 }
 
-TEST(Traversal, SingleRayHelper) {
-  const Scene scene = make_scene(100, 0.3f, 12);
-  Collector collector(1);
-  const auto stats = trace_ray(scene.bvh, Ray::short_ray({0.5f, 0.5f, 0.5f}), collector);
-  EXPECT_EQ(stats.rays, 1u);
-  EXPECT_EQ(collector.hits[0], brute_force_enclosing(scene, {0.5f, 0.5f, 0.5f}));
-}
-
 }  // namespace
 }  // namespace rtnn::rt
