@@ -2,15 +2,26 @@
 
 namespace rtnn::ox {
 
-Accel Context::build_accel(std::span<const Aabb> prim_aabbs,
-                           const AccelBuildOptions& options) const {
+Accel Context::wide_accel(const rt::Bvh& bvh) {
   auto data = std::make_shared<detail::AccelData>();
-  rt::Bvh bvh;  // dropped on return: the wide tree is the resident index
-  bvh.build(prim_aabbs, rt::BvhBuildOptions{.leaf_size = options.leaf_size});
   data->wide.build(bvh);
   Accel accel;
   accel.data_ = std::move(data);
   return accel;
+}
+
+Accel Context::build_accel(std::span<const Aabb> prim_aabbs,
+                           const AccelBuildOptions& options) const {
+  rt::Bvh bvh;
+  bvh.build(prim_aabbs, rt::BvhBuildOptions{.leaf_size = options.leaf_size});
+  return wide_accel(bvh);
+}
+
+Accel Context::build_accel(std::span<const Vec3> points, float aabb_width,
+                           const AccelBuildOptions& options) const {
+  rt::Bvh bvh;
+  bvh.build(points, aabb_width, rt::BvhBuildOptions{.leaf_size = options.leaf_size});
+  return wide_accel(bvh);
 }
 
 Accel Context::build_tiled_accel(std::span<const Vec3> points, float aabb_width,

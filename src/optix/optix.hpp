@@ -69,9 +69,11 @@ namespace detail {
 
 /// The shared immutable build product behind an Accel handle: one
 /// resident wide tree (or one tiled index). build_accel collapses the
-/// binary LBVH into `wide` eagerly, so the cost lands in the caller's
-/// build timing (time.bvh) like the rest of the acceleration-structure
-/// work (the cost model's T_build = k1·M stays linear), then drops it.
+/// binary LBVH into `wide` eagerly — a large tree's subtrees in parallel,
+/// each node quantized as it is emitted — so the cost lands in the
+/// caller's build timing (time.bvh) like the rest of the
+/// acceleration-structure work (the cost model's T_build = k1·M stays
+/// linear), then drops it.
 struct AccelData {
   rt::WideBvh wide;
   /// The two-level build product (build_tiled_accel). Exactly one of
@@ -191,6 +193,11 @@ class Context {
   Accel build_accel(std::span<const Aabb> prim_aabbs,
                     const AccelBuildOptions& options = {}) const;
 
+  /// Point-cloud fast path: the GAS over Aabb::cube(points[i],
+  /// aabb_width), with no box array materialized outside the build.
+  Accel build_accel(std::span<const Vec3> points, float aabb_width,
+                    const AccelBuildOptions& options = {}) const;
+
   /// Builds the two-level (IAS-like) product: `tile_ids[t]` lists the
   /// point ids of spatial tile t (a partition of the cloud; the caller
   /// supplies Morton-contiguous tiles from the tile planner), every
@@ -200,6 +207,11 @@ class Context {
   Accel build_tiled_accel(std::span<const Vec3> points, float aabb_width,
                           std::span<const std::vector<std::uint32_t>> tile_ids,
                           const TiledAccelOptions& options = {}) const;
+
+ private:
+  /// The accel over a built binary tree: its wide collapse, the resident
+  /// index (the caller drops the binary tree).
+  static Accel wide_accel(const rt::Bvh& bvh);
 };
 
 namespace detail {

@@ -44,36 +44,31 @@ std::uint32_t split_range(const std::vector<std::uint64_t>& codes, std::uint32_t
   return first + 1;
 }
 
+// Both builders write every field of every node they emit: the node
+// arrays start unwritten (UninitVector).
 struct SubtreeBuilder {
   const std::vector<std::uint64_t>& codes;
   const std::vector<std::uint32_t>& prim_order;
-  const std::vector<Aabb>& prim_aabbs;
+  std::span<const Aabb> prim_aabbs;
   std::uint32_t leaf_size;
-  std::vector<BvhNode>& nodes;
+  UninitVector<BvhNode>& nodes;
   std::uint32_t max_depth = 0;
 
   std::uint32_t build(std::uint32_t lo, std::uint32_t hi, std::uint32_t depth) {
     max_depth = std::max(max_depth, depth);
     const auto index = static_cast<std::uint32_t>(nodes.size());
-    nodes.emplace_back();
+    nodes.push_back(BvhNode{});
     const std::uint32_t count = hi - lo;
     if (count <= leaf_size) {
       Aabb bounds;
       for (std::uint32_t s = lo; s < hi; ++s) bounds.grow(prim_aabbs[prim_order[s]]);
-      BvhNode& leaf = nodes[index];
-      leaf.bounds = bounds;
-      leaf.first = lo;
-      leaf.count = count;
+      nodes[index] = BvhNode{bounds, 0, 0, lo, count};
       return index;
     }
     const std::uint32_t mid = split_range(codes, lo, hi);
     const std::uint32_t left = build(lo, mid, depth + 1);
     const std::uint32_t right = build(mid, hi, depth + 1);
-    BvhNode& node = nodes[index];
-    node.left = left;
-    node.right = right;
-    node.count = 0;
-    node.bounds = unite(nodes[left].bounds, nodes[right].bounds);
+    nodes[index] = BvhNode{unite(nodes[left].bounds, nodes[right].bounds), left, right, 0, 0};
     return index;
   }
 };
@@ -84,18 +79,15 @@ struct SubtreeBuilder {
 struct FixedSlotBuilder {
   const std::vector<std::uint64_t>& codes;
   const std::vector<std::uint32_t>& prim_order;
-  const std::vector<Aabb>& prim_aabbs;
+  std::span<const Aabb> prim_aabbs;
   BvhNode* nodes;
   std::uint32_t max_depth = 0;
 
   void build(std::uint32_t slot, std::uint32_t lo, std::uint32_t hi,
              std::uint32_t depth) {
     max_depth = std::max(max_depth, depth);
-    BvhNode& node = nodes[slot];
     if (hi - lo == 1) {
-      node.bounds = prim_aabbs[prim_order[lo]];
-      node.first = lo;
-      node.count = 1;
+      nodes[slot] = BvhNode{prim_aabbs[prim_order[lo]], 0, 0, lo, 1};
       return;
     }
     const std::uint32_t mid = split_range(codes, lo, hi);
@@ -103,27 +95,35 @@ struct FixedSlotBuilder {
     const std::uint32_t right = slot + 1 + (2 * (mid - lo) - 1);
     build(left, lo, mid, depth + 1);
     build(right, mid, hi, depth + 1);
-    node.left = left;
-    node.right = right;
-    node.count = 0;
-    node.bounds = unite(nodes[left].bounds, nodes[right].bounds);
+    nodes[slot] = BvhNode{unite(nodes[left].bounds, nodes[right].bounds), left, right, 0, 0};
   }
 };
 
 }  // namespace
 
 void Bvh::build(std::span<const Aabb> prims, const BvhBuildOptions& options) {
+  build_impl(prims.size(), [prims](std::size_t i) { return prims[i]; }, options);
+}
+
+void Bvh::build(std::span<const Vec3> centers, float width, const BvhBuildOptions& options) {
+  build_impl(centers.size(),
+             [centers, width](std::size_t i) { return Aabb::cube(centers[i], width); }, options);
+}
+
+template <typename PrimBox>
+void Bvh::build_impl(std::size_t prim_count, PrimBox prim_box, const BvhBuildOptions& options) {
   RTNN_CHECK(options.leaf_size >= 1, "leaf_size must be >= 1");
   nodes_.clear();
   prim_order_.clear();
-  prim_aabbs_.assign(prims.begin(), prims.end());
+  prim_aabbs_.resize(prim_count);
   leaf_size_ = options.leaf_size;
   max_depth_seen_ = 0;
   scene_bounds_ = Aabb{};
-  const auto n = static_cast<std::uint32_t>(prims.size());
+  const auto n = static_cast<std::uint32_t>(prim_count);
   if (n == 0) return;
 
-  // Centroid bounds for Morton normalization (parallel reduction).
+  // The Bvh's own copy of the boxes, and the centroid bounds for Morton
+  // normalization, in one parallel reduction.
   struct Bounds2Acc {
     Aabb centroid;
     Aabb scene;
@@ -132,7 +132,8 @@ void Bvh::build(std::span<const Aabb> prims, const BvhBuildOptions& options) {
   const Bounds2Acc totals = parallel_reduce<Bounds2Acc>(
       0, n, Bounds2Acc{},
       [&](std::int64_t i) {
-        const Aabb& b = prims[static_cast<std::size_t>(i)];
+        const Aabb b = prim_box(static_cast<std::size_t>(i));
+        prim_aabbs_[static_cast<std::size_t>(i)] = b;
         Bounds2Acc out;
         if (b.empty()) {
           out.empties = 1;  // diagnosed after the parallel region
@@ -156,7 +157,7 @@ void Bvh::build(std::span<const Aabb> prims, const BvhBuildOptions& options) {
   std::vector<std::uint64_t> codes(n);
   parallel_for(0, n, [&](std::int64_t i) {
     codes[static_cast<std::size_t>(i)] =
-        morton3d_63(prims[static_cast<std::size_t>(i)].center(), totals.centroid);
+        morton3d_63(prim_aabbs_[static_cast<std::size_t>(i)].center(), totals.centroid);
   }, grain::kElementwise);
   prim_order_.resize(n);
   std::iota(prim_order_.begin(), prim_order_.end(), 0u);
@@ -201,7 +202,7 @@ void Bvh::build(std::span<const Aabb> prims, const BvhBuildOptions& options) {
       continue;
     }
     const auto index = static_cast<std::uint32_t>(nodes_.size());
-    nodes_.emplace_back();
+    nodes_.push_back(BvhNode{});
     top_internal.push_back(index);
     if (f.parent != 0xffffffffu) {
       (f.is_left ? nodes_[f.parent].left : nodes_[f.parent].right) = index;
@@ -215,7 +216,8 @@ void Bvh::build(std::span<const Aabb> prims, const BvhBuildOptions& options) {
   std::vector<std::uint32_t> local_depth(tasks.size(), 0);
   if (leaf_size_ == 1) {
     // Subtree sizes are exact (2*len-1): build straight into the global
-    // array at precomputed offsets — no local buffers, no stitch copy.
+    // array at precomputed offsets — no local buffers, no stitch copy, and
+    // each task is the first to write its range.
     std::vector<std::size_t> offsets(tasks.size());
     std::size_t total = nodes_.size();
     for (std::size_t t = 0; t < tasks.size(); ++t) {
@@ -237,7 +239,7 @@ void Bvh::build(std::span<const Aabb> prims, const BvhBuildOptions& options) {
     }, grain::kTask);
   } else {
     // General leaf sizes: build locally and stitch with index fix-up.
-    std::vector<std::vector<BvhNode>> local(tasks.size());
+    std::vector<UninitVector<BvhNode>> local(tasks.size());
     parallel_for(0, static_cast<std::int64_t>(tasks.size()), [&](std::int64_t t) {
       const Task& task = tasks[static_cast<std::size_t>(t)];
       auto& nodes = local[static_cast<std::size_t>(t)];

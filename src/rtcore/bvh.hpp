@@ -10,7 +10,9 @@
 // primitives are sorted by the 63-bit Morton code of their AABB centroid
 // and the tree is formed by recursively splitting the sorted range at the
 // highest differing Morton bit (Karras 2012-style top-down formulation),
-// then node bounds are computed bottom-up. Construction cost is dominated by the radix sort and
+// then node bounds are computed bottom-up. Above a size cutoff the split
+// runs as parallel subtree tasks, each the first to write its own range
+// of the node array. Construction cost is dominated by the radix sort and
 // is linear in the number of AABBs — matching the paper's empirical
 // observation (Figure 15, R² = 0.996) which RTNN's bundling cost model
 // depends on (T_build = k1 · M, paper equation (3)).
@@ -21,6 +23,8 @@
 #include <vector>
 
 #include "core/aabb.hpp"
+#include "core/uninit_vector.hpp"
+#include "core/vec3.hpp"
 
 namespace rtnn::rt {
 
@@ -60,6 +64,11 @@ class Bvh {
   /// device-side geometry snapshot).
   void build(std::span<const Aabb> prims, const BvhBuildOptions& options = {});
 
+  /// Point-cloud fast path: builds over Aabb::cube(centers[i], width),
+  /// writing the boxes straight into the Bvh's own copy — the RTNN shape,
+  /// with no caller-side box array.
+  void build(std::span<const Vec3> centers, float width, const BvhBuildOptions& options = {});
+
   bool empty() const { return nodes_.empty(); }
   std::uint32_t root() const { return 0; }
 
@@ -81,9 +90,13 @@ class Bvh {
   void validate() const;
 
  private:
-  std::vector<BvhNode> nodes_;
+  template <typename PrimBox>
+  void build_impl(std::size_t n, PrimBox prim_box, const BvhBuildOptions& options);
+
+  // Written first by the parallel tasks that compute them.
+  UninitVector<BvhNode> nodes_;
   std::vector<std::uint32_t> prim_order_;
-  std::vector<Aabb> prim_aabbs_;
+  UninitVector<Aabb> prim_aabbs_;
   Aabb scene_bounds_;
   std::uint32_t leaf_size_ = 1;
   std::uint32_t max_depth_seen_ = 0;

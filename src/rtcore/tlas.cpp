@@ -25,12 +25,8 @@ Aabb member_bounds(std::span<const Vec3> positions, float width) {
 /// A tile's wide index (one primitive per leaf, the RTNN configuration);
 /// the binary tree it collapses is dropped here.
 std::shared_ptr<const WideBvh> build_index(std::span<const Vec3> positions, float width) {
-  std::vector<Aabb> boxes(positions.size());
-  for (std::size_t i = 0; i < positions.size(); ++i) {
-    boxes[i] = Aabb::cube(positions[i], width);
-  }
   Bvh bvh;
-  bvh.build(boxes);
+  bvh.build(positions, width);
   auto index = std::make_shared<WideBvh>();
   index->build(bvh);
   return index;

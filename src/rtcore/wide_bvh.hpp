@@ -19,10 +19,20 @@
 // fewer stack operations and fewer dependent cache misses per ray — the
 // software analog of what the RT cores' wide tree does in hardware.
 //
+// The collapse runs breadth-first from the root. On a large tree (32k
+// binary nodes or more) it stops once 256 wide nodes are pending, and each
+// pending node's subtree collapses as a task of its own into a contiguous
+// range of nodes and leaf records: the subtree table. A first parallel
+// pass counts each subtree's nodes, so the second writes them in place.
+// The cut depends on the tree alone, so the arrays are byte-identical at
+// any thread count, and every node's children stay consecutive and after
+// it.
+//
 // The tree refits itself: exact slot bounds re-united bottom-up from the
-// leaf boxes, then re-quantized. Per node it records the slots under each
-// binary node its collapse expanded, so every binary node's bounds, and
-// the binary tree's SAH the refit policy reads, come out on the way.
+// leaf boxes, then re-quantized, one subtree per task. Per node it records
+// the slots under each binary node its collapse expanded, so every binary
+// node's bounds, and the binary tree's SAH the refit policy reads, come
+// out on the way.
 #pragma once
 
 #include <array>
@@ -32,6 +42,7 @@
 #include <vector>
 
 #include "core/aabb.hpp"
+#include "core/uninit_vector.hpp"
 #include "rtcore/bvh.hpp"
 
 namespace rtnn::rt {
@@ -55,7 +66,7 @@ struct WideLeaf {
 /// binary walk's.
 ///
 /// Child references are narrowed to two 32-bit bases plus a per-slot
-/// ordinal: the BFS collapse allocates a node's interior children at
+/// ordinal: the collapse allocates a node's interior children at
 /// consecutive wide-node indices and its leaf children at consecutive
 /// leaf-record indices, so `meta` only needs a leaf flag and a 3-bit
 /// ordinal. Children are packed from slot 0; slots >= count are empty and
@@ -110,6 +121,17 @@ inline Aabb dequantize_slot(const CompressedWideNode& node, std::uint32_t i) {
                node.anchor_z + static_cast<float>(node.qhiz[i]) * sz}};
 }
 
+/// Quantizes `node`'s valid slots from their exact bounds: the anchor is
+/// the union's minimum, each axis takes the smallest exponent, from its
+/// extent's binary exponent minus 8 up, at which every slot fits, and each
+/// lane is the largest q whose dequantized value is <= the slot's lo (the
+/// smallest q whose value is >= its hi). `slots` holds eight boxes; those
+/// at and past node.count are ignored, and their lanes are inverted (lo
+/// 255, hi 0). The child table (count, bases, meta) stays untouched. Every
+/// lane is uniquely defined, so the AVX2 and scalar versions write the
+/// same bytes.
+void quantize_node(CompressedWideNode& node, const Aabb* slots);
+
 /// Slot masks of the binary nodes one wide node's collapse expanded: bit i
 /// of entry j is set when slot i lies under the j-th expansion; unused
 /// entries are 0 (each expansion adds one slot to the first two).
@@ -123,7 +145,7 @@ struct WideBvhStats {
   /// Bytes of the compressed node array.
   std::uint64_t node_bytes = 0;
   /// node_bytes + the leaf records, primitive order, leaf-ordered
-  /// primitive AABBs and collapse records (expand masks, level table) —
+  /// primitive AABBs and collapse records (expand masks, subtree table) —
   /// every array the tree keeps resident.
   std::uint64_t total_index_bytes = 0;
 };
@@ -136,8 +158,11 @@ class WideBvh {
   WideBvh() = default;
 
   /// Collapses `source` into compressed wide nodes: topology, child tables
-  /// and expand masks in one serial pass, then the refit's sweep over the
-  /// source's boxes quantizes every slot.
+  /// and expand masks, each node quantized from the exact bounds of the
+  /// binary nodes behind its slots as it is emitted. A large tree counts
+  /// each subtree's nodes in one parallel pass and collapses it straight
+  /// into its ranges in a second; there is no separate quantizing sweep
+  /// and no stitch copy.
   void build(const Bvh& source);
 
   /// Refits to moved boxes of the same primitive ids — the driver-side AS
@@ -174,10 +199,13 @@ class WideBvh {
   /// through prim_order.
   std::span<const Aabb> ordered_prim_aabbs() const { return ordered_prim_aabbs_; }
 
-  /// The collapse records: per-node expand masks and the BFS level table
-  /// (level l is nodes [level_offsets()[l], level_offsets()[l + 1])).
+  /// The collapse records: per-node expand masks and the subtree table.
+  /// With S = subtree_offsets().size() - 1 and T = subtree_offsets()[0] -
+  /// S, nodes [0, T) are the top of the tree, node T + k is the root of
+  /// subtree k and [subtree_offsets()[k], subtree_offsets()[k + 1]) holds
+  /// the rest of it. A tree under the cut is all top: S = 0.
   std::span<const ExpandMasks> expand_masks() const { return expand_masks_; }
-  std::span<const std::uint32_t> level_offsets() const { return level_offsets_; }
+  std::span<const std::uint32_t> subtree_offsets() const { return subtree_offsets_; }
 
   std::uint32_t prim_count() const { return static_cast<std::uint32_t>(prim_order_.size()); }
 
@@ -185,26 +213,29 @@ class WideBvh {
 
   /// Structural invariant check (used by tests): children packed from slot
   /// 0, every node and leaf reachable exactly once, the consecutive-
-  /// children metadata, the collapse records, every primitive in exactly
-  /// one leaf slot, and every
+  /// children metadata, the collapse records (every subtree's nodes in its
+  /// range), every primitive in exactly one leaf slot, and every
   /// dequantized slot box containing the exact bounds of its subtree
   /// (min/max unions of the leaf-ordered AABBs). Throws rtnn::Error on
   /// failure.
   void validate() const;
 
  private:
-  /// Re-quantizes every node from the leaf-ordered boxes, bottom-up;
-  /// refreshes scene_bounds_ and returns the binary tree's SAH cost.
+  /// Re-quantizes every node from the leaf-ordered boxes, bottom-up, one
+  /// subtree per task and then the top; refreshes scene_bounds_ and
+  /// returns the binary tree's SAH cost.
   double sweep();
   template <typename PrimBox>
   void refit_impl(std::size_t prim_count, PrimBox prim_box);
 
-  std::vector<CompressedWideNode> nodes_;
-  std::vector<WideLeaf> leaves_;
-  std::vector<std::uint32_t> prim_order_;
-  std::vector<Aabb> ordered_prim_aabbs_;
-  std::vector<ExpandMasks> expand_masks_;  // 6 B per 80 B node
-  std::vector<std::uint32_t> level_offsets_;  // the sweep's parallel schedule
+  // Written first by the parallel tasks that compute them.
+  UninitVector<CompressedWideNode> nodes_;
+  UninitVector<WideLeaf> leaves_;
+  UninitVector<std::uint32_t> prim_order_;
+  UninitVector<Aabb> ordered_prim_aabbs_;
+  UninitVector<ExpandMasks> expand_masks_;  // 6 B per 80 B node
+  std::vector<std::uint32_t> subtree_offsets_;  // the sweep's parallel schedule
+  std::uint32_t max_depth_ = 0;
   Aabb scene_bounds_;
   double baseline_sah_ = 0.0;  // the SAH cost of the build's boxes
   double sah_inflation_ = 1.0;

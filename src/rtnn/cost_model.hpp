@@ -44,7 +44,12 @@ struct CostModel {
   // planner, and calibrate() measures the only wide walk there is — the
   // compressed layout every search traverses — so a freshly calibrated
   // model is always self-consistent.
-  double k1 = 1.5e-7;       // BVH build per AABB
+  /// BVH build per AABB. Fit before the build collapsed its subtrees in
+  /// parallel and quantized as it went (about 2x faster at 4 threads on
+  /// 500k points), and deliberately left as it was: re-fitting k1, k2, k3
+  /// and k_refit together is ROADMAP item 3, and moving k1 alone would
+  /// move the planner's bundling (batch_knn's plan among it).
+  double k1 = 1.5e-7;
   /// KNN IS call (sphere test + heap), per IS call of the *unculled*
   /// walk — the count the ρS³ term predicts. Searches cull KNN rays by
   /// the K-th distance (KnnPipeline::cull_shrink) and make fewer calls;
@@ -52,7 +57,7 @@ struct CostModel {
   double k2 = 6.0e-9;
   double k3_slow = 3.0e-8;  // range IS call with sphere test
   double k3_fast = 6.0e-9;  // range IS call, sphere test elided
-  /// Accel refit per AABB (leaf refresh + level sweep + SoA lane rewrite).
+  /// Accel refit per AABB (leaf refresh + subtree sweep + lane rewrite).
   /// Well under k1 on every substrate — refitting skips the Morton sort,
   /// the tree build and the wide collapse — which is what makes the
   /// dynamic-cloud lifecycle pay off.

@@ -38,24 +38,14 @@ struct SearchContext {
 
 namespace {
 
-std::vector<Aabb> point_cubes(std::span<const Vec3> points, float width) {
-  std::vector<Aabb> aabbs(points.size());
-  parallel_for(0, static_cast<std::int64_t>(points.size()), [&](std::int64_t i) {
-    aabbs[static_cast<std::size_t>(i)] =
-        Aabb::cube(points[static_cast<std::size_t>(i)], width);
-  }, grain::kElementwise);
-  return aabbs;
-}
-
 /// Builds a BVH over `points` with cubic AABBs of `aabb_width`, charging
 /// the build to report.time.bvh.
 ox::Accel build_accel_width(std::span<const Vec3> points, float aabb_width,
                             NeighborSearch::Report& report) {
   // AABB generation is part of the build (Listing 1, buildBVH).
   Timer timer;
-  const std::vector<Aabb> aabbs = point_cubes(points, aabb_width);
   const ox::Context ctx;
-  ox::Accel accel = ctx.build_accel(aabbs);
+  ox::Accel accel = ctx.build_accel(points, aabb_width);
   report.time.bvh += timer.elapsed();
   return accel;
 }

@@ -57,6 +57,9 @@ struct CloudState {
   std::mutex update_mutex;
   std::vector<Vec3> points;
   std::unique_ptr<engine::SearchBackend> master;
+  /// The master's index is synced with `points` by a warm probe. Written
+  /// under update_mutex; the dispatcher's first read skips the lock.
+  std::atomic<bool> master_synced{false};
 
   /// The published snapshot readers pin (swapped atomically under its
   /// own mutex so publishes never wait on dispatches). Null while not
@@ -93,6 +96,19 @@ using RequestPtr = std::shared_ptr<RequestState>;
 /// many query rows (or requests), even if the tick is not over.
 constexpr std::size_t kMaxBatchQueries = std::size_t{1} << 15;
 constexpr std::size_t kMaxBatchRequests = 1024;
+
+/// Syncs `backend`'s base-width index with a one-point search at
+/// `params`. The probe runs scheduling_only(), so it launches at exactly
+/// 2r·aabb_scale — the width of the index a backend keeps — whatever flags
+/// the requests carry: a partitioned probe may launch only narrower units
+/// and leave that index unbuilt. `report` keeps the index work; the
+/// probe's launch counters are dropped, as its one ray serves no row.
+void warm_index(engine::SearchBackend& backend, const Vec3& probe, SearchParams params,
+                NeighborSearch::Report& report) {
+  params.opts = OptimizationFlags::scheduling_only();
+  (void)backend.search(std::span<const Vec3>(&probe, 1), params, &report);
+  report.stats = rt::LaunchStats{};
+}
 
 /// The backend a cloud's config asks for: the named engine backend, with
 /// the cloud's tiling knobs forwarded so a large cloud's base index
@@ -341,10 +357,9 @@ std::shared_ptr<Snapshot> SearchService::build_cloud_locked(CloudState& cloud) {
 
   NeighborSearch::Report warm_report;
   if (cloud.config.warmup.has_value()) {
-    const Vec3 probe = cloud.points[0];
-    (void)cloud.master->search(std::span<const Vec3>(&probe, 1),
-                               *cloud.config.warmup, &warm_report);
+    warm_index(*cloud.master, cloud.points[0], *cloud.config.warmup, warm_report);
   }
+  cloud.master_synced.store(cloud.config.warmup.has_value());
 
   std::shared_ptr<Snapshot> snap = publish(cloud, cloud.version.load());
   cloud.resident.store(true);
@@ -364,6 +379,29 @@ std::shared_ptr<Snapshot> SearchService::publish(CloudState& cloud,
   std::lock_guard<std::mutex> lock(cloud.snapshot_mutex);
   cloud.snapshot = snap;
   return snap;
+}
+
+std::shared_ptr<Snapshot> SearchService::warm_master(CloudState& cloud,
+                                                     std::shared_ptr<Snapshot> snap,
+                                                     const SearchParams& params,
+                                                     std::uint64_t generation) {
+  std::lock_guard<std::mutex> lock(cloud.update_mutex);
+  if (dispatcher_stale(generation)) return nullptr;
+  // Evicted since the pin, or warmed by a writer meanwhile: the pinned
+  // snapshot serves.
+  if (cloud.master == nullptr || cloud.master_synced.load()) return snap;
+  NeighborSearch::Report warm_report;
+  try {
+    warm_index(*cloud.master, cloud.points[0], params, warm_report);
+  } catch (const std::exception&) {
+    // Params the backend rejects fail their own bin at launch; the
+    // master stays unsynced for the next batch to warm.
+    return snap;
+  }
+  cloud.master_synced.store(true);
+  snap = publish(cloud, cloud.version.load());
+  charge(cloud, [&](ServiceStats& stats) { stats.report += warm_report; });
+  return dispatcher_stale(generation) ? nullptr : snap;
 }
 
 void SearchService::enforce_residency_cap(const CloudState* keep) {
@@ -567,11 +605,8 @@ void SearchService::update_points(const CloudHandle& cloud,
       std::lock_guard<std::mutex> stats_lock(state->stats_mutex);
       warm = state->warm_params;
     }
-    if (warm.has_value()) {
-      const Vec3 probe = points[0];
-      (void)state->master->search(std::span<const Vec3>(&probe, 1), *warm,
-                                  &warm_report);
-    }
+    if (warm.has_value()) warm_index(*state->master, points[0], *warm, warm_report);
+    state->master_synced.store(warm.has_value());
 
     // Publish-step injection site, before the version bump: a fired
     // fault throws to the writer with the old snapshot still published
@@ -776,6 +811,10 @@ bool SearchService::dispatch_cloud(const CloudPtr& cloud,
     return true;
   }
   if (snap == nullptr) return false;  // superseded: the group goes back
+  if (!cloud->master_synced.load()) {
+    snap = warm_master(*cloud, std::move(snap), group.front()->params, generation);
+    if (snap == nullptr) return false;
+  }
   cloud->last_used.store(use_clock_.fetch_add(1) + 1);
 
   // Launch-step injection site, after the pin: a kDelay here holds the

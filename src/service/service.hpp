@@ -13,7 +13,10 @@
 //     CloudHandle register_cloud() or cloud(name) returned. Each cloud owns
 //     its writer-side master backend and snapshot chain. Indexes build on
 //     demand at the first request (or eagerly — build_on_register, with
-//     an optional warmup probe), and a max_resident_clouds cap evicts the
+//     an optional warmup probe); a master no probe has synced is warmed
+//     with the first dispatched request's params and republished before
+//     that search, so the index is built on the master, which every
+//     later clone shares. A max_resident_clouds cap evicts the
 //     least-recently-used cold index; evicted clouds keep their points
 //     and rebuild transparently when traffic returns.
 //   * Every cloud lives behind immutable, refcounted index snapshots
@@ -220,7 +223,8 @@ struct CloudConfig {
   bool build_on_register = true;
   /// Warm every build (registration, rebuild after eviction) with a
   /// one-probe search under these params, so the first real request
-  /// never pays first-search lazy work.
+  /// never pays first-search lazy work. Without it the first dispatch
+  /// warms the master with its own request's params.
   std::optional<SearchParams> warmup;
 
   // --- Two-level tiled index (rtnn::TileOptions) ---
@@ -491,6 +495,17 @@ class SearchService {
   /// clone or a demand build; null once that dispatcher is stale.
   std::shared_ptr<detail::Snapshot> pin_snapshot(detail::CloudState& cloud,
                                                  std::uint64_t generation);
+  /// Before a search on a master whose index is not synced with its
+  /// points (built without a warmup, or updated before any params were
+  /// known): warms the master with `params` (the group's first request's)
+  /// and republishes, so the index is built once, on the master, and
+  /// every later clone — a restart's republish included — shares it.
+  /// Returns the snapshot to search — `snap` when the master is already
+  /// synced or rejects the params — or null once that dispatcher is stale.
+  std::shared_ptr<detail::Snapshot> warm_master(detail::CloudState& cloud,
+                                                std::shared_ptr<detail::Snapshot> snap,
+                                                const SearchParams& params,
+                                                std::uint64_t generation);
 
   /// The one stats rule: `update(ServiceStats&)` lands in `cloud`'s
   /// totals, then in the service-wide totals — each under its own stats

@@ -461,6 +461,39 @@ TEST_F(ChaosTest, RestartStampsAFreshSnapshotAndServesCorrectAnswers) {
   EXPECT_NO_THROW((void)service.query(cloud, queries_, knn_params()));
 }
 
+TEST_F(ChaosTest, AColdMasterIsWarmedBeforeTheFirstSearch) {
+  // Registered without a warmup, the master has never searched and its
+  // index is unbuilt. The first dispatch warms it and republishes, so a
+  // restart's republish shares the built index instead of building again,
+  // and the first update refits it instead of building from scratch.
+  SearchService service(watched_config());
+  CloudHandle cloud = service.register_cloud("cold", points_, {});
+  const NeighborResult expected = brute_force_knn(points_, queries_);
+  rtnn::testing::expect_knn_identical(service.query(cloud, queries_, knn_params()).result,
+                                      expected, "first answer");
+
+  FailConfig config;
+  config.action = Action::kDelay;
+  config.delay = 400ms;
+  config.max_fires = 1;
+  {
+    ScopedFailpoint fp("service.dispatch.tick", config);
+    const RequestOutcome after = service.submit(cloud, queries_, knn_params()).get();
+    ASSERT_GE(service.health().dispatcher_restarts, 1u);
+    rtnn::testing::expect_knn_identical(after.result, expected, "after the restart");
+    EXPECT_EQ(after.report.time.bvh, 0.0) << "the republished clone must share the built index";
+  }
+
+  std::vector<Vec3> moved = points_;
+  Pcg32 rng(kSeed + 9);
+  for (Vec3& p : moved) p.x += 0.01f * typical_radius(CloudKind::kUniform) * rng.next_float();
+  const ServiceStats before = service.stats(cloud);
+  service.update_points(cloud, moved);
+  const ServiceStats updated = service.stats(cloud);
+  EXPECT_EQ(updated.report.accel_refits - before.report.accel_refits, 1u);
+  EXPECT_EQ(updated.report.time.bvh, before.report.time.bvh) << "the update must refit, not build";
+}
+
 TEST_F(ChaosTest, RestartInsideADemandBuildNeverSharesTheBuiltSnapshot) {
   // The first dispatcher wedges inside a lazily registered cloud's demand
   // build; the watchdog replaces it, and the replacement's request waits

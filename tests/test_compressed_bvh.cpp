@@ -1,11 +1,16 @@
-// Compressed wide-BVH node correctness: conservative quantization against
-// the exact subtree bounds, SIMD-vs-scalar decode parity, and self-refit
+// Compressed wide-BVH node correctness: the quantizer against a scalar
+// oracle on adversarial slot sets, conservative quantization against the
+// exact subtree bounds, SIMD-vs-scalar decode parity, and self-refit
 // frames that stay valid, call-for-call exact against a binary walk over
 // the moved boxes, and bit-identical to the build when nothing moved.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstring>
+#include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -14,6 +19,7 @@
 #include "rtcore/traversal.hpp"
 #include "rtcore/wide_bvh.hpp"
 #include "test_util.hpp"
+#include "wide_bvh_oracle.hpp"
 
 namespace rtnn::rt {
 namespace {
@@ -195,24 +201,138 @@ TEST(CompressedWideBvh, RefitRequantizeParity) {
 
 /// Min/max unions are exact, so refitting over unmoved boxes must
 /// reproduce the build's nodes and leaf-ordered boxes bit for bit, and
-/// leave the SAH inflation at 1.
+/// leave the SAH inflation at exactly 1 (the build and the refit sum the
+/// same terms in the same order) — on a tree under the subtree cut and on
+/// one large enough to take the subtree path.
 TEST(CompressedWideBvh, IdentityRefitIsBitIdentical) {
-  Scene scene = make_scene(CloudKind::kLidar, 4000,
-                           2.0f * rtnn::testing::typical_radius(CloudKind::kLidar), 19);
-  const std::vector<CompressedWideNode> nodes(scene.wide.compressed_nodes().begin(),
-                                              scene.wide.compressed_nodes().end());
-  const std::vector<Aabb> prims(scene.wide.ordered_prim_aabbs().begin(),
-                                scene.wide.ordered_prim_aabbs().end());
-  scene.wide.refit(scene.aabbs);
-  EXPECT_NEAR(scene.wide.sah_inflation(), 1.0, 1e-12);
-  ASSERT_EQ(scene.wide.compressed_nodes().size(), nodes.size());
-  ASSERT_EQ(scene.wide.ordered_prim_aabbs().size(), prims.size());
-  EXPECT_EQ(std::memcmp(scene.wide.compressed_nodes().data(), nodes.data(),
-                        nodes.size() * sizeof(CompressedWideNode)),
-            0);
-  EXPECT_EQ(std::memcmp(scene.wide.ordered_prim_aabbs().data(), prims.data(),
-                        prims.size() * sizeof(Aabb)),
-            0);
+  const float width = 2.0f * rtnn::testing::typical_radius(CloudKind::kLidar);
+  for (const std::size_t n : {std::size_t{4000}, std::size_t{60'000}}) {
+    Scene scene = make_scene(CloudKind::kLidar, n, width, 19);
+    EXPECT_EQ(scene.wide.subtree_offsets().size() > 1, n > 4000) << "n=" << n;
+    const std::vector<CompressedWideNode> nodes(scene.wide.compressed_nodes().begin(),
+                                                scene.wide.compressed_nodes().end());
+    const std::vector<Aabb> prims(scene.wide.ordered_prim_aabbs().begin(),
+                                  scene.wide.ordered_prim_aabbs().end());
+    scene.wide.refit(scene.aabbs);
+    EXPECT_EQ(scene.wide.sah_inflation(), 1.0) << "n=" << n;
+    ASSERT_EQ(scene.wide.compressed_nodes().size(), nodes.size());
+    ASSERT_EQ(scene.wide.ordered_prim_aabbs().size(), prims.size());
+    EXPECT_EQ(std::memcmp(scene.wide.compressed_nodes().data(), nodes.data(),
+                          nodes.size() * sizeof(CompressedWideNode)),
+              0)
+        << "n=" << n;
+    EXPECT_EQ(std::memcmp(scene.wide.ordered_prim_aabbs().data(), prims.data(),
+                          prims.size() * sizeof(Aabb)),
+              0)
+        << "n=" << n;
+  }
+}
+
+/// rt::quantize_node — the AVX2 search or its scalar fallback, whichever
+/// this build selected — against the test-local copy of the scalar
+/// estimate-and-fix-up quantizer: anchor, exponent and all 48 lane bytes
+/// identical on adversarial slot sets of 1 to 8 valid slots. The slots
+/// past the count hold junk (huge boxes and boxes below the anchor) that
+/// must not touch the result.
+TEST(CompressedWideBvh, QuantizerMatchesTheScalarOracle) {
+  constexpr float kMax = std::numeric_limits<float>::max();
+  constexpr float kDenorm = std::numeric_limits<float>::denorm_min();
+  Pcg32 rng(2024);
+  const auto uniform = [&](float lo, float hi) { return lo + (hi - lo) * rng.next_float(); };
+  // One slot bound pair on one axis, by scenario.
+  const auto axis_pair = [&](int scenario, float& lo, float& hi) {
+    switch (scenario) {
+      case 0:  // ordinary boxes
+        lo = uniform(-1.0f, 1.0f);
+        hi = lo + uniform(0.0f, 0.5f);
+        break;
+      case 1:  // anchors near +3e38
+        lo = uniform(2.9e38f, 3.3e38f);
+        hi = std::min(kMax, lo + uniform(0.0f, 1e37f));
+        break;
+      case 2:  // an axis spanning -3e38 to +3e38: the extent overflows
+        lo = uniform(-kMax, -2.9e38f);
+        hi = uniform(2.9e38f, kMax);
+        break;
+      case 3:  // zero extent: every slot on one plane
+        lo = hi = 0.375f;
+        break;
+      case 4:  // denormal extents around zero
+        lo = -kDenorm * static_cast<float>(rng.next_bounded(4));
+        hi = kDenorm * static_cast<float>(rng.next_bounded(1000));
+        break;
+      case 5: {  // signed zeros and tiny boxes
+        const float choices[] = {-0.0f, 0.0f, 1e-30f, -1e-30f};
+        lo = choices[rng.next_bounded(4)];
+        hi = std::max(lo, choices[rng.next_bounded(4)]);
+        break;
+      }
+      case 6: {  // a few ulps above a huge anchor: the q = 255 retry
+        const float base = rng.next_bounded(2) ? 1e30f : -3e37f;
+        lo = base;
+        for (std::uint32_t k = rng.next_bounded(3); k > 0; --k) lo = std::nextafter(lo, kMax);
+        hi = lo;
+        for (std::uint32_t k = 1 + rng.next_bounded(40); k > 0; --k) hi = std::nextafter(hi, kMax);
+        break;
+      }
+      default: {  // extents just under a power of two: 255 * 2^(e0) falls short
+        lo = uniform(-4.0f, 4.0f);
+        hi = lo + std::ldexp(0.999f + 0.001f * rng.next_float(),
+                             static_cast<int>(rng.next_bounded(20)) - 10);
+        break;
+      }
+    }
+  };
+  const Aabb junk[] = {Aabb{{-kMax, -kMax, -kMax}, {kMax, kMax, kMax}},
+                       Aabb{{-1e30f, -1e30f, -1e30f}, {-1e29f, -1e29f, -1e29f}},
+                       Aabb{{5.0f, 5.0f, 5.0f}, {1e38f, 1e38f, 1e38f}}};
+  int retries = 0;
+  for (int trial = 0; trial < 8 * 8 * 40; ++trial) {
+    const std::uint32_t count = 1 + static_cast<std::uint32_t>(trial % 8);
+    const int scenario = (trial / 8) % 8;
+    Aabb slots[kWideBvhWidth];
+    for (std::uint32_t i = 0; i < kWideBvhWidth; ++i) {
+      if (i >= count) {
+        slots[i] = junk[(trial + i) % 3];
+        continue;
+      }
+      // Mix scenarios across axes now and then, so one node holds an
+      // ordinary axis beside an adversarial one.
+      float lo[3], hi[3];
+      for (int a = 0; a < 3; ++a) axis_pair(trial % 5 == a ? 0 : scenario, lo[a], hi[a]);
+      slots[i] = Aabb{{lo[0], lo[1], lo[2]}, {hi[0], hi[1], hi[2]}};
+    }
+    CompressedWideNode want{};
+    want.count = static_cast<std::uint8_t>(count);
+    CompressedWideNode got = want;
+    rtnn::testing::oracle::quantize_node(want, slots);
+    quantize_node(got, slots);
+    const std::string label = "trial " + std::to_string(trial) + " scenario " +
+                              std::to_string(scenario) + " count " + std::to_string(count);
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(got.anchor_x), std::bit_cast<std::uint32_t>(want.anchor_x))
+        << label;
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(got.anchor_y), std::bit_cast<std::uint32_t>(want.anchor_y))
+        << label;
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(got.anchor_z), std::bit_cast<std::uint32_t>(want.anchor_z))
+        << label;
+    EXPECT_EQ(got.exp_x, want.exp_x) << label;
+    EXPECT_EQ(got.exp_y, want.exp_y) << label;
+    EXPECT_EQ(got.exp_z, want.exp_z) << label;
+    EXPECT_TRUE(std::equal(got.qlox, got.qlox + 48, want.qlox)) << label << ": lane bytes differ";
+    // Count the axes whose exponent needed the retry past its estimate.
+    float content_hi[3] = {-kMax, -kMax, -kMax};
+    for (std::uint32_t i = 0; i < count; ++i) {
+      content_hi[0] = std::max(content_hi[0], slots[i].hi.x);
+      content_hi[1] = std::max(content_hi[1], slots[i].hi.y);
+      content_hi[2] = std::max(content_hi[2], slots[i].hi.z);
+    }
+    const float anchors[3] = {want.anchor_x, want.anchor_y, want.anchor_z};
+    const int exps[3] = {want.exp_x, want.exp_y, want.exp_z};
+    for (int a = 0; a < 3; ++a) {
+      if (exps[a] != rtnn::testing::oracle::initial_exponent(content_hi[a] - anchors[a])) ++retries;
+    }
+  }
+  EXPECT_GT(retries, 100) << "the adversarial sets must exercise the exponent retry";
 }
 
 }  // namespace

@@ -140,7 +140,7 @@ TEST(TiledBvh, BuildPartitionsAndValidates) {
 std::uint64_t resident_bytes(const rt::WideBvh& wide) {
   return wide.compressed_nodes().size_bytes() + wide.leaves().size_bytes() +
          wide.prim_order().size_bytes() + wide.ordered_prim_aabbs().size_bytes() +
-         wide.expand_masks().size_bytes() + wide.level_offsets().size_bytes();
+         wide.expand_masks().size_bytes() + wide.subtree_offsets().size_bytes();
 }
 
 /// The index_bytes gauge counts what the accel keeps resident and nothing

@@ -1,21 +1,26 @@
-// WideBvh collapse invariants and binary-vs-wide traversal parity: the
-// wall-clock compressed 8-wide path must make exactly the IS calls the
-// binary simulation path makes — same primitives, each exactly once —
-// whichever of the AVX2 / scalar node tests this build selected.
+// WideBvh collapse invariants, the build's bytes (node for node against
+// the serial oracle collapse, and identical at any thread count), and
+// binary-vs-wide traversal parity: the wall-clock compressed 8-wide path
+// must make exactly the IS calls the binary simulation path makes — same
+// primitives, each exactly once — whichever of the AVX2 / scalar node
+// tests this build selected.
 #include "rtcore/wide_bvh.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/flat_knn.hpp"
+#include "core/parallel.hpp"
 #include "core/rng.hpp"
 #include "degenerate_trials.hpp"
 #include "rtcore/traversal.hpp"
 #include "test_util.hpp"
+#include "wide_bvh_oracle.hpp"
 
 namespace rtnn::rt {
 namespace {
@@ -107,6 +112,92 @@ TEST(WideBvh, CollapseInvariantsWiderLeaves) {
     const Scene scene = make_scene(CloudKind::kUniform, 3000, 0.05f, leaf_size, leaf_size);
     ASSERT_NO_THROW(scene.wide.validate()) << "leaf_size=" << leaf_size;
   }
+}
+
+/// The build's bytes: the subtree-parallel collapse, quantizing as it
+/// emits, must give the serial breadth-first collapse plus sweep node for
+/// node in DFS order — on 200k-point trees, on one- and two-point trees,
+/// on 20,000 copies of one point (median splits all the way down) and
+/// with four primitives per leaf; all but the tiny trees take the subtree
+/// path.
+TEST(WideBvh, BuildMatchesTheSerialCollapse) {
+  struct Case {
+    std::string label;
+    std::vector<Vec3> points;
+    float width;
+    std::uint32_t leaf_size;
+  };
+  const float lidar_width = 2.0f * rtnn::testing::typical_radius(CloudKind::kLidar);
+  std::vector<Case> cases;
+  cases.push_back({"lidar-200k", rtnn::testing::make_cloud(CloudKind::kLidar, 200'000, 71),
+                   lidar_width, 1});
+  cases.push_back({"uniform-200k", rtnn::testing::make_cloud(CloudKind::kUniform, 200'000, 72),
+                   0.01f, 1});
+  cases.push_back({"one-point", {{0.25f, -0.5f, 3.0f}}, 0.1f, 1});
+  cases.push_back({"two-points", {{0.0f, 0.0f, 0.0f}, {1.0f, 2.0f, 3.0f}}, 0.1f, 1});
+  cases.push_back({"one-point-x20000",
+                   std::vector<Vec3>(20'000, Vec3{0.5f, 0.25f, -0.75f}), 0.1f, 1});
+  cases.push_back({"lidar-60k-leaf4", rtnn::testing::make_cloud(CloudKind::kLidar, 60'000, 73),
+                   lidar_width, 4});
+  for (const Case& c : cases) {
+    Bvh bvh;
+    bvh.build(c.points, c.width, BvhBuildOptions{c.leaf_size});
+    const rtnn::testing::oracle::Tree want = rtnn::testing::oracle::collapse(bvh);
+    WideBvh wide;
+    wide.build(bvh);
+    ASSERT_NO_THROW(wide.validate()) << c.label;
+    rtnn::testing::oracle::expect_same_tree(wide, want, c.label);
+    EXPECT_TRUE(std::equal(wide.prim_order().begin(), wide.prim_order().end(),
+                           bvh.prim_order().begin(), bvh.prim_order().end()))
+        << c.label;
+    EXPECT_EQ(wide.scene_bounds(), bvh.nodes()[bvh.root()].bounds) << c.label;
+    if (c.points.size() >= 20'000) {
+      EXPECT_GT(wide.subtree_offsets().size(), 1u) << c.label << " must take the subtree path";
+    }
+  }
+}
+
+/// Every array of the wide tree, and its SAH after a refit, are the same
+/// bytes at 1, 2 and 4 threads: the subtree cut depends on the tree alone.
+TEST(WideBvh, ArraysAreIdenticalAtAnyThreadCount) {
+  const std::vector<Vec3> points = rtnn::testing::make_cloud(CloudKind::kLidar, 100'000, 74);
+  const float width = 2.0f * rtnn::testing::typical_radius(CloudKind::kLidar);
+  std::vector<Vec3> moved = points;
+  Pcg32 rng(75);
+  for (Vec3& p : moved) p.x += 0.1f * width * (rng.next_float() - 0.5f);
+  const auto bytes_of = [](auto span) {
+    std::vector<unsigned char> out(span.size_bytes());
+    if (!out.empty()) std::memcpy(out.data(), span.data(), out.size());
+    return out;
+  };
+  struct Snapshot {
+    std::vector<std::vector<unsigned char>> arrays;
+    double refit_sah;
+  };
+  const auto snapshot = [&](int threads) {
+    set_num_threads(threads);
+    Bvh bvh;
+    bvh.build(points, width);
+    WideBvh wide;
+    wide.build(bvh);
+    Snapshot s;
+    s.arrays = {bytes_of(wide.compressed_nodes()), bytes_of(wide.leaves()),
+                bytes_of(wide.prim_order()),       bytes_of(wide.ordered_prim_aabbs()),
+                bytes_of(wide.expand_masks()),     bytes_of(wide.subtree_offsets())};
+    wide.refit(moved, width);
+    s.refit_sah = wide.sah_inflation();
+    return s;
+  };
+  const Snapshot serial = snapshot(1);
+  for (const int threads : {2, 4}) {
+    const Snapshot parallel = snapshot(threads);
+    for (std::size_t a = 0; a < serial.arrays.size(); ++a) {
+      EXPECT_TRUE(parallel.arrays[a] == serial.arrays[a]) << "array " << a << " at " << threads
+                                                          << " threads";
+    }
+    EXPECT_EQ(parallel.refit_sah, serial.refit_sah) << threads << " threads";
+  }
+  set_num_threads(0);
 }
 
 TEST(WideBvh, EmptyAndDegenerateInputs) {
