@@ -50,8 +50,7 @@ RTNN_BENCH_CASE(fig06, "fig06",
                                       /*skip_sphere_test=*/false, result);
     rt::TraceConfig config;
     config.model = rt::ExecutionModel::kWarpLockstep;
-    config.simulate_caches = true;
-    config.parallel = false;  // exact, shared memory hierarchy
+    config.simulate_caches = true;  // one thread, one shared hierarchy: exact
     const auto stats =
         ox::launch(bvh, pipeline, static_cast<std::uint32_t>(queries.size()), config);
     const double dram_per_k =

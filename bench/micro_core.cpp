@@ -121,7 +121,6 @@ RTNN_BENCH_CASE(micro_core, "micro.core",
     ctx.metric("index_bytes.compressed." + suffix,
                static_cast<double>(wide.stats().total_index_bytes), "B");
     rt::TraceConfig sim;
-    sim.parallel = false;
     sim.simulate_caches = true;
     const rt::LaunchStats sim_stats = rt::trace(wide, rays, program, sim);
     ctx.metric("modeled_misses.compressed." + suffix,

@@ -44,12 +44,12 @@ namespace grain {
 /// Catch-all for unannotated loops (the old hardcoded 1024).
 inline constexpr std::int64_t kDefault = 1024;
 /// Trivial bodies, a few flops per item: AABB generation, Morton encoding,
-/// ray generation, SoA bounds fills.
+/// SoA bounds fills.
 inline constexpr std::int64_t kElementwise = 4096;
-/// One full tree walk per item: independent-path per-ray traversal.
-inline constexpr std::int64_t kTrace = 512;
-/// One 32-lane lockstep warp per item (heavy, few items).
-inline constexpr std::int64_t kWarp = 8;
+/// One warp per item: an aligned group of 32 launch indices, 32 full tree
+/// walks, that one thread runs whole (every rt::trace launch, in either
+/// execution model). 16 warps (512 rays) per task at least.
+inline constexpr std::int64_t kWarp = 16;
 /// Pre-chunked task lists where each item is already a large block of work
 /// (subtree builds, radix buckets, per-chunk scatters).
 inline constexpr std::int64_t kTask = 1;

@@ -2,22 +2,21 @@
 //
 // The paper programs the RT cores through OptiX (section 2.3, Figure 3):
 // build an acceleration structure over custom AABB primitives, then launch
-// a pipeline whose programmable stages (Ray Generation, Intersection,
-// Any-Hit, Closest-Hit, Miss) are user shaders compiled into one kernel.
-// This header reproduces that programming model so the RTNN algorithm code
-// reads like its CUDA/OptiX original:
+// a pipeline whose programmable stages are user shaders compiled into one
+// kernel. This header reproduces that programming model so the RTNN
+// algorithm code reads like its CUDA/OptiX original:
 //
 //   * ox::Context::build_accel(aabbs)  ~ optixAccelBuild over
 //     OPTIX_BUILD_INPUT_TYPE_CUSTOM_PRIMITIVES
 //   * ox::launch(accel, pipeline, width) ~ optixLaunch
 //   * Pipeline::raygen(i) is the RG shader: it returns the ray for launch
-//     index i (optixGetLaunchIndex + optixTrace).
+//     index i (optixGetLaunchIndex + optixTrace). It runs on the thread
+//     that walks the ray, just before the walk; one thread walks each
+//     aligned group of 32 launch indices (the warp), in launch order.
 //   * Pipeline::intersection(ray, prim) is the IS shader; returning
 //     TraceAction::kTerminate is the AH shader calling
 //     optixTerminateRay().
-//   * Optional Pipeline::closest_hit(ray) / Pipeline::miss(ray) run after
-//     traversal completes, depending on whether any IS call was made for
-//     the ray.
+//   * There are no Closest-Hit or Miss stages: no RTNN pipeline has one.
 //   * Optional Pipeline::cull_shrink(ray) has no OptiX counterpart: it is
 //     the software RT core's per-ray cull bound (rt::CullingProgram),
 //     re-read after every IS call. While it returns δ > 0 the wide and
@@ -158,10 +157,9 @@ class Accel {
   std::shared_ptr<const detail::AccelData> data_;
 };
 
-/// Shader-pipeline concepts. A pipeline must at least provide the RG and
-/// IS shaders; AH (termination), CH and Miss are optional, mirroring
-/// OptiX where those program groups may be null. The cull bound
-/// (rt::CullingProgram) is optional the same way.
+/// Shader-pipeline concepts. A pipeline must provide the RG and IS
+/// shaders; AH (termination) is the IS shader's return value, and the cull
+/// bound (rt::CullingProgram) is optional.
 template <typename P>
 concept RayGenShader = requires(P p, std::uint32_t i) {
   { p.raygen(i) } -> std::convertible_to<Ray>;
@@ -171,12 +169,6 @@ template <typename P>
 concept IntersectionShader = requires(P p, std::uint32_t ray, std::uint32_t prim) {
   { p.intersection(ray, prim) } -> std::same_as<TraceAction>;
 };
-
-template <typename P>
-concept HasClosestHit = requires(P p, std::uint32_t ray) { p.closest_hit(ray); };
-
-template <typename P>
-concept HasMiss = requires(P p, std::uint32_t ray) { p.miss(ray); };
 
 template <typename P>
 concept PipelineShaders = RayGenShader<P> && IntersectionShader<P>;
@@ -216,15 +208,13 @@ class Context {
 
 namespace detail {
 
+/// rt::trace's Program over a pipeline: the IS shader, and the cull bound
+/// when the pipeline declares one.
 template <PipelineShaders P>
 struct ProgramAdapter {
   P& pipeline;
-  // One byte per ray: whether the IS shader ran for it ("found a hit?"
-  // branch of Figure 3). Only allocated when CH/Miss shaders exist.
-  std::vector<std::uint8_t>* is_invoked;
 
   TraceAction intersect(std::uint32_t ray_id, std::uint32_t prim_id) {
-    if (is_invoked) (*is_invoked)[ray_id] = 1;
     return pipeline.intersection(ray_id, prim_id);
   }
 
@@ -237,50 +227,19 @@ struct ProgramAdapter {
   }
 };
 
-/// The body both launch overloads share: the RG shader materializes the
-/// rays (a data-parallel kernel of its own; the walks consume them as a
-/// span), `walk(rays, adapter)` traces them, then CH/Miss run per ray if
-/// the pipeline defines them.
-template <PipelineShaders P, typename Walk>
-LaunchStats run_launch(P& pipeline, std::uint32_t width, Walk&& walk) {
-  std::vector<Ray> rays(width);
-  parallel_for(0, width, [&](std::int64_t i) {
-    rays[static_cast<std::size_t>(i)] = pipeline.raygen(static_cast<std::uint32_t>(i));
-  }, grain::kElementwise);
-
-  constexpr bool kNeedsHitInfo = HasClosestHit<P> || HasMiss<P>;
-  std::vector<std::uint8_t> is_invoked;
-  if constexpr (kNeedsHitInfo) is_invoked.assign(width, 0);
-
-  ProgramAdapter<P> adapter{pipeline, kNeedsHitInfo ? &is_invoked : nullptr};
-  const LaunchStats stats = walk(std::span<const Ray>(rays), adapter);
-
-  if constexpr (kNeedsHitInfo) {
-    parallel_for(0, width, [&](std::int64_t i) {
-      const auto ray = static_cast<std::uint32_t>(i);
-      if (is_invoked[ray]) {
-        if constexpr (HasClosestHit<P>) pipeline.closest_hit(ray);
-      } else {
-        if constexpr (HasMiss<P>) pipeline.miss(ray);
-      }
-    });
-  }
-  return stats;
-}
-
 }  // namespace detail
 
-/// optixLaunch: runs the RG shader for every index in [0, width), traces
-/// the generated rays through the accel's one resident tree — the TLAS
-/// walk of a tiled accel, the compressed wide walk otherwise — and
-/// dispatches CH/Miss per ray if the pipeline defines them.
+/// optixLaunch: walks launch indices [0, width) through the accel's one
+/// resident tree — the TLAS walk of a tiled accel, the compressed wide
+/// walk otherwise — with the RG shader making each ray on the thread
+/// that walks it.
 template <PipelineShaders P>
 LaunchStats launch(const Accel& accel, P& pipeline, std::uint32_t width) {
   RTNN_CHECK(accel.built(), "launch against an unbuilt accel");
-  return detail::run_launch(pipeline, width, [&](std::span<const Ray> rays, auto& adapter) {
-    return accel.is_tiled() ? rt::trace(accel.tiled_bvh(), rays, adapter)
-                            : rt::trace(accel.wide_bvh(), rays, adapter);
-  });
+  detail::ProgramAdapter<P> program{pipeline};
+  const auto raygen = [&pipeline](std::uint32_t i) -> Ray { return pipeline.raygen(i); };
+  return accel.is_tiled() ? rt::trace(accel.tiled_bvh(), width, raygen, program)
+                          : rt::trace(accel.wide_bvh(), width, raygen, program);
 }
 
 /// The characterization launch: the same pipeline stages over a binary
@@ -292,9 +251,9 @@ LaunchStats launch(const Accel& accel, P& pipeline, std::uint32_t width) {
 template <PipelineShaders P>
 LaunchStats launch(const rt::Bvh& bvh, P& pipeline, std::uint32_t width,
                    const rt::TraceConfig& config = {}) {
-  return detail::run_launch(pipeline, width, [&](std::span<const Ray> rays, auto& adapter) {
-    return rt::trace(bvh, rays, adapter, config);
-  });
+  detail::ProgramAdapter<P> program{pipeline};
+  const auto raygen = [&pipeline](std::uint32_t i) -> Ray { return pipeline.raygen(i); };
+  return rt::trace(bvh, width, raygen, program, config);
 }
 
 }  // namespace rtnn::ox

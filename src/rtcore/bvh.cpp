@@ -175,66 +175,63 @@ void Bvh::build_impl(std::size_t prim_count, PrimBox prim_box, const BvhBuildOpt
     return;
   }
 
-  // Parallel build: split the sorted range top-down into tasks, build each
-  // subtree independently, then stitch the pieces with index fix-up.
+  // Parallel build: split the sorted range top-down into a serial
+  // skeleton and subtree tasks below it, then build the tasks in parallel.
+  // With one primitive per leaf a range of len primitives occupies exactly
+  // 2*len-1 slots in pre-order, so every skeleton node and task root goes
+  // straight to the slot the serial build gives it (left = slot + 1,
+  // right = slot + 2*len_left): the tree is the same at any thread count.
+  // General leaf sizes number the skeleton first, build each task locally
+  // and stitch the pieces behind it with index fix-up.
+  const bool fixed_slots = leaf_size_ == 1;
   struct Task {
-    std::uint32_t lo, hi;
-    std::uint32_t parent;  // top-skeleton node to patch
+    std::uint32_t lo, hi, depth;
+    std::uint32_t slot;    // fixed slots: the node's pre-order slot
+    std::uint32_t parent;  // stitched: the skeleton node to patch
     bool is_left;
   };
+  constexpr std::uint32_t kNoParent = 0xffffffffu;
   std::vector<Task> tasks;
   std::vector<std::uint32_t> top_internal;  // indices of skeleton nodes, pre-order
 
   // Build the skeleton serially (explicit stack to keep pre-order simple).
-  struct Frame {
-    std::uint32_t lo, hi, parent, depth;
-    bool is_left;
-  };
-  std::vector<Frame> stack{{0, n, 0xffffffffu, 0, false}};
-  std::vector<std::uint32_t> task_depth;
-  nodes_.reserve(2 * static_cast<std::size_t>(n));
+  std::vector<Task> stack{{0, n, 0, 0, kNoParent, false}};
+  if (fixed_slots) {
+    nodes_.resize(2 * static_cast<std::size_t>(n) - 1);
+  } else {
+    nodes_.reserve(2 * static_cast<std::size_t>(n));
+  }
   while (!stack.empty()) {
-    const Frame f = stack.back();
+    const Task f = stack.back();
     stack.pop_back();
     if (f.hi - f.lo <= cutoff) {
-      tasks.push_back({f.lo, f.hi, f.parent, f.is_left});
-      task_depth.push_back(f.depth);
+      tasks.push_back(f);
       continue;
     }
-    const auto index = static_cast<std::uint32_t>(nodes_.size());
-    nodes_.push_back(BvhNode{});
-    top_internal.push_back(index);
-    if (f.parent != 0xffffffffu) {
-      (f.is_left ? nodes_[f.parent].left : nodes_[f.parent].right) = index;
-    }
     const std::uint32_t mid = split_range(codes, f.lo, f.hi);
-    stack.push_back({mid, f.hi, index, f.depth + 1, false});
-    stack.push_back({f.lo, mid, index, f.depth + 1, true});
+    std::uint32_t index = f.slot;
+    if (fixed_slots) {
+      nodes_[index] = BvhNode{Aabb{}, index + 1, index + 2 * (mid - f.lo), 0, 0};
+    } else {
+      index = static_cast<std::uint32_t>(nodes_.size());
+      nodes_.push_back(BvhNode{});
+      if (f.parent != kNoParent) {
+        (f.is_left ? nodes_[f.parent].left : nodes_[f.parent].right) = index;
+      }
+    }
+    top_internal.push_back(index);
+    stack.push_back({mid, f.hi, f.depth + 1, index + 2 * (mid - f.lo), index, false});
+    stack.push_back({f.lo, mid, f.depth + 1, index + 1, index, true});
   }
 
   // Build every task subtree in parallel.
   std::vector<std::uint32_t> local_depth(tasks.size(), 0);
-  if (leaf_size_ == 1) {
-    // Subtree sizes are exact (2*len-1): build straight into the global
-    // array at precomputed offsets — no local buffers, no stitch copy, and
-    // each task is the first to write its range.
-    std::vector<std::size_t> offsets(tasks.size());
-    std::size_t total = nodes_.size();
-    for (std::size_t t = 0; t < tasks.size(); ++t) {
-      offsets[t] = total;
-      total += 2 * static_cast<std::size_t>(tasks[t].hi - tasks[t].lo) - 1;
-    }
-    nodes_.resize(total);
-    for (std::size_t t = 0; t < tasks.size(); ++t) {
-      const Task& task = tasks[t];
-      const auto root = static_cast<std::uint32_t>(offsets[t]);
-      (task.is_left ? nodes_[task.parent].left : nodes_[task.parent].right) = root;
-    }
+  if (fixed_slots) {
+    // Each task is the first to write its range of the global array.
     parallel_for(0, static_cast<std::int64_t>(tasks.size()), [&](std::int64_t t) {
       const Task& task = tasks[static_cast<std::size_t>(t)];
       FixedSlotBuilder builder{codes, prim_order_, prim_aabbs_, nodes_.data()};
-      builder.build(static_cast<std::uint32_t>(offsets[static_cast<std::size_t>(t)]),
-                    task.lo, task.hi, 0);
+      builder.build(task.slot, task.lo, task.hi, 0);
       local_depth[static_cast<std::size_t>(t)] = builder.max_depth;
     }, grain::kTask);
   } else {
@@ -286,7 +283,7 @@ void Bvh::build_impl(std::size_t prim_count, PrimBox prim_box, const BvhBuildOpt
 
   std::uint32_t deepest = 0;
   for (std::size_t t = 0; t < tasks.size(); ++t) {
-    deepest = std::max(deepest, local_depth[t] + task_depth[t]);
+    deepest = std::max(deepest, local_depth[t] + tasks[t].depth);
   }
   max_depth_seen_ = deepest;
 }

@@ -3,9 +3,10 @@
 // The paper's Figure 6 explains the raster-vs-random gap through
 // micro-architectural counters: L1/L2 hit rate and SM occupancy. Our
 // substrate replays the traversal engine's BVH-node and primitive fetches
-// through this model to produce the same counters. Defaults approximate a
-// Turing SM: 64 KiB L1 per SM (private, one per worker thread here) and a
-// 4 MiB shared L2, 128-byte lines, LRU.
+// through this model to produce the same counters. kL1 and kL2 approximate
+// a Turing SM: a 64 KiB L1 and a 4 MiB L2, 128-byte lines, LRU. A
+// simulated launch runs on one thread through one hierarchy, so both
+// levels see every fetch of the launch, in launch order.
 #pragma once
 
 #include <cstdint>
@@ -18,6 +19,10 @@ struct CacheConfig {
   std::uint32_t line_bytes = 128;
   std::uint32_t ways = 4;
 };
+
+/// The modeled hierarchy of every cache-simulated launch.
+inline constexpr CacheConfig kL1{64 * 1024, 128, 4};
+inline constexpr CacheConfig kL2{4 * 1024 * 1024, 128, 16};
 
 struct CacheStats {
   std::uint64_t accesses = 0;
@@ -32,6 +37,7 @@ struct CacheStats {
     hits += o.hits;
     return *this;
   }
+  bool operator==(const CacheStats&) const = default;
 };
 
 /// Single cache level, LRU replacement within each set.
@@ -60,15 +66,12 @@ class Cache {
   CacheStats stats_;
 };
 
-/// Private L1 in front of a shared L2. The traversal engine instantiates
-/// one MemoryHierarchy per worker ("SM") and merges stats afterwards; the
-/// L2 is approximated as private per worker (adequate: the experiments
-/// that read these counters run the SIMT engine single-threaded so the L2
-/// is then exact).
+/// An L1 in front of an L2 (kL1 and kL2 by default). The traversal engine
+/// runs a simulated launch on one thread through one MemoryHierarchy.
 class MemoryHierarchy {
  public:
   MemoryHierarchy(const CacheConfig& l1, const CacheConfig& l2) : l1_(l1), l2_(l2) {}
-  MemoryHierarchy() : MemoryHierarchy(CacheConfig{}, CacheConfig{4 * 1024 * 1024, 128, 16}) {}
+  MemoryHierarchy() : MemoryHierarchy(kL1, kL2) {}
 
   void access(std::uint64_t address) {
     if (!l1_.access(address)) l2_.access(address);

@@ -51,6 +51,7 @@ struct LaunchStats {
   }
 
   LaunchStats& operator+=(const LaunchStats& o);
+  bool operator==(const LaunchStats&) const = default;
 };
 
 std::ostream& operator<<(std::ostream& os, const LaunchStats& s);

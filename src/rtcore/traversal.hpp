@@ -1,34 +1,40 @@
 // BVH traversal engine — the RT-core substitute.
 //
+// One launch driver (detail::run_groups) runs every walk. Launch indices
+// form aligned groups of 32, the paper's warp (section 3.2.1: "OptiX
+// groups every 32 adjacent rays generated in the RG shader into a
+// warp"). One thread takes a whole group and walks its rays in launch
+// order, making each with the caller's ray source (ox::launch passes the
+// RG shader) just before walking it. Groups never straddle threads, so
+// which rays share a thread, and in what order they run, is the same at
+// every thread count.
+//
 // Two execution models:
 //
-//  * kIndependent — every ray traverses on its own stack; rays are spread
-//    across OpenMP threads. This is the fast path used for wall-clock
-//    performance measurements. It traverses the compressed 8-wide WideBvh
-//    (the production configuration; the tiled TLAS walk ends in such
-//    trees), where one ray-vs-node step decodes and tests all eight child
-//    AABBs with AVX2 (scalar fallback when built with
+//  * kIndependent — the rays of a group walk one after another, each on
+//    the stack its chunk reuses. This is the fast path used for
+//    wall-clock performance measurements. It traverses the compressed
+//    8-wide WideBvh (the production configuration; the tiled TLAS walk
+//    ends in such trees), where one ray-vs-node step decodes and tests
+//    all eight child AABBs with AVX2 (scalar fallback when built with
 //    RTNN_ENABLE_AVX2=OFF), or a binary LBVH the caller built for the
-//    per-node counts of the paper characterizations. Rays are batched into
-//    chunks that reuse one per-thread traversal stack, and chunks inherit
-//    the caller's Morton ordering so consecutive rays walk overlapping
-//    subtrees.
+//    per-node counts of the paper characterizations.
 //
-//  * kWarpLockstep — rays are grouped into 32-lane warps that advance in
-//    lockstep, the way the SIMT hardware schedules them (paper section
-//    3.2.1: "OptiX groups every 32 adjacent rays generated in the RG
-//    shader into a warp"). In each lockstep iteration every active lane
-//    pops one node; lanes that popped *different* nodes serialize into
-//    sub-steps (control-flow divergence), and each unique node fetch is
-//    replayed through the cache simulator. Incoherent rays therefore cost
-//    more sub-steps, idle more lane slots (lower occupancy) and miss the
-//    caches more — exactly the effects of paper Figures 5 and 6. This
-//    model always walks the binary BVH so its step/cache/occupancy
-//    figures stay bit-identical to the hardware characterization.
+//  * kWarpLockstep — the group is a 32-lane warp that makes its lanes'
+//    rays, then advances in lockstep, the way the SIMT hardware schedules
+//    it. In each lockstep iteration every active lane pops one node;
+//    lanes that popped *different* nodes serialize into sub-steps
+//    (control-flow divergence), and each unique node fetch is replayed
+//    through the cache simulator. Incoherent rays therefore cost more sub-steps, idle
+//    more lane slots (lower occupancy) and miss the caches more — exactly
+//    the effects of paper Figures 5 and 6. This model always walks the
+//    binary BVH so its step/cache/occupancy figures stay bit-identical to
+//    the hardware characterization.
 //
-// Every walk counts its work (LaunchStats). Stats are accumulated in
-// per-worker slots (StatsAccumulator) and summed once per launch — no
-// locks on the hot path.
+// Every walk counts its work (LaunchStats). A chunk of groups counts into
+// one stack-local struct, folded once into its worker's slot
+// (StatsAccumulator) and summed once per launch — no locks on the hot
+// path.
 //
 // The `Program` template parameter plays the role of the compiled shader
 // kernel: `program.intersect(ray_id, prim_id)` is the IS shader, invoked
@@ -51,6 +57,7 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <type_traits>
 
 #ifdef RTNN_HAVE_AVX2
 #include <immintrin.h>
@@ -73,21 +80,17 @@ enum class ExecutionModel : std::uint8_t { kIndependent = 0, kWarpLockstep = 1 }
 
 struct TraceConfig {
   ExecutionModel model = ExecutionModel::kIndependent;
-  /// Run the launch across threads. Disable for bit-exact cache-simulation
-  /// experiments (one shared memory hierarchy).
-  bool parallel = true;
-  /// Attach the cache simulator to node/primitive fetches. Supported by
-  /// the warp-lockstep model (the paper-characterization path) and by the
-  /// wide-BVH independent overload, where it models the compressed
-  /// layout's real byte footprint (80 B nodes). Adds overhead; meant for
-  /// characterization runs.
+  /// Replay node and primitive fetches through the cache simulator (kL1,
+  /// kL2). A simulated launch runs on one thread with one shared
+  /// hierarchy, so its hit rates are exact. Supported by the warp-lockstep
+  /// model (the paper-characterization path) and by the wide-BVH walk,
+  /// where it models the compressed layout's real byte footprint (80 B
+  /// nodes). Adds overhead; meant for characterization runs.
   bool simulate_caches = false;
-  CacheConfig l1{64 * 1024, 128, 4};
-  CacheConfig l2{4 * 1024 * 1024, 128, 16};
   /// Must stay true: the compressed layout is the only wide layout, and
-  /// the wide and tiled overloads reject false. Kept only because the
+  /// the wide and tiled walks reject false. Kept only because the
   /// repo benchmark (perfbench/harness.cpp) still assigns it; the
-  /// ladder-rung [benchmark] change (ROADMAP item 4) deletes that
+  /// ladder-rung [benchmark] change (ROADMAP item 1) deletes that
   /// assignment, and then this field.
   bool use_compressed = true;
 };
@@ -115,7 +118,8 @@ namespace detail {
 constexpr std::uint32_t kMaxStackDepth = 128;
 /// The wide stack holds up to (width-1) net pushes per level.
 constexpr std::uint32_t kWideStackDepth = (kWideBvhWidth - 1) * kMaxStackDepth + 1;
-constexpr std::uint32_t kWarpSize = 32;
+/// Launch indices per group: the paper's warp.
+constexpr std::uint32_t kGroupSize = 32;
 // Pretend-device addresses for the cache simulator: BVH nodes and
 // primitive AABBs live in distinct regions with GPU-like strides.
 constexpr std::uint64_t kNodeStride = 64;
@@ -128,6 +132,7 @@ constexpr std::uint64_t kOrderedPrimRegionBase = std::uint64_t{1} << 41;
 
 /// Per-ray traversal state for the lockstep engine.
 struct LaneState {
+  Ray ray;
   std::uint32_t stack[kMaxStackDepth];
   std::uint32_t sp = 0;
   std::uint32_t ray_id = 0;
@@ -334,7 +339,7 @@ std::uint32_t slot_hits(const CompressedWideNode& node, const Ray& ray, const Ve
 }
 
 /// Single-ray traversal of the compressed wide BVH. `stack` is the
-/// caller's reusable per-thread buffer (kWideStackDepth entries). `mem`,
+/// chunk's reusable buffer (kWideStackDepth entries). `mem`,
 /// when non-null, replays node and leaf-ordered AABB fetches through the
 /// cache simulator at the layout's real byte footprint.
 ///
@@ -489,14 +494,17 @@ void trace_one_tiled(const TiledBvh& tlas, const Ray& ray, std::uint32_t ray_id,
   }
 }
 
-/// Lockstep traversal of one warp of (up to 32) rays.
-template <typename Program>
-void trace_warp(const Bvh& bvh, std::span<const Ray> rays, std::uint32_t first_ray,
-                std::uint32_t lane_count, Program& program, LaunchStats& stats,
+/// Lockstep traversal of one group of `lane_count` (up to 32) rays as a
+/// warp: lane l walks launch index first + l, whose ray it makes with
+/// `source` before the warp starts.
+template <typename RaySource, typename Program>
+void trace_warp(const Bvh& bvh, std::uint32_t first, std::uint32_t lane_count,
+                RaySource& source, Program& program, LaunchStats& stats,
                 MemoryHierarchy* mem) {
-  LaneState lanes[kWarpSize];
+  LaneState lanes[kGroupSize];
   for (std::uint32_t l = 0; l < lane_count; ++l) {
-    lanes[l].ray_id = first_ray + l;
+    lanes[l].ray = source(first + l);
+    lanes[l].ray_id = first + l;
     lanes[l].stack[lanes[l].sp++] = bvh.root();
   }
   ++stats.warps;
@@ -505,8 +513,8 @@ void trace_warp(const Bvh& bvh, std::span<const Ray> rays, std::uint32_t first_r
   for (;;) {
     // Each active lane pops its next node; the warp then serializes over
     // the set of distinct nodes popped this iteration.
-    std::uint32_t popped[kWarpSize];
-    std::uint32_t active_lanes[kWarpSize];
+    std::uint32_t popped[kGroupSize];
+    std::uint32_t active_lanes[kGroupSize];
     std::uint32_t n_active = 0;
     for (std::uint32_t l = 0; l < lane_count; ++l) {
       if (!lanes[l].active()) continue;
@@ -517,7 +525,7 @@ void trace_warp(const Bvh& bvh, std::span<const Ray> rays, std::uint32_t first_r
     if (n_active == 0) break;
     ++stats.warp_iterations;
 
-    std::uint32_t done[kWarpSize] = {};  // lanes already handled this iteration
+    std::uint32_t done[kGroupSize] = {};  // lanes already handled this iteration
     for (std::uint32_t i = 0; i < n_active; ++i) {
       if (done[i]) continue;
       const std::uint32_t node_id = popped[i];
@@ -535,7 +543,7 @@ void trace_warp(const Bvh& bvh, std::span<const Ray> rays, std::uint32_t first_r
         LaneState& lane = lanes[active_lanes[j]];
         ++stats.node_visits;
         ++stats.aabb_tests;
-        const Ray& ray = rays[lane.ray_id];
+        const Ray& ray = lane.ray;
         if (!ray_intersects_aabb(ray, node.bounds)) continue;
         if (node.is_leaf()) {
           if (process_leaf(bvh, node, ray, lane.ray_id, program, stats, mem) ==
@@ -553,154 +561,105 @@ void trace_warp(const Bvh& bvh, std::span<const Ray> rays, std::uint32_t first_r
   }
 }
 
+/// The launch driver every walk runs under. A chunk is a run of whole
+/// groups (at least grain::kWarp of them) on one thread, and
+/// `walk(first, count, stats, stack, mem)` walks each of its groups in
+/// turn. The chunk's groups share one wide stack and one LaunchStats. A
+/// cache-simulated launch runs as one chunk through one MemoryHierarchy,
+/// so its hit rates are exact.
+template <typename Walk>
+LaunchStats run_groups(std::uint32_t n, bool simulate_caches, Walk&& walk) {
+  StatsAccumulator accumulator;
+  const auto run_chunk = [&](std::int64_t lo, std::int64_t hi) {
+    LaunchStats local;
+    std::optional<MemoryHierarchy> mem;
+    if (simulate_caches) mem.emplace();
+    std::uint32_t stack[kWideStackDepth];
+    for (std::int64_t g = lo; g < hi; ++g) {
+      const auto first = static_cast<std::uint32_t>(g) * kGroupSize;
+      walk(first, std::min(kGroupSize, n - first), local, stack, mem ? &*mem : nullptr);
+    }
+    if (mem) {
+      local.l1 = mem->l1_stats();
+      local.l2 = mem->l2_stats();
+    }
+    accumulator.local() += local;
+  };
+  const std::int64_t groups = (std::int64_t{n} + kGroupSize - 1) / kGroupSize;
+  if (simulate_caches) {
+    run_chunk(0, groups);
+  } else {
+    parallel_for_chunks(0, groups, run_chunk, grain::kWarp);
+  }
+  LaunchStats total = accumulator.reduce();
+  total.rays = n;
+  return total;
+}
+
 }  // namespace detail
 
-/// Launches `rays` against `bvh`, invoking `program.intersect(ray_id,
-/// prim_id)` per candidate primitive. The Program object must be safe to
-/// call concurrently for different ray_ids (each ray writes its own
-/// output slots, the same contract a CUDA kernel has).
-template <typename Program>
-LaunchStats trace(const Bvh& bvh, std::span<const Ray> rays, Program& program,
+/// Launches `n` rays against `tree` — a binary Bvh (in either execution
+/// model), a WideBvh or a TiledBvh — and invokes `program.intersect(ray_id,
+/// prim_id)` per candidate primitive. Ray i is `source(i)`, made on the
+/// thread that walks it. The source and the Program must be safe to call
+/// concurrently for different ray_ids (each ray writes its own output
+/// slots, the same contract a CUDA kernel has). Lazy tiles of a TiledBvh
+/// are built on first route from inside the launch (thread-safe, built
+/// once).
+template <typename Tree, typename RaySource, typename Program>
+  requires std::is_invocable_r_v<Ray, RaySource&, std::uint32_t>
+LaunchStats trace(const Tree& tree, std::uint32_t n, RaySource&& source, Program& program,
                   const TraceConfig& config = {}) {
-  LaunchStats total;
-  total.rays = rays.size();
-  if (rays.empty() || bvh.empty()) return total;
-
-  const auto n = static_cast<std::int64_t>(rays.size());
-  StatsAccumulator accumulator;
-
-  if (config.model == ExecutionModel::kIndependent) {
-    RTNN_CHECK(!config.simulate_caches,
+  constexpr bool kBinary = std::is_same_v<Tree, Bvh>;
+  const bool lockstep = config.model == ExecutionModel::kWarpLockstep;
+  if constexpr (kBinary) {
+    RTNN_CHECK(lockstep || !config.simulate_caches,
                "cache simulation requires the warp-lockstep execution model");
-    auto run_chunk = [&](std::int64_t lo, std::int64_t hi) {
-      // Counters bump a stack-local struct through the chunk and fold into
-      // the worker's slot once — no heap writes on the per-node path.
-      LaunchStats local;
-      for (std::int64_t i = lo; i < hi; ++i) {
-        detail::trace_one(bvh, rays[static_cast<std::size_t>(i)],
-                          static_cast<std::uint32_t>(i), program, local);
-      }
-      accumulator.local() += local;
-    };
-    if (config.parallel) {
-      parallel_for_chunks(0, n, run_chunk, grain::kTrace);
-    } else {
-      run_chunk(0, n);
-    }
-    total += accumulator.reduce();
-    return total;
-  }
-
-  const std::int64_t n_warps =
-      (n + detail::kWarpSize - 1) / static_cast<std::int64_t>(detail::kWarpSize);
-  auto run_warps = [&](std::int64_t lo, std::int64_t hi) {
-    LaunchStats local;
-    std::optional<MemoryHierarchy> mem;
-    if (config.simulate_caches) mem.emplace(config.l1, config.l2);
-    for (std::int64_t w = lo; w < hi; ++w) {
-      const auto first = static_cast<std::uint32_t>(w * detail::kWarpSize);
-      const auto lanes = static_cast<std::uint32_t>(
-          std::min<std::int64_t>(detail::kWarpSize, n - first));
-      detail::trace_warp(bvh, rays, first, lanes, program, local,
-                         mem ? &*mem : nullptr);
-    }
-    if (mem) {
-      local.l1 = mem->l1_stats();
-      local.l2 = mem->l2_stats();
-    }
-    accumulator.local() += local;
-  };
-  if (config.parallel) {
-    parallel_for_chunks(0, n_warps, run_warps, grain::kWarp);
   } else {
-    run_warps(0, n_warps);
+    RTNN_CHECK(!lockstep, "warp-lockstep simulation walks the binary BVH");
+    RTNN_CHECK(config.use_compressed, "the compressed layout is the only wide layout");
+    RTNN_CHECK((std::is_same_v<Tree, WideBvh>) || !config.simulate_caches,
+               "cache simulation is not supported on the tiled BVH; simulate the "
+               "monolithic wide or binary walk");
   }
-  total += accumulator.reduce();
-  return total;
+  if (n == 0 || tree.empty()) {
+    LaunchStats empty;
+    empty.rays = n;
+    return empty;
+  }
+  if constexpr (kBinary) {
+    if (lockstep) {
+      return detail::run_groups(
+          n, config.simulate_caches,
+          [&](std::uint32_t first, std::uint32_t count, LaunchStats& stats, std::uint32_t*,
+              MemoryHierarchy* mem) {
+            detail::trace_warp(tree, first, count, source, program, stats, mem);
+          });
+    }
+  }
+  // Each ray is made just before it is walked.
+  return detail::run_groups(
+      n, config.simulate_caches,
+      [&](std::uint32_t first, std::uint32_t count, LaunchStats& stats, std::uint32_t* stack,
+          MemoryHierarchy* mem) {
+        for (std::uint32_t id = first; id < first + count; ++id) {
+          if constexpr (kBinary) {
+            detail::trace_one(tree, source(id), id, program, stats);
+          } else if constexpr (std::is_same_v<Tree, WideBvh>) {
+            detail::trace_one_compressed(tree, source(id), id, program, stats, stack, mem);
+          } else {
+            detail::trace_one_tiled(tree, source(id), id, program, stats, stack);
+          }
+        }
+      });
 }
 
-/// Wide-BVH overload: the wall-clock independent path. Rays are batched
-/// into Morton-coherent chunks (the caller's ordering is preserved), each
-/// chunk reusing one per-thread traversal stack across all of its rays.
-/// config.simulate_caches replays the walk's node and leaf-ordered AABB
-/// fetches through per-worker cache hierarchies.
-template <typename Program>
-LaunchStats trace(const WideBvh& bvh, std::span<const Ray> rays, Program& program,
+/// The same launch over rays the caller made: ray i is rays[i].
+template <typename Tree, typename Program>
+LaunchStats trace(const Tree& tree, std::span<const Ray> rays, Program& program,
                   const TraceConfig& config = {}) {
-  RTNN_CHECK(config.model == ExecutionModel::kIndependent,
-             "the wide BVH serves only the independent execution model; "
-             "warp-lockstep simulation walks the binary BVH");
-  RTNN_CHECK(config.use_compressed, "the compressed layout is the only wide layout");
-  LaunchStats total;
-  total.rays = rays.size();
-  if (rays.empty() || bvh.empty()) return total;
-
-  const auto n = static_cast<std::int64_t>(rays.size());
-  StatsAccumulator accumulator;
-  auto run_chunk = [&](std::int64_t lo, std::int64_t hi) {
-    LaunchStats local;
-    std::optional<MemoryHierarchy> mem;
-    if (config.simulate_caches) mem.emplace(config.l1, config.l2);
-    MemoryHierarchy* mem_ptr = mem ? &*mem : nullptr;
-    // One stack allocation per chunk, reused by every ray in it.
-    std::uint32_t stack[detail::kWideStackDepth];
-    for (std::int64_t i = lo; i < hi; ++i) {
-      detail::trace_one_compressed(bvh, rays[static_cast<std::size_t>(i)],
-                                   static_cast<std::uint32_t>(i), program, local, stack,
-                                   mem_ptr);
-    }
-    if (mem) {
-      local.l1 = mem->l1_stats();
-      local.l2 = mem->l2_stats();
-    }
-    accumulator.local() += local;
-  };
-  if (config.parallel) {
-    parallel_for_chunks(0, n, run_chunk, grain::kTrace);
-  } else {
-    run_chunk(0, n);
-  }
-  total += accumulator.reduce();
-  return total;
-}
-
-/// Two-level overload: the TLAS walk over a tiled index. Independent
-/// model only, same chunking/stats shape as the WideBvh overload; no cache
-/// simulation. Lazy tiles are built on first route from inside the launch
-/// (thread-safe, built once regardless of how many chunks race to the
-/// same tile).
-template <typename Program>
-LaunchStats trace(const TiledBvh& tlas, std::span<const Ray> rays, Program& program,
-                  const TraceConfig& config = {}) {
-  RTNN_CHECK(config.model == ExecutionModel::kIndependent,
-             "the tiled BVH serves only the independent execution model; "
-             "warp-lockstep simulation walks the monolithic binary BVH");
-  RTNN_CHECK(config.use_compressed, "the compressed layout is the only wide layout");
-  RTNN_CHECK(!config.simulate_caches,
-             "cache simulation is not supported on the tiled BVH; simulate the "
-             "monolithic wide or binary walk");
-  LaunchStats total;
-  total.rays = rays.size();
-  if (rays.empty() || tlas.empty()) return total;
-
-  const auto n = static_cast<std::int64_t>(rays.size());
-  StatsAccumulator accumulator;
-  auto run_chunk = [&](std::int64_t lo, std::int64_t hi) {
-    LaunchStats local;
-    std::uint32_t stack[detail::kWideStackDepth];
-    for (std::int64_t i = lo; i < hi; ++i) {
-      detail::trace_one_tiled(tlas, rays[static_cast<std::size_t>(i)],
-                              static_cast<std::uint32_t>(i), program, local, stack);
-    }
-    accumulator.local() += local;
-  };
-  if (config.parallel) {
-    parallel_for_chunks(0, n, run_chunk, grain::kTrace);
-  } else {
-    run_chunk(0, n);
-  }
-  total += accumulator.reduce();
-  return total;
+  return trace(tree, static_cast<std::uint32_t>(rays.size()),
+               [rays](std::uint32_t i) { return rays[i]; }, program, config);
 }
 
 }  // namespace rtnn::rt

@@ -1,6 +1,7 @@
 // The degenerate-geometry trials of the differential harness: small
 // seeded clouds spatial structures get wrong (coincident points, collinear
-// and planar sets, extreme coordinate magnitudes, one far outlier, tight
+// and planar sets, extreme coordinate magnitudes, one far outlier, points
+// at ±FLT_MAX, denormal coordinates, one site holding most points, tight
 // clusters, exact distance ties), each
 // with a query set mixing exact hits, jittered neighbors and far-away
 // misses. Shared by every suite that checks a search path against a
@@ -8,6 +9,7 @@
 // name and seed, so a failure reproduces from the test output alone.
 #pragma once
 
+#include <cfloat>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -144,6 +146,61 @@ inline Trial far_outlier_trial(std::uint64_t seed) {
   return trial;
 }
 
+/// A uniform unit cube plus one point at x = +FLT_MAX and one at -FLT_MAX,
+/// at seeded positions in the id order: the extent of the centroids
+/// overflows to inf, so every Morton frame, grid and tile plan sized by
+/// it must survive an infinite extent.
+inline Trial flt_max_trial(std::uint64_t seed) {
+  Trial trial{.generator = "flt_max", .seed = seed};
+  Pcg32 rng(seed);
+  for (std::size_t i = 0; i + 2 < kPoints; ++i) {
+    trial.points.push_back({rng.next_float(), rng.next_float(), rng.next_float()});
+  }
+  for (const float x : {FLT_MAX, -FLT_MAX}) {
+    const std::uint32_t at =
+        rng.next_bounded(static_cast<std::uint32_t>(trial.points.size() + 1));
+    trial.points.insert(trial.points.begin() + at, Vec3{x, 0.5f, 0.5f});
+  }
+  trial.radius = 0.15f;
+  trial.queries = make_queries(trial.points, trial.radius, rng);
+  return trial;
+}
+
+/// Denormal coordinates (below 1e-39) at r = 1e-18, whose square 1e-36 is
+/// still a normal float: every point lies within r of every near query,
+/// and most squared distances underflow to exact zero ties.
+inline Trial denormal_trial(std::uint64_t seed) {
+  Trial trial{.generator = "denormal", .seed = seed};
+  Pcg32 rng(seed);
+  for (std::size_t i = 0; i < kPoints; ++i) {
+    trial.points.push_back({1.0e-39f * rng.next_float(), 1.0e-39f * rng.next_float(),
+                            1.0e-39f * rng.next_float()});
+  }
+  trial.radius = 1.0e-18f;
+  trial.queries = make_queries(trial.points, trial.radius, rng);
+  return trial;
+}
+
+/// One site holding 256 of the 384 points, at shuffled ids, beside a
+/// uniform cloud: a leaf-deep pile of zero-extent boxes and zero-distance
+/// ties next to ordinary geometry.
+inline Trial pile_trial(std::uint64_t seed) {
+  Trial trial{.generator = "pile", .seed = seed};
+  Pcg32 rng(seed);
+  const Vec3 site{rng.next_float(), rng.next_float(), rng.next_float()};
+  for (std::size_t i = 0; i < kPoints; ++i) {
+    trial.points.push_back(i < 256 ? site
+                                   : Vec3{rng.next_float(), rng.next_float(), rng.next_float()});
+  }
+  for (std::size_t i = trial.points.size() - 1; i > 0; --i) {
+    const std::uint32_t j = rng.next_bounded(static_cast<std::uint32_t>(i + 1));
+    std::swap(trial.points[i], trial.points[j]);
+  }
+  trial.radius = 0.15f;
+  trial.queries = make_queries(trial.points, trial.radius, rng);
+  return trial;
+}
+
 /// Dense clusters with empty space between them (partitioner stress).
 inline Trial clustered_trial(std::uint64_t seed) {
   Trial trial{.generator = "clustered", .seed = seed};
@@ -215,6 +272,9 @@ inline std::vector<Trial> all_trials() {
     trials.push_back(planar_trial(seed));
     trials.push_back(extreme_trial(seed));
     trials.push_back(far_outlier_trial(seed));
+    trials.push_back(flt_max_trial(seed));
+    trials.push_back(denormal_trial(seed));
+    trials.push_back(pile_trial(seed));
     trials.push_back(clustered_trial(seed));
     trials.push_back(lattice_trial(seed));
   }

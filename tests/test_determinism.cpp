@@ -1,17 +1,24 @@
-// Fixed-seed results must be invariant across worker thread counts: the
-// per-worker StatsAccumulator refactor promised that parallelism changes
-// only wall clock, never answers. Locked in here for the static search
+// Fixed-seed results must be invariant across worker thread counts:
+// parallelism changes only wall clock, never answers. Locked in here for
+// one launch through every walk (its counters too), the static search
 // pipeline, dynamic frame stepping (update_points), and the coalesced
 // batch path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <map>
+#include <numeric>
 #include <string>
 #include <vector>
 
+#include "core/flat_knn.hpp"
 #include "core/parallel.hpp"
 #include "datasets/motion.hpp"
+#include "optix/optix.hpp"
+#include "rtnn/pipelines.hpp"
 #include "rtnn/rtnn.hpp"
+#include "rtnn/tile_plan.hpp"
 #include "service/service.hpp"
 #include "test_util.hpp"
 
@@ -52,7 +59,131 @@ class ThreadCountGuard {
   ~ThreadCountGuard() { set_num_threads(0); }
 };
 
+/// A pipeline that records where its shaders ran: per worker, the launch
+/// indices its RG shader made, in order; per ray, the worker of its IS
+/// calls. Each worker appends to its own log and each ray writes its own
+/// slot, so recording races with nothing.
+template <typename P>
+struct Recorded {
+  P& inner;
+  std::vector<std::vector<std::uint32_t>> made;
+  std::vector<int> walker;
+
+  Recorded(P& pipeline, std::size_t rays)
+      : inner(pipeline), made(static_cast<std::size_t>(num_threads())), walker(rays, -1) {}
+
+  Ray raygen(std::uint32_t i) {
+    made[static_cast<std::size_t>(worker_index())].push_back(i);
+    return inner.raygen(i);
+  }
+  ox::TraceAction intersection(std::uint32_t ray, std::uint32_t prim) {
+    walker[ray] = worker_index();
+    return inner.intersection(ray, prim);
+  }
+  float cull_shrink(std::uint32_t ray)
+    requires rt::CullingProgram<P>
+  {
+    return inner.cull_shrink(ray);
+  }
+};
+
+/// One worker made each aligned group of 32 launch indices, in launch
+/// order, and walked every ray it made.
+template <typename P>
+void expect_whole_groups(const Recorded<P>& rec, std::uint32_t n, const std::string& label) {
+  std::vector<int> maker(n, -1);
+  for (std::size_t w = 0; w < rec.made.size(); ++w) {
+    const std::vector<std::uint32_t>& log = rec.made[w];
+    for (std::size_t p = 0; p < log.size();) {
+      const std::uint32_t first = log[p];
+      ASSERT_EQ(first % 32, 0u) << label << ": a group starts at " << first;
+      const std::uint32_t count = std::min(32u, n - first);
+      ASSERT_LE(p + count, log.size()) << label << ": group " << first << " split";
+      for (std::uint32_t l = 0; l < count; ++l) {
+        ASSERT_EQ(log[p + l], first + l) << label << ": group " << first << " out of order";
+        ASSERT_EQ(maker[first + l], -1) << label << ": ray " << first + l << " made twice";
+        maker[first + l] = static_cast<int>(w);
+      }
+      p += count;
+    }
+  }
+  for (std::uint32_t i = 0; i < n; ++i) {
+    ASSERT_NE(maker[i], -1) << label << ": ray " << i << " never made";
+    if (rec.walker[i] != -1) {
+      ASSERT_EQ(rec.walker[i], maker[i]) << label << ": ray " << i << " walked elsewhere";
+    }
+  }
+}
+
 }  // namespace
+
+TEST(Determinism, LaunchInvariantAcrossThreadCounts) {
+  // 20,000 rays: at 3 workers a thread-count-sized cut (n / 12 = 1,667)
+  // would fall off the 32-grid.
+  ThreadCountGuard guard;
+  const std::vector<Vec3> points = make_cloud(CloudKind::kUniform, 20000, kSeed);
+  const auto n = static_cast<std::uint32_t>(points.size());
+  std::vector<std::uint32_t> ids(n);
+  std::iota(ids.begin(), ids.end(), 0u);
+  const float radius = typical_radius(CloudKind::kUniform);
+  const float width = 2.0f * radius;
+  const ox::Context context;
+  const ox::Accel wide = context.build_accel(points, width);
+  const ox::Accel tiled = context.build_tiled_accel(points, width, plan_tiles(points, 8));
+  rt::Bvh bvh;
+  bvh.build(points, width);
+  rt::TraceConfig lockstep;
+  lockstep.model = rt::ExecutionModel::kWarpLockstep;
+  const char* const walks[] = {"wide", "tiled", "binary", "lockstep"};
+  const auto launch = [&](int walk, auto& pipeline) {
+    switch (walk) {
+      case 0: return ox::launch(wide, pipeline, n);
+      case 1: return ox::launch(tiled, pipeline, n);
+      case 2: return ox::launch(bvh, pipeline, n);
+      default: return ox::launch(bvh, pipeline, n, lockstep);
+    }
+  };
+
+  struct Run {
+    rt::LaunchStats stats;
+    NeighborResult rows;
+  };
+  std::map<std::string, Run> reference;  // by walk and mode, at one thread
+  for (const int threads : {1, 2, 3, 4}) {
+    set_num_threads(threads);
+    for (int walk = 0; walk < 4; ++walk) {
+      for (const SearchMode mode : {SearchMode::kKnn, SearchMode::kRange}) {
+        const std::string key =
+            std::string(walks[walk]) + (mode == SearchMode::kKnn ? " knn" : " range");
+        const std::string label = key + " threads=" + std::to_string(threads);
+        Run run;
+        if (mode == SearchMode::kKnn) {
+          FlatKnnHeaps heaps(n, 8);
+          pipelines::KnnPipeline knn(points, points, ids, radius, heaps, width);
+          Recorded recorded(knn, n);
+          run.stats = launch(walk, recorded);
+          expect_whole_groups(recorded, n, label);
+          run.rows = heaps.extract();
+        } else {
+          NeighborResult result(n, 16);
+          pipelines::RangePipeline range(points, points, ids, radius, 16,
+                                         /*skip_sphere_test=*/false, result);
+          Recorded recorded(range, n);
+          run.stats = launch(walk, recorded);
+          expect_whole_groups(recorded, n, label);
+          run.rows = std::move(result);
+        }
+        if (threads == 1) {
+          reference[key] = std::move(run);
+          continue;
+        }
+        const Run& ref = reference.at(key);
+        EXPECT_EQ(run.stats, ref.stats) << label;
+        rtnn::testing::expect_knn_identical(run.rows, ref.rows, label);
+      }
+    }
+  }
+}
 
 TEST(Determinism, SearchInvariantAcrossThreadCounts) {
   ThreadCountGuard guard;

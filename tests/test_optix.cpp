@@ -43,26 +43,7 @@ struct CountingPipeline {
   }
 };
 
-// Pipeline with all five shader stages.
-struct FullPipeline {
-  std::vector<Vec3> queries;
-  std::vector<std::uint32_t> counts;
-  std::vector<std::uint8_t> closest_hit_called;
-  std::vector<std::uint8_t> miss_called;
-  Ray raygen(std::uint32_t i) const { return Ray::short_ray(queries[i]); }
-  TraceAction intersection(std::uint32_t ray, std::uint32_t) {
-    ++counts[ray];
-    return TraceAction::kContinue;
-  }
-  void closest_hit(std::uint32_t ray) { closest_hit_called[ray] = 1; }
-  void miss(std::uint32_t ray) { miss_called[ray] = 1; }
-};
-
 static_assert(PipelineShaders<CountingPipeline>);
-static_assert(PipelineShaders<FullPipeline>);
-static_assert(!HasClosestHit<CountingPipeline>);
-static_assert(HasClosestHit<FullPipeline>);
-static_assert(HasMiss<FullPipeline>);
 
 TEST(Optix, AccelBuildSnapshotsGeometry) {
   TestScene scene = make_scene(100, 0.05f, 1);
@@ -89,22 +70,6 @@ TEST(Optix, LaunchRunsEveryIndex) {
   std::uint64_t total = 0;
   for (const auto c : pipeline.counts) total += c;
   EXPECT_EQ(total, stats.is_calls);
-}
-
-TEST(Optix, ClosestHitAndMissDispatch) {
-  // Queries inside the cloud trigger IS ⇒ CH; far-away queries trigger
-  // Miss — the "Found a Hit?" branch of paper Figure 3.
-  TestScene scene = make_scene(2000, 0.2f, 3);
-  FullPipeline pipeline;
-  pipeline.queries = {Vec3{0.5f, 0.5f, 0.5f}, Vec3{50.0f, 50.0f, 50.0f}};
-  pipeline.counts.assign(2, 0);
-  pipeline.closest_hit_called.assign(2, 0);
-  pipeline.miss_called.assign(2, 0);
-  launch(scene.accel, pipeline, 2);
-  EXPECT_EQ(pipeline.closest_hit_called[0], 1);
-  EXPECT_EQ(pipeline.miss_called[0], 0);
-  EXPECT_EQ(pipeline.closest_hit_called[1], 0);
-  EXPECT_EQ(pipeline.miss_called[1], 1);
 }
 
 TEST(Optix, LaunchAgainstUnbuiltAccelThrows) {

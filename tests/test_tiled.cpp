@@ -227,7 +227,6 @@ TEST(TiledBvh, TraceRejectsCacheSimulation) {
   Collector collector(1);
   const std::vector<Ray> rays{Ray::short_ray(points[0])};
   rt::TraceConfig config;
-  config.parallel = false;
   config.simulate_caches = true;
   EXPECT_THROW(rt::trace(tlas, rays, collector, config), Error);
 }

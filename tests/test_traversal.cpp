@@ -169,7 +169,6 @@ TEST(Traversal, CoherentRaysNeedFewerSubsteps) {
   TraceConfig config;
   config.model = ExecutionModel::kWarpLockstep;
   config.simulate_caches = true;
-  config.parallel = false;
 
   Collector c1(queries.size());
   const auto coherent = trace(scene.bvh, short_rays(queries), c1, config);

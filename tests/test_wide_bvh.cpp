@@ -320,7 +320,6 @@ TEST(WideBvh, CacheSimulationLeavesTheWalkUnchanged) {
   const Scene scene = make_scene(CloudKind::kUniform, 3000, 0.05f, 5);
   const auto rays = short_rays(scene.points);
   TraceConfig config;
-  config.parallel = false;
   Collector plain(rays.size());
   const LaunchStats plain_stats = trace(scene.wide, rays, plain, config);
   config.simulate_caches = true;

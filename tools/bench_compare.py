@@ -17,6 +17,11 @@ Two noise guards for shared CI runners:
 New/removed timings are reported but never fail the gate (new cases must
 be able to land, and the baseline is refreshed deliberately).
 
+--exact compares the exact characterization counters instead (EXACT_COUNTERS:
+work and cache counters that do not depend on the host or the thread
+count) and fails on any difference, e.g. between runs of one binary at
+RTNN_THREADS=1 and 4.
+
 Stdlib only; schema is documented in src/bench/report.hpp.
 """
 
@@ -190,6 +195,50 @@ def print_hotspot_attribution(baseline, current, moved, threshold):
             )
 
 
+# Metrics that are exact work or cache counters, by case: a metric counts
+# when its name starts with one of the case's prefixes ("" = every metric).
+EXACT_COUNTERS = {
+    "fig05": ("gpu_cost.",),
+    "fig06": ("",),
+    "fig08": ("is_calls.", "growth_exponent"),
+    "micro.steps": ("long_ray_false_positive_factor",),
+}
+
+
+def index_exact_counters(report):
+    """{(case_name, metric_name): value} for the EXACT_COUNTERS of ok cases."""
+    counters = {}
+    for case in report.get("cases", []):
+        prefixes = EXACT_COUNTERS.get(case["name"])
+        if prefixes is None or case.get("status") != "ok":
+            continue
+        for metric in case.get("metrics", []):
+            if metric["name"].startswith(prefixes):
+                counters[(case["name"], metric["name"])] = metric["value"]
+    return counters
+
+
+def compare_exact(baseline, current):
+    """Exit status of the exact-counter comparison: 0 only when both
+    reports carry the same counters with the same values."""
+    base = index_exact_counters(baseline)
+    cur = index_exact_counters(current)
+    differ = 0
+    for key in sorted(set(base) | set(cur)):
+        b, c = base.get(key), cur.get(key)
+        if b != c:
+            differ += 1
+            print(f"DIFF {key[0]}/{key[1]}: {b!r} -> {c!r}")
+    if not base:
+        print("FAIL: no exact counters in the baseline report")
+        return 1
+    if differ:
+        print(f"FAIL: {differ} of {len(set(base) | set(cur))} exact counters differ")
+        return 1
+    print(f"OK: {len(base)} exact counters identical")
+    return 0
+
+
 def failed_cases(report):
     return [c["name"] for c in report.get("cases", []) if c.get("status") != "ok"]
 
@@ -212,6 +261,12 @@ def main():
         "(noise floor, default 1e-3)",
     )
     parser.add_argument(
+        "--exact",
+        action="store_true",
+        help="compare the exact characterization counters (EXACT_COUNTERS) "
+        "instead of timings and fail on any difference",
+    )
+    parser.add_argument(
         "--update-baseline",
         action="store_true",
         help="after printing the comparison, rewrite BASELINE from CURRENT "
@@ -222,6 +277,12 @@ def main():
 
     baseline = load_report(args.baseline)
     current = load_report(args.current)
+    if args.exact:
+        broken = failed_cases(baseline) + failed_cases(current)
+        if broken:
+            print(f"FAIL: cases did not complete: {', '.join(broken)}")
+            return 1
+        return compare_exact(baseline, current)
 
     # Absolute-time comparison only means something when the measurement
     # conditions agree; warn loudly when they don't, before any median is
