@@ -21,7 +21,6 @@
 #include "core/rng.hpp"
 #include "core/sort.hpp"
 #include "datasets/uniform.hpp"
-#include "optix/optix.hpp"
 #include "rtcore/bvh.hpp"
 #include "rtcore/traversal.hpp"
 #include "rtcore/wide_bvh.hpp"
@@ -244,20 +243,5 @@ RTNN_BENCH_CASE(micro_core, "micro.core",
                               {.work_items = static_cast<double>(dists.size())});
     (void)sink;
     print_row("flat_knn_heap_push.100k", dists.size(), s);
-  }
-
-  // --- Accel build leaf-size ablation ---
-  {
-    const std::size_t n = sz(200e3);
-    const auto aabbs = point_aabbs(cloud(n, ctx.seed()), 0.02f);
-    const ox::Context ctx_ox;
-    for (const std::uint32_t leaf : {1u, 4u}) {
-      ox::AccelBuildOptions options;
-      options.leaf_size = leaf;
-      const std::string label = "accel_build.leaf" + std::to_string(leaf);
-      const double s = ctx.time(label, [&] { ctx_ox.build_accel(aabbs, options); },
-                                {.work_items = static_cast<double>(n)});
-      print_row(label.c_str(), n, s);
-    }
   }
 }

@@ -4,8 +4,8 @@
 //         magnitude slower in our experiments."
 //   §3.1 short rays eliminate the false-positive IS calls of long rays
 //         (Figure 4c).
-//   plus two substrate ablations: warp-lockstep vs independent traversal
-//   overhead, and BVH leaf size.
+//   plus one substrate ablation: warp-lockstep vs independent traversal
+//   overhead.
 #include <algorithm>
 #include <cstdio>
 
@@ -19,7 +19,7 @@
 using namespace rtnn;
 
 RTNN_BENCH_CASE(micro_steps, "micro.steps",
-                "Micro — step costs, ray-length false positives, engine/leaf ablations",
+                "Micro — step costs, ray-length false positives, engine ablation",
                 "Step 2 (IS) ~10x Step 1 (traversal); short rays avoid false-positive "
                 "IS calls",
                 "on RTX hardware Step 1 runs on dedicated RT cores; on this CPU "
@@ -145,30 +145,5 @@ RTNN_BENCH_CASE(micro_steps, "micro.steps",
     std::printf("\nengine ablation: independent %.3fs vs warp-lockstep %.3fs "
                 "(%.2fx lockstep overhead)\n",
                 t_ind, t_simt, t_simt / t_ind);
-  }
-
-  // --- BVH leaf-size ablation ---
-  {
-    std::printf("\nleaf-size ablation (range search, K=16):\n");
-    std::printf("%10s %12s %12s %14s\n", "leaf", "build[s]", "search[s]", "IS/query");
-    for (const std::uint32_t leaf : {1u, 2u, 4u, 8u}) {
-      ox::AccelBuildOptions build_opts;
-      build_opts.leaf_size = leaf;
-      const std::string suffix = "leaf" + std::to_string(leaf);
-      ox::Accel a;
-      const double t_build =
-          ctx.time("build." + suffix,
-                   [&] { a = ox::Context{}.build_accel(aabbs, build_opts); },
-                   {.work_items = static_cast<double>(n)});
-      NeighborResult result(nq, 16, false);
-      pipelines::RangePipeline pipeline(points, points, ids, radius, 16, false, result);
-      ox::LaunchStats stats;
-      const double t_search = ctx.time(
-          "search." + suffix,
-          [&] { stats = ox::launch(a, pipeline, static_cast<std::uint32_t>(nq)); },
-          {.work_items = static_cast<double>(nq)});
-      std::printf("%10u %12.3f %12.3f %14.2f\n", leaf, t_build, t_search,
-                  stats.is_calls_per_ray());
-    }
   }
 }

@@ -149,6 +149,7 @@ NeighborResult AutoBackend::search(std::span<const Vec3> queries,
   // candidate, so the approximate knobs are never honored here.
   RTNN_CHECK(params.aabb_scale == 1.0f && !params.elide_sphere_test,
              "AutoBackend answers exactly; approximate knobs not supported");
+  check_radius(params.radius);  // before measure() sizes boxes by r
   const WorkloadStats stats = measure(queries, params);
   last_choice_ = predict(stats, params);
   return acquire(last_choice_).search(queries, params, report);

@@ -7,7 +7,9 @@ namespace rtnn::engine {
 
 namespace {
 
-void check_mode_supported(const SearchBackend& backend, const SearchParams& params) {
+/// The door of every adapter's search(): the radius rule, then the caps.
+void check_params(const SearchBackend& backend, const SearchParams& params) {
+  check_radius(params.radius);
   const BackendCaps caps = backend.caps();
   RTNN_CHECK(params.mode != SearchMode::kRange || caps.range,
              "backend does not support range search");
@@ -29,7 +31,7 @@ void BruteForceBackend::set_points(std::span<const Vec3> points) {
 
 NeighborResult BruteForceBackend::search(std::span<const Vec3> queries,
                                          const SearchParams& params, Report* report) {
-  check_mode_supported(*this, params);
+  check_params(*this, params);
   Timer timer;
   NeighborResult result =
       params.mode == SearchMode::kRange
@@ -51,7 +53,7 @@ void GridBackend::set_points(std::span<const Vec3> points) {
 
 NeighborResult GridBackend::search(std::span<const Vec3> queries,
                                    const SearchParams& params, Report* report) {
-  check_mode_supported(*this, params);
+  check_params(*this, params);
   if (radius_ != params.radius) {
     Timer build;
     grid_.build(points_, params.radius);
@@ -77,7 +79,7 @@ void OctreeBackend::set_points(std::span<const Vec3> points) {
 
 NeighborResult OctreeBackend::search(std::span<const Vec3> queries,
                                      const SearchParams& params, Report* report) {
-  check_mode_supported(*this, params);
+  check_params(*this, params);
   if (!built_) {
     Timer build;
     octree_.build(points_);
@@ -97,7 +99,7 @@ NeighborResult OctreeBackend::search(std::span<const Vec3> queries,
 
 NeighborResult FastRnnBackend::search(std::span<const Vec3> queries,
                                       const SearchParams& params, Report* report) {
-  check_mode_supported(*this, params);
+  check_params(*this, params);
   SearchParams naive = params;
   naive.opts = OptimizationFlags::none();  // the defining property
   return search_.search(queries, naive, report);

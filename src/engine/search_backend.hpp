@@ -26,6 +26,11 @@
 //     points change (or, for radius-keyed structures, the radius), so a
 //     Report captures build cost in time.bvh, and pure query cost in
 //     time.search.
+//   * search() accepts one set of radii on every backend: r > 0, and in
+//     float r·r > 0 and 2r finite (check_radius, rtnn/types.hpp). Any
+//     other r — negative, NaN, infinite, one whose 2r overflows or whose
+//     square underflows to 0 — throws rtnn::Error before any structure
+//     is built, so no backend answers where the others cannot agree.
 //   * Results use NeighborResult's bounded layout: at most K slots per
 //     query. For range search with more than K true neighbors, *which* K
 //     are returned is backend-defined (any within-radius subset is valid).

@@ -10,17 +10,15 @@ Accel Context::wide_accel(const rt::Bvh& bvh) {
   return accel;
 }
 
-Accel Context::build_accel(std::span<const Aabb> prim_aabbs,
-                           const AccelBuildOptions& options) const {
+Accel Context::build_accel(std::span<const Aabb> prim_aabbs) const {
   rt::Bvh bvh;
-  bvh.build(prim_aabbs, rt::BvhBuildOptions{.leaf_size = options.leaf_size});
+  bvh.build(prim_aabbs);
   return wide_accel(bvh);
 }
 
-Accel Context::build_accel(std::span<const Vec3> points, float aabb_width,
-                           const AccelBuildOptions& options) const {
+Accel Context::build_accel(std::span<const Vec3> points, float aabb_width) const {
   rt::Bvh bvh;
-  bvh.build(points, aabb_width, rt::BvhBuildOptions{.leaf_size = options.leaf_size});
+  bvh.build(points, aabb_width);
   return wide_accel(bvh);
 }
 

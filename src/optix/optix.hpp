@@ -50,11 +50,6 @@ using rt::ExecutionModel;
 using rt::LaunchStats;
 using rt::TraceAction;
 
-struct AccelBuildOptions {
-  /// Primitives per BVH leaf (1 = RTNN's configuration).
-  std::uint32_t leaf_size = 1;
-};
-
 /// Options for the two-level (IAS-like) build: a top-level BVH over
 /// spatial tiles, each owning its own bottom-level index.
 struct TiledAccelOptions {
@@ -173,22 +168,22 @@ concept IntersectionShader = requires(P p, std::uint32_t ray, std::uint32_t prim
 template <typename P>
 concept PipelineShaders = RayGenShader<P> && IntersectionShader<P>;
 
-/// The device context. Owns nothing mutable besides configuration; accels
-/// and launches are independent, so one Context can serve concurrent
+/// The device context. It holds no state and no options: accels and
+/// launches are independent, so one Context can serve concurrent
 /// pipelines (RTNN launches one pipeline per query partition).
 class Context {
  public:
   Context() = default;
 
-  /// Builds a GAS over custom primitive AABBs. Mirrors optixAccelBuild:
-  /// the returned Accel snapshots the primitive boxes.
-  Accel build_accel(std::span<const Aabb> prim_aabbs,
-                    const AccelBuildOptions& options = {}) const;
+  /// Builds a GAS over custom primitive AABBs, one primitive per leaf, the
+  /// RTNN configuration (OptiX exposes no leaf-size setting either).
+  /// Mirrors optixAccelBuild: the returned Accel snapshots the primitive
+  /// boxes.
+  Accel build_accel(std::span<const Aabb> prim_aabbs) const;
 
   /// Point-cloud fast path: the GAS over Aabb::cube(points[i],
   /// aabb_width), with no box array materialized outside the build.
-  Accel build_accel(std::span<const Vec3> points, float aabb_width,
-                    const AccelBuildOptions& options = {}) const;
+  Accel build_accel(std::span<const Vec3> points, float aabb_width) const;
 
   /// Builds the two-level (IAS-like) product: `tile_ids[t]` lists the
   /// point ids of spatial tile t (a partition of the cloud; the caller

@@ -44,38 +44,10 @@ std::uint32_t split_range(const std::vector<std::uint64_t>& codes, std::uint32_t
   return first + 1;
 }
 
-// Both builders write every field of every node they emit: the node
-// arrays start unwritten (UninitVector).
-struct SubtreeBuilder {
-  const std::vector<std::uint64_t>& codes;
-  const std::vector<std::uint32_t>& prim_order;
-  std::span<const Aabb> prim_aabbs;
-  std::uint32_t leaf_size;
-  UninitVector<BvhNode>& nodes;
-  std::uint32_t max_depth = 0;
-
-  std::uint32_t build(std::uint32_t lo, std::uint32_t hi, std::uint32_t depth) {
-    max_depth = std::max(max_depth, depth);
-    const auto index = static_cast<std::uint32_t>(nodes.size());
-    nodes.push_back(BvhNode{});
-    const std::uint32_t count = hi - lo;
-    if (count <= leaf_size) {
-      Aabb bounds;
-      for (std::uint32_t s = lo; s < hi; ++s) bounds.grow(prim_aabbs[prim_order[s]]);
-      nodes[index] = BvhNode{bounds, 0, 0, lo, count};
-      return index;
-    }
-    const std::uint32_t mid = split_range(codes, lo, hi);
-    const std::uint32_t left = build(lo, mid, depth + 1);
-    const std::uint32_t right = build(mid, hi, depth + 1);
-    nodes[index] = BvhNode{unite(nodes[left].bounds, nodes[right].bounds), left, right, 0, 0};
-    return index;
-  }
-};
-
-// Builds a subtree directly into a preallocated global node array (only
-// valid for leaf_size == 1, where a range of `len` primitives occupies
-// exactly 2*len-1 slots in pre-order).
+// Builds the subtree over sorted range [lo, hi) into a preallocated node
+// array, its root at `slot`: with one primitive per leaf a range of len
+// primitives occupies exactly 2*len-1 slots in pre-order. Writes every
+// field of every node it emits (the array starts unwritten).
 struct FixedSlotBuilder {
   const std::vector<std::uint64_t>& codes;
   const std::vector<std::uint32_t>& prim_order;
@@ -101,22 +73,20 @@ struct FixedSlotBuilder {
 
 }  // namespace
 
-void Bvh::build(std::span<const Aabb> prims, const BvhBuildOptions& options) {
-  build_impl(prims.size(), [prims](std::size_t i) { return prims[i]; }, options);
+void Bvh::build(std::span<const Aabb> prims) {
+  build_impl(prims.size(), [prims](std::size_t i) { return prims[i]; });
 }
 
-void Bvh::build(std::span<const Vec3> centers, float width, const BvhBuildOptions& options) {
+void Bvh::build(std::span<const Vec3> centers, float width) {
   build_impl(centers.size(),
-             [centers, width](std::size_t i) { return Aabb::cube(centers[i], width); }, options);
+             [centers, width](std::size_t i) { return Aabb::cube(centers[i], width); });
 }
 
 template <typename PrimBox>
-void Bvh::build_impl(std::size_t prim_count, PrimBox prim_box, const BvhBuildOptions& options) {
-  RTNN_CHECK(options.leaf_size >= 1, "leaf_size must be >= 1");
+void Bvh::build_impl(std::size_t prim_count, PrimBox prim_box) {
   nodes_.clear();
   prim_order_.clear();
   prim_aabbs_.resize(prim_count);
-  leaf_size_ = options.leaf_size;
   max_depth_seen_ = 0;
   scene_bounds_ = Aabb{};
   const auto n = static_cast<std::uint32_t>(prim_count);
@@ -163,44 +133,23 @@ void Bvh::build_impl(std::size_t prim_count, PrimBox prim_box, const BvhBuildOpt
   std::iota(prim_order_.begin(), prim_order_.end(), 0u);
   radix_sort_pairs(codes, prim_order_);
 
-  // Small builds: one serial pass.
+  // Split the sorted range top-down into a serial skeleton and subtree
+  // tasks of at most `cutoff` primitives below it, then build the tasks
+  // in parallel. Every skeleton node and task root goes straight to the
+  // slot the serial pre-order gives it (left = slot + 1, right = slot +
+  // 2*len_left), so the tree is the same at any thread count. A small
+  // build, or one on one worker, is a single task: the serial build.
   const int workers = num_threads();
-  const std::uint32_t cutoff = std::max<std::uint32_t>(
+  std::uint32_t cutoff = std::max<std::uint32_t>(
       4 * 1024, n / static_cast<std::uint32_t>(8 * std::max(workers, 1)));
-  if (workers <= 1 || n <= 2 * cutoff) {
-    nodes_.reserve(2 * static_cast<std::size_t>(n));
-    SubtreeBuilder builder{codes, prim_order_, prim_aabbs_, leaf_size_, nodes_};
-    builder.build(0, n, 0);
-    max_depth_seen_ = builder.max_depth;
-    return;
-  }
-
-  // Parallel build: split the sorted range top-down into a serial
-  // skeleton and subtree tasks below it, then build the tasks in parallel.
-  // With one primitive per leaf a range of len primitives occupies exactly
-  // 2*len-1 slots in pre-order, so every skeleton node and task root goes
-  // straight to the slot the serial build gives it (left = slot + 1,
-  // right = slot + 2*len_left): the tree is the same at any thread count.
-  // General leaf sizes number the skeleton first, build each task locally
-  // and stitch the pieces behind it with index fix-up.
-  const bool fixed_slots = leaf_size_ == 1;
+  if (workers <= 1 || n <= 2 * cutoff) cutoff = n;
   struct Task {
-    std::uint32_t lo, hi, depth;
-    std::uint32_t slot;    // fixed slots: the node's pre-order slot
-    std::uint32_t parent;  // stitched: the skeleton node to patch
-    bool is_left;
+    std::uint32_t lo, hi, depth, slot;
   };
-  constexpr std::uint32_t kNoParent = 0xffffffffu;
   std::vector<Task> tasks;
-  std::vector<std::uint32_t> top_internal;  // indices of skeleton nodes, pre-order
-
-  // Build the skeleton serially (explicit stack to keep pre-order simple).
-  std::vector<Task> stack{{0, n, 0, 0, kNoParent, false}};
-  if (fixed_slots) {
-    nodes_.resize(2 * static_cast<std::size_t>(n) - 1);
-  } else {
-    nodes_.reserve(2 * static_cast<std::size_t>(n));
-  }
+  std::vector<std::uint32_t> skeleton;  // slots of the skeleton nodes, pre-order
+  nodes_.resize(2 * static_cast<std::size_t>(n) - 1);
+  std::vector<Task> stack{{0, n, 0, 0}};
   while (!stack.empty()) {
     const Task f = stack.back();
     stack.pop_back();
@@ -209,75 +158,26 @@ void Bvh::build_impl(std::size_t prim_count, PrimBox prim_box, const BvhBuildOpt
       continue;
     }
     const std::uint32_t mid = split_range(codes, f.lo, f.hi);
-    std::uint32_t index = f.slot;
-    if (fixed_slots) {
-      nodes_[index] = BvhNode{Aabb{}, index + 1, index + 2 * (mid - f.lo), 0, 0};
-    } else {
-      index = static_cast<std::uint32_t>(nodes_.size());
-      nodes_.push_back(BvhNode{});
-      if (f.parent != kNoParent) {
-        (f.is_left ? nodes_[f.parent].left : nodes_[f.parent].right) = index;
-      }
-    }
-    top_internal.push_back(index);
-    stack.push_back({mid, f.hi, f.depth + 1, index + 2 * (mid - f.lo), index, false});
-    stack.push_back({f.lo, mid, f.depth + 1, index + 1, index, true});
+    const std::uint32_t right = f.slot + 2 * (mid - f.lo);
+    nodes_[f.slot] = BvhNode{Aabb{}, f.slot + 1, right, 0, 0};
+    skeleton.push_back(f.slot);
+    stack.push_back({mid, f.hi, f.depth + 1, right});
+    stack.push_back({f.lo, mid, f.depth + 1, f.slot + 1});
   }
 
-  // Build every task subtree in parallel.
+  // Each task is the first to write its range of the node array.
   std::vector<std::uint32_t> local_depth(tasks.size(), 0);
-  if (fixed_slots) {
-    // Each task is the first to write its range of the global array.
-    parallel_for(0, static_cast<std::int64_t>(tasks.size()), [&](std::int64_t t) {
-      const Task& task = tasks[static_cast<std::size_t>(t)];
-      FixedSlotBuilder builder{codes, prim_order_, prim_aabbs_, nodes_.data()};
-      builder.build(task.slot, task.lo, task.hi, 0);
-      local_depth[static_cast<std::size_t>(t)] = builder.max_depth;
-    }, grain::kTask);
-  } else {
-    // General leaf sizes: build locally and stitch with index fix-up.
-    std::vector<UninitVector<BvhNode>> local(tasks.size());
-    parallel_for(0, static_cast<std::int64_t>(tasks.size()), [&](std::int64_t t) {
-      const Task& task = tasks[static_cast<std::size_t>(t)];
-      auto& nodes = local[static_cast<std::size_t>(t)];
-      nodes.reserve(2 * static_cast<std::size_t>(task.hi - task.lo));
-      SubtreeBuilder builder{codes, prim_order_, prim_aabbs_, leaf_size_, nodes};
-      builder.build(task.lo, task.hi, 0);
-      local_depth[static_cast<std::size_t>(t)] = builder.max_depth;
-    }, grain::kTask);
-    std::vector<std::size_t> offsets(tasks.size());
-    std::size_t total = nodes_.size();
-    for (std::size_t t = 0; t < tasks.size(); ++t) {
-      offsets[t] = total;
-      total += local[t].size();
-    }
-    nodes_.resize(total);
-    parallel_for(0, static_cast<std::int64_t>(tasks.size()), [&](std::int64_t ti) {
-      const auto t = static_cast<std::size_t>(ti);
-      const auto base = static_cast<std::uint32_t>(offsets[t]);
-      BvhNode* dst = nodes_.data() + offsets[t];
-      for (std::size_t i = 0; i < local[t].size(); ++i) {
-        BvhNode node = local[t][i];
-        if (!node.is_leaf()) {
-          node.left += base;
-          node.right += base;
-        }
-        dst[i] = node;
-      }
-    }, grain::kTask);
-    for (std::size_t t = 0; t < tasks.size(); ++t) {
-      const Task& task = tasks[t];
-      const auto root = static_cast<std::uint32_t>(offsets[t]);
-      (task.is_left ? nodes_[task.parent].left : nodes_[task.parent].right) = root;
-    }
-  }
+  parallel_for(0, static_cast<std::int64_t>(tasks.size()), [&](std::int64_t t) {
+    const Task& task = tasks[static_cast<std::size_t>(t)];
+    FixedSlotBuilder builder{codes, prim_order_, prim_aabbs_, nodes_.data()};
+    builder.build(task.slot, task.lo, task.hi, 0);
+    local_depth[static_cast<std::size_t>(t)] = builder.max_depth;
+  }, grain::kTask);
 
-  // Skeleton bounds, bottom-up. Pre-order creation means children always
-  // come after parents among skeleton nodes, but skeleton children may be
-  // task roots (which already have bounds); walk the skeleton in reverse.
-  for (auto it = top_internal.rbegin(); it != top_internal.rend(); ++it) {
+  // Skeleton bounds, bottom-up: in pre-order a node's children come after
+  // it, and a child that is a task root already has its bounds.
+  for (auto it = skeleton.rbegin(); it != skeleton.rend(); ++it) {
     BvhNode& node = nodes_[*it];
-    node.count = 0;
     node.bounds = unite(nodes_[node.left].bounds, nodes_[node.right].bounds);
   }
 
@@ -296,12 +196,10 @@ BvhStats Bvh::stats() const {
   const double root_area = nodes_[0].bounds.surface_area();
   for (const BvhNode& n : nodes_) {
     if (n.is_leaf()) ++s.leaf_count;
-    if (root_area > 0.0) {
-      // SAH: traversal cost 1 per interior node, intersection cost 1 per
-      // primitive, weighted by the probability a random ray visits.
-      const double p = n.bounds.surface_area() / root_area;
-      s.sah_cost += p * (n.is_leaf() ? n.count : 1.0);
-    }
+    // SAH: traversal cost 1 per interior node, intersection cost 1 per
+    // leaf (its one primitive), weighted by the probability a random ray
+    // visits.
+    if (root_area > 0.0) s.sah_cost += n.bounds.surface_area() / root_area;
   }
   return s;
 }
@@ -325,14 +223,13 @@ void Bvh::validate() const {
     node_seen[ni] = 1;
     const BvhNode& node = nodes_[ni];
     if (node.is_leaf()) {
-      RTNN_CHECK(node.first + node.count <= n_prims, "leaf slot range out of bounds");
-      for (std::uint32_t s = node.first; s < node.first + node.count; ++s) {
-        const std::uint32_t prim = prim_order_[s];
-        RTNN_CHECK(prim < n_prims, "primitive id out of range");
-        ++slot_seen[prim];
-        RTNN_CHECK(node.bounds.contains(prim_aabbs_[prim]),
-                   "leaf bounds do not contain primitive AABB");
-      }
+      RTNN_CHECK(node.count == 1, "leaf does not hold exactly one primitive");
+      RTNN_CHECK(node.first < n_prims, "leaf slot out of bounds");
+      const std::uint32_t prim = prim_order_[node.first];
+      RTNN_CHECK(prim < n_prims, "primitive id out of range");
+      ++slot_seen[prim];
+      RTNN_CHECK(node.bounds.contains(prim_aabbs_[prim]),
+                 "leaf bounds do not contain primitive AABB");
     } else {
       RTNN_CHECK(node.left != node.right, "interior node with identical children");
       const BvhNode& l = nodes_[node.left];

@@ -58,9 +58,9 @@ std::shared_ptr<TiledBvh::Tile> TiledBvh::make_tile(
 void TiledBvh::rebuild_top() {
   std::vector<Aabb> tile_boxes(tiles_.size());
   for (std::size_t t = 0; t < tiles_.size(); ++t) tile_boxes[t] = tiles_[t]->bounds();
-  // One primitive per tile: leaves of the top tree name tiles directly
+  // One primitive per tile: each leaf of the top tree names one tile
   // through top_.prim_order().
-  top_.build(tile_boxes, BvhBuildOptions{.leaf_size = 1});
+  top_.build(tile_boxes);
 }
 
 void TiledBvh::build(std::span<const Vec3> points, float aabb_width,

@@ -31,6 +31,9 @@
 //    binary BVH so its step/cache/occupancy figures stay bit-identical to
 //    the hardware characterization.
 //
+// Every tree holds one primitive per leaf, as RTNN's point AABBs do, so a
+// leaf step is one exact-AABB re-test and at most one IS call.
+//
 // Every walk counts its work (LaunchStats). A chunk of groups counts into
 // one stack-local struct, folded once into its worker's slot
 // (StatsAccumulator) and summed once per launch — no locks on the hot
@@ -141,23 +144,18 @@ struct LaneState {
   bool active() const { return !terminated && sp > 0; }
 };
 
+/// The binary walk's leaf step: the leaf's one primitive, re-tested
+/// against its own AABB, then the IS call.
 template <typename Program>
 TraceAction process_leaf(const Bvh& bvh, const BvhNode& node, const Ray& ray,
                          std::uint32_t ray_id, Program& program, LaunchStats& stats,
                          MemoryHierarchy* mem) {
-  const auto prim_order = bvh.prim_order();
-  const auto prim_aabbs = bvh.prim_aabbs();
-  for (std::uint32_t s = node.first; s < node.first + node.count; ++s) {
-    const std::uint32_t prim = prim_order[s];
-    if (mem) mem->access(kPrimRegionBase + prim * kPrimStride);
-    ++stats.aabb_tests;
-    if (!ray_intersects_aabb(ray, prim_aabbs[prim])) continue;
-    ++stats.is_calls;
-    if (program.intersect(ray_id, prim) == TraceAction::kTerminate) {
-      return TraceAction::kTerminate;
-    }
-  }
-  return TraceAction::kContinue;
+  const std::uint32_t prim = bvh.prim_order()[node.first];
+  if (mem) mem->access(kPrimRegionBase + prim * kPrimStride);
+  ++stats.aabb_tests;
+  if (!ray_intersects_aabb(ray, bvh.prim_aabbs()[prim])) return TraceAction::kContinue;
+  ++stats.is_calls;
+  return program.intersect(ray_id, prim);
 }
 
 /// Classic single-ray stack traversal.
@@ -344,15 +342,15 @@ std::uint32_t slot_hits(const CompressedWideNode& node, const Ray& ray, const Ve
 /// cache simulator at the layout's real byte footprint.
 ///
 /// Dequantized slot boxes are conservative supersets, so a slot hit alone
-/// is not proof of a primitive hit: *every* leaf primitive — even a
-/// single-primitive leaf — is re-tested against its exact AABB. That
-/// re-test is what makes candidate sets identical to the binary walk's: a
-/// spurious slot hit leads into a subtree whose primitives the ray
-/// provably misses, contributing zero IS calls. It holds under a cull
-/// bound too: the bound only grows, so a primitive an exact walk would
-/// cull stays culled at its re-test. The re-test reads the leaf-ordered
-/// AABBs (ordered_prim_aabbs), so its fetches stream contiguously in
-/// traversal order instead of gathering through prim_order.
+/// is not proof of a primitive hit: every leaf slot's one primitive is
+/// re-tested against its exact AABB. That re-test is what makes candidate
+/// sets identical to the binary walk's: a spurious slot hit leads into a
+/// subtree whose primitives the ray provably misses, contributing zero IS
+/// calls. It holds under a cull bound too: the bound only grows, so a
+/// primitive an exact walk would cull stays culled at its re-test. The
+/// re-test reads the leaf-ordered AABBs (ordered_prim_aabbs), so its
+/// fetches stream contiguously in traversal order instead of gathering
+/// through prim_order.
 ///
 /// Inner-loop micro-optimizations:
 ///  * after each pop, the next stack entry's node is prefetched — by the
@@ -395,21 +393,16 @@ void trace_one_compressed(const WideBvh& bvh, const Ray& ray, std::uint32_t ray_
       const auto slot = static_cast<std::uint32_t>(std::countr_zero(mask));
       mask &= mask - 1;
       if (node.is_leaf_slot(slot)) {
-        const WideLeaf leaf = leaves[node.leaf_index(slot)];
-        for (std::uint32_t s = leaf.first; s < leaf.first + leaf.count; ++s) {
-          const std::uint32_t prim = prim_order[s];
-          if (mem) {
-            mem->access_range(kOrderedPrimRegionBase + s * sizeof(Aabb), sizeof(Aabb));
-          }
-          ++stats.aabb_tests;
-          if (!box_hit<kCull>(ray, ordered_prim_aabbs[s], inv_dir, delta)) continue;
-          ++stats.is_calls;
-          if (program.intersect(ray_id, prim) == TraceAction::kTerminate) {
-            ++stats.terminated_rays;
-            return;
-          }
-          if constexpr (kCull) delta = program.cull_shrink(ray_id);
+        const std::uint32_t s = leaves[node.leaf_index(slot)];
+        if (mem) mem->access_range(kOrderedPrimRegionBase + s * sizeof(Aabb), sizeof(Aabb));
+        ++stats.aabb_tests;
+        if (!box_hit<kCull>(ray, ordered_prim_aabbs[s], inv_dir, delta)) continue;
+        ++stats.is_calls;
+        if (program.intersect(ray_id, prim_order[s]) == TraceAction::kTerminate) {
+          ++stats.terminated_rays;
+          return;
         }
+        if constexpr (kCull) delta = program.cull_shrink(ray_id);
       } else {
         pushes[n_push++] = node.child_index(slot);
       }
@@ -477,15 +470,12 @@ void trace_one_tiled(const TiledBvh& tlas, const Ray& ray, std::uint32_t ray_id,
     ++stats.aabb_tests;
     if (!box_hit<kCull>(ray, node.bounds, inv_dir, delta)) continue;
     if (node.is_leaf()) {
-      for (std::uint32_t s = node.first; s < node.first + node.count; ++s) {
-        const std::uint32_t t = tile_order[s];
-        const TiledBvh::Tile& tile = tlas.tile(t);
-        const WideBvh& index = tile.ensure_index(tlas.aabb_width());
-        TileProgram<Program> tp{program, tile.prim_ids().data()};
-        trace_one_compressed(index, ray, ray_id, tp, stats, wide_stack);
-        if (tp.terminated) return;
-        if constexpr (kCull) delta = program.cull_shrink(ray_id);
-      }
+      const TiledBvh::Tile& tile = tlas.tile(tile_order[node.first]);
+      const WideBvh& index = tile.ensure_index(tlas.aabb_width());
+      TileProgram<Program> tp{program, tile.prim_ids().data()};
+      trace_one_compressed(index, ray, ray_id, tp, stats, wide_stack);
+      if (tp.terminated) return;
+      if constexpr (kCull) delta = program.cull_shrink(ray_id);
     } else {
       RTNN_DCHECK(sp + 2 <= kMaxStackDepth, "traversal stack overflow");
       stack[sp++] = node.left;

@@ -213,19 +213,18 @@ constexpr std::size_t kSubtreeRoots = 256;
 constexpr std::size_t kNoCut = std::numeric_limits<std::size_t>::max();
 
 /// The SAH terms of the binary nodes one wide node's collapse covers, from
-/// its exact slot bounds: each leaf slot's area times its primitive count
-/// (`prims[i]`, 0 for an interior slot), the binary root's area (the
-/// content; a one-slot node is a leaf root) and each expansion's area (the
-/// union of the slots under its mask). The build and the refit sum the
-/// same terms in the same order, so an identity refit reproduces the
-/// build's SAH bit for bit.
-double node_sah(const Aabb* slots, const std::uint32_t* prims, std::uint32_t count,
-                const Aabb& content, const ExpandMasks& masks) {
+/// its exact slot bounds: each leaf slot's area (its one primitive), the
+/// binary root's area (the content; a one-slot node is a leaf root) and
+/// each expansion's area (the union of the slots under its mask). The
+/// build and the refit sum the same terms in the same order, so an
+/// identity refit reproduces the build's SAH bit for bit.
+double node_sah(const CompressedWideNode& node, const Aabb* slots, const Aabb& content,
+                const ExpandMasks& masks) {
   double area = 0.0;
-  for (std::uint32_t i = 0; i < count; ++i) {
-    if (prims[i] > 0) area += static_cast<double>(slots[i].surface_area()) * prims[i];
+  for (std::uint32_t i = 0; i < node.count; ++i) {
+    if (node.is_leaf_slot(i)) area += static_cast<double>(slots[i].surface_area());
   }
-  if (count > 1) area += static_cast<double>(content.surface_area());
+  if (node.count > 1) area += static_cast<double>(content.surface_area());
   for (const std::uint8_t mask : masks) {
     if (mask == 0) break;
     Aabb expanded;
@@ -241,7 +240,7 @@ double node_sah(const Aabb* slots, const std::uint32_t* prims, std::uint32_t cou
 struct Sink {
   CompressedWideNode* nodes = nullptr;
   ExpandMasks* masks = nullptr;
-  WideLeaf* leaves = nullptr;
+  std::uint32_t* leaves = nullptr;
   std::uint32_t root = 0;
   std::uint32_t child_offset = 0;
   std::uint32_t leaf_offset = 0;
@@ -291,14 +290,12 @@ Collapsed collapse_bfs(std::span<const BvhNode> bin_nodes, std::vector<Pending>&
     std::fill(std::begin(node.meta), std::end(node.meta), std::uint8_t{0});
     std::uint8_t n_interior = 0, n_leaf = 0;
     Aabb slots[kWideBvhWidth];
-    std::uint32_t prims[kWideBvhWidth] = {};
     for (std::uint32_t i = 0; i < size; ++i) {
       const BvhNode& bin = bin_nodes[frontier[i]];
       slots[i] = bin.bounds;
       if (bin.is_leaf()) {
         node.meta[i] = static_cast<std::uint8_t>(CompressedWideNode::kMetaLeaf | n_leaf++);
-        if (sink.leaves != nullptr) sink.leaves[leaf_base + n_leaf - 1] = {bin.first, bin.count};
-        prims[i] = bin.count;
+        if (sink.leaves != nullptr) sink.leaves[leaf_base + n_leaf - 1] = bin.first;
       } else {
         node.meta[i] = n_interior++;
         queue.push_back({frontier[i], p.depth + 1});
@@ -312,7 +309,7 @@ Collapsed collapse_bfs(std::span<const BvhNode> bin_nodes, std::vector<Pending>&
     const std::size_t at = head == 0 ? sink.root : sink.child_offset + head;
     sink.nodes[at] = node;
     sink.masks[at] = masks;
-    out.sah += node_sah(slots, prims, size, bin_root.bounds, masks);
+    out.sah += node_sah(node, slots, bin_root.bounds, masks);
   }
   return out;
 }
@@ -400,14 +397,14 @@ void WideBvh::build(const Bvh& source) {
     ordered_prim_aabbs_[s] = prim_aabbs[order[s]];
   }, grain::kElementwise);
 
-  // Every binary leaf becomes one leaf record, and every wide node but a
-  // one-leaf root has two slots or more: the arrays' bounds. Their pages
-  // are first written by whichever pass emits the node.
+  // Every binary leaf, one per primitive, becomes one leaf record, and
+  // every wide node but a one-leaf root has two slots or more: the arrays'
+  // bounds. Their pages are first written by whichever pass emits the
+  // node.
   const std::span<const BvhNode> bin_nodes = source.nodes();
-  const std::size_t bin_leaves = (bin_nodes.size() + 1) / 2;
-  nodes_.resize(std::max<std::size_t>(1, bin_leaves - 1));
+  nodes_.resize(std::max<std::size_t>(1, order.size() - 1));
   expand_masks_.resize(nodes_.size());
-  leaves_.resize(bin_leaves);
+  leaves_.resize(order.size());
   scene_bounds_ = bin_nodes[source.root()].bounds;
 
   // The top of the tree: breadth-first from the root, the whole tree when
@@ -481,17 +478,11 @@ double WideBvh::sweep() {
     const std::uint32_t count = node.count;
     Aabb slots[kWideBvhWidth];
     std::uint32_t first[kWideBvhWidth] = {};
-    std::uint32_t prims[kWideBvhWidth] = {};
     for (std::uint32_t i = 0; i < count; ++i) {
       if (node.is_leaf_slot(i)) {
-        const WideLeaf& leaf = leaves_[node.leaf_index(i)];
-        Aabb bounds;
-        for (std::uint32_t s = leaf.first; s < leaf.first + leaf.count; ++s) {
-          bounds.grow(ordered_prim_aabbs_[s]);
-        }
-        slots[i] = bounds;
-        first[i] = leaf.first;
-        prims[i] = leaf.count;
+        const std::uint32_t s = leaves_[node.leaf_index(i)];
+        slots[i] = ordered_prim_aabbs_[s];
+        first[i] = s;
       } else {
         const Content& child = content[node.child_index(i)];
         slots[i] = child.bounds;
@@ -509,7 +500,7 @@ double WideBvh::sweep() {
     Aabb all;
     for (std::uint32_t k = 0; k < count; ++k) all.grow(slots[order[k]]);
     quantize_node(node, slots);
-    content[ni] = {all, first[order[0]], node_sah(slots, prims, count, all, expand_masks_[ni])};
+    content[ni] = {all, first[order[0]], node_sah(node, slots, all, expand_masks_[ni])};
   };
 
   const std::size_t n_subtrees = subtree_offsets_.size() - 1;
@@ -572,7 +563,7 @@ WideBvhStats WideBvh::stats() const {
   s.max_depth = max_depth_;
   s.node_bytes = static_cast<std::uint64_t>(nodes_.size()) * sizeof(CompressedWideNode);
   s.total_index_bytes =
-      s.node_bytes + static_cast<std::uint64_t>(leaves_.size()) * sizeof(WideLeaf) +
+      s.node_bytes + static_cast<std::uint64_t>(leaves_.size()) * sizeof(std::uint32_t) +
       static_cast<std::uint64_t>(prim_order_.size()) * sizeof(std::uint32_t) +
       static_cast<std::uint64_t>(ordered_prim_aabbs_.size()) * sizeof(Aabb) +
       static_cast<std::uint64_t>(expand_masks_.size()) * sizeof(ExpandMasks) +
@@ -648,13 +639,10 @@ void WideBvh::validate() const {
         RTNN_CHECK(li < leaves_.size(), "leaf index out of range");
         RTNN_CHECK(!leaf_seen[li], "leaf referenced twice");
         leaf_seen[li] = 1;
-        const WideLeaf& leaf = leaves_[li];
-        RTNN_CHECK(leaf.count >= 1, "empty leaf range");
-        RTNN_CHECK(leaf.first + leaf.count <= n_prims, "leaf slot range out of bounds");
-        for (std::uint32_t s = leaf.first; s < leaf.first + leaf.count; ++s) {
-          RTNN_CHECK(prim_order_[s] < n_prims, "primitive id out of range");
-          ++slot_seen[prim_order_[s]];
-        }
+        const std::uint32_t s = leaves_[li];
+        RTNN_CHECK(s < n_prims, "leaf record slot out of bounds");
+        RTNN_CHECK(prim_order_[s] < n_prims, "primitive id out of range");
+        ++slot_seen[prim_order_[s]];
       } else {
         RTNN_CHECK(ordinal == n_interior++, "interior children not consecutive");
         const std::uint32_t child = node.child_index(i);
@@ -686,15 +674,8 @@ void WideBvh::validate() const {
   for (std::size_t ni = nodes_.size(); ni-- > 0;) {
     const CompressedWideNode& node = nodes_[ni];
     for (std::uint32_t i = 0; i < node.count; ++i) {
-      Aabb exact;
-      if (node.is_leaf_slot(i)) {
-        const WideLeaf& leaf = leaves_[node.leaf_index(i)];
-        for (std::uint32_t s = leaf.first; s < leaf.first + leaf.count; ++s) {
-          exact.grow(ordered_prim_aabbs_[s]);
-        }
-      } else {
-        exact = subtree[node.child_index(i)];
-      }
+      const Aabb& exact = node.is_leaf_slot(i) ? ordered_prim_aabbs_[leaves_[node.leaf_index(i)]]
+                                               : subtree[node.child_index(i)];
       RTNN_CHECK(dequantize_slot(node, i).contains(exact),
                  "dequantized slot box does not contain its exact bounds");
       subtree[ni].grow(exact);

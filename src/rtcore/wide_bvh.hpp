@@ -49,13 +49,6 @@ namespace rtnn::rt {
 
 inline constexpr std::uint32_t kWideBvhWidth = 8;
 
-/// A leaf child: a slot range in prim_order(), same contract as the binary
-/// BvhNode's first/count.
-struct WideLeaf {
-  std::uint32_t first = 0;
-  std::uint32_t count = 0;
-};
-
 /// One 8-wide node: each child AABB stored as 8-bit fixed-point offsets
 /// quantized against this node's own content bounds — a per-node anchor
 /// origin (3 x FP32) plus per-axis power-of-two scale exponents.
@@ -90,7 +83,7 @@ struct CompressedWideNode {
   std::uint32_t child_index(std::uint32_t i) const {
     return child_base + (meta[i] & kMetaOrdinal);
   }
-  /// Leaf slot: index into WideBvh::leaves().
+  /// Leaf slot: index of its leaf record in WideBvh::leaves().
   std::uint32_t leaf_index(std::uint32_t i) const {
     return leaf_base + (meta[i] & kMetaOrdinal);
   }
@@ -139,20 +132,22 @@ using ExpandMasks = std::array<std::uint8_t, kWideBvhWidth - 2>;
 
 struct WideBvhStats {
   std::uint32_t node_count = 0;
-  std::uint32_t leaf_count = 0;
+  std::uint32_t leaf_count = 0;  // leaf records: one per primitive
   std::uint32_t max_depth = 0;
   double avg_children = 0.0;  // mean valid children per node (fill factor * 8)
   /// Bytes of the compressed node array.
   std::uint64_t node_bytes = 0;
-  /// node_bytes + the leaf records, primitive order, leaf-ordered
-  /// primitive AABBs and collapse records (expand masks, subtree table) —
-  /// every array the tree keeps resident.
+  /// node_bytes + the leaf records (4 B each), primitive order,
+  /// leaf-ordered primitive AABBs and collapse records (expand masks,
+  /// subtree table) — every array the tree keeps resident.
   std::uint64_t total_index_bytes = 0;
 };
 
 /// The compressed 8-wide collapse of a binary Bvh. Self-contained: it
 /// snapshots the source's primitive order and (leaf-ordered) AABBs, and
 /// refits without it, so the source Bvh may be destroyed after build().
+/// Like its source, every leaf holds one primitive: a leaf slot names one
+/// leaf record, and the record is that primitive's slot in prim_order().
 class WideBvh {
  public:
   WideBvh() = default;
@@ -162,7 +157,7 @@ class WideBvh {
   /// binary nodes behind its slots as it is emitted. A large tree counts
   /// each subtree's nodes in one parallel pass and collapses it straight
   /// into its ranges in a second; there is no separate quantizing sweep
-  /// and no stitch copy.
+  /// and no copy of the pieces.
   void build(const Bvh& source);
 
   /// Refits to moved boxes of the same primitive ids — the driver-side AS
@@ -189,7 +184,9 @@ class WideBvh {
   std::uint32_t root() const { return 0; }
 
   std::span<const CompressedWideNode> compressed_nodes() const { return nodes_; }
-  std::span<const WideLeaf> leaves() const { return leaves_; }
+  /// The leaf records: leaves()[node.leaf_index(i)] is the prim_order()
+  /// slot of leaf slot i's one primitive.
+  std::span<const std::uint32_t> leaves() const { return leaves_; }
   std::span<const std::uint32_t> prim_order() const { return prim_order_; }
 
   /// The primitive AABBs in leaf-slot order: ordered_prim_aabbs()[s] is a
@@ -212,12 +209,12 @@ class WideBvh {
   WideBvhStats stats() const;
 
   /// Structural invariant check (used by tests): children packed from slot
-  /// 0, every node and leaf reachable exactly once, the consecutive-
+  /// 0, every node and leaf record reachable exactly once, the consecutive-
   /// children metadata, the collapse records (every subtree's nodes in its
-  /// range), every primitive in exactly one leaf slot, and every
-  /// dequantized slot box containing the exact bounds of its subtree
-  /// (min/max unions of the leaf-ordered AABBs). Throws rtnn::Error on
-  /// failure.
+  /// range), every leaf record one in-range prim_order() slot whose
+  /// primitive appears in exactly one leaf, and every dequantized slot box
+  /// containing the exact bounds of its subtree (min/max unions of the
+  /// leaf-ordered AABBs). Throws rtnn::Error on failure.
   void validate() const;
 
  private:
@@ -230,7 +227,7 @@ class WideBvh {
 
   // Written first by the parallel tasks that compute them.
   UninitVector<CompressedWideNode> nodes_;
-  UninitVector<WideLeaf> leaves_;
+  UninitVector<std::uint32_t> leaves_;  // one prim_order() slot per leaf
   UninitVector<std::uint32_t> prim_order_;
   UninitVector<Aabb> ordered_prim_aabbs_;
   UninitVector<ExpandMasks> expand_masks_;  // 6 B per 80 B node

@@ -158,7 +158,7 @@ void launch_unit(SearchContext& ctx, const ox::Accel& accel, float built_width,
 void NeighborSearch::init_context(SearchContext& ctx, std::span<const Vec3> queries,
                                   const SearchParams& params) const {
   RTNN_CHECK(!points_.empty(), "set_points() before search()");
-  RTNN_CHECK(params.radius > 0.0f, "radius must be positive");
+  check_radius(params.radius);
   RTNN_CHECK(params.k > 0, "K must be positive");
   RTNN_CHECK(params.aabb_scale > 0.0f && params.aabb_scale <= 1.0f,
              "aabb_scale must be in (0, 1]");

@@ -1,8 +1,11 @@
 // Public configuration types of the RTNN library.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+
+#include "core/error.hpp"
 
 namespace rtnn {
 
@@ -109,5 +112,16 @@ struct SearchParams {
     return {mode, radius, k, store_indices, aabb_scale, elide_sphere_test};
   }
 };
+
+/// The one radius rule, checked at every backend's search() door and by
+/// NeighborSearch: r > 0, and in float r·r > 0 and 2r finite. Outside it
+/// the backends cannot agree. A NaN or negative r has no sphere. When r²
+/// underflows to 0 the sphere test accepts every point whose d² also
+/// underflows, far outside the 2r cube the RT walk tests. When 2r
+/// overflows the cube is infinite. Throws rtnn::Error.
+inline void check_radius(float radius) {
+  RTNN_CHECK(radius > 0.0f && radius * radius > 0.0f && std::isfinite(2.0f * radius),
+             "radius r must satisfy r > 0, r*r > 0 and 2r finite (in float)");
+}
 
 }  // namespace rtnn

@@ -49,22 +49,8 @@ TEST(Bvh, StructuralInvariantsRandom) {
     EXPECT_EQ(bvh.prim_count(), n);
     bvh.validate();
     const auto stats = bvh.stats();
-    EXPECT_EQ(stats.node_count, 2 * n - 1);  // binary tree, leaf_size 1
+    EXPECT_EQ(stats.node_count, 2 * n - 1);  // binary tree, one primitive per leaf
     EXPECT_EQ(stats.leaf_count, n);
-  }
-}
-
-TEST(Bvh, LeafSizeRespected) {
-  for (const std::uint32_t leaf_size : {1u, 2u, 4u, 8u}) {
-    Bvh bvh;
-    const auto aabbs = point_aabbs(1000, 0.01f, 7);
-    bvh.build(aabbs, BvhBuildOptions{leaf_size});
-    bvh.validate();
-    for (const BvhNode& node : bvh.nodes()) {
-      if (node.is_leaf()) {
-        EXPECT_LE(node.count, leaf_size);
-      }
-    }
   }
 }
 
@@ -107,12 +93,6 @@ TEST(Bvh, RejectsEmptyPrimitive) {
   EXPECT_THROW(bvh.build(aabbs), Error);
 }
 
-TEST(Bvh, RejectsZeroLeafSize) {
-  Bvh bvh;
-  const auto aabbs = point_aabbs(4, 0.1f, 1);
-  EXPECT_THROW(bvh.build(aabbs, BvhBuildOptions{0}), Error);
-}
-
 TEST(Bvh, SahCostReasonable) {
   // Tight uniform points: SAH cost should be far below the prim count
   // (otherwise the hierarchy is not pruning anything).
@@ -132,12 +112,10 @@ TEST(Bvh, RebuildReplacesPreviousTree) {
   bvh.validate();
 }
 
-/// With one primitive per leaf the parallel build places every node at
-/// its serial pre-order slot: node and primitive arrays are the same bytes
-/// at 1, 2 and 4 threads. (The cache simulator addresses binary nodes by
-/// index, so a thread-dependent layout would move Figure 6's hit rates.)
-/// Larger leaves take the stitch path, which numbers nodes by task: only
-/// its structure is checked.
+/// The parallel build places every node at its serial pre-order slot:
+/// node and primitive arrays are the same bytes at 1, 2 and 4 threads.
+/// (The cache simulator addresses binary nodes by index, so a
+/// thread-dependent layout would move Figure 6's hit rates.)
 TEST(Bvh, ArraysAreIdenticalAtAnyThreadCount) {
   const auto aabbs = point_aabbs(50000, 0.01f, 37);
   const auto bytes_of = [](auto span) {
@@ -147,9 +125,6 @@ TEST(Bvh, ArraysAreIdenticalAtAnyThreadCount) {
   };
   const auto snapshot = [&](int threads) {
     set_num_threads(threads);
-    Bvh stitched;
-    stitched.build(aabbs, BvhBuildOptions{4});
-    stitched.validate();
     Bvh bvh;
     bvh.build(aabbs);
     bvh.validate();

@@ -33,19 +33,18 @@ struct Scene {
   WideBvh wide;
 };
 
-Scene build_scene(std::vector<Vec3> points, float width, std::uint32_t leaf_size = 1) {
+Scene build_scene(std::vector<Vec3> points, float width) {
   Scene scene;
   scene.points = std::move(points);
   scene.aabbs.reserve(scene.points.size());
   for (const Vec3& p : scene.points) scene.aabbs.push_back(Aabb::cube(p, width));
-  scene.bvh.build(scene.aabbs, BvhBuildOptions{leaf_size});
+  scene.bvh.build(scene.aabbs);
   scene.wide.build(scene.bvh);
   return scene;
 }
 
-Scene make_scene(CloudKind kind, std::size_t n, float width, std::uint64_t seed,
-                 std::uint32_t leaf_size = 1) {
-  return build_scene(rtnn::testing::make_cloud(kind, n, seed), width, leaf_size);
+Scene make_scene(CloudKind kind, std::size_t n, float width, std::uint64_t seed) {
+  return build_scene(rtnn::testing::make_cloud(kind, n, seed), width);
 }
 
 /// Records every primitive the IS stage sees, per ray; sorted() keeps
@@ -76,14 +75,12 @@ std::vector<Ray> short_rays(std::span<const Vec3> queries) {
 /// exactness is derived from. The exact bounds are rebuilt bottom-up here
 /// from the source tree's id-ordered primitive boxes (the BFS build
 /// allocates every child after its parent). Checked directly (not only
-/// via validate()) over regular and degenerate geometry, and with
-/// multi-primitive leaves.
+/// via validate()) over regular and degenerate geometry.
 TEST(CompressedWideBvh, ConservativeQuantizationProperty) {
   std::vector<Scene> scenes;
   scenes.push_back(make_scene(CloudKind::kUniform, 5000, 0.05f, 7));
   scenes.push_back(make_scene(CloudKind::kLidar, 4000,
                               2.0f * rtnn::testing::typical_radius(CloudKind::kLidar), 9));
-  scenes.push_back(make_scene(CloudKind::kUniform, 3000, 0.05f, 11, /*leaf_size=*/4));
   for (rtnn::testing::Trial& trial : rtnn::testing::degenerate_shapes(0xc0deu)) {
     scenes.push_back(build_scene(std::move(trial.points), 2.0f * trial.radius));
   }
@@ -99,10 +96,7 @@ TEST(CompressedWideBvh, ConservativeQuantizationProperty) {
       for (std::uint32_t i = 0; i < node.count; ++i) {
         Aabb exact;
         if (node.is_leaf_slot(i)) {
-          const WideLeaf& leaf = leaves[node.leaf_index(i)];
-          for (std::uint32_t s = leaf.first; s < leaf.first + leaf.count; ++s) {
-            exact.grow(scene.bvh.prim_aabbs()[order[s]]);
-          }
+          exact = scene.bvh.prim_aabbs()[order[leaves[node.leaf_index(i)]]];
         } else {
           ASSERT_GT(node.child_index(i), ni) << "children must follow their parent";
           exact = subtree[node.child_index(i)];

@@ -36,9 +36,9 @@ std::vector<Aabb> cubes(std::span<const Vec3> points, float width) {
 
 // --- rt::WideBvh refit ------------------------------------------------------
 
-rt::WideBvh collapse(std::span<const Aabb> boxes, std::uint32_t leaf_size = 1) {
+rt::WideBvh collapse(std::span<const Aabb> boxes) {
   rt::Bvh bvh;
-  bvh.build(boxes, rt::BvhBuildOptions{leaf_size});
+  bvh.build(boxes);
   rt::WideBvh wide;
   wide.build(bvh);
   return wide;
@@ -108,8 +108,8 @@ TEST(WideBvhRefit, EmptyTreeRefitsToEmpty) {
 }
 
 /// The test-local reference: `bvh`'s topology re-bounded over `boxes` (id
-/// order) with exact bottom-up unions, and its SAH cost — area times
-/// primitive count at leaves, area at interior nodes, over the root area.
+/// order) with exact bottom-up unions, and its SAH cost — the area of
+/// every node (a leaf holds one primitive), over the root area.
 struct BinaryRefit {
   Aabb root;
   double sah = 0.0;
@@ -121,44 +121,34 @@ BinaryRefit binary_refit(const rt::Bvh& bvh, std::span<const Aabb> boxes) {
   double sum = 0.0;
   for (std::size_t i = nodes.size(); i-- > 0;) {  // children follow their parent
     const rt::BvhNode& node = nodes[i];
-    if (node.is_leaf()) {
-      for (std::uint32_t s = node.first; s < node.first + node.count; ++s) {
-        bounds[i].grow(boxes[bvh.prim_order()[s]]);
-      }
-      sum += static_cast<double>(bounds[i].surface_area()) * node.count;
-    } else {
-      bounds[i] = unite(bounds[node.left], bounds[node.right]);
-      sum += static_cast<double>(bounds[i].surface_area());
-    }
+    bounds[i] = node.is_leaf() ? boxes[bvh.prim_order()[node.first]]
+                               : unite(bounds[node.left], bounds[node.right]);
+    sum += static_cast<double>(bounds[i].surface_area());
   }
   return {bounds[0], sum / static_cast<double>(bounds[0].surface_area())};
 }
 
 /// The refit policy's signal is the binary tree's SAH, re-derived by the
 /// wide tree alone from its expand masks: within 1e-9 relative of the
-/// reference in every frame, for deep trees, wide leaves and one-leaf
-/// trees (one point; five points under leaf_size 8) — and the scene
-/// bounds are the reference root's bits.
+/// reference in every frame, for deep trees, a lidar cloud and a
+/// one-leaf tree (one point) — and the scene bounds are the reference
+/// root's bits.
 TEST(WideBvhRefit, SahInflationIsTheBinaryTreesSah) {
   struct Case {
     const char* label;
     std::vector<Vec3> points;
     float width;
-    std::uint32_t leaf_size;
   };
   std::vector<Case> cases;
   cases.push_back({"uniform", rtnn::testing::make_cloud(CloudKind::kUniform, 20'000, 31),
-                   0.05f, 1});
-  cases.push_back({"nbody", rtnn::testing::make_cloud(CloudKind::kNBody, 5000, 32), 0.1f, 1});
-  cases.push_back({"lidar_leaf4", rtnn::testing::make_cloud(CloudKind::kLidar, 3000, 33),
-                   2.0f, 4});
-  cases.push_back({"one_point", {{0.25f, 0.5f, 0.75f}}, 0.1f, 1});
-  cases.push_back({"one_leaf",
-                   rtnn::testing::make_cloud(CloudKind::kUniform, 5, 34), 0.1f, 8});
+                   0.05f});
+  cases.push_back({"nbody", rtnn::testing::make_cloud(CloudKind::kNBody, 5000, 32), 0.1f});
+  cases.push_back({"lidar", rtnn::testing::make_cloud(CloudKind::kLidar, 3000, 33), 2.0f});
+  cases.push_back({"one_point", {{0.25f, 0.5f, 0.75f}}, 0.1f});
   for (Case& c : cases) {
     std::vector<Aabb> boxes = cubes(c.points, c.width);
     rt::Bvh bvh;
-    bvh.build(boxes, rt::BvhBuildOptions{c.leaf_size});
+    bvh.build(boxes);
     rt::WideBvh wide;
     wide.build(bvh);
     const double baseline = binary_refit(bvh, boxes).sah;

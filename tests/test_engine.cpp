@@ -197,6 +197,35 @@ TEST(BackendContract, NonFiniteQueriesAnswerEmptyRows) {
   }
 }
 
+TEST(BackendContract, RadiusOutsideTheRuleThrows) {
+  // One radius rule at every door (check_radius): r > 0, and in float
+  // r*r > 0 and 2r finite. Outside it no two backends need agree (an r²
+  // of 0 accepts points far outside the 2r cube, an infinite 2r has no
+  // finite cube), so every built-in backend must refuse such an r in
+  // every mode it supports: negative, NaN, infinite, one whose 2r
+  // overflows, and a denormal one whose square underflows to 0.
+  const std::vector<Vec3> points = rtnn::testing::make_cloud(CloudKind::kUniform, 2000, 13);
+  const std::span<const Vec3> queries(points.data(), 50);
+  const float radii[] = {-0.1f, std::numeric_limits<float>::quiet_NaN(),
+                         std::numeric_limits<float>::infinity(), 3e38f, 1.5e-40f};
+  for (const char* name : kBuiltins) {
+    const auto backend = make_backend(name);
+    backend->set_points(points);
+    const BackendCaps caps = backend->caps();
+    for (const SearchMode mode : {SearchMode::kRange, SearchMode::kKnn}) {
+      if (!(mode == SearchMode::kRange ? caps.range : caps.knn)) continue;
+      for (const float r : radii) {
+        SearchParams params;
+        params.mode = mode;
+        params.radius = r;
+        params.k = 8;
+        EXPECT_THROW(backend->search(queries, params, nullptr), Error)
+            << name << (mode == SearchMode::kRange ? "/range" : "/knn") << " r=" << r;
+      }
+    }
+  }
+}
+
 TEST(BackendLifecycle, UpdatePointsFallbackMatchesRebuild) {
   // Backends without a refit path must answer update_points() through the
   // set_points() fallback — callers never branch on caps().dynamic.

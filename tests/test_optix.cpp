@@ -128,19 +128,5 @@ TEST(Optix, LockstepKnnRowsMatchTheWideLaunch) {
   EXPECT_GT(stats.warps, 0u);
 }
 
-TEST(Optix, LeafSizeOptionHonored) {
-  const Context ctx;
-  Pcg32 rng(5);
-  std::vector<Aabb> aabbs;
-  for (int i = 0; i < 64; ++i) {
-    aabbs.push_back(Aabb::cube(rng.uniform_in_aabb({{0, 0, 0}, {1, 1, 1}}), 0.01f));
-  }
-  AccelBuildOptions options;
-  options.leaf_size = 4;
-  const Accel accel = ctx.build_accel(aabbs, options);
-  ASSERT_FALSE(accel.wide_bvh().leaves().empty());
-  for (const rt::WideLeaf& leaf : accel.wide_bvh().leaves()) EXPECT_LE(leaf.count, 4u);
-}
-
 }  // namespace
 }  // namespace rtnn::ox

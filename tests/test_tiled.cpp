@@ -156,6 +156,9 @@ TEST(IndexGauge, CountsEveryResidentArray) {
   const ox::Accel accel = ox::Context().build_accel(boxes);
   const std::uint64_t mono_bytes = resident_bytes(accel.wide_bvh());
   EXPECT_EQ(accel.wide_bvh().stats().total_index_bytes, mono_bytes);
+  // One leaf record per primitive, each one 4 B prim-order slot.
+  EXPECT_EQ(accel.wide_bvh().leaves().size_bytes(),
+            4 * static_cast<std::size_t>(accel.wide_bvh().prim_count()));
 
   SearchParams params;
   params.mode = SearchMode::kKnn;

@@ -35,20 +35,19 @@ struct Scene {
   WideBvh wide;
 };
 
-Scene build_scene(std::vector<Vec3> points, float width, std::uint32_t leaf_size = 1) {
+Scene build_scene(std::vector<Vec3> points, float width) {
   Scene scene;
   scene.points = std::move(points);
   scene.width = width;
   scene.aabbs.reserve(scene.points.size());
   for (const Vec3& p : scene.points) scene.aabbs.push_back(Aabb::cube(p, width));
-  scene.bvh.build(scene.aabbs, BvhBuildOptions{leaf_size});
+  scene.bvh.build(scene.aabbs);
   scene.wide.build(scene.bvh);
   return scene;
 }
 
-Scene make_scene(CloudKind kind, std::size_t n, float width, std::uint64_t seed,
-                 std::uint32_t leaf_size = 1) {
-  return build_scene(rtnn::testing::make_cloud(kind, n, seed), width, leaf_size);
+Scene make_scene(CloudKind kind, std::size_t n, float width, std::uint64_t seed) {
+  return build_scene(rtnn::testing::make_cloud(kind, n, seed), width);
 }
 
 /// Records every primitive the IS stage sees, per ray, with multiplicity:
@@ -107,41 +106,30 @@ TEST(WideBvh, CollapseInvariants) {
   }
 }
 
-TEST(WideBvh, CollapseInvariantsWiderLeaves) {
-  for (const std::uint32_t leaf_size : {2u, 4u, 8u}) {
-    const Scene scene = make_scene(CloudKind::kUniform, 3000, 0.05f, leaf_size, leaf_size);
-    ASSERT_NO_THROW(scene.wide.validate()) << "leaf_size=" << leaf_size;
-  }
-}
-
 /// The build's bytes: the subtree-parallel collapse, quantizing as it
 /// emits, must give the serial breadth-first collapse plus sweep node for
-/// node in DFS order — on 200k-point trees, on one- and two-point trees,
-/// on 20,000 copies of one point (median splits all the way down) and
-/// with four primitives per leaf; all but the tiny trees take the subtree
-/// path.
+/// node in DFS order — on 200k-point trees, on one- and two-point trees
+/// and on 20,000 copies of one point (median splits all the way down);
+/// all but the tiny trees take the subtree path.
 TEST(WideBvh, BuildMatchesTheSerialCollapse) {
   struct Case {
     std::string label;
     std::vector<Vec3> points;
     float width;
-    std::uint32_t leaf_size;
   };
   const float lidar_width = 2.0f * rtnn::testing::typical_radius(CloudKind::kLidar);
   std::vector<Case> cases;
   cases.push_back({"lidar-200k", rtnn::testing::make_cloud(CloudKind::kLidar, 200'000, 71),
-                   lidar_width, 1});
+                   lidar_width});
   cases.push_back({"uniform-200k", rtnn::testing::make_cloud(CloudKind::kUniform, 200'000, 72),
-                   0.01f, 1});
-  cases.push_back({"one-point", {{0.25f, -0.5f, 3.0f}}, 0.1f, 1});
-  cases.push_back({"two-points", {{0.0f, 0.0f, 0.0f}, {1.0f, 2.0f, 3.0f}}, 0.1f, 1});
+                   0.01f});
+  cases.push_back({"one-point", {{0.25f, -0.5f, 3.0f}}, 0.1f});
+  cases.push_back({"two-points", {{0.0f, 0.0f, 0.0f}, {1.0f, 2.0f, 3.0f}}, 0.1f});
   cases.push_back({"one-point-x20000",
-                   std::vector<Vec3>(20'000, Vec3{0.5f, 0.25f, -0.75f}), 0.1f, 1});
-  cases.push_back({"lidar-60k-leaf4", rtnn::testing::make_cloud(CloudKind::kLidar, 60'000, 73),
-                   lidar_width, 4});
+                   std::vector<Vec3>(20'000, Vec3{0.5f, 0.25f, -0.75f}), 0.1f});
   for (const Case& c : cases) {
     Bvh bvh;
-    bvh.build(c.points, c.width, BvhBuildOptions{c.leaf_size});
+    bvh.build(c.points, c.width);
     const rtnn::testing::oracle::Tree want = rtnn::testing::oracle::collapse(bvh);
     WideBvh wide;
     wide.build(bvh);
@@ -239,16 +227,14 @@ TEST(WideBvh, EmptyAndDegenerateInputs) {
 /// The exactness bar of the wide layout: the wide path and the binary
 /// path must invoke the IS shader on exactly the same primitives, each
 /// exactly once — on uniform and lidar-shaped (highly anisotropic density)
-/// clouds, multi-primitive leaves and every degenerate generator shape,
-/// with the SIMD node test agreeing with the scalar one on every box.
+/// clouds and every degenerate generator shape, with the SIMD node test
+/// agreeing with the scalar one on every box.
 TEST(WideBvh, TraversalParityWithBinary) {
   std::vector<std::pair<std::string, Scene>> scenes;
   for (const CloudKind kind : {CloudKind::kUniform, CloudKind::kLidar}) {
     const float width = 2.0f * rtnn::testing::typical_radius(kind);
     scenes.emplace_back(rtnn::testing::to_string(kind), make_scene(kind, 4000, width, 17));
   }
-  scenes.emplace_back("uniform-leaf4",
-                      make_scene(CloudKind::kUniform, 3000, 0.08f, 21, /*leaf_size=*/4));
   for (rtnn::testing::Trial& trial : rtnn::testing::degenerate_shapes(0xbeefu)) {
     scenes.emplace_back(trial.generator,
                         build_scene(std::move(trial.points), 2.0f * trial.radius));
@@ -271,18 +257,6 @@ TEST(WideBvh, TraversalParityWithBinary) {
     for (std::size_t q = 0; q < queries.size(); ++q) {
       ASSERT_EQ(got[q], expected[q]) << label << " query " << q;
     }
-  }
-}
-
-TEST(WideBvh, TraversalParityWiderLeaves) {
-  for (const std::uint32_t leaf_size : {2u, 8u}) {
-    const Scene scene = make_scene(CloudKind::kUniform, 3000, 0.08f, 21, leaf_size);
-    const auto rays = short_rays(scene.points);
-    Collector binary(scene.points.size());
-    trace(scene.bvh, rays, binary);
-    Collector wide(scene.points.size());
-    trace(scene.wide, rays, wide);
-    EXPECT_EQ(wide.sorted(), binary.sorted()) << "leaf_size=" << leaf_size;
   }
 }
 

@@ -1,6 +1,6 @@
 // Test-local oracle of the compressed wide BVH's bytes: the serial
 // breadth-first collapse with a scalar quantizer, written without the
-// parallel build's subtree cut, the stitch or the 8-lane search. The
+// parallel build's subtree cut or the 8-lane search. The
 // production tree must match it node for node in DFS order (its node
 // indices differ: subtrees own contiguous ranges).
 #pragma once
@@ -97,7 +97,7 @@ inline void quantize_node(rt::CompressedWideNode& node, const Aabb* slots) {
 /// The oracle tree, in breadth-first layout.
 struct Tree {
   std::vector<rt::CompressedWideNode> nodes;
-  std::vector<rt::WideLeaf> leaves;
+  std::vector<std::uint32_t> leaves;  // one prim_order() slot per leaf
   std::vector<rt::ExpandMasks> masks;
   std::uint32_t max_depth = 0;
 };
@@ -167,7 +167,7 @@ inline Tree collapse(const rt::Bvh& bvh) {
       if (b.is_leaf()) {
         if (n_leaf == 0) node.leaf_base = static_cast<std::uint32_t>(tree.leaves.size());
         node.meta[i] = static_cast<std::uint8_t>(rt::CompressedWideNode::kMetaLeaf | n_leaf++);
-        tree.leaves.push_back({b.first, b.count});
+        tree.leaves.push_back(b.first);
       } else {
         if (n_interior == 0) node.child_base = static_cast<std::uint32_t>(queue.size());
         node.meta[i] = n_interior++;
@@ -190,11 +190,8 @@ inline Tree collapse(const rt::Bvh& bvh) {
     std::uint32_t first[8] = {};
     for (std::uint32_t i = 0; i < node.count; ++i) {
       if (node.is_leaf_slot(i)) {
-        const rt::WideLeaf leaf = tree.leaves[node.leaf_index(i)];
-        for (std::uint32_t s = leaf.first; s < leaf.first + leaf.count; ++s) {
-          slots[i].grow(bvh.prim_aabbs()[bvh.prim_order()[s]]);
-        }
-        first[i] = leaf.first;
+        first[i] = tree.leaves[node.leaf_index(i)];
+        slots[i] = bvh.prim_aabbs()[bvh.prim_order()[first[i]]];
       } else {
         slots[i] = content[node.child_index(i)].bounds;
         first[i] = content[node.child_index(i)].first;
@@ -214,7 +211,7 @@ inline Tree collapse(const rt::Bvh& bvh) {
 
 /// Walks both trees from their roots in slot order and compares every
 /// node's count, slot kinds, anchor, exponents, all 48 lane bytes, expand
-/// masks and leaf ranges.
+/// masks and leaf records.
 inline void expect_same_tree(const rt::WideBvh& got, const Tree& want, const std::string& label) {
   ASSERT_EQ(got.compressed_nodes().size(), want.nodes.size()) << label;
   ASSERT_EQ(got.leaves().size(), want.leaves.size()) << label;
@@ -247,10 +244,8 @@ inline void expect_same_tree(const rt::WideBvh& got, const Tree& want, const std
     for (std::uint32_t i = 0; i < g.count; ++i) {
       ASSERT_EQ(g.meta[i], w.meta[i]) << where << " slot " << i;
       if (g.is_leaf_slot(i)) {
-        const rt::WideLeaf gl = got.leaves()[g.leaf_index(i)];
-        const rt::WideLeaf wl = want.leaves[w.leaf_index(i)];
-        ASSERT_EQ(gl.first, wl.first) << where << " slot " << i;
-        ASSERT_EQ(gl.count, wl.count) << where << " slot " << i;
+        ASSERT_EQ(got.leaves()[g.leaf_index(i)], want.leaves[w.leaf_index(i)])
+            << where << " slot " << i;
       }
     }
     for (std::uint32_t i = g.count; i-- > 0;) {
