@@ -5,7 +5,8 @@
 //   §3.1 short rays eliminate the false-positive IS calls of long rays
 //         (Figure 4c).
 //   plus one substrate ablation: warp-lockstep vs independent traversal
-//   overhead.
+//   overhead, and the exact work counters of the production KNN walk
+//   (knn_walk.*: seeded heaps under the cull bound).
 #include <algorithm>
 #include <cstdio>
 
@@ -15,6 +16,7 @@
 #include "datasets/uniform.hpp"
 #include "optix/optix.hpp"
 #include "rtnn/pipelines.hpp"
+#include "rtnn/scheduler.hpp"
 
 using namespace rtnn;
 
@@ -123,6 +125,24 @@ RTNN_BENCH_CASE(micro_steps, "micro.steps",
                 s_short.is_calls_per_ray(), s_long.is_calls_per_ray());
     std::printf("long-ray false-positive factor: %.2fx (all extra IS calls are "
                 "rejected by Step 2)\n", factor);
+  }
+
+  // --- The production KNN walk: exact work counters ---
+  // KnnPipeline with its build width, queries in scheduled (Morton) order,
+  // as search() launches it: every ray but the first of its group starts
+  // from its predecessor's neighbours, under the cull bound. Counters
+  // only, no timing; they are exact at any thread count.
+  {
+    const std::vector<std::uint32_t> order = schedule_queries(points).order;
+    FlatKnnHeaps heaps(nq, 16);
+    pipelines::KnnPipeline pipeline(points, points, order, radius, heaps, 2.0f * radius);
+    const ox::LaunchStats s = ox::launch(accel, pipeline, static_cast<std::uint32_t>(nq));
+    ctx.metric("knn_walk.node_visits", static_cast<double>(s.node_visits));
+    ctx.metric("knn_walk.aabb_tests", static_cast<double>(s.aabb_tests));
+    ctx.metric("knn_walk.is_calls", static_cast<double>(s.is_calls));
+    std::printf("\nKNN walk (seeded, culled): %.2f node visits, %.2f IS calls per query\n",
+                static_cast<double>(s.node_visits) / static_cast<double>(nq),
+                s.is_calls_per_ray());
   }
 
   // --- Engine ablation: independent vs warp-lockstep wall clock ---

@@ -11,8 +11,16 @@
 //   * ox::launch(accel, pipeline, width) ~ optixLaunch
 //   * Pipeline::raygen(i) is the RG shader: it returns the ray for launch
 //     index i (optixGetLaunchIndex + optixTrace). It runs on the thread
-//     that walks the ray, just before the walk; one thread walks each
-//     aligned group of 32 launch indices (the warp), in launch order.
+//     that walks the ray; one thread walks each aligned group of
+//     rt::kGroupSize = 32 launch indices (the warp), in launch order. A
+//     pipeline may rely on this ordering (KnnPipeline seeds ray i's heap
+//     from ray i − 1's):
+//       - in the wide, tiled and binary independent walks, raygen(i) runs
+//         on the thread that has just finished walking i − 1, unless
+//         i % rt::kGroupSize == 0;
+//       - the lockstep warp makes all its lanes' rays before any lane
+//         walks, so there raygen(i) finds ray i − 1 unwalked (KnnPipeline
+//         sees an empty row and seeds nothing).
 //   * Pipeline::intersection(ray, prim) is the IS shader; returning
 //     TraceAction::kTerminate is the AH shader calling
 //     optixTerminateRay().

@@ -1,13 +1,16 @@
 // BVH traversal engine — the RT-core substitute.
 //
 // One launch driver (detail::run_groups) runs every walk. Launch indices
-// form aligned groups of 32, the paper's warp (section 3.2.1: "OptiX
-// groups every 32 adjacent rays generated in the RG shader into a
-// warp"). One thread takes a whole group and walks its rays in launch
-// order, making each with the caller's ray source (ox::launch passes the
-// RG shader) just before walking it. Groups never straddle threads, so
-// which rays share a thread, and in what order they run, is the same at
-// every thread count.
+// form aligned groups of kGroupSize = 32, the paper's warp (section
+// 3.2.1: "OptiX groups every 32 adjacent rays generated in the RG shader
+// into a warp"). One thread takes a whole group and walks its rays in
+// launch order, making each with the caller's ray source (ox::launch
+// passes the RG shader) just before walking it. Groups never straddle
+// threads, so which rays share a thread, and in what order they run, is
+// the same at every thread count. A ray source may therefore read what
+// the walk of the previous ray in its group wrote, with no race and the
+// same result at any thread count (KnnPipeline seeds a ray's heap from
+// its predecessor's).
 //
 // Two execution models:
 //
@@ -116,13 +119,16 @@ concept CullingProgram = requires(P& p, std::uint32_t ray_id) {
   { p.cull_shrink(ray_id) } -> std::convertible_to<float>;
 };
 
+/// Launch indices per group: the paper's warp. Group g is launch indices
+/// [g·kGroupSize, (g + 1)·kGroupSize), made and walked by one thread in
+/// launch order at any thread count.
+constexpr std::uint32_t kGroupSize = 32;
+
 namespace detail {
 
 constexpr std::uint32_t kMaxStackDepth = 128;
 /// The wide stack holds up to (width-1) net pushes per level.
 constexpr std::uint32_t kWideStackDepth = (kWideBvhWidth - 1) * kMaxStackDepth + 1;
-/// Launch indices per group: the paper's warp.
-constexpr std::uint32_t kGroupSize = 32;
 // Pretend-device addresses for the cache simulator: BVH nodes and
 // primitive AABBs live in distinct regions with GPU-like strides.
 constexpr std::uint64_t kNodeStride = 64;

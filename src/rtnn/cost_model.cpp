@@ -150,8 +150,9 @@ CostModel CostModel::calibrate(std::span<const Vec3> sample_points, float radius
   std::iota(ids.begin(), ids.end(), 0u);
 
   // --- k2: KNN IS call. The pipeline is built without a width, so its
-  // walk is unculled: k2 stays seconds per IS call of the full traversal,
-  // which is what the ρS³ IS-count term of the model predicts.
+  // walk is unculled and unseeded: k2 stays seconds per IS call of the
+  // full traversal, which is what the ρS³ IS-count term of the model
+  // predicts.
   {
     FlatKnnHeaps heaps(nq, k);
     pipelines::KnnPipeline pipeline(sample_points, queries, ids, radius, heaps);

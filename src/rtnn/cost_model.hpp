@@ -47,13 +47,15 @@ struct CostModel {
   /// BVH build per AABB. Fit before the build collapsed its subtrees in
   /// parallel and quantized as it went (about 2x faster at 4 threads on
   /// 500k points), and deliberately left as it was: re-fitting k1, k2, k3
-  /// and k_refit together is ROADMAP item 3, and moving k1 alone would
+  /// and k_refit together is ROADMAP item 6, and moving k1 alone would
   /// move the planner's bundling (batch_knn's plan among it).
   double k1 = 1.5e-7;
-  /// KNN IS call (sphere test + heap), per IS call of the *unculled*
-  /// walk — the count the ρS³ term predicts. Searches cull KNN rays by
-  /// the K-th distance (KnnPipeline::cull_shrink) and make fewer calls;
-  /// calibrate() measures k2 with the bound off.
+  /// KNN IS call (sphere test + heap), per IS call of the *unculled,
+  /// unseeded* walk — the count the ρS³ term predicts. Searches cull KNN
+  /// rays by the K-th distance (KnnPipeline::cull_shrink), start each
+  /// heap from the previous ray's neighbours, and make fewer calls;
+  /// calibrate() measures k2 with neither (a pipeline without a width).
+  /// Re-fitting it on the culled, seeded walk stays with ROADMAP item 6.
   double k2 = 6.0e-9;
   double k3_slow = 3.0e-8;  // range IS call with sphere test
   double k3_fast = 6.0e-9;  // range IS call, sphere test elided

@@ -10,7 +10,8 @@
 // *containing* the query intersect (Condition 2 of Figure 2); its
 // intersection() is the IS shader performing the exact sphere test; and
 // returning TraceAction::kTerminate plays the AH shader's role of killing
-// the ray once K neighbors are found.
+// the ray once K neighbors are found. KnnPipeline's raygen() also seeds
+// the ray's heap from the previous ray's neighbours (see the class).
 #pragma once
 
 #include <algorithm>
@@ -81,14 +82,25 @@ class RangePipeline {
 /// does allow is culling: once a ray holds K neighbors, no box can help
 /// unless it may hold a point nearer than the current K-th distance, and
 /// cull_shrink() hands the walk that bound as a per-ray face shrink.
+///
+/// The seed: scheduled launches put spatially close queries at adjacent
+/// launch indices (paper section 4), so ray i − 1's neighbours are mostly
+/// near ray i's query too. raygen(i) starts row i from them, and the
+/// bound is positive from the walk's first node. It may read row i − 1
+/// because ox::launch runs raygen(i) on the thread that has just walked
+/// ray i − 1, unless i starts a launch group (rt::kGroupSize); a walk
+/// that makes its rays first (the lockstep warp) finds that row empty.
+/// A seed is a point the unbounded walk would accept, so the row ends as
+/// the K smallest (dist², id) keys over the same candidates as an
+/// unseeded ray's, and the heap refuses the seeds the walk meets again.
 class KnnPipeline {
  public:
   /// Heap capacity (the K bound) lives in the heap pool, which needs a row
-  /// per launch index.
+  /// per launch index, empty at launch.
   /// `aabb_width` is the width the traversed accel's point cubes were
-  /// built with; it enables the cull bound. Without it (0, the default)
-  /// cull_shrink() reports no bound and the walk visits what the short
-  /// ray hits.
+  /// built with; it enables the cull bound and the seed. Without it (0,
+  /// the default) cull_shrink() reports no bound, raygen() seeds nothing
+  /// and the walk visits what the short ray hits.
   KnnPipeline(std::span<const Vec3> points, std::span<const Vec3> queries,
               std::span<const std::uint32_t> query_ids, float radius, FlatKnnHeaps& heaps,
               float aabb_width = 0.0f)
@@ -96,11 +108,14 @@ class KnnPipeline {
         queries_(queries),
         query_ids_(query_ids),
         radius2_(radius * radius),
-        half_width_(0.5f * aabb_width),
+        width_(aabb_width),
         heaps_(&heaps) {}
 
-  Ray raygen(std::uint32_t index) const {
-    return Ray::short_ray(queries_[query_ids_[index]]);
+  /// The RG shader: ray i's short ray, its row seeded from row i − 1.
+  Ray raygen(std::uint32_t index) {
+    const Ray ray = Ray::short_ray(queries_[query_ids_[index]]);
+    if (width_ > 0.0f && index % rt::kGroupSize != 0) seed(index, ray);
+    return ray;
   }
 
   ox::TraceAction intersection(std::uint32_t index, std::uint32_t prim) {
@@ -137,19 +152,36 @@ class KnnPipeline {
   /// been rejected by intersection() at any later call: the heaps, and
   /// so every result row, are byte-identical with and without the bound.
   float cull_shrink(std::uint32_t index) const {
-    if (half_width_ <= 0.0f) return 0.0f;  // built without a width: no bound
+    if (width_ <= 0.0f) return 0.0f;  // built without a width: no bound
+    const float half_width = 0.5f * width_;
     const Vec3& q = queries_[query_ids_[index]];
     const float magnitude = std::max({std::abs(q.x), std::abs(q.y), std::abs(q.z)});
-    const float margin = 0x1p-21f * (magnitude + 2.0f * half_width_) + 0x1p-64f;
-    return half_width_ - (std::sqrt(heaps_->worst_dist2(index)) + margin);
+    const float margin = 0x1p-21f * (magnitude + 2.0f * half_width) + 0x1p-64f;
+    return half_width - (std::sqrt(heaps_->worst_dist2(index)) + margin);
   }
 
  private:
+  /// Offers row `index` each point of row index − 1 that the unbounded
+  /// walk of `ray` would accept: within the radius (intersection()'s
+  /// test) and with a cube the short ray hits (the walk's exact leaf
+  /// test, on the box the accel was built with).
+  void seed(std::uint32_t index, const Ray& ray) {
+    const Vec3 inv_dir = reciprocal_dir(ray);
+    for (const FlatKnnHeaps::Key key : heaps_->row(index - 1)) {
+      const std::uint32_t prim = FlatKnnHeaps::index_of(key);
+      const Vec3& p = points_[prim];
+      const float d2 = distance2(p, ray.origin);
+      if (d2 <= radius2_ && ray_intersects_aabb(ray, Aabb::cube(p, width_), inv_dir)) {
+        heaps_->seed(index, d2, prim);
+      }
+    }
+  }
+
   std::span<const Vec3> points_;
   std::span<const Vec3> queries_;
   std::span<const std::uint32_t> query_ids_;
   float radius2_;
-  float half_width_;
+  float width_;
   FlatKnnHeaps* heaps_;
 };
 

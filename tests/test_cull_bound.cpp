@@ -1,11 +1,13 @@
-// The KNN cull bound (KnnPipeline::cull_shrink, rt::CullingProgram):
-// launching with the bound must leave every KNN row byte-identical to the
-// unbounded launch while cutting traversal work, on every walk the bound
-// reaches (the monolithic and the tiled wide walk) and under the geometries
-// that break spatial code: the differential harness's degenerate trials,
-// duplicate-heavy clouds, exact-tie lattices, NaN/Inf query rows, and a
-// dense cloud far from the origin. The walks that ignore the bound
-// (binary, warp-lockstep) must keep their counters bit-identical.
+// The KNN cull bound (KnnPipeline::cull_shrink, rt::CullingProgram) and
+// the seed that tightens it (KnnPipeline::raygen starts each row from its
+// predecessor's): launching with the bound must leave every KNN row
+// byte-identical to the unbounded, unseeded launch while cutting traversal
+// work, on every walk the bound reaches (the monolithic and the tiled wide
+// walk) and under the geometries that break spatial code: the differential
+// harness's degenerate trials, duplicate-heavy clouds, exact-tie lattices,
+// NaN/Inf query rows, and a dense cloud far from the origin. The walks
+// that ignore the bound (binary, warp-lockstep) must keep their counters
+// bit-identical.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,6 +22,7 @@
 #include "optix/optix.hpp"
 #include "rtnn/pipelines.hpp"
 #include "rtnn/rtnn.hpp"
+#include "rtnn/scheduler.hpp"
 #include "rtnn/tile_plan.hpp"
 #include "degenerate_trials.hpp"
 #include "test_util.hpp"
@@ -185,6 +188,100 @@ TEST(CullBound, KnnRowsByteIdenticalWithAndWithoutBound) {
         }
       }
     }
+  }
+}
+
+/// The same KnnPipeline launched twice over `trial`'s queries in their
+/// Morton (scheduled) launch order: through ox::launch, whose raygen seeds
+/// each row from the one before it, and through rt::trace over rays made
+/// up front, which never calls raygen and so seeds nothing. Both walks
+/// take the pipeline's cull bound; rows are by launch index in both.
+struct SeedRuns {
+  KnnRun seeded;
+  KnnRun unseeded;
+};
+
+SeedRuns run_seeded_and_unseeded(const ox::Accel& accel, const Trial& trial, std::uint32_t k,
+                                 float width) {
+  const std::vector<std::uint32_t> ids = schedule_queries(trial.queries).order;
+  const auto n = static_cast<std::uint32_t>(ids.size());
+  FlatKnnHeaps heaps(n, k);
+  pipelines::KnnPipeline pipeline(trial.points, trial.queries, ids, trial.radius, heaps, width);
+  SeedRuns runs;
+  runs.seeded.stats = ox::launch(accel, pipeline, n);
+  runs.seeded.rows = heaps.extract();
+  std::vector<Ray> rays(n);
+  for (std::uint32_t i = 0; i < n; ++i) rays[i] = Ray::short_ray(trial.queries[ids[i]]);
+  ox::detail::ProgramAdapter<pipelines::KnnPipeline> program{pipeline};
+  const std::span<const Ray> ray_span(rays);
+  runs.unseeded.stats = accel.is_tiled() ? rt::trace(accel.tiled_bvh(), ray_span, program)
+                                         : rt::trace(accel.wide_bvh(), ray_span, program);
+  runs.unseeded.rows = heaps.extract();
+  return runs;
+}
+
+TEST(CullBound, SeededLaunchMatchesTheUnseededWalk) {
+  // In Morton order a ray's predecessor is a near neighbour, so most
+  // seeds land. Seeds never change which points a row can hold (only
+  // points the walk accepts are seeded), and a seeded heap's K-th
+  // distance is never above the unseeded one's at the same node, so rows
+  // stay byte-identical and the work can only fall.
+  for (const Trial& trial : parity_trials()) {
+    for (const float scale : {2.0f, 1.2f}) {
+      const float width = scale * trial.radius;
+      for (const bool tiled : {false, true}) {
+        const std::string label = trial.generator + " seed=" + std::to_string(trial.seed) +
+                                  " width=" + std::to_string(scale) + "r " +
+                                  to_string(tiled);
+        SCOPED_TRACE(label);
+        const ox::Accel accel = build_accel(trial.points, width, tiled);
+        for (const std::uint32_t k : {1u, 8u}) {
+          const SeedRuns runs = run_seeded_and_unseeded(accel, trial, k, width);
+          expect_knn_identical(runs.seeded.rows, runs.unseeded.rows,
+                               label + " k=" + std::to_string(k));
+          EXPECT_LE(runs.seeded.stats.is_calls, runs.unseeded.stats.is_calls) << label;
+          EXPECT_LE(runs.seeded.stats.node_visits, runs.unseeded.stats.node_visits) << label;
+        }
+      }
+    }
+  }
+}
+
+TEST(CullBound, SeedsCutIsCallsOnAMortonOrderedCloud) {
+  // The mechanism pin: ox::launch runs the seeding raygen, and the seed
+  // tightens the bound from the first node, monolithic and tiled.
+  for (const Vec3 origin : {Vec3{0.0f, 0.0f, 0.0f}, Vec3{1.0e5f, -2.0e4f, 3.0e4f}}) {
+    const Trial trial = dense_trial(origin, "dense");
+    const float width = 2.0f * trial.radius;
+    for (const bool tiled : {false, true}) {
+      SCOPED_TRACE(to_string(tiled) + " origin.x=" + std::to_string(origin.x));
+      const ox::Accel accel = build_accel(trial.points, width, tiled);
+      const SeedRuns runs = run_seeded_and_unseeded(accel, trial, 8, width);
+      expect_knn_identical(runs.seeded.rows, runs.unseeded.rows, to_string(tiled));
+      EXPECT_LT(runs.seeded.stats.is_calls, runs.unseeded.stats.is_calls);
+      EXPECT_LT(runs.seeded.stats.node_visits, runs.unseeded.stats.node_visits);
+    }
+  }
+}
+
+TEST(CullBound, SeedsOnlyPointsTheWalkReaches) {
+  // Boxes of width 0.5 at r = 1 (a partition or aabb_scale width below
+  // 2r). Point 0 is within r of query 1 but its cube misses query 1, so
+  // ray 1's walk never meets it; ray 0, the previous index of the same
+  // group, holds it. The seed must test the cube as the walk's leaf test
+  // does, or point 0 enters row 1.
+  Trial trial{.generator = "narrow"};
+  trial.points = {{0.1f, 0.0f, 0.0f}, {0.55f, 0.0f, 0.0f}};
+  trial.queries = {{0.0f, 0.0f, 0.0f}, {0.6f, 0.0f, 0.0f}};
+  trial.radius = 1.0f;
+  const float width = 0.5f;
+  for (const bool tiled : {false, true}) {
+    SCOPED_TRACE(to_string(tiled));
+    const KnnRun run = run_knn(build_accel(trial.points, width, tiled, 1), trial, 2, width);
+    ASSERT_EQ(run.rows.count(0), 1u);
+    EXPECT_EQ(run.rows.neighbors(0)[0], 0u);
+    ASSERT_EQ(run.rows.count(1), 1u);
+    EXPECT_EQ(run.rows.neighbors(1)[0], 1u);
   }
 }
 

@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
-#include <numeric>
 #include <string>
 #include <vector>
 
@@ -18,6 +17,7 @@
 #include "optix/optix.hpp"
 #include "rtnn/pipelines.hpp"
 #include "rtnn/rtnn.hpp"
+#include "rtnn/scheduler.hpp"
 #include "rtnn/tile_plan.hpp"
 #include "service/service.hpp"
 #include "test_util.hpp"
@@ -119,12 +119,13 @@ void expect_whole_groups(const Recorded<P>& rec, std::uint32_t n, const std::str
 
 TEST(Determinism, LaunchInvariantAcrossThreadCounts) {
   // 20,000 rays: at 3 workers a thread-count-sized cut (n / 12 = 1,667)
-  // would fall off the 32-grid.
+  // would fall off the 32-grid. Launch order is the scheduled (Morton)
+  // order, so the KNN launch's raygen seeds each row from its
+  // predecessor's, and the seeds must not depend on the thread count.
   ThreadCountGuard guard;
   const std::vector<Vec3> points = make_cloud(CloudKind::kUniform, 20000, kSeed);
   const auto n = static_cast<std::uint32_t>(points.size());
-  std::vector<std::uint32_t> ids(n);
-  std::iota(ids.begin(), ids.end(), 0u);
+  const std::vector<std::uint32_t> ids = schedule_queries(points).order;
   const float radius = typical_radius(CloudKind::kUniform);
   const float width = 2.0f * radius;
   const ox::Context context;
@@ -132,6 +133,18 @@ TEST(Determinism, LaunchInvariantAcrossThreadCounts) {
   const ox::Accel tiled = context.build_tiled_accel(points, width, plan_tiles(points, 8));
   rt::Bvh bvh;
   bvh.build(points, width);
+
+  // The unseeded wide walk (rays made up front, no raygen): the seeded
+  // launch must make fewer IS calls, or it is not seeded.
+  rt::LaunchStats unseeded;
+  {
+    FlatKnnHeaps heaps(n, 8);
+    pipelines::KnnPipeline knn(points, points, ids, radius, heaps, width);
+    std::vector<Ray> rays(n);
+    for (std::uint32_t i = 0; i < n; ++i) rays[i] = Ray::short_ray(points[ids[i]]);
+    ox::detail::ProgramAdapter<pipelines::KnnPipeline> program{knn};
+    unseeded = rt::trace(wide.wide_bvh(), std::span<const Ray>(rays), program);
+  }
   rt::TraceConfig lockstep;
   lockstep.model = rt::ExecutionModel::kWarpLockstep;
   const char* const walks[] = {"wide", "tiled", "binary", "lockstep"};
@@ -164,6 +177,7 @@ TEST(Determinism, LaunchInvariantAcrossThreadCounts) {
           run.stats = launch(walk, recorded);
           expect_whole_groups(recorded, n, label);
           run.rows = heaps.extract();
+          if (walk == 0) EXPECT_LT(run.stats.is_calls, unseeded.is_calls) << label;
         } else {
           NeighborResult result(n, 16);
           pipelines::RangePipeline range(points, points, ids, radius, 16,

@@ -202,7 +202,7 @@ EXACT_COUNTERS = {
     "fig06": ("",),
     "fig08": ("is_calls.", "growth_exponent"),
     "micro.core": ("index_bytes.", "modeled_misses."),
-    "micro.steps": ("long_ray_false_positive_factor",),
+    "micro.steps": ("long_ray_false_positive_factor", "knn_walk."),
 }
 
 
